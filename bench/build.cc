@@ -5,9 +5,11 @@
 // byte-identical (FNV-1a checksum asserted; non-zero exit on mismatch).
 //
 // Emits machine-readable results to --out (default BENCH_build.json):
-// per thread count the build seconds, speedup vs. one thread, and the
-// generate/dedup/prune/apply phase seconds, plus peak RSS so build-memory
-// regressions are trackable alongside wall clock.
+// per thread count the build seconds, speedup vs. one thread, the
+// generate/dedup/prune/apply phase seconds, that build's own peak RSS
+// (the high-water mark is reset before each run; null where the kernel
+// does not support the reset) and its peak candidate-buffer size, plus
+// the whole process's peak RSS.
 //
 //   bench_build            # 60k-vertex GLP (the acceptance setting)
 //   bench_build --ci       # seconds-long CI mode, same JSON shape
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +46,9 @@ struct RunResult {
   uint64_t checksum = 0;
   uint64_t total_entries = 0;
   std::vector<bench::PhaseTiming> phases;
+  /// VmHWM of this build alone; unset when the peak could not be reset.
+  std::optional<uint64_t> peak_rss_bytes;
+  uint64_t peak_candidates = 0;
 };
 
 Result<uint64_t> SerializedChecksum(const TwoHopIndex& index,
@@ -115,6 +121,7 @@ int Run(int argc, char** argv) {
   for (const uint32_t threads : thread_counts) {
     BuildOptions opts;
     opts.num_threads = threads;
+    const bool peak_reset = bench::ResetPeakRss();
     Stopwatch watch;
     auto built = BuildHopLabeling(*ranked, opts);
     const double seconds = watch.Seconds();
@@ -126,8 +133,10 @@ int Run(int argc, char** argv) {
     RunResult r;
     r.threads = threads;
     r.seconds = seconds;
+    if (peak_reset) r.peak_rss_bytes = bench::PeakRssSinceResetBytes();
     r.total_entries = built->index.TotalEntries();
     const BuildStats& stats = built->stats;
+    r.peak_candidates = stats.peak_candidates;
     r.phases = {
         {"generate", stats.PhaseSeconds(&IterationStats::generate_seconds)},
         {"dedup", stats.PhaseSeconds(&IterationStats::dedup_seconds)},
@@ -146,8 +155,11 @@ int Run(int argc, char** argv) {
               << FormatDouble(r.phases[0].seconds, 2) << ", dedup "
               << FormatDouble(r.phases[1].seconds, 2) << ", prune "
               << FormatDouble(r.phases[2].seconds, 2) << ", apply "
-              << FormatDouble(r.phases[3].seconds, 2) << ")  checksum "
-              << r.checksum << "\n";
+              << FormatDouble(r.phases[3].seconds, 2) << ")  peak "
+              << (r.peak_rss_bytes ? std::to_string(*r.peak_rss_bytes >> 20) +
+                                         " MB"
+                                   : std::string("n/a"))
+              << "  checksum " << r.checksum << "\n";
     results.push_back(std::move(r));
   }
 
@@ -191,7 +203,10 @@ int Run(int argc, char** argv) {
     const RunResult& r = results[i];
     out << "    {\"threads\": " << r.threads << ", \"build_seconds\": "
         << FormatDouble(r.seconds, 3) << ", \"speedup_vs_1\": "
-        << FormatDouble(base > 0 ? base / r.seconds : 0, 3) << ", "
+        << FormatDouble(base > 0 ? base / r.seconds : 0, 3)
+        << ", \"peak_rss_bytes\": "
+        << (r.peak_rss_bytes ? std::to_string(*r.peak_rss_bytes) : "null")
+        << ", \"peak_candidates\": " << r.peak_candidates << ", "
         << bench::PhasesJson(r.phases) << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -3,12 +3,11 @@
 //
 // The paper's builders are sequential; its scalability story is I/O
 // shaped. This ablation measures the natural shared-memory extension:
-// all four per-iteration phases — generation, owner-partitioned dedup,
-// SIMD witness pruning, and partitioned label merging — are
+// generation, owner-partitioned dedup and SIMD witness pruning are
 // data-parallel (the test suite proves bit-identical output for every
-// thread count), so scaling is bounded by partition skew and the few
-// O(n) sequential seams (prefix sums, inverted-list replay) rather than
-// whole sequential phases. bench_build records the per-phase breakdown.
+// thread count), so scaling is bounded by partition skew, the O(n)
+// prefix sums and the sequential label merge, about 2% of a build.
+// bench_build records the per-phase breakdown.
 
 #include <cstdio>
 

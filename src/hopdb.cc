@@ -1,7 +1,9 @@
 #include "hopdb.h"
 
 #include <cstdint>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -90,29 +92,45 @@ Status HopDbIndex::SaveCompressed(const std::string& path) const {
 Result<HopDbIndex> HopDbIndex::Load(const std::string& path) {
   HopDbIndex out;
   // Dispatch on the file magic: "HLC1" (compressed) or "HLI1" (plain).
+  // Only the magic is read here; the chosen loader reads the file once.
+  char magic[4] = {0, 0, 0, 0};
   {
-    std::string head;
-    Status read = ReadFileToString(path, &head);
-    HOPDB_RETURN_NOT_OK(read);
-    if (head.size() >= 4 && head.compare(0, 4, "HLC1") == 0) {
-      HOPDB_ASSIGN_OR_RETURN(CompressedIndex compressed,
-                             CompressedIndex::Load(path));
-      HOPDB_ASSIGN_OR_RETURN(out.index_, compressed.Decompress());
-    } else {
-      HOPDB_ASSIGN_OR_RETURN(out.index_, TwoHopIndex::Load(path));
-    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return Status::IOError("cannot open index file: " + path);
+    in.read(magic, 4);  // a shorter file falls to the HLI1 loader's error
+  }
+  if (std::string_view(magic, 4) == "HLC1") {
+    HOPDB_ASSIGN_OR_RETURN(CompressedIndex compressed,
+                           CompressedIndex::Load(path));
+    HOPDB_ASSIGN_OR_RETURN(out.index_, compressed.Decompress());
+  } else {
+    HOPDB_ASSIGN_OR_RETURN(out.index_, TwoHopIndex::Load(path));
   }
   std::string perm;
   HOPDB_RETURN_NOT_OK(ReadFileToString(path + ".perm", &perm));
   ByteReader reader(perm);
   uint64_t n = 0;
   HOPDB_RETURN_NOT_OK(reader.ReadU64(&n));
-  std::vector<VertexId> order(n);
-  for (auto& v : order) HOPDB_RETURN_NOT_OK(reader.ReadU32(&v));
-  out.mapping_ = RankingFromOrder(std::move(order));
-  if (out.mapping_.size() != out.index_.num_vertices()) {
+  // Both checks come before `n` sizes an allocation.
+  if (n != out.index_.num_vertices()) {
     return Status::InvalidArgument("permutation/index size mismatch");
   }
+  if (n > reader.remaining() / 4) {
+    return Status::InvalidArgument("truncated permutation file: " + path +
+                                   ".perm");
+  }
+  // RankingFromOrder CHECK-fails on a non-permutation; a file must not.
+  std::vector<VertexId> order(n);
+  std::vector<uint8_t> seen(n, 0);
+  for (auto& v : order) {
+    HOPDB_RETURN_NOT_OK(reader.ReadU32(&v));
+    if (v >= n || seen[v]) {
+      return Status::InvalidArgument("permutation file is not a permutation: " +
+                                     path + ".perm");
+    }
+    seen[v] = 1;
+  }
+  out.mapping_ = RankingFromOrder(std::move(order));
   return out;
 }
 

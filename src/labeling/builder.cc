@@ -118,9 +118,6 @@ bool HasPruningWitness(PivotCursor outs_of_source, PivotCursor ins_of_dest,
 /// than it saves; Prune falls back to the scalar cursor scan.
 constexpr size_t kMinFlatWitnessCandidates = 2048;
 
-/// Candidate volume below which Apply stays single-partition.
-constexpr size_t kMinParallelApply = 1 << 12;
-
 class Builder {
  public:
   Builder(const CsrGraph& g, const BuildOptions& opts)
@@ -135,15 +132,21 @@ class Builder {
 
  private:
   void Initialize();
+
+  /// Generates this iteration's candidates in two passes over `prev`:
+  /// pass 1 counts them per owner (out_plan_/in_plan_), pass 2 writes
+  /// each into its owner's range of a buffer allocated once at the exact
+  /// count. The cap is checked between the passes, before any candidate
+  /// memory exists.
   Status Generate(BuildMode mode_used, std::vector<Cand>* out_c,
                   std::vector<Cand>* in_c, IterationStats* st);
 
   /// Periodic in-generation control check: accumulates the caller's local
-  /// progress and trips the shared abort flag when the deadline or the
-  /// candidate-volume cap is blown MID-generation. Without this, a bad
+  /// emitted count and trips the shared abort flag when the deadline or
+  /// the candidate-volume cap is blown MID-pass. Without this, a bad
   /// vertex order (random order on a big scale-free graph) can spend
-  /// minutes and gigabytes inside a single rule iteration before the
-  /// between-phase checks ever run.
+  /// minutes inside a single rule iteration before the between-phase
+  /// checks ever run.
   bool GenerationTick(uint64_t locally_generated) const {
     generated_total_.fetch_add(locally_generated,
                                std::memory_order_relaxed);
@@ -156,46 +159,51 @@ class Builder {
     }
     return !generation_abort_.load(std::memory_order_relaxed);
   }
-  void GenerateSteppingOut(std::span<const Cand> prev,
-                           std::vector<Cand>* out_c) const;
-  void GenerateSteppingIn(std::span<const Cand> prev,
-                          std::vector<Cand>* in_c) const;
-  void GenerateDoublingOut(std::span<const Cand> prev,
-                           std::vector<Cand>* out_c) const;
-  void GenerateDoublingIn(std::span<const Cand> prev,
-                          std::vector<Cand>* in_c) const;
 
-  /// Runs `gen` over `prev` split into one chunk per thread, concatenating
-  /// the per-chunk outputs in chunk order (deterministic multiset; the
-  /// dedup sort canonicalizes the order anyway). The per-chunk sinks are
-  /// arena members reused across iterations, so steady-state generation
-  /// reallocates nothing.
-  template <typename GenFn>
-  void GenerateParallel(const std::vector<Cand>& prev, GenFn gen,
-                        std::vector<Cand>* sink) {
-    if (threads_ <= 1 || prev.size() < 1024) {
-      gen(std::span<const Cand>(prev), sink);
-      return;
-    }
-    const size_t used = std::min<size_t>(threads_, prev.size());
-    if (gen_parts_.size() < used) gen_parts_.resize(used);
-    ParallelChunks(threads_, prev.size(),
-                   [&](size_t begin, size_t end, uint32_t chunk) {
-                     gen_parts_[chunk].clear();
-                     gen(std::span<const Cand>(prev.data() + begin,
-                                               end - begin),
-                         &gen_parts_[chunk]);
-                   });
-    for (size_t c = 0; c < used; ++c) {
-      sink->insert(sink->end(), gen_parts_[c].begin(), gen_parts_[c].end());
-    }
+  /// The rule bodies. Each hands every candidate it derives from `prev`
+  /// to `emit` (called concurrently from several chunks) and reports the
+  /// exact emitted count through GenerationTick.
+  template <typename Emit>
+  void GenerateSteppingOut(std::span<const Cand> prev,
+                           const Emit& emit) const;
+  template <typename Emit>
+  void GenerateSteppingIn(std::span<const Cand> prev, const Emit& emit) const;
+  template <typename Emit>
+  void GenerateDoublingOut(std::span<const Cand> prev,
+                           const Emit& emit) const;
+  template <typename Emit>
+  void GenerateDoublingIn(std::span<const Cand> prev, const Emit& emit) const;
+
+  /// Runs the rules of `mode` for one side over that side's `prev`, one
+  /// chunk per thread. Both passes of Generate call this with the same
+  /// arguments and no label changes in between, so they see the same
+  /// candidates.
+  template <typename Emit>
+  void RunRules(BuildMode mode, bool out_side, const Emit& emit) const {
+    const std::vector<Cand>& prev = out_side ? prev_out_ : prev_in_;
+    ParallelChunks(
+        threads_, prev.size(), [&](size_t begin, size_t end, uint32_t) {
+          const std::span<const Cand> chunk(prev.data() + begin, end - begin);
+          if (mode == BuildMode::kHopStepping) {
+            if (out_side) {
+              GenerateSteppingOut(chunk, emit);
+            } else {
+              GenerateSteppingIn(chunk, emit);
+            }
+          } else if (out_side) {
+            GenerateDoublingOut(chunk, emit);
+          } else {
+            GenerateDoublingIn(chunk, emit);
+          }
+        });
   }
 
-  /// Owner-partitioned parallel sort + per-(owner,pivot) dedup keeping
-  /// min dist, then drop candidates dominated by an existing entry
-  /// (d_existing <= d_cand). Bit-identical to the old global
-  /// std::sort + sequential scan for every thread count.
-  void DedupAndFilter(std::vector<Cand>* cands, bool out_side,
+  /// Sorts each owner-aligned partition of `plan` in place, then collapses
+  /// per-(owner,pivot) duplicates keeping min dist and drops candidates
+  /// dominated by an existing entry (d_existing <= d_cand). Bit-identical
+  /// to a global std::sort + sequential scan for every thread count.
+  void DedupAndFilter(std::vector<Cand>* cands,
+                      const OwnerPartitionPlan& plan, bool out_side,
                       IterationStats* st);
 
   /// Section 3.3 pruning over both candidate lists.
@@ -220,10 +228,11 @@ class Builder {
   void ComputeCandBegin(const std::vector<Cand>& cands,
                         std::vector<size_t>* cand_begin) const;
 
-  /// Merges survivors into labels + inverted lists; returns survivor
-  /// count. Label vectors merge in parallel over disjoint owner ranges;
-  /// inverted-list appends replay sequentially in candidate order, so
-  /// the result is bit-identical to the sequential merge.
+  /// Merges survivors into labels + inverted lists in candidate order;
+  /// returns survivor count. Sequential: it is the one phase that grows
+  /// heap memory (the labels), and growth made on worker threads lands
+  /// in per-thread malloc arenas and raises the build's peak RSS with
+  /// the thread count, for a phase that costs ~2% of the build.
   uint64_t Apply(const std::vector<Cand>& cands, bool out_side,
                  IterationStats* st);
 
@@ -244,7 +253,8 @@ class Builder {
   /// inv_in_[p]: owners w with an entry (p, ·) in Lin(w). Drives Rule 5.
   std::vector<std::vector<VertexId>> inv_in_;
 
-  /// Entries that survived the previous iteration, sorted by owner.
+  /// Entries that survived the previous iteration, sorted by owner;
+  /// exactly sized, and released once generation has read them.
   std::vector<Cand> prev_out_;
   std::vector<Cand> prev_in_;
 
@@ -253,15 +263,14 @@ class Builder {
   mutable std::atomic<bool> generation_abort_{false};
 
   // -------------------------------------------------------------------
-  // Iteration-scoped arenas, all reused across iterations so the
-  // steady-state loop performs no per-iteration allocation beyond label
-  // growth itself (the realloc/touch churn dominated large GLP builds).
+  // Iteration-scoped tables, reused across iterations. The candidate
+  // buffers themselves are not: each iteration allocates them once at
+  // the exact raw count.
   // -------------------------------------------------------------------
-  /// Per-chunk generation sinks (GenerateParallel).
-  std::vector<std::vector<Cand>> gen_parts_;
-  /// Ping-pong buffer + partition plan for the owner-partitioned sort.
-  std::vector<Cand> sort_scratch_;
-  OwnerPartitionPlan sort_plan_;
+  /// Per-owner counts/cursors and partition bounds of each side's
+  /// candidates (Generate fills them, DedupAndFilter sorts along them).
+  OwnerPartitionPlan out_plan_;
+  OwnerPartitionPlan in_plan_;
   /// Per-partition dedup counters.
   struct DedupPartStats {
     uint64_t deduped = 0;
@@ -282,10 +291,6 @@ class Builder {
   /// Legacy witness copies for the small-iteration scalar path.
   std::vector<Cand> wit_out_small_;
   std::vector<Cand> wit_in_small_;
-  /// Apply-phase partition state.
-  std::vector<size_t> apply_bounds_;
-  std::vector<std::vector<std::pair<VertexId, VertexId>>> new_inv_parts_;
-  std::vector<uint64_t> apply_updates_;
 
   BuildStats stats_;
 };
@@ -340,71 +345,77 @@ void Builder::Initialize() {
   stats_.initial_entries = prev_out_.size() + prev_in_.size();
 }
 
-/// Candidates emitted between GenerationTick control checks.
+/// Work between GenerationTick control checks: candidates emitted, or
+/// arcs scanned for Hop-Stepping, whose scans can emit little.
 constexpr uint64_t kTickEvery = 1 << 16;
 
+template <typename Emit>
 void Builder::GenerateSteppingOut(std::span<const Cand> prev,
-                                  std::vector<Cand>* out_c) const {
+                                  const Emit& emit) const {
   // Rules 1+2 with a unit-hop left factor: a prev out-entry (u -> v, d)
   // extends backwards over every in-arc (w -> u) whose w is ranked below
   // the pivot (w > v). Undirected graphs use the full neighborhood.
-  uint64_t since_tick = 0;
+  uint64_t scanned = 0, emitted = 0;
   for (const Cand& c : prev) {
     auto arcs = directed_ ? g_.InArcs(c.owner) : g_.OutArcs(c.owner);
     for (const Arc& a : arcs) {
       if (a.to <= c.pivot) continue;  // w must rank below the pivot
-      out_c->push_back({a.to, c.pivot, SaturatingAdd(c.dist, a.weight)});
+      emit(Cand{a.to, c.pivot, SaturatingAdd(c.dist, a.weight)});
+      ++emitted;
     }
-    since_tick += arcs.size();
-    if (since_tick >= kTickEvery) {
-      if (!GenerationTick(since_tick)) return;
-      since_tick = 0;
+    scanned += arcs.size();
+    if (scanned >= kTickEvery) {
+      if (!GenerationTick(emitted)) return;
+      scanned = emitted = 0;
     }
   }
-  GenerationTick(since_tick);
+  GenerationTick(emitted);
 }
 
+template <typename Emit>
 void Builder::GenerateSteppingIn(std::span<const Cand> prev,
-                                 std::vector<Cand>* in_c) const {
+                                 const Emit& emit) const {
   // Rules 4+5 with a unit-hop right factor: a prev in-entry
   // (owner v, pivot u, d) extends forward over out-arcs (v -> w), w > u.
-  uint64_t since_tick = 0;
+  uint64_t scanned = 0, emitted = 0;
   for (const Cand& c : prev) {
-    for (const Arc& a : g_.OutArcs(c.owner)) {
+    auto arcs = g_.OutArcs(c.owner);
+    for (const Arc& a : arcs) {
       if (a.to <= c.pivot) continue;
-      in_c->push_back({a.to, c.pivot, SaturatingAdd(c.dist, a.weight)});
+      emit(Cand{a.to, c.pivot, SaturatingAdd(c.dist, a.weight)});
+      ++emitted;
     }
-    since_tick += g_.OutArcs(c.owner).size();
-    if (since_tick >= kTickEvery) {
-      if (!GenerationTick(since_tick)) return;
-      since_tick = 0;
+    scanned += arcs.size();
+    if (scanned >= kTickEvery) {
+      if (!GenerationTick(emitted)) return;
+      scanned = emitted = 0;
     }
   }
-  GenerationTick(since_tick);
+  GenerationTick(emitted);
 }
 
+template <typename Emit>
 void Builder::GenerateDoublingOut(std::span<const Cand> prev,
-                                  std::vector<Cand>* out_c) const {
+                                  const Emit& emit) const {
   const auto& ins = directed_ ? in_ : out_;
   const auto& inv = inv_out_;
   uint64_t since_tick = 0;
   for (const Cand& c : prev) {
-    const uint64_t before = out_c->size();
     // Rule 1: join with in-labels of the owner whose pivot u1 satisfies
     // v < u1 (< u automatically): suffix scan of the sorted label.
     const LabelVector& lin = ins[c.owner];
-    for (size_t i = UpperBoundPivot(lin, c.pivot); i < lin.size(); ++i) {
-      out_c->push_back(
-          {lin[i].pivot, c.pivot, SaturatingAdd(lin[i].dist, c.dist)});
+    const size_t first = UpperBoundPivot(lin, c.pivot);
+    for (size_t i = first; i < lin.size(); ++i) {
+      emit(Cand{lin[i].pivot, c.pivot, SaturatingAdd(lin[i].dist, c.dist)});
     }
     // Rule 2: join with every out-entry whose pivot is the owner:
     // owners u2 > u found via the inverted list.
     for (VertexId u2 : inv[c.owner]) {
       Distance d2 = LookupPivot(out_[u2], c.owner);
       HOPDB_DCHECK_NE(d2, kInfDistance);
-      out_c->push_back({u2, c.pivot, SaturatingAdd(d2, c.dist)});
+      emit(Cand{u2, c.pivot, SaturatingAdd(d2, c.dist)});
     }
-    since_tick += out_c->size() - before;
+    since_tick += (lin.size() - first) + inv[c.owner].size();
     if (since_tick >= kTickEvery) {
       if (!GenerationTick(since_tick)) return;
       since_tick = 0;
@@ -413,25 +424,25 @@ void Builder::GenerateDoublingOut(std::span<const Cand> prev,
   GenerationTick(since_tick);
 }
 
+template <typename Emit>
 void Builder::GenerateDoublingIn(std::span<const Cand> prev,
-                                 std::vector<Cand>* in_c) const {
+                                 const Emit& emit) const {
   uint64_t since_tick = 0;
   for (const Cand& c : prev) {
-    const uint64_t before = in_c->size();
     // Rule 4: join with out-labels of the owner (the path's destination)
     // whose pivot u4 satisfies u < u4 (< v automatically).
     const LabelVector& lout = out_[c.owner];
-    for (size_t i = UpperBoundPivot(lout, c.pivot); i < lout.size(); ++i) {
-      in_c->push_back(
-          {lout[i].pivot, c.pivot, SaturatingAdd(c.dist, lout[i].dist)});
+    const size_t first = UpperBoundPivot(lout, c.pivot);
+    for (size_t i = first; i < lout.size(); ++i) {
+      emit(Cand{lout[i].pivot, c.pivot, SaturatingAdd(c.dist, lout[i].dist)});
     }
     // Rule 5: join with every in-entry whose pivot is the owner.
     for (VertexId u5 : inv_in_[c.owner]) {
       Distance d5 = LookupPivot(in_[u5], c.owner);
       HOPDB_DCHECK_NE(d5, kInfDistance);
-      in_c->push_back({u5, c.pivot, SaturatingAdd(c.dist, d5)});
+      emit(Cand{u5, c.pivot, SaturatingAdd(c.dist, d5)});
     }
-    since_tick += in_c->size() - before;
+    since_tick += (lout.size() - first) + inv_in_[c.owner].size();
     if (since_tick >= kTickEvery) {
       if (!GenerationTick(since_tick)) return;
       since_tick = 0;
@@ -444,67 +455,68 @@ Status Builder::Generate(BuildMode mode_used, std::vector<Cand>* out_c,
                          std::vector<Cand>* in_c, IterationStats* st) {
   generated_total_.store(0, std::memory_order_relaxed);
   generation_abort_.store(false, std::memory_order_relaxed);
-  if (mode_used == BuildMode::kHopStepping) {
-    GenerateParallel(
-        prev_out_,
-        [this](std::span<const Cand> p, std::vector<Cand>* s) {
-          GenerateSteppingOut(p, s);
-        },
-        out_c);
-    if (directed_) {
-      GenerateParallel(
-          prev_in_,
-          [this](std::span<const Cand> p, std::vector<Cand>* s) {
-            GenerateSteppingIn(p, s);
-          },
-          in_c);
-    }
-  } else {
-    GenerateParallel(
-        prev_out_,
-        [this](std::span<const Cand> p, std::vector<Cand>* s) {
-          GenerateDoublingOut(p, s);
-        },
-        out_c);
-    if (directed_) {
-      GenerateParallel(
-          prev_in_,
-          [this](std::span<const Cand> p, std::vector<Cand>* s) {
-            GenerateDoublingIn(p, s);
-          },
-          in_c);
-    }
+
+  // Pass 1: count each side's candidates per owner; nothing is stored.
+  out_plan_.ResetCounts(g_.num_vertices());
+  RunRules(mode_used, /*out_side=*/true,
+           [this](const Cand& c) { out_plan_.Count(c.owner); });
+  if (directed_) {
+    in_plan_.ResetCounts(g_.num_vertices());
+    RunRules(mode_used, /*out_side=*/false,
+             [this](const Cand& c) { in_plan_.Count(c.owner); });
   }
-  st->raw_candidates = out_c->size() + in_c->size();
-  stats_.peak_candidates = std::max(stats_.peak_candidates,
-                                    st->raw_candidates);
-  // An in-generation abort leaves the candidate lists truncated; report
-  // whichever limit tripped. (The post-hoc checks below catch volumes
-  // that landed between ticks.)
+  // A pass-1 abort leaves the counts short; report whichever limit
+  // tripped. A full count is exact, so the cap check below is too.
+  const uint64_t counted = generated_total_.load(std::memory_order_relaxed);
   if (opts_.max_candidates_per_iteration != 0 &&
-      (st->raw_candidates > opts_.max_candidates_per_iteration ||
-       generated_total_.load(std::memory_order_relaxed) >
-           opts_.max_candidates_per_iteration)) {
+      counted > opts_.max_candidates_per_iteration) {
     return Status::ResourceExhausted(
-        "candidate volume " + std::to_string(st->raw_candidates) +
+        "candidate volume " + std::to_string(counted) +
         " exceeds cap at iteration " + std::to_string(st->iteration));
   }
   if (generation_abort_.load(std::memory_order_relaxed) ||
       deadline_.Exceeded()) {
     return Status::DeadlineExceeded("label generation over time budget");
   }
+  const uint64_t raw_out = out_plan_.Finish(threads_);
+  const uint64_t raw_in = directed_ ? in_plan_.Finish(threads_) : 0;
+  st->raw_candidates = raw_out + raw_in;
+  stats_.peak_candidates =
+      std::max(stats_.peak_candidates, st->raw_candidates);
+
+  // Pass 2: the same rules again, each candidate written straight into
+  // the next free slot of its owner's range. It emits exactly what pass
+  // 1 counted, so only the deadline can stop it.
+  generated_total_.store(0, std::memory_order_relaxed);
+  out_c->resize(raw_out);
+  RunRules(mode_used, /*out_side=*/true,
+           [this, buf = out_c->data()](const Cand& c) {
+             buf[out_plan_.Claim(c.owner)] = c;
+           });
+  if (directed_) {
+    in_c->resize(raw_in);
+    RunRules(mode_used, /*out_side=*/false,
+             [this, buf = in_c->data()](const Cand& c) {
+               buf[in_plan_.Claim(c.owner)] = c;
+             });
+  }
+  if (generation_abort_.load(std::memory_order_relaxed)) {
+    return Status::DeadlineExceeded("label generation over time budget");
+  }
   return Status::OK();
 }
 
-void Builder::DedupAndFilter(std::vector<Cand>* cands, bool out_side,
+void Builder::DedupAndFilter(std::vector<Cand>* cands,
+                             const OwnerPartitionPlan& plan, bool out_side,
                              IterationStats* st) {
-  // Owner-partitioned parallel sort; bounds are owner-aligned, so the
+  // Generation left each owner's candidates, in scheduling-dependent
+  // order, in that owner's range; sorting every owner-aligned partition
+  // puts them in global (owner, pivot, dist) order, and the
   // per-partition scans below see every (owner, pivot) group whole.
-  OwnerPartitionedSort(
-      cands, g_.num_vertices(), threads_,
-      [](const Cand& c) { return c.owner; }, CandLess, &sort_scratch_,
-      &sort_plan_);
-  const std::vector<size_t>& bounds = sort_plan_.bounds;
+  const std::vector<size_t>& bounds = plan.bounds;
+  SortPartitions(
+      std::span<Cand>(*cands), bounds, [](const Cand& c) { return c.owner; },
+      CandLess);
   const size_t parts = bounds.size() - 1;
   const auto& side = Side(out_side);
 
@@ -765,85 +777,43 @@ uint64_t Builder::Apply(const std::vector<Cand>& cands, bool out_side,
                         IterationStats* st) {
   auto& side = Side(out_side);
   auto& inv = out_side || !directed_ ? inv_out_ : inv_in_;
-  if (cands.empty()) return 0;
-  const size_t m = cands.size();
-
-  // Owner-aligned partition bounds: every owner's contiguous candidate
-  // run lands in exactly one partition, so partitions touch disjoint
-  // label vectors and merge independently.
-  apply_bounds_.clear();
-  apply_bounds_.push_back(0);
-  if (threads_ > 1 && m >= kMinParallelApply) {
-    for (uint32_t k = 1; k < threads_; ++k) {
-      size_t idx = std::max<size_t>(1, m * k / threads_);
-      while (idx < m && cands[idx].owner == cands[idx - 1].owner) ++idx;
-      if (idx > apply_bounds_.back() && idx < m) apply_bounds_.push_back(idx);
-    }
-  }
-  apply_bounds_.push_back(m);
-  const size_t parts = apply_bounds_.size() - 1;
-  if (new_inv_parts_.size() < parts) new_inv_parts_.resize(parts);
-  apply_updates_.assign(parts, 0);
-
-  ParallelChunks(
-      static_cast<uint32_t>(parts), parts,
-      [&](size_t pb, size_t pe, uint32_t) {
-        for (size_t p = pb; p < pe; ++p) {
-          auto& new_inv = new_inv_parts_[p];
-          new_inv.clear();
-          uint64_t updates = 0;
-          size_t i = apply_bounds_[p];
-          const size_t part_end = apply_bounds_[p + 1];
-          while (i < part_end) {
-            const VertexId owner = cands[i].owner;
-            size_t j = i;
-            while (j < part_end && cands[j].owner == owner) ++j;
-            LabelVector& lab = side[owner];
-            const size_t old_size = lab.size();
-            for (size_t k = i; k < j; ++k) {
-              const Cand& c = cands[k];
-              // In-place update when the pivot already exists (possible
-              // for weighted graphs and Hop-Doubling's overshooting
-              // paths).
-              size_t lo = 0, hi = old_size;
-              while (lo < hi) {
-                size_t mid = (lo + hi) / 2;
-                if (lab[mid].pivot < c.pivot) {
-                  lo = mid + 1;
-                } else {
-                  hi = mid;
-                }
-              }
-              if (lo < old_size && lab[lo].pivot == c.pivot) {
-                HOPDB_DCHECK_GT(lab[lo].dist, c.dist);
-                lab[lo].dist = c.dist;
-                ++updates;
-              } else {
-                lab.push_back({c.pivot, c.dist});
-                new_inv.emplace_back(c.pivot, owner);
-              }
-            }
-            std::inplace_merge(
-                lab.begin(), lab.begin() + static_cast<ptrdiff_t>(old_size),
-                lab.end(), [](const LabelEntry& a, const LabelEntry& b) {
-                  return a.pivot < b.pivot;
-                });
-            i = j;
-          }
-          apply_updates_[p] = updates;
+  size_t i = 0;
+  while (i < cands.size()) {
+    const VertexId owner = cands[i].owner;
+    size_t j = i;
+    while (j < cands.size() && cands[j].owner == owner) ++j;
+    LabelVector& lab = side[owner];
+    const size_t old_size = lab.size();
+    for (size_t k = i; k < j; ++k) {
+      const Cand& c = cands[k];
+      // In-place update when the pivot already exists (possible for
+      // weighted graphs and Hop-Doubling's overshooting paths).
+      size_t lo = 0, hi = old_size;
+      while (lo < hi) {
+        size_t mid = (lo + hi) / 2;
+        if (lab[mid].pivot < c.pivot) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
         }
-      });
-
-  // Inverted lists are keyed by pivot — shared across owners — so their
-  // appends replay sequentially in candidate order: the lists end up
-  // byte-identical to the sequential merge for every thread count.
-  for (size_t p = 0; p < parts; ++p) {
-    for (const auto& [pivot, owner] : new_inv_parts_[p]) {
-      inv[pivot].push_back(owner);
+      }
+      if (lo < old_size && lab[lo].pivot == c.pivot) {
+        HOPDB_DCHECK_GT(lab[lo].dist, c.dist);
+        lab[lo].dist = c.dist;
+        ++st->updates;
+      } else {
+        lab.push_back({c.pivot, c.dist});
+        inv[c.pivot].push_back(owner);
+      }
     }
-    st->updates += apply_updates_[p];
+    std::inplace_merge(
+        lab.begin(), lab.begin() + static_cast<ptrdiff_t>(old_size),
+        lab.end(), [](const LabelEntry& a, const LabelEntry& b) {
+          return a.pivot < b.pivot;
+        });
+    i = j;
   }
-  return m;
+  return cands.size();
 }
 
 Result<BuildOutput> Builder::Run() {
@@ -854,7 +824,6 @@ Result<BuildOutput> Builder::Run() {
     stats_.init_seconds = init_watch.Seconds();
   }
 
-  std::vector<Cand> out_c, in_c;
   for (uint32_t iter = 1; iter <= opts_.max_iterations; ++iter) {
     if (prev_out_.empty() && prev_in_.empty()) break;
     if (deadline_.Exceeded()) {
@@ -878,15 +847,20 @@ Result<BuildOutput> Builder::Run() {
         break;
     }
 
-    out_c.clear();
-    in_c.clear();
+    // This iteration's candidate buffers, sized exactly by Generate and
+    // compacted in place by dedup and pruning.
+    std::vector<Cand> out_c, in_c;
     Stopwatch phase_watch;
     HOPDB_RETURN_NOT_OK(Generate(st.mode_used, &out_c, &in_c, &st));
+    // Only generation reads `prev`; release it before the later phases
+    // allocate.
+    std::vector<Cand>().swap(prev_out_);
+    std::vector<Cand>().swap(prev_in_);
     st.generate_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
-    DedupAndFilter(&out_c, /*out_side=*/true, &st);
-    if (directed_) DedupAndFilter(&in_c, /*out_side=*/false, &st);
+    DedupAndFilter(&out_c, out_plan_, /*out_side=*/true, &st);
+    if (directed_) DedupAndFilter(&in_c, in_plan_, /*out_side=*/false, &st);
     st.dedup_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
@@ -898,8 +872,10 @@ Result<BuildOutput> Builder::Run() {
     if (directed_) st.survivors += Apply(in_c, /*out_side=*/false, &st);
     st.apply_seconds = phase_watch.Seconds();
 
-    prev_out_.swap(out_c);
-    prev_in_.swap(in_c);
+    // Survivors become `prev` in exactly sized copies; the raw-sized
+    // buffers die with this iteration.
+    prev_out_.assign(out_c.begin(), out_c.end());
+    prev_in_.assign(in_c.begin(), in_c.end());
 
     uint64_t total_entries = 0;
     for (const auto& l : out_) total_entries += l.size();

@@ -2,17 +2,22 @@
 // (Sections 3 and 5 of the paper).
 //
 // The builder runs on a *rank-relabeled* graph (internal id == rank, id 0
-// = highest degree). Each iteration is a four-phase pipeline, every phase
-// parallel over BuildOptions::num_threads (docs/ARCHITECTURE.md, "Build
-// pipeline"):
+// = highest degree). Each iteration is a four-phase pipeline, the first
+// three parallel over BuildOptions::num_threads (docs/ARCHITECTURE.md,
+// "Build pipeline"):
 //   1. generate — candidate entries from the entries that survived the
 //      previous iteration (`prev`) joined against either all existing
 //      labels (Hop-Doubling, the 4 simplified rules of Fig. 6) or single
-//      edges (Hop-Stepping, Section 5.1); parallel over chunks of `prev`.
-//   2. dedup — candidates sort by (owner, pivot, dist) via an
-//      owner-partitioned counting partition (candidate_partition.h), are
-//      collapsed per (owner, pivot) keeping the smallest distance, and
-//      drop when dominated by an existing entry; parallel per partition.
+//      edges (Hop-Stepping, Section 5.1); parallel over chunks of `prev`,
+//      in two passes running the same rule code: the first counts
+//      candidates per owner, the second writes each into its owner's
+//      range of one buffer allocated at the exact count
+//      (candidate_partition.h). An iteration thus holds raw × 12 B of
+//      candidates plus the survivors, for any thread count.
+//   2. dedup — each owner-aligned partition is sorted in place into
+//      (owner, pivot, dist) order; candidates are collapsed per
+//      (owner, pivot) keeping the smallest distance, and drop when
+//      dominated by an existing entry; parallel per partition.
 //   3. prune — candidates with a witness through a higher-ranked pivot
 //      die (Section 3.3): candidate covering path x⇝y with pivot
 //      β = min(x, y) dies iff some w < β has (w,d1) ∈ Lout(x),
@@ -20,10 +25,10 @@
 //      bounded early-exit SIMD merge-join of the active query kernel
 //      over a frozen flat snapshot of labels ∪ candidates, decisions in
 //      parallel (scalar cursor fallback for tiny iterations).
-//   4. apply — survivors merge into the labels; owners are partitioned
-//      into contiguous ranges so label vectors merge in parallel, then
-//      inverted lists replay sequentially in candidate order. Survivors
-//      become `prev`.
+//   4. apply — survivors merge into the labels and inverted lists in
+//      candidate order, on one thread: label growth made on worker
+//      threads would land in per-thread malloc arenas and raise peak
+//      memory with the thread count. Survivors become `prev`.
 // The loop ends when no candidate survives — at most DH iterations for
 // Stepping (Thm. 6) and 2⌈log DH⌉ for Doubling (Thm. 4).
 //
@@ -69,9 +74,10 @@ struct BuildOptions {
   /// Status::DeadlineExceeded (rendered as "—"/DNF in benches, matching
   /// the paper's 24-hour cutoff).
   double time_budget_seconds = 0;
-  /// Candidate-volume cap per iteration; 0 disables. Exceeding it aborts
-  /// with Status::ResourceExhausted (Hop-Doubling on large graphs can
-  /// explode; the paper's Table 8 shows exactly this).
+  /// Candidate-volume cap per iteration; 0 disables. An iteration whose
+  /// exact raw count exceeds it aborts with Status::ResourceExhausted
+  /// before any candidate memory is allocated (Hop-Doubling on large
+  /// graphs can explode; the paper's Table 8 shows exactly this).
   uint64_t max_candidates_per_iteration = 0;
   /// Disables pruning entirely (ablation; reproduces the Figure 5
   /// labeling of Example 1 when false).
@@ -80,14 +86,12 @@ struct BuildOptions {
   /// both old labels and fresh candidates), pruning witnesses may be this
   /// iteration's deduped candidates as well as old entries. Ablation knob.
   bool prune_with_candidates = true;
-  /// Worker threads for all four per-iteration phases (generation,
-  /// dedup, pruning, label merge). The output is bit-identical for every
-  /// thread count: generation order only permutes the candidate
-  /// multiset, which the owner-partitioned dedup sort canonicalizes into
-  /// one global order; pruning decisions depend only on the
-  /// iteration-start snapshot; and the apply phase merges disjoint
-  /// owner ranges, replaying inverted-list appends in candidate order.
-  /// 0 means all hardware threads.
+  /// Worker threads for the generation, dedup and pruning phases (the
+  /// label merge is sequential). The output is bit-identical for every
+  /// thread count: generation order only permutes candidates within each
+  /// owner's range, which the dedup sort canonicalizes into one global
+  /// order, and pruning decisions depend only on the iteration-start
+  /// snapshot. 0 means all hardware threads.
   uint32_t num_threads = 1;
 };
 
@@ -117,7 +121,9 @@ struct BuildStats {
   uint64_t initial_entries = 0;  // one per edge
   double init_seconds = 0;
   double total_seconds = 0;
-  /// Peak candidate-buffer size in entries (memory high-water mark proxy).
+  /// Largest candidate buffer of any iteration, in entries (12 B each):
+  /// the exact raw count of that iteration, which is exactly what the
+  /// builder allocates for it.
   uint64_t peak_candidates = 0;
 
   /// Sum of a per-iteration phase time over all iterations.

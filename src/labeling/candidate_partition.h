@@ -1,21 +1,25 @@
-// Owner-partitioned parallel sort — the dedup-phase primitive shared by
-// the in-memory builder (Builder::DedupAndFilter) and the external
-// builder's in-memory candidate runs (ExternalSorter sort hook).
+// Owner-partitioned candidate layout — the count/plan/claim primitive
+// shared by the in-memory builder (Builder::Generate, which counts and
+// then emits its rule outputs straight into owner ranges) and the
+// external builder's in-memory candidate runs (OwnerPartitionedSort,
+// installed as the ExternalSorter sort hook).
 //
-// The candidate streams of both builders are sorted by (owner, pivot,
-// dist) before duplicate collapse. A global std::sort is the last
-// sequential wall in the construction pipeline, so this helper replaces
-// it with a two-pass counting partition over the owner key:
+// Both builders need their candidates sorted by (owner, pivot, dist)
+// before duplicate collapse. A global std::sort is a sequential wall, so
+// records are laid out with a two-pass counting partition over the owner
+// key instead:
 //
-//   1. count   — per-owner record counts (relaxed atomic adds; the sums
-//                are order-insensitive), prefix-summed into owner
-//                offsets;
-//   2. scatter — records move to their owner's range in a scratch
-//                buffer (per-owner atomic cursors; in-owner order is
-//                scheduling-dependent at this point);
-//   3. sort    — the owner space is cut into ~num_threads partitions at
-//                record-count quantiles (always on owner boundaries) and
-//                each partition is sorted independently.
+//   1. count — per-owner record counts (relaxed atomic adds; the sums are
+//              order-insensitive). OwnerPartitionPlan::Finish prefix-sums
+//              them into owner offsets and cuts the owner space into
+//              ~num_threads partitions at record-count quantiles (always
+//              on owner boundaries);
+//   2. place — each record claims the next slot of its owner's range
+//              (per-owner atomic cursors; in-owner order is
+//              scheduling-dependent at this point);
+//   3. sort  — SortPartitions sorts each partition on its own thread;
+//              since owners are already contiguous, only each owner's
+//              run needs sorting.
 //
 // Because the comparator's primary key is the owner and equal-comparing
 // records are bytewise identical (owner, pivot, dist all equal), the
@@ -30,6 +34,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/types.h"
@@ -37,30 +42,94 @@
 
 namespace hopdb {
 
-/// Below this record count the counting passes cost more than the sort;
-/// OwnerPartitionedSort degenerates to std::sort.
+/// Below this record count the partitioned passes cost more than one
+/// sort: Finish makes a single partition and OwnerPartitionedSort
+/// degenerates to std::sort.
 constexpr size_t kMinParallelSortRecords = 1 << 13;
 
-/// Reusable scratch for OwnerPartitionedSort. Hold one per builder and
-/// pass it to every call: the owner-offset table and partition bounds
-/// keep their capacity across iterations (no per-iteration allocation in
-/// steady state).
+/// Per-owner offsets and owner-aligned partition bounds for one record
+/// set. Hold one per record stream and reuse it: the tables keep their
+/// capacity across calls.
 struct OwnerPartitionPlan {
-  /// Record-index partition boundaries from the last call, owner-aligned
-  /// and ascending; bounds[0] == 0, bounds.back() == recs->size().
-  /// Callers run per-partition dedup/compaction over these.
+  /// Record-index partition boundaries set by Finish, owner-aligned and
+  /// ascending; bounds[0] == 0, bounds.back() == the record total.
+  /// Callers run per-partition sort/dedup/compaction over these.
   std::vector<size_t> bounds;
-  /// Internal: per-owner offsets (counting pass), consumed as scatter
-  /// cursors.
+  /// Count(o) accumulates into owner_offsets[o + 1]; Finish turns the
+  /// table into owner start offsets, which Claim consumes as cursors.
   std::vector<uint64_t> owner_offsets;
+
+  /// Starts a counting pass over owners [0, num_owners).
+  void ResetCounts(VertexId num_owners) {
+    owner_offsets.assign(static_cast<size_t>(num_owners) + 1, 0);
+    bounds.clear();
+  }
+
+  /// Counts one record of `owner`. Safe to call concurrently.
+  void Count(VertexId owner) {
+    std::atomic_ref<uint64_t>(owner_offsets[static_cast<size_t>(owner) + 1])
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Ends the counting pass: prefix-sums the counts into owner offsets
+  /// and cuts the owner space into at most `num_parts` partitions at
+  /// record-count quantiles (one partition below
+  /// kMinParallelSortRecords). Returns the record total.
+  uint64_t Finish(uint32_t num_parts) {
+    const size_t num_owners = owner_offsets.size() - 1;
+    for (size_t v = 0; v < num_owners; ++v) {
+      owner_offsets[v + 1] += owner_offsets[v];
+    }
+    const uint64_t total = owner_offsets.back();
+    if (total < kMinParallelSortRecords) num_parts = 1;
+    bounds.assign(1, 0);
+    for (uint32_t k = 1; k < num_parts; ++k) {
+      const uint64_t target = total * k / num_parts;
+      const auto it =
+          std::lower_bound(owner_offsets.begin(), owner_offsets.end(), target);
+      const size_t bound = static_cast<size_t>(*it);
+      if (bound > bounds.back() && bound < total) bounds.push_back(bound);
+    }
+    bounds.push_back(total);
+    return total;
+  }
+
+  /// Returns the next free record index in `owner`'s range. Valid after
+  /// Finish; each owner may claim exactly as many slots as it counted.
+  /// Safe to call concurrently.
+  uint64_t Claim(VertexId owner) {
+    return std::atomic_ref<uint64_t>(owner_offsets[owner])
+        .fetch_add(1, std::memory_order_relaxed);
+  }
 };
+
+/// Sorts `recs` — already grouped into contiguous owner runs in ascending
+/// owner order, as Claim leaves them — with `less`, one partition of
+/// `bounds` per thread. Only the runs need sorting: with an owner-primary
+/// comparator the result equals std::sort over all of `recs`.
+template <typename Rec, typename OwnerOf, typename Less>
+void SortPartitions(std::span<Rec> recs, const std::vector<size_t>& bounds,
+                    OwnerOf owner_of, Less less) {
+  const size_t parts = bounds.size() - 1;
+  ParallelChunks(static_cast<uint32_t>(parts), parts,
+                 [&](size_t pb, size_t pe, uint32_t) {
+                   for (size_t i = bounds[pb]; i < bounds[pe];) {
+                     const auto owner = owner_of(recs[i]);
+                     size_t j = i + 1;
+                     while (j < bounds[pe] && owner_of(recs[j]) == owner) ++j;
+                     std::sort(recs.begin() + static_cast<ptrdiff_t>(i),
+                               recs.begin() + static_cast<ptrdiff_t>(j), less);
+                     i = j;
+                   }
+                 });
+}
 
 /// Sorts `recs` with `less` — whose primary key MUST be `owner_of(rec)`,
 /// an integer in [0, num_owners) — producing exactly std::sort's output
 /// for any thread count. `scratch` is the ping-pong buffer (resized as
 /// needed, contents garbage afterwards); `plan` receives the partition
-/// boundaries and reusable internal tables. Sequential below
-/// kMinParallelSortRecords or when num_threads <= 1.
+/// boundaries. Sequential below kMinParallelSortRecords or when
+/// num_threads <= 1.
 template <typename Rec, typename OwnerOf, typename Less>
 void OwnerPartitionedSort(std::vector<Rec>* recs, VertexId num_owners,
                           uint32_t num_threads, OwnerOf owner_of, Less less,
@@ -72,58 +141,19 @@ void OwnerPartitionedSort(std::vector<Rec>* recs, VertexId num_owners,
     plan->bounds.assign({size_t{0}, m});
     return;
   }
-
-  // Pass 1: per-owner counts. Relaxed atomic adds — the final sums do
-  // not depend on scheduling.
-  auto& offsets = plan->owner_offsets;
-  offsets.assign(static_cast<size_t>(num_owners) + 1, 0);
+  plan->ResetCounts(num_owners);
   ParallelChunks(num_threads, m, [&](size_t b, size_t e, uint32_t) {
-    for (size_t i = b; i < e; ++i) {
-      std::atomic_ref<uint64_t>(offsets[owner_of((*recs)[i]) + 1])
-          .fetch_add(1, std::memory_order_relaxed);
-    }
+    for (size_t i = b; i < e; ++i) plan->Count(owner_of((*recs)[i]));
   });
-  for (size_t v = 0; v < num_owners; ++v) offsets[v + 1] += offsets[v];
-
-  // Partition the owner space at record-count quantiles (owner-aligned,
-  // so every partition is a contiguous run of whole owners).
-  plan->bounds.clear();
-  plan->bounds.push_back(0);
-  for (uint32_t k = 1; k < num_threads; ++k) {
-    const uint64_t target =
-        static_cast<uint64_t>(m) * k / num_threads;
-    const auto it = std::lower_bound(offsets.begin(), offsets.end(), target);
-    const size_t bound = static_cast<size_t>(*it);
-    if (bound > plan->bounds.back() && bound < m) {
-      plan->bounds.push_back(bound);
-    }
-  }
-  plan->bounds.push_back(m);
-
-  // Pass 2: scatter to owner ranges. The per-owner cursor order is
-  // scheduling-dependent; the per-partition sort below canonicalizes it.
+  plan->Finish(num_threads);
   scratch->resize(m);
   ParallelChunks(num_threads, m, [&](size_t b, size_t e, uint32_t) {
     for (size_t i = b; i < e; ++i) {
       const Rec& r = (*recs)[i];
-      const uint64_t pos = std::atomic_ref<uint64_t>(offsets[owner_of(r)])
-                               .fetch_add(1, std::memory_order_relaxed);
-      (*scratch)[pos] = r;
+      (*scratch)[plan->Claim(owner_of(r))] = r;
     }
   });
-
-  // Pass 3: sort each partition, one per thread.
-  const size_t parts = plan->bounds.size() - 1;
-  ParallelChunks(static_cast<uint32_t>(parts), parts,
-                 [&](size_t pb, size_t pe, uint32_t) {
-                   for (size_t p = pb; p < pe; ++p) {
-                     std::sort(scratch->begin() +
-                                   static_cast<ptrdiff_t>(plan->bounds[p]),
-                               scratch->begin() +
-                                   static_cast<ptrdiff_t>(plan->bounds[p + 1]),
-                               less);
-                   }
-                 });
+  SortPartitions(std::span<Rec>(*scratch), plan->bounds, owner_of, less);
   recs->swap(*scratch);
 }
 

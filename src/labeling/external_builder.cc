@@ -227,12 +227,12 @@ class ExternalBuilder {
 
   Status Initialize();
 
-  /// Installs the owner-partitioned parallel run sort (shared with the
-  /// in-memory builder's dedup phase) when more than one thread is
-  /// configured. The hook reproduces std::sort's output exactly, so the
-  /// spilled runs — and everything downstream — are bit-identical to the
-  /// sequential build. Sorters are used one at a time on the build
-  /// thread, so sharing one scratch buffer is safe.
+  /// Installs the owner-partitioned parallel run sort (its counting plan
+  /// and partition sort are the in-memory builder's) when more than one
+  /// thread is configured. The hook reproduces std::sort's output
+  /// exactly, so the spilled runs — and everything downstream — are
+  /// bit-identical to the sequential build. Sorters are used one at a
+  /// time on the build thread, so sharing one scratch buffer is safe.
   void ConfigureSorter(LabelSorter* sorter) {
     if (threads_ <= 1) return;
     sorter->SetSortFn([this](std::vector<LabelRec>* buffer) {

@@ -196,6 +196,11 @@ Result<FlatLabelStore> FlatLabelStore::Parse(ByteReader* reader) {
   store.directed_ = (flags & kFlagDirected) != 0;
   store.num_vertices_ = nv;
   const size_t slots = store.directed_ ? 2 * static_cast<size_t>(nv) : nv;
+  // Each slot length is a varint of at least one byte: a slot count the
+  // section cannot hold is corrupt, and must not size an allocation.
+  if (slots > reader->remaining()) {
+    return Status::InvalidArgument("HFS1 slot count exceeds section size");
+  }
   std::vector<uint32_t> sizes(slots, 0);
   uint64_t running = 0;
   for (size_t s = 0; s < slots; ++s) {
@@ -210,6 +215,12 @@ Result<FlatLabelStore> FlatLabelStore::Parse(ByteReader* reader) {
   if (running != total) {
     return Status::InvalidArgument(
         "HFS1 slot lengths disagree with total_entries");
+  }
+  // Likewise for the entries: at least two varint bytes each (pivot gap
+  // and distance), eight in raw mode.
+  const uint64_t min_entry_bytes = (flags & kFlagDeltaPivots) != 0 ? 2 : 8;
+  if (total > reader->remaining() / min_entry_bytes) {
+    return Status::InvalidArgument("HFS1 total_entries exceeds section size");
   }
   store.InitBlockedLayout(std::move(sizes));
   if ((flags & kFlagDeltaPivots) != 0) {

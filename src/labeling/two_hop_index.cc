@@ -169,13 +169,23 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
   uint32_t directed = 0, nv = 0;
   HOPDB_RETURN_NOT_OK(reader.ReadU32(&directed));
   HOPDB_RETURN_NOT_OK(reader.ReadU32(&nv));
+  // Every label takes 8 bytes for its length and every entry 8 bytes, so
+  // a count the rest of the file cannot hold is corrupt — reject it
+  // before it sizes an allocation.
   auto read_side = [&](std::vector<LabelVector>* side) -> Status {
     uint64_t count = 0;
     HOPDB_RETURN_NOT_OK(reader.ReadU64(&count));
+    if (count > reader.remaining() / 8) {
+      return Status::InvalidArgument("label count exceeds file size: " + path);
+    }
     side->resize(count);
     for (auto& l : *side) {
       uint64_t len = 0;
       HOPDB_RETURN_NOT_OK(reader.ReadU64(&len));
+      if (len > reader.remaining() / 8) {
+        return Status::InvalidArgument("label length exceeds file size: " +
+                                       path);
+      }
       l.resize(len);
       for (auto& e : l) {
         HOPDB_RETURN_NOT_OK(reader.ReadU32(&e.pivot));

@@ -1,8 +1,7 @@
 // Minimal fork-join parallelism for the label builder's data-parallel
-// phases (candidate generation, dedup, pruning, label merge). Deliberately
+// phases (candidate generation, dedup, pruning). Deliberately
 // tiny: no work stealing, no task queue — each invocation splits [0, n)
-// into one contiguous chunk per thread, which preserves chunk-order
-// determinism for callers that concatenate per-thread outputs.
+// into one contiguous chunk per thread.
 //
 // ParallelChunks is a header template (not a std::function sink) so the
 // builder's tight per-iteration loops pay no type-erasure allocation per

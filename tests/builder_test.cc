@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "eval/verify.h"
 #include "gen/erdos_renyi.h"
 #include "gen/glp.h"
@@ -286,6 +288,47 @@ TEST(BuilderTest, CandidateCapTripsMidGenerationInBoundedMemory) {
   auto out = BuildHopLabeling(*ranked, opts);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsResourceExhausted());
+}
+
+TEST(BuilderTest, CandidateCapIsExact) {
+  // The cap compares against the exact per-iteration raw count, for
+  // Hop-Stepping and Hop-Doubling iterations alike: a cap equal to the
+  // largest iteration's count passes and one below it fails.
+  GlpOptions glp;
+  glp.num_vertices = 3000;
+  glp.target_avg_degree = 6;
+  glp.seed = 31;
+  auto edges = GenerateGlp(glp);
+  ASSERT_TRUE(edges.ok());
+  auto ranked = RankedGraph(*edges);
+  ASSERT_TRUE(ranked.ok());
+  for (BuildMode mode : {BuildMode::kHopStepping, BuildMode::kHopDoubling}) {
+    for (uint32_t threads : {1u, 4u}) {
+      BuildOptions opts;
+      opts.mode = mode;
+      opts.num_threads = threads;
+      auto free = BuildHopLabeling(*ranked, opts);
+      ASSERT_TRUE(free.ok());
+      uint64_t largest = 0;
+      for (const IterationStats& it : free->stats.iterations) {
+        largest = std::max(largest, it.raw_candidates);
+      }
+      ASSERT_GT(largest, 0u);
+      EXPECT_EQ(free->stats.peak_candidates, largest);
+
+      opts.max_candidates_per_iteration = largest;
+      auto at_cap = BuildHopLabeling(*ranked, opts);
+      ASSERT_TRUE(at_cap.ok()) << BuildModeName(mode) << " threads "
+                               << threads << ": " << at_cap.status();
+      EXPECT_EQ(at_cap->index.TotalEntries(), free->index.TotalEntries());
+
+      opts.max_candidates_per_iteration = largest - 1;
+      auto below = BuildHopLabeling(*ranked, opts);
+      ASSERT_FALSE(below.ok()) << BuildModeName(mode) << " threads "
+                               << threads;
+      EXPECT_TRUE(below.status().IsResourceExhausted()) << below.status();
+    }
+  }
 }
 
 TEST(BuilderTest, StatsAreConsistent) {

@@ -104,6 +104,35 @@ TEST(HopDbApiTest, SaveLoadRoundTrip) {
   }
 }
 
+TEST(HopDbApiTest, LoadRejectsCraftedPermutation) {
+  auto dir = TempDir::Create("api_perm");
+  ASSERT_TRUE(dir.ok());
+  auto index = HopDbIndex::Build(GridGraph(3, 3));
+  ASSERT_TRUE(index.ok());
+  const std::string path = dir->File("g.hopdb");
+  ASSERT_TRUE(index->Save(path).ok());
+  auto perm_with = [](uint64_t n, std::vector<uint32_t> ids) {
+    std::string perm;
+    PutU64(&perm, n);
+    for (uint32_t v : ids) PutU32(&perm, v);
+    return perm;
+  };
+  const std::vector<std::string> crafted = {
+      perm_with(uint64_t{1} << 40, {}),          // count sizes no allocation
+      perm_with(8, {0, 1, 2, 3, 4, 5, 6, 7}),    // wrong vertex count
+      perm_with(9, {0, 1, 2}),                   // truncated
+      perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 9}),  // id out of range
+      perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 7}),  // duplicate id
+  };
+  for (const std::string& perm : crafted) {
+    ASSERT_TRUE(WriteStringToFile(path + ".perm", perm).ok());
+    auto back = HopDbIndex::Load(path);
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument)
+        << back.status();
+  }
+}
+
 TEST(HopDbApiTest, BuildStatsExposed) {
   auto index = HopDbIndex::Build(StarGraphGS());
   ASSERT_TRUE(index.ok());

@@ -33,6 +33,7 @@
 #include "server/trace.h"
 #include "io/temp_dir.h"
 #include "util/log.h"
+#include "util/serde.h"
 #include "util/string_util.h"
 
 namespace hopdb {
@@ -1248,6 +1249,37 @@ TEST_F(ServerEndToEndTest, AttachRejectsBadNamesAndDuplicates) {
       *client_.RoundTrip("ATTACH g3 /nonexistent/index.hli2"), "ERR "));
   EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE g3 DIST 0 1"), "ERR "));
   EXPECT_EQ(*client_.RoundTrip("DETACH g2"), "OK detached g2");
+}
+
+TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
+  auto tmp = TempDir::Create("server_crafted");
+  ASSERT_TRUE(tmp.ok());
+  // A 24-byte HLI1 file claiming 2^40 labels: the loader must refuse it
+  // instead of sizing an allocation from the count.
+  std::string header = "HLI1";
+  PutU32(&header, 0);  // undirected
+  PutU32(&header, 1);  // one vertex
+  PutU64(&header, uint64_t{1} << 40);
+  PutU32(&header, 0);
+  ASSERT_EQ(header.size(), 24u);
+  const std::string crafted = tmp->File("crafted.hli");
+  ASSERT_TRUE(WriteStringToFile(crafted, header).ok());
+  // A real index whose .perm sidecar claims 2^40 entries.
+  const std::string bad_perm = tmp->File("bad_perm.hli");
+  ASSERT_TRUE(index_.Save(bad_perm).ok());
+  std::string perm;
+  PutU64(&perm, uint64_t{1} << 40);
+  ASSERT_TRUE(WriteStringToFile(bad_perm + ".perm", perm).ok());
+
+  for (const std::string& path : {crafted, bad_perm}) {
+    const std::string attach = *client_.RoundTrip("ATTACH c " + path);
+    EXPECT_TRUE(StartsWith(attach, "ERR ")) << attach;
+    const std::string reload = *client_.RoundTrip("RELOAD " + path);
+    EXPECT_TRUE(StartsWith(reload, "ERR ")) << reload;
+  }
+  EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE c DIST 0 1"), "ERR "));
+  const std::vector<Distance> truth = ExactDistances(graph_, 2);
+  EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]);
 }
 
 // ---------------------------------------------------------------------------

@@ -183,5 +183,64 @@ TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {
   EXPECT_FALSE(TwoHopIndex::Load(trunc_path).ok());
 }
 
+/// An HLI1 header for one undirected vertex, up to the out-side count.
+std::string Hli1Header() {
+  std::string buf = "HLI1";
+  PutU32(&buf, 0);  // undirected
+  PutU32(&buf, 1);  // one vertex
+  return buf;
+}
+
+TEST(TwoHopIndexIoTest, CraftedCountsFailBeforeAllocating) {
+  auto dir = TempDir::Create("hli_crafted");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("crafted.hli");
+  auto expect_invalid = [&](const std::string& bytes, const char* what) {
+    ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+    auto loaded = TwoHopIndex::Load(path);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << loaded.status();
+  };
+
+  // 24 bytes whose side count is 2^40.
+  std::string side_count = Hli1Header();
+  PutU64(&side_count, uint64_t{1} << 40);
+  PutU32(&side_count, 0);
+  ASSERT_EQ(side_count.size(), 24u);
+  expect_invalid(side_count, "side count");
+
+  // One label whose length is 2^40.
+  std::string label_len = Hli1Header();
+  PutU64(&label_len, 1);
+  PutU64(&label_len, uint64_t{1} << 40);
+  expect_invalid(label_len, "label length");
+
+  // A well-formed body followed by a checksummed HFS1 section whose
+  // header claims 2^32 - 1 slots, then one whose slot lengths claim more
+  // entries than the bytes left can encode.
+  std::string body = Hli1Header();
+  PutU64(&body, 1);  // out side: one empty label
+  PutU64(&body, 0);
+  PutU64(&body, 0);  // in side: none
+  auto with_section = [&](const std::string& section) {
+    std::string file = body + section;
+    PutU64(&file, Fnv1a64(section.data(), section.size()));
+    return file;
+  };
+  std::string slots = "HFS1";
+  PutU8(&slots, 0);
+  PutU32(&slots, 0xffffffffu);
+  PutU64(&slots, 0);
+  expect_invalid(with_section(slots), "HFS1 slot count");
+  constexpr uint32_t kSlots = 64;
+  std::string entries = "HFS1";
+  PutU8(&entries, 0);
+  PutU32(&entries, kSlots);
+  PutU64(&entries, uint64_t{kSlots} * kSlots);
+  for (uint32_t s = 0; s < kSlots; ++s) PutVarint64(&entries, kSlots);
+  expect_invalid(with_section(entries), "HFS1 total entries");
+}
+
 }  // namespace
 }  // namespace hopdb
