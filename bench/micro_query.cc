@@ -169,7 +169,7 @@ BENCHMARK(BM_IsLabelPartialQuery);
 void BM_KnnQuery(benchmark::State& state) {
   MicroContext& ctx = MicroContext::Get();
   static const KnnEngine* engine =
-      new KnnEngine(ctx.hopdb, KnnEngine::Direction::kForward);
+      new KnnEngine(ctx.hopdb.labels(), KnnEngine::Direction::kForward);
   const uint32_t k = static_cast<uint32_t>(state.range(0));
   size_t i = 0;
   for (auto _ : state) {
@@ -186,7 +186,7 @@ void BM_OneToManyRow(benchmark::State& state) {
   static const OneToManyEngine* engine = [] {
     std::vector<VertexId> targets;
     for (VertexId v = 0; v < 64; ++v) targets.push_back(v * 311 % kVertices);
-    return new OneToManyEngine(MicroContext::Get().hopdb,
+    return new OneToManyEngine(MicroContext::Get().hopdb.labels(),
                                std::move(targets));
   }();
   size_t i = 0;

@@ -124,13 +124,12 @@ int Run(int argc, char** argv) {
   }
   const double build_seconds = build_watch.Seconds();
   const TwoHopIndex index = std::move(built->index);
-  const FlatLabelStore& flat = index.flat_store();
   std::cout << " done in " << FormatDouble(build_seconds, 1) << "s, avg |label| "
             << FormatDouble(index.AvgLabelSize(), 1) << "\n";
 
   // The same arenas through the pre-blocking lens: stripping the
   // sidecars makes QueryFlatHalves take the unblocked merge leg.
-  const FlatLabelStore::LabelSetView blocked_view = flat.view();
+  const FlatLabelStore::LabelSetView blocked_view = index.labels();
   FlatLabelStore::LabelSetView flat_view = blocked_view;
   flat_view.block_min = nullptr;
   flat_view.block_max = nullptr;
@@ -265,7 +264,7 @@ int Run(int argc, char** argv) {
     for (int i = 0; i < 256; ++i) {
       targets.push_back(static_cast<VertexId>(rng.Below(n)));
     }
-    OneToManyEngine engine(index, std::move(targets));
+    OneToManyEngine engine(blocked_view, std::move(targets));
     const size_t rows = std::min<size_t>(pairs.size(), 2000);
     uint64_t sink = 0;
     Stopwatch watch;

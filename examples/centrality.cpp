@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     targets.push_back(index.ranking().ToInternal(
         static_cast<VertexId>(rng.Below(n))));
   }
-  OneToManyEngine engine(index.label_index(), targets);
+  OneToManyEngine engine(index.label_index().labels(), targets);
 
   // 4. Harmonic centrality estimate for every member.
   Stopwatch sweep_watch;

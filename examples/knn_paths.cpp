@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   // 2. k nearest pages from a seed (forward = following links). The kNN
   //    engine speaks internal ids; translate at the boundary.
   const VertexId seed_page = 1234 % graph.num_vertices();
-  KnnEngine knn(index.label_index(), KnnEngine::Direction::kForward);
+  KnnEngine knn(index.label_index().labels(), KnnEngine::Direction::kForward);
   const uint32_t k = static_cast<uint32_t>(flags.GetUint("k"));
   const auto nearest =
       knn.Query(index.ranking().ToInternal(seed_page), k);
@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
 
   // 4. Backward kNN: the pages that most quickly REACH the seed —
   //    "who funnels traffic here" on a directed graph.
-  KnnEngine reverse(index.label_index(), KnnEngine::Direction::kBackward);
+  KnnEngine reverse(index.label_index().labels(),
+                    KnnEngine::Direction::kBackward);
   const auto reaching =
       reverse.Query(index.ranking().ToInternal(seed_page), 5);
   std::printf("\n5 pages that reach page %u fastest:\n", seed_page);

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   // 3. Score every entity as an answer root: sum over keywords of the
   //    distance to the keyword's nearest match (root -> match direction).
-  OneToManyEngine engine(index.label_index(), all_targets);
+  OneToManyEngine engine(index.label_index().labels(), all_targets);
   Stopwatch watch;
   struct Answer {
     uint64_t score;

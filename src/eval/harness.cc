@@ -7,7 +7,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "eval/datasets.h"
@@ -196,6 +195,12 @@ bool HasLabelView(const VariantSet& variants, const std::string& variant) {
   return false;  // compressed exposes no flat view
 }
 
+/// The flat label view of a variant with HasLabelView.
+LabelSetView LabelsOf(const VariantSet& variants, const std::string& variant) {
+  if (variant == "heap") return variants.heap->label_index().labels();
+  return variant == "hli2" ? variants.hli2.labels() : variants.blocked.labels();
+}
+
 EvalWorkloadResult RunDistLike(const EvalWorkload& workload,
                                const std::string& variant,
                                const VariantSet& variants,
@@ -252,17 +257,9 @@ EvalWorkloadResult RunBatch(const EvalWorkload& workload,
     }
     // One engine per request mirrors the serving path: BATCH builds its
     // pivot buckets per call.
-    std::vector<Distance> dists;
-    if (variant == "heap") {
-      OneToManyEngine engine(variants.heap->label_index(),
-                             std::move(targets));
-      dists = engine.Query(to_internal(pairs[i].s));
-    } else {
-      const MappedIndex& mapped =
-          variant == "hli2" ? variants.hli2 : variants.blocked;
-      OneToManyEngine engine(mapped.labels(), std::move(targets));
-      dists = engine.Query(to_internal(pairs[i].s));
-    }
+    const std::vector<Distance> dists =
+        OneToManyEngine(LabelsOf(variants, variant), std::move(targets))
+            .Query(to_internal(pairs[i].s));
     for (const Distance d : dists) checksum.Add(d);
     queries += dists.size();
   }
@@ -287,24 +284,16 @@ EvalWorkloadResult RunKnnOrWithin(const EvalWorkload& workload,
   const auto to_internal = ToInternalFn(variants, variant);
   // Engine construction (one inverted-list build) happens outside the
   // timed loop, like the serving snapshot's lazily built engine.
-  std::unique_ptr<KnnEngine> engine;
-  if (variant == "heap") {
-    engine = std::make_unique<KnnEngine>(variants.heap->label_index(),
-                                         KnnEngine::Direction::kForward);
-  } else {
-    const MappedIndex& mapped =
-        variant == "hli2" ? variants.hli2 : variants.blocked;
-    engine = std::make_unique<KnnEngine>(mapped.labels(),
-                                         KnnEngine::Direction::kForward);
-  }
+  const KnnEngine engine(LabelsOf(variants, variant),
+                         KnnEngine::Direction::kForward);
   const bool within = workload.kind == EvalWorkload::Kind::kWithin;
   Checksum checksum;
   Stopwatch watch;
   for (const QueryPair& pair : pairs) {
     const VertexId s = to_internal(pair.s);
     const std::vector<KnnEngine::Neighbor> neighbors =
-        within ? engine->QueryWithin(s, workload.radius)
-               : engine->Query(s, workload.k);
+        within ? engine.QueryWithin(s, workload.radius)
+               : engine.Query(s, workload.k);
     // Sum over (vertex, dist): internal ids differ per variant only if
     // the rank permutations differ, and all variants share one build.
     for (const KnnEngine::Neighbor& nb : neighbors) {
@@ -385,7 +374,8 @@ std::string OracleSpotCheck(const EvalSpec& spec, const CsrGraph& graph,
                             const HopDbIndex& index) {
   const VertexId n = graph.num_vertices();
   if (n == 0) return "";
-  KnnEngine engine(index.label_index(), KnnEngine::Direction::kForward);
+  KnnEngine engine(index.label_index().labels(),
+                   KnnEngine::Direction::kForward);
   const RankMapping& ranking = index.ranking();
   Distance radius = 3;
   Distance bound = 4;
@@ -880,7 +870,7 @@ std::string RenderEvalMarkdown(const EvalReport& report) {
   md += std::string(kEvalReportSections[0]) + "\n\n";  // ## Environment
   md += std::string("- build: ") + BuildVersion() + " (" + BuildGitSha() +
         ")\n";
-  md += "- variants: heap (in-memory, blocked flat mirror), hli2 (mmap v1 "
+  md += "- variants: heap (in-memory, frozen blocked store), hli2 (mmap v1 "
         "packed), blocked (mmap v2 blocked arenas), compressed (HLC1 "
         "delta-varint)\n\n";
 

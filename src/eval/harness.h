@@ -7,7 +7,7 @@
 // expectations (the CI gate re-asserts them from the JSON).
 //
 // Index variants (one build, four query-side forms):
-//   heap        in-memory HopDbIndex: blocked flat mirror + SIMD kernel
+//   heap        in-memory HopDbIndex: frozen blocked store + SIMD kernel
 //   hli2        HLI2 v1 file, mmap-served (packed legacy arena layout)
 //   blocked     HLI2 v2 file, mmap-served (blocked arenas + skip
 //               sidecars — the cache-conscious microarchitecture)

@@ -119,9 +119,11 @@ class HopDbIndex {
   /// Save was used.
   Status SaveCompressed(const std::string& path) const;
   /// Reads either format (HLI1/HLC1, detected by magic) plus the .perm
-  /// sidecar and rebuilds the flat query mirror, so a loaded index
-  /// serves at full speed. The result is independent of other indexes;
-  /// publish it to reader threads with a happens-before edge.
+  /// sidecar and freezes the label store queries read, so a loaded
+  /// index serves at full speed. HLI1 files from earlier builds fail
+  /// with InvalidArgument and must be rebuilt. The result is
+  /// independent of other indexes; publish it to reader threads with a
+  /// happens-before edge.
   static Result<HopDbIndex> Load(const std::string& path);
 
  private:

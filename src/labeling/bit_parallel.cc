@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -60,14 +61,14 @@ Result<BitParallelIndex> BitParallelIndex::Transform(
   std::vector<LabelVector> normal(n);
   std::vector<Distance> root_d(R);
 
-  auto labels = *base.mutable_out();
   for (VertexId v = 0; v < n; ++v) {
+    const std::span<const LabelEntry> label = base.OutLabel(v);
     std::fill(root_d.begin(), root_d.end(), kInfDistance);
 
     // Pass A: the tuple distance per root — the label's own (r, d) entry
     // when present, otherwise the best d_uv + 1 over folded neighbors
     // (a real path via u), plus the implicit self entries.
-    for (const LabelEntry& e : labels[v]) {
+    for (const LabelEntry& e : label) {
       if (e.pivot < R) {
         root_d[e.pivot] = std::min(root_d[e.pivot], e.dist);
       } else if (in_sr[e.pivot].root != 255) {
@@ -89,7 +90,7 @@ Result<BitParallelIndex> BitParallelIndex::Transform(
         tuples[r] = {r, root_d[r], 0, 0};
       }
     };
-    for (const LabelEntry& e : labels[v]) {
+    for (const LabelEntry& e : label) {
       if (e.pivot < R) {
         ensure_tuple(static_cast<uint8_t>(e.pivot));
         continue;  // folded into the tuple's distance

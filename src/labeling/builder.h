@@ -141,7 +141,7 @@ struct BuildOutput {
 
 /// Builds a 2-hop index for `ranked_graph`, which must already be
 /// relabeled so that internal id == rank (see RelabelByRank). Returns the
-/// index over internal ids (flat query mirror included).
+/// index over internal ids (label store frozen for querying).
 ///
 /// Blocking and CPU-bound: at most DH rule iterations for Hop-Stepping
 /// and 2⌈log DH⌉ for Hop-Doubling (DH = hop-diameter), each iteration

@@ -44,8 +44,8 @@ class CompressedIndex {
   static Result<CompressedIndex> FromIndex(const TwoHopIndex& index);
 
   /// Expands back to a plain TwoHopIndex. Exact round trip:
-  /// Decompress(FromIndex(x)) equals x entry-for-entry (and rebuilds
-  /// the flat query mirror). O(total entries) time and full heap
+  /// Decompress(FromIndex(x)) equals x entry-for-entry (and freezes its
+  /// label store). O(total entries) time and full heap
   /// footprint — use this to hand labels to code that needs the
   /// uncompressed representation, not on the serving path.
   Result<TwoHopIndex> Decompress() const;

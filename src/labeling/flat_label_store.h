@@ -1,5 +1,5 @@
 // FlatLabelStore: contiguous structure-of-arrays label storage — the
-// serving-side mirror of TwoHopIndex's per-vertex label vectors.
+// frozen form every query of a heap index reads (TwoHopIndex::labels()).
 //
 // The builder-facing representation (vector<LabelVector>) is ideal for
 // incremental merging but poor for querying: every label lookup chases a
@@ -27,32 +27,20 @@
 // direction's entries are one contiguous range of the arenas. Within a
 // slot, entries stay strictly sorted by pivot (the TwoHopIndex invariant).
 //
-// Serialized form ("HFS1" section, little-endian) is UNCHANGED by the
-// blocked layout — padding and sidecars are an in-memory property,
-// rebuilt on Parse:
-//   magic "HFS1" | flags u8 (bit0 directed, bit1 delta-encoded pivots) |
-//   num_vertices u32 | total_entries u64 |
-//   per-slot entry count (varint) x num_slots |
-//   pivot stream | distance stream
-// In raw mode both streams are fixed u32. In delta mode each label's
-// pivots are gap-encoded as varints (first gap relative to -1, so every
-// gap is >= 1) and distances are plain varints — scale-free labels
-// concentrate on top-ranked pivots, so gaps are small and most values fit
-// one byte. Save()/Load() wrap the section with an FNV-1a checksum;
-// AppendTo/Parse leave integrity to the embedding container.
+// A store is frozen once, by Build, and never edited: TwoHopIndex
+// re-freezes a new one when its label vectors change, and the store has
+// no serialized form of its own (HLI2, labeling/mapped_index.h, is the
+// on-disk image of these arenas).
 
 #ifndef HOPDB_LABELING_FLAT_LABEL_STORE_H_
 #define HOPDB_LABELING_FLAT_LABEL_STORE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/types.h"
 #include "labeling/label_entry.h"
 #include "util/aligned_buffer.h"
-#include "util/serde.h"
-#include "util/status.h"
 
 namespace hopdb {
 
@@ -127,10 +115,6 @@ class FlatLabelStore {
                               const std::vector<LabelVector>& in,
                               bool directed);
 
-  /// True once Build/Parse has populated the arenas. A default-constructed
-  /// store is not built; queries must fall back to the vector path.
-  bool built() const { return built_; }
-
   VertexId num_vertices() const { return num_vertices_; }
   bool directed() const { return directed_; }
   /// Real label entries (excluding block padding).
@@ -149,35 +133,13 @@ class FlatLabelStore {
   uint64_t SizeBytes() const;
 
   /// The whole store as a LabelSetView (for engines that also accept
-  /// mapped indexes). Requires built(); valid until the store is
-  /// destroyed or reassigned.
+  /// mapped indexes). Valid until the store is destroyed or reassigned;
+  /// a default-constructed store yields an empty view.
   LabelSetView view() const {
     return LabelSetView{num_vertices_,  directed_,        offsets_.data(),
                         pivots_.data(), dists_.data(),    sizes_.data(),
                         block_min_.data(), block_max_.data()};
   }
-
-  /// True iff this store is an exact mirror of the given label vectors
-  /// (shape and every entry). O(total entries), no allocation — used by
-  /// TwoHopIndex::Load to admit a deserialized mirror only when it
-  /// matches the canonical vectors it rides with.
-  bool MirrorsVectors(const std::vector<LabelVector>& out,
-                      const std::vector<LabelVector>& in,
-                      bool directed) const;
-
-  /// Appends the HFS1 section to `dst` (see the format comment above).
-  /// `delta_pivots` selects the gap/varint encoding; raw is faster to
-  /// decode, delta is typically 2-3x smaller on scale-free labels.
-  void AppendTo(std::string* dst, bool delta_pivots) const;
-
-  /// Parses one HFS1 section from the reader's current position. The
-  /// in-memory layout is identical regardless of the on-disk encoding.
-  static Result<FlatLabelStore> Parse(ByteReader* reader);
-
-  /// Standalone file: HFS1 section followed by an FNV-1a-64 checksum of
-  /// the section bytes. Load verifies the checksum before parsing.
-  Status Save(const std::string& path, bool delta_pivots = true) const;
-  static Result<FlatLabelStore> Load(const std::string& path);
 
  private:
   size_t num_slots() const {
@@ -199,12 +161,11 @@ class FlatLabelStore {
   /// sidecars.
   void FinalizeBlocks();
 
-  bool built_ = false;
   bool directed_ = false;
   VertexId num_vertices_ = 0;
   uint64_t total_entries_ = 0;
-  std::vector<uint64_t> offsets_;  // num_slots + 1 padded block starts
-  std::vector<uint32_t> sizes_;    // num_slots real entry counts
+  std::vector<uint64_t> offsets_ = {0};  // num_slots + 1 padded block starts
+  std::vector<uint32_t> sizes_;          // num_slots real entry counts
   AlignedU32Array pivots_;
   AlignedU32Array dists_;
   AlignedU32Array block_min_;  // PaddedEntries()/16 per-block pivot minima
@@ -214,6 +175,25 @@ class FlatLabelStore {
 /// Namespace-level shorthand: the view type is used far from the store
 /// (query engines, the server) where the qualified name is noise.
 using LabelSetView = FlatLabelStore::LabelSetView;
+
+/// Invokes fn(pivot, dist) for every entry of one side's label of v,
+/// SKIPPING entries whose pivot is >= view.num_vertices: a LabelSetView
+/// may alias the unhashed label arenas of a memory-mapped HLI2 file
+/// (labeling/mapped_index.h integrity model), and callers index arrays
+/// by pivot — a corrupt arena must be able to mis-answer but never
+/// write or read out of bounds. This is the single shared
+/// implementation of that safety-critical loop for every
+/// view-consuming engine (query/batch.h, query/knn.h).
+template <typename Fn>
+void ForEachLabelEntry(const LabelSetView& view, bool in_side, VertexId v,
+                       Fn&& fn) {
+  const FlatLabelStore::View label = in_side ? view.In(v) : view.Out(v);
+  for (uint32_t i = 0; i < label.size; ++i) {
+    if (label.pivots[i] < view.num_vertices) {
+      fn(label.pivots[i], label.dists[i]);
+    }
+  }
+}
 
 /// Reusable SoA label arena for iteration-scoped frozen snapshots — the
 /// builder's witness store for SIMD rule-(ii) pruning. Same slot layout

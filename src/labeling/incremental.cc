@@ -183,8 +183,8 @@ IncrementalUpdater::IncrementalUpdater(DynamicGraph* graph,
                                        TwoHopIndex* index,
                                        const UpdateOptions& options)
     : graph_(graph), index_(index), options_(options) {
-  out_ = index_->mutable_out();
-  in_ = index_->directed() ? index_->mutable_in() : out_;
+  out_ = &index_->out_;
+  in_ = index_->directed() ? &index_->in_ : out_;
 }
 
 Result<bool> IncrementalUpdater::Apply(const UpdateOp& op) {
@@ -390,7 +390,7 @@ Status IncrementalUpdater::ApplyBatch(std::span<const UpdateOp> ops) {
 
 void IncrementalUpdater::Finalize() {
   if (finalized_) return;
-  index_->RebuildFlatStore();
+  index_->Freeze();
   finalized_ = true;
 }
 
@@ -646,9 +646,10 @@ Status IncrementalUpdater::RebuildFallback() {
   // on an already-ranked graph and the index's RankMapping stays valid.
   HOPDB_ASSIGN_OR_RETURN(BuildOutput output,
                          BuildHopLabeling(csr, options_.rebuild));
-  *index_ = std::move(output.index);
-  out_ = index_->mutable_out();
-  in_ = index_->directed() ? index_->mutable_in() : out_;
+  // Adopt only the rebuilt vectors: the store stays as of the last
+  // freeze until Finalize(), as after any other Apply.
+  index_->out_ = std::move(output.index.out_);
+  index_->in_ = std::move(output.index.in_);
   finalized_ = false;
   return Status::OK();
 }

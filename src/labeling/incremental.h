@@ -215,10 +215,13 @@ struct UpdateStats {
 
 /// Applies edge updates to a (graph, index) pair in lock-step. The graph
 /// must be the rank-relabeled graph the index was built over; both are
-/// borrowed and mutated in place. Apply() leaves the index's flat query
-/// mirror stale (queries fall back to the vector path); call
-/// Finalize() — or ApplyBatch, which finalizes for you — before
-/// publishing the index to concurrent readers.
+/// borrowed and mutated in place. The updater is the only code that
+/// edits an index's label vectors, and Finalize() — which ApplyBatch
+/// calls for you — is the only point that re-freezes the store queries
+/// read (two_hop_index.h). The rule: reads see the labels as of the
+/// last freeze, so between Apply() and Finalize() every Query, engine
+/// and labels() view answers as before the pending ops, while Save()
+/// already writes the repaired vectors.
 class IncrementalUpdater {
  public:
   IncrementalUpdater(DynamicGraph* graph, TwoHopIndex* index,
@@ -235,7 +238,11 @@ class IncrementalUpdater {
   /// all-or-nothing semantics validate first; see server COMMIT).
   Status ApplyBatch(std::span<const UpdateOp> ops);
 
-  /// Rebuilds the flat query mirror after a run of Apply() calls.
+  /// Re-freezes the index's label store from the repaired vectors, so
+  /// reads see every op applied so far. A no-op when nothing changed
+  /// since the last freeze; otherwise O(total entries), and it frees the
+  /// arenas of every labels() view (and engine) taken before it — not
+  /// safe against concurrent readers of the index.
   void Finalize();
 
   /// Owners (INTERNAL ids) whose labels changed since construction or

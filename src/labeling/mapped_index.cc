@@ -152,34 +152,18 @@ Status MappedIndex::WriteVersion(const TwoHopIndex& labels,
         "rank mapping covers " + std::to_string(mapping.size()) +
         " vertices but the index has " + std::to_string(n));
   }
-  // Serialize from the flat mirror; flatten on the fly when the caller
-  // mutated labels without rebuilding it.
-  FlatLabelStore rebuilt;
-  const FlatLabelStore* flat = &labels.flat_store();
-  if (!flat->built()) {
-    std::vector<LabelVector> out(n), in;
-    if (labels.directed()) in.resize(n);
-    for (VertexId v = 0; v < n; ++v) {
-      const auto out_label = labels.OutLabel(v);
-      out[v].assign(out_label.begin(), out_label.end());
-      if (labels.directed()) {
-        const auto in_label = labels.InLabel(v);
-        in[v].assign(in_label.begin(), in_label.end());
-      }
-    }
-    rebuilt = FlatLabelStore::Build(out, in, labels.directed());
-    flat = &rebuilt;
-  }
-  const LabelSetView view = flat->view();
+  // Serialize the frozen store: the writer reads what queries read.
+  const LabelSetView view = labels.labels();
   const size_t num_slots = view.num_slots();
-  const uint64_t total = labels.TotalEntries();
+  uint64_t total = 0;
+  for (size_t s = 0; s < num_slots; ++s) total += view.sizes[s];
 
   Header h;
   h.version = version;
   h.flags = labels.directed() ? kFlagDirected : 0;
   h.num_vertices = n;
   h.total_entries = total;
-  h.padded_entries = flat->PaddedEntries();
+  h.padded_entries = view.offsets[num_slots];
 
   std::string buf;
   buf.resize(kHeaderBytes, '\0');

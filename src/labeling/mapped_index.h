@@ -110,9 +110,9 @@ class MappedIndex {
   MappedIndex() = default;
 
   /// Serializes `labels` + `mapping` into a new HLI2 file at `path`
-  /// (current version: 2, blocked arenas + sidecars). Uses the index's
-  /// flat mirror when built, otherwise flattens the label vectors
-  /// first. O(total entries) time and one file write; the written file
+  /// (current version: 2, blocked arenas + sidecars) from the index's
+  /// frozen store — the labels its queries answer from (two_hop_index.h).
+  /// O(total entries) time and one file write; the written file
   /// round-trips bit-exactly through Open(). Peak memory is the heap
   /// index plus one full file image (the sections are checksummed
   /// before the header is sealed) — convert on a machine that fits
@@ -167,6 +167,9 @@ class MappedIndex {
   VertexId ToOriginal(VertexId internal) const {
     return rank_to_orig_[internal];
   }
+  /// The permutation sections themselves (num_vertices() entries each).
+  const VertexId* orig_to_rank() const { return orig_to_rank_; }
+  const VertexId* rank_to_orig() const { return rank_to_orig_; }
 
   /// The mapped label set (INTERNAL/rank ids) for engines that consume
   /// LabelSetView (query/batch.h, query/knn.h). Valid while this index

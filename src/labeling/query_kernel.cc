@@ -161,59 +161,6 @@ Distance IntersectBlockedScalar(const uint32_t* ap, const uint32_t* ad,
   return best;
 }
 
-bool HasWitnessBlockedScalar(const uint32_t* ap, const uint32_t* ad,
-                             const uint32_t* abmin, const uint32_t* abmax,
-                             uint32_t an, const uint32_t* bp,
-                             const uint32_t* bd, const uint32_t* bbmin,
-                             const uint32_t* bbmax, uint32_t bn,
-                             VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    // All remaining real pivots on a side are >= its current block
-    // minimum, so reaching the beta bound here ends the whole probe.
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    const size_t i0 = static_cast<size_t>(ba) * kLabelBlockEntries;
-    const size_t j0 = static_cast<size_t>(bb) * kLabelBlockEntries;
-    size_t i = i0, j = j0;
-    const size_t ie = std::min<size_t>(an, i0 + kLabelBlockEntries);
-    const size_t je = std::min<size_t>(bn, j0 + kLabelBlockEntries);
-    while (i < ie && j < je) {
-      const uint32_t pa = ap[i];
-      const uint32_t pb = bp[j];
-      // Within this block pair every later pivot is larger, so nothing
-      // below beta remains in the pair — but later PAIRS restart at the
-      // other side's next block, so this only ends the pair, not the
-      // probe (unlike the sidecar check above).
-      if (pa >= beta || pb >= beta) break;
-      if (pa == pb) {
-        if (SaturatingAdd(ad[i], bd[j]) <= d) return true;
-        ++i;
-        ++j;
-      } else if (pa < pb) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Compressed-stream merge, scalar — the HLC1 delta-varint payload
 // decoded entry-at-a-time into a sorted merge, with the trivial-pivot
@@ -310,7 +257,6 @@ constexpr QueryKernel kScalarKernel{
     &IntersectEntriesScalar,
     &HasWitnessFlatScalar,
     &IntersectBlockedScalar,
-    &HasWitnessBlockedScalar,
     &IntersectStreamScalar};
 
 #if HOPDB_X86_KERNELS
@@ -532,45 +478,6 @@ IntersectBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
   return HorizontalMinU32(best);
 }
 
-__attribute__((target("avx2"))) bool
-HasWitnessBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
-                      const uint32_t* abmin, const uint32_t* abmax,
-                      uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                      const uint32_t* bbmin, const uint32_t* bbmax,
-                      uint32_t bn, VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    // Probe the two padded blocks with the flat 8-lane kernel: padding
-    // pivots are >= beta, so the in-bound mask discards them.
-    if (HasWitnessFlatAvx2(
-            ap + static_cast<size_t>(ba) * kLabelBlockEntries,
-            ad + static_cast<size_t>(ba) * kLabelBlockEntries,
-            kLabelBlockEntries,
-            bp + static_cast<size_t>(bb) * kLabelBlockEntries,
-            bd + static_cast<size_t>(bb) * kLabelBlockEntries,
-            kLabelBlockEntries, beta, d)) {
-      return true;
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Compressed-stream merge, AVX2: decode 8-entry blocks per side into
 // stack buffers (direct hits folded at decode time), then run the same
@@ -626,7 +533,6 @@ constexpr QueryKernel kAvx2Kernel{
     &IntersectEntriesAvx2,
     &HasWitnessFlatAvx2,
     &IntersectBlockedAvx2,
-    &HasWitnessBlockedAvx2,
     &IntersectStreamAvx2};
 
 // ---------------------------------------------------------------------------
@@ -750,50 +656,12 @@ IntersectBlockedSse42(const uint32_t* ap, const uint32_t* ad,
   return best;
 }
 
-__attribute__((target("sse4.2"))) bool
-HasWitnessBlockedSse42(const uint32_t* ap, const uint32_t* ad,
-                       const uint32_t* abmin, const uint32_t* abmax,
-                       uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                       const uint32_t* bbmin, const uint32_t* bbmax,
-                       uint32_t bn, VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    if (HasWitnessFlatSse42(
-            ap + static_cast<size_t>(ba) * kLabelBlockEntries,
-            ad + static_cast<size_t>(ba) * kLabelBlockEntries,
-            kLabelBlockEntries,
-            bp + static_cast<size_t>(bb) * kLabelBlockEntries,
-            bd + static_cast<size_t>(bb) * kLabelBlockEntries,
-            kLabelBlockEntries, beta, d)) {
-      return true;
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
 constexpr QueryKernel kSse42Kernel{
     "sse4.2",
     &IntersectFlatSse42,
     &IntersectEntriesScalar,
     &HasWitnessFlatSse42,
     &IntersectBlockedSse42,
-    &HasWitnessBlockedSse42,
     &IntersectStreamScalar};
 
 // ---------------------------------------------------------------------------
@@ -977,43 +845,6 @@ IntersectBlockedAvx512(const uint32_t* ap, const uint32_t* ad,
   return HorizontalMin16(best);
 }
 
-__attribute__((target("avx512f"))) bool
-HasWitnessBlockedAvx512(const uint32_t* ap, const uint32_t* ad,
-                        const uint32_t* abmin, const uint32_t* abmax,
-                        uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                        const uint32_t* bbmin, const uint32_t* bbmax,
-                        uint32_t bn, VertexId beta, Distance d) {
-  if (beta == 0) return false;
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    if (abmin[ba] >= beta || bbmin[bb] >= beta) return false;
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
-      ++ba;
-      continue;
-    }
-    if (bmax < abmin[ba]) {
-      ++bb;
-      continue;
-    }
-    if (HasWitnessFlatAvx512(
-            ap + static_cast<size_t>(ba) * kLabelBlockEntries,
-            ad + static_cast<size_t>(ba) * kLabelBlockEntries,
-            kLabelBlockEntries,
-            bp + static_cast<size_t>(bb) * kLabelBlockEntries,
-            bd + static_cast<size_t>(bb) * kLabelBlockEntries,
-            kLabelBlockEntries, beta, d)) {
-      return true;
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
-  }
-  return false;
-}
-
 __attribute__((target("avx512f"))) Distance
 IntersectStreamAvx512(const uint8_t* a, size_t a_len, const uint8_t* b,
                       size_t b_len, VertexId direct_a, VertexId direct_b) {
@@ -1055,7 +886,6 @@ constexpr QueryKernel kAvx512Kernel{
     &IntersectEntriesAvx512,
     &HasWitnessFlatAvx512,
     &IntersectBlockedAvx512,
-    &HasWitnessBlockedAvx512,
     &IntersectStreamAvx512};
 
 #pragma GCC diagnostic pop

@@ -105,19 +105,6 @@ struct QueryKernel {
                                 const uint32_t* b_block_min,
                                 const uint32_t* b_block_max, uint32_t b_size);
 
-  /// Blocked witness probe: has_witness_flat semantics over the blocked
-  /// layout, with a block-level early exit the moment either side's
-  /// current block minimum reaches the beta bound.
-  bool (*has_witness_blocked)(const uint32_t* a_pivots,
-                              const uint32_t* a_dists,
-                              const uint32_t* a_block_min,
-                              const uint32_t* a_block_max, uint32_t a_size,
-                              const uint32_t* b_pivots,
-                              const uint32_t* b_dists,
-                              const uint32_t* b_block_min,
-                              const uint32_t* b_block_max, uint32_t b_size,
-                              VertexId beta, Distance d);
-
   /// Delta-varint compressed streams (the HLC1 label payload: per entry
   /// a pivot gap varint — first gap relative to -1 — followed by a
   /// distance varint). Merges the two streams directly, additionally

@@ -25,7 +25,7 @@ TwoHopIndex::TwoHopIndex(std::vector<LabelVector> out,
   } else {
     HOPDB_CHECK_EQ(out_.size(), in_.size());
   }
-  RebuildFlatStore();
+  Freeze();
 }
 
 Distance QueryLabelHalves(std::span<const LabelEntry> out_s,
@@ -46,11 +46,8 @@ Distance QueryLabelHalves(std::span<const LabelEntry> out_s,
 Distance TwoHopIndex::Query(VertexId s, VertexId t) const {
   HOPDB_DCHECK_LT(s, num_vertices());
   HOPDB_DCHECK_LT(t, num_vertices());
-  if (flat_.built()) {
-    return QueryFlatHalves(flat_.Out(s), flat_.In(t), s, t,
-                           ActiveQueryKernel());
-  }
-  return QueryLabelHalves(OutLabel(s), InLabel(t), s, t);
+  return QueryFlatHalves(flat_.Out(s), flat_.In(t), s, t,
+                         ActiveQueryKernel());
 }
 
 uint64_t TwoHopIndex::TotalEntries() const {
@@ -70,8 +67,7 @@ uint64_t TwoHopIndex::SizeBytes() const {
   for (const auto& l : out_) bytes += l.size() * sizeof(LabelEntry);
   for (const auto& l : in_) bytes += l.size() * sizeof(LabelEntry);
   bytes += (out_.size() + in_.size()) * sizeof(LabelVector);
-  if (flat_.built()) bytes += flat_.SizeBytes();
-  return bytes;
+  return bytes + flat_.SizeBytes();
 }
 
 uint64_t TwoHopIndex::PaperSizeBytes() const {
@@ -106,6 +102,11 @@ Status TwoHopIndex::Validate(bool ranked) const {
           return Status::Internal(std::string(name) + " label of " +
                                   std::to_string(v) +
                                   " stores a trivial self entry");
+        }
+        if (l[i].pivot >= side.size()) {
+          return Status::Internal(std::string(name) + " label of " +
+                                  std::to_string(v) +
+                                  " has pivot out of range");
         }
         if (ranked && l[i].pivot > v) {
           return Status::Internal(std::string(name) + " label of " +
@@ -142,49 +143,44 @@ Status TwoHopIndex::Save(const std::string& path) const {
   };
   write_side(out_);
   write_side(in_);
-  // Trailing flat-mirror section (HFS1, delta-encoded, own checksum):
-  // Load adopts it instead of rebuilding the SoA arenas from the
-  // vectors. Readers of the original HLI1 body ignored trailing bytes,
-  // so the section is backward- and forward-compatible.
-  const size_t flat_begin = buf.size();
-  if (flat_.built()) {
-    flat_.AppendTo(&buf, /*delta_pivots=*/true);
-  } else {
-    FlatLabelStore::Build(out_, in_, directed_)
-        .AppendTo(&buf, /*delta_pivots=*/true);
-  }
-  PutU64(&buf, Fnv1a64(buf.data() + flat_begin, buf.size() - flat_begin));
+  PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
   return WriteStringToFile(path, buf);
 }
 
 Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
   std::string data;
   HOPDB_RETURN_NOT_OK(ReadFileToString(path, &data));
-  ByteReader reader(data);
-  char magic[4];
-  HOPDB_RETURN_NOT_OK(reader.ReadBytes(magic, 4));
-  if (std::memcmp(magic, kMagic, 4) != 0) {
+  if (data.size() < sizeof(kMagic) + 8 ||
+      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not a HLI1 index file: " + path);
   }
+  // The body is every byte but the trailing checksum, so a file that
+  // carries anything past the checksum fails here too.
+  const size_t body = data.size() - 8;
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data.data());
+  if (Fnv1a64(bytes, body) != DecodeU64(bytes + body)) {
+    return Status::InvalidArgument(
+        "HLI1 checksum mismatch (a corrupt file, or one written by an "
+        "earlier hopdb build: rebuild it): " + path);
+  }
+  ByteReader reader(bytes + sizeof(kMagic), body - sizeof(kMagic));
   uint32_t directed = 0, nv = 0;
-  HOPDB_RETURN_NOT_OK(reader.ReadU32(&directed));
-  HOPDB_RETURN_NOT_OK(reader.ReadU32(&nv));
+  std::vector<LabelVector> out, in;
   // Every label takes 8 bytes for its length and every entry 8 bytes, so
-  // a count the rest of the file cannot hold is corrupt — reject it
+  // a count the rest of the body cannot hold is corrupt — reject it
   // before it sizes an allocation.
   auto read_side = [&](std::vector<LabelVector>* side) -> Status {
     uint64_t count = 0;
     HOPDB_RETURN_NOT_OK(reader.ReadU64(&count));
     if (count > reader.remaining() / 8) {
-      return Status::InvalidArgument("label count exceeds file size: " + path);
+      return Status::InvalidArgument("label count exceeds file size");
     }
     side->resize(count);
     for (auto& l : *side) {
       uint64_t len = 0;
       HOPDB_RETURN_NOT_OK(reader.ReadU64(&len));
       if (len > reader.remaining() / 8) {
-        return Status::InvalidArgument("label length exceeds file size: " +
-                                       path);
+        return Status::InvalidArgument("label length exceeds file size");
       }
       l.resize(len);
       for (auto& e : l) {
@@ -194,42 +190,33 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
     }
     return Status::OK();
   };
-  std::vector<LabelVector> out, in;
-  HOPDB_RETURN_NOT_OK(read_side(&out));
-  HOPDB_RETURN_NOT_OK(read_side(&in));
-  if (out.size() != nv || (directed != 0 && in.size() != nv)) {
-    return Status::InvalidArgument("corrupt index file: " + path);
-  }
-  // Adopt the trailing flat-mirror section when present (files written
-  // before the flat store existed end here; those rebuild the mirror).
-  if (reader.remaining() > 0) {
-    if (reader.remaining() < 8) {
-      return Status::InvalidArgument("truncated flat section: " + path);
+  auto read_body = [&]() -> Status {
+    HOPDB_RETURN_NOT_OK(reader.ReadU32(&directed));
+    HOPDB_RETURN_NOT_OK(reader.ReadU32(&nv));
+    HOPDB_RETURN_NOT_OK(read_side(&out));
+    HOPDB_RETURN_NOT_OK(read_side(&in));
+    if (reader.remaining() != 0) {
+      return Status::InvalidArgument("bytes after the label sides");
     }
-    const size_t begin = reader.position();
-    const size_t section_end = data.size() - 8;
-    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data.data());
-    if (Fnv1a64(bytes + begin, section_end - begin) !=
-        DecodeU64(bytes + section_end)) {
-      return Status::InvalidArgument("flat section checksum mismatch: " +
-                                     path);
-    }
-    ByteReader flat_reader(bytes + begin, section_end - begin);
-    HOPDB_ASSIGN_OR_RETURN(FlatLabelStore flat,
-                           FlatLabelStore::Parse(&flat_reader));
-    if (flat_reader.remaining() != 0 ||
-        !flat.MirrorsVectors(out, in, directed != 0)) {
+    // The shapes the constructor CHECKs, refused before it runs.
+    if (directed > 1 || out.size() != nv ||
+        in.size() != (directed != 0 ? nv : 0)) {
       return Status::InvalidArgument(
-          "flat section disagrees with label vectors: " + path);
+          "label side counts disagree with the header");
     }
-    TwoHopIndex index;
-    index.out_ = std::move(out);
-    index.in_ = std::move(in);
-    index.directed_ = directed != 0;
-    index.flat_ = std::move(flat);
-    return index;
+    return Status::OK();
+  };
+  if (const Status parsed = read_body(); !parsed.ok()) {
+    return Status::InvalidArgument("corrupt HLI1 body (" +
+                                   parsed.message() + "): " + path);
   }
-  return TwoHopIndex(std::move(out), std::move(in), directed != 0);
+  TwoHopIndex index(std::move(out), std::move(in), directed != 0);
+  const Status valid = index.Validate(/*ranked=*/false);
+  if (!valid.ok()) {
+    return Status::InvalidArgument("invalid HLI1 labels (" + valid.message() +
+                                   "): " + path);
+  }
+  return index;
 }
 
 }  // namespace hopdb

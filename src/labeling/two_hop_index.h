@@ -4,16 +4,16 @@
 // layout, same active query kernel — so Table 6's "memory query time"
 // comparisons measure label quality, not implementation differences.
 //
-// Two representations live side by side:
-//   - per-vertex LabelVectors (array-of-structs): the canonical, mutable
-//     form every builder produces and the HLI1 disk format mirrors;
-//   - a FlatLabelStore (structure-of-arrays, cache-line-aligned arenas):
-//     the read-optimized mirror the query hot path and the SIMD kernels
-//     (labeling/query_kernel.h) run on.
-// The flat mirror is built eagerly on construction and load, and
-// invalidated by mutable_out()/mutable_in(); RebuildFlatStore() restores
-// it after a post-processing pass. Queries transparently fall back to the
-// vector path while the mirror is stale.
+// The labels live in two forms with one rule between them:
+//   - per-vertex LabelVectors (array-of-structs): the form every builder
+//     emits, IncrementalUpdater repairs, and HLI1 stores;
+//   - a frozen FlatLabelStore (structure-of-arrays, cache-line-aligned
+//     arenas): the form every query reads — Query, labels(), and through
+//     labels() the batch/KNN engines, the hot-hub table and the serving
+//     snapshot.
+// The store is frozen from the vectors at construction, at Load, and at
+// IncrementalUpdater::Finalize() — the only code that edits the vectors
+// in place. Reads see the labels as of the last freeze.
 
 #ifndef HOPDB_LABELING_TWO_HOP_INDEX_H_
 #define HOPDB_LABELING_TWO_HOP_INDEX_H_
@@ -34,9 +34,9 @@ class TwoHopIndex {
  public:
   TwoHopIndex() = default;
 
-  /// Takes ownership of the label vectors and builds the flat query
-  /// mirror (O(total entries)). For undirected indexes pass an empty
-  /// `in` (queries then intersect out[s] with out[t]).
+  /// Takes ownership of the label vectors and freezes the store from
+  /// them (O(total entries)). For undirected indexes pass an empty `in`
+  /// (queries then intersect out[s] with out[t]).
   /// Trivial (v, 0) self-entries must NOT be stored; Query handles them
   /// implicitly (the paper's tables count non-trivial entries the same
   /// way).
@@ -48,22 +48,28 @@ class TwoHopIndex {
   }
   bool directed() const { return directed_; }
 
-  /// Label views over the canonical vectors (always current, O(1)).
+  /// Label views over the vectors (the editable form: between an
+  /// IncrementalUpdater's Apply and Finalize they run ahead of the
+  /// frozen store). O(1).
   std::span<const LabelEntry> OutLabel(VertexId v) const { return out_[v]; }
   std::span<const LabelEntry> InLabel(VertexId v) const {
     return directed_ ? std::span<const LabelEntry>(in_[v])
                      : std::span<const LabelEntry>(out_[v]);
   }
 
+  /// The frozen label store (INTERNAL ids), as MappedIndex::labels()
+  /// exposes a mapped one. Valid until the index is destroyed, assigned,
+  /// or re-frozen by IncrementalUpdater::Finalize().
+  LabelSetView labels() const { return flat_.view(); }
+
   /// Exact distance from s to t (both internal/ranked ids);
   /// kInfDistance when unreachable. O(|Lout(s)| + |Lin(t)|) via the
-  /// active SIMD query kernel over the flat store (scalar fallback while
-  /// the store is stale).
+  /// active SIMD query kernel over the frozen store.
   ///
   /// Thread safety: const and stateless — a pure intersection over the
-  /// immutable label arrays, so concurrent readers need no
-  /// synchronization (PLL-style shared-reader serving). Not safe
-  /// against a concurrent mutable_out()/mutable_in() writer.
+  /// immutable arenas, so concurrent readers need no synchronization
+  /// (PLL-style shared-reader serving). Not safe against a concurrent
+  /// IncrementalUpdater::Finalize().
   Distance Query(VertexId s, VertexId t) const;
 
   /// Number of non-trivial label entries. O(|V|).
@@ -73,8 +79,7 @@ class TwoHopIndex {
   /// Lin and Lout together (the paper's "Avg |label| per vertex").
   double AvgLabelSize() const;
 
-  /// In-memory footprint in bytes: label vectors plus the flat query
-  /// mirror when built.
+  /// In-memory footprint in bytes: label vectors plus the frozen store.
   uint64_t SizeBytes() const;
 
   /// Size under the paper's disk accounting: 32-bit pivot + 8-bit
@@ -88,75 +93,33 @@ class TwoHopIndex {
   std::vector<uint64_t> EntriesPerPivot() const;
 
   /// Structural invariants: labels sorted by pivot, no duplicate pivots,
-  /// no trivial self-entries, finite distances. When `ranked` is true
-  /// (HopDb/PLL indexes on rank-relabeled graphs) additionally checks
-  /// pivot id < owner id.
+  /// every pivot < |V|, no trivial self-entries, finite distances. When
+  /// `ranked` is true (HopDb/PLL indexes on rank-relabeled graphs)
+  /// additionally checks pivot id < owner id.
   Status Validate(bool ranked) const;
 
-  /// Serializes to the HLI1 binary format: the label vectors followed by
-  /// a checksummed HFS1 flat-mirror section (docs/ARCHITECTURE.md).
-  /// Load adopts the flat section after verifying it mirrors the
-  /// vectors, so a loaded index queries at full speed; section-less
-  /// files (pre-flat-store writers) rebuild the mirror instead.
+  /// Serializes the label vectors to the HLI1 binary format: the label
+  /// body followed by a u64 FNV-1a-64 checksum of it (docs/FORMATS.md).
+  /// Load verifies the checksum, rejects any byte past it, checks the
+  /// side shapes and Validate(false) — every failure is InvalidArgument
+  /// — and then freezes the store. Files written by earlier builds (with
+  /// a trailing HFS1 section, or none) fail the checksum and must be
+  /// rebuilt.
   Status Save(const std::string& path) const;
   static Result<TwoHopIndex> Load(const std::string& path);
 
-  /// The flat query mirror. Check flat_store().built() before using the
-  /// views directly; it is false after mutable access until
-  /// RebuildFlatStore().
-  const FlatLabelStore& flat_store() const { return flat_; }
-
-  /// Mutable access for post-processing passes (bit-parallel transform).
-  /// Invalidates the flat query mirror: queries stay correct through the
-  /// vector fallback, but lose the SIMD path until RebuildFlatStore().
-  std::vector<LabelVector>* mutable_out() {
-    flat_ = FlatLabelStore();
-    return &out_;
-  }
-  std::vector<LabelVector>* mutable_in() {
-    flat_ = FlatLabelStore();
-    return &in_;
-  }
-
-  /// Re-freezes the flat query mirror from the (possibly edited) label
-  /// vectors. O(total entries). Not thread-safe against concurrent
-  /// readers — publish the index to readers only after this returns.
-  void RebuildFlatStore() { flat_ = FlatLabelStore::Build(out_, in_, directed_); }
-
  private:
+  friend class IncrementalUpdater;
+
+  /// Re-freezes the store from the vectors. O(total entries); frees the
+  /// arenas every previously returned labels() view points into.
+  void Freeze() { flat_ = FlatLabelStore::Build(out_, in_, directed_); }
+
   std::vector<LabelVector> out_;
   std::vector<LabelVector> in_;  // empty when undirected
-  FlatLabelStore flat_;          // SoA mirror of out_/in_ for querying
+  FlatLabelStore flat_;          // frozen from out_/in_; what queries read
   bool directed_ = false;
 };
-
-/// Invokes fn(pivot, dist) for every entry of one side's label of v:
-/// through `view` when `index` is null, else through the index's label
-/// vectors (the stale-flat-mirror fallback of engines constructed from
-/// a TwoHopIndex). The view path SKIPS entries whose pivot is >=
-/// view.num_vertices: a LabelSetView may alias the unhashed label
-/// arenas of a memory-mapped HLI2 file (labeling/mapped_index.h
-/// integrity model), and callers index arrays by pivot — a corrupt
-/// arena must be able to mis-answer but never write or read out of
-/// bounds. This is the single shared implementation of that
-/// safety-critical loop for every view-consuming engine
-/// (query/batch.h, query/knn.h).
-template <typename Fn>
-void ForEachLabelEntry(const TwoHopIndex* index,
-                       const FlatLabelStore::LabelSetView& view, bool in_side,
-                       VertexId v, Fn&& fn) {
-  if (index == nullptr) {
-    const FlatLabelStore::View label = in_side ? view.In(v) : view.Out(v);
-    for (uint32_t i = 0; i < label.size; ++i) {
-      if (label.pivots[i] < view.num_vertices) {
-        fn(label.pivots[i], label.dists[i]);
-      }
-    }
-  } else {
-    const auto label = in_side ? index->InLabel(v) : index->OutLabel(v);
-    for (const LabelEntry& e : label) fn(e.pivot, e.dist);
-  }
-}
 
 /// Query helper shared with builders' pruning logic: minimum of
 /// intersection plus the two implicit trivial pivots.

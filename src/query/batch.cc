@@ -4,32 +4,12 @@
 #include <utility>
 #include <vector>
 
-#include "labeling/flat_label_store.h"
-#include "util/logging.h"
-
 namespace hopdb {
-
-OneToManyEngine::OneToManyEngine(const TwoHopIndex& index,
-                                 std::vector<VertexId> targets)
-    : num_vertices_(index.num_vertices()), targets_(std::move(targets)) {
-  if (index.flat_store().built()) {
-    view_ = index.flat_store().view();
-  } else {
-    index_ = &index;
-  }
-  BuildBuckets();
-}
 
 OneToManyEngine::OneToManyEngine(const LabelSetView& labels,
                                  std::vector<VertexId> targets)
-    : view_(labels),
-      num_vertices_(labels.num_vertices),
-      targets_(std::move(targets)) {
-  BuildBuckets();
-}
-
-void OneToManyEngine::BuildBuckets() {
-  const VertexId n = num_vertices_;
+    : view_(labels), targets_(std::move(targets)) {
+  const VertexId n = view_.num_vertices;
   // Pass 1: bucket sizes, counted into slot p+1 so the in-place prefix
   // sum below turns the same array into the arena offsets. Each target
   // contributes its in-label entries plus one trivial self-pivot entry
@@ -38,9 +18,9 @@ void OneToManyEngine::BuildBuckets() {
   bucket_offsets_.assign(n + 1, 0);
   for (uint32_t j = 0; j < targets_.size(); ++j) {
     const VertexId t = targets_[j];
-    HOPDB_CHECK_LT(t, n) << "target id out of range";
+    if (t >= n) continue;  // bucketed nowhere: stays kInfDistance
     bucket_offsets_[t + 1]++;
-    ForEachLabelEntry(index_, view_, /*in_side=*/true, t,
+    ForEachLabelEntry(view_, /*in_side=*/true, t,
                       [&](uint32_t pivot, uint32_t) {
                         bucket_offsets_[pivot + 1]++;
                       });
@@ -54,10 +34,11 @@ void OneToManyEngine::BuildBuckets() {
                                bucket_offsets_.end() - 1);
   for (uint32_t j = 0; j < targets_.size(); ++j) {
     const VertexId t = targets_[j];
+    if (t >= n) continue;
     const uint64_t self = cursor[t]++;
     bucket_target_[self] = j;
     bucket_dist_[self] = 0;
-    ForEachLabelEntry(index_, view_, /*in_side=*/true, t,
+    ForEachLabelEntry(view_, /*in_side=*/true, t,
                       [&](uint32_t pivot, uint32_t dist) {
                         const uint64_t k = cursor[pivot]++;
                         bucket_target_[k] = j;
@@ -79,11 +60,11 @@ void OneToManyEngine::Relax(VertexId pivot, Distance d1,
 
 std::vector<Distance> OneToManyEngine::Query(VertexId s) const {
   std::vector<Distance> result(targets_.size(), kInfDistance);
-  if (s >= num_vertices_) return result;  // nothing reachable
+  if (s >= view_.num_vertices) return result;  // nothing reachable
   // Trivial source pivot: (s, 0) pairs with every in-entry naming s —
   // including the self-bucket entry, so dist(s, s) == 0 falls out.
   Relax(s, 0, &result);
-  ForEachLabelEntry(index_, view_, /*in_side=*/false, s,
+  ForEachLabelEntry(view_, /*in_side=*/false, s,
                     [&](uint32_t pivot, uint32_t dist) {
                       Relax(pivot, dist, &result);
                     });
@@ -91,9 +72,9 @@ std::vector<Distance> OneToManyEngine::Query(VertexId s) const {
 }
 
 std::vector<std::vector<Distance>> ManyToManyDistances(
-    const TwoHopIndex& index, std::span<const VertexId> sources,
+    const LabelSetView& labels, std::span<const VertexId> sources,
     std::span<const VertexId> targets) {
-  OneToManyEngine engine(index,
+  OneToManyEngine engine(labels,
                          std::vector<VertexId>(targets.begin(), targets.end()));
   std::vector<std::vector<Distance>> matrix;
   matrix.reserve(sources.size());

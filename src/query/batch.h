@@ -24,8 +24,7 @@
 #include <vector>
 
 #include "graph/types.h"
-#include "labeling/two_hop_index.h"
-#include "util/status.h"
+#include "labeling/flat_label_store.h"
 
 namespace hopdb {
 
@@ -38,19 +37,13 @@ namespace hopdb {
 /// micro-batch path relies on this).
 class OneToManyEngine {
  public:
-  /// The index reference is not owned and must outlive the engine.
-  /// Duplicate targets are allowed (each position is answered).
-  /// Construction is O(sum |Lin(t)| + |V|). When the index's flat
-  /// mirror is built, the engine snapshots pointers into it — the
-  /// engine must not be used across a mutable_out()/mutable_in()/
-  /// RebuildFlatStore() cycle on the index (rebuild frees the arenas
-  /// the engine reads); construct a fresh engine after label edits.
-  OneToManyEngine(const TwoHopIndex& index, std::vector<VertexId> targets);
-
-  /// Same engine over a bare flat label set — the form shared by heap
-  /// flat stores and memory-mapped HLI2 indexes
-  /// (MappedIndex::labels()). The arrays behind the view must outlive
-  /// the engine. Vertex ids are the view's (internal/rank) ids.
+  /// Buckets the targets' in-labels of a flat label set — a heap
+  /// index's frozen store (TwoHopIndex::labels()) or a memory-mapped
+  /// HLI2 index (MappedIndex::labels()). The arrays behind the view must
+  /// outlive the engine; build a fresh engine after the store is
+  /// re-frozen. Vertex ids are the view's (internal/rank) ids. Duplicate
+  /// targets are allowed (each position is answered); targets >= |V|
+  /// are answered kInfDistance. Construction is O(sum |Lin(t)| + |V|).
   OneToManyEngine(const LabelSetView& labels, std::vector<VertexId> targets);
 
   /// result[j] = dist(s, targets()[j]); kInfDistance when unreachable.
@@ -69,16 +62,7 @@ class OneToManyEngine {
   /// source-side distance d1.
   void Relax(VertexId pivot, Distance d1, std::vector<Distance>* result) const;
 
-  /// Fills the bucket arena from whichever label representation this
-  /// engine was constructed over.
-  void BuildBuckets();
-
-  /// Non-null only for indexes whose flat mirror is stale (the vector
-  /// fallback); engines over a built flat store or a mapped index use
-  /// view_ exclusively.
-  const TwoHopIndex* index_ = nullptr;
-  LabelSetView view_{};
-  VertexId num_vertices_ = 0;
+  LabelSetView view_;
   std::vector<VertexId> targets_;
   /// Flat bucket arena: entries of pivot p occupy
   /// [bucket_offsets_[p], bucket_offsets_[p+1]) in the two parallel
@@ -93,7 +77,7 @@ class OneToManyEngine {
 /// matrix[i][j] = dist(sources[i], targets[j]). One bucket pass over the
 /// targets, then one engine query per source.
 std::vector<std::vector<Distance>> ManyToManyDistances(
-    const TwoHopIndex& index, std::span<const VertexId> sources,
+    const LabelSetView& labels, std::span<const VertexId> sources,
     std::span<const VertexId> targets);
 
 }  // namespace hopdb

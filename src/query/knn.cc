@@ -7,35 +7,18 @@
 
 namespace hopdb {
 
-KnnEngine::KnnEngine(const TwoHopIndex& index, Direction direction)
-    : num_vertices_(index.num_vertices()), direction_(direction) {
-  if (index.flat_store().built()) {
-    view_ = index.flat_store().view();
-  } else {
-    index_ = &index;
-  }
-  BuildInverted();
-}
-
 KnnEngine::KnnEngine(const LabelSetView& labels, Direction direction)
-    : view_(labels),
-      num_vertices_(labels.num_vertices),
-      direction_(direction) {
-  BuildInverted();
-}
-
-void KnnEngine::BuildInverted() {
-  const VertexId n = num_vertices_;
+    : view_(labels), direction_(direction) {
+  const VertexId n = view_.num_vertices;
   inv_.resize(n);
   for (VertexId v = 0; v < n; ++v) {
     // Forward kNN intersects Lout(s) with Lin(v), so the inverted side is
     // the in-labels; backward swaps the roles.
     const bool in_side = direction_ == Direction::kForward;
     inv_[v].push_back({0, v});  // trivial (v, 0) self-entry
-    ForEachLabelEntry(index_, view_, in_side, v,
-                      [&](uint32_t pivot, uint32_t dist) {
-                        inv_[pivot].push_back({dist, v});
-                      });
+    ForEachLabelEntry(view_, in_side, v, [&](uint32_t pivot, uint32_t dist) {
+      inv_[pivot].push_back({dist, v});
+    });
   }
   for (auto& list : inv_) {
     std::sort(list.begin(), list.end(),
@@ -49,7 +32,7 @@ void KnnEngine::BuildInverted() {
 void KnnEngine::CollectSeeds(VertexId s,
                              std::vector<LabelEntry>* seeds) const {
   const bool out_side = direction_ == Direction::kForward;
-  ForEachLabelEntry(index_, view_, /*in_side=*/!out_side, s,
+  ForEachLabelEntry(view_, /*in_side=*/!out_side, s,
                     [&](uint32_t pivot, uint32_t dist) {
                       seeds->push_back({pivot, dist});
                     });
@@ -59,11 +42,11 @@ void KnnEngine::CollectSeeds(VertexId s,
 std::vector<KnnEngine::Neighbor> KnnEngine::Query(VertexId s, uint32_t k,
                                                   bool include_source) const {
   std::vector<Neighbor> result;
-  if (s >= num_vertices_ || k == 0) return result;
+  if (s >= view_.num_vertices || k == 0) return result;
   // k is client-controlled on the serving path; at most n vertices can
   // ever be emitted, so clamp the reservation (a bare reserve(k) would
   // let one "KNN 0 4294967295" request attempt a ~34 GB allocation).
-  result.reserve(std::min<uint64_t>(k, num_vertices_));
+  result.reserve(std::min<uint64_t>(k, view_.num_vertices));
 
   // Frontier of (total distance, seed index, position in the seed's
   // inverted list); the pop order enumerates all (source entry, inverted
@@ -88,7 +71,7 @@ std::vector<KnnEngine::Neighbor> KnnEngine::Query(VertexId s, uint32_t k,
     }
   }
 
-  std::vector<bool> emitted(num_vertices_, false);
+  std::vector<bool> emitted(view_.num_vertices, false);
   while (!pq.empty() && result.size() < k) {
     const Frontier f = pq.top();
     pq.pop();
@@ -111,7 +94,7 @@ std::vector<KnnEngine::Neighbor> KnnEngine::Query(VertexId s, uint32_t k,
 std::vector<KnnEngine::Neighbor> KnnEngine::QueryWithin(
     VertexId s, Distance radius, bool include_source) const {
   std::vector<Neighbor> result;
-  if (s >= num_vertices_) return result;
+  if (s >= view_.num_vertices) return result;
 
   std::vector<LabelEntry> seeds;
   CollectSeeds(s, &seeds);
@@ -119,7 +102,7 @@ std::vector<KnnEngine::Neighbor> KnnEngine::QueryWithin(
   // Min label sum per vertex over the in-radius prefix of every seed
   // pivot's inverted list. Sums never undershoot the true distance, so
   // the per-vertex minimum filtered at <= radius is exact.
-  std::vector<Distance> best(num_vertices_, kInfDistance);
+  std::vector<Distance> best(view_.num_vertices, kInfDistance);
   for (const LabelEntry& seed : seeds) {
     if (seed.dist > radius) continue;
     for (const InvEntry& entry : inv_[seed.pivot]) {
@@ -129,7 +112,7 @@ std::vector<KnnEngine::Neighbor> KnnEngine::QueryWithin(
     }
   }
 
-  for (VertexId v = 0; v < num_vertices_; ++v) {
+  for (VertexId v = 0; v < view_.num_vertices; ++v) {
     if (best[v] == kInfDistance) continue;
     if (v == s && !include_source) continue;
     result.push_back({v, best[v]});

@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "graph/types.h"
-#include "labeling/two_hop_index.h"
+#include "labeling/flat_label_store.h"
+#include "labeling/label_entry.h"
 
 namespace hopdb {
 
@@ -42,19 +43,12 @@ class KnnEngine {
     }
   };
 
-  /// Builds the inverted pivot lists (one pass over the index). The index
-  /// reference is not owned and must outlive the engine. For undirected
-  /// indexes both directions coincide. When the index's flat mirror is
-  /// built, the engine snapshots pointers into it — the engine must not
-  /// be used across a mutable_out()/mutable_in()/RebuildFlatStore()
-  /// cycle on the index (rebuild frees the arenas the engine reads);
-  /// construct a fresh engine after label edits.
-  KnnEngine(const TwoHopIndex& index, Direction direction);
-
-  /// Same engine over a bare flat label set — the form shared by heap
-  /// flat stores and memory-mapped HLI2 indexes (MappedIndex::labels()).
-  /// The arrays behind the view must outlive the engine; vertex ids are
-  /// the view's (internal/rank) ids.
+  /// Builds the inverted pivot lists in one pass over a flat label set —
+  /// a heap index's frozen store (TwoHopIndex::labels()) or a
+  /// memory-mapped HLI2 index (MappedIndex::labels()). The arrays
+  /// behind the view must outlive the engine; build a fresh engine after
+  /// the store is re-frozen. Vertex ids are the view's (internal/rank)
+  /// ids. For undirected label sets both directions coincide.
   KnnEngine(const LabelSetView& labels, Direction direction);
 
   /// The (up to) k nearest vertices from/to s in non-decreasing distance
@@ -86,19 +80,11 @@ class KnnEngine {
     VertexId owner;
   };
 
-  /// Fills inv_ from whichever label representation this engine was
-  /// constructed over.
-  void BuildInverted();
   /// Appends the seed entries for a query from s (the relevant label of
   /// s plus the trivial (s, 0) pivot).
   void CollectSeeds(VertexId s, std::vector<LabelEntry>* seeds) const;
 
-  /// Non-null only for indexes whose flat mirror is stale (the vector
-  /// fallback); engines over a built flat store or a mapped index use
-  /// view_ exclusively.
-  const TwoHopIndex* index_ = nullptr;
-  LabelSetView view_{};
-  VertexId num_vertices_ = 0;
+  LabelSetView view_;
   Direction direction_;
   /// inv_[p] = owners whose relevant label names pivot p, sorted by dist.
   std::vector<std::vector<InvEntry>> inv_;

@@ -4,33 +4,19 @@
 #include <utility>
 #include <vector>
 
+#include "labeling/query_kernel.h"
 #include "query/batch.h"
 #include "util/logging.h"
 
 namespace hopdb {
 
-void ServingSnapshot::InitHotHub(uint32_t k) {
-  if (k == 0) return;
-  if (mapped()) {
-    hub_ = HotHubCache::Build(mapped_->labels(), k);
-  } else if (index_.label_index().flat_store().built()) {
-    hub_ = HotHubCache::Build(index_.label_index().flat_store().view(), k);
-  }
-}
-
 Distance ServingSnapshot::Query(VertexId s, VertexId t) const {
-  if (hub_.enabled()) {
-    const VertexId n = num_vertices();
-    if (s >= n || t >= n) return kInfDistance;
-    if (mapped()) {
-      return hub_.Query(mapped_->labels(), mapped_->ToInternal(s),
-                        mapped_->ToInternal(t));
-    }
-    return hub_.Query(index_.label_index().flat_store().view(),
-                      index_.ranking().ToInternal(s),
-                      index_.ranking().ToInternal(t));
-  }
-  return mapped() ? mapped_->Query(s, t) : index_.Query(s, t);
+  if (s >= num_vertices() || t >= num_vertices()) return kInfDistance;
+  const VertexId si = to_internal_[s];
+  const VertexId ti = to_internal_[t];
+  if (hub_.enabled()) return hub_.Query(labels_, si, ti);
+  return QueryFlatHalves(labels_.Out(si), labels_.In(ti), si, ti,
+                         ActiveQueryKernel());
 }
 
 uint64_t ServingSnapshot::ResidentBytes() const {
@@ -46,49 +32,31 @@ const HopDbIndex& ServingSnapshot::index() const {
 
 std::vector<Distance> ServingSnapshot::QueryOneToMany(
     VertexId s, const std::vector<VertexId>& targets) const {
-  const auto to_internal = [this](VertexId v) {
-    return mapped() ? mapped_->ToInternal(v) : index_.ranking().ToInternal(v);
-  };
   std::vector<VertexId> internal;
   internal.reserve(targets.size());
-  for (VertexId t : targets) internal.push_back(to_internal(t));
-  OneToManyEngine engine =
-      mapped() ? OneToManyEngine(mapped_->labels(), std::move(internal))
-               : OneToManyEngine(index_.label_index(), std::move(internal));
-  return engine.Query(to_internal(s));
+  for (VertexId t : targets) internal.push_back(ToInternal(t));
+  return OneToManyEngine(labels_, std::move(internal)).Query(ToInternal(s));
 }
 
-std::vector<std::pair<VertexId, Distance>> ServingSnapshot::QueryKnn(
-    VertexId s, uint32_t k) const {
-  const KnnEngine& engine = knn_engine();
-  const VertexId internal_s =
-      mapped() ? mapped_->ToInternal(s) : index_.ranking().ToInternal(s);
-  const std::vector<KnnEngine::Neighbor> neighbors =
-      engine.Query(internal_s, k);
+std::vector<std::pair<VertexId, Distance>> ServingSnapshot::ToOriginal(
+    const std::vector<KnnEngine::Neighbor>& neighbors) const {
   std::vector<std::pair<VertexId, Distance>> result;
   result.reserve(neighbors.size());
   for (const KnnEngine::Neighbor& nb : neighbors) {
-    const VertexId orig = mapped() ? mapped_->ToOriginal(nb.vertex)
-                                   : index_.ranking().ToOriginal(nb.vertex);
-    result.emplace_back(orig, nb.dist);
+    result.emplace_back(to_original_[nb.vertex], nb.dist);
   }
   return result;
 }
 
+std::vector<std::pair<VertexId, Distance>> ServingSnapshot::QueryKnn(
+    VertexId s, uint32_t k) const {
+  return ToOriginal(knn_engine().Query(ToInternal(s), k));
+}
+
 std::vector<std::pair<VertexId, Distance>> ServingSnapshot::QueryWithin(
     VertexId s, Distance radius) const {
-  const KnnEngine& engine = knn_engine();
-  const VertexId internal_s =
-      mapped() ? mapped_->ToInternal(s) : index_.ranking().ToInternal(s);
-  const std::vector<KnnEngine::Neighbor> neighbors =
-      engine.QueryWithin(internal_s, radius);
-  std::vector<std::pair<VertexId, Distance>> result;
-  result.reserve(neighbors.size());
-  for (const KnnEngine::Neighbor& nb : neighbors) {
-    const VertexId orig = mapped() ? mapped_->ToOriginal(nb.vertex)
-                                   : index_.ranking().ToOriginal(nb.vertex);
-    result.emplace_back(orig, nb.dist);
-  }
+  std::vector<std::pair<VertexId, Distance>> result =
+      ToOriginal(knn_engine().QueryWithin(ToInternal(s), radius));
   // The engine orders by (distance, internal id); re-sort the vertex
   // tiebreak into original-id space so the wire answer is deterministic
   // in the ids clients actually see.
@@ -122,13 +90,7 @@ Result<std::vector<VertexId>> ServingSnapshot::QueryPath(VertexId s,
 
 const KnnEngine& ServingSnapshot::knn_engine() const {
   std::call_once(knn_once_, [this] {
-    if (mapped()) {
-      knn_ = std::make_unique<KnnEngine>(mapped_->labels(),
-                                         KnnEngine::Direction::kForward);
-    } else {
-      knn_ = std::make_unique<KnnEngine>(index_.label_index(),
-                                         KnnEngine::Direction::kForward);
-    }
+    knn_ = std::make_unique<KnnEngine>(labels_, KnnEngine::Direction::kForward);
   });
   return *knn_;
 }

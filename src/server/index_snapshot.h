@@ -11,14 +11,15 @@
 // Zero downtime, no reader-side locks held across a query.
 //
 // A snapshot is backed by exactly one of two index forms:
-//   - heap: a HopDbIndex (HLI1/HLC1 deserialized into label vectors +
-//     flat mirror) — RELOAD re-reads and re-deserializes the file;
+//   - heap: a HopDbIndex (HLI1/HLC1 deserialized into label vectors and
+//     their frozen store) — RELOAD re-reads and re-deserializes the file;
 //   - mmap: a MappedIndex over an HLI2 file — the label arenas live in
 //     the page cache, resident bytes grow with the touched working set,
 //     and RELOAD is an O(1) remap.
-// Everything above the snapshot (server, registry, caches) is agnostic:
-// the snapshot exposes query entry points that dispatch internally, so
-// DIST/BATCH/KNN behave identically over either backing.
+// Both constructors reduce the backing to the same three things: one
+// LabelSetView over its label arenas and its two id permutations. Every
+// query entry point reads only those, so DIST/BATCH/KNN/WITHIN/REACH
+// take one code path over either backing.
 
 #ifndef HOPDB_SERVER_INDEX_SNAPSHOT_H_
 #define HOPDB_SERVER_INDEX_SNAPSHOT_H_
@@ -52,11 +53,13 @@ class ServingSnapshot {
                   size_t cache_capacity, uint32_t hot_hub_k = 0,
                   std::shared_ptr<const CsrGraph> path_graph = nullptr)
       : index_(std::move(index)),
+        labels_(index_.label_index().labels()),
+        to_internal_(index_.ranking().orig_to_rank.data()),
+        to_original_(index_.ranking().rank_to_orig.data()),
+        hub_(HotHubCache::Build(labels_, hot_hub_k)),
         path_graph_(std::move(path_graph)),
         source_path_(std::move(source_path)),
-        cache_(cache_capacity) {
-    InitHotHub(hot_hub_k);
-  }
+        cache_(cache_capacity) {}
 
   /// Mmap-backed snapshot over an opened HLI2 index. Same contract;
   /// RELOAD on this snapshot is an O(1) remap of source_path (plus the
@@ -64,10 +67,12 @@ class ServingSnapshot {
   ServingSnapshot(MappedIndex index, std::string source_path,
                   size_t cache_capacity, uint32_t hot_hub_k = 0)
       : mapped_(std::make_unique<MappedIndex>(std::move(index))),
+        labels_(mapped_->labels()),
+        to_internal_(mapped_->orig_to_rank()),
+        to_original_(mapped_->rank_to_orig()),
+        hub_(HotHubCache::Build(labels_, hot_hub_k)),
         source_path_(std::move(source_path)),
-        cache_(cache_capacity) {
-    InitHotHub(hot_hub_k);
-  }
+        cache_(cache_capacity) {}
 
   /// True for mmap-backed snapshots.
   bool mapped() const { return mapped_ != nullptr; }
@@ -75,48 +80,45 @@ class ServingSnapshot {
   /// STATS-facing storage mode: "mmap" or "heap".
   const char* map_mode() const { return mapped() ? "mmap" : "heap"; }
 
-  VertexId num_vertices() const {
-    return mapped() ? mapped_->num_vertices() : index_.num_vertices();
-  }
-  bool directed() const {
-    return mapped() ? mapped_->directed() : index_.directed();
-  }
+  VertexId num_vertices() const { return labels_.num_vertices; }
+  bool directed() const { return labels_.directed; }
 
   /// Bytes of index data this snapshot holds in RAM. Heap snapshots
-  /// report their full in-memory footprint (label vectors + flat
-  /// mirror); mmap snapshots report the currently resident page-cache
+  /// report their full in-memory footprint (label vectors + frozen
+  /// store); mmap snapshots report the currently resident page-cache
   /// bytes (an mincore walk — near 0 cold, up to MappedBytes() warm).
   uint64_t ResidentBytes() const;
 
   /// Exact distance between ORIGINAL vertex ids — the single-pair query
-  /// entry point every DIST funnels through. Hub-first when the hot-hub
-  /// cache is enabled (dense top-k fold, then only the non-hub label
-  /// suffixes through the merge-join); the plain kernel path otherwise.
-  /// Bit-identical either way. Const and lock-free for concurrent
-  /// callers on either backing.
+  /// entry point every DIST funnels through; kInfDistance when either id
+  /// is >= num_vertices(). Hub-first when the hot-hub cache is enabled
+  /// (dense top-k fold, then only the non-hub label suffixes through the
+  /// merge-join); the plain kernel path otherwise. Bit-identical either
+  /// way. Const and lock-free for concurrent callers on either backing.
   Distance Query(VertexId s, VertexId t) const;
 
-  /// The snapshot's hot-hub cache (disabled when hot_hub_k was 0 or the
-  /// backing has no flat label view). STATS reads k/SizeBytes off it.
+  /// The snapshot's hot-hub cache (disabled when hot_hub_k was 0).
+  /// STATS reads k/SizeBytes off it.
   const HotHubCache& hot_hub() const { return hub_; }
 
-  /// One-to-many distances from s to every target (ORIGINAL ids, all of
-  /// which must be < num_vertices()), answered by one pivot-bucket join
-  /// (query/batch.h) over this snapshot's labels. Backs BATCH requests
-  /// and same-source DIST micro-batches.
+  /// One-to-many distances from s to every target (ORIGINAL ids),
+  /// answered by one pivot-bucket join (query/batch.h) over this
+  /// snapshot's labels; out-of-range ids answer kInfDistance. Backs
+  /// BATCH requests and same-source DIST micro-batches.
   std::vector<Distance> QueryOneToMany(VertexId s,
                                        const std::vector<VertexId>& targets)
       const;
 
   /// The k nearest reachable vertices from s (ORIGINAL ids) via this
-  /// snapshot's lazily built KNN engine.
+  /// snapshot's lazily built KNN engine; empty when s is out of range.
   std::vector<std::pair<VertexId, Distance>> QueryKnn(VertexId s,
                                                       uint32_t k) const;
 
   /// Every vertex within distance `radius` of s (ORIGINAL ids, s itself
-  /// excluded), in non-decreasing (distance, vertex) order, via the same
-  /// lazily built engine. Exact: the cover property certifies every
-  /// in-radius vertex at its true distance (query/knn.h).
+  /// excluded; empty when s is out of range), in non-decreasing
+  /// (distance, vertex) order, via the same lazily built engine. Exact:
+  /// the cover property certifies every in-radius vertex at its true
+  /// distance (query/knn.h).
   std::vector<std::pair<VertexId, Distance>> QueryWithin(
       VertexId s, Distance radius) const;
 
@@ -160,15 +162,24 @@ class ServingSnapshot {
   /// engine itself is read-only after construction.
   const KnnEngine& knn_engine() const;
 
-  /// Builds hub_ from the backing's label view when k > 0 and the
-  /// backing exposes one (mmap always; heap when its flat mirror is
-  /// built). Called from the constructors only — hub_ is immutable
-  /// afterwards, like everything else in a snapshot.
-  void InitHotHub(uint32_t k);
+  /// ORIGINAL -> INTERNAL id, kInvalidVertex when out of range — the
+  /// one range check of the engine-backed entry points, whose engines
+  /// answer an id >= |V| as unreachable.
+  VertexId ToInternal(VertexId v) const {
+    return v < labels_.num_vertices ? to_internal_[v] : kInvalidVertex;
+  }
+  /// An engine's (INTERNAL id, distance) answer in ORIGINAL ids.
+  std::vector<std::pair<VertexId, Distance>> ToOriginal(
+      const std::vector<KnnEngine::Neighbor>& neighbors) const;
 
   HopDbIndex index_;                      // heap backing (when !mapped_)
   std::unique_ptr<MappedIndex> mapped_;   // mmap backing (when set)
-  HotHubCache hub_;
+  // What every query reads, set by the constructors from the backing:
+  // its label arenas (INTERNAL ids) and both |V|-entry permutations.
+  LabelSetView labels_;
+  const VertexId* to_internal_;  // ORIGINAL -> INTERNAL
+  const VertexId* to_original_;  // INTERNAL -> ORIGINAL
+  HotHubCache hub_;  // built from labels_ at publish time, then immutable
   /// ORIGINAL-id build graph backing PATH queries (heap snapshots only).
   std::shared_ptr<const CsrGraph> path_graph_;
   std::string source_path_;

@@ -85,7 +85,7 @@ TEST_P(BatchSweepTest, OneToManyMatchesPairwiseQueries) {
   }
   targets.push_back(targets.front());  // duplicate target positions
 
-  OneToManyEngine engine(fix.index, targets);
+  OneToManyEngine engine(fix.index.labels(), targets);
   ASSERT_EQ(engine.targets().size(), targets.size());
   for (VertexId s = 0; s < n; ++s) {
     const std::vector<Distance> row = engine.Query(s);
@@ -106,7 +106,8 @@ TEST_P(BatchSweepTest, ManyToManyMatchesPairwiseQueries) {
     sources.push_back(static_cast<VertexId>(rng.Below(n)));
     targets.push_back(static_cast<VertexId>(rng.Below(n)));
   }
-  const auto matrix = ManyToManyDistances(fix.index, sources, targets);
+  const auto matrix =
+      ManyToManyDistances(fix.index.labels(), sources, targets);
   ASSERT_EQ(matrix.size(), sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
     for (size_t j = 0; j < targets.size(); ++j) {
@@ -118,7 +119,7 @@ TEST_P(BatchSweepTest, ManyToManyMatchesPairwiseQueries) {
 TEST_P(BatchSweepTest, KnnForwardMatchesSortedGroundTruth) {
   Fixture fix = BuildFixture(MakeGraph(GetParam()));
   const VertexId n = fix.graph.num_vertices();
-  KnnEngine engine(fix.index, KnnEngine::Direction::kForward);
+  KnnEngine engine(fix.index.labels(), KnnEngine::Direction::kForward);
   Rng rng(GetParam().seed ^ 0x55);
   for (int round = 0; round < 8; ++round) {
     const VertexId s = static_cast<VertexId>(rng.Below(n));
@@ -148,7 +149,7 @@ TEST_P(BatchSweepTest, KnnForwardMatchesSortedGroundTruth) {
 TEST_P(BatchSweepTest, KnnBackwardMatchesReverseGroundTruth) {
   Fixture fix = BuildFixture(MakeGraph(GetParam()));
   const VertexId n = fix.graph.num_vertices();
-  KnnEngine engine(fix.index, KnnEngine::Direction::kBackward);
+  KnnEngine engine(fix.index.labels(), KnnEngine::Direction::kBackward);
   Rng rng(GetParam().seed ^ 0x66);
   for (int round = 0; round < 5; ++round) {
     const VertexId s = static_cast<VertexId>(rng.Below(n));
@@ -183,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KnnEngineTest, IncludeSourceEmitsDistanceZeroFirst) {
   Fixture fix = BuildFixture(StarGraphGS());
-  KnnEngine engine(fix.index, KnnEngine::Direction::kForward);
+  KnnEngine engine(fix.index.labels(), KnnEngine::Direction::kForward);
   const auto with = engine.Query(0, 3, /*include_source=*/true);
   ASSERT_FALSE(with.empty());
   ASSERT_EQ(with[0].vertex, 0u);
@@ -194,14 +195,14 @@ TEST(KnnEngineTest, IncludeSourceEmitsDistanceZeroFirst) {
 
 TEST(KnnEngineTest, KZeroAndOutOfRangeReturnEmpty) {
   Fixture fix = BuildFixture(PathGraph(5));
-  KnnEngine engine(fix.index, KnnEngine::Direction::kForward);
+  KnnEngine engine(fix.index.labels(), KnnEngine::Direction::kForward);
   ASSERT_TRUE(engine.Query(0, 0).empty());
   ASSERT_TRUE(engine.Query(1000, 5).empty());
 }
 
 TEST(KnnEngineTest, DisconnectedComponentsAreNeverReturned) {
   Fixture fix = BuildFixture(TwoTriangles());
-  KnnEngine engine(fix.index, KnnEngine::Direction::kForward);
+  KnnEngine engine(fix.index.labels(), KnnEngine::Direction::kForward);
   // Ask for more neighbors than the component holds: the other triangle
   // must not leak in.
   const auto result = engine.Query(0, 10);
@@ -211,10 +212,21 @@ TEST(KnnEngineTest, DisconnectedComponentsAreNeverReturned) {
 
 TEST(OneToManyEngineTest, OutOfRangeSourceIsUnreachable) {
   Fixture fix = BuildFixture(PathGraph(5));
-  OneToManyEngine engine(fix.index, {0, 1, 2});
+  OneToManyEngine engine(fix.index.labels(), {0, 1, 2});
   const auto row = engine.Query(1000);
   ASSERT_EQ(row.size(), 3u);
   for (const Distance d : row) EXPECT_EQ(d, kInfDistance);
+}
+
+TEST(OneToManyEngineTest, OutOfRangeTargetsAreUnreachable) {
+  Fixture fix = BuildFixture(PathGraph(5));
+  OneToManyEngine engine(fix.index.labels(), {4, 1000, kInvalidVertex, 0});
+  const auto row = engine.Query(2);
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row[0], fix.index.Query(2, 4));
+  EXPECT_EQ(row[1], kInfDistance);
+  EXPECT_EQ(row[2], kInfDistance);
+  EXPECT_EQ(row[3], fix.index.Query(2, 0));
 }
 
 TEST(KnnEngineTest, SingleVertexGraphHasNoNeighbors) {
@@ -223,7 +235,7 @@ TEST(KnnEngineTest, SingleVertexGraphHasNoNeighbors) {
   edges.Add(0, 1);
   edges.Normalize();
   Fixture fix = BuildFixture(std::move(edges));
-  KnnEngine engine(fix.index, KnnEngine::Direction::kForward);
+  KnnEngine engine(fix.index.labels(), KnnEngine::Direction::kForward);
   EXPECT_TRUE(engine.Query(2, 5).empty());
   const auto with_self = engine.Query(2, 5, /*include_source=*/true);
   ASSERT_EQ(with_self.size(), 1u);
@@ -232,7 +244,7 @@ TEST(KnnEngineTest, SingleVertexGraphHasNoNeighbors) {
 
 TEST(OneToManyEngineTest, EmptyTargetsGiveEmptyRows) {
   Fixture fix = BuildFixture(PathGraph(4));
-  OneToManyEngine engine(fix.index, {});
+  OneToManyEngine engine(fix.index.labels(), {});
   ASSERT_TRUE(engine.Query(0).empty());
   ASSERT_EQ(engine.TotalBucketEntries(), 0u);
 }

@@ -1,7 +1,6 @@
-// FlatLabelStore: builder→flat→serde→reload round trips (raw and
-// delta-encoded pivot streams), corruption detection, degenerate inputs,
-// and the TwoHopIndex flat-mirror lifecycle (eager build, invalidation on
-// mutable access, rebuild).
+// FlatLabelStore: a frozen store reproduces the label vectors it was
+// built from, degenerate inputs freeze cleanly, and a TwoHopIndex that
+// goes through HLI1 save/load re-freezes an identical store.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include "labeling/flat_label_store.h"
 #include "labeling/two_hop_index.h"
 #include "util/random.h"
-#include "util/serde.h"
 
 namespace hopdb {
 namespace {
@@ -35,12 +33,9 @@ LabelVector RandomLabel(Rng* rng, VertexId pivot_space, size_t max_len) {
   return out;
 }
 
-void ExpectStoresEqual(const FlatLabelStore& a, const FlatLabelStore& b) {
-  ASSERT_TRUE(a.built());
-  ASSERT_TRUE(b.built());
-  ASSERT_EQ(a.num_vertices(), b.num_vertices());
-  ASSERT_EQ(a.directed(), b.directed());
-  ASSERT_EQ(a.TotalEntries(), b.TotalEntries());
+void ExpectViewsEqual(const LabelSetView& a, const LabelSetView& b) {
+  ASSERT_EQ(a.num_vertices, b.num_vertices);
+  ASSERT_EQ(a.directed, b.directed);
   auto check_view = [](FlatLabelStore::View va, FlatLabelStore::View vb,
                        VertexId v, const char* side) {
     ASSERT_EQ(va.size, vb.size) << side << " label of " << v;
@@ -49,7 +44,7 @@ void ExpectStoresEqual(const FlatLabelStore& a, const FlatLabelStore& b) {
       ASSERT_EQ(va.dists[i], vb.dists[i]) << side << " label of " << v;
     }
   };
-  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+  for (VertexId v = 0; v < a.num_vertices; ++v) {
     check_view(a.Out(v), b.Out(v), v, "out");
     check_view(a.In(v), b.In(v), v, "in");
   }
@@ -92,75 +87,18 @@ TEST(FlatLabelStoreTest, BuildMatchesVectors) {
   ExpectMatchesVectors(FlatLabelStore::Build(out, in, true), out, in);
 }
 
-TEST(FlatLabelStoreTest, SerdeRoundTripRawAndDelta) {
-  Rng rng(12);
-  for (const bool directed : {false, true}) {
-    const auto out = RandomLabels(&rng, 60, 12);
-    const auto in = directed ? RandomLabels(&rng, 60, 12)
-                             : std::vector<LabelVector>{};
-    const FlatLabelStore store = FlatLabelStore::Build(out, in, directed);
-    for (const bool delta : {false, true}) {
-      std::string buf;
-      store.AppendTo(&buf, delta);
-      ByteReader reader(buf);
-      auto parsed = FlatLabelStore::Parse(&reader);
-      ASSERT_TRUE(parsed.ok()) << parsed.status();
-      EXPECT_EQ(reader.remaining(), 0u);
-      ExpectStoresEqual(store, *parsed);
-    }
-  }
-}
-
-TEST(FlatLabelStoreTest, DeltaEncodingIsSmallerOnSortedLabels) {
-  // Scale-free-ish labels: pivots concentrated near 0.
-  Rng rng(13);
-  std::vector<LabelVector> out(200);
-  for (auto& l : out) l = RandomLabel(&rng, 40, 24);
-  const FlatLabelStore store = FlatLabelStore::Build(out, {}, false);
-  std::string raw, delta;
-  store.AppendTo(&raw, false);
-  store.AppendTo(&delta, true);
-  EXPECT_LT(delta.size(), raw.size());
-}
-
-TEST(FlatLabelStoreTest, FileRoundTripAndCorruptionDetection) {
-  auto dir = TempDir::Create("flat_store_test");
-  ASSERT_TRUE(dir.ok()) << dir.status();
-  Rng rng(14);
-  const auto out = RandomLabels(&rng, 80, 10);
-  const FlatLabelStore store = FlatLabelStore::Build(out, {}, false);
-  const std::string path = dir->File("labels.hfs");
-  ASSERT_TRUE(store.Save(path).ok());
-  auto loaded = FlatLabelStore::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectStoresEqual(store, *loaded);
-
-  // Flip one payload byte: the checksum must catch it.
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-  const std::string bad = dir->File("corrupt.hfs");
-  ASSERT_TRUE(WriteStringToFile(bad, bytes).ok());
-  EXPECT_FALSE(FlatLabelStore::Load(bad).ok());
-
-  // Truncation must fail cleanly too.
-  const std::string trunc = dir->File("trunc.hfs");
-  ASSERT_TRUE(
-      WriteStringToFile(trunc, bytes.substr(0, bytes.size() / 3)).ok());
-  EXPECT_FALSE(FlatLabelStore::Load(trunc).ok());
-}
-
 TEST(FlatLabelStoreTest, DegenerateStores) {
   // No vertices at all.
   const FlatLabelStore empty = FlatLabelStore::Build({}, {}, false);
-  EXPECT_TRUE(empty.built());
+  EXPECT_EQ(empty.num_vertices(), 0u);
   EXPECT_EQ(empty.TotalEntries(), 0u);
-  std::string buf;
-  empty.AppendTo(&buf, true);
-  ByteReader reader(buf);
-  auto parsed = FlatLabelStore::Parse(&reader);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->num_vertices(), 0u);
+  EXPECT_EQ(empty.view().offsets[0], 0u);
+
+  // A default-constructed store is an empty set too.
+  const FlatLabelStore unset_store;
+  const LabelSetView unset = unset_store.view();
+  EXPECT_EQ(unset.num_vertices, 0u);
+  EXPECT_EQ(unset.offsets[0], 0u);
 
   // Vertices with all-empty labels.
   const FlatLabelStore blank =
@@ -168,27 +106,18 @@ TEST(FlatLabelStoreTest, DegenerateStores) {
   EXPECT_EQ(blank.TotalEntries(), 0u);
   EXPECT_EQ(blank.Out(3).size, 0u);
 
-  // Default-constructed store is not built.
-  EXPECT_FALSE(FlatLabelStore().built());
-
-  // A single one-entry label survives both encodings.
+  // A single one-entry label, padded to one block.
   std::vector<LabelVector> one(2);
   one[1] = {{0, 7}};
   const FlatLabelStore single = FlatLabelStore::Build(one, {}, false);
-  for (const bool delta : {false, true}) {
-    std::string b;
-    single.AppendTo(&b, delta);
-    ByteReader r(b);
-    auto p = FlatLabelStore::Parse(&r);
-    ASSERT_TRUE(p.ok()) << p.status();
-    ExpectStoresEqual(single, *p);
-  }
+  ExpectMatchesVectors(single, one, {});
+  EXPECT_EQ(single.PaddedEntries(), kLabelBlockEntries);
 }
 
 // Full pipeline: build labels with the real builder over a GLP graph,
-// flatten, serialize, reload, and require identical views and identical
-// query answers through the HLI1 save/load path as well.
-TEST(FlatLabelStoreTest, BuilderToFlatToSerdeToReload) {
+// check the frozen store against the vectors, then require the HLI1
+// round trip to re-freeze an identical store with identical answers.
+TEST(FlatLabelStoreTest, BuilderToFlatToReload) {
   GlpOptions glp;
   glp.num_vertices = 300;
   glp.target_avg_degree = 4;
@@ -203,25 +132,21 @@ TEST(FlatLabelStoreTest, BuilderToFlatToSerdeToReload) {
   auto built = BuildHopLabeling(*ranked);
   ASSERT_TRUE(built.ok()) << built.status();
   TwoHopIndex index = std::move(built->index);
-  ASSERT_TRUE(index.flat_store().built());
+
+  std::vector<LabelVector> out(index.num_vertices());
+  for (VertexId v = 0; v < index.num_vertices(); ++v) {
+    out[v].assign(index.OutLabel(v).begin(), index.OutLabel(v).end());
+  }
+  ExpectViewsEqual(index.labels(),
+                   FlatLabelStore::Build(out, {}, false).view());
 
   auto dir = TempDir::Create("flat_store_pipeline");
   ASSERT_TRUE(dir.ok()) << dir.status();
-
-  // Flat serde round trip.
-  const std::string flat_path = dir->File("labels.hfs");
-  ASSERT_TRUE(index.flat_store().Save(flat_path).ok());
-  auto flat = FlatLabelStore::Load(flat_path);
-  ASSERT_TRUE(flat.ok()) << flat.status();
-  ExpectStoresEqual(index.flat_store(), *flat);
-
-  // HLI1 round trip rebuilds an identical flat mirror.
   const std::string hli_path = dir->File("labels.hli");
   ASSERT_TRUE(index.Save(hli_path).ok());
   auto reloaded = TwoHopIndex::Load(hli_path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  ASSERT_TRUE(reloaded->flat_store().built());
-  ExpectStoresEqual(index.flat_store(), reloaded->flat_store());
+  ExpectViewsEqual(index.labels(), reloaded->labels());
 
   Rng rng(31);
   for (int q = 0; q < 2000; ++q) {
@@ -229,35 +154,6 @@ TEST(FlatLabelStoreTest, BuilderToFlatToSerdeToReload) {
     const VertexId t = static_cast<VertexId>(rng.Below(index.num_vertices()));
     ASSERT_EQ(index.Query(s, t), reloaded->Query(s, t));
   }
-
-  // A corrupted embedded flat section must fail the load, not silently
-  // serve a wrong mirror.
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(hli_path, &bytes).ok());
-  bytes.back() = static_cast<char>(bytes.back() ^ 0x1);  // section checksum
-  const std::string bad = dir->File("bad_section.hli");
-  ASSERT_TRUE(WriteStringToFile(bad, bytes).ok());
-  EXPECT_FALSE(TwoHopIndex::Load(bad).ok());
-}
-
-TEST(FlatLabelStoreTest, MutableAccessInvalidatesAndRebuildRestores) {
-  Rng rng(15);
-  const auto out = RandomLabels(&rng, 40, 8);
-  TwoHopIndex index(out, {}, false);
-  ASSERT_TRUE(index.flat_store().built());
-
-  // Record some answers, then poke the mutable path.
-  std::vector<Distance> before;
-  for (VertexId v = 0; v < 40; ++v) before.push_back(index.Query(0, v));
-
-  index.mutable_out();
-  EXPECT_FALSE(index.flat_store().built());
-  // The vector fallback still answers identically.
-  for (VertexId v = 0; v < 40; ++v) EXPECT_EQ(index.Query(0, v), before[v]);
-
-  index.RebuildFlatStore();
-  ASSERT_TRUE(index.flat_store().built());
-  for (VertexId v = 0; v < 40; ++v) EXPECT_EQ(index.Query(0, v), before[v]);
 }
 
 }  // namespace

@@ -96,29 +96,26 @@ void ExpectIdentityOnView(const LabelSetView& view, uint64_t seed) {
 TEST(HotHubTest, DisabledCacheAndZeroK) {
   EXPECT_FALSE(HotHubCache().enabled());
   Fixture fix = BuildFixture(MakeGraph(false, false, 11));
-  const HotHubCache hub =
-      HotHubCache::Build(fix.index.flat_store().view(), 0);
+  const HotHubCache hub = HotHubCache::Build(fix.index.labels(), 0);
   EXPECT_FALSE(hub.enabled());
   EXPECT_EQ(hub.SizeBytes(), 0u);
 }
 
 TEST(HotHubTest, MatchesMergeJoinOnBlockedHeapStoreUndirected) {
   Fixture fix = BuildFixture(MakeGraph(false, false, 21));
-  ASSERT_TRUE(fix.index.flat_store().built());
-  ExpectIdentityOnView(fix.index.flat_store().view(), 210);
+  ExpectIdentityOnView(fix.index.labels(), 210);
 }
 
 TEST(HotHubTest, MatchesMergeJoinOnBlockedHeapStoreDirectedWeighted) {
   Fixture fix = BuildFixture(MakeGraph(true, true, 22));
-  ASSERT_TRUE(fix.index.flat_store().built());
-  ExpectIdentityOnView(fix.index.flat_store().view(), 220);
+  ExpectIdentityOnView(fix.index.labels(), 220);
 }
 
 TEST(HotHubTest, MatchesMergeJoinOnUnblockedView) {
   // Null out the sidecars: the suffix merge must take the exact-skip
   // flat path and still agree everywhere.
   Fixture fix = BuildFixture(MakeGraph(true, false, 23));
-  LabelSetView view = fix.index.flat_store().view();
+  LabelSetView view = fix.index.labels();
   view.block_min = nullptr;
   view.block_max = nullptr;
   ExpectIdentityOnView(view, 230);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,9 @@
 #include "gen/weights.h"
 #include "graph/csr_graph.h"
 #include "graph/ranking.h"
+#include "io/temp_dir.h"
 #include "labeling/builder.h"
+#include "query/batch.h"
 #include "query/knn.h"
 #include "query/path.h"
 #include "search/dijkstra.h"
@@ -134,8 +137,9 @@ void CheckVerbsAfterStream(EdgeList edges, uint64_t seed, int num_ops,
   auto rebuilt = BuildHopLabeling(*mutated, BuildOptions());
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
 
-  KnnEngine repaired_knn(fix.index, KnnEngine::Direction::kForward);
-  KnnEngine rebuilt_knn(rebuilt->index, KnnEngine::Direction::kForward);
+  KnnEngine repaired_knn(fix.index.labels(), KnnEngine::Direction::kForward);
+  KnnEngine rebuilt_knn(rebuilt->index.labels(),
+                        KnnEngine::Direction::kForward);
   PathReconstructor paths(*mutated, fix.index);
 
   const auto by_vertex = [](const KnnEngine::Neighbor& a,
@@ -438,6 +442,8 @@ TEST(IncrementalTest, RebuildFallbackStaysExact) {
   UpdateOptions options;
   options.rebuild_frontier_fraction = 1e-9;
   IncrementalUpdater updater(&fix.dyn, &fix.index, options);
+  std::vector<Distance> frozen;
+  for (VertexId t = 0; t < 120; ++t) frozen.push_back(fix.index.Query(0, t));
   // Deletes: the valve only guards the weight-increase path (decreases
   // use the resumed-search repair, which has no frontier to bound).
   Rng rng(210);
@@ -452,6 +458,10 @@ TEST(IncrementalTest, RebuildFallbackStaysExact) {
     op.v = pick.dst;
     auto changed = updater.Apply(op);
     ASSERT_TRUE(changed.ok()) << changed.status();
+  }
+  // A fallback rebuild replaces the vectors, not the frozen store.
+  for (VertexId t = 0; t < 120; ++t) {
+    ASSERT_EQ(fix.index.Query(0, t), frozen[t]) << "t=" << t;
   }
   updater.Finalize();
   EXPECT_GT(updater.stats().full_rebuilds, 0u);
@@ -482,6 +492,62 @@ TEST(IncrementalTest, ApplyBatchFinalizes) {
   ASSERT_TRUE(updater.ApplyBatch(ops).ok());
   ASSERT_NO_FATAL_FAILURE(
       CheckEquivalence(fix.dyn, fix.index, BuildOptions(), 8, 311));
+}
+
+// The first pair (s, t) with s >= from whose current distance is finite
+// and at least 3, so that inserting the edge s-t changes it to 1.
+std::pair<VertexId, VertexId> FarPair(const TwoHopIndex& index,
+                                      VertexId from) {
+  for (VertexId s = from; s < index.num_vertices(); ++s) {
+    for (VertexId t = s + 1; t < index.num_vertices(); ++t) {
+      const Distance d = index.Query(s, t);
+      if (d != kInfDistance && d >= 3) return {s, t};
+    }
+  }
+  return {kInvalidVertex, kInvalidVertex};
+}
+
+// The freeze rule over two update rounds: every read (Query and the
+// engines over labels()) answers as of the last Finalize(), while Save()
+// writes the repaired vectors — so a file saved between Apply() and
+// Finalize() loads, and it and the finalized index answer like a rebuild.
+TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
+  Fixture fix = MakeFixture(GlpGraph(300, 4.0, /*seed=*/112), BuildOptions());
+  IncrementalUpdater updater(&fix.dyn, &fix.index);
+  const auto shortcut = [&](VertexId s, VertexId t) {
+    auto changed = updater.Apply({UpdateOp::Kind::kAddEdge, s, t, 1});
+    ASSERT_TRUE(changed.ok()) << changed.status();
+    ASSERT_TRUE(*changed);
+  };
+
+  const auto [s1, t1] = FarPair(fix.index, 0);
+  ASSERT_NE(s1, kInvalidVertex);
+  ASSERT_NO_FATAL_FAILURE(shortcut(s1, t1));
+  updater.Finalize();
+  EXPECT_EQ(fix.index.Query(s1, t1), 1u);
+
+  const auto [s2, t2] = FarPair(fix.index, s1 + 1);
+  ASSERT_NE(s2, kInvalidVertex);
+  const Distance before = fix.index.Query(s2, t2);
+  ASSERT_NO_FATAL_FAILURE(shortcut(s2, t2));
+  EXPECT_EQ(fix.index.Query(s2, t2), before);
+  EXPECT_EQ(OneToManyEngine(fix.index.labels(), {t2}).Query(s2),
+            std::vector<Distance>{before});
+
+  auto dir = TempDir::Create("incremental_save");
+  ASSERT_TRUE(dir.ok()) << dir.status();
+  const std::string path = dir->File("repaired.hli");
+  ASSERT_TRUE(fix.index.Save(path).ok());
+  auto reloaded = TwoHopIndex::Load(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->Query(s2, t2), 1u);
+
+  updater.Finalize();
+  EXPECT_EQ(fix.index.Query(s2, t2), 1u);
+  ASSERT_NO_FATAL_FAILURE(
+      CheckEquivalence(fix.dyn, fix.index, BuildOptions(), 8, 312));
+  ASSERT_NO_FATAL_FAILURE(
+      CheckEquivalence(fix.dyn, *reloaded, BuildOptions(), 8, 313));
 }
 
 TEST(IncrementalTest, ParseUpdateOpLine) {

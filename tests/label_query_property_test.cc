@@ -122,7 +122,7 @@ TEST_P(LabelQueryPropertyTest, WithinMatchesPerPairSweep) {
       for (VertexId v = 0; v < kN; ++v) in[v] = RandomLabel(&rng, kN, 10);
     }
     TwoHopIndex index(std::move(out), std::move(in), directed);
-    KnnEngine engine(index, KnnEngine::Direction::kForward);
+    KnnEngine engine(index.labels(), KnnEngine::Direction::kForward);
     for (int round = 0; round < 40; ++round) {
       const VertexId s = static_cast<VertexId>(rng.Below(kN));
       const Distance radius = static_cast<Distance>(rng.Uniform(1, 60));

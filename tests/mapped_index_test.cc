@@ -27,6 +27,7 @@
 #include "query/batch.h"
 #include "query/knn.h"
 #include "server/index_registry.h"
+#include "server/index_snapshot.h"
 #include "util/random.h"
 #include "util/serde.h"
 
@@ -165,7 +166,7 @@ TEST_F(MappedIndexTest, EnginesAgreeBetweenHeapAndMapped) {
   for (VertexId t = 0; t < labels.num_vertices(); t += 3) {
     targets.push_back(t);
   }
-  OneToManyEngine heap_engine(labels, targets);
+  OneToManyEngine heap_engine(labels.labels(), targets);
   OneToManyEngine mapped_engine(mapped.labels(), targets);
   for (VertexId s = 0; s < labels.num_vertices(); s += 17) {
     ASSERT_EQ(heap_engine.Query(s), mapped_engine.Query(s)) << "s=" << s;
@@ -174,7 +175,7 @@ TEST_F(MappedIndexTest, EnginesAgreeBetweenHeapAndMapped) {
   // KNN likewise, both directions.
   for (const auto direction : {KnnEngine::Direction::kForward,
                                KnnEngine::Direction::kBackward}) {
-    KnnEngine heap_knn(labels, direction);
+    KnnEngine heap_knn(labels.labels(), direction);
     KnnEngine mapped_knn(mapped.labels(), direction);
     for (VertexId s = 0; s < labels.num_vertices(); s += 29) {
       ASSERT_EQ(heap_knn.Query(s, 12), mapped_knn.Query(s, 12)) << "s=" << s;
@@ -502,6 +503,37 @@ TEST_F(MappedIndexTest, LoadServingSnapshotDispatchesOnMagic) {
   for (VertexId s = 0; s < 160; s += 31) {
     ASSERT_EQ((*heap_snap)->QueryOneToMany(s, targets),
               (*mmap_snap)->QueryOneToMany(s, targets));
+  }
+}
+
+// Out-of-range ids answer "unreachable" on every backing and hot-hub
+// setting — one range check in front of one query path.
+TEST_F(MappedIndexTest, SnapshotOutOfRangeIdsAreUnreachable) {
+  auto [index, hli2] = BuildBoth(150, 29, false, false, "snaprange");
+  const VertexId n = index.num_vertices();
+  for (const bool mmap : {false, true}) {
+    for (const uint32_t hot_hub_k : {0u, 64u}) {
+      SCOPED_TRACE(std::string(mmap ? "mmap" : "heap") + " hot_hub_k " +
+                   std::to_string(hot_hub_k));
+      const auto snap =
+          mmap ? std::make_shared<const ServingSnapshot>(
+                     MappedIndex::Open(hli2).ValueOrDie(), hli2, 0, hot_hub_k)
+               : std::make_shared<const ServingSnapshot>(HopDbIndex(index),
+                                                         "", 0, hot_hub_k);
+      for (const VertexId bad : {n, n + 1, kInvalidVertex}) {
+        EXPECT_EQ(snap->Query(bad, 0), kInfDistance);
+        EXPECT_EQ(snap->Query(0, bad), kInfDistance);
+        EXPECT_EQ(snap->Query(bad, bad), kInfDistance);
+        EXPECT_FALSE(snap->QueryReach(bad, 0, kInfDistance - 1));
+        EXPECT_EQ(snap->QueryOneToMany(bad, {0, 1}),
+                  (std::vector<Distance>{kInfDistance, kInfDistance}));
+        EXPECT_EQ(snap->QueryOneToMany(0, {bad, 1}),
+                  (std::vector<Distance>{kInfDistance, index.Query(0, 1)}));
+        EXPECT_TRUE(snap->QueryKnn(bad, 5).empty());
+        EXPECT_TRUE(snap->QueryWithin(bad, 3).empty());
+      }
+      EXPECT_EQ(snap->Query(n - 1, 0), index.Query(n - 1, 0));
+    }
   }
 }
 

@@ -303,7 +303,7 @@ void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
        [&](VertexId s, VertexId t) {
          return hopdb->Query(mapping.ToOriginal(s), mapping.ToOriginal(t));
        },
-       std::make_unique<KnnEngine>(hopdb->label_index(),
+       std::make_unique<KnnEngine>(hopdb->label_index().labels(),
                                    KnnEngine::Direction::kForward)});
   for (size_t i = 0; i < mapped.size(); ++i) {
     const MappedIndex* m = &mapped[i];
@@ -318,7 +318,7 @@ void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
   backings.push_back(
       {"compressed",
        [&](VertexId s, VertexId t) { return compressed->Query(s, t); },
-       std::make_unique<KnnEngine>(*expanded,
+       std::make_unique<KnnEngine>(expanded->labels(),
                                    KnnEngine::Direction::kForward)});
 
   // PATH runs on the heap index only (it needs the build graph).

@@ -839,7 +839,8 @@ TEST_F(ServerEndToEndTest, KnnMatchesEngine) {
       SplitString(response.substr(3), ' ');
   ASSERT_EQ(tokens.size(), 6u);
 
-  KnnEngine engine(index_.label_index(), KnnEngine::Direction::kForward);
+  KnnEngine engine(index_.label_index().labels(),
+                   KnnEngine::Direction::kForward);
   const RankMapping& mapping = index_.ranking();
   const auto expected = engine.Query(mapping.ToInternal(7), 6);
   ASSERT_EQ(expected.size(), 6u);
@@ -1280,6 +1281,32 @@ TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
   EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE c DIST 0 1"), "ERR "));
   const std::vector<Distance> truth = ExactDistances(graph_, 2);
   EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]);
+}
+
+TEST_F(ServerEndToEndTest, CraftedHli1ShapeAnswersErrAndKeepsServing) {
+  auto tmp = TempDir::Create("server_shape");
+  ASSERT_TRUE(tmp.ok());
+  // An undirected one-vertex HLI1 whose in side holds one empty label,
+  // ending after the label body. The loader must refuse it rather than
+  // hand the constructor a shape it aborts on.
+  std::string body = "HLI1";
+  PutU32(&body, 0);  // undirected
+  PutU32(&body, 1);  // one vertex
+  PutU64(&body, 1);  // out side: one empty label
+  PutU64(&body, 0);
+  PutU64(&body, 1);  // in side: one empty label
+  PutU64(&body, 0);
+  const std::string crafted = tmp->File("shape.hli");
+  ASSERT_TRUE(WriteStringToFile(crafted, body).ok());
+  std::string perm;
+  PutU64(&perm, 1);
+  PutU32(&perm, 0);
+  ASSERT_TRUE(WriteStringToFile(crafted + ".perm", perm).ok());
+
+  const std::string attach = *client_.RoundTrip("ATTACH s " + crafted);
+  EXPECT_TRUE(StartsWith(attach, "ERR ")) << attach;
+  const std::vector<Distance> truth = ExactDistances(graph_, 3);
+  EXPECT_EQ(*client_.QueryDistance(3, 11), truth[11]);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "io/temp_dir.h"
-#include "util/serde.h"
 #include "labeling/label_entry.h"
+#include "util/serde.h"
 
 namespace hopdb {
 namespace {
@@ -113,6 +117,13 @@ TEST(TwoHopIndexTest, ValidateRejectsLowRankPivot) {
   EXPECT_TRUE(idx.Validate(/*ranked=*/false).ok());  // fine for IS-Label
 }
 
+TEST(TwoHopIndexTest, ValidateRejectsOutOfRangePivot) {
+  std::vector<LabelVector> out(2);
+  out[1] = {{5, 1}};  // pivot >= |V|
+  TwoHopIndex idx(std::move(out), {}, false);
+  EXPECT_FALSE(idx.Validate(/*ranked=*/false).ok());
+}
+
 TEST(TwoHopIndexTest, SaveLoadRoundTrip) {
   auto dir = TempDir::Create("thi");
   ASSERT_TRUE(dir.ok());
@@ -171,9 +182,12 @@ TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {
 
   // Every strict prefix must fail to load, never crash or mis-load.
   const std::string trunc_path = dir->File("trunc.hli");
-  for (size_t keep = 0; keep < blob.size(); keep += 3) {
+  for (size_t keep = 0; keep < blob.size(); ++keep) {
     ASSERT_TRUE(WriteStringToFile(trunc_path, blob.substr(0, keep)).ok());
-    EXPECT_FALSE(TwoHopIndex::Load(trunc_path).ok()) << "kept " << keep;
+    auto loaded = TwoHopIndex::Load(trunc_path);
+    ASSERT_FALSE(loaded.ok()) << "kept " << keep;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << "kept " << keep << ": " << loaded.status();
   }
 
   // Wrong magic.
@@ -181,6 +195,43 @@ TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {
   bad[0] = 'Z';
   ASSERT_TRUE(WriteStringToFile(trunc_path, bad).ok());
   EXPECT_FALSE(TwoHopIndex::Load(trunc_path).ok());
+}
+
+// The HLI1 bytes of a 3-vertex directed index, spelled out from the
+// docs/FORMATS.md layout: header, out side, in side, then the FNV-1a-64
+// of everything before it.
+TEST(TwoHopIndexIoTest, SaveMatchesDocumentedLayout) {
+  std::vector<LabelVector> out(3), in(3);
+  out[1] = {{0, 1}};
+  out[2] = {{0, 2}, {1, 1}};
+  in[2] = {{0, 4}};
+  TwoHopIndex index(std::move(out), std::move(in), /*directed=*/true);
+  auto dir = TempDir::Create("hli_layout");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("idx.hli");
+  ASSERT_TRUE(index.Save(path).ok());
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+
+  std::string want("HLI1\x01\0\0\0\x03\0\0\0", 12);
+  const auto label = [&](std::vector<std::pair<uint32_t, uint32_t>> l) {
+    PutU64(&want, l.size());
+    for (const auto& [pivot, dist] : l) {
+      PutU32(&want, pivot);
+      PutU32(&want, dist);
+    }
+  };
+  PutU64(&want, 3);  // out side
+  label({});
+  label({{0, 1}});
+  label({{0, 2}, {1, 1}});
+  PutU64(&want, 3);  // in side
+  label({});
+  label({});
+  label({{0, 4}});
+  PutU64(&want, Fnv1a64(want.data(), want.size()));
+  ASSERT_EQ(want.size(), 116u);
+  EXPECT_EQ(bytes, want);
 }
 
 /// An HLI1 header for one undirected vertex, up to the out-side count.
@@ -191,55 +242,155 @@ std::string Hli1Header() {
   return buf;
 }
 
+/// `body` followed by its checksum: a file that reaches the body checks.
+std::string Sealed(std::string body) {
+  PutU64(&body, Fnv1a64(body.data(), body.size()));
+  return body;
+}
+
+/// Writes `bytes` to `path` and requires Load to answer InvalidArgument.
+void ExpectInvalid(const std::string& path, const std::string& bytes,
+                   const std::string& what) {
+  ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+  auto loaded = TwoHopIndex::Load(path);
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+      << what << ": " << loaded.status();
+}
+
 TEST(TwoHopIndexIoTest, CraftedCountsFailBeforeAllocating) {
   auto dir = TempDir::Create("hli_crafted");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("crafted.hli");
-  auto expect_invalid = [&](const std::string& bytes, const char* what) {
-    ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
-    auto loaded = TwoHopIndex::Load(path);
-    ASSERT_FALSE(loaded.ok()) << what;
-    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
-        << what << ": " << loaded.status();
-  };
 
-  // 24 bytes whose side count is 2^40.
+  // A side count of 2^40.
   std::string side_count = Hli1Header();
   PutU64(&side_count, uint64_t{1} << 40);
   PutU32(&side_count, 0);
   ASSERT_EQ(side_count.size(), 24u);
-  expect_invalid(side_count, "side count");
+  ExpectInvalid(path, Sealed(side_count), "side count");
 
   // One label whose length is 2^40.
   std::string label_len = Hli1Header();
   PutU64(&label_len, 1);
   PutU64(&label_len, uint64_t{1} << 40);
-  expect_invalid(label_len, "label length");
+  ExpectInvalid(path, Sealed(label_len), "label length");
+}
 
-  // A well-formed body followed by a checksummed HFS1 section whose
-  // header claims 2^32 - 1 slots, then one whose slot lengths claim more
-  // entries than the bytes left can encode.
-  std::string body = Hli1Header();
-  PutU64(&body, 1);  // out side: one empty label
-  PutU64(&body, 0);
-  PutU64(&body, 0);  // in side: none
-  auto with_section = [&](const std::string& section) {
-    std::string file = body + section;
-    PutU64(&file, Fnv1a64(section.data(), section.size()));
-    return file;
-  };
-  std::string slots = "HFS1";
-  PutU8(&slots, 0);
-  PutU32(&slots, 0xffffffffu);
-  PutU64(&slots, 0);
-  expect_invalid(with_section(slots), "HFS1 slot count");
-  constexpr uint32_t kSlots = 64;
-  std::string entries = "HFS1";
-  PutU8(&entries, 0);
-  PutU32(&entries, kSlots);
-  PutU64(&entries, uint64_t{kSlots} * kSlots);
-  for (uint32_t s = 0; s < kSlots; ++s) PutVarint64(&entries, kSlots);
-  expect_invalid(with_section(entries), "HFS1 total entries");
+// Files whose every count is in bounds but whose shape or labels the
+// index cannot hold. Each is tried both as it ends after the label body
+// (the layout of earlier builds) and sealed with a valid checksum, so
+// the shape and label checks run rather than the checksum.
+TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
+  auto dir = TempDir::Create("hli_shapes");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("crafted.hli");
+
+  // Undirected, yet the in side holds one (empty) label.
+  std::string in_side = Hli1Header();
+  PutU64(&in_side, 1);  // out side: one empty label
+  PutU64(&in_side, 0);
+  PutU64(&in_side, 1);  // in side: one empty label
+  PutU64(&in_side, 0);
+
+  // Two vertices, one label naming pivot 4 000 000 000.
+  std::string far_pivot = "HLI1";
+  PutU32(&far_pivot, 0);
+  PutU32(&far_pivot, 2);
+  PutU64(&far_pivot, 2);
+  PutU64(&far_pivot, 0);
+  PutU64(&far_pivot, 1);
+  PutU32(&far_pivot, 4000000000u);
+  PutU32(&far_pivot, 1);
+  PutU64(&far_pivot, 0);
+
+  // Three vertices, a label whose pivots descend.
+  std::string unsorted = "HLI1";
+  PutU32(&unsorted, 0);
+  PutU32(&unsorted, 3);
+  PutU64(&unsorted, 3);
+  PutU64(&unsorted, 0);
+  PutU64(&unsorted, 0);
+  PutU64(&unsorted, 2);
+  PutU32(&unsorted, 1);
+  PutU32(&unsorted, 1);
+  PutU32(&unsorted, 0);
+  PutU32(&unsorted, 2);
+  PutU64(&unsorted, 0);
+
+  for (const auto& [bytes, what] :
+       {std::pair{in_side, "undirected in side"},
+        std::pair{far_pivot, "pivot out of range"},
+        std::pair{unsorted, "unsorted label"}}) {
+    ExpectInvalid(path, bytes, std::string(what) + ", unsealed");
+    ExpectInvalid(path, Sealed(bytes), std::string(what) + ", sealed");
+  }
+
+  // A directed header whose in side covers only one of three vertices.
+  std::string short_in = "HLI1";
+  PutU32(&short_in, 1);
+  PutU32(&short_in, 3);
+  PutU64(&short_in, 3);
+  for (int v = 0; v < 3; ++v) PutU64(&short_in, 0);
+  PutU64(&short_in, 1);
+  PutU64(&short_in, 0);
+  ExpectInvalid(path, Sealed(short_in), "short directed in side");
+}
+
+TEST(TwoHopIndexIoTest, FlippedBodyByteFailsTheChecksum) {
+  auto dir = TempDir::Create("hli_flip");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("idx.hli");
+  ASSERT_TRUE(PathIndex().Save(path).ok());
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+  // Every body byte past the magic, one at a time.
+  for (size_t i = 4; i + 8 < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+    ExpectInvalid(path, flipped, "flipped byte " + std::to_string(i));
+  }
+}
+
+// Files from earlier builds carry an HFS1 copy of the labels after the
+// body (and a checksum of that copy only). They must be refused with a
+// message that says to rebuild them.
+TEST(TwoHopIndexIoTest, OldFileWithHfs1TrailerIsRefused) {
+  std::string file = "HLI1";
+  PutU32(&file, 0);  // PathIndex(): L(1) = {(0, 1)}, L(2) = {(0, 2), (1, 1)}
+  PutU32(&file, 3);
+  PutU64(&file, 3);
+  PutU64(&file, 0);
+  PutU64(&file, 1);
+  PutU32(&file, 0);
+  PutU32(&file, 1);
+  PutU64(&file, 2);
+  PutU32(&file, 0);
+  PutU32(&file, 2);
+  PutU32(&file, 1);
+  PutU32(&file, 1);
+  PutU64(&file, 0);
+  // The trailer: magic, flags (delta pivots), |V|, total entries, slot
+  // sizes, pivot gaps, distances — then its own checksum.
+  std::string section = "HFS1";
+  PutU8(&section, 2);
+  PutU32(&section, 3);
+  PutU64(&section, 3);
+  for (const uint64_t v : {0, 1, 2, 1, 1, 1, 1, 2, 1}) {
+    PutVarint64(&section, v);
+  }
+  file += section;
+  PutU64(&file, Fnv1a64(section.data(), section.size()));
+
+  auto dir = TempDir::Create("hli_old");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("old.hli");
+  ASSERT_TRUE(WriteStringToFile(path, file).ok());
+  auto loaded = TwoHopIndex::Load(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+      << loaded.status();
 }
 
 }  // namespace
