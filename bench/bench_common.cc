@@ -50,9 +50,9 @@ bool InitBenchEnv(int argc, char** argv, const std::string& description,
     return false;
   }
   env->tier = static_cast<int>(env->flags.GetInt("tier"));
-  env->scale = env->flags.GetDouble("scale");
-  env->queries = env->flags.GetUint("queries");
-  env->budget_seconds = env->flags.GetDouble("budget");
+  env->scale = env->flags.GetDouble("scale").ValueOrDie();
+  env->queries = env->flags.GetUint("queries").ValueOrDie();
+  env->budget_seconds = env->flags.GetDouble("budget").ValueOrDie();
   env->data_dir = env->flags.GetString("data_dir");
   std::string names = env->flags.GetString("datasets");
   if (!names.empty()) {
@@ -66,9 +66,7 @@ std::vector<DatasetSpec> SelectDatasets(const BenchEnv& env) {
   if (!env.dataset_filter.empty()) {
     for (const std::string& name : env.dataset_filter) {
       const DatasetSpec* spec = FindDataset(name);
-      if (spec == nullptr) {
-        HOPDB_LOG(Fatal) << "unknown dataset: " << name;
-      }
+      HOPDB_CHECK(spec != nullptr) << "unknown dataset: " << name;
       out.push_back(*spec);
     }
     return out;

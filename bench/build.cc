@@ -78,9 +78,10 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  const bool ci = flags.GetBool("ci");
-  const VertexId n = ci ? 8000 : static_cast<VertexId>(flags.GetUint("n"));
-  const uint64_t seed = flags.GetUint("seed");
+  const bool ci = flags.GetBool("ci").ValueOrDie();
+  const VertexId n =
+      ci ? 8000 : static_cast<VertexId>(flags.GetUint("n").ValueOrDie());
+  const uint64_t seed = flags.GetUint("seed").ValueOrDie();
   std::vector<uint32_t> thread_counts;
   for (const std::string& tok : SplitString(flags.GetString("threads"), ',')) {
     thread_counts.push_back(
@@ -90,7 +91,7 @@ int Run(int argc, char** argv) {
 
   GlpOptions glp;
   glp.num_vertices = n;
-  glp.target_avg_degree = flags.GetDouble("avg-degree");
+  glp.target_avg_degree = flags.GetDouble("avg-degree").ValueOrDie();
   glp.seed = seed;
   auto edges = GenerateGlp(glp);
   if (!edges.ok()) {

@@ -49,7 +49,7 @@ int Run(int argc, char** argv) {
   BuildOptions opts;
   opts.mode = BuildMode::kHybrid;
   opts.hybrid_switch_iteration =
-      static_cast<uint32_t>(env.flags.GetUint("switch"));
+      static_cast<uint32_t>(env.flags.GetUint("switch").ValueOrDie());
   opts.time_budget_seconds = env.budget_seconds;
   auto out = BuildHopLabeling(prepared->ranked, opts);
   out.status().CheckOK();

@@ -69,7 +69,7 @@ int Run(int argc, char** argv) {
     return 0;
   }
   VertexId base = static_cast<VertexId>(
-      env.flags.GetUint("base_vertices") * env.scale);
+      env.flags.GetUint("base_vertices").ValueOrDie() * env.scale);
 
   std::printf("Figure 9: synthetic scale-free scalability (GLP)\n\n");
   std::vector<SweepPoint> density_sweep;

@@ -73,9 +73,9 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  const bool ci = flags.GetBool("ci");
-  const uint64_t seed = flags.GetUint("seed");
-  const uint64_t num_queries = flags.GetUint("queries");
+  const bool ci = flags.GetBool("ci").ValueOrDie();
+  const uint64_t seed = flags.GetUint("seed").ValueOrDie();
+  const uint64_t num_queries = flags.GetUint("queries").ValueOrDie();
   if (num_queries == 0) {
     // The per-query averages divide by this; 0 would put NaN in the
     // JSON artifact.
@@ -106,7 +106,7 @@ int Run(int argc, char** argv) {
 
     GlpOptions glp;
     glp.num_vertices = n;
-    glp.target_avg_degree = flags.GetDouble("avg-degree");
+    glp.target_avg_degree = flags.GetDouble("avg-degree").ValueOrDie();
     glp.seed = seed;
     auto edges = GenerateGlp(glp);
     if (!edges.ok()) {
@@ -263,8 +263,8 @@ int Run(int argc, char** argv) {
       << "  \"bench\": \"load\",\n"
       << "  \"ci_mode\": " << (ci ? "true" : "false") << ",\n"
       << "  \"peak_rss_bytes\": " << bench::PeakRssBytes() << ",\n"
-      << "  \"avg_degree\": " << FormatDouble(flags.GetDouble("avg-degree"), 2)
-      << ",\n"
+      << "  \"avg_degree\": "
+      << FormatDouble(flags.GetDouble("avg-degree").ValueOrDie(), 2) << ",\n"
       << "  \"seed\": " << seed << ",\n"
       << "  \"queries_per_format\": " << num_queries << ",\n"
       << "  \"sizes\": [\n" << per_size_json << "\n  ]\n"

@@ -488,11 +488,16 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  const bool ci = flags.GetBool("ci");
-  const VertexId n = ci ? 600 : static_cast<VertexId>(flags.GetUint("n"));
-  const double seconds = ci ? 1.0 : flags.GetDouble("seconds");
-  const double rate = ci ? 2000.0 : flags.GetDouble("rate");
-  const uint64_t seed = flags.GetUint("seed");
+  const bool ci = flags.GetBool("ci").ValueOrDie();
+  const VertexId n =
+      ci ? 600 : static_cast<VertexId>(flags.GetUint("n").ValueOrDie());
+  const double seconds = ci ? 1.0 : flags.GetDouble("seconds").ValueOrDie();
+  const double rate = ci ? 2000.0 : flags.GetDouble("rate").ValueOrDie();
+  const uint64_t seed = flags.GetUint("seed").ValueOrDie();
+  const double hot_fraction = flags.GetDouble("hot-fraction").ValueOrDie();
+  const uint32_t hot_pairs =
+      static_cast<uint32_t>(flags.GetUint("hot-pairs").ValueOrDie());
+  const uint64_t batch_every = flags.GetUint("batch-every").ValueOrDie();
   const std::string protocol = flags.GetString("protocol");
   if (protocol != "v1" && protocol != "v2") {
     std::cerr << "--protocol must be v1 or v2\n";
@@ -535,7 +540,7 @@ int Run(int argc, char** argv) {
   // Build the serving index.
   GlpOptions glp;
   glp.num_vertices = n;
-  glp.target_avg_degree = flags.GetDouble("avg-degree");
+  glp.target_avg_degree = flags.GetDouble("avg-degree").ValueOrDie();
   glp.seed = seed;
   auto edges = GenerateGlp(glp);
   if (!edges.ok()) {
@@ -552,14 +557,15 @@ int Run(int argc, char** argv) {
   // One immutable snapshot feeds every server below (the overhead pair
   // and the sweep server), so all runs query identical data.
   const auto snapshot = std::make_shared<const ServingSnapshot>(
-      std::move(*index), "", flags.GetUint("cache"));
+      std::move(*index), "", flags.GetUint("cache").ValueOrDie());
 
   ServerOptions options;
-  options.num_workers = static_cast<uint32_t>(flags.GetUint("workers"));
+  options.num_workers =
+      static_cast<uint32_t>(flags.GetUint("workers").ValueOrDie());
   options.num_io_threads =
-      static_cast<uint32_t>(flags.GetUint("io-threads"));
-  options.cache_capacity = flags.GetUint("cache");
-  options.queue_capacity = flags.GetUint("queue-capacity");
+      static_cast<uint32_t>(flags.GetUint("io-threads").ValueOrDie());
+  options.cache_capacity = flags.GetUint("cache").ValueOrDie();
+  options.queue_capacity = flags.GetUint("queue-capacity").ValueOrDie();
 
   // --- Tracing-overhead pair: tier 100, sampling off vs default on.
   // Loopback p99 at this tier is dominated by scheduler jitter, so one
@@ -583,11 +589,8 @@ int Run(int argc, char** argv) {
     }
     for (int rep = 0; rep < 3; ++rep) {
       for (int pass = 0; pass < 2; ++pass) {
-        OpenLoopGenerator pair_gen(
-            pair_servers[pass]->port(), v2, n, seed,
-            flags.GetDouble("hot-fraction"),
-            static_cast<uint32_t>(flags.GetUint("hot-pairs")),
-            flags.GetUint("batch-every"));
+        OpenLoopGenerator pair_gen(pair_servers[pass]->port(), v2, n, seed,
+                                   hot_fraction, hot_pairs, batch_every);
         const TierResult r =
             pair_gen.RunTier(overhead_tier, rate, overhead_seconds);
         double& best = pass == 0 ? p99_off : p99_on;
@@ -614,10 +617,10 @@ int Run(int argc, char** argv) {
   // server-side execute p50 is the direct kernel-level signal, client
   // p99 the end-to-end one. Recorded in the JSON, not gated: loopback
   // perf deltas are machine-dependent.
-  const double skew = flags.GetDouble("skew");
+  const double skew = flags.GetDouble("skew").ValueOrDie();
   const double pair_alpha = skew > 0 ? skew : 0.99;
   const uint32_t hot_hub_k = static_cast<uint32_t>(
-      std::min<uint64_t>(flags.GetUint("hot-hub-k"), n));
+      std::min<uint64_t>(flags.GetUint("hot-hub-k").ValueOrDie(), n));
   const std::vector<VertexId> degree_order = DegreeOrder(*edges);
   const ZipfSampler pair_zipf(degree_order, pair_alpha);
   double hub_p99[2] = {0, 0};      // [0] = hub off, [1] = hub on
@@ -642,11 +645,9 @@ int Run(int argc, char** argv) {
     }
     for (int rep = 0; rep < 3; ++rep) {
       for (int pass = 0; pass < 2; ++pass) {
-        OpenLoopGenerator hub_gen(
-            hub_servers[pass]->port(), v2, n, seed,
-            flags.GetDouble("hot-fraction"),
-            static_cast<uint32_t>(flags.GetUint("hot-pairs")),
-            flags.GetUint("batch-every"), &pair_zipf);
+        OpenLoopGenerator hub_gen(hub_servers[pass]->port(), v2, n, seed,
+                                  hot_fraction, hot_pairs, batch_every,
+                                  &pair_zipf);
         const TierResult r =
             hub_gen.RunTier(overhead_tier, rate, overhead_seconds);
         if (rep == 0 || r.p99 < hub_p99[pass]) hub_p99[pass] = r.p99;
@@ -675,10 +676,8 @@ int Run(int argc, char** argv) {
             << protocol << " framing, " << FormatDouble(rate, 0)
             << " req/s open loop, " << seconds << "s per tier\n";
 
-  OpenLoopGenerator generator(port, v2, n, seed, flags.GetDouble("hot-fraction"),
-                              static_cast<uint32_t>(flags.GetUint("hot-pairs")),
-                              flags.GetUint("batch-every"),
-                              skew > 0 ? &pair_zipf : nullptr);
+  OpenLoopGenerator generator(port, v2, n, seed, hot_fraction, hot_pairs,
+                              batch_every, skew > 0 ? &pair_zipf : nullptr);
   std::vector<TierResult> results;
   for (const size_t tier : tiers) {
     TierResult result = generator.RunTier(tier, rate, seconds);

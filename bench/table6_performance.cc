@@ -83,7 +83,7 @@ int Run(int argc, char** argv) {
                     &env)) {
     return 0;
   }
-  const double is_budget = env.flags.GetDouble("is_budget");
+  const double is_budget = env.flags.GetDouble("is_budget").ValueOrDie();
   auto scratch = TempDir::Create("table6");
   scratch.status().CheckOK();
 

@@ -72,16 +72,17 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  const bool ci = flags.GetBool("ci");
-  const VertexId n = ci ? 6000 : static_cast<VertexId>(flags.GetUint("n"));
+  const bool ci = flags.GetBool("ci").ValueOrDie();
+  const VertexId n =
+      ci ? 6000 : static_cast<VertexId>(flags.GetUint("n").ValueOrDie());
   const int target_ops =
-      ci ? 200 : static_cast<int>(flags.GetUint("ops"));
-  const uint64_t seed = flags.GetUint("seed");
-  const bool weighted = flags.GetBool("weighted");
+      ci ? 200 : static_cast<int>(flags.GetUint("ops").ValueOrDie());
+  const uint64_t seed = flags.GetUint("seed").ValueOrDie();
+  const bool weighted = flags.GetBool("weighted").ValueOrDie();
 
   GlpOptions glp;
   glp.num_vertices = n;
-  glp.target_avg_degree = flags.GetDouble("avg-degree");
+  glp.target_avg_degree = flags.GetDouble("avg-degree").ValueOrDie();
   glp.seed = seed;
   auto edges = GenerateGlp(glp);
   if (!edges.ok()) {
@@ -213,14 +214,14 @@ int Run(int argc, char** argv) {
   // vs the Dijkstra oracle on a few full rows.
   uint64_t checked = 0, mismatches = 0;
   Rng check_rng(DeriveSeed(seed, 3));
-  const uint64_t check_pairs = flags.GetUint("check-pairs");
+  const uint64_t check_pairs = flags.GetUint("check-pairs").ValueOrDie();
   for (uint64_t i = 0; i < check_pairs; ++i) {
     const VertexId s = static_cast<VertexId>(check_rng.Below(n));
     const VertexId t = static_cast<VertexId>(check_rng.Below(n));
     ++checked;
     if (index.Query(s, t) != rebuilt->index.Query(s, t)) ++mismatches;
   }
-  const uint64_t oracle_rows = flags.GetUint("oracle-rows");
+  const uint64_t oracle_rows = flags.GetUint("oracle-rows").ValueOrDie();
   for (uint64_t row = 0; row < oracle_rows; ++row) {
     const VertexId s = static_cast<VertexId>(check_rng.Below(n));
     const std::vector<Distance> truth = ExactDistances(*mutated, s);
@@ -276,7 +277,7 @@ int Run(int argc, char** argv) {
       << "\n}\n";
   std::cout << "wrote " << out_path << "\n";
 
-  const double min_speedup = flags.GetDouble("min-speedup");
+  const double min_speedup = flags.GetDouble("min-speedup").ValueOrDie();
   if (!answers_equal) return 1;
   if (min_speedup > 0 && speedup < min_speedup) {
     std::cerr << "speedup " << FormatDouble(speedup, 1) << " below gate "

@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
   // 1. A scale-free "social network" (GLP: the generator the paper's
   //    synthetic evaluation uses).
   GlpOptions glp;
-  glp.num_vertices = static_cast<VertexId>(flags.GetUint("n"));
+  glp.num_vertices = static_cast<VertexId>(flags.GetUint("n").ValueOrDie());
   glp.target_avg_degree = 8;
-  glp.seed = flags.GetUint("seed");
+  glp.seed = flags.GetUint("seed").ValueOrDie();
   EdgeList edges = GenerateGlp(glp).ValueOrDie();
   std::printf("social graph: %u members, %zu friendships\n",
               edges.num_vertices(), edges.edges().size());
@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   //    rank mapping.
   const VertexId n = index.num_vertices();
   const uint32_t num_targets =
-      static_cast<uint32_t>(flags.GetUint("targets"));
-  Rng rng(DeriveSeed(flags.GetUint("seed"), 1));
+      static_cast<uint32_t>(flags.GetUint("targets").ValueOrDie());
+  Rng rng(DeriveSeed(flags.GetUint("seed").ValueOrDie(), 1));
   std::vector<VertexId> targets;
   targets.reserve(num_targets);
   for (uint32_t i = 0; i < num_targets; ++i) {
@@ -83,7 +83,8 @@ int main(int argc, char** argv) {
       n, num_targets, sweep_seconds, sweep_seconds * 1e6 / n);
 
   // 5. The influencers.
-  const size_t top = std::min<size_t>(flags.GetUint("top"), scored.size());
+  const size_t top =
+      std::min<size_t>(flags.GetUint("top").ValueOrDie(), scored.size());
   std::partial_sort(scored.begin(), scored.begin() + top, scored.end(),
                     [](const auto& a, const auto& b) {
                       return a.first > b.first;

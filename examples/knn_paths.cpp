@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
 
   // 1. A directed scale-free "web graph" and its index.
   GlpOptions glp;
-  glp.num_vertices = static_cast<VertexId>(flags.GetUint("n"));
+  glp.num_vertices = static_cast<VertexId>(flags.GetUint("n").ValueOrDie());
   glp.target_avg_degree = 6;
-  glp.seed = flags.GetUint("seed");
+  glp.seed = flags.GetUint("seed").ValueOrDie();
   EdgeList edges = GenerateDirectedGlp(glp).ValueOrDie();
   CsrGraph graph = CsrGraph::FromEdgeList(edges).ValueOrDie();
   HopDbIndex index = HopDbIndex::Build(graph).ValueOrDie();
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   //    engine speaks internal ids; translate at the boundary.
   const VertexId seed_page = 1234 % graph.num_vertices();
   KnnEngine knn(index.label_index().labels(), KnnEngine::Direction::kForward);
-  const uint32_t k = static_cast<uint32_t>(flags.GetUint("k"));
+  const uint32_t k = static_cast<uint32_t>(flags.GetUint("k").ValueOrDie());
   const auto nearest =
       knn.Query(index.ranking().ToInternal(seed_page), k);
   std::printf("\n%u pages closest to page %u by link distance:\n",
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // 3. Reconstruct an actual link chain: pick the page with the LARGEST
   //    finite distance from the seed (a random sample suffices) so the
   //    chain is interesting, then extract it.
-  Rng rng(DeriveSeed(flags.GetUint("seed"), 2));
+  Rng rng(DeriveSeed(flags.GetUint("seed").ValueOrDie(), 2));
   VertexId far_page = kInvalidVertex;
   Distance far_dist = 0;
   for (int i = 0; i < 400; ++i) {

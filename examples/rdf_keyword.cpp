@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
 
   // 1. A directed scale-free "RDF graph" (entities + links) and its index.
   GlpOptions glp;
-  glp.num_vertices = static_cast<VertexId>(flags.GetUint("n"));
+  glp.num_vertices = static_cast<VertexId>(flags.GetUint("n").ValueOrDie());
   glp.target_avg_degree = 7;
-  glp.seed = flags.GetUint("seed");
+  glp.seed = flags.GetUint("seed").ValueOrDie();
   EdgeList edges = GenerateDirectedGlp(glp).ValueOrDie();
   HopDbIndex index = HopDbIndex::Build(edges).ValueOrDie();
   const VertexId n = index.num_vertices();
@@ -44,9 +44,10 @@ int main(int argc, char** argv) {
 
   // 2. Simulated keyword matches: random entity sets.
   const uint32_t num_keywords =
-      static_cast<uint32_t>(flags.GetUint("keywords"));
-  const uint32_t matches = static_cast<uint32_t>(flags.GetUint("matches"));
-  Rng rng(DeriveSeed(flags.GetUint("seed"), 3));
+      static_cast<uint32_t>(flags.GetUint("keywords").ValueOrDie());
+  const uint32_t matches =
+      static_cast<uint32_t>(flags.GetUint("matches").ValueOrDie());
+  Rng rng(DeriveSeed(flags.GetUint("seed").ValueOrDie(), 3));
   std::vector<std::vector<VertexId>> keyword_sets(num_keywords);
   std::vector<VertexId> all_targets;  // internal ids, flattened
   for (auto& set : keyword_sets) {

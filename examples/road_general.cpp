@@ -31,11 +31,13 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.Usage("road_general").c_str());
     return 0;
   }
-  const VertexId rows = static_cast<VertexId>(flags.GetUint("rows"));
-  const VertexId cols = static_cast<VertexId>(flags.GetUint("cols"));
+  const VertexId rows =
+      static_cast<VertexId>(flags.GetUint("rows").ValueOrDie());
+  const VertexId cols =
+      static_cast<VertexId>(flags.GetUint("cols").ValueOrDie());
 
   EdgeList road = GridGraph(rows, cols);
-  AssignUniformWeights(&road, 1, 20, flags.GetUint("seed"));
+  AssignUniformWeights(&road, 1, 20, flags.GetUint("seed").ValueOrDie());
   std::printf("road network: %u intersections, %zu road segments "
               "(weighted grid)\n\n", road.num_vertices(), road.num_edges());
 

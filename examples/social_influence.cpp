@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
 
   // --- simulate the social network (GLP: the paper's scale-free model).
   GlpOptions glp;
-  glp.num_vertices = static_cast<VertexId>(flags.GetUint("users"));
-  glp.target_avg_degree = flags.GetDouble("avg_friends");
-  glp.seed = flags.GetUint("seed");
+  glp.num_vertices = static_cast<VertexId>(flags.GetUint("users").ValueOrDie());
+  glp.target_avg_degree = flags.GetDouble("avg_friends").ValueOrDie();
+  glp.seed = flags.GetUint("seed").ValueOrDie();
   auto edges = GenerateGlp(glp);
   edges.status().CheckOK();
   auto graph = CsrGraph::FromEdgeList(*edges);

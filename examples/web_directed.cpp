@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
   }
 
   GlpOptions glp;
-  glp.num_vertices = static_cast<VertexId>(flags.GetUint("pages"));
-  glp.target_avg_degree = flags.GetDouble("avg_links");
-  glp.seed = flags.GetUint("seed");
+  glp.num_vertices = static_cast<VertexId>(flags.GetUint("pages").ValueOrDie());
+  glp.target_avg_degree = flags.GetDouble("avg_links").ValueOrDie();
+  glp.seed = flags.GetUint("seed").ValueOrDie();
   auto edges = GenerateDirectedGlp(glp, /*reciprocal=*/0.25);
   edges.status().CheckOK();
 

@@ -102,14 +102,12 @@ std::string SafeFileName(const std::string& name) {
 }
 
 /// All query-side forms of one built dataset. The heap index owns the
-/// labels; hli2/blocked are mmap views over files written into
+/// labels; blocked is an mmap view over an HLI2 file written into
 /// work_dir; compressed re-encodes the same labels.
 struct VariantSet {
   const HopDbIndex* heap = nullptr;
-  MappedIndex hli2;     // v1 packed
-  MappedIndex blocked;  // v2 blocked
+  MappedIndex blocked;
   CompressedIndex compressed;
-  bool has_hli2 = false;
   bool has_blocked = false;
   bool has_compressed = false;
 };
@@ -127,17 +125,10 @@ Status PrepareVariants(const EvalSpec& spec, const EvalOptions& options,
   const std::string stem =
       (std::filesystem::path(options.work_dir) / SafeFileName(dataset_name))
           .string();
-  if (WantVariant(spec, "hli2")) {
-    const std::string path = stem + ".v1.hli2";
-    HOPDB_RETURN_NOT_OK(MappedIndex::WriteVersion(
-        index.label_index(), index.ranking(), path, /*version=*/1));
-    HOPDB_ASSIGN_OR_RETURN(variants->hli2, MappedIndex::Open(path));
-    variants->has_hli2 = true;
-  }
   if (WantVariant(spec, "blocked")) {
-    const std::string path = stem + ".v2.hli2";
-    HOPDB_RETURN_NOT_OK(MappedIndex::WriteVersion(
-        index.label_index(), index.ranking(), path, /*version=*/2));
+    const std::string path = stem + ".hli2";
+    HOPDB_RETURN_NOT_OK(
+        MappedIndex::Write(index.label_index(), index.ranking(), path));
     HOPDB_ASSIGN_OR_RETURN(variants->blocked, MappedIndex::Open(path));
     variants->has_blocked = true;
   }
@@ -156,10 +147,6 @@ std::function<Distance(VertexId, VertexId)> PointQuery(
   if (variant == "heap") {
     const HopDbIndex* index = variants.heap;
     return [index](VertexId s, VertexId t) { return index->Query(s, t); };
-  }
-  if (variant == "hli2" && variants.has_hli2) {
-    const MappedIndex* mapped = &variants.hli2;
-    return [mapped](VertexId s, VertexId t) { return mapped->Query(s, t); };
   }
   if (variant == "blocked" && variants.has_blocked) {
     const MappedIndex* mapped = &variants.blocked;
@@ -183,14 +170,12 @@ std::function<VertexId(VertexId)> ToInternalFn(const VariantSet& variants,
     const RankMapping* ranking = &variants.heap->ranking();
     return [ranking](VertexId v) { return ranking->ToInternal(v); };
   }
-  const MappedIndex* mapped =
-      variant == "hli2" ? &variants.hli2 : &variants.blocked;
+  const MappedIndex* mapped = &variants.blocked;
   return [mapped](VertexId v) { return mapped->ToInternal(v); };
 }
 
 bool HasLabelView(const VariantSet& variants, const std::string& variant) {
   if (variant == "heap") return true;
-  if (variant == "hli2") return variants.has_hli2;
   if (variant == "blocked") return variants.has_blocked;
   return false;  // compressed exposes no flat view
 }
@@ -198,7 +183,7 @@ bool HasLabelView(const VariantSet& variants, const std::string& variant) {
 /// The flat label view of a variant with HasLabelView.
 LabelSetView LabelsOf(const VariantSet& variants, const std::string& variant) {
   if (variant == "heap") return variants.heap->label_index().labels();
-  return variant == "hli2" ? variants.hli2.labels() : variants.blocked.labels();
+  return variants.blocked.labels();
 }
 
 EvalWorkloadResult RunDistLike(const EvalWorkload& workload,
@@ -569,8 +554,7 @@ Result<EvalSpec> ParseEvalSpec(const std::string& text) {
       for (const std::string& name : SplitString(tokens[1], ',')) {
         if (!KnownVariant(name)) {
           return SpecError(line_no, "unknown variant '" + name +
-                                        "' (heap | hli2 | blocked | "
-                                        "compressed)");
+                                        "' (heap | blocked | compressed)");
         }
         spec.variants.push_back(name);
       }
@@ -870,9 +854,8 @@ std::string RenderEvalMarkdown(const EvalReport& report) {
   md += std::string(kEvalReportSections[0]) + "\n\n";  // ## Environment
   md += std::string("- build: ") + BuildVersion() + " (" + BuildGitSha() +
         ")\n";
-  md += "- variants: heap (in-memory, frozen blocked store), hli2 (mmap v1 "
-        "packed), blocked (mmap v2 blocked arenas), compressed (HLC1 "
-        "delta-varint)\n\n";
+  md += "- variants: heap (in-memory, frozen blocked store), blocked (mmap "
+        "HLI2 blocked arenas), compressed (HLC1 delta-varint)\n\n";
 
   md += std::string(kEvalReportSections[1]) + "\n\n";  // ## Datasets
   md += "| dataset | vertices | edges | directed | weighted |\n";

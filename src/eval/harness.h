@@ -6,10 +6,9 @@
 // JSON report whose numbers are held to order-of-magnitude
 // expectations (the CI gate re-asserts them from the JSON).
 //
-// Index variants (one build, four query-side forms):
+// Index variants (one build, three query-side forms):
 //   heap        in-memory HopDbIndex: frozen blocked store + SIMD kernel
-//   hli2        HLI2 v1 file, mmap-served (packed legacy arena layout)
-//   blocked     HLI2 v2 file, mmap-served (blocked arenas + skip
+//   blocked     HLI2 file, mmap-served (blocked arenas + skip
 //               sidecars — the cache-conscious microarchitecture)
 //   compressed  HLC1 delta-varint form queried without expansion
 // Every variant answers from the same labels, so checksum agreement
@@ -21,7 +20,7 @@
 //   # one directive per line; '#' starts a comment
 //   dataset Enron scale=0.5        # Table 6 registry entry
 //   graph n=2000 avg-degree=8 directed=1 weighted=1 seed=13
-//   variants heap,blocked          # default: all four
+//   variants heap,blocked          # default: all three
 //   queries 512 seed=7
 //   workload dist
 //   workload batch size=16
@@ -71,7 +70,7 @@ struct EvalDataset {
 };
 
 /// Index variant names, in report order (see the file comment).
-inline constexpr const char* kEvalVariants[] = {"heap", "hli2", "blocked",
+inline constexpr const char* kEvalVariants[] = {"heap", "blocked",
                                                 "compressed"};
 
 struct EvalSpec {

@@ -18,9 +18,8 @@
 // whole non-overlapping blocks from the sidecars alone and process
 // overlapping blocks with full-width SIMD and no scalar tail. Padding
 // is provably inert to the kernels (see label_entry.h). Because a
-// slot's real entries stay contiguous from its aligned start, the raw
-// (pivots, dists, size) view of a slot is unchanged — unblocked
-// consumers keep working and simply never read the padding.
+// slot's real entries stay contiguous from its aligned start, consumers
+// that walk (pivots, dists, size) directly never read the padding.
 //
 // Slot layout: out-labels of vertices 0..n-1 occupy slots [0, n); for
 // directed indexes the in-labels follow in slots [n, 2n) — each
@@ -48,12 +47,12 @@ class FlatLabelStore {
  public:
   /// Non-owning view of one vertex's label in SoA form: pivots[i] pairs
   /// with dists[i]; pivots are strictly ascending. Valid as long as the
-  /// store it came from is alive and unmodified. When the backing store
-  /// is blocked, block_min/block_max point at this slot's per-block
-  /// pivot sidecars (entry g covers label entries [g*16, (g+1)*16)) and
-  /// the pivot/dist arrays are readable through the padded end of the
-  /// last block; both are null for unblocked views (mapped v1 files,
-  /// builder arenas) and the kernels fall back to unblocked scans.
+  /// store it came from is alive and unmodified. For store and HLI2
+  /// slots, block_min/block_max point at this slot's per-block pivot
+  /// sidecars (entry g covers label entries [g*16, (g+1)*16)) and the
+  /// pivot/dist arrays are readable through the padded end of the last
+  /// block. Builder arena views (FlatLabelArena) leave both null; only
+  /// the witness probe reads those.
   struct View {
     const uint32_t* pivots = nullptr;
     const uint32_t* dists = nullptr;
@@ -70,33 +69,29 @@ class FlatLabelStore {
   /// identically over either backing store. Trivially copyable; the
   /// pointed-to arrays must outlive every engine built from the view.
   ///
-  /// `sizes` carries per-slot real entry counts for blocked layouts
-  /// (where offsets are padded block starts); when null the layout is
-  /// packed and sizes derive from adjacent offsets. `block_min` /
-  /// `block_max` are the global block sidecars (indexed by
-  /// arena_entry / kLabelBlockEntries), null when unblocked.
+  /// The layout is always blocked: `offsets` are padded block starts,
+  /// `sizes` the per-slot real entry counts, and `block_min` /
+  /// `block_max` the global block sidecars (indexed by
+  /// arena_entry / kLabelBlockEntries). There is no packed or
+  /// sidecar-less form.
   struct LabelSetView {
     VertexId num_vertices = 0;
     bool directed = false;
     const uint64_t* offsets = nullptr;  // num_slots() + 1 entries
     const uint32_t* pivots = nullptr;
     const uint32_t* dists = nullptr;
-    const uint32_t* sizes = nullptr;      // per-slot counts; null = packed
-    const uint32_t* block_min = nullptr;  // per-block sidecars; null =
-    const uint32_t* block_max = nullptr;  //   unblocked layout
+    const uint32_t* sizes = nullptr;      // num_slots() real entry counts
+    const uint32_t* block_min = nullptr;  // per-block pivot minima
+    const uint32_t* block_max = nullptr;  // ... and maxima
 
     size_t num_slots() const {
       return directed ? 2 * static_cast<size_t>(num_vertices) : num_vertices;
     }
     View Slot(size_t slot) const {
       const uint64_t begin = offsets[slot];
-      const uint32_t size =
-          sizes != nullptr ? sizes[slot]
-                           : static_cast<uint32_t>(offsets[slot + 1] - begin);
       const uint64_t block = begin / kLabelBlockEntries;
-      return View{pivots + begin, dists + begin, size,
-                  block_min == nullptr ? nullptr : block_min + block,
-                  block_max == nullptr ? nullptr : block_max + block};
+      return View{pivots + begin, dists + begin, sizes[slot],
+                  block_min + block, block_max + block};
     }
     /// Per-vertex label views, mirroring TwoHopIndex::OutLabel/InLabel:
     /// undirected sets alias In(v) to Out(v).
@@ -202,8 +197,8 @@ void ForEachLabelEntry(const LabelSetView& view, bool in_side, VertexId v,
 /// capacity, so steady-state per-iteration rebuilds allocate nothing.
 /// The caller fills slots through the mutable pointers after Reset; views
 /// are valid until the next Reset. Arena views are unblocked (no
-/// sidecars): the builder's witness scans are short prefix scans that
-/// gain nothing from block skipping.
+/// sidecars) and feed only has_witness_flat: the builder's witness scans
+/// are short prefix scans that gain nothing from block skipping.
 class FlatLabelArena {
  public:
   /// Starts a fresh snapshot with `num_slots` slots whose entry counts

@@ -65,26 +65,19 @@ Distance HotHubCache::Query(const LabelSetView& labels, VertexId s, VertexId t,
   const uint32_t skip_a = skip_[out_slot];
   const uint32_t skip_b = skip_[in_slot];
   if (skip_a < out_s.size && skip_b < in_t.size) {
-    Distance merged;
-    if (out_s.block_min != nullptr && in_t.block_min != nullptr) {
-      // Blocked arenas: start at each suffix's block floor so the
-      // sub-views stay 64-byte aligned with valid sidecars. Partial
-      // boundary blocks re-cover a few hub entries; the duplicates
-      // fold to the same minimum (idempotent), never a different one.
-      const uint32_t ba = skip_a / kLabelBlockEntries;
-      const uint32_t bb = skip_b / kLabelBlockEntries;
-      merged = kernel.intersect_blocked(
-          out_s.pivots + ba * kLabelBlockEntries,
-          out_s.dists + ba * kLabelBlockEntries, out_s.block_min + ba,
-          out_s.block_max + ba, out_s.size - ba * kLabelBlockEntries,
-          in_t.pivots + bb * kLabelBlockEntries,
-          in_t.dists + bb * kLabelBlockEntries, in_t.block_min + bb,
-          in_t.block_max + bb, in_t.size - bb * kLabelBlockEntries);
-    } else {
-      merged = kernel.intersect_flat(
-          out_s.pivots + skip_a, out_s.dists + skip_a, out_s.size - skip_a,
-          in_t.pivots + skip_b, in_t.dists + skip_b, in_t.size - skip_b);
-    }
+    // Start at each suffix's block floor so the sub-views stay 64-byte
+    // aligned with valid sidecars. Partial boundary blocks re-cover a
+    // few hub entries; the duplicates fold to the same minimum
+    // (idempotent), never a different one.
+    const uint32_t ba = skip_a / kLabelBlockEntries;
+    const uint32_t bb = skip_b / kLabelBlockEntries;
+    const Distance merged = kernel.intersect_blocked(
+        out_s.pivots + ba * kLabelBlockEntries,
+        out_s.dists + ba * kLabelBlockEntries, out_s.block_min + ba,
+        out_s.block_max + ba, out_s.size - ba * kLabelBlockEntries,
+        in_t.pivots + bb * kLabelBlockEntries,
+        in_t.dists + bb * kLabelBlockEntries, in_t.block_min + bb,
+        in_t.block_max + bb, in_t.size - bb * kLabelBlockEntries);
     if (merged < best) best = merged;
   }
   return best;

@@ -58,8 +58,8 @@ class HotHubCache {
   }
 
   /// Exact distance s -> t over INTERNAL ids: dense hub fold, then the
-  /// non-hub label suffixes through `kernel` (blocked when the view
-  /// carries sidecars), plus trivial pivots and s == t. Bit-identical
+  /// non-hub label suffixes through `kernel.intersect_blocked`, plus
+  /// trivial pivots and s == t. Bit-identical
   /// to QueryFlatHalves over the same view. `labels` must be the view
   /// this cache was built from. Const and lock-free for concurrent
   /// callers.

@@ -13,14 +13,12 @@ namespace hopdb {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'L', 'I', '2'};
-/// Current write version: blocked arenas + per-block pivot sidecars.
+/// The one version written and read: blocked arenas + per-block pivot
+/// sidecars.
 constexpr uint32_t kHli2Version = 2;
-/// Oldest version Open() still reads (packed arenas, no sidecars).
-constexpr uint32_t kHli2MinReadVersion = 1;
 constexpr uint64_t kFlagDirected = 1ull << 0;
 constexpr size_t kHeaderBytes = 128;
-constexpr size_t kHeaderChecksumOffV1 = 96;
-constexpr size_t kHeaderChecksumOffV2 = 64;
+constexpr size_t kHeaderChecksumOff = 64;
 constexpr size_t kSectionAlign = 64;
 
 uint64_t AlignUp(uint64_t off) {
@@ -38,28 +36,21 @@ void PadToAlignment(std::string* buf) {
 }
 
 struct Header {
-  uint32_t version = 0;
   uint64_t flags = 0;
   uint32_t num_vertices = 0;
   uint64_t total_entries = 0;
-  uint64_t padded_entries = 0;  // v2 only; == total_entries on v1
+  uint64_t padded_entries = 0;
   uint64_t file_size = 0;
   uint64_t meta_checksum = 0;
   uint64_t arena_checksum = 0;
-  // v1 kept explicit section offsets in the header; v2 derives them.
-  uint64_t v1_offsets_off = 0;
-  uint64_t v1_pivots_off = 0;
-  uint64_t v1_dists_off = 0;
-  uint64_t v1_rank_to_orig_off = 0;
-  uint64_t v1_orig_to_rank_off = 0;
 };
 
-/// Byte offsets of the canonical v2 section order, derived entirely
-/// from the slot count, vertex count, and padded entry count. The
-/// writer emits exactly this layout and Open() recomputes it and
-/// requires exact agreement — subsuming ordering, overlap, alignment,
-/// and bounds checks in one shot.
-struct LayoutV2 {
+/// Byte offsets of the canonical section order, derived entirely from
+/// the slot count, vertex count, and padded entry count. The writer
+/// emits exactly this layout and Open() recomputes it and requires
+/// exact agreement — subsuming ordering, overlap, alignment, and bounds
+/// checks in one shot.
+struct Layout {
   uint64_t offsets_off = 0;
   uint64_t sizes_off = 0;
   uint64_t pivots_off = 0;
@@ -71,9 +62,9 @@ struct LayoutV2 {
   uint64_t file_size = 0;
 };
 
-LayoutV2 ComputeLayoutV2(uint64_t num_slots, uint64_t n, uint64_t padded) {
+Layout ComputeLayout(uint64_t num_slots, uint64_t n, uint64_t padded) {
   const uint64_t blocks = padded / kLabelBlockEntries;
-  LayoutV2 l;
+  Layout l;
   l.offsets_off = AlignUp(kHeaderBytes);
   l.sizes_off = AlignUp(l.offsets_off + (num_slots + 1) * sizeof(uint64_t));
   l.pivots_off = AlignUp(l.sizes_off + num_slots * sizeof(uint32_t));
@@ -94,39 +85,28 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
   if (std::memcmp(data, kMagic, 4) != 0) {
     return Status::InvalidArgument("not an HLI2 index file: " + path);
   }
-  h->version = DecodeU32(data + 4);
-  if (h->version < kHli2MinReadVersion || h->version > kHli2Version) {
+  const uint32_t version = DecodeU32(data + 4);
+  if (version == 1) {
     return Status::InvalidArgument(
-        "unsupported HLI2 version " + std::to_string(h->version) +
-        " (this build reads versions " + std::to_string(kHli2MinReadVersion) +
-        ".." + std::to_string(kHli2Version) + "): " + path);
+        "HLI2 version 1 (packed layout) is no longer readable; re-create "
+        "the file from its HLI1 index with `hopdb_cli convert`: " + path);
+  }
+  if (version != kHli2Version) {
+    return Status::InvalidArgument(
+        "unsupported HLI2 version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kHli2Version) +
+        "): " + path);
   }
   h->flags = DecodeU64(data + 8);
   h->num_vertices = DecodeU32(data + 16);
   h->total_entries = DecodeU64(data + 24);
-  if (h->version == 1) {
-    h->padded_entries = h->total_entries;
-    h->v1_offsets_off = DecodeU64(data + 32);
-    h->v1_pivots_off = DecodeU64(data + 40);
-    h->v1_dists_off = DecodeU64(data + 48);
-    h->v1_rank_to_orig_off = DecodeU64(data + 56);
-    h->v1_orig_to_rank_off = DecodeU64(data + 64);
-    h->file_size = DecodeU64(data + 72);
-    h->meta_checksum = DecodeU64(data + 80);
-    h->arena_checksum = DecodeU64(data + 88);
-    if (Fnv1a64(data, kHeaderChecksumOffV1) !=
-        DecodeU64(data + kHeaderChecksumOffV1)) {
-      return Status::InvalidArgument("HLI2 header checksum mismatch: " + path);
-    }
-  } else {
-    h->padded_entries = DecodeU64(data + 32);
-    h->file_size = DecodeU64(data + 40);
-    h->meta_checksum = DecodeU64(data + 48);
-    h->arena_checksum = DecodeU64(data + 56);
-    if (Fnv1a64(data, kHeaderChecksumOffV2) !=
-        DecodeU64(data + kHeaderChecksumOffV2)) {
-      return Status::InvalidArgument("HLI2 header checksum mismatch: " + path);
-    }
+  h->padded_entries = DecodeU64(data + 32);
+  h->file_size = DecodeU64(data + 40);
+  h->meta_checksum = DecodeU64(data + 48);
+  h->arena_checksum = DecodeU64(data + 56);
+  if (Fnv1a64(data, kHeaderChecksumOff) !=
+      DecodeU64(data + kHeaderChecksumOff)) {
+    return Status::InvalidArgument("HLI2 header checksum mismatch: " + path);
   }
   return Status::OK();
 }
@@ -136,16 +116,6 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
 Status MappedIndex::Write(const TwoHopIndex& labels,
                           const RankMapping& mapping,
                           const std::string& path) {
-  return WriteVersion(labels, mapping, path, kHli2Version);
-}
-
-Status MappedIndex::WriteVersion(const TwoHopIndex& labels,
-                                 const RankMapping& mapping,
-                                 const std::string& path, uint32_t version) {
-  if (version < kHli2MinReadVersion || version > kHli2Version) {
-    return Status::InvalidArgument("unwritable HLI2 version " +
-                                   std::to_string(version));
-  }
   const VertexId n = labels.num_vertices();
   if (mapping.size() != n) {
     return Status::InvalidArgument(
@@ -159,7 +129,6 @@ Status MappedIndex::WriteVersion(const TwoHopIndex& labels,
   for (size_t s = 0; s < num_slots; ++s) total += view.sizes[s];
 
   Header h;
-  h.version = version;
   h.flags = labels.directed() ? kFlagDirected : 0;
   h.num_vertices = n;
   h.total_entries = total;
@@ -168,83 +137,7 @@ Status MappedIndex::WriteVersion(const TwoHopIndex& labels,
   std::string buf;
   buf.resize(kHeaderBytes, '\0');
 
-  if (version == 1) {
-    // Legacy packed layout: cumulative real-entry offsets, tightly
-    // packed arenas, explicit section offsets in the header.
-    h.v1_offsets_off = AlignUp(kHeaderBytes);
-    h.v1_pivots_off =
-        AlignUp(h.v1_offsets_off + (num_slots + 1) * sizeof(uint64_t));
-    h.v1_dists_off = AlignUp(h.v1_pivots_off + total * sizeof(uint32_t));
-    h.v1_rank_to_orig_off =
-        AlignUp(h.v1_dists_off + total * sizeof(uint32_t));
-    h.v1_orig_to_rank_off = AlignUp(h.v1_rank_to_orig_off +
-                                    static_cast<uint64_t>(n) *
-                                        sizeof(uint32_t));
-    h.file_size =
-        h.v1_orig_to_rank_off + static_cast<uint64_t>(n) * sizeof(uint32_t);
-    buf.reserve(h.file_size);
-
-    uint64_t running = 0;
-    PutU64(&buf, 0);
-    for (size_t s = 0; s < num_slots; ++s) {
-      running += view.sizes[s];
-      PutU64(&buf, running);
-    }
-    PadToAlignment(&buf);
-    const size_t pivots_begin = buf.size();
-    for (size_t s = 0; s < num_slots; ++s) {
-      const FlatLabelStore::View slot = view.Slot(s);
-      buf.append(reinterpret_cast<const char*>(slot.pivots),
-                 static_cast<size_t>(slot.size) * sizeof(uint32_t));
-    }
-    PadToAlignment(&buf);
-    const size_t dists_begin = buf.size();
-    for (size_t s = 0; s < num_slots; ++s) {
-      const FlatLabelStore::View slot = view.Slot(s);
-      buf.append(reinterpret_cast<const char*>(slot.dists),
-                 static_cast<size_t>(slot.size) * sizeof(uint32_t));
-    }
-    PadToAlignment(&buf);
-    const size_t rank_to_orig_begin = buf.size();
-    for (VertexId r = 0; r < n; ++r) PutU32(&buf, mapping.rank_to_orig[r]);
-    PadToAlignment(&buf);
-    const size_t orig_to_rank_begin = buf.size();
-    for (VertexId v = 0; v < n; ++v) PutU32(&buf, mapping.orig_to_rank[v]);
-
-    if (pivots_begin != h.v1_pivots_off || dists_begin != h.v1_dists_off ||
-        rank_to_orig_begin != h.v1_rank_to_orig_off ||
-        orig_to_rank_begin != h.v1_orig_to_rank_off ||
-        buf.size() != h.file_size) {
-      return Status::Internal("HLI2 writer layout mismatch");
-    }
-    h.meta_checksum = Fnv1a64(buf.data() + h.v1_offsets_off,
-                              h.v1_pivots_off - h.v1_offsets_off) ^
-                      Fnv1a64(buf.data() + h.v1_rank_to_orig_off,
-                              h.file_size - h.v1_rank_to_orig_off);
-    h.arena_checksum = Fnv1a64(buf.data() + h.v1_pivots_off,
-                               h.v1_rank_to_orig_off - h.v1_pivots_off);
-
-    uint8_t* hd = reinterpret_cast<uint8_t*>(buf.data());
-    std::memcpy(hd, kMagic, 4);
-    EncodeU32(1, hd + 4);
-    EncodeU64(h.flags, hd + 8);
-    EncodeU32(h.num_vertices, hd + 16);
-    EncodeU32(0, hd + 20);
-    EncodeU64(h.total_entries, hd + 24);
-    EncodeU64(h.v1_offsets_off, hd + 32);
-    EncodeU64(h.v1_pivots_off, hd + 40);
-    EncodeU64(h.v1_dists_off, hd + 48);
-    EncodeU64(h.v1_rank_to_orig_off, hd + 56);
-    EncodeU64(h.v1_orig_to_rank_off, hd + 64);
-    EncodeU64(h.file_size, hd + 72);
-    EncodeU64(h.meta_checksum, hd + 80);
-    EncodeU64(h.arena_checksum, hd + 88);
-    EncodeU64(Fnv1a64(hd, kHeaderChecksumOffV1), hd + kHeaderChecksumOffV1);
-    return WriteStringToFile(path, buf);
-  }
-
-  // Version 2: blocked arenas + sidecars, canonical derived layout.
-  const LayoutV2 l = ComputeLayoutV2(num_slots, n, h.padded_entries);
+  const Layout l = ComputeLayout(num_slots, n, h.padded_entries);
   buf.reserve(l.file_size);
 
   const size_t offsets_begin = buf.size();
@@ -311,7 +204,7 @@ Status MappedIndex::WriteVersion(const TwoHopIndex& labels,
   EncodeU64(h.file_size, hd + 40);
   EncodeU64(h.meta_checksum, hd + 48);
   EncodeU64(h.arena_checksum, hd + 56);
-  EncodeU64(Fnv1a64(hd, kHeaderChecksumOffV2), hd + kHeaderChecksumOffV2);
+  EncodeU64(Fnv1a64(hd, kHeaderChecksumOff), hd + kHeaderChecksumOff);
 
   return WriteStringToFile(path, buf);
 }
@@ -337,109 +230,55 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
   if (h.total_entries > h.file_size / sizeof(uint32_t) ||
       h.padded_entries > h.file_size / sizeof(uint32_t) ||
       h.padded_entries < h.total_entries ||
-      (h.version >= 2 && h.padded_entries % kLabelBlockEntries != 0)) {
+      h.padded_entries % kLabelBlockEntries != 0) {
     return Status::InvalidArgument(
         "HLI2 total_entries/padded_entries exceed what the file can hold "
         "or are inconsistent: " + path);
   }
 
-  uint64_t offsets_off, pivots_off, dists_off, rank_to_orig_off,
-      orig_to_rank_off;
-  uint64_t sizes_off = 0, block_min_off = 0, block_max_off = 0;
-  if (h.version == 1) {
-    // The v1 section layout is canonical too (the v1 writer emitted
-    // exactly this order and padding), so recompute it and require
-    // exact agreement with the header's explicit offsets.
-    Header want;
-    want.v1_offsets_off = AlignUp(kHeaderBytes);
-    want.v1_pivots_off =
-        AlignUp(want.v1_offsets_off + (num_slots + 1) * sizeof(uint64_t));
-    want.v1_dists_off =
-        AlignUp(want.v1_pivots_off + h.total_entries * sizeof(uint32_t));
-    want.v1_rank_to_orig_off =
-        AlignUp(want.v1_dists_off + h.total_entries * sizeof(uint32_t));
-    want.v1_orig_to_rank_off =
-        AlignUp(want.v1_rank_to_orig_off + n * sizeof(uint32_t));
-    want.file_size = want.v1_orig_to_rank_off + n * sizeof(uint32_t);
-    if (h.v1_offsets_off != want.v1_offsets_off ||
-        h.v1_pivots_off != want.v1_pivots_off ||
-        h.v1_dists_off != want.v1_dists_off ||
-        h.v1_rank_to_orig_off != want.v1_rank_to_orig_off ||
-        h.v1_orig_to_rank_off != want.v1_orig_to_rank_off ||
-        h.file_size != want.file_size) {
-      return Status::InvalidArgument(
-          "HLI2 section offsets disagree with the canonical layout for "
-          "num_vertices/total_entries (truncated or crafted?): " + path);
-    }
-    offsets_off = h.v1_offsets_off;
-    pivots_off = h.v1_pivots_off;
-    dists_off = h.v1_dists_off;
-    rank_to_orig_off = h.v1_rank_to_orig_off;
-    orig_to_rank_off = h.v1_orig_to_rank_off;
-  } else {
-    const LayoutV2 l = ComputeLayoutV2(num_slots, n, h.padded_entries);
-    if (l.file_size != h.file_size) {
-      return Status::InvalidArgument(
-          "HLI2 file size disagrees with the canonical v2 layout for "
-          "num_vertices/padded_entries (truncated or crafted?): " + path);
-    }
-    offsets_off = l.offsets_off;
-    sizes_off = l.sizes_off;
-    pivots_off = l.pivots_off;
-    dists_off = l.dists_off;
-    block_min_off = l.block_min_off;
-    block_max_off = l.block_max_off;
-    rank_to_orig_off = l.rank_to_orig_off;
-    orig_to_rank_off = l.orig_to_rank_off;
+  const Layout l = ComputeLayout(num_slots, n, h.padded_entries);
+  if (l.file_size != h.file_size) {
+    return Status::InvalidArgument(
+        "HLI2 file size disagrees with the canonical layout for "
+        "num_vertices/padded_entries (truncated or crafted?): " + path);
   }
 
   const uint8_t* base = file.data();
-  uint64_t meta = Fnv1a64(base + offsets_off, pivots_off - offsets_off);
-  meta ^= Fnv1a64(base + rank_to_orig_off, h.file_size - rank_to_orig_off);
+  uint64_t meta = Fnv1a64(base + l.offsets_off, l.pivots_off - l.offsets_off);
+  meta ^= Fnv1a64(base + l.rank_to_orig_off, h.file_size - l.rank_to_orig_off);
   if (meta != h.meta_checksum) {
     return Status::InvalidArgument("HLI2 metadata checksum mismatch: " + path);
   }
 
   // Structural validation of everything queries index by: offsets
-  // monotone (v2: block-aligned and exactly sizes[s] rounded up apart),
-  // permutations inverse bijections. O(|V|) — this is the whole
-  // non-constant cost of an open.
+  // block-aligned and exactly sizes[s] rounded up apart, permutations
+  // inverse bijections. O(|V|) — this is the whole non-constant cost of
+  // an open.
   const uint64_t* offsets =
-      reinterpret_cast<const uint64_t*>(base + offsets_off);
-  const uint32_t* sizes =
-      h.version >= 2 ? reinterpret_cast<const uint32_t*>(base + sizes_off)
-                     : nullptr;
+      reinterpret_cast<const uint64_t*>(base + l.offsets_off);
+  const uint32_t* sizes = reinterpret_cast<const uint32_t*>(base + l.sizes_off);
   if (offsets[0] != 0 || offsets[num_slots] != h.padded_entries) {
     return Status::InvalidArgument("HLI2 offset table endpoints invalid: " +
                                    path);
   }
-  if (h.version == 1) {
-    for (uint64_t s = 0; s < num_slots; ++s) {
-      if (offsets[s] > offsets[s + 1]) {
-        return Status::InvalidArgument("HLI2 offset table not monotone: " +
-                                       path);
-      }
-    }
-  } else {
-    uint64_t real_total = 0;
-    for (uint64_t s = 0; s < num_slots; ++s) {
-      if (offsets[s] % kLabelBlockEntries != 0 ||
-          offsets[s + 1] != offsets[s] + AlignUpBlock(sizes[s])) {
-        return Status::InvalidArgument(
-            "HLI2 blocked offset table not block-aligned or inconsistent "
-            "with slot sizes: " + path);
-      }
-      real_total += sizes[s];
-    }
-    if (real_total != h.total_entries) {
+  uint64_t real_total = 0;
+  for (uint64_t s = 0; s < num_slots; ++s) {
+    if (offsets[s] % kLabelBlockEntries != 0 ||
+        offsets[s + 1] != offsets[s] + AlignUpBlock(sizes[s])) {
       return Status::InvalidArgument(
-          "HLI2 slot sizes disagree with total_entries: " + path);
+          "HLI2 blocked offset table not block-aligned or inconsistent "
+          "with slot sizes: " + path);
     }
+    real_total += sizes[s];
+  }
+  if (real_total != h.total_entries) {
+    return Status::InvalidArgument(
+        "HLI2 slot sizes disagree with total_entries: " + path);
   }
   const uint32_t* rank_to_orig =
-      reinterpret_cast<const uint32_t*>(base + rank_to_orig_off);
+      reinterpret_cast<const uint32_t*>(base + l.rank_to_orig_off);
   const uint32_t* orig_to_rank =
-      reinterpret_cast<const uint32_t*>(base + orig_to_rank_off);
+      reinterpret_cast<const uint32_t*>(base + l.orig_to_rank_off);
   for (uint64_t r = 0; r < n; ++r) {
     const uint32_t orig = rank_to_orig[r];
     if (orig >= n || orig_to_rank[orig] != r) {
@@ -451,26 +290,21 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
   MappedIndex index;
   index.file_ = std::move(file);
   index.directed_ = directed;
-  index.version_ = h.version;
   index.num_vertices_ = h.num_vertices;
   index.total_entries_ = h.total_entries;
   index.padded_entries_ = h.padded_entries;
   index.arena_checksum_ = h.arena_checksum;
   const uint8_t* data = index.file_.data();
-  index.offsets_ = reinterpret_cast<const uint64_t*>(data + offsets_off);
-  index.pivots_ = reinterpret_cast<const uint32_t*>(data + pivots_off);
-  index.dists_ = reinterpret_cast<const uint32_t*>(data + dists_off);
-  if (h.version >= 2) {
-    index.sizes_ = reinterpret_cast<const uint32_t*>(data + sizes_off);
-    index.block_min_ =
-        reinterpret_cast<const uint32_t*>(data + block_min_off);
-    index.block_max_ =
-        reinterpret_cast<const uint32_t*>(data + block_max_off);
-  }
+  index.offsets_ = reinterpret_cast<const uint64_t*>(data + l.offsets_off);
+  index.pivots_ = reinterpret_cast<const uint32_t*>(data + l.pivots_off);
+  index.dists_ = reinterpret_cast<const uint32_t*>(data + l.dists_off);
+  index.sizes_ = reinterpret_cast<const uint32_t*>(data + l.sizes_off);
+  index.block_min_ = reinterpret_cast<const uint32_t*>(data + l.block_min_off);
+  index.block_max_ = reinterpret_cast<const uint32_t*>(data + l.block_max_off);
   index.rank_to_orig_ =
-      reinterpret_cast<const uint32_t*>(data + rank_to_orig_off);
+      reinterpret_cast<const uint32_t*>(data + l.rank_to_orig_off);
   index.orig_to_rank_ =
-      reinterpret_cast<const uint32_t*>(data + orig_to_rank_off);
+      reinterpret_cast<const uint32_t*>(data + l.orig_to_rank_off);
 
   if (options.verify_arenas) {
     HOPDB_RETURN_NOT_OK(index.VerifyArenas());
@@ -495,7 +329,7 @@ Status MappedIndex::VerifyArenas() const {
   }
   // Hash exactly what Write hashed: the contiguous byte range from the
   // pivot section start to the rank_to_orig section start (both arenas,
-  // the v2 block sidecars, and the inter-section padding).
+  // the block sidecars, and the inter-section padding).
   const uint8_t* begin = reinterpret_cast<const uint8_t*>(pivots_);
   const uint8_t* end = reinterpret_cast<const uint8_t*>(rank_to_orig_);
   if (Fnv1a64(begin, static_cast<size_t>(end - begin)) != arena_checksum_) {

@@ -13,15 +13,14 @@
 // index size, and N processes serving the same file share one physical
 // copy of the label pages.
 //
-// Version 2 additionally persists the BLOCKED arena layout
-// (flat_label_store.h): every slot's arena range starts on a 16-entry
-// (64-byte) block boundary and is padded up to a block multiple with
-// 0xFFFFFFFF lanes, and two sidecar sections carry each block's
-// minimum/maximum real pivot — so the skip-scan kernels run over the
-// mapping exactly as they do over a heap store, with no load-time
-// reshaping. Version 1 files (packed arenas, no sidecars) stay
-// readable: Open() is version-gated and serves v1 through the
-// unblocked kernel paths.
+// The file persists the BLOCKED arena layout (flat_label_store.h):
+// every slot's arena range starts on a 16-entry (64-byte) block
+// boundary and is padded up to a block multiple with 0xFFFFFFFF lanes,
+// and two sidecar sections carry each block's minimum/maximum real
+// pivot — so the skip-scan kernels run over the mapping exactly as they
+// do over a heap store, with no load-time reshaping. Version 2 is the
+// only version written or read; Open() rejects a version-1 (packed)
+// header with InvalidArgument pointing at `hopdb_cli convert`.
 //
 // File layout ("HLI2" version 2, little-endian; byte-exact spec in
 // docs/FORMATS.md):
@@ -56,20 +55,15 @@
 //     rank_to_orig: |V| x u32   (rank -> original id)
 //     orig_to_rank: |V| x u32   (original id -> rank)
 //
-// (Version 1 stored packed arenas — offsets were cumulative real entry
-// counts, no sizes/sidecar sections — and kept explicit section offsets
-// in the header with the header checksum at offset 96.)
-//
 // Integrity model: Open() always verifies the header checksum, the
 // metadata checksum, section bounds against file_size (with explicit
-// total_entries/padded_entries overflow rejection), offset-table
-// monotonicity and block alignment (v2: offsets[s+1] must equal
-// offsets[s] + sizes[s] rounded up to a block), and that the two
-// permutations are inverse bijections — so a truncated or
-// metadata-corrupt file fails with a clean Status and a malformed
-// offset table can never send a query out of bounds. The label arenas
-// and block sidecars are NOT hashed on open (that would re-read the
-// whole file and defeat the O(1) load); their corruption is
+// total_entries/padded_entries overflow rejection), offset-table block
+// alignment (offsets[s+1] must equal offsets[s] + sizes[s] rounded up
+// to a block), and that the two permutations are inverse bijections —
+// so a truncated or metadata-corrupt file fails with a clean Status and
+// a malformed offset table can never send a query out of bounds. The
+// label arenas and block sidecars are NOT hashed on open (that would
+// re-read the whole file and defeat the O(1) load); their corruption is
 // bounds-safe — the merge-join kernels only compare pivots, a corrupt
 // sidecar can only mis-steer block skipping within the mapped arenas,
 // and the batch/KNN engines skip out-of-range pivots when building
@@ -110,8 +104,8 @@ class MappedIndex {
   MappedIndex() = default;
 
   /// Serializes `labels` + `mapping` into a new HLI2 file at `path`
-  /// (current version: 2, blocked arenas + sidecars) from the index's
-  /// frozen store — the labels its queries answer from (two_hop_index.h).
+  /// (version 2: blocked arenas + sidecars) from the index's frozen
+  /// store — the labels its queries answer from (two_hop_index.h).
   /// O(total entries) time and one file write; the written file
   /// round-trips bit-exactly through Open(). Peak memory is the heap
   /// index plus one full file image (the sections are checksummed
@@ -120,19 +114,13 @@ class MappedIndex {
   static Status Write(const TwoHopIndex& labels, const RankMapping& mapping,
                       const std::string& path);
 
-  /// Version-parameterized writer, for compatibility coverage: emits
-  /// the requested on-disk version (1 = packed legacy layout, 2 =
-  /// blocked). InvalidArgument outside the readable version range.
-  static Status WriteVersion(const TwoHopIndex& labels,
-                             const RankMapping& mapping,
-                             const std::string& path, uint32_t version);
-
   /// Maps an HLI2 file and validates its metadata (see the integrity
   /// model above). O(|V|) work regardless of label count. Fails with
   /// InvalidArgument on bad magic/version/structure or checksum
-  /// mismatch and IOError when the file cannot be mapped; never crashes
-  /// on truncated or corrupt input. The returned index serves queries
-  /// immediately; no rehydration step exists.
+  /// mismatch (a version-1 header names `hopdb_cli convert`) and
+  /// IOError when the file cannot be mapped; never crashes on truncated
+  /// or corrupt input. The returned index serves queries immediately; no
+  /// rehydration step exists.
   static Result<MappedIndex> Open(const std::string& path,
                                   const OpenOptions& options);
   static Result<MappedIndex> Open(const std::string& path) {
@@ -145,10 +133,8 @@ class MappedIndex {
   VertexId num_vertices() const { return num_vertices_; }
   bool directed() const { return directed_; }
   uint64_t TotalEntries() const { return total_entries_; }
-  /// Arena entries including block padding; == TotalEntries() on v1.
+  /// Arena entries including block padding.
   uint64_t PaddedEntries() const { return padded_entries_; }
-  /// On-disk format version of the opened file (1 or 2).
-  uint32_t format_version() const { return version_; }
   const std::string& path() const { return file_.path(); }
 
   /// Exact distance between ORIGINAL vertex ids (the embedded
@@ -173,9 +159,8 @@ class MappedIndex {
 
   /// The mapped label set (INTERNAL/rank ids) for engines that consume
   /// LabelSetView (query/batch.h, query/knn.h). Valid while this index
-  /// is alive and unmoved. v2 views carry the per-slot sizes and block
-  /// sidecars, routing queries through the skip-scan kernels; v1 views
-  /// leave them null and take the unblocked paths.
+  /// is alive and unmoved. Views carry the per-slot sizes and block
+  /// sidecars, routing queries through the skip-scan kernels.
   LabelSetView labels() const {
     return LabelSetView{num_vertices_, directed_, offsets_,   pivots_,
                         dists_,        sizes_,    block_min_, block_max_};
@@ -196,26 +181,14 @@ class MappedIndex {
   /// has no mutation path.
   Status VerifyArenas() const;
 
-  /// HLI2 is an immutable serving format: every mutation-shaped
-  /// operation answers with this error (callers that need to edit labels
-  /// must convert back to the heap HLI1 representation). Kept as a
-  /// method so call sites read as intent, not as a stray status string.
-  static Status MutationNotSupported(const char* operation) {
-    return Status::Unimplemented(
-        std::string("HLI2 mapped indexes are read-only: ") + operation +
-        " is not supported (convert to HLI1 and rebuild to modify labels)");
-  }
-
  private:
   MmapFile file_;
   bool directed_ = false;
-  uint32_t version_ = 0;
   VertexId num_vertices_ = 0;
   uint64_t total_entries_ = 0;
   uint64_t padded_entries_ = 0;
   uint64_t arena_checksum_ = 0;
-  // Typed section pointers into the mapping; sizes_/block_min_/
-  // block_max_ stay null for v1 files.
+  // Typed section pointers into the mapping.
   const uint64_t* offsets_ = nullptr;
   const uint32_t* pivots_ = nullptr;
   const uint32_t* dists_ = nullptr;

@@ -5,23 +5,21 @@
 // that primitive behind one dispatch table:
 //
 //   scalar   portable two-pointer merge (the reference semantics)
-//   sse4.2   4-lane blocked merge (SSE4.1/4.2 integer ops)
-//   avx2     8-lane blocked merge (the serving default on modern x86)
-//   avx512   16-lane merge (opt-in via HOPDB_QUERY_KERNEL=avx512)
+//   avx2     8-lane all-pairs merge (the serving default on x86)
 //
-// The SIMD variants use block-wise all-pairs comparison (Inoue et al.,
+// The AVX2 kernel uses block-wise all-pairs comparison (Inoue et al.,
 // "Faster Set Intersection with SIMD instructions"): load one block per
 // side, compare every lane pairing via lane rotations, fold matching
 // d1+d2 sums into a running vector minimum, then advance the block whose
-// maximum pivot is smaller. All variants return bit-identical results —
+// maximum pivot is smaller. Both kernels return bit-identical results —
 // including kInfDistance saturation on d1+d2 overflow — which the test
 // suite verifies pairwise on randomized labels.
 //
-// Three storage microarchitectures share those semantics:
+// Three storage forms share those semantics:
 //
-//   flat     packed SoA arrays (FlatLabelArena views, HLI2 v1 files)
+//   entries  LabelEntry spans (builders, baselines, the disk index)
 //   blocked  cacheline-blocked SoA arenas with per-block pivot min/max
-//            sidecars (FlatLabelStore, HLI2 v2): the merge consults the
+//            sidecars (FlatLabelStore, HLI2): the merge consults the
 //            tiny sidecar arrays first and skips whole 64-byte blocks
 //            whose pivot ranges cannot overlap, touching the arenas only
 //            for blocks that can match
@@ -30,13 +28,11 @@
 //            and merges without materializing the label, so compressed
 //            indexes answer queries with no decompression pass
 //
-// Kernel selection is runtime CPUID dispatch: the first query picks the
-// widest auto-default the CPU supports (avx2 — avx512 stays opt-in to
-// avoid frequency-license surprises on mixed workloads), overridable
-// with the environment variable
-// HOPDB_QUERY_KERNEL=scalar|sse4.2|avx2|avx512 (ignored when the CPU
-// lacks the requested extension) or programmatically via
-// SetActiveQueryKernel (tests and benchmarks).
+// plus the builder's bounded witness probe over packed SoA arenas.
+//
+// Kernel selection is runtime CPUID dispatch: the first query picks avx2
+// when the CPU supports it and the scalar reference otherwise. Tests and
+// benchmarks force a kernel with SetActiveQueryKernel.
 
 #ifndef HOPDB_LABELING_QUERY_KERNEL_H_
 #define HOPDB_LABELING_QUERY_KERNEL_H_
@@ -61,23 +57,15 @@ namespace hopdb {
 struct QueryKernel {
   const char* name;
 
-  /// Structure-of-arrays form (packed label views) — valid on blocked
-  /// stores too, since a slot's real entries stay contiguous.
-  /// O((|a| + |b|) / lanes) block steps plus a scalar tail.
-  Distance (*intersect_flat)(const uint32_t* a_pivots,
-                             const uint32_t* a_dists, uint32_t a_size,
-                             const uint32_t* b_pivots,
-                             const uint32_t* b_dists, uint32_t b_size);
-
   /// Array-of-structs form (LabelEntry spans) — builders, baselines and
-  /// the disk index. The AVX2/AVX-512 kernels deinterleave entry blocks
-  /// in registers; narrower kernels fall back to the scalar merge.
+  /// the disk index. The AVX2 kernel deinterleaves entry blocks in
+  /// registers. O((|a| + |b|) / lanes) block steps plus a scalar tail.
   Distance (*intersect_entries)(const LabelEntry* a, uint32_t a_size,
                                 const LabelEntry* b, uint32_t b_size);
 
   /// Bounded early-exit witness probe — the builder's rule-(ii) pruning
   /// primitive (Section 3.3). True iff some common pivot w < beta has
-  /// SaturatingAdd(d1, d2) <= d. Unlike intersect_flat it never scans
+  /// SaturatingAdd(d1, d2) <= d. Unlike the intersect legs it never scans
   /// past the beta bound and returns on the first witness found, so the
   /// common prune case touches only a prefix of each label. All kernels
   /// return the identical boolean (existence is order-insensitive),
@@ -95,7 +83,7 @@ struct QueryKernel {
   /// at full SIMD width with no scalar tail — both arenas must be
   /// readable through the padded end of the last block, with padding
   /// lanes holding 0xFFFFFFFF (see label_entry.h for why padding is
-  /// inert). Bit-identical to intersect_flat on the same labels.
+  /// inert). Bit-identical to intersect_entries on the same labels.
   Distance (*intersect_blocked)(const uint32_t* a_pivots,
                                 const uint32_t* a_dists,
                                 const uint32_t* a_block_min,
@@ -118,8 +106,8 @@ struct QueryKernel {
                                VertexId direct_a, VertexId direct_b);
 };
 
-/// Kernels this binary can run on this CPU, widest last; index 0 is
-/// always the scalar reference.
+/// Kernels this binary can run on this CPU: the scalar reference first,
+/// then avx2 when the CPU supports it.
 std::vector<const QueryKernel*> SupportedQueryKernels();
 
 /// Looks up a supported kernel by name; nullptr when unknown or not
@@ -127,8 +115,8 @@ std::vector<const QueryKernel*> SupportedQueryKernels();
 const QueryKernel* FindQueryKernel(std::string_view name);
 
 /// The kernel all label queries route through. First call resolves the
-/// default (HOPDB_QUERY_KERNEL override, else widest supported);
-/// subsequent calls are one atomic load.
+/// default (the widest supported kernel); subsequent calls are one
+/// atomic load.
 const QueryKernel& ActiveQueryKernel();
 
 /// Forces the active kernel (tests/benchmarks). Returns false — leaving
@@ -142,10 +130,10 @@ bool SetActiveQueryKernel(std::string_view name);
 /// kInfDistance when absent. O(log |label|).
 Distance LookupPivotFlat(FlatLabelStore::View label, VertexId pivot);
 
-/// QueryLabelHalves (two_hop_index.h) over flat views: intersection via
-/// `kernel` plus the two implicit trivial pivots and the s == t case.
-/// Routes through intersect_blocked when both views carry block
-/// sidecars, intersect_flat otherwise.
+/// QueryLabelHalves (two_hop_index.h) over blocked views: intersection
+/// via `kernel.intersect_blocked` plus the two implicit trivial pivots
+/// and the s == t case. Both views must carry block sidecars
+/// (FlatLabelStore or HLI2 slots).
 Distance QueryFlatHalves(FlatLabelStore::View out_s,
                          FlatLabelStore::View in_t, VertexId s, VertexId t,
                          const QueryKernel& kernel);

@@ -38,6 +38,14 @@ bool IsBinaryGraphPath(const std::string& path) {
   return EndsWith(path, ".hgr") || EndsWith(path, ".bin");
 }
 
+/// Reads an unsigned flag into an option field of a narrower type.
+template <typename T>
+Status GetUintFlag(const CliFlags& flags, const std::string& name, T* out) {
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t value, flags.GetUint(name));
+  *out = static_cast<T>(value);
+  return Status::OK();
+}
+
 Result<BuildMode> ParseMode(const std::string& name) {
   if (name == "hybrid") return BuildMode::kHybrid;
   if (name == "stepping" || name == "step") return BuildMode::kHopStepping;
@@ -82,10 +90,15 @@ Status CmdGen(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   if (out_path.empty()) {
     return Status::InvalidArgument("gen requires --out <path>");
   }
-  const VertexId n = static_cast<VertexId>(flags->GetUint("n"));
-  const double avg_degree = flags->GetDouble("avg-degree");
-  const bool directed = flags->GetBool("directed");
-  const uint64_t seed = flags->GetUint("seed");
+  VertexId n = 0;
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "n", &n));
+  HOPDB_ASSIGN_OR_RETURN(const double avg_degree,
+                         flags->GetDouble("avg-degree"));
+  HOPDB_ASSIGN_OR_RETURN(const bool directed, flags->GetBool("directed"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
+  HOPDB_ASSIGN_OR_RETURN(const bool weighted, flags->GetBool("weighted"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t wmin, flags->GetUint("wmin"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t wmax, flags->GetUint("wmax"));
 
   EdgeList edges;
   if (type == "glp") {
@@ -119,11 +132,9 @@ Status CmdGen(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     return Status::InvalidArgument("unknown --type '" + type +
                                    "' (glp | ba | er)");
   }
-  if (flags->GetBool("weighted")) {
-    AssignUniformWeights(&edges,
-                         static_cast<Distance>(flags->GetUint("wmin")),
-                         static_cast<Distance>(flags->GetUint("wmax")),
-                         DeriveSeed(seed, 97));
+  if (weighted) {
+    AssignUniformWeights(&edges, static_cast<Distance>(wmin),
+                         static_cast<Distance>(wmax), DeriveSeed(seed, 97));
   }
 
   HOPDB_RETURN_NOT_OK(IsBinaryGraphPath(out_path)
@@ -162,19 +173,22 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     return Status::InvalidArgument("build requires --graph and --out");
   }
 
-  HOPDB_ASSIGN_OR_RETURN(EdgeList edges,
-                         LoadGraphFile(graph_path, flags->GetBool("directed"),
-                                       flags->GetBool("weighted")));
-  edges.Normalize();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
-
+  HOPDB_ASSIGN_OR_RETURN(const bool directed, flags->GetBool("directed"));
+  HOPDB_ASSIGN_OR_RETURN(const bool weighted, flags->GetBool("weighted"));
   HopDbOptions options;
   HOPDB_ASSIGN_OR_RETURN(options.build.mode,
                          ParseMode(flags->GetString("mode")));
-  options.build.hybrid_switch_iteration =
-      static_cast<uint32_t>(flags->GetUint("switch"));
-  options.build.num_threads = static_cast<uint32_t>(flags->GetUint("threads"));
-  options.build.time_budget_seconds = flags->GetDouble("budget");
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "switch",
+                                  &options.build.hybrid_switch_iteration));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "threads", &options.build.num_threads));
+  HOPDB_ASSIGN_OR_RETURN(options.build.time_budget_seconds,
+                         flags->GetDouble("budget"));
+
+  HOPDB_ASSIGN_OR_RETURN(EdgeList edges,
+                         LoadGraphFile(graph_path, directed, weighted));
+  edges.Normalize();
+  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
   const std::string order_name = flags->GetString("order");
   if (order_name != "auto") {
     HOPDB_ASSIGN_OR_RETURN(OrderStrategy strategy, ParseOrder(order_name));
@@ -193,9 +207,9 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
       << " |E|=" << graph.num_edges() << "\n"
       << "  mode            " << flags->GetString("mode") << " (order "
       << order_name << ", threads "
-      << (flags->GetUint("threads") == 0
+      << (options.build.num_threads == 0
               ? std::string("auto")
-              : std::to_string(flags->GetUint("threads")))
+              : std::to_string(options.build.num_threads))
       << ")\n"
       << "  iterations      " << stats.num_rule_iterations << "\n"
       << "  label entries   " << index.label_index().TotalEntries() << "\n"
@@ -224,6 +238,8 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   if (index_path.empty()) {
     return Status::InvalidArgument("query requires --index");
   }
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t random_n, flags->GetUint("random"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
 
   auto print_one = [&](VertexId s, VertexId t) {
@@ -236,9 +252,8 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     }
   };
 
-  const uint64_t random_n = flags->GetUint("random");
   if (random_n > 0) {
-    Rng rng(flags->GetUint("seed"));
+    Rng rng(seed);
     const VertexId n = index.num_vertices();
     Stopwatch watch;
     uint64_t reachable = 0;
@@ -257,12 +272,12 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     return Status::InvalidArgument(
         "query requires --src and --dst (or --random N)");
   }
-  const VertexId s = static_cast<VertexId>(flags->GetUint("src"));
-  const VertexId t = static_cast<VertexId>(flags->GetUint("dst"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t s, flags->GetUint("src"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t t, flags->GetUint("dst"));
   if (s >= index.num_vertices() || t >= index.num_vertices()) {
     return Status::InvalidArgument("vertex id out of range");
   }
-  print_one(s, t);
+  print_one(static_cast<VertexId>(s), static_cast<VertexId>(t));
   return Status::OK();
 }
 
@@ -337,19 +352,21 @@ Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   if (in_path.empty() || out_path.empty()) {
     return Status::InvalidArgument("convert requires --in and --out");
   }
+  HOPDB_ASSIGN_OR_RETURN(const bool verify, flags->GetBool("verify"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t samples, flags->GetUint("samples"));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(in_path));
   HOPDB_RETURN_NOT_OK(
       MappedIndex::Write(index.label_index(), index.ranking(), out_path));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t in_bytes, FileSizeBytes(in_path));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t out_bytes, FileSizeBytes(out_path));
 
-  if (flags->GetBool("verify")) {
+  if (verify) {
     MappedIndex::OpenOptions options;
     options.verify_arenas = true;
     HOPDB_ASSIGN_OR_RETURN(MappedIndex mapped,
                            MappedIndex::Open(out_path, options));
-    Rng rng(flags->GetUint("seed"));
-    const uint64_t samples = flags->GetUint("samples");
+    Rng rng(seed);
     const VertexId n = index.num_vertices();
     for (uint64_t i = 0; i < samples && n > 0; ++i) {
       const VertexId s = static_cast<VertexId>(rng.Below(n));
@@ -403,6 +420,9 @@ Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   }
   const std::string out_path =
       flags->GetString("out").empty() ? index_path : flags->GetString("out");
+  UpdateOptions options;
+  HOPDB_ASSIGN_OR_RETURN(options.rebuild_frontier_fraction,
+                         flags->GetDouble("frontier-fraction"));
 
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
   HOPDB_ASSIGN_OR_RETURN(
@@ -450,8 +470,6 @@ Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     ops.push_back(op);
   }
 
-  UpdateOptions options;
-  options.rebuild_frontier_fraction = flags->GetDouble("frontier-fraction");
   Stopwatch watch;
   IncrementalUpdater updater(&dynamic, &index.mutable_label_index(),
                              options);
@@ -600,19 +618,26 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 
   ServerOptions options;
   options.host = flags->GetString("host");
-  options.port = static_cast<uint16_t>(flags->GetUint("port"));
-  options.num_workers = static_cast<uint32_t>(flags->GetUint("threads"));
-  options.num_io_threads = static_cast<uint32_t>(flags->GetUint("io-threads"));
-  options.cache_capacity = flags->GetUint("cache-capacity");
-  options.hot_hub_k = static_cast<uint32_t>(flags->GetUint("hot-hub-k"));
-  options.queue_capacity = flags->GetUint("queue-capacity");
-  options.listen_backlog = static_cast<int>(flags->GetUint("backlog"));
-  options.max_inflight_per_conn =
-      static_cast<uint32_t>(flags->GetUint("max-inflight"));
-  options.max_micro_batch = static_cast<uint32_t>(flags->GetUint("batch"));
-  options.trace_sample_rate = flags->GetDouble("trace-sample-rate");
-  options.trace_ring_capacity = flags->GetUint("trace-ring");
-  options.slow_query_us = flags->GetUint("slow-query-us");
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "port", &options.port));
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "threads", &options.num_workers));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "io-threads", &options.num_io_threads));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "cache-capacity", &options.cache_capacity));
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "hot-hub-k", &options.hot_hub_k));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "queue-capacity", &options.queue_capacity));
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "backlog", &options.listen_backlog));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "max-inflight", &options.max_inflight_per_conn));
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "batch", &options.max_micro_batch));
+  HOPDB_ASSIGN_OR_RETURN(options.trace_sample_rate,
+                         flags->GetDouble("trace-sample-rate"));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "trace-ring", &options.trace_ring_capacity));
+  HOPDB_RETURN_NOT_OK(
+      GetUintFlag(*flags, "slow-query-us", &options.slow_query_us));
+  HOPDB_ASSIGN_OR_RETURN(const double duration, flags->GetDouble("duration"));
   options.source_path = specs[0].path;
 
   // A foreground server wants its lifecycle events (start/stop,
@@ -675,7 +700,6 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   }
   out.flush();
 
-  const double duration = flags->GetDouble("duration");
   if (duration > 0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(duration));
     server->Stop();
@@ -705,7 +729,8 @@ Status CmdClient(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_RETURN_NOT_OK(flags->Parse(argc, argv));
   if (flags->help_requested()) return Status::OK();
 
-  const uint16_t port = static_cast<uint16_t>(flags->GetUint("port"));
+  uint16_t port = 0;
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "port", &port));
   if (port == 0) {
     return Status::InvalidArgument("client requires --port");
   }
@@ -780,7 +805,16 @@ Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_RETURN_NOT_OK(flags->Parse(argc, argv));
   if (flags->help_requested()) return Status::OK();
 
-  const bool ci = flags->GetBool("ci");
+  HOPDB_ASSIGN_OR_RETURN(const bool ci, flags->GetBool("ci"));
+  HOPDB_ASSIGN_OR_RETURN(const bool print_spec, flags->GetBool("print-spec"));
+  EvalOptions options;
+  options.work_dir = flags->GetString("work-dir");
+  options.data_dir = flags->GetString("data-dir");
+  HOPDB_ASSIGN_OR_RETURN(options.scale, flags->GetDouble("scale"));
+  if (!(options.scale > 0)) {
+    return Status::InvalidArgument("--scale must be positive");
+  }
+
   std::string spec_text;
   const std::string spec_path = flags->GetString("spec");
   if (spec_path.empty()) {
@@ -788,19 +822,11 @@ Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   } else {
     HOPDB_RETURN_NOT_OK(ReadFileToString(spec_path, &spec_text));
   }
-  if (flags->GetBool("print-spec")) {
+  if (print_spec) {
     out << spec_text;
     return Status::OK();
   }
   HOPDB_ASSIGN_OR_RETURN(EvalSpec spec, ParseEvalSpec(spec_text));
-
-  EvalOptions options;
-  options.work_dir = flags->GetString("work-dir");
-  options.data_dir = flags->GetString("data-dir");
-  options.scale = flags->GetDouble("scale");
-  if (!(options.scale > 0)) {
-    return Status::InvalidArgument("--scale must be positive");
-  }
 
   HOPDB_ASSIGN_OR_RETURN(EvalReport report, RunEval(spec, options));
 
@@ -862,7 +888,7 @@ void PrintUsage(std::ostream& out) {
          "  client  connect to a server (--host H --port P [--cmd LINE]\n"
          "          [--protocol v1|v2])\n"
          "  eval    run the unified eval harness: build every index\n"
-         "          variant (heap/hli2/blocked/compressed) over the spec's\n"
+         "          variant (heap/blocked/compressed) over the spec's\n"
          "          graphs, time the query workloads (dist/batch/knn/\n"
          "          within/reach/path), oracle-verify, and report\n"
          "          ([--spec F] [--ci] [--report F.md] [--json F.json]\n"

@@ -83,17 +83,24 @@ int64_t CliFlags::GetInt(const std::string& name) const {
   return static_cast<int64_t>(std::strtoll(GetString(name).c_str(), nullptr, 10));
 }
 
-uint64_t CliFlags::GetUint(const std::string& name) const {
+Result<uint64_t> CliFlags::GetUint(const std::string& name) const {
+  const std::string value = GetString(name);
   uint64_t v = 0;
-  HOPDB_CHECK(ParseUint64(GetString(name), &v))
-      << "flag --" << name << " is not a non-negative integer";
+  if (!ParseUint64(value, &v)) {
+    return Status::InvalidArgument("flag --" + name +
+                                   " wants a non-negative integer, got '" +
+                                   value + "'");
+  }
   return v;
 }
 
-double CliFlags::GetDouble(const std::string& name) const {
+Result<double> CliFlags::GetDouble(const std::string& name) const {
+  const std::string value = GetString(name);
   double v = 0;
-  HOPDB_CHECK(ParseDouble(GetString(name), &v))
-      << "flag --" << name << " is not a number";
+  if (!ParseDouble(value, &v)) {
+    return Status::InvalidArgument("flag --" + name + " wants a number, got '" +
+                                   value + "'");
+  }
   return v;
 }
 
@@ -106,12 +113,13 @@ const std::vector<std::string>& CliFlags::GetStrings(
   return it->second.values;
 }
 
-bool CliFlags::GetBool(const std::string& name) const {
-  std::string v = GetString(name);
+Result<bool> CliFlags::GetBool(const std::string& name) const {
+  const std::string v = GetString(name);
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  HOPDB_LOG(Fatal) << "flag --" << name << " is not a boolean: " << v;
-  return false;
+  return Status::InvalidArgument("flag --" + name +
+                                 " wants true/false/1/0/yes/no/on/off, got '" +
+                                 v + "'");
 }
 
 std::string CliFlags::Usage(const std::string& program_description) const {

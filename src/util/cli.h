@@ -5,7 +5,7 @@
 //   flags.Define("scale", "1", "dataset scale factor");
 //   flags.Define("full", "false", "run the full (slow) dataset set");
 //   HOPDB_CHECK(flags.Parse(argc, argv).ok());
-//   double scale = flags.GetDouble("scale");
+//   double scale = flags.GetDouble("scale").ValueOrDie();
 
 #ifndef HOPDB_UTIL_CLI_H_
 #define HOPDB_UTIL_CLI_H_
@@ -36,10 +36,12 @@ class CliFlags {
 
   std::string GetString(const std::string& name) const;
   int64_t GetInt(const std::string& name) const;
-  uint64_t GetUint(const std::string& name) const;
-  double GetDouble(const std::string& name) const;
+  /// Typed reads. A value that does not parse is InvalidArgument naming
+  /// the flag, so a command reports it like any other argument error.
+  Result<uint64_t> GetUint(const std::string& name) const;
+  Result<double> GetDouble(const std::string& name) const;
   /// true/1/yes/on are true; false/0/no/off are false.
-  bool GetBool(const std::string& name) const;
+  Result<bool> GetBool(const std::string& name) const;
   /// All occurrences of a repeatable flag, in command-line order (empty
   /// when the flag was never given).
   const std::vector<std::string>& GetStrings(const std::string& name) const;

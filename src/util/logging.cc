@@ -1,60 +1,23 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace hopdb {
-
-namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarning)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+FatalMessage::FatalMessage(const char* file, int line) {
   // Keep only the basename to keep lines short.
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
   }
-  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+  stream_ << "[FATAL " << base << ":" << line << "] ";
 }
 
-LogMessage::~LogMessage() {
-  const bool enabled =
-      static_cast<int>(level_) >= g_min_level.load(std::memory_order_relaxed);
-  if (enabled || level_ == LogLevel::kFatal) {
-    std::fprintf(stderr, "%s\n", stream_.str().c_str());
-  }
-  if (level_ == LogLevel::kFatal) {
-    std::abort();
-  }
+FatalMessage::~FatalMessage() {
+  std::fprintf(stderr, "%s\n", stream_.str().c_str());
+  std::abort();
 }
 
 }  // namespace internal

@@ -1,13 +1,12 @@
-// Minimal leveled logger plus CHECK macros, in the spirit of
-// glog-without-glog used by Arrow and RocksDB internals.
+// CHECK macros: fatal invariant assertions, in the spirit of
+// glog-without-glog used by Arrow and RocksDB internals. Structured
+// event logging lives in util/log.h.
 //
-//   HOPDB_LOG(INFO) << "built " << n << " labels";
 //   HOPDB_CHECK(x > 0) << "x must be positive, got " << x;
 //   HOPDB_DCHECK_LE(a, b);   // compiled out in NDEBUG builds
 //
-// The default minimum level is WARNING so that library code stays quiet in
-// tests and benchmarks; callers (benches, examples) raise verbosity via
-// SetLogLevel.
+// A failed check prints "[FATAL file:line] Check failed: ..." plus the
+// streamed context to stderr and aborts.
 
 #ifndef HOPDB_UTIL_LOGGING_H_
 #define HOPDB_UTIL_LOGGING_H_
@@ -16,54 +15,28 @@
 #include <string>
 
 namespace hopdb {
-
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-/// Sets the global minimum level that is actually emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
-class LogMessage {
+/// Collects a failed check's message; the destructor prints it and
+/// aborts.
+class FatalMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  [[noreturn]] ~FatalMessage();
 
   std::ostream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
-};
-
-/// Swallows the streamed expression when the log statement is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
 };
 
 }  // namespace internal
 }  // namespace hopdb
 
-#define HOPDB_LOG_INTERNAL(level)                                       \
-  ::hopdb::internal::LogMessage(::hopdb::LogLevel::level, __FILE__, __LINE__) \
-      .stream()
-
-#define HOPDB_LOG(severity) HOPDB_LOG_INTERNAL(k##severity)
-
 #define HOPDB_CHECK(cond)                                          \
   if (!(cond))                                                     \
-  HOPDB_LOG(Fatal) << "Check failed: " #cond " "
+  ::hopdb::internal::FatalMessage(__FILE__, __LINE__).stream()     \
+      << "Check failed: " #cond " "
 
 #define HOPDB_CHECK_OP(op, a, b) HOPDB_CHECK((a)op(b))
 #define HOPDB_CHECK_EQ(a, b) HOPDB_CHECK_OP(==, a, b)

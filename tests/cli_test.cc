@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -265,6 +266,23 @@ TEST(CliTest, ArgumentErrorsPrintUsageWithFlagTable) {
   EXPECT_NE(err.find("serve requires --index"), std::string::npos);
   EXPECT_NE(err.find("usage: hopdb_cli serve"), std::string::npos);
   EXPECT_NE(err.find("--cache-capacity"), std::string::npos);
+}
+
+// A typed flag whose value does not parse takes the same path: exit 1,
+// InvalidArgument naming the flag, the flag table — and no output file.
+TEST(CliTest, MalformedFlagValuesPrintUsageWithFlagTable) {
+  TempDir dir = TempDir::Create("cli_test").ValueOrDie();
+  const std::string graph = dir.File("g.txt");
+  for (const char* bad : {"--n=abc", "--avg-degree=fast", "--directed=maybe"}) {
+    std::string err;
+    EXPECT_EQ(RunTool({"gen", bad, "--out", graph}, nullptr, &err), 1) << bad;
+    const std::string flag(bad, std::string(bad).find('='));
+    EXPECT_NE(err.find("hopdb_cli gen: InvalidArgument: flag " + flag),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage: hopdb_cli gen"), std::string::npos) << err;
+    EXPECT_FALSE(std::filesystem::exists(graph)) << bad;
+  }
 }
 
 TEST(CliTest, NonArgumentErrorsSkipTheFlagTable) {

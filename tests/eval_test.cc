@@ -247,7 +247,7 @@ TEST(EvalHarnessTest, MicroRunProducesPassingReport) {
   for (const EvalDatasetResult& d : report->datasets) {
     EXPECT_EQ(d.verify, "pass");
     EXPECT_GT(d.label_entries, 0u);
-    EXPECT_EQ(d.workloads.size(), 6u * 4u);
+    EXPECT_EQ(d.workloads.size(), 6u * 3u);
   }
   EXPECT_TRUE(report->AllPass());
 

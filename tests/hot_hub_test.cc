@@ -111,16 +111,6 @@ TEST(HotHubTest, MatchesMergeJoinOnBlockedHeapStoreDirectedWeighted) {
   ExpectIdentityOnView(fix.index.labels(), 220);
 }
 
-TEST(HotHubTest, MatchesMergeJoinOnUnblockedView) {
-  // Null out the sidecars: the suffix merge must take the exact-skip
-  // flat path and still agree everywhere.
-  Fixture fix = BuildFixture(MakeGraph(true, false, 23));
-  LabelSetView view = fix.index.labels();
-  view.block_min = nullptr;
-  view.block_max = nullptr;
-  ExpectIdentityOnView(view, 230);
-}
-
 TEST(HotHubTest, MatchesMergeJoinOverMappedV2Index) {
   Fixture fix = BuildFixture(MakeGraph(true, true, 24));
   TempDir dir = TempDir::Create("hot_hub").ValueOrDie();

@@ -280,68 +280,34 @@ TEST_F(MappedIndexTest, OutOfRangePivotsInArenaCannotCrashEngines) {
   EXPECT_FALSE(mapped->VerifyArenas().ok());
 }
 
-TEST_F(MappedIndexTest, V1FilesStayReadableAndQueryIdentical) {
-  // Back compat: the version-gated Open must keep serving v1 files
-  // (packed arenas, no sidecars) through the unblocked kernel paths.
-  auto [index, hli2] = BuildBoth(180, 41, true, true, "v1compat");
-  const std::string v1 = tmp_->path() + "/v1compat.v1.hli2";
-  ASSERT_TRUE(MappedIndex::WriteVersion(index.label_index(), index.ranking(),
-                                        v1, 1)
-                  .ok());
-  MappedIndex::OpenOptions options;
-  options.verify_arenas = true;
-  auto old_file = MappedIndex::Open(v1, options);
-  ASSERT_TRUE(old_file.ok()) << old_file.status();
-  EXPECT_EQ(old_file->format_version(), 1u);
-  EXPECT_EQ(old_file->PaddedEntries(), old_file->TotalEntries());
-  MappedIndex current = MappedIndex::Open(hli2).ValueOrDie();
-  EXPECT_EQ(current.format_version(), 2u);
-  for (VertexId s = 0; s < 180; s += 7) {
-    for (VertexId t = 0; t < 180; t += 3) {
-      ASSERT_EQ(old_file->Query(s, t), index.Query(s, t));
-      ASSERT_EQ(current.Query(s, t), index.Query(s, t));
-    }
-  }
-  // Engines accept the sidecar-less v1 view too.
-  OneToManyEngine engine(old_file->labels(), {0, 3, 9, 44});
-  (void)engine.Query(2);
-  EXPECT_FALSE(
-      MappedIndex::WriteVersion(index.label_index(), index.ranking(),
-                                tmp_->path() + "/v0.hli2", 0)
-          .ok());
-  EXPECT_FALSE(
-      MappedIndex::WriteVersion(index.label_index(), index.ranking(),
-                                tmp_->path() + "/v3.hli2", 3)
-          .ok());
-}
-
-TEST_F(MappedIndexTest, CraftedSectionReorderingIsRejectedOnV1) {
-  auto [index, hli2] = BuildBoth(150, 7, false, false, "reorder");
-  const std::string v1 = tmp_->path() + "/reorder.v1.hli2";
-  ASSERT_TRUE(MappedIndex::WriteVersion(index.label_index(), index.ranking(),
-                                        v1, 1)
-                  .ok());
-  std::string data = ReadFile(v1);
+TEST_F(MappedIndexTest, VersionOneHeaderIsRejectedNamingConvert) {
+  // Only version 2 is readable. A version-1 header — here a v2 file
+  // relabelled with a re-sealed header checksum, so only the version
+  // gate can reject it — must fail cleanly and point at the tool that
+  // re-creates the file.
+  auto [index, hli2] = BuildBoth(150, 7, false, false, "v1header");
+  std::string data = ReadFile(hli2);
   uint8_t* bytes = reinterpret_cast<uint8_t*>(data.data());
-  // Swap the claimed offsets/pivots section positions (both 64-aligned
-  // and individually inside the file) and re-seal the header checksum.
-  // Pairwise size arithmetic like `pivots_off - offsets_off` would
-  // underflow to ~2^64 and checksum far past the mapping; the canonical
-  // layout check must reject this before any section byte is touched.
-  // (v2 headers no longer store section offsets at all, so the attack
-  // surface only exists on v1 files.)
-  const uint64_t offsets_off = DecodeU64(bytes + 32);
-  const uint64_t pivots_off = DecodeU64(bytes + 40);
-  EncodeU64(pivots_off, bytes + 32);
-  EncodeU64(offsets_off, bytes + 40);
-  EncodeU64(Fnv1a64(bytes, 96), bytes + 96);
-  const std::string path = tmp_->path() + "/reorder_bad.hli2";
+  EncodeU32(1, bytes + 4);
+  EncodeU64(Fnv1a64(bytes, 64), bytes + 64);
+  const std::string path = tmp_->path() + "/v1header_bad.hli2";
   WriteFile(path, data);
   auto mapped = MappedIndex::Open(path);
   ASSERT_FALSE(mapped.ok());
-  EXPECT_NE(mapped.status().message().find("canonical layout"),
+  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(mapped.status().message().find("hopdb_cli convert"),
             std::string::npos)
       << mapped.status();
+
+  // A version from a newer build is rejected as unsupported.
+  EncodeU32(3, bytes + 4);
+  EncodeU64(Fnv1a64(bytes, 64), bytes + 64);
+  WriteFile(path, data);
+  auto newer = MappedIndex::Open(path);
+  ASSERT_FALSE(newer.ok());
+  EXPECT_NE(newer.status().message().find("unsupported HLI2 version 3"),
+            std::string::npos)
+      << newer.status();
 }
 
 TEST_F(MappedIndexTest, CraftedHugeTotalEntriesIsRejected) {
@@ -469,13 +435,6 @@ TEST_F(MappedIndexTest, OpensReadOnlyFiles) {
   }
   // Restore write permission so TempDir cleanup can remove the file.
   chmod(hli2.c_str(), 0644);
-}
-
-TEST_F(MappedIndexTest, MutationNotSupportedStatus) {
-  const Status status = MappedIndex::MutationNotSupported("AddLabelEntry");
-  EXPECT_EQ(status.code(), StatusCode::kUnimplemented);
-  EXPECT_NE(status.message().find("read-only"), std::string::npos);
-  EXPECT_NE(status.message().find("AddLabelEntry"), std::string::npos);
 }
 
 TEST_F(MappedIndexTest, LoadServingSnapshotDispatchesOnMagic) {

@@ -254,7 +254,7 @@ TEST(OracleCrossCheckTest, UpdateStreamWeightedBa) {
 
 // -----------------------------------------------------------------------
 // Richer query verbs: WITHIN / REACH / PATH against the same oracles,
-// swept over the serving backings (heap labels, HLI2 v1 + v2 mmap files,
+// swept over the serving backings (heap labels, the HLI2 mmap file,
 // HLC1 compressed). Every backing re-expresses one build's labels, so
 // one verb disagreeing on one backing pinpoints that backing's decode.
 // -----------------------------------------------------------------------
@@ -277,19 +277,14 @@ void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
   auto tmp = TempDir::Create("verbs");
   ASSERT_TRUE(tmp.ok()) << tmp.status();
 
-  // Materialize the backings. The mmap files and the compressed form all
+  // Materialize the backings. The mmap file and the compressed form both
   // come from the one heap build.
-  std::vector<MappedIndex> mapped;
-  for (uint32_t version : {1u, 2u}) {
-    const std::string path =
-        tmp->File("labels.v" + std::to_string(version) + ".hli2");
-    ASSERT_TRUE(MappedIndex::WriteVersion(hopdb->label_index(),
-                                          hopdb->ranking(), path, version)
-                    .ok());
-    auto opened = MappedIndex::Open(path);
-    ASSERT_TRUE(opened.ok()) << opened.status();
-    mapped.push_back(std::move(opened).value());
-  }
+  const std::string hli2_path = tmp->File("labels.hli2");
+  ASSERT_TRUE(
+      MappedIndex::Write(hopdb->label_index(), hopdb->ranking(), hli2_path)
+          .ok());
+  auto mapped = MappedIndex::Open(hli2_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
   auto compressed = CompressedIndex::FromIndex(hopdb->label_index());
   ASSERT_TRUE(compressed.ok()) << compressed.status();
   // The compressed backing has no flat label view; its WITHIN leg runs
@@ -305,16 +300,14 @@ void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
        },
        std::make_unique<KnnEngine>(hopdb->label_index().labels(),
                                    KnnEngine::Direction::kForward)});
-  for (size_t i = 0; i < mapped.size(); ++i) {
-    const MappedIndex* m = &mapped[i];
-    backings.push_back(
-        {i == 0 ? "hli2-v1" : "hli2-v2",
-         [&mapping, m](VertexId s, VertexId t) {
-           return m->Query(mapping.ToOriginal(s), mapping.ToOriginal(t));
-         },
-         std::make_unique<KnnEngine>(m->labels(),
-                                     KnnEngine::Direction::kForward)});
-  }
+  const MappedIndex* m = &*mapped;
+  backings.push_back(
+      {"hli2",
+       [&mapping, m](VertexId s, VertexId t) {
+         return m->Query(mapping.ToOriginal(s), mapping.ToOriginal(t));
+       },
+       std::make_unique<KnnEngine>(m->labels(),
+                                   KnnEngine::Direction::kForward)});
   backings.push_back(
       {"compressed",
        [&](VertexId s, VertexId t) { return compressed->Query(s, t); },

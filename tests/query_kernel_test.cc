@@ -1,7 +1,8 @@
 // Scalar-vs-SIMD agreement for the query kernels: every kernel the CPU
 // supports must return bit-identical distances on randomized labels —
 // including the kInfDistance saturation corner when d1 + d2 overflows
-// uint32 — and the flat query path must match the span-based reference.
+// uint32 — and the blocked query path must match the span-based
+// reference.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,7 @@ LabelVector RandomLabel(Rng* rng, VertexId pivot_space, size_t max_len,
   return out;
 }
 
-/// SoA copy of a label for direct intersect_flat calls.
+/// SoA copy of a label for direct has_witness_flat calls.
 struct SoaLabel {
   std::vector<uint32_t> pivots;
   std::vector<uint32_t> dists;
@@ -60,14 +61,18 @@ Distance BruteIntersect(const LabelVector& a, const LabelVector& b) {
 void ExpectAllKernelsAgree(const LabelVector& a, const LabelVector& b,
                            const std::string& context) {
   const Distance want = BruteIntersect(a, b);
-  const SoaLabel sa(a), sb(b);
+  // One directed vertex: a is its out-label, b its in-label, each laid
+  // out in padded 16-entry blocks with min/max sidecars.
+  const FlatLabelStore store = FlatLabelStore::Build({a}, {b}, true);
+  const FlatLabelStore::View va = store.Out(0);
+  const FlatLabelStore::View vb = store.In(0);
   for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    EXPECT_EQ(kernel->intersect_flat(
-                  sa.pivots.data(), sa.dists.data(),
-                  static_cast<uint32_t>(sa.pivots.size()), sb.pivots.data(),
-                  sb.dists.data(), static_cast<uint32_t>(sb.pivots.size())),
+    EXPECT_EQ(kernel->intersect_blocked(va.pivots, va.dists, va.block_min,
+                                        va.block_max, va.size, vb.pivots,
+                                        vb.dists, vb.block_min, vb.block_max,
+                                        vb.size),
               want)
-        << context << " intersect_flat kernel=" << kernel->name;
+        << context << " intersect_blocked kernel=" << kernel->name;
     EXPECT_EQ(kernel->intersect_entries(a.data(),
                                         static_cast<uint32_t>(a.size()),
                                         b.data(),
@@ -81,6 +86,11 @@ TEST(QueryKernelTest, ScalarKernelIsAlwaysFirst) {
   const auto kernels = SupportedQueryKernels();
   ASSERT_FALSE(kernels.empty());
   EXPECT_STREQ(kernels[0]->name, "scalar");
+  // The only other kernel is avx2, and only where the CPU has it.
+  ASSERT_LE(kernels.size(), 2u);
+  if (kernels.size() == 2) {
+    EXPECT_STREQ(kernels[1]->name, "avx2");
+  }
 }
 
 TEST(QueryKernelTest, FindAndSetByName) {
@@ -107,8 +117,9 @@ TEST(QueryKernelTest, EmptyAndDegenerateInputs) {
 
 TEST(QueryKernelTest, RandomizedAgreementAcrossSizes) {
   Rng rng(42);
-  // Mixed sizes straddling the 4- and 8-lane block boundaries, plus
-  // skewed big-vs-small pairings that exercise the advance logic.
+  // Mixed sizes straddling the 8-lane register and 16-entry block
+  // boundaries, plus skewed big-vs-small pairings that exercise the
+  // advance logic.
   const size_t sizes[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 200};
   for (const size_t la : sizes) {
     for (const size_t lb : sizes) {

@@ -152,8 +152,8 @@ TEST(CliTest, ParsesFlagsAndPositional) {
   const char* argv[] = {"prog", "--scale=2.5", "--full", "--name", "enron",
                         "pos1"};
   ASSERT_TRUE(flags.Parse(6, const_cast<char**>(argv)).ok());
-  EXPECT_DOUBLE_EQ(flags.GetDouble("scale"), 2.5);
-  EXPECT_TRUE(flags.GetBool("full"));
+  EXPECT_DOUBLE_EQ(flags.GetDouble("scale").ValueOrDie(), 2.5);
+  EXPECT_TRUE(flags.GetBool("full").ValueOrDie());
   EXPECT_EQ(flags.GetString("name"), "enron");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "pos1");
@@ -180,7 +180,7 @@ TEST(CliTest, DefaultsApply) {
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.Parse(1, const_cast<char**>(argv)).ok());
   EXPECT_EQ(flags.GetInt("n"), 42);
-  EXPECT_EQ(flags.GetUint("n"), 42u);
+  EXPECT_EQ(flags.GetUint("n").ValueOrDie(), 42u);
 }
 
 }  // namespace

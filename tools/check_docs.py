@@ -52,9 +52,6 @@ U32_MAGIC_RE = re.compile(
     r'constexpr\s+uint32_t\s+kMagic\s*=\s*0x[0-9a-fA-F]+;\s*//\s*"([A-Z0-9]{4})"'
 )
 HLI2_VERSION_RE = re.compile(r"constexpr\s+uint32_t\s+kHli2Version\s*=\s*(\d+)")
-HLI2_MIN_READ_RE = re.compile(
-    r"constexpr\s+uint32_t\s+kHli2MinReadVersion\s*=\s*(\d+)"
-)
 # FORMATS.md table row: | `HLI1` | ... (the magic inventory table)
 DOC_MAGIC_ROW_RE = re.compile(r"^\|\s*`([A-Z0-9]{4})`\s*\|")
 # server.cc:  AppendStat(&payload, "key", ...) / AppendIndexStat(..., "key", ...)
@@ -180,7 +177,6 @@ def check_format_magics(root: pathlib.Path) -> list[str]:
     failures = []
     code_magics: dict[str, str] = {}  # magic -> defining file
     hli2_version = None
-    hli2_min_read = None
     for path in iter_source_files(root):
         text = path.read_text(encoding="utf-8")
         rel = str(path.relative_to(root))
@@ -190,8 +186,6 @@ def check_format_magics(root: pathlib.Path) -> list[str]:
             code_magics[m.group(1)] = rel
         for m in HLI2_VERSION_RE.finditer(text):
             hli2_version = int(m.group(1))
-        for m in HLI2_MIN_READ_RE.finditer(text):
-            hli2_min_read = int(m.group(1))
 
     formats_md = root / "docs" / "FORMATS.md"
     if not formats_md.exists():
@@ -221,14 +215,6 @@ def check_format_magics(root: pathlib.Path) -> list[str]:
             f"docs/FORMATS.md does not document 'u32 version = "
             f"{hli2_version}' for HLI2 (code has kHli2Version = "
             f"{hli2_version})"
-        )
-    if hli2_min_read is None:
-        failures.append("kHli2MinReadVersion constant not found in src/")
-    elif f"`kHli2MinReadVersion` (= {hli2_min_read})" not in doc_text:
-        failures.append(
-            f"docs/FORMATS.md does not document the read-compatibility "
-            f"floor '`kHli2MinReadVersion` (= {hli2_min_read})' for HLI2 "
-            f"(code accepts versions {hli2_min_read}..{hli2_version})"
         )
     return failures
 
