@@ -6,10 +6,11 @@
 //
 // Emits machine-readable results to --out (default BENCH_build.json):
 // per thread count the build seconds, speedup vs. one thread, the
-// generate/dedup/prune/apply phase seconds, that build's own peak RSS
-// (the high-water mark is reset before each run; null where the kernel
-// does not support the reset) and its peak candidate-buffer size, plus
-// the whole process's peak RSS.
+// generate/dedup/prune/apply phase seconds (dedup reads 0: generation
+// dedups as it gathers), that build's own peak RSS (the high-water mark
+// is reset before each run; null where the kernel does not support the
+// reset) and its largest per-iteration raw candidate count, plus the
+// whole process's peak RSS.
 //
 //   bench_build            # 60k-vertex GLP (the acceptance setting)
 //   bench_build --ci       # seconds-long CI mode, same JSON shape

@@ -3,9 +3,9 @@
 //
 // The paper's builders are sequential; its scalability story is I/O
 // shaped. This ablation measures the natural shared-memory extension:
-// generation, owner-partitioned dedup and SIMD witness pruning are
+// owner-major candidate generation and SIMD witness pruning are
 // data-parallel (the test suite proves bit-identical output for every
-// thread count), so scaling is bounded by partition skew, the O(n)
+// thread count), so scaling is bounded by owner-range skew, the O(n)
 // prefix sums and the sequential label merge, about 2% of a build.
 // bench_build records the per-phase breakdown.
 

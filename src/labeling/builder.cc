@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "labeling/candidate_partition.h"
 #include "labeling/flat_label_store.h"
 #include "labeling/query_kernel.h"
+#include "util/log.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -18,9 +19,9 @@ namespace hopdb {
 
 namespace {
 
-/// A candidate label entry produced by the generation rules. `owner` is
-/// the vertex whose label would receive the entry; `pivot` is always
-/// ranked above the owner (pivot < owner).
+/// A label entry with its owner: a `prev` entry, or a candidate of this
+/// iteration. `owner` is the vertex whose label holds or would receive
+/// the entry; `pivot` always ranks above the owner (pivot < owner).
 struct Cand {
   VertexId owner;
   VertexId pivot;
@@ -33,90 +34,14 @@ bool CandLess(const Cand& a, const Cand& b) {
   return a.dist < b.dist;
 }
 
-/// Locates the contiguous slice of `cands` (sorted by owner) that belongs
-/// to `owner`.
-std::span<const Cand> OwnerSlice(const std::vector<Cand>& cands,
-                                 VertexId owner) {
-  auto lo = std::lower_bound(
-      cands.begin(), cands.end(), owner,
-      [](const Cand& c, VertexId v) { return c.owner < v; });
-  auto hi = std::upper_bound(
-      cands.begin(), cands.end(), owner,
-      [](VertexId v, const Cand& c) { return v < c.owner; });
-  // Note: no &*lo — dereferencing the end iterator is UB when the slice
-  // is empty (caught by UBSan on empty candidate sets).
-  return {cands.data() + (lo - cands.begin()), static_cast<size_t>(hi - lo)};
-}
+/// Work between GenerationTick control checks: sources visited plus
+/// candidates counted or gathered.
+constexpr uint64_t kTickEvery = 1 << 16;
 
-/// Merged sorted-by-pivot cursor over a label vector and the owner's
-/// candidate slice; when both contain the same pivot (an in-place distance
-/// update) the smaller distance wins. This is how this iteration's
-/// candidates act as pruning witnesses (Section 4.2 keeps candidates in
-/// the outer pruning block together with old labels). The flat witness
-/// snapshot materializes exactly this merged view; the cursor remains as
-/// the small-iteration fallback and the debug cross-check.
-class PivotCursor {
- public:
-  PivotCursor(std::span<const LabelEntry> label, std::span<const Cand> cands)
-      : label_(label), cands_(cands) {}
-
-  bool Next(VertexId* pivot, Distance* dist) {
-    const bool has_l = li_ < label_.size();
-    const bool has_c = ci_ < cands_.size();
-    if (!has_l && !has_c) return false;
-    if (has_l && (!has_c || label_[li_].pivot < cands_[ci_].pivot)) {
-      *pivot = label_[li_].pivot;
-      *dist = label_[li_].dist;
-      ++li_;
-      return true;
-    }
-    if (has_c && (!has_l || cands_[ci_].pivot < label_[li_].pivot)) {
-      *pivot = cands_[ci_].pivot;
-      *dist = cands_[ci_].dist;
-      ++ci_;
-      return true;
-    }
-    *pivot = label_[li_].pivot;
-    *dist = std::min(label_[li_].dist, cands_[ci_].dist);
-    ++li_;
-    ++ci_;
-    return true;
-  }
-
- private:
-  std::span<const LabelEntry> label_;
-  std::span<const Cand> cands_;
-  size_t li_ = 0;
-  size_t ci_ = 0;
-};
-
-/// Witness scan of Section 3.3: true iff some pivot w < beta appears on
-/// both cursors with d1 + d2 <= d. Both cursors yield pivots in
-/// increasing order, so this is a bounded sorted-merge. The scalar
-/// reference semantics of QueryKernel::has_witness_flat.
-bool HasPruningWitness(PivotCursor outs_of_source, PivotCursor ins_of_dest,
-                       VertexId beta, Distance d) {
-  VertexId pa = kInvalidVertex, pb = kInvalidVertex;
-  Distance da = kInfDistance, db = kInfDistance;
-  bool va = outs_of_source.Next(&pa, &da);
-  bool vb = ins_of_dest.Next(&pb, &db);
-  while (va && vb && pa < beta && pb < beta) {
-    if (pa == pb) {
-      if (SaturatingAdd(da, db) <= d) return true;
-      va = outs_of_source.Next(&pa, &da);
-      vb = ins_of_dest.Next(&pb, &db);
-    } else if (pa < pb) {
-      va = outs_of_source.Next(&pa, &da);
-    } else {
-      vb = ins_of_dest.Next(&pb, &db);
-    }
-  }
-  return false;
-}
-
-/// Candidate volume below which the flat witness snapshot costs more
-/// than it saves; Prune falls back to the scalar cursor scan.
-constexpr size_t kMinFlatWitnessCandidates = 2048;
+/// Owner ranges per worker thread. Workers claim ranges as they finish
+/// one, so ranges of costlier owners (more survivors to sort) do not hold
+/// the others up.
+constexpr uint32_t kRangesPerThread = 8;
 
 class Builder {
  public:
@@ -131,22 +56,53 @@ class Builder {
   Result<BuildOutput> Run();
 
  private:
+  /// One label side's generation state.
+  struct GenSide {
+    /// Entries that survived the previous iteration, sorted by (owner,
+    /// pivot); exactly sized, and released once generation has read them.
+    std::vector<Cand> prev;
+    /// Vertex x's slice of `prev` is [prev_begin[x], prev_begin[x + 1]).
+    std::vector<size_t> prev_begin;
+    /// Per-owner counts prefix-summed into offsets (owner w's range is
+    /// [at[w], at[w + 1])): raw candidates after pass 1, survivors after
+    /// pass 2.
+    std::vector<uint64_t> at;
+    /// Owner range bounds for the gather passes, cut at raw-count
+    /// quantiles.
+    std::vector<VertexId> ranges;
+  };
+
+  /// One worker's gather state, sized on the calling thread so the
+  /// workers never allocate.
+  struct GatherScratch {
+    /// best[p]: 1 + the smallest distance gathered for pivot p from the
+    /// current owner, 0 if none; all zero between owners.
+    std::vector<uint64_t> best;
+    /// The current owner's distinct pivots.
+    std::vector<VertexId> pivots;
+    /// Distinct candidates this worker gathered, and those of them an
+    /// existing entry dominated, over the current pass.
+    uint64_t deduped = 0;
+    uint64_t dropped = 0;
+  };
+
   void Initialize();
 
-  /// Generates this iteration's candidates in two passes over `prev`:
-  /// pass 1 counts them per owner (out_plan_/in_plan_), pass 2 writes
-  /// each into its owner's range of a buffer allocated once at the exact
-  /// count. The cap is checked between the passes, before any candidate
-  /// memory exists.
+  /// Generates, dedups and filters this iteration's candidates owner by
+  /// owner, each range of owners on one worker. Pass 1 counts each
+  /// owner's raw candidates and checks the cap before any candidate
+  /// memory exists; pass 2 gathers, dedups and filters every owner to
+  /// count its survivors; pass 3 repeats that and writes them into one
+  /// exactly sized buffer per side.
   Status Generate(BuildMode mode_used, std::vector<Cand>* out_c,
                   std::vector<Cand>* in_c, IterationStats* st);
 
   /// Periodic in-generation control check: accumulates the caller's local
-  /// emitted count and trips the shared abort flag when the deadline or
-  /// the candidate-volume cap is blown MID-pass. Without this, a bad
-  /// vertex order (random order on a big scale-free graph) can spend
-  /// minutes inside a single rule iteration before the between-phase
-  /// checks ever run.
+  /// raw count and trips the shared abort flag when the deadline or the
+  /// candidate-volume cap is blown MID-pass. Without this, a bad vertex
+  /// order (random order on a big scale-free graph) can spend minutes
+  /// inside a single rule iteration before the between-phase checks ever
+  /// run.
   bool GenerationTick(uint64_t locally_generated) const {
     generated_total_.fetch_add(locally_generated,
                                std::memory_order_relaxed);
@@ -160,51 +116,40 @@ class Builder {
     return !generation_abort_.load(std::memory_order_relaxed);
   }
 
-  /// The rule bodies. Each hands every candidate it derives from `prev`
-  /// to `emit` (called concurrently from several chunks) and reports the
-  /// exact emitted count through GenerationTick.
-  template <typename Emit>
-  void GenerateSteppingOut(std::span<const Cand> prev,
-                           const Emit& emit) const;
-  template <typename Emit>
-  void GenerateSteppingIn(std::span<const Cand> prev, const Emit& emit) const;
-  template <typename Emit>
-  void GenerateDoublingOut(std::span<const Cand> prev,
-                           const Emit& emit) const;
-  template <typename Emit>
-  void GenerateDoublingIn(std::span<const Cand> prev, const Emit& emit) const;
+  /// The rules of `mode` in pull form: calls visit(slice, hop) for every
+  /// source x of owner w's candidates on one side, where `slice` holds
+  /// x's `prev` entries whose pivot ranks above w and `hop` is the
+  /// distance between w and x. Every slice entry (x, p, d) then yields
+  /// the candidate (w, p, hop + d).
+  template <typename Visit>
+  void ForEachSource(BuildMode mode, bool out_side, VertexId w,
+                     const Visit& visit) const;
 
-  /// Runs the rules of `mode` for one side over that side's `prev`, one
-  /// chunk per thread. Both passes of Generate call this with the same
-  /// arguments and no label changes in between, so they see the same
-  /// candidates.
-  template <typename Emit>
-  void RunRules(BuildMode mode, bool out_side, const Emit& emit) const {
-    const std::vector<Cand>& prev = out_side ? prev_out_ : prev_in_;
-    ParallelChunks(
-        threads_, prev.size(), [&](size_t begin, size_t end, uint32_t) {
-          const std::span<const Cand> chunk(prev.data() + begin, end - begin);
-          if (mode == BuildMode::kHopStepping) {
-            if (out_side) {
-              GenerateSteppingOut(chunk, emit);
-            } else {
-              GenerateSteppingIn(chunk, emit);
-            }
-          } else if (out_side) {
-            GenerateDoublingOut(chunk, emit);
-          } else {
-            GenerateDoublingIn(chunk, emit);
-          }
-        });
-  }
+  /// Runs fn(w, worker, &work, &generated) for every owner of `ranges`,
+  /// each range on one worker: workers claim the next unclaimed range
+  /// until none is left. fn adds the work it did and the candidates it
+  /// counted; both feed GenerationTick, and a tripped tick stops the
+  /// pass.
+  template <typename Fn>
+  void ForEachOwner(const std::vector<VertexId>& ranges, const Fn& fn) const;
 
-  /// Sorts each owner-aligned partition of `plan` in place, then collapses
-  /// per-(owner,pivot) duplicates keeping min dist and drops candidates
-  /// dominated by an existing entry (d_existing <= d_cand). Bit-identical
-  /// to a global std::sort + sequential scan for every thread count.
-  void DedupAndFilter(std::vector<Cand>* cands,
-                      const OwnerPartitionPlan& plan, bool out_side,
-                      IterationStats* st);
+  /// Pass 1 for one side: fills `at` with exact per-owner raw counts and
+  /// cuts `ranges` from them. Reports the raw count through
+  /// GenerationTick.
+  void CountRaw(BuildMode mode, bool out_side);
+
+  /// Passes 2 and 3 for one side: `cands` ends up holding the side's
+  /// deduped and filtered candidates, sorted by (owner, pivot).
+  void Gather(BuildMode mode, bool out_side, std::vector<Cand>* cands,
+              IterationStats* st);
+
+  /// Gathers owner w's candidates into sc->best, keeping the smallest
+  /// distance per pivot, and drops pivots w's label already holds at that
+  /// distance or less. Leaves the survivors' pivots, unordered, in
+  /// sc->pivots with their `best` slots set; the caller clears those.
+  /// Returns the number of candidates gathered.
+  size_t GatherOwner(BuildMode mode, bool out_side, VertexId w,
+                     GatherScratch* sc) const;
 
   /// Section 3.3 pruning over both candidate lists.
   void Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
@@ -239,6 +184,13 @@ class Builder {
   std::vector<LabelVector>& Side(bool out_side) {
     return out_side || !directed_ ? out_ : in_;
   }
+  const std::vector<LabelVector>& Side(bool out_side) const {
+    return out_side || !directed_ ? out_ : in_;
+  }
+  GenSide& Gen(bool out_side) { return out_side ? gen_out_ : gen_in_; }
+  const GenSide& Gen(bool out_side) const {
+    return out_side ? gen_out_ : gen_in_;
+  }
 
   const CsrGraph& g_;
   BuildOptions opts_;
@@ -248,36 +200,25 @@ class Builder {
 
   std::vector<LabelVector> out_;
   std::vector<LabelVector> in_;
-  /// inv_out_[p]: owners w with an entry (p, ·) in Lout(w). Drives Rule 2.
+  /// inv_out_[p]: owners w with an entry (p, ·) in Lout(w); the sources
+  /// of Rule 4, and of Rule 1 on undirected graphs.
   std::vector<std::vector<VertexId>> inv_out_;
-  /// inv_in_[p]: owners w with an entry (p, ·) in Lin(w). Drives Rule 5.
+  /// inv_in_[p]: owners w with an entry (p, ·) in Lin(w); the sources of
+  /// Rule 1 on directed graphs.
   std::vector<std::vector<VertexId>> inv_in_;
 
-  /// Entries that survived the previous iteration, sorted by owner;
-  /// exactly sized, and released once generation has read them.
-  std::vector<Cand> prev_out_;
-  std::vector<Cand> prev_in_;
+  GenSide gen_out_;
+  GenSide gen_in_;
 
   /// Mid-generation abort machinery (see GenerationTick).
   mutable std::atomic<uint64_t> generated_total_{0};
   mutable std::atomic<bool> generation_abort_{false};
 
   // -------------------------------------------------------------------
-  // Iteration-scoped tables, reused across iterations. The candidate
-  // buffers themselves are not: each iteration allocates them once at
-  // the exact raw count.
+  // Iteration-scoped tables, reused across iterations.
   // -------------------------------------------------------------------
-  /// Per-owner counts/cursors and partition bounds of each side's
-  /// candidates (Generate fills them, DedupAndFilter sorts along them).
-  OwnerPartitionPlan out_plan_;
-  OwnerPartitionPlan in_plan_;
-  /// Per-partition dedup counters.
-  struct DedupPartStats {
-    uint64_t deduped = 0;
-    uint64_t dropped = 0;
-    size_t kept = 0;
-  };
-  std::vector<DedupPartStats> dedup_parts_;
+  /// One gather state per worker.
+  std::vector<GatherScratch> scratch_;
   /// Pruning keep/kill marks.
   std::vector<uint8_t> keep_;
   /// Witness snapshot state.
@@ -288,9 +229,6 @@ class Builder {
   std::vector<uint64_t> slot_sizes_;
   std::vector<size_t> cand_begin_out_;
   std::vector<size_t> cand_begin_in_;
-  /// Legacy witness copies for the small-iteration scalar path.
-  std::vector<Cand> wit_out_small_;
-  std::vector<Cand> wit_in_small_;
 
   BuildStats stats_;
 };
@@ -313,15 +251,15 @@ void Builder::Initialize() {
       if (directed_) {
         if (v < u) {
           out_[u].push_back({v, a.weight});
-          prev_out_.push_back({u, v, a.weight});
+          gen_out_.prev.push_back({u, v, a.weight});
         } else {
           in_[v].push_back({u, a.weight});
-          prev_in_.push_back({v, u, a.weight});
+          gen_in_.prev.push_back({v, u, a.weight});
         }
       } else {
         if (u < v) {
           out_[v].push_back({u, a.weight});
-          prev_out_.push_back({v, u, a.weight});
+          gen_out_.prev.push_back({v, u, a.weight});
         }
       }
     }
@@ -340,115 +278,178 @@ void Builder::Initialize() {
       for (const LabelEntry& e : in_[v]) inv_in_[e.pivot].push_back(v);
     }
   }
-  std::sort(prev_out_.begin(), prev_out_.end(), CandLess);
-  std::sort(prev_in_.begin(), prev_in_.end(), CandLess);
-  stats_.initial_entries = prev_out_.size() + prev_in_.size();
+  std::sort(gen_out_.prev.begin(), gen_out_.prev.end(), CandLess);
+  std::sort(gen_in_.prev.begin(), gen_in_.prev.end(), CandLess);
+  stats_.initial_entries = gen_out_.prev.size() + gen_in_.prev.size();
 }
 
-/// Work between GenerationTick control checks: candidates emitted, or
-/// arcs scanned for Hop-Stepping, whose scans can emit little.
-constexpr uint64_t kTickEvery = 1 << 16;
-
-template <typename Emit>
-void Builder::GenerateSteppingOut(std::span<const Cand> prev,
-                                  const Emit& emit) const {
-  // Rules 1+2 with a unit-hop left factor: a prev out-entry (u -> v, d)
-  // extends backwards over every in-arc (w -> u) whose w is ranked below
-  // the pivot (w > v). Undirected graphs use the full neighborhood.
-  uint64_t scanned = 0, emitted = 0;
-  for (const Cand& c : prev) {
-    auto arcs = directed_ ? g_.InArcs(c.owner) : g_.OutArcs(c.owner);
-    for (const Arc& a : arcs) {
-      if (a.to <= c.pivot) continue;  // w must rank below the pivot
-      emit(Cand{a.to, c.pivot, SaturatingAdd(c.dist, a.weight)});
-      ++emitted;
+template <typename Visit>
+void Builder::ForEachSource(BuildMode mode, bool out_side, VertexId w,
+                            const Visit& visit) const {
+  const GenSide& gen = Gen(out_side);
+  // x's `prev` entries whose pivot ranks above w: a prefix of its slice.
+  auto above_w = [&](VertexId x) {
+    const Cand* first = gen.prev.data() + gen.prev_begin[x];
+    const Cand* last = gen.prev.data() + gen.prev_begin[x + 1];
+    last = std::partition_point(first, last,
+                                [w](const Cand& c) { return c.pivot < w; });
+    return std::span<const Cand>(first, last);
+  };
+  if (mode == BuildMode::kHopStepping) {
+    // Hop-Stepping (Section 5.1): one arc w -> x (out side) or x -> w (in
+    // side) extended by a `prev` path from (or to) x.
+    for (const Arc& a : out_side ? g_.OutArcs(w) : g_.InArcs(w)) {
+      visit(above_w(a.to), a.weight);
     }
-    scanned += arcs.size();
-    if (scanned >= kTickEvery) {
-      if (!GenerationTick(emitted)) return;
-      scanned = emitted = 0;
-    }
+    return;
   }
-  GenerationTick(emitted);
+  // Rules 1 (out side) and 4 (in side) of Fig. 6: w is a pivot of the
+  // opposite-side label of x, which ranks below w.
+  const auto& other = directed_ && out_side ? in_ : out_;
+  for (VertexId x : (directed_ && out_side ? inv_in_ : inv_out_)[w]) {
+    const std::span<const Cand> slice = above_w(x);
+    if (!slice.empty()) visit(slice, LookupPivot(other[x], w));
+  }
+  // Rules 2 and 5: x is a pivot of w's own label, so all of x's `prev`
+  // entries rank above w.
+  for (const LabelEntry& e : Side(out_side)[w]) {
+    visit(std::span<const Cand>(gen.prev.data() + gen.prev_begin[e.pivot],
+                                gen.prev.data() + gen.prev_begin[e.pivot + 1]),
+          e.dist);
+  }
 }
 
-template <typename Emit>
-void Builder::GenerateSteppingIn(std::span<const Cand> prev,
-                                 const Emit& emit) const {
-  // Rules 4+5 with a unit-hop right factor: a prev in-entry
-  // (owner v, pivot u, d) extends forward over out-arcs (v -> w), w > u.
-  uint64_t scanned = 0, emitted = 0;
-  for (const Cand& c : prev) {
-    auto arcs = g_.OutArcs(c.owner);
-    for (const Arc& a : arcs) {
-      if (a.to <= c.pivot) continue;
-      emit(Cand{a.to, c.pivot, SaturatingAdd(c.dist, a.weight)});
-      ++emitted;
+template <typename Fn>
+void Builder::ForEachOwner(const std::vector<VertexId>& ranges,
+                           const Fn& fn) const {
+  std::atomic<size_t> next{0};
+  ParallelChunks(threads_, threads_, [&](size_t, size_t, uint32_t worker) {
+    uint64_t work = 0, generated = 0;
+    for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) + 1 <
+                   ranges.size();) {
+      for (VertexId w = ranges[k]; w < ranges[k + 1]; ++w) {
+        fn(w, worker, &work, &generated);
+        if (work >= kTickEvery) {
+          if (!GenerationTick(generated)) return;
+          work = generated = 0;
+        }
+      }
     }
-    scanned += arcs.size();
-    if (scanned >= kTickEvery) {
-      if (!GenerationTick(emitted)) return;
-      scanned = emitted = 0;
-    }
-  }
-  GenerationTick(emitted);
+    GenerationTick(generated);
+  });
 }
 
-template <typename Emit>
-void Builder::GenerateDoublingOut(std::span<const Cand> prev,
-                                  const Emit& emit) const {
-  const auto& ins = directed_ ? in_ : out_;
-  const auto& inv = inv_out_;
-  uint64_t since_tick = 0;
-  for (const Cand& c : prev) {
-    // Rule 1: join with in-labels of the owner whose pivot u1 satisfies
-    // v < u1 (< u automatically): suffix scan of the sorted label.
-    const LabelVector& lin = ins[c.owner];
-    const size_t first = UpperBoundPivot(lin, c.pivot);
-    for (size_t i = first; i < lin.size(); ++i) {
-      emit(Cand{lin[i].pivot, c.pivot, SaturatingAdd(lin[i].dist, c.dist)});
-    }
-    // Rule 2: join with every out-entry whose pivot is the owner:
-    // owners u2 > u found via the inverted list.
-    for (VertexId u2 : inv[c.owner]) {
-      Distance d2 = LookupPivot(out_[u2], c.owner);
-      HOPDB_DCHECK_NE(d2, kInfDistance);
-      emit(Cand{u2, c.pivot, SaturatingAdd(d2, c.dist)});
-    }
-    since_tick += (lin.size() - first) + inv[c.owner].size();
-    if (since_tick >= kTickEvery) {
-      if (!GenerationTick(since_tick)) return;
-      since_tick = 0;
-    }
+void Builder::CountRaw(BuildMode mode, bool out_side) {
+  GenSide& gen = Gen(out_side);
+  const VertexId n = g_.num_vertices();
+  const uint32_t parts = threads_ * kRangesPerThread;
+  ComputeCandBegin(gen.prev, &gen.prev_begin);
+  gen.at.assign(static_cast<size_t>(n) + 1, 0);
+  // Count over owner ranges of equal size.
+  gen.ranges.clear();
+  for (uint32_t k = 0; k <= parts; ++k) {
+    gen.ranges.push_back(static_cast<VertexId>(uint64_t{n} * k / parts));
   }
-  GenerationTick(since_tick);
+  ForEachOwner(gen.ranges, [&](VertexId w, uint32_t, uint64_t* work,
+                               uint64_t* generated) {
+    uint64_t raw = 0;
+    ForEachSource(mode, out_side, w,
+                  [&](std::span<const Cand> slice, Distance) {
+                    raw += slice.size();
+                    ++*work;
+                  });
+    gen.at[w + 1] = raw;
+    *work += raw;
+    *generated += raw;
+  });
+
+  // Prefix-sum into offsets and recut the ranges at raw-count quantiles.
+  for (size_t w = 0; w < n; ++w) gen.at[w + 1] += gen.at[w];
+  const uint64_t total = gen.at[n];
+  gen.ranges.assign(1, 0);
+  for (uint32_t k = 1; k < parts; ++k) {
+    const auto it = std::lower_bound(gen.at.begin(), gen.at.end(),
+                                     total * k / parts);
+    const auto bound = static_cast<VertexId>(it - gen.at.begin());
+    if (bound > gen.ranges.back() && bound < n) gen.ranges.push_back(bound);
+  }
+  gen.ranges.push_back(n);
 }
 
-template <typename Emit>
-void Builder::GenerateDoublingIn(std::span<const Cand> prev,
-                                 const Emit& emit) const {
-  uint64_t since_tick = 0;
-  for (const Cand& c : prev) {
-    // Rule 4: join with out-labels of the owner (the path's destination)
-    // whose pivot u4 satisfies u < u4 (< v automatically).
-    const LabelVector& lout = out_[c.owner];
-    const size_t first = UpperBoundPivot(lout, c.pivot);
-    for (size_t i = first; i < lout.size(); ++i) {
-      emit(Cand{lout[i].pivot, c.pivot, SaturatingAdd(c.dist, lout[i].dist)});
+size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
+                            GatherScratch* sc) const {
+  sc->pivots.clear();
+  size_t gathered = 0;
+  auto gather = [&](std::span<const Cand> slice, Distance hop) {
+    gathered += slice.size();
+    for (const Cand& c : slice) {
+      const uint64_t d = uint64_t{SaturatingAdd(hop, c.dist)} + 1;
+      uint64_t& best = sc->best[c.pivot];
+      if (best == 0) {
+        sc->pivots.push_back(c.pivot);
+        best = d;
+      } else {
+        best = std::min(best, d);
+      }
     }
-    // Rule 5: join with every in-entry whose pivot is the owner.
-    for (VertexId u5 : inv_in_[c.owner]) {
-      Distance d5 = LookupPivot(in_[u5], c.owner);
-      HOPDB_DCHECK_NE(d5, kInfDistance);
-      emit(Cand{u5, c.pivot, SaturatingAdd(c.dist, d5)});
-    }
-    since_tick += (lout.size() - first) + inv_in_[c.owner].size();
-    if (since_tick >= kTickEvery) {
-      if (!GenerationTick(since_tick)) return;
-      since_tick = 0;
+  };
+  ForEachSource(mode, out_side, w, gather);
+  sc->deduped += sc->pivots.size();
+  for (const LabelEntry& e : Side(out_side)[w]) {
+    uint64_t& best = sc->best[e.pivot];
+    if (best != 0 && best - 1 >= e.dist) {
+      best = 0;  // dominated by an existing entry
+      ++sc->dropped;
     }
   }
-  GenerationTick(since_tick);
+  std::erase_if(sc->pivots, [sc](VertexId p) { return sc->best[p] == 0; });
+  return gathered;
+}
+
+void Builder::Gather(BuildMode mode, bool out_side, std::vector<Cand>* cands,
+                     IterationStats* st) {
+  GenSide& gen = Gen(out_side);
+  const VertexId n = g_.num_vertices();
+  scratch_.resize(threads_);
+  for (GatherScratch& sc : scratch_) {
+    sc.best.resize(n, 0);
+    sc.pivots.reserve(n);
+    sc.deduped = sc.dropped = 0;
+  }
+
+  // Runs on_owner(w, scratch) after gathering each owner.
+  auto for_each_owner = [&](const auto& on_owner) {
+    ForEachOwner(gen.ranges, [&](VertexId w, uint32_t worker, uint64_t* work,
+                                 uint64_t*) {
+      GatherScratch* sc = &scratch_[worker];
+      *work += GatherOwner(mode, out_side, w, sc) + 1;
+      on_owner(w, sc);
+    });
+  };
+
+  // Pass 2: count each owner's survivors.
+  for_each_owner([&](VertexId w, GatherScratch* sc) {
+    gen.at[w + 1] = sc->pivots.size();
+    for (const VertexId p : sc->pivots) sc->best[p] = 0;
+  });
+  if (generation_abort_.load(std::memory_order_relaxed)) return;
+  for (const GatherScratch& sc : scratch_) {
+    st->deduped_candidates += sc.deduped;
+    st->existing_dropped += sc.dropped;
+  }
+  for (size_t w = 0; w < n; ++w) gen.at[w + 1] += gen.at[w];
+
+  // Pass 3: the same gather again, each owner's survivors written in
+  // pivot order into its range.
+  cands->resize(gen.at[n]);
+  for_each_owner([&](VertexId w, GatherScratch* sc) {
+    std::sort(sc->pivots.begin(), sc->pivots.end());
+    Cand* out = cands->data() + gen.at[w];
+    for (const VertexId p : sc->pivots) {
+      *out++ = Cand{w, p, static_cast<Distance>(sc->best[p] - 1)};
+      sc->best[p] = 0;
+    }
+  });
 }
 
 Status Builder::Generate(BuildMode mode_used, std::vector<Cand>* out_c,
@@ -456,17 +457,10 @@ Status Builder::Generate(BuildMode mode_used, std::vector<Cand>* out_c,
   generated_total_.store(0, std::memory_order_relaxed);
   generation_abort_.store(false, std::memory_order_relaxed);
 
-  // Pass 1: count each side's candidates per owner; nothing is stored.
-  out_plan_.ResetCounts(g_.num_vertices());
-  RunRules(mode_used, /*out_side=*/true,
-           [this](const Cand& c) { out_plan_.Count(c.owner); });
-  if (directed_) {
-    in_plan_.ResetCounts(g_.num_vertices());
-    RunRules(mode_used, /*out_side=*/false,
-             [this](const Cand& c) { in_plan_.Count(c.owner); });
-  }
-  // A pass-1 abort leaves the counts short; report whichever limit
-  // tripped. A full count is exact, so the cap check below is too.
+  CountRaw(mode_used, /*out_side=*/true);
+  if (directed_) CountRaw(mode_used, /*out_side=*/false);
+  // An aborted count is short; report whichever limit tripped. A full
+  // count is exact, so the cap check below is too.
   const uint64_t counted = generated_total_.load(std::memory_order_relaxed);
   if (opts_.max_candidates_per_iteration != 0 &&
       counted > opts_.max_candidates_per_iteration) {
@@ -478,92 +472,15 @@ Status Builder::Generate(BuildMode mode_used, std::vector<Cand>* out_c,
       deadline_.Exceeded()) {
     return Status::DeadlineExceeded("label generation over time budget");
   }
-  const uint64_t raw_out = out_plan_.Finish(threads_);
-  const uint64_t raw_in = directed_ ? in_plan_.Finish(threads_) : 0;
-  st->raw_candidates = raw_out + raw_in;
-  stats_.peak_candidates =
-      std::max(stats_.peak_candidates, st->raw_candidates);
+  st->raw_candidates = counted;
+  stats_.peak_candidates = std::max(stats_.peak_candidates, counted);
 
-  // Pass 2: the same rules again, each candidate written straight into
-  // the next free slot of its owner's range. It emits exactly what pass
-  // 1 counted, so only the deadline can stop it.
-  generated_total_.store(0, std::memory_order_relaxed);
-  out_c->resize(raw_out);
-  RunRules(mode_used, /*out_side=*/true,
-           [this, buf = out_c->data()](const Cand& c) {
-             buf[out_plan_.Claim(c.owner)] = c;
-           });
-  if (directed_) {
-    in_c->resize(raw_in);
-    RunRules(mode_used, /*out_side=*/false,
-             [this, buf = in_c->data()](const Cand& c) {
-               buf[in_plan_.Claim(c.owner)] = c;
-             });
-  }
+  Gather(mode_used, /*out_side=*/true, out_c, st);
+  if (directed_) Gather(mode_used, /*out_side=*/false, in_c, st);
   if (generation_abort_.load(std::memory_order_relaxed)) {
     return Status::DeadlineExceeded("label generation over time budget");
   }
   return Status::OK();
-}
-
-void Builder::DedupAndFilter(std::vector<Cand>* cands,
-                             const OwnerPartitionPlan& plan, bool out_side,
-                             IterationStats* st) {
-  // Generation left each owner's candidates, in scheduling-dependent
-  // order, in that owner's range; sorting every owner-aligned partition
-  // puts them in global (owner, pivot, dist) order, and the
-  // per-partition scans below see every (owner, pivot) group whole.
-  const std::vector<size_t>& bounds = plan.bounds;
-  SortPartitions(
-      std::span<Cand>(*cands), bounds, [](const Cand& c) { return c.owner; },
-      CandLess);
-  const size_t parts = bounds.size() - 1;
-  const auto& side = Side(out_side);
-
-  dedup_parts_.assign(parts, {});
-  ParallelChunks(
-      static_cast<uint32_t>(parts), parts,
-      [&](size_t pb, size_t pe, uint32_t) {
-        for (size_t p = pb; p < pe; ++p) {
-          DedupPartStats& ps = dedup_parts_[p];
-          size_t w = bounds[p];
-          bool have_last = false;
-          VertexId last_owner = 0, last_pivot = 0;
-          for (size_t i = bounds[p]; i < bounds[p + 1]; ++i) {
-            const Cand& c = (*cands)[i];
-            if (have_last && last_owner == c.owner && last_pivot == c.pivot) {
-              continue;  // duplicate (owner, pivot); the sort kept min dist
-            }
-            have_last = true;
-            last_owner = c.owner;
-            last_pivot = c.pivot;
-            ps.deduped++;
-            Distance existing = LookupPivot(side[c.owner], c.pivot);
-            if (existing <= c.dist) {
-              ps.dropped++;
-              continue;  // dominated by an existing entry
-            }
-            (*cands)[w++] = c;
-          }
-          ps.kept = w - bounds[p];
-        }
-      });
-
-  // Close the inter-partition gaps in partition order — the surviving
-  // sequence equals the sequential scan's output exactly.
-  size_t w = dedup_parts_[0].kept;
-  st->deduped_candidates += dedup_parts_[0].deduped;
-  st->existing_dropped += dedup_parts_[0].dropped;
-  for (size_t p = 1; p < parts; ++p) {
-    std::move(cands->begin() + static_cast<ptrdiff_t>(bounds[p]),
-              cands->begin() +
-                  static_cast<ptrdiff_t>(bounds[p] + dedup_parts_[p].kept),
-              cands->begin() + static_cast<ptrdiff_t>(w));
-    w += dedup_parts_[p].kept;
-    st->deduped_candidates += dedup_parts_[p].deduped;
-    st->existing_dropped += dedup_parts_[p].dropped;
-  }
-  cands->resize(w);
 }
 
 void Builder::ComputeCandBegin(const std::vector<Cand>& cands,
@@ -616,7 +533,8 @@ void Builder::BuildSideSnapshot(FlatLabelArena* arena,
     }
   });
   arena->Reset(n, slot_sizes_.data());
-  // Pass 2: merge-fill (same min-dist collapse PivotCursor performs).
+  // Pass 2: merge-fill; where a label and a candidate share a pivot, the
+  // smaller distance wins.
   ParallelChunks(threads_, n, [&](size_t b, size_t e, uint32_t) {
     for (size_t v = b; v < e; ++v) {
       if (!touched[v]) continue;
@@ -695,7 +613,6 @@ void Builder::BuildWitnessSnapshots(const std::vector<Cand>& out_c,
 void Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
                     IterationStats* st) {
   if (!opts_.prune) return;
-  const auto& ins = directed_ ? in_ : out_;
 
   // A candidate covering the directed path source ⇝ dest with pivot
   // beta = min(owner, pivot) dies iff a witness pivot w < beta exists in
@@ -705,23 +622,30 @@ void Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
   // with this iteration's deduped candidates (a pruned candidate may
   // still witness the pruning of another — safe, since every entry
   // covers a real path and canonical entries are never pruned; Thm. 3).
+  // Each scan is the bounded early-exit merge-join of the active query
+  // kernel over the flat snapshots.
   //
   // Decisions are independent, so they are marked in parallel and
   // compacted sequentially — identical output for any thread count.
-  const size_t total = out_c->size() + in_c->size();
-  const bool use_flat = total >= kMinFlatWitnessCandidates;
-
-  // Shared mark-in-parallel + compact-sequentially scaffold; the two
-  // witness implementations below differ only in this callable.
-  auto prune_list = [&](std::vector<Cand>* cands, bool is_out,
-                        auto&& has_witness) {
+  BuildWitnessSnapshots(*out_c, *in_c);
+  const QueryKernel& kernel = ActiveQueryKernel();
+  const FlatLabelArena& dest_arena =
+      directed_ ? wit_in_arena_ : wit_out_arena_;
+  auto prune_list = [&](std::vector<Cand>* cands, bool is_out) {
     keep_.assign(cands->size(), 0);
-    ParallelChunks(threads_, cands->size(),
-                   [&](size_t begin, size_t end, uint32_t) {
-                     for (size_t i = begin; i < end; ++i) {
-                       keep_[i] = !has_witness((*cands)[i], is_out);
-                     }
-                   });
+    ParallelChunks(
+        threads_, cands->size(), [&](size_t begin, size_t end, uint32_t) {
+          for (size_t i = begin; i < end; ++i) {
+            const Cand& c = (*cands)[i];
+            const FlatLabelStore::View sv =
+                wit_out_arena_.View(is_out ? c.owner : c.pivot);
+            const FlatLabelStore::View dv =
+                dest_arena.View(is_out ? c.pivot : c.owner);
+            keep_[i] = !kernel.has_witness_flat(sv.pivots, sv.dists, sv.size,
+                                                dv.pivots, dv.dists, dv.size,
+                                                c.pivot, c.dist);
+          }
+        });
     size_t w = 0;
     for (size_t i = 0; i < cands->size(); ++i) {
       if (keep_[i]) {
@@ -732,45 +656,8 @@ void Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
     }
     cands->resize(w);
   };
-
-  if (use_flat) {
-    // Hot path: frozen flat SoA snapshots + the bounded early-exit SIMD
-    // merge-join of the active query kernel.
-    BuildWitnessSnapshots(*out_c, *in_c);
-    const QueryKernel& kernel = ActiveQueryKernel();
-    const FlatLabelArena& dest_arena =
-        directed_ ? wit_in_arena_ : wit_out_arena_;
-    auto flat_witness = [&](const Cand& c, bool is_out) {
-      const VertexId source = is_out ? c.owner : c.pivot;
-      const VertexId dest = is_out ? c.pivot : c.owner;
-      const FlatLabelStore::View sv = wit_out_arena_.View(source);
-      const FlatLabelStore::View dv = dest_arena.View(dest);
-      return kernel.has_witness_flat(sv.pivots, sv.dists, sv.size, dv.pivots,
-                                     dv.dists, dv.size, c.pivot, c.dist);
-    };
-    prune_list(out_c, /*is_out=*/true, flat_witness);
-    if (directed_) prune_list(in_c, /*is_out=*/false, flat_witness);
-    return;
-  }
-
-  // Small-iteration fallback: the scalar cursor merge over label vectors
-  // and candidate slices (also the reference the SIMD path is
-  // cross-checked against in tests).
-  wit_out_small_.clear();
-  wit_in_small_.clear();
-  if (opts_.prune_with_candidates) {
-    wit_out_small_ = *out_c;
-    wit_in_small_ = directed_ ? *in_c : *out_c;
-  }
-  auto cursor_witness = [&](const Cand& c, bool is_out) {
-    const VertexId source = is_out ? c.owner : c.pivot;
-    const VertexId dest = is_out ? c.pivot : c.owner;
-    PivotCursor outs(out_[source], OwnerSlice(wit_out_small_, source));
-    PivotCursor inss(ins[dest], OwnerSlice(wit_in_small_, dest));
-    return HasPruningWitness(outs, inss, c.pivot, c.dist);
-  };
-  prune_list(out_c, /*is_out=*/true, cursor_witness);
-  if (directed_) prune_list(in_c, /*is_out=*/false, cursor_witness);
+  prune_list(out_c, /*is_out=*/true);
+  if (directed_) prune_list(in_c, /*is_out=*/false);
 }
 
 uint64_t Builder::Apply(const std::vector<Cand>& cands, bool out_side,
@@ -825,7 +712,7 @@ Result<BuildOutput> Builder::Run() {
   }
 
   for (uint32_t iter = 1; iter <= opts_.max_iterations; ++iter) {
-    if (prev_out_.empty() && prev_in_.empty()) break;
+    if (gen_out_.prev.empty() && gen_in_.prev.empty()) break;
     if (deadline_.Exceeded()) {
       return Status::DeadlineExceeded("label construction over time budget");
     }
@@ -847,21 +734,16 @@ Result<BuildOutput> Builder::Run() {
         break;
     }
 
-    // This iteration's candidate buffers, sized exactly by Generate and
-    // compacted in place by dedup and pruning.
+    // This iteration's deduped and filtered candidates, sized exactly by
+    // Generate and compacted in place by pruning.
     std::vector<Cand> out_c, in_c;
     Stopwatch phase_watch;
     HOPDB_RETURN_NOT_OK(Generate(st.mode_used, &out_c, &in_c, &st));
     // Only generation reads `prev`; release it before the later phases
     // allocate.
-    std::vector<Cand>().swap(prev_out_);
-    std::vector<Cand>().swap(prev_in_);
+    std::vector<Cand>().swap(gen_out_.prev);
+    std::vector<Cand>().swap(gen_in_.prev);
     st.generate_seconds = phase_watch.Seconds();
-
-    phase_watch.Restart();
-    DedupAndFilter(&out_c, out_plan_, /*out_side=*/true, &st);
-    if (directed_) DedupAndFilter(&in_c, in_plan_, /*out_side=*/false, &st);
-    st.dedup_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
     Prune(&out_c, &in_c, &st);
@@ -872,10 +754,10 @@ Result<BuildOutput> Builder::Run() {
     if (directed_) st.survivors += Apply(in_c, /*out_side=*/false, &st);
     st.apply_seconds = phase_watch.Seconds();
 
-    // Survivors become `prev` in exactly sized copies; the raw-sized
+    // Survivors become `prev` in exactly sized copies; the pre-pruning
     // buffers die with this iteration.
-    prev_out_.assign(out_c.begin(), out_c.end());
-    prev_in_.assign(in_c.begin(), in_c.end());
+    gen_out_.prev.assign(out_c.begin(), out_c.end());
+    gen_in_.prev.assign(in_c.begin(), in_c.end());
 
     uint64_t total_entries = 0;
     for (const auto& l : out_) total_entries += l.size();
@@ -884,6 +766,17 @@ Result<BuildOutput> Builder::Run() {
     st.seconds = iter_watch.Seconds();
     stats_.iterations.push_back(st);
     stats_.num_rule_iterations = iter;
+    JsonLogLine(JsonLogLevel::kInfo, "build_iteration")
+        .Num("iteration", st.iteration)
+        .Str("mode", BuildModeName(st.mode_used))
+        .Num("raw", st.raw_candidates)
+        .Num("deduped", st.deduped_candidates)
+        .Num("dropped", st.existing_dropped)
+        .Num("pruned", st.pruned)
+        .Num("survivors", st.survivors)
+        .Fixed("generate_s", st.generate_seconds, 6)
+        .Fixed("prune_s", st.prune_seconds, 6)
+        .Fixed("apply_s", st.apply_seconds, 6);
 
     if (st.survivors == 0) break;
   }

@@ -2,30 +2,31 @@
 // (Sections 3 and 5 of the paper).
 //
 // The builder runs on a *rank-relabeled* graph (internal id == rank, id 0
-// = highest degree). Each iteration is a four-phase pipeline, the first
-// three parallel over BuildOptions::num_threads (docs/ARCHITECTURE.md,
+// = highest degree). Each iteration is a three-phase pipeline, the first
+// two parallel over BuildOptions::num_threads (docs/ARCHITECTURE.md,
 // "Build pipeline"):
 //   1. generate — candidate entries from the entries that survived the
-//      previous iteration (`prev`) joined against either all existing
-//      labels (Hop-Doubling, the 4 simplified rules of Fig. 6) or single
-//      edges (Hop-Stepping, Section 5.1); parallel over chunks of `prev`,
-//      in two passes running the same rule code: the first counts
-//      candidates per owner, the second writes each into its owner's
-//      range of one buffer allocated at the exact count
-//      (candidate_partition.h). An iteration thus holds raw × 12 B of
-//      candidates plus the survivors, for any thread count.
-//   2. dedup — each owner-aligned partition is sorted in place into
-//      (owner, pivot, dist) order; candidates are collapsed per
-//      (owner, pivot) keeping the smallest distance, and drop when
-//      dominated by an existing entry; parallel per partition.
-//   3. prune — candidates with a witness through a higher-ranked pivot
+//      previous iteration (`prev`, sorted by owner), joined against
+//      either all existing labels (Hop-Doubling, the 4 simplified rules
+//      of Fig. 6) or single edges (Hop-Stepping, Section 5.1). The rules
+//      run in pull form, owner by owner, each range of owners on one
+//      worker: every new entry of owner w joins a `prev` entry of one of
+//      w's sources (a graph neighbour, or a label entry that points at
+//      or from w). A first pass adds up the `prev` prefixes each owner
+//      will read — the exact raw count, checked against the cap and used
+//      to balance the ranges. Two gather passes then collect each
+//      owner's candidates, keep the smallest distance per pivot and drop
+//      those w's label already dominates: the first counts the
+//      survivors, the second writes them into one exactly sized buffer.
+//      No raw candidate is ever stored.
+//   2. prune — candidates with a witness through a higher-ranked pivot
 //      die (Section 3.3): candidate covering path x⇝y with pivot
 //      β = min(x, y) dies iff some w < β has (w,d1) ∈ Lout(x),
 //      (w,d2) ∈ Lin(y) with d1+d2 ≤ d. Witness scans run through the
 //      bounded early-exit SIMD merge-join of the active query kernel
 //      over a frozen flat snapshot of labels ∪ candidates, decisions in
-//      parallel (scalar cursor fallback for tiny iterations).
-//   4. apply — survivors merge into the labels and inverted lists in
+//      parallel.
+//   3. apply — survivors merge into the labels and inverted lists in
 //      candidate order, on one thread: label growth made on worker
 //      threads would land in per-thread malloc arenas and raise peak
 //      memory with the thread count. Survivors become `prev`.
@@ -34,7 +35,9 @@
 //
 // Per-iteration statistics (candidate counts, pruning counts, per-phase
 // times) feed Figure 10's growing/pruning-factor plots and
-// bench_build's phase breakdown.
+// bench_build's phase breakdown. Each iteration also emits one
+// `build_iteration` event at info level through util/log.h, which the
+// default minimum level (warning) drops.
 
 #ifndef HOPDB_LABELING_BUILDER_H_
 #define HOPDB_LABELING_BUILDER_H_
@@ -58,8 +61,8 @@ enum class BuildMode {
   kHybrid,
 };
 
-/// Static display name ("stepping" / "doubling" / "hybrid"); never
-/// nullptr. Thread-safe (pure).
+/// Static display name ("Step" / "Double" / "Hybrid"); never nullptr.
+/// Thread-safe (pure).
 const char* BuildModeName(BuildMode mode);
 
 struct BuildOptions {
@@ -86,12 +89,11 @@ struct BuildOptions {
   /// both old labels and fresh candidates), pruning witnesses may be this
   /// iteration's deduped candidates as well as old entries. Ablation knob.
   bool prune_with_candidates = true;
-  /// Worker threads for the generation, dedup and pruning phases (the
-  /// label merge is sequential). The output is bit-identical for every
-  /// thread count: generation order only permutes candidates within each
-  /// owner's range, which the dedup sort canonicalizes into one global
-  /// order, and pruning decisions depend only on the iteration-start
-  /// snapshot. 0 means all hardware threads.
+  /// Worker threads for the generation and pruning phases (the label
+  /// merge is sequential). The output is bit-identical for every thread
+  /// count: each owner's candidates are gathered and ordered by one
+  /// worker from iteration-start state, and pruning decisions depend only
+  /// on the iteration-start snapshot. 0 means all hardware threads.
   uint32_t num_threads = 1;
 };
 
@@ -110,6 +112,9 @@ struct IterationStats {
   /// Per-phase wall clock within this iteration (bench_build's
   /// breakdown); generate + dedup + prune + apply ≈ seconds.
   double generate_seconds = 0;
+  /// Always 0: generation dedups each owner's candidates as it gathers
+  /// them, and reports that time as generate_seconds. Kept so phase
+  /// tables keep their columns.
   double dedup_seconds = 0;
   double prune_seconds = 0;
   double apply_seconds = 0;
@@ -121,9 +126,9 @@ struct BuildStats {
   uint64_t initial_entries = 0;  // one per edge
   double init_seconds = 0;
   double total_seconds = 0;
-  /// Largest candidate buffer of any iteration, in entries (12 B each):
-  /// the exact raw count of that iteration, which is exactly what the
-  /// builder allocates for it.
+  /// Largest raw candidate count of any iteration (the largest
+  /// IterationStats::raw_candidates). The builder never stores raw
+  /// candidates; it allocates only the deduped and filtered ones.
   uint64_t peak_candidates = 0;
 
   /// Sum of a per-iteration phase time over all iterations.

@@ -1,13 +1,12 @@
-// Owner-partitioned candidate layout — the count/plan/claim primitive
-// shared by the in-memory builder (Builder::Generate, which counts and
-// then emits its rule outputs straight into owner ranges) and the
-// external builder's in-memory candidate runs (OwnerPartitionedSort,
-// installed as the ExternalSorter sort hook).
+// Owner-partitioned candidate sort for the external builder's in-memory
+// candidate runs (OwnerPartitionedSort, installed as the ExternalSorter
+// sort hook). The in-memory builder does not use it: it gathers each
+// owner's candidates on one worker and never sorts a candidate buffer.
 //
-// Both builders need their candidates sorted by (owner, pivot, dist)
-// before duplicate collapse. A global std::sort is a sequential wall, so
-// records are laid out with a two-pass counting partition over the owner
-// key instead:
+// The external builder needs its candidates sorted by (owner, pivot,
+// dist) before duplicate collapse. A global std::sort is a sequential
+// wall, so records are laid out with a two-pass counting partition over
+// the owner key instead:
 //
 //   1. count — per-owner record counts (relaxed atomic adds; the sums are
 //              order-insensitive). OwnerPartitionPlan::Finish prefix-sums
@@ -25,8 +24,8 @@
 // records are bytewise identical (owner, pivot, dist all equal), the
 // concatenation of sorted partitions in partition order *is* the global
 // sorted sequence: the output is bit-identical to std::sort for every
-// thread count, which is what keeps the builders' any-thread-count
-// determinism guarantee intact.
+// thread count, which is what keeps the external builder's
+// any-thread-count determinism guarantee intact.
 
 #ifndef HOPDB_LABELING_CANDIDATE_PARTITION_H_
 #define HOPDB_LABELING_CANDIDATE_PARTITION_H_
@@ -53,7 +52,7 @@ constexpr size_t kMinParallelSortRecords = 1 << 13;
 struct OwnerPartitionPlan {
   /// Record-index partition boundaries set by Finish, owner-aligned and
   /// ascending; bounds[0] == 0, bounds.back() == the record total.
-  /// Callers run per-partition sort/dedup/compaction over these.
+  /// SortPartitions sorts one partition per thread.
   std::vector<size_t> bounds;
   /// Count(o) accumulates into owner_offsets[o + 1]; Finish turns the
   /// table into owner start offsets, which Claim consumes as cursors.

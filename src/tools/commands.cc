@@ -197,6 +197,9 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
                            ComputeOrder(graph, strategy));
   }
 
+  // Build progress: one build_iteration event per rule iteration on
+  // stderr.
+  SetJsonLogMinLevel(JsonLogLevel::kInfo);
   Stopwatch watch;
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Build(graph, options));
   const double seconds = watch.Seconds();

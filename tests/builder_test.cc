@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "eval/verify.h"
 #include "gen/erdos_renyi.h"
@@ -10,8 +15,11 @@
 #include "gen/small_graphs.h"
 #include "gen/weights.h"
 #include "graph/ranking.h"
+#include "io/temp_dir.h"
 #include "search/dijkstra.h"
+#include "util/log.h"
 #include "util/random.h"
+#include "util/serde.h"
 #include "util/timer.h"
 
 namespace hopdb {
@@ -355,6 +363,160 @@ TEST(BuilderTest, StatsAreConsistent) {
     EXPECT_EQ(it.total_entries_after, entries);
   }
   EXPECT_EQ(entries, out->index.TotalEntries());
+}
+
+// Golden output over {undirected, directed} × {unweighted, weighted} ×
+// {stepping, doubling, hybrid switching after iteration 2} on small GLP
+// graphs, at 1 and 4 threads. A change to candidate generation, dedup,
+// pruning or apply that alters any per-iteration counter, the peak
+// candidate count or one byte of the saved HLI1 file fails here. The
+// benchmark runs only Hop-Stepping iterations, so this is what guards
+// Rules 1/2/4/5.
+struct PinnedBuild {
+  bool directed;
+  bool weighted;
+  BuildMode mode;
+  uint32_t iterations;
+  uint64_t peak_candidates;
+  uint64_t counters_fnv;  // FNV-1a of CountersText
+  uint64_t hli1_fnv;      // FNV-1a of the saved HLI1 bytes
+};
+
+/// Every IterationStats counter, one "iter:mode:raw:deduped:dropped:
+/// pruned:survivors:updates:total;" group per iteration.
+std::string CountersText(const BuildStats& stats) {
+  std::string text;
+  for (const IterationStats& it : stats.iterations) {
+    for (const uint64_t v :
+         {uint64_t{it.iteration}, static_cast<uint64_t>(it.mode_used),
+          it.raw_candidates, it.deduped_candidates, it.existing_dropped,
+          it.pruned, it.survivors, it.updates, it.total_entries_after}) {
+      text += std::to_string(v) + ":";
+    }
+    text.back() = ';';
+  }
+  return text;
+}
+
+TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
+  constexpr PinnedBuild kPins[] = {
+      {false, false, BuildMode::kHopStepping, 4, 38954,
+       0xcfd14f8aa1210caaULL, 0x5bfa9a956691e402ULL},
+      {false, false, BuildMode::kHopDoubling, 4, 102606,
+       0x6689f2e53e0173f0ULL, 0x5bfa9a956691e402ULL},
+      {false, false, BuildMode::kHybrid, 4, 38954,
+       0xa8e26c95b7755f99ULL, 0x5bfa9a956691e402ULL},
+      {false, true, BuildMode::kHopStepping, 6, 31171,
+       0xb65df4aa6e7cfae1ULL, 0x7f885b23dc051459ULL},
+      {false, true, BuildMode::kHopDoubling, 4, 55204,
+       0x2b032908f4c2a9c0ULL, 0x9102d5d68473a184ULL},
+      {false, true, BuildMode::kHybrid, 5, 42956,
+       0xcb5e5ebe83ab82a3ULL, 0x6940d54bbc725f45ULL},
+      {true, false, BuildMode::kHopStepping, 5, 15265,
+       0xe0c861716ea5cf94ULL, 0x78e1e3dffb4ac188ULL},
+      {true, false, BuildMode::kHopDoubling, 4, 25857,
+       0xf06beb0dd50ee0b4ULL, 0x78e1e3dffb4ac188ULL},
+      {true, false, BuildMode::kHybrid, 5, 15265,
+       0x68e5b953c015b987ULL, 0x78e1e3dffb4ac188ULL},
+      {true, true, BuildMode::kHopStepping, 8, 18962,
+       0x21e20ac5786d070fULL, 0x0b2040e3e7e46c90ULL},
+      {true, true, BuildMode::kHopDoubling, 5, 40097,
+       0x9f3501bd47536a65ULL, 0x25913b6517f4a3e5ULL},
+      {true, true, BuildMode::kHybrid, 5, 27506,
+       0x558859f56af3452aULL, 0x0f6cdeb9332d232cULL},
+  };
+  auto tmp = TempDir::Create("hopdb_builder_pin");
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp->File("pin.hli");
+  for (const PinnedBuild& pin : kPins) {
+    GlpOptions glp;
+    glp.num_vertices = pin.directed ? 2000 : 3000;
+    glp.seed = 41 + 2 * pin.directed + pin.weighted;
+    auto edges = pin.directed ? GenerateDirectedGlp(glp) : GenerateGlp(glp);
+    ASSERT_TRUE(edges.ok());
+    if (pin.weighted) AssignUniformWeights(&*edges, 1, 9, glp.seed);
+    auto ranked = RankedGraph(*edges);
+    ASSERT_TRUE(ranked.ok());
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(pin.directed ? "directed " : "undirected ") +
+                   (pin.weighted ? "weighted " : "unweighted ") +
+                   BuildModeName(pin.mode) + " threads " +
+                   std::to_string(threads));
+      BuildOptions opts;
+      opts.mode = pin.mode;
+      opts.hybrid_switch_iteration = 2;
+      opts.num_threads = threads;
+      auto out = BuildHopLabeling(*ranked, opts);
+      ASSERT_TRUE(out.ok());
+      const std::string counters = CountersText(out->stats);
+      EXPECT_EQ(out->stats.num_rule_iterations, pin.iterations);
+      EXPECT_EQ(out->stats.peak_candidates, pin.peak_candidates);
+      EXPECT_EQ(Fnv1a64(counters.data(), counters.size()), pin.counters_fnv)
+          << counters;
+      ASSERT_TRUE(out->index.Save(path).ok());
+      std::ifstream in(path, std::ios::binary);
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), pin.hli1_fnv);
+    }
+  }
+}
+
+TEST(BuilderTest, LogsOneEventPerIteration) {
+  GlpOptions glp;
+  glp.num_vertices = 800;
+  glp.seed = 35;
+  auto edges = GenerateDirectedGlp(glp);
+  ASSERT_TRUE(edges.ok());
+  auto ranked = RankedGraph(*edges);
+  ASSERT_TRUE(ranked.ok());
+  BuildOptions opts;
+  opts.hybrid_switch_iteration = 2;
+  opts.num_threads = 2;
+
+  std::vector<std::string> lines;
+  SetJsonLogSink([&](const std::string& line) { lines.push_back(line); });
+  // The default minimum level (warning) keeps library users silent.
+  const bool quiet_ok = BuildHopLabeling(*ranked, opts).ok();
+  const size_t quiet_lines = lines.size();
+  SetJsonLogMinLevel(JsonLogLevel::kInfo);
+  auto out = BuildHopLabeling(*ranked, opts);
+  SetJsonLogMinLevel(JsonLogLevel::kWarning);
+  SetJsonLogSink(nullptr);  // restore before any assertion can return
+  ASSERT_TRUE(quiet_ok);
+  EXPECT_EQ(quiet_lines, 0u);
+  ASSERT_TRUE(out.ok());
+
+  const std::vector<IterationStats>& iterations = out->stats.iterations;
+  ASSERT_EQ(lines.size(), iterations.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const IterationStats& it = iterations[i];
+    const std::string& line = lines[i];
+    EXPECT_NE(line.find("\"level\":\"info\",\"event\":\"build_iteration\""),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find(std::string("\"mode\":\"") +
+                        BuildModeName(it.mode_used) + "\""),
+              std::string::npos)
+        << line;
+    for (const auto& [key, value] :
+         {std::pair<const char*, uint64_t>{"iteration", it.iteration},
+          {"raw", it.raw_candidates},
+          {"deduped", it.deduped_candidates},
+          {"dropped", it.existing_dropped},
+          {"pruned", it.pruned},
+          {"survivors", it.survivors}}) {
+      EXPECT_NE(line.find(std::string("\"") + key + "\":" +
+                          std::to_string(value) + ","),
+                std::string::npos)
+          << key << " in " << line;
+    }
+    for (const char* key : {"generate_s", "prune_s", "apply_s"}) {
+      EXPECT_NE(line.find(std::string("\"") + key + "\":"),
+                std::string::npos)
+          << key << " in " << line;
+    }
+  }
 }
 
 TEST(BuilderTest, HybridRequiresSwitchIteration) {

@@ -1,6 +1,6 @@
 // Parallel build (BuildOptions::num_threads): the labeling must be
-// bit-identical for every thread count — generation order only permutes
-// the candidate multiset (canonicalized by the dedup sort) and pruning
+// bit-identical for every thread count — one worker gathers and orders
+// each owner's candidates from iteration-start state, and pruning
 // decisions depend only on iteration-start snapshots. Plus unit tests for
 // the ParallelChunks primitive itself.
 
@@ -125,8 +125,8 @@ TEST_P(ParallelBuildTest, ThreadCountDoesNotChangeTheIndex) {
   EdgeList edges;
   if (c.name == "glp") {
     GlpOptions glp;
-    glp.num_vertices = 400;  // large enough to cross the 1024-candidate
-    glp.seed = c.seed;       // threshold that enables parallel paths
+    glp.num_vertices = 400;  // owner ranges for every thread
+    glp.seed = c.seed;
     edges = c.directed ? GenerateDirectedGlp(glp).ValueOrDie()
                        : GenerateGlp(glp).ValueOrDie();
   } else {
@@ -188,15 +188,14 @@ INSTANTIATE_TEST_SUITE_P(
     ParCaseName);
 
 // The strongest form of the determinism guarantee: not just equal label
-// sets but byte-identical serialized indexes (HLI1 bytes including the
-// embedded flat-mirror section) for every thread count. Directed +
-// weighted + hybrid exercises every code path at once: both label
-// sides, in-place distance updates, and the stepping->doubling switch.
+// sets but byte-identical serialized indexes (HLI1 bytes) for every
+// thread count. Directed + weighted + hybrid exercises every code path
+// at once: both label sides, in-place distance updates, and the
+// stepping->doubling switch.
 TEST(ParallelBuildTest, SerializedIndexIsByteIdenticalAcrossThreadCounts) {
   GlpOptions glp;
-  // Large enough that the peak iterations cross the parallel-sort,
-  // parallel-apply and flat-witness thresholds (so every parallel code
-  // path really runs), small enough for the sanitizer presets.
+  // Large enough that every worker gathers owners in the peak
+  // iterations, small enough for the sanitizer presets.
   glp.num_vertices = 1500;
   glp.seed = 71;
   EdgeList edges = GenerateDirectedGlp(glp).ValueOrDie();
