@@ -14,6 +14,21 @@
 
 namespace hopdb {
 
+namespace {
+
+/// True iff `order` lists each of 0..order.size()-1 exactly once — the
+/// precondition RankingFromOrder CHECK-enforces.
+bool IsPermutation(const std::vector<VertexId>& order) {
+  std::vector<uint8_t> seen(order.size(), 0);
+  for (const VertexId v : order) {
+    if (v >= order.size() || seen[v]) return false;
+    seen[v] = 1;
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<HopDbIndex> HopDbIndex::Build(const EdgeList& edges,
                                      const HopDbOptions& options) {
   EdgeList normalized = edges;
@@ -38,7 +53,8 @@ Result<HopDbIndex> HopDbIndex::Build(const CsrGraph& graph,
       mapping = ComputeRanking(graph, RankingPolicy::kInOutProduct);
       break;
     case HopDbOptions::Ranking::kCustom: {
-      if (options.custom_order.size() != graph.num_vertices()) {
+      if (options.custom_order.size() != graph.num_vertices() ||
+          !IsPermutation(options.custom_order)) {
         return Status::InvalidArgument(
             "custom_order must list every vertex exactly once");
       }
@@ -119,16 +135,12 @@ Result<HopDbIndex> HopDbIndex::Load(const std::string& path) {
     return Status::InvalidArgument("truncated permutation file: " + path +
                                    ".perm");
   }
-  // RankingFromOrder CHECK-fails on a non-permutation; a file must not.
   std::vector<VertexId> order(n);
-  std::vector<uint8_t> seen(n, 0);
-  for (auto& v : order) {
-    HOPDB_RETURN_NOT_OK(reader.ReadU32(&v));
-    if (v >= n || seen[v]) {
-      return Status::InvalidArgument("permutation file is not a permutation: " +
-                                     path + ".perm");
-    }
-    seen[v] = 1;
+  for (auto& v : order) HOPDB_RETURN_NOT_OK(reader.ReadU32(&v));
+  // RankingFromOrder CHECK-fails on a non-permutation; a file must not.
+  if (!IsPermutation(order)) {
+    return Status::InvalidArgument("permutation file is not a permutation: " +
+                                   path + ".perm");
   }
   out.mapping_ = RankingFromOrder(std::move(order));
   return out;

@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "labeling/flat_label_store.h"
-#include "labeling/query_kernel.h"
 #include "util/log.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -65,18 +63,22 @@ class Builder {
     std::vector<size_t> prev_begin;
     /// Per-owner counts prefix-summed into offsets (owner w's range is
     /// [at[w], at[w + 1])): raw candidates after pass 1, survivors after
-    /// pass 2.
+    /// pass 2 (the ranges pass 3 fills and pruning reads).
     std::vector<uint64_t> at;
-    /// Owner range bounds for the gather passes, cut at raw-count
-    /// quantiles.
+    /// Owner range bounds for the gather and prune passes, cut at
+    /// raw-count quantiles.
     std::vector<VertexId> ranges;
+    /// cmin[w]: the smallest distance among owner w's deduped and
+    /// filtered candidates, kInfDistance if it has none.
+    std::vector<Distance> cmin;
   };
 
-  /// One worker's gather state, sized on the calling thread so the
-  /// workers never allocate.
+  /// One worker's gather and prune state, sized on the calling thread so
+  /// the workers never allocate.
   struct GatherScratch {
-    /// best[p]: 1 + the smallest distance gathered for pivot p from the
-    /// current owner, 0 if none; all zero between owners.
+    /// best[p]: 1 + the smallest distance gathered (or, while pruning,
+    /// loaded) for pivot p from the current owner, 0 if none; all zero
+    /// between owners.
     std::vector<uint64_t> best;
     /// The current owner's distinct pivots.
     std::vector<VertexId> pivots;
@@ -97,12 +99,12 @@ class Builder {
   Status Generate(BuildMode mode_used, std::vector<Cand>* out_c,
                   std::vector<Cand>* in_c, IterationStats* st);
 
-  /// Periodic in-generation control check: accumulates the caller's local
-  /// raw count and trips the shared abort flag when the deadline or the
-  /// candidate-volume cap is blown MID-pass. Without this, a bad vertex
-  /// order (random order on a big scale-free graph) can spend minutes
-  /// inside a single rule iteration before the between-phase checks ever
-  /// run.
+  /// Periodic in-pass control check (generation and pruning): accumulates
+  /// the caller's local raw count and trips the shared abort flag when the
+  /// deadline or the candidate-volume cap is blown MID-pass. Without this,
+  /// a bad vertex order (random order on a big scale-free graph) can spend
+  /// minutes inside a single rule iteration before the between-phase
+  /// checks ever run.
   bool GenerationTick(uint64_t locally_generated) const {
     generated_total_.fetch_add(locally_generated,
                                std::memory_order_relaxed);
@@ -151,22 +153,19 @@ class Builder {
   size_t GatherOwner(BuildMode mode, bool out_side, VertexId w,
                      GatherScratch* sc) const;
 
-  /// Section 3.3 pruning over both candidate lists.
-  void Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
-             IterationStats* st);
+  /// Section 3.3 pruning over both candidate lists: decides every
+  /// candidate of both sides, then compacts both. Fails with
+  /// DeadlineExceeded, leaving the lists unpruned, when the deadline
+  /// stops a decision pass.
+  Status Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
+               IterationStats* st);
 
-  /// Builds the iteration-frozen flat witness snapshots (labels merged
-  /// with this iteration's deduped candidates) for the SIMD witness
-  /// kernel. Only vertices that can appear as a witness-scan endpoint
-  /// are materialized.
-  void BuildWitnessSnapshots(const std::vector<Cand>& out_c,
-                             const std::vector<Cand>& in_c);
-  void BuildSideSnapshot(FlatLabelArena* arena,
-                         const std::vector<LabelVector>& labels,
-                         const std::vector<Cand>& cands,
-                         const std::vector<size_t>& cand_begin,
-                         const std::vector<uint8_t>& touched,
-                         bool with_cands);
+  /// Decides one side's candidates owner by owner: keep[i] = 1 iff
+  /// cands[i] has no witness. `opposite` holds the other side's
+  /// candidates (the same list on undirected graphs).
+  void DecideSide(bool out_side, const std::vector<Cand>& cands,
+                  const std::vector<Cand>& opposite,
+                  std::vector<uint8_t>* keep);
 
   /// cand_begin[v] = first index of `cands` (sorted by owner) whose
   /// owner is >= v; cand_begin[n] = cands.size().
@@ -187,9 +186,11 @@ class Builder {
   const std::vector<LabelVector>& Side(bool out_side) const {
     return out_side || !directed_ ? out_ : in_;
   }
-  GenSide& Gen(bool out_side) { return out_side ? gen_out_ : gen_in_; }
+  GenSide& Gen(bool out_side) {
+    return out_side || !directed_ ? gen_out_ : gen_in_;
+  }
   const GenSide& Gen(bool out_side) const {
-    return out_side ? gen_out_ : gen_in_;
+    return out_side || !directed_ ? gen_out_ : gen_in_;
   }
 
   const CsrGraph& g_;
@@ -217,18 +218,8 @@ class Builder {
   // -------------------------------------------------------------------
   // Iteration-scoped tables, reused across iterations.
   // -------------------------------------------------------------------
-  /// One gather state per worker.
+  /// One gather and prune state per worker.
   std::vector<GatherScratch> scratch_;
-  /// Pruning keep/kill marks.
-  std::vector<uint8_t> keep_;
-  /// Witness snapshot state.
-  FlatLabelArena wit_out_arena_;
-  FlatLabelArena wit_in_arena_;
-  std::vector<uint8_t> touched_out_;
-  std::vector<uint8_t> touched_in_;
-  std::vector<uint64_t> slot_sizes_;
-  std::vector<size_t> cand_begin_out_;
-  std::vector<size_t> cand_begin_in_;
 
   BuildStats stats_;
 };
@@ -440,13 +431,17 @@ void Builder::Gather(BuildMode mode, bool out_side, std::vector<Cand>* cands,
   for (size_t w = 0; w < n; ++w) gen.at[w + 1] += gen.at[w];
 
   // Pass 3: the same gather again, each owner's survivors written in
-  // pivot order into its range.
+  // pivot order into its range, and their smallest distance noted for
+  // pruning.
   cands->resize(gen.at[n]);
+  gen.cmin.assign(n, kInfDistance);
   for_each_owner([&](VertexId w, GatherScratch* sc) {
     std::sort(sc->pivots.begin(), sc->pivots.end());
     Cand* out = cands->data() + gen.at[w];
     for (const VertexId p : sc->pivots) {
-      *out++ = Cand{w, p, static_cast<Distance>(sc->best[p] - 1)};
+      const auto d = static_cast<Distance>(sc->best[p] - 1);
+      *out++ = Cand{w, p, d};
+      gen.cmin[w] = std::min(gen.cmin[w], d);
       sc->best[p] = 0;
     }
   });
@@ -495,169 +490,102 @@ void Builder::ComputeCandBegin(const std::vector<Cand>& cands,
   (*cand_begin)[n] = cands.size();
 }
 
-void Builder::BuildSideSnapshot(FlatLabelArena* arena,
-                                const std::vector<LabelVector>& labels,
-                                const std::vector<Cand>& cands,
-                                const std::vector<size_t>& cand_begin,
-                                const std::vector<uint8_t>& touched,
-                                bool with_cands) {
-  const size_t n = labels.size();
-  slot_sizes_.assign(n, 0);
-  // Pass 1: merged entry counts for the vertices the witness scans can
-  // touch (untouched slots stay empty — they are never viewed).
-  ParallelChunks(threads_, n, [&](size_t b, size_t e, uint32_t) {
-    for (size_t v = b; v < e; ++v) {
-      if (!touched[v]) continue;
-      const LabelVector& lab = labels[v];
-      if (!with_cands) {
-        slot_sizes_[v] = lab.size();
-        continue;
-      }
-      size_t li = 0, ci = cand_begin[v];
-      const size_t ce = cand_begin[v + 1];
-      uint64_t count = 0;
-      while (li < lab.size() && ci < ce) {
-        const VertexId lp = lab[li].pivot;
-        const VertexId cp = cands[ci].pivot;
-        if (lp == cp) {
-          ++li;
-          ++ci;
-        } else if (lp < cp) {
-          ++li;
-        } else {
-          ++ci;
-        }
-        ++count;
-      }
-      slot_sizes_[v] = count + (lab.size() - li) + (ce - ci);
-    }
-  });
-  arena->Reset(n, slot_sizes_.data());
-  // Pass 2: merge-fill; where a label and a candidate share a pivot, the
-  // smaller distance wins.
-  ParallelChunks(threads_, n, [&](size_t b, size_t e, uint32_t) {
-    for (size_t v = b; v < e; ++v) {
-      if (!touched[v]) continue;
-      uint32_t* pivots = arena->slot_pivots(v);
-      uint32_t* dists = arena->slot_dists(v);
-      const LabelVector& lab = labels[v];
-      size_t w = 0;
-      size_t li = 0;
-      size_t ci = with_cands ? cand_begin[v] : 0;
-      const size_t ce = with_cands ? cand_begin[v + 1] : 0;
-      while (li < lab.size() && ci < ce) {
-        const LabelEntry& le = lab[li];
-        const Cand& c = cands[ci];
-        if (le.pivot == c.pivot) {
-          pivots[w] = le.pivot;
-          dists[w] = std::min(le.dist, c.dist);
-          ++li;
-          ++ci;
-        } else if (le.pivot < c.pivot) {
-          pivots[w] = le.pivot;
-          dists[w] = le.dist;
-          ++li;
-        } else {
-          pivots[w] = c.pivot;
-          dists[w] = c.dist;
-          ++ci;
-        }
-        ++w;
-      }
-      for (; li < lab.size(); ++li, ++w) {
-        pivots[w] = lab[li].pivot;
-        dists[w] = lab[li].dist;
-      }
-      for (; ci < ce; ++ci, ++w) {
-        pivots[w] = cands[ci].pivot;
-        dists[w] = cands[ci].dist;
-      }
-      HOPDB_DCHECK_EQ(w, arena->slot_size(v));
-    }
-  });
-}
-
-void Builder::BuildWitnessSnapshots(const std::vector<Cand>& out_c,
-                                    const std::vector<Cand>& in_c) {
-  const VertexId n = g_.num_vertices();
+void Builder::DecideSide(bool out_side, const std::vector<Cand>& cands,
+                         const std::vector<Cand>& opposite,
+                         std::vector<uint8_t>* keep) {
+  const GenSide& gen = Gen(out_side);
+  const GenSide& opp_gen = Gen(!out_side);
+  const std::vector<LabelVector>& labels = Side(out_side);
+  const std::vector<LabelVector>& opp_labels = Side(!out_side);
   const bool with_cands = opts_.prune_with_candidates;
+  ForEachOwner(gen.ranges, [&](VertexId w, uint32_t worker, uint64_t* work,
+                               uint64_t*) {
+    const size_t begin = gen.at[w];
+    const size_t end = gen.at[w + 1];
+    if (begin == end) return;
+    // Load w's own side into the table as 1 + dist, the smaller distance
+    // where a pivot is both a label entry and a candidate.
+    uint64_t* best = scratch_[worker].best.data();
+    Distance tmin = kInfDistance;
+    auto load = [&](VertexId pivot, Distance dist) {
+      const uint64_t d = uint64_t{dist} + 1;
+      if (best[pivot] == 0 || d < best[pivot]) best[pivot] = d;
+      tmin = std::min(tmin, dist);
+    };
+    const LabelVector& own = labels[w];
+    for (const LabelEntry& e : own) load(e.pivot, e.dist);
+    if (with_cands) {
+      for (size_t i = begin; i < end; ++i) load(cands[i].pivot, cands[i].dist);
+    }
 
-  ComputeCandBegin(out_c, &cand_begin_out_);
-  if (directed_) ComputeCandBegin(in_c, &cand_begin_in_);
+    // Candidate (w, p, d) has a witness iff an entry (x, d2) of p's
+    // opposite side meets x's table entry within d. Every such x ranks
+    // above p, so the beta bound needs no check. No table entry is below
+    // tmin, so an entry with tmin + d2 > d is skipped unprobed, and so is
+    // p's whole candidate slice when tmin + cmin[p] > d.
+    uint64_t probes = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId p = cands[i].pivot;
+      const Distance d = cands[i].dist;
+      auto witnesses = [&](VertexId x, Distance d2) {
+        if (SaturatingAdd(tmin, d2) > d) return false;
+        ++probes;
+        return best[x] != 0 &&
+               SaturatingAdd(static_cast<Distance>(best[x] - 1), d2) <= d;
+      };
+      bool found = std::any_of(
+          opp_labels[p].begin(), opp_labels[p].end(),
+          [&](const LabelEntry& e) { return witnesses(e.pivot, e.dist); });
+      if (!found && with_cands && SaturatingAdd(tmin, opp_gen.cmin[p]) <= d) {
+        found = std::any_of(
+            opposite.begin() + opp_gen.at[p],
+            opposite.begin() + opp_gen.at[p + 1],
+            [&](const Cand& c) { return witnesses(c.pivot, c.dist); });
+      }
+      (*keep)[i] = !found;
+    }
 
-  // A vertex needs an out-snapshot iff it can be a witness-scan source
-  // (owner of an out-candidate, pivot of an in-candidate) and an
-  // in-snapshot iff it can be a destination (pivot of an out-candidate,
-  // owner of an in-candidate). Undirected scans use the out-snapshot for
-  // both endpoints.
-  touched_out_.assign(n, 0);
-  std::vector<uint8_t>& touched_in = directed_ ? touched_in_ : touched_out_;
-  if (directed_) touched_in_.assign(n, 0);
-  for (const Cand& c : out_c) {
-    touched_out_[c.owner] = 1;
-    touched_in[c.pivot] = 1;
-  }
-  for (const Cand& c : in_c) {
-    touched_out_[c.pivot] = 1;
-    touched_in[c.owner] = 1;
-  }
-
-  BuildSideSnapshot(&wit_out_arena_, out_, out_c, cand_begin_out_,
-                    touched_out_, with_cands);
-  if (directed_) {
-    BuildSideSnapshot(&wit_in_arena_, in_, in_c, cand_begin_in_, touched_in_,
-                      with_cands);
-  }
+    for (const LabelEntry& e : own) best[e.pivot] = 0;
+    for (size_t i = begin; i < end; ++i) best[cands[i].pivot] = 0;
+    *work += own.size() + (end - begin) + probes;
+  });
 }
 
-void Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
-                    IterationStats* st) {
-  if (!opts_.prune) return;
+Status Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
+                      IterationStats* st) {
+  if (!opts_.prune) return Status::OK();
 
   // A candidate covering the directed path source ⇝ dest with pivot
-  // beta = min(owner, pivot) dies iff a witness pivot w < beta exists in
+  // beta = min(owner, pivot) = pivot dies iff a witness x < beta exists in
   // Lout(source) ∩ Lin(dest) with d1 + d2 <= d. For out-entries the
   // source is the owner; for in-entries the source is the pivot. The
-  // witness set is frozen at the start of the phase: old labels merged
-  // with this iteration's deduped candidates (a pruned candidate may
-  // still witness the pruning of another — safe, since every entry
-  // covers a real path and canonical entries are never pruned; Thm. 3).
-  // Each scan is the bounded early-exit merge-join of the active query
-  // kernel over the flat snapshots.
-  //
-  // Decisions are independent, so they are marked in parallel and
-  // compacted sequentially — identical output for any thread count.
-  BuildWitnessSnapshots(*out_c, *in_c);
-  const QueryKernel& kernel = ActiveQueryKernel();
-  const FlatLabelArena& dest_arena =
-      directed_ ? wit_in_arena_ : wit_out_arena_;
-  auto prune_list = [&](std::vector<Cand>* cands, bool is_out) {
-    keep_.assign(cands->size(), 0);
-    ParallelChunks(
-        threads_, cands->size(), [&](size_t begin, size_t end, uint32_t) {
-          for (size_t i = begin; i < end; ++i) {
-            const Cand& c = (*cands)[i];
-            const FlatLabelStore::View sv =
-                wit_out_arena_.View(is_out ? c.owner : c.pivot);
-            const FlatLabelStore::View dv =
-                dest_arena.View(is_out ? c.pivot : c.owner);
-            keep_[i] = !kernel.has_witness_flat(sv.pivots, sv.dists, sv.size,
-                                                dv.pivots, dv.dists, dv.size,
-                                                c.pivot, c.dist);
-          }
-        });
+  // witness set is frozen for the whole phase: old labels merged with
+  // this iteration's deduped candidates (a pruned candidate may still
+  // witness the pruning of another — safe, since every entry covers a
+  // real path and canonical entries are never pruned; Thm. 3). So both
+  // sides are decided, owner by owner, before either list is compacted:
+  // in-candidates are witnessed by out-candidates and vice versa.
+  // Decisions read only frozen state, so the output is identical for any
+  // thread count.
+  std::vector<uint8_t> keep_out(out_c->size()), keep_in(in_c->size());
+  DecideSide(/*out_side=*/true, *out_c, directed_ ? *in_c : *out_c,
+             &keep_out);
+  if (directed_) DecideSide(/*out_side=*/false, *in_c, *out_c, &keep_in);
+  if (generation_abort_.load(std::memory_order_relaxed)) {
+    return Status::DeadlineExceeded("label pruning over time budget");
+  }
+  auto compact = [&](std::vector<Cand>* cands,
+                     const std::vector<uint8_t>& keep) {
     size_t w = 0;
     for (size_t i = 0; i < cands->size(); ++i) {
-      if (keep_[i]) {
-        (*cands)[w++] = (*cands)[i];
-      } else {
-        st->pruned++;
-      }
+      if (keep[i]) (*cands)[w++] = (*cands)[i];
     }
+    st->pruned += cands->size() - w;
     cands->resize(w);
   };
-  prune_list(out_c, /*is_out=*/true);
-  if (directed_) prune_list(in_c, /*is_out=*/false);
+  compact(out_c, keep_out);
+  compact(in_c, keep_in);
+  return Status::OK();
 }
 
 uint64_t Builder::Apply(const std::vector<Cand>& cands, bool out_side,
@@ -746,7 +674,7 @@ Result<BuildOutput> Builder::Run() {
     st.generate_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
-    Prune(&out_c, &in_c, &st);
+    HOPDB_RETURN_NOT_OK(Prune(&out_c, &in_c, &st));
     st.prune_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();

@@ -22,10 +22,13 @@
 //   2. prune — candidates with a witness through a higher-ranked pivot
 //      die (Section 3.3): candidate covering path x⇝y with pivot
 //      β = min(x, y) dies iff some w < β has (w,d1) ∈ Lout(x),
-//      (w,d2) ∈ Lin(y) with d1+d2 ≤ d. Witness scans run through the
-//      bounded early-exit SIMD merge-join of the active query kernel
-//      over a frozen flat snapshot of labels ∪ candidates, decisions in
-//      parallel.
+//      (w,d2) ∈ Lin(y) with d1+d2 ≤ d, over labels ∪ this iteration's
+//      candidates. Owner by owner, each range of owners on one worker:
+//      the owner's own side is loaded into the worker's |V|-slot
+//      distance table, and each of its candidates (w, p, d) probes that
+//      table with p's opposite-side label and candidates. Two exact
+//      distance bounds skip probes that cannot find a witness. Both
+//      sides are decided before either is compacted.
 //   3. apply — survivors merge into the labels and inverted lists in
 //      candidate order, on one thread: label growth made on worker
 //      threads would land in per-thread malloc arenas and raise peak
@@ -87,13 +90,15 @@ struct BuildOptions {
   bool prune = true;
   /// When true (default, matching Section 4.2's outer block which holds
   /// both old labels and fresh candidates), pruning witnesses may be this
-  /// iteration's deduped candidates as well as old entries. Ablation knob.
+  /// iteration's deduped candidates as well as old entries; when false,
+  /// only old entries witness. Ablation knob.
   bool prune_with_candidates = true;
   /// Worker threads for the generation and pruning phases (the label
   /// merge is sequential). The output is bit-identical for every thread
   /// count: each owner's candidates are gathered and ordered by one
-  /// worker from iteration-start state, and pruning decisions depend only
-  /// on the iteration-start snapshot. 0 means all hardware threads.
+  /// worker from iteration-start state, and pruning decisions read only
+  /// the labels and the uncompacted candidate lists. 0 means all
+  /// hardware threads.
   uint32_t num_threads = 1;
 };
 

@@ -47,12 +47,11 @@ class FlatLabelStore {
  public:
   /// Non-owning view of one vertex's label in SoA form: pivots[i] pairs
   /// with dists[i]; pivots are strictly ascending. Valid as long as the
-  /// store it came from is alive and unmodified. For store and HLI2
-  /// slots, block_min/block_max point at this slot's per-block pivot
-  /// sidecars (entry g covers label entries [g*16, (g+1)*16)) and the
-  /// pivot/dist arrays are readable through the padded end of the last
-  /// block. Builder arena views (FlatLabelArena) leave both null; only
-  /// the witness probe reads those.
+  /// store or mapped HLI2 file it came from is alive and unmodified.
+  /// Every view carries its slot's per-block pivot sidecars
+  /// (block_min/block_max; entry g covers label entries [g*16,
+  /// (g+1)*16)), and its pivot/dist arrays are readable through the
+  /// padded end of the last block.
   struct View {
     const uint32_t* pivots = nullptr;
     const uint32_t* dists = nullptr;
@@ -189,59 +188,6 @@ void ForEachLabelEntry(const LabelSetView& view, bool in_side, VertexId v,
     }
   }
 }
-
-/// Reusable SoA label arena for iteration-scoped frozen snapshots — the
-/// builder's witness store for SIMD rule-(ii) pruning. Same slot layout
-/// as FlatLabelStore (packed pivot/dist arenas plus an offset table) but
-/// built for repeated rebuild cycles: Reset keeps the high-water arena
-/// capacity, so steady-state per-iteration rebuilds allocate nothing.
-/// The caller fills slots through the mutable pointers after Reset; views
-/// are valid until the next Reset. Arena views are unblocked (no
-/// sidecars) and feed only has_witness_flat: the builder's witness scans
-/// are short prefix scans that gain nothing from block skipping.
-class FlatLabelArena {
- public:
-  /// Starts a fresh snapshot with `num_slots` slots whose entry counts
-  /// are `sizes[0..num_slots)`. Discards previous contents; slot storage
-  /// is uninitialized until the caller writes it.
-  void Reset(size_t num_slots, const uint64_t* sizes) {
-    offsets_.resize(num_slots + 1);
-    uint64_t total = 0;
-    offsets_[0] = 0;
-    for (size_t s = 0; s < num_slots; ++s) {
-      total += sizes[s];
-      offsets_[s + 1] = total;
-    }
-    pivots_.ResetDiscard(total);
-    dists_.ResetDiscard(total);
-  }
-
-  size_t num_slots() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
-  }
-  uint64_t TotalEntries() const { return pivots_.size(); }
-  uint64_t CapacityBytes() const {
-    return (pivots_.capacity() + dists_.capacity()) * sizeof(uint32_t);
-  }
-
-  uint32_t* slot_pivots(size_t slot) { return pivots_.data() + offsets_[slot]; }
-  uint32_t* slot_dists(size_t slot) { return dists_.data() + offsets_[slot]; }
-  uint32_t slot_size(size_t slot) const {
-    return static_cast<uint32_t>(offsets_[slot + 1] - offsets_[slot]);
-  }
-
-  FlatLabelStore::View View(size_t slot) const {
-    const uint64_t begin = offsets_[slot];
-    return FlatLabelStore::View{pivots_.data() + begin, dists_.data() + begin,
-                                static_cast<uint32_t>(offsets_[slot + 1] -
-                                                      begin)};
-  }
-
- private:
-  std::vector<uint64_t> offsets_;
-  AlignedU32Array pivots_;
-  AlignedU32Array dists_;
-};
 
 }  // namespace hopdb
 

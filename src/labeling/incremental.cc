@@ -561,9 +561,10 @@ void IncrementalUpdater::PivotRestore(VertexId v, bool backward) {
 
 bool IncrementalUpdater::HasRepairWitness(VertexId x, VertexId y,
                                           VertexId beta, Distance d) const {
-  // Scalar mirror of QueryKernel::has_witness_flat over the live label
-  // vectors: existence of a common pivot z < beta with d1 + d2 <= d,
-  // early exit on the first hit.
+  // The rule-(ii) witness test (Section 3.3) over the live label
+  // vectors: existence of a common pivot z < beta with d1 + d2 <= d, by a
+  // bounded merge that exits on the first hit. Each call tests one label
+  // pair, so the builder's per-owner distance table would not pay off.
   const LabelVector& out_x = (*out_)[x];
   const LabelVector& in_y = (*in_)[y];
   size_t i = 0, j = 0;

@@ -45,37 +45,6 @@ Distance IntersectEntriesScalar(const LabelEntry* a, uint32_t an,
   return ScalarTailEntries(a, an, b, bn, 0, 0, kInfDistance);
 }
 
-/// Bounded witness tail: resumes the merge at (i, j), stops at the beta
-/// bound, returns on the first common pivot with d1 + d2 <= d. The
-/// saturating add makes an overflowing pair a witness exactly when
-/// d == kInfDistance — the same semantics the builder's scalar cursor
-/// scan has always had.
-bool ScalarTailWitness(const uint32_t* ap, const uint32_t* ad, size_t an,
-                       const uint32_t* bp, const uint32_t* bd, size_t bn,
-                       size_t i, size_t j, VertexId beta, Distance d) {
-  while (i < an && j < bn) {
-    const uint32_t pa = ap[i];
-    const uint32_t pb = bp[j];
-    if (pa >= beta || pb >= beta) return false;
-    if (pa == pb) {
-      if (SaturatingAdd(ad[i], bd[j]) <= d) return true;
-      ++i;
-      ++j;
-    } else if (pa < pb) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
-bool HasWitnessFlatScalar(const uint32_t* ap, const uint32_t* ad, uint32_t an,
-                          const uint32_t* bp, const uint32_t* bd, uint32_t bn,
-                          VertexId beta, Distance d) {
-  return ScalarTailWitness(ap, ad, an, bp, bd, bn, 0, 0, beta, d);
-}
-
 // ---------------------------------------------------------------------------
 // Blocked merge, scalar. The outer loop walks the per-block pivot
 // min/max sidecars and advances past a block as soon as its range
@@ -228,7 +197,6 @@ inline Distance RefillStream(StreamCursor* cur, StreamBlock* blk,
 constexpr QueryKernel kScalarKernel{
     "scalar",
     &IntersectEntriesScalar,
-    &HasWitnessFlatScalar,
     &IntersectBlockedScalar,
     &IntersectStreamScalar};
 
@@ -303,66 +271,6 @@ IntersectEntriesAvx2(const LabelEntry* a, uint32_t an, const LabelEntry* b,
     if (bmax <= amax) j += 8;
   }
   return ScalarTailEntries(a, a_n, b, b_n, i, j, HorizontalMinU32(best));
-}
-
-// ---------------------------------------------------------------------------
-// Bounded early-exit witness probe, AVX2. The block walk mirrors the
-// intersect kernel but (1) stops as soon as either block starts at or
-// past the beta bound (strict sortedness makes everything after it
-// irrelevant), (2) masks out lanes whose pivot is >= beta, and (3)
-// returns on the first lane satisfying d1 + d2 <= d. When d is
-// kInfDistance an overflowing sum saturates into a witness, so the
-// overflow mask is disabled for that case instead of dropping the lane.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) bool
-HasWitnessFlatAvx2(const uint32_t* ap, const uint32_t* ad, uint32_t an,
-                   const uint32_t* bp, const uint32_t* bd, uint32_t bn,
-                   VertexId beta, Distance d) {
-  if (beta == 0) return false;  // no pivot ranks above rank 0
-  size_t i = 0, j = 0;
-  const size_t a_n = an, b_n = bn;
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  const __m256i beta_m1 = _mm256_set1_epi32(static_cast<int>(beta - 1));
-  const __m256i vd = _mm256_set1_epi32(static_cast<int>(d));
-  const bool inf_budget = d == kInfDistance;
-  while (i + 8 <= a_n && j + 8 <= b_n) {
-    if (ap[i] >= beta || bp[j] >= beta) return false;
-    const uint32_t amax = ap[i + 7];
-    const uint32_t bmax = bp[j + 7];
-    const __m256i va_p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ap + i));
-    const __m256i va_d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ad + i));
-    __m256i vb_p =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp + j));
-    __m256i vb_d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bd + j));
-    // va_p < beta per lane (unsigned): min(va_p, beta - 1) == va_p.
-    const __m256i a_in_bound =
-        _mm256_cmpeq_epi32(_mm256_min_epu32(va_p, beta_m1), va_p);
-    __m256i hit = _mm256_setzero_si256();
-    for (int r = 0; r < 8; ++r) {
-      const __m256i eq = _mm256_cmpeq_epi32(va_p, vb_p);
-      const __m256i sum = _mm256_add_epi32(va_d, vb_d);
-      const __m256i no_ovf =
-          _mm256_cmpeq_epi32(_mm256_max_epu32(sum, va_d), sum);
-      // sum <= d (unsigned): min(sum, d) == sum. An overflowed lane
-      // saturates to kInfDistance, a witness only when d is infinite.
-      const __m256i le_d =
-          _mm256_cmpeq_epi32(_mm256_min_epu32(sum, vd), sum);
-      __m256i ok = inf_budget ? _mm256_set1_epi32(-1)
-                              : _mm256_and_si256(no_ovf, le_d);
-      ok = _mm256_and_si256(ok, _mm256_and_si256(eq, a_in_bound));
-      hit = _mm256_or_si256(hit, ok);
-      vb_p = _mm256_permutevar8x32_epi32(vb_p, rot1);
-      vb_d = _mm256_permutevar8x32_epi32(vb_d, rot1);
-    }
-    if (_mm256_movemask_epi8(hit) != 0) return true;
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  return ScalarTailWitness(ap, ad, a_n, bp, bd, b_n, i, j, beta, d);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,7 +383,6 @@ IntersectStreamAvx2(const uint8_t* a, size_t a_len, const uint8_t* b,
 constexpr QueryKernel kAvx2Kernel{
     "avx2",
     &IntersectEntriesAvx2,
-    &HasWitnessFlatAvx2,
     &IntersectBlockedAvx2,
     &IntersectStreamAvx2};
 

@@ -28,7 +28,8 @@
 //            and merges without materializing the label, so compressed
 //            indexes answer queries with no decompression pass
 //
-// plus the builder's bounded witness probe over packed SoA arenas.
+// The builder does not use these kernels: its rule-(ii) pruning probes a
+// per-worker distance table instead (labeling/builder.h).
 //
 // Kernel selection is runtime CPUID dispatch: the first query picks avx2
 // when the CPU supports it and the scalar reference otherwise. Tests and
@@ -57,24 +58,11 @@ namespace hopdb {
 struct QueryKernel {
   const char* name;
 
-  /// Array-of-structs form (LabelEntry spans) — builders, baselines and
-  /// the disk index. The AVX2 kernel deinterleaves entry blocks in
+  /// Array-of-structs form (LabelEntry spans) — PLL's pruned searches
+  /// and the disk index. The AVX2 kernel deinterleaves entry blocks in
   /// registers. O((|a| + |b|) / lanes) block steps plus a scalar tail.
   Distance (*intersect_entries)(const LabelEntry* a, uint32_t a_size,
                                 const LabelEntry* b, uint32_t b_size);
-
-  /// Bounded early-exit witness probe — the builder's rule-(ii) pruning
-  /// primitive (Section 3.3). True iff some common pivot w < beta has
-  /// SaturatingAdd(d1, d2) <= d. Unlike the intersect legs it never scans
-  /// past the beta bound and returns on the first witness found, so the
-  /// common prune case touches only a prefix of each label. All kernels
-  /// return the identical boolean (existence is order-insensitive),
-  /// including the d == kInfDistance case where an overflowed d1 + d2
-  /// saturates into a valid witness.
-  bool (*has_witness_flat)(const uint32_t* a_pivots, const uint32_t* a_dists,
-                           uint32_t a_size, const uint32_t* b_pivots,
-                           const uint32_t* b_dists, uint32_t b_size,
-                           VertexId beta, Distance d);
 
   /// Blocked SoA form: merge-join driven by the per-block pivot min/max
   /// sidecars (FlatLabelStore::View::block_min/block_max; one entry per

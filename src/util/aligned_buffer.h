@@ -1,12 +1,11 @@
 // Cache-line-aligned flat arrays. The flat label store keeps its pivot
-// and distance arenas 64-byte aligned so a label's first SIMD block never
-// straddles an extra cache line and streaming scans start on a line
-// boundary.
+// and distance arenas and their block sidecars 64-byte aligned so a
+// label's first SIMD block never straddles an extra cache line and
+// streaming scans start on a line boundary.
 
 #ifndef HOPDB_UTIL_ALIGNED_BUFFER_H_
 #define HOPDB_UTIL_ALIGNED_BUFFER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -16,15 +15,10 @@
 namespace hopdb {
 
 /// Fixed-size uint32 array whose storage is aligned to kAlignment bytes.
-/// Unlike std::vector there is no incremental growth path — callers size
-/// the array up front — which keeps the invariant "data() is 64-byte
-/// aligned for the buffer's whole lifetime" trivially true. Deep-copyable
-/// and movable; a moved-from buffer is empty.
-///
-/// ResetDiscard supports arena reuse: repeated fill cycles (the builder's
-/// per-iteration witness snapshots) resize without reallocating once the
-/// high-water capacity is reached, so steady-state rebuilds touch no
-/// allocator and no fresh pages.
+/// There is no resize or growth path — callers size the array at
+/// construction — which keeps the invariant "data() is 64-byte aligned
+/// for the buffer's whole lifetime" trivially true. Deep-copyable and
+/// movable; a moved-from buffer is empty.
 class AlignedU32Array {
  public:
   static constexpr size_t kAlignment = 64;
@@ -46,14 +40,12 @@ class AlignedU32Array {
 
   AlignedU32Array(AlignedU32Array&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)),
-        capacity_(std::exchange(other.capacity_, 0)) {}
+        size_(std::exchange(other.size_, 0)) {}
   AlignedU32Array& operator=(AlignedU32Array&& other) noexcept {
     if (this != &other) {
       Free();
       data_ = std::exchange(other.data_, nullptr);
       size_ = std::exchange(other.size_, 0);
-      capacity_ = std::exchange(other.capacity_, 0);
     }
     return *this;
   }
@@ -70,28 +62,9 @@ class AlignedU32Array {
 
   uint64_t SizeBytes() const { return size_ * sizeof(uint32_t); }
 
-  /// Resizes to `size` without preserving contents, reallocating only
-  /// when `size` exceeds the high-water capacity — with 1.5x growth
-  /// headroom, so a sequence of slowly growing resets (the builder's
-  /// per-iteration snapshots during the label growth phase) amortizes to
-  /// O(log) reallocations instead of one per call. Existing pointers are
-  /// invalidated only on reallocation; contents are indeterminate either
-  /// way.
-  void ResetDiscard(size_t size) {
-    if (size > capacity_) {
-      const size_t grown = std::max(size, capacity_ + capacity_ / 2);
-      Free();
-      Allocate(grown);
-    }
-    size_ = size;
-  }
-
-  size_t capacity() const { return capacity_; }
-
  private:
   void Allocate(size_t size) {
     size_ = size;
-    capacity_ = size;
     data_ = size == 0 ? nullptr
                       : static_cast<uint32_t*>(::operator new(
                             size * sizeof(uint32_t),
@@ -103,12 +76,10 @@ class AlignedU32Array {
       data_ = nullptr;
     }
     size_ = 0;
-    capacity_ = 0;
   }
 
   uint32_t* data_ = nullptr;
   size_t size_ = 0;
-  size_t capacity_ = 0;
 };
 
 }  // namespace hopdb

@@ -1,7 +1,10 @@
-// Minimal fork-join parallelism for the label builder's data-parallel
-// phases (candidate generation, dedup, pruning). Deliberately
+// Minimal fork-join parallelism for the label builders. Deliberately
 // tiny: no work stealing, no task queue — each invocation splits [0, n)
-// into one contiguous chunk per thread.
+// into one contiguous chunk per thread. The in-memory builder calls it
+// with n == threads to start one worker per thread for its generation
+// and pruning passes; the workers then claim owner ranges from a shared
+// counter (labeling/builder.cc, ForEachOwner). The external builder's
+// candidate sort (labeling/candidate_partition.h) splits real ranges.
 //
 // ParallelChunks is a header template (not a std::function sink) so the
 // builder's tight per-iteration loops pay no type-erasure allocation per

@@ -367,11 +367,12 @@ TEST(BuilderTest, StatsAreConsistent) {
 
 // Golden output over {undirected, directed} × {unweighted, weighted} ×
 // {stepping, doubling, hybrid switching after iteration 2} on small GLP
-// graphs, at 1 and 4 threads. A change to candidate generation, dedup,
-// pruning or apply that alters any per-iteration counter, the peak
-// candidate count or one byte of the saved HLI1 file fails here. The
-// benchmark runs only Hop-Stepping iterations, so this is what guards
-// Rules 1/2/4/5.
+// graphs, at 1 and 4 threads, plus weighted hybrid builds that prune
+// with old entries only (prune_with_candidates = false). A change to
+// candidate generation, dedup, pruning or apply that alters any
+// per-iteration counter, the peak candidate count or one byte of the
+// saved HLI1 file fails here. The benchmark runs only Hop-Stepping
+// iterations, so this is what guards Rules 1/2/4/5.
 struct PinnedBuild {
   bool directed;
   bool weighted;
@@ -380,6 +381,7 @@ struct PinnedBuild {
   uint64_t peak_candidates;
   uint64_t counters_fnv;  // FNV-1a of CountersText
   uint64_t hli1_fnv;      // FNV-1a of the saved HLI1 bytes
+  bool prune_with_candidates = true;
 };
 
 /// Every IterationStats counter, one "iter:mode:raw:deduped:dropped:
@@ -424,6 +426,10 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
        0x9f3501bd47536a65ULL, 0x25913b6517f4a3e5ULL},
       {true, true, BuildMode::kHybrid, 5, 27506,
        0x558859f56af3452aULL, 0x0f6cdeb9332d232cULL},
+      {false, true, BuildMode::kHybrid, 5, 77115,
+       0xfc2fe27bba9dd3b0ULL, 0x184d114710ac46d2ULL, false},
+      {true, true, BuildMode::kHybrid, 5, 46624,
+       0xa17bf0b57763e67fULL, 0xd63e944b7cdf620aULL, false},
   };
   auto tmp = TempDir::Create("hopdb_builder_pin");
   ASSERT_TRUE(tmp.ok());
@@ -440,11 +446,13 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
     for (const uint32_t threads : {1u, 4u}) {
       SCOPED_TRACE(std::string(pin.directed ? "directed " : "undirected ") +
                    (pin.weighted ? "weighted " : "unweighted ") +
-                   BuildModeName(pin.mode) + " threads " +
-                   std::to_string(threads));
+                   BuildModeName(pin.mode) +
+                   (pin.prune_with_candidates ? "" : " old-entry witnesses") +
+                   " threads " + std::to_string(threads));
       BuildOptions opts;
       opts.mode = pin.mode;
       opts.hybrid_switch_iteration = 2;
+      opts.prune_with_candidates = pin.prune_with_candidates;
       opts.num_threads = threads;
       auto out = BuildHopLabeling(*ranked, opts);
       ASSERT_TRUE(out.ok());

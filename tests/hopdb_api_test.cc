@@ -82,6 +82,21 @@ TEST(HopDbApiTest, CustomRankingWrongSizeFails) {
   EXPECT_FALSE(index.ok());
 }
 
+TEST(HopDbApiTest, CustomRankingNotAPermutationFails) {
+  HopDbOptions opts;
+  opts.ranking = HopDbOptions::Ranking::kCustom;
+  // Right length, but vertex 0 twice and vertex 8 missing.
+  opts.custom_order = {0, 1, 2, 3, 4, 5, 6, 7, 0};
+  auto duplicate = HopDbIndex::Build(GridGraph(3, 3), opts);
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.status().code(), StatusCode::kInvalidArgument);
+  // Right length, but an id past the last vertex.
+  opts.custom_order = {0, 1, 2, 3, 4, 5, 6, 7, 9};
+  auto out_of_range = HopDbIndex::Build(GridGraph(3, 3), opts);
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(HopDbApiTest, SaveLoadRoundTrip) {
   auto dir = TempDir::Create("api");
   ASSERT_TRUE(dir.ok());

@@ -33,19 +33,6 @@ LabelVector RandomLabel(Rng* rng, VertexId pivot_space, size_t max_len,
   return out;
 }
 
-/// SoA copy of a label for direct has_witness_flat calls.
-struct SoaLabel {
-  std::vector<uint32_t> pivots;
-  std::vector<uint32_t> dists;
-
-  explicit SoaLabel(const LabelVector& label) {
-    for (const LabelEntry& e : label) {
-      pivots.push_back(e.pivot);
-      dists.push_back(e.dist);
-    }
-  }
-};
-
 Distance BruteIntersect(const LabelVector& a, const LabelVector& b) {
   Distance best = kInfDistance;
   for (const LabelEntry& ea : a) {
@@ -171,102 +158,6 @@ TEST(QueryKernelTest, FlatHalvesMatchSpanHalves) {
                   QueryLabelHalves(out[s], in[t], s, t))
             << "kernel=" << kernel->name << " s=" << s << " t=" << t;
       }
-    }
-  }
-}
-
-// --- Bounded early-exit witness probe (builder rule-(ii) pruning) ---
-
-bool BruteWitness(const LabelVector& a, const LabelVector& b, VertexId beta,
-                  Distance d) {
-  for (const LabelEntry& ea : a) {
-    for (const LabelEntry& eb : b) {
-      if (ea.pivot == eb.pivot && ea.pivot < beta &&
-          SaturatingAdd(ea.dist, eb.dist) <= d) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void ExpectAllWitnessKernelsAgree(const LabelVector& a, const LabelVector& b,
-                                  VertexId beta, Distance d,
-                                  const std::string& context) {
-  const bool want = BruteWitness(a, b, beta, d);
-  const SoaLabel sa(a), sb(b);
-  for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    EXPECT_EQ(kernel->has_witness_flat(
-                  sa.pivots.data(), sa.dists.data(),
-                  static_cast<uint32_t>(sa.pivots.size()), sb.pivots.data(),
-                  sb.dists.data(), static_cast<uint32_t>(sb.pivots.size()),
-                  beta, d),
-              want)
-        << context << " has_witness_flat kernel=" << kernel->name
-        << " beta=" << beta << " d=" << d;
-  }
-}
-
-TEST(QueryKernelTest, WitnessAgreementOnRandomizedSnapshots) {
-  Rng rng(2718);
-  // Sizes straddle the SIMD block boundaries; betas sweep below, inside
-  // and above the pivot space so the bound cuts prefixes of every length.
-  const size_t sizes[] = {0, 1, 3, 7, 8, 9, 16, 17, 33, 64, 200};
-  for (const size_t la : sizes) {
-    for (const size_t lb : sizes) {
-      for (int round = 0; round < 4; ++round) {
-        LabelVector a = RandomLabel(&rng, 96, la, 50);
-        LabelVector b = RandomLabel(&rng, 96, lb, 50);
-        for (const VertexId beta : {VertexId{0}, VertexId{1}, VertexId{13},
-                                    VertexId{48}, VertexId{96},
-                                    VertexId{1000}}) {
-          const Distance d = static_cast<Distance>(rng.Uniform(0, 110));
-          ExpectAllWitnessKernelsAgree(
-              a, b, beta, d,
-              "sizes " + std::to_string(la) + "x" + std::to_string(lb) +
-                  " round " + std::to_string(round));
-        }
-      }
-    }
-  }
-}
-
-TEST(QueryKernelTest, WitnessOverflowSaturatesIntoInfiniteBudget) {
-  // When the candidate distance is kInfDistance, a pair whose d1 + d2
-  // wraps uint32 saturates to kInfDistance and IS a witness; for any
-  // finite budget it is not. Every kernel must agree on both.
-  Rng rng(31);
-  for (int round = 0; round < 200; ++round) {
-    LabelVector a = RandomLabel(&rng, 64, 24, kInfDistance - 1);
-    LabelVector b = RandomLabel(&rng, 64, 24, kInfDistance - 1);
-    for (LabelEntry& e : a) {
-      if (rng.Below(3) == 0) e.dist = static_cast<Distance>(rng.Uniform(1, 9));
-    }
-    for (LabelEntry& e : b) {
-      if (rng.Below(3) == 0) e.dist = static_cast<Distance>(rng.Uniform(1, 9));
-    }
-    const std::string context = "overflow round " + std::to_string(round);
-    ExpectAllWitnessKernelsAgree(a, b, /*beta=*/64, kInfDistance, context);
-    ExpectAllWitnessKernelsAgree(a, b, /*beta=*/64, kInfDistance - 1,
-                                 context);
-    ExpectAllWitnessKernelsAgree(
-        a, b, /*beta=*/64, static_cast<Distance>(rng.Uniform(0, 50)),
-        context);
-  }
-}
-
-TEST(QueryKernelTest, WitnessBetaZeroIsNeverFound) {
-  Rng rng(5);
-  for (int round = 0; round < 20; ++round) {
-    LabelVector a = RandomLabel(&rng, 32, 40, 9);
-    for (const QueryKernel* kernel : SupportedQueryKernels()) {
-      const SoaLabel sa(a);
-      EXPECT_FALSE(kernel->has_witness_flat(
-          sa.pivots.data(), sa.dists.data(),
-          static_cast<uint32_t>(sa.pivots.size()), sa.pivots.data(),
-          sa.dists.data(), static_cast<uint32_t>(sa.pivots.size()),
-          /*beta=*/0, kInfDistance))
-          << kernel->name;
     }
   }
 }

@@ -26,6 +26,10 @@
    renders (kEvalReportSections in src/eval/harness.h) must be listed —
    backticked — in the eval runbook of docs/OPERATIONS.md, so the
    runbook's description of the report cannot silently go stale.
+8. Query-kernel entry-point drift: the function-pointer members of
+   struct QueryKernel (src/labeling/query_kernel.h) must match, one for
+   one, the backticked bullets after "carries <N> entry points:" in
+   docs/ARCHITECTURE.md, and <N> must be their count.
 
 Exit status 0 = clean, 1 = at least one failure (each printed).
 """
@@ -78,6 +82,19 @@ EVAL_SECTIONS_RE = re.compile(
     r"kEvalReportSections\[\]\s*=\s*\{([^}]*)\}", re.DOTALL
 )
 EVAL_SECTION_LITERAL_RE = re.compile(r'"(## [^"]+)"')
+# query_kernel.h: struct QueryKernel { ... Distance (*intersect_entries)(...
+QUERY_KERNEL_STRUCT_RE = re.compile(
+    r"struct\s+QueryKernel\s*\{(.*?)\n\};", re.DOTALL
+)
+FN_POINTER_MEMBER_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
+# ARCHITECTURE.md: "Each kernel carries three entry points:" (may wrap),
+# then one "- `name` — ..." bullet per entry point.
+DOC_KERNEL_COUNT_RE = re.compile(r"carries\s+(\w+)\s+entry\s+points:")
+DOC_KERNEL_BULLET_RE = re.compile(r"^(\s*)- `(\w+)`")
+NUMBER_WORDS = {
+    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
+    "seven": 7, "eight": 8, "nine": 9, "ten": 10,
+}
 
 
 def iter_markdown_files(root: pathlib.Path):
@@ -353,6 +370,60 @@ def check_eval_sections(root: pathlib.Path) -> list[str]:
     return failures
 
 
+def check_kernel_entry_points(root: pathlib.Path) -> list[str]:
+    """QueryKernel's function pointers and ARCHITECTURE.md's entry-point
+    list must agree, and the list's stated count must be right."""
+    kernel_h = root / "src" / "labeling" / "query_kernel.h"
+    architecture_md = root / "docs" / "ARCHITECTURE.md"
+    struct = QUERY_KERNEL_STRUCT_RE.search(kernel_h.read_text(encoding="utf-8"))
+    if struct is None:
+        return ["struct QueryKernel not found in src/labeling/query_kernel.h "
+                "(parser drifted?)"]
+    members = FN_POINTER_MEMBER_RE.findall(struct.group(1))
+    if not members:
+        return ["struct QueryKernel has no function-pointer members "
+                "(parser drifted?)"]
+    doc_text = architecture_md.read_text(encoding="utf-8")
+    stated = DOC_KERNEL_COUNT_RE.search(doc_text)
+    if stated is None:
+        return ["docs/ARCHITECTURE.md has no 'carries <N> entry points:' "
+                "sentence listing the QueryKernel entry points"]
+    # The bullets run from the line after the sentence until the first
+    # line at the bullets' indent that is not a bullet (deeper-indented
+    # lines continue the previous bullet).
+    bullets: list[str] = []
+    indent = None
+    for line in doc_text[stated.end():].splitlines()[1:]:
+        m = DOC_KERNEL_BULLET_RE.match(line)
+        if m and (indent is None or len(m.group(1)) == indent):
+            indent = len(m.group(1))
+            bullets.append(m.group(2))
+        elif (indent is None or not line.strip()
+              or len(line) - len(line.lstrip()) <= indent):
+            break
+    failures = []
+    for name in members:
+        if name not in bullets:
+            failures.append(
+                f"QueryKernel entry point '{name}' (query_kernel.h) is not "
+                "in the docs/ARCHITECTURE.md entry-point list"
+            )
+    for name in bullets:
+        if name not in members:
+            failures.append(
+                f"docs/ARCHITECTURE.md lists QueryKernel entry point "
+                f"'{name}' but struct QueryKernel has no such member"
+            )
+    word = stated.group(1).lower()
+    count = int(word) if word.isdigit() else NUMBER_WORDS.get(word)
+    if count != len(members):
+        failures.append(
+            f"docs/ARCHITECTURE.md says QueryKernel carries '{word}' entry "
+            f"points but struct QueryKernel has {len(members)}"
+        )
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -376,6 +447,7 @@ def main() -> int:
     failures += check_metric_families(root)
     failures += check_v2_opcodes(root)
     failures += check_eval_sections(root)
+    failures += check_kernel_entry_points(root)
     if args.cli_bin:
         failures += check_cli_help(root, args.cli_bin)
 
@@ -386,7 +458,7 @@ def main() -> int:
         print(
             f"docs OK: {checked} markdown files, links resolve, format "
             "magics + STATS keys + metric families + v2 opcodes + eval "
-            "report sections in sync"
+            "report sections + query-kernel entry points in sync"
             + (", CLI help in sync" if args.cli_bin else "")
         )
     return 1 if failures else 0
