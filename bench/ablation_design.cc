@@ -1,9 +1,17 @@
-// Design-choice ablations for the decisions DESIGN.md calls out:
-//   1. pruning off vs on              (Section 3.3 is what keeps labels small)
-//   2. candidate witnesses off vs on  (Section 4.2's outer-block detail)
-//   3. ranking policy                 (degree vs in×out product vs identity)
-//   4. hybrid switch iteration sweep  (Section 5.4's "first 10 iterations")
-//   5. bit-parallel post-processing   (Section 6: size and query effects)
+// Design-choice ablations, each against the docs/ARCHITECTURE.md section
+// that describes the choice:
+//   1. pruning off vs on              ("Build pipeline", step 2; Section
+//                                      3.3 is what keeps labels small)
+//   2. candidate witnesses off vs on  ("Build pipeline", step 2,
+//                                      prune_with_candidates; Section
+//                                      4.2's outer-block detail)
+//   3. ranking policy                 ("Data flow", ComputeRanking: degree
+//                                      vs in×out product vs identity)
+//   4. hybrid switch iteration sweep  ("Data flow", BuildHopLabeling's
+//                                      modes; Section 5.4's "first 10
+//                                      iterations")
+//   5. bit-parallel post-processing   ("Subsystem map", BitParallelIndex;
+//                                      Section 6: size and query effects)
 
 #include <cstdio>
 
@@ -183,7 +191,7 @@ int Run(int argc, char** argv) {
   BenchEnv env;
   if (!InitBenchEnv(argc, argv,
                     "ablation_design: ablations for the design choices "
-                    "DESIGN.md calls out",
+                    "docs/ARCHITECTURE.md describes",
                     &env)) {
     return 0;
   }

@@ -19,10 +19,10 @@ std::vector<DatasetSpec> MakeTable6Datasets() {
   // name, group, directed, weighted, paper |V|, paper |E|,
   // stand-in |V| (scale 1.0), stand-in |E|/|V|, tier, seed.
   // Stand-in sizes keep the paper's |V| whenever that is laptop-feasible
-  // and otherwise shrink |V| (and for the two rating/social graphs with
-  // |E|/|V| > 100, the density) while preserving the density ordering of
-  // the paper's table. Tier 0 runs by default; tiers 1-3 opt in via
-  // flags (--tier). See DESIGN.md §4 for the substitution rationale.
+  // and otherwise shrink |V|, keeping |E|/|V|. Density shrinks in four
+  // rows: the three with |E|/|V| > 100 (Delicious, gplus, movRating) and
+  // Cat. Tier 0 runs by default; tiers 1-3 opt in via flags (--tier).
+  // docs/DATASETS.md records every substitution.
   return {
       // --- undirected unweighted -------------------------------------
       {"Delicious", "undirected unweighted", false, false, 5300000,

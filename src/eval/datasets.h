@@ -3,10 +3,10 @@
 // The paper evaluates on SNAP/KONECT graphs plus GLP synthetics. The
 // benchmark machines here are offline, so each real dataset is replaced
 // by a GLP-generated stand-in that matches its directedness, weightedness
-// and |E|/|V| density, with |V| scaled down to laptop scale (DESIGN.md §4
-// records the substitution). When a real edge-list file is available it
-// can be dropped into --data_dir under "<name>.txt" and will be used
-// instead of the generator.
+// and |E|/|V| density, with |V| scaled down to laptop scale
+// (docs/DATASETS.md records the substitution, row by row). When a real
+// edge-list file is available it can be dropped into --data_dir under
+// "<name>.txt" and will be used instead of the generator.
 
 #ifndef HOPDB_EVAL_DATASETS_H_
 #define HOPDB_EVAL_DATASETS_H_

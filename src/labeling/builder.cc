@@ -17,21 +17,6 @@ namespace hopdb {
 
 namespace {
 
-/// A label entry with its owner: a `prev` entry, or a candidate of this
-/// iteration. `owner` is the vertex whose label holds or would receive
-/// the entry; `pivot` always ranks above the owner (pivot < owner).
-struct Cand {
-  VertexId owner;
-  VertexId pivot;
-  Distance dist;
-};
-
-bool CandLess(const Cand& a, const Cand& b) {
-  if (a.owner != b.owner) return a.owner < b.owner;
-  if (a.pivot != b.pivot) return a.pivot < b.pivot;
-  return a.dist < b.dist;
-}
-
 /// Work between GenerationTick control checks: sources visited plus
 /// candidates counted or gathered.
 constexpr uint64_t kTickEvery = 1 << 16;
@@ -54,16 +39,20 @@ class Builder {
   Result<BuildOutput> Run();
 
  private:
-  /// One label side's generation state.
+  /// One label side's generation state. Candidates and `prev` entries
+  /// carry no owner: owner w's entries are a slice cut by per-owner
+  /// offsets, sorted by pivot (every pivot ranks above its owner).
   struct GenSide {
-    /// Entries that survived the previous iteration, sorted by (owner,
-    /// pivot); exactly sized, and released once generation has read them.
-    std::vector<Cand> prev;
+    /// Entries that survived the previous iteration; exactly sized, and
+    /// released once generation has read them.
+    std::vector<LabelEntry> prev;
     /// Vertex x's slice of `prev` is [prev_begin[x], prev_begin[x + 1]).
-    std::vector<size_t> prev_begin;
+    std::vector<uint64_t> prev_begin;
     /// Per-owner counts prefix-summed into offsets (owner w's range is
     /// [at[w], at[w + 1])): raw candidates after pass 1, survivors after
-    /// pass 2 (the ranges pass 3 fills and pruning reads).
+    /// pass 2 (the ranges pass 3 fills and pruning reads), pruning's
+    /// survivors after compaction. Apply reads them, and they become the
+    /// next iteration's `prev_begin`.
     std::vector<uint64_t> at;
     /// Owner range bounds for the gather and prune passes, cut at
     /// raw-count quantiles.
@@ -71,6 +60,13 @@ class Builder {
     /// cmin[w]: the smallest distance among owner w's deduped and
     /// filtered candidates, kInfDistance if it has none.
     std::vector<Distance> cmin;
+    /// Hop-Doubling iterations only, built from the labels when
+    /// generation starts and released with `prev`: the owners whose label
+    /// on this side holds pivot p, in ascending order, are
+    /// inv[inv_begin[p]] .. inv[inv_begin[p + 1] - 1]. The sources of
+    /// Rules 1 and 4 for the opposite side's owners.
+    std::vector<uint64_t> inv_begin;
+    std::vector<VertexId> inv;
   };
 
   /// One worker's gather and prune state, sized on the calling thread so
@@ -96,8 +92,14 @@ class Builder {
   /// memory exists; pass 2 gathers, dedups and filters every owner to
   /// count its survivors; pass 3 repeats that and writes them into one
   /// exactly sized buffer per side.
-  Status Generate(BuildMode mode_used, std::vector<Cand>* out_c,
-                  std::vector<Cand>* in_c, IterationStats* st);
+  Status Generate(BuildMode mode_used, std::vector<LabelEntry>* out_c,
+                  std::vector<LabelEntry>* in_c, IterationStats* st);
+
+  /// Fills one side's inverted lists (GenSide::inv) from its labels.
+  void BuildInvertedLists(bool out_side);
+
+  /// Frees what only generation reads: `prev` and the inverted lists.
+  void ReleaseSources(bool out_side);
 
   /// Periodic in-pass control check (generation and pruning): accumulates
   /// the caller's local raw count and trips the shared abort flag when the
@@ -141,8 +143,9 @@ class Builder {
   void CountRaw(BuildMode mode, bool out_side);
 
   /// Passes 2 and 3 for one side: `cands` ends up holding the side's
-  /// deduped and filtered candidates, sorted by (owner, pivot).
-  void Gather(BuildMode mode, bool out_side, std::vector<Cand>* cands,
+  /// deduped and filtered candidates, owner w's in [at[w], at[w + 1])
+  /// sorted by pivot.
+  void Gather(BuildMode mode, bool out_side, std::vector<LabelEntry>* cands,
               IterationStats* st);
 
   /// Gathers owner w's candidates into sc->best, keeping the smallest
@@ -154,30 +157,26 @@ class Builder {
                      GatherScratch* sc) const;
 
   /// Section 3.3 pruning over both candidate lists: decides every
-  /// candidate of both sides, then compacts both. Fails with
-  /// DeadlineExceeded, leaving the lists unpruned, when the deadline
-  /// stops a decision pass.
-  Status Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
+  /// candidate of both sides, then compacts both and rewrites each side's
+  /// `at` to its survivors' offsets. Fails with DeadlineExceeded, leaving
+  /// the lists unpruned, when the deadline stops a decision pass.
+  Status Prune(std::vector<LabelEntry>* out_c, std::vector<LabelEntry>* in_c,
                IterationStats* st);
 
   /// Decides one side's candidates owner by owner: keep[i] = 1 iff
   /// cands[i] has no witness. `opposite` holds the other side's
   /// candidates (the same list on undirected graphs).
-  void DecideSide(bool out_side, const std::vector<Cand>& cands,
-                  const std::vector<Cand>& opposite,
+  void DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
+                  const std::vector<LabelEntry>& opposite,
                   std::vector<uint8_t>* keep);
 
-  /// cand_begin[v] = first index of `cands` (sorted by owner) whose
-  /// owner is >= v; cand_begin[n] = cands.size().
-  void ComputeCandBegin(const std::vector<Cand>& cands,
-                        std::vector<size_t>* cand_begin) const;
-
-  /// Merges survivors into labels + inverted lists in candidate order;
-  /// returns survivor count. Sequential: it is the one phase that grows
-  /// heap memory (the labels), and growth made on worker threads lands
-  /// in per-thread malloc arenas and raises the build's peak RSS with
-  /// the thread count, for a phase that costs ~2% of the build.
-  uint64_t Apply(const std::vector<Cand>& cands, bool out_side,
+  /// Merges survivors into the labels owner by owner, reserving each
+  /// touched label to its old size plus its survivor count first; returns
+  /// the survivor count. Sequential: it is the one phase that grows heap
+  /// memory (the labels), and growth made on worker threads lands in
+  /// per-thread malloc arenas and raises the build's peak RSS with the
+  /// thread count, for a phase that costs ~2% of the build.
+  uint64_t Apply(const std::vector<LabelEntry>& cands, bool out_side,
                  IterationStats* st);
 
   std::vector<LabelVector>& Side(bool out_side) {
@@ -201,12 +200,6 @@ class Builder {
 
   std::vector<LabelVector> out_;
   std::vector<LabelVector> in_;
-  /// inv_out_[p]: owners w with an entry (p, ·) in Lout(w); the sources
-  /// of Rule 4, and of Rule 1 on undirected graphs.
-  std::vector<std::vector<VertexId>> inv_out_;
-  /// inv_in_[p]: owners w with an entry (p, ·) in Lin(w); the sources of
-  /// Rule 1 on directed graphs.
-  std::vector<std::vector<VertexId>> inv_in_;
 
   GenSide gen_out_;
   GenSide gen_in_;
@@ -227,11 +220,7 @@ class Builder {
 void Builder::Initialize() {
   const VertexId n = g_.num_vertices();
   out_.assign(n, {});
-  inv_out_.assign(n, {});
-  if (directed_) {
-    in_.assign(n, {});
-    inv_in_.assign(n, {});
-  }
+  if (directed_) in_.assign(n, {});
 
   // One entry per edge: the higher-ranked endpoint becomes the pivot.
   // Directed arc u->v: v < u places (v, w) in Lout(u); u < v places
@@ -242,36 +231,60 @@ void Builder::Initialize() {
       if (directed_) {
         if (v < u) {
           out_[u].push_back({v, a.weight});
-          gen_out_.prev.push_back({u, v, a.weight});
         } else {
           in_[v].push_back({u, a.weight});
-          gen_in_.prev.push_back({v, u, a.weight});
         }
-      } else {
-        if (u < v) {
-          out_[v].push_back({u, a.weight});
-          gen_out_.prev.push_back({v, u, a.weight});
-        }
+      } else if (u < v) {
+        out_[v].push_back({u, a.weight});
       }
     }
   }
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(out_[v].begin(), out_[v].end(),
-              [](const LabelEntry& a, const LabelEntry& b) {
-                return a.pivot < b.pivot;
-              });
-    for (const LabelEntry& e : out_[v]) inv_out_[e.pivot].push_back(v);
-    if (directed_) {
-      std::sort(in_[v].begin(), in_[v].end(),
+  // Sorts each label and trims it to its size. The labels, flattened in
+  // owner order, are iteration 1's `prev`.
+  auto flatten = [&](bool out_side) {
+    std::vector<LabelVector>& labels = Side(out_side);
+    GenSide& gen = Gen(out_side);
+    gen.prev_begin.assign(static_cast<size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      std::sort(labels[v].begin(), labels[v].end(),
                 [](const LabelEntry& a, const LabelEntry& b) {
                   return a.pivot < b.pivot;
                 });
-      for (const LabelEntry& e : in_[v]) inv_in_[e.pivot].push_back(v);
+      labels[v].shrink_to_fit();
+      gen.prev_begin[v + 1] = gen.prev_begin[v] + labels[v].size();
     }
-  }
-  std::sort(gen_out_.prev.begin(), gen_out_.prev.end(), CandLess);
-  std::sort(gen_in_.prev.begin(), gen_in_.prev.end(), CandLess);
+    gen.prev.reserve(gen.prev_begin[n]);
+    for (const LabelVector& label : labels) {
+      gen.prev.insert(gen.prev.end(), label.begin(), label.end());
+    }
+  };
+  flatten(/*out_side=*/true);
+  if (directed_) flatten(/*out_side=*/false);
   stats_.initial_entries = gen_out_.prev.size() + gen_in_.prev.size();
+}
+
+void Builder::BuildInvertedLists(bool out_side) {
+  GenSide& gen = Gen(out_side);
+  const std::vector<LabelVector>& labels = Side(out_side);
+  const VertexId n = g_.num_vertices();
+  // Count each pivot's owners, then write them in ascending owner order.
+  gen.inv_begin.assign(static_cast<size_t>(n) + 1, 0);
+  for (const LabelVector& label : labels) {
+    for (const LabelEntry& e : label) ++gen.inv_begin[e.pivot + 1];
+  }
+  for (size_t p = 0; p < n; ++p) gen.inv_begin[p + 1] += gen.inv_begin[p];
+  gen.inv.resize(gen.inv_begin[n]);
+  std::vector<uint64_t> next(gen.inv_begin.begin(), gen.inv_begin.end() - 1);
+  for (VertexId w = 0; w < n; ++w) {
+    for (const LabelEntry& e : labels[w]) gen.inv[next[e.pivot]++] = w;
+  }
+}
+
+void Builder::ReleaseSources(bool out_side) {
+  GenSide& gen = Gen(out_side);
+  std::vector<LabelEntry>().swap(gen.prev);
+  std::vector<uint64_t>().swap(gen.inv_begin);
+  std::vector<VertexId>().swap(gen.inv);
 }
 
 template <typename Visit>
@@ -280,11 +293,11 @@ void Builder::ForEachSource(BuildMode mode, bool out_side, VertexId w,
   const GenSide& gen = Gen(out_side);
   // x's `prev` entries whose pivot ranks above w: a prefix of its slice.
   auto above_w = [&](VertexId x) {
-    const Cand* first = gen.prev.data() + gen.prev_begin[x];
-    const Cand* last = gen.prev.data() + gen.prev_begin[x + 1];
-    last = std::partition_point(first, last,
-                                [w](const Cand& c) { return c.pivot < w; });
-    return std::span<const Cand>(first, last);
+    const LabelEntry* first = gen.prev.data() + gen.prev_begin[x];
+    const LabelEntry* last = gen.prev.data() + gen.prev_begin[x + 1];
+    last = std::partition_point(
+        first, last, [w](const LabelEntry& e) { return e.pivot < w; });
+    return std::span<const LabelEntry>(first, last);
   };
   if (mode == BuildMode::kHopStepping) {
     // Hop-Stepping (Section 5.1): one arc w -> x (out side) or x -> w (in
@@ -296,16 +309,20 @@ void Builder::ForEachSource(BuildMode mode, bool out_side, VertexId w,
   }
   // Rules 1 (out side) and 4 (in side) of Fig. 6: w is a pivot of the
   // opposite-side label of x, which ranks below w.
-  const auto& other = directed_ && out_side ? in_ : out_;
-  for (VertexId x : (directed_ && out_side ? inv_in_ : inv_out_)[w]) {
-    const std::span<const Cand> slice = above_w(x);
+  const GenSide& opposite = Gen(!out_side);
+  const std::vector<LabelVector>& other = Side(!out_side);
+  for (uint64_t i = opposite.inv_begin[w]; i < opposite.inv_begin[w + 1];
+       ++i) {
+    const VertexId x = opposite.inv[i];
+    const std::span<const LabelEntry> slice = above_w(x);
     if (!slice.empty()) visit(slice, LookupPivot(other[x], w));
   }
   // Rules 2 and 5: x is a pivot of w's own label, so all of x's `prev`
   // entries rank above w.
   for (const LabelEntry& e : Side(out_side)[w]) {
-    visit(std::span<const Cand>(gen.prev.data() + gen.prev_begin[e.pivot],
-                                gen.prev.data() + gen.prev_begin[e.pivot + 1]),
+    visit(std::span<const LabelEntry>(
+              gen.prev.data() + gen.prev_begin[e.pivot],
+              gen.prev.data() + gen.prev_begin[e.pivot + 1]),
           e.dist);
   }
 }
@@ -334,7 +351,6 @@ void Builder::CountRaw(BuildMode mode, bool out_side) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
   const uint32_t parts = threads_ * kRangesPerThread;
-  ComputeCandBegin(gen.prev, &gen.prev_begin);
   gen.at.assign(static_cast<size_t>(n) + 1, 0);
   // Count over owner ranges of equal size.
   gen.ranges.clear();
@@ -345,7 +361,7 @@ void Builder::CountRaw(BuildMode mode, bool out_side) {
                                uint64_t* generated) {
     uint64_t raw = 0;
     ForEachSource(mode, out_side, w,
-                  [&](std::span<const Cand> slice, Distance) {
+                  [&](std::span<const LabelEntry> slice, Distance) {
                     raw += slice.size();
                     ++*work;
                   });
@@ -371,13 +387,13 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
                             GatherScratch* sc) const {
   sc->pivots.clear();
   size_t gathered = 0;
-  auto gather = [&](std::span<const Cand> slice, Distance hop) {
+  auto gather = [&](std::span<const LabelEntry> slice, Distance hop) {
     gathered += slice.size();
-    for (const Cand& c : slice) {
-      const uint64_t d = uint64_t{SaturatingAdd(hop, c.dist)} + 1;
-      uint64_t& best = sc->best[c.pivot];
+    for (const LabelEntry& e : slice) {
+      const uint64_t d = uint64_t{SaturatingAdd(hop, e.dist)} + 1;
+      uint64_t& best = sc->best[e.pivot];
       if (best == 0) {
-        sc->pivots.push_back(c.pivot);
+        sc->pivots.push_back(e.pivot);
         best = d;
       } else {
         best = std::min(best, d);
@@ -397,8 +413,8 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
   return gathered;
 }
 
-void Builder::Gather(BuildMode mode, bool out_side, std::vector<Cand>* cands,
-                     IterationStats* st) {
+void Builder::Gather(BuildMode mode, bool out_side,
+                     std::vector<LabelEntry>* cands, IterationStats* st) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
   scratch_.resize(threads_);
@@ -437,20 +453,26 @@ void Builder::Gather(BuildMode mode, bool out_side, std::vector<Cand>* cands,
   gen.cmin.assign(n, kInfDistance);
   for_each_owner([&](VertexId w, GatherScratch* sc) {
     std::sort(sc->pivots.begin(), sc->pivots.end());
-    Cand* out = cands->data() + gen.at[w];
+    LabelEntry* out = cands->data() + gen.at[w];
     for (const VertexId p : sc->pivots) {
       const auto d = static_cast<Distance>(sc->best[p] - 1);
-      *out++ = Cand{w, p, d};
+      *out++ = LabelEntry{p, d};
       gen.cmin[w] = std::min(gen.cmin[w], d);
       sc->best[p] = 0;
     }
   });
 }
 
-Status Builder::Generate(BuildMode mode_used, std::vector<Cand>* out_c,
-                         std::vector<Cand>* in_c, IterationStats* st) {
+Status Builder::Generate(BuildMode mode_used, std::vector<LabelEntry>* out_c,
+                         std::vector<LabelEntry>* in_c, IterationStats* st) {
   generated_total_.store(0, std::memory_order_relaxed);
   generation_abort_.store(false, std::memory_order_relaxed);
+
+  // Only Rules 1 and 4 read the inverted lists.
+  if (mode_used == BuildMode::kHopDoubling) {
+    BuildInvertedLists(/*out_side=*/true);
+    if (directed_) BuildInvertedLists(/*out_side=*/false);
+  }
 
   CountRaw(mode_used, /*out_side=*/true);
   if (directed_) CountRaw(mode_used, /*out_side=*/false);
@@ -478,20 +500,8 @@ Status Builder::Generate(BuildMode mode_used, std::vector<Cand>* out_c,
   return Status::OK();
 }
 
-void Builder::ComputeCandBegin(const std::vector<Cand>& cands,
-                               std::vector<size_t>* cand_begin) const {
-  const VertexId n = g_.num_vertices();
-  cand_begin->resize(static_cast<size_t>(n) + 1);
-  size_t i = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    while (i < cands.size() && cands[i].owner < v) ++i;
-    (*cand_begin)[v] = i;
-  }
-  (*cand_begin)[n] = cands.size();
-}
-
-void Builder::DecideSide(bool out_side, const std::vector<Cand>& cands,
-                         const std::vector<Cand>& opposite,
+void Builder::DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
+                         const std::vector<LabelEntry>& opposite,
                          std::vector<uint8_t>* keep) {
   const GenSide& gen = Gen(out_side);
   const GenSide& opp_gen = Gen(!out_side);
@@ -540,7 +550,7 @@ void Builder::DecideSide(bool out_side, const std::vector<Cand>& cands,
         found = std::any_of(
             opposite.begin() + opp_gen.at[p],
             opposite.begin() + opp_gen.at[p + 1],
-            [&](const Cand& c) { return witnesses(c.pivot, c.dist); });
+            [&](const LabelEntry& e) { return witnesses(e.pivot, e.dist); });
       }
       (*keep)[i] = !found;
     }
@@ -551,8 +561,8 @@ void Builder::DecideSide(bool out_side, const std::vector<Cand>& cands,
   });
 }
 
-Status Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
-                      IterationStats* st) {
+Status Builder::Prune(std::vector<LabelEntry>* out_c,
+                      std::vector<LabelEntry>* in_c, IterationStats* st) {
   if (!opts_.prune) return Status::OK();
 
   // A candidate covering the directed path source ⇝ dest with pivot
@@ -574,33 +584,42 @@ Status Builder::Prune(std::vector<Cand>* out_c, std::vector<Cand>* in_c,
   if (generation_abort_.load(std::memory_order_relaxed)) {
     return Status::DeadlineExceeded("label pruning over time budget");
   }
-  auto compact = [&](std::vector<Cand>* cands,
+  // Compacts one side owner by owner, rewriting `at` to the survivors'
+  // offsets.
+  auto compact = [&](bool out_side, std::vector<LabelEntry>* cands,
                      const std::vector<uint8_t>& keep) {
-    size_t w = 0;
-    for (size_t i = 0; i < cands->size(); ++i) {
-      if (keep[i]) (*cands)[w++] = (*cands)[i];
+    std::vector<uint64_t>& at = Gen(out_side).at;
+    uint64_t kept = 0;
+    uint64_t begin = 0;  // owner w's offset before compaction
+    for (size_t w = 0; w + 1 < at.size(); ++w) {
+      const uint64_t end = at[w + 1];
+      for (uint64_t i = begin; i < end; ++i) {
+        if (keep[i]) (*cands)[kept++] = (*cands)[i];
+      }
+      at[w + 1] = kept;
+      begin = end;
     }
-    st->pruned += cands->size() - w;
-    cands->resize(w);
+    st->pruned += cands->size() - kept;
+    cands->resize(kept);
   };
-  compact(out_c, keep_out);
-  compact(in_c, keep_in);
+  compact(/*out_side=*/true, out_c, keep_out);
+  if (directed_) compact(/*out_side=*/false, in_c, keep_in);
   return Status::OK();
 }
 
-uint64_t Builder::Apply(const std::vector<Cand>& cands, bool out_side,
+uint64_t Builder::Apply(const std::vector<LabelEntry>& cands, bool out_side,
                         IterationStats* st) {
-  auto& side = Side(out_side);
-  auto& inv = out_side || !directed_ ? inv_out_ : inv_in_;
-  size_t i = 0;
-  while (i < cands.size()) {
-    const VertexId owner = cands[i].owner;
-    size_t j = i;
-    while (j < cands.size() && cands[j].owner == owner) ++j;
+  std::vector<LabelVector>& side = Side(out_side);
+  const std::vector<uint64_t>& at = Gen(out_side).at;
+  for (VertexId owner = 0; owner < side.size(); ++owner) {
+    const uint64_t i = at[owner];
+    const uint64_t j = at[owner + 1];
+    if (i == j) continue;
     LabelVector& lab = side[owner];
     const size_t old_size = lab.size();
-    for (size_t k = i; k < j; ++k) {
-      const Cand& c = cands[k];
+    lab.reserve(old_size + (j - i));
+    for (uint64_t k = i; k < j; ++k) {
+      const LabelEntry& c = cands[k];
       // In-place update when the pivot already exists (possible for
       // weighted graphs and Hop-Doubling's overshooting paths).
       size_t lo = 0, hi = old_size;
@@ -617,8 +636,7 @@ uint64_t Builder::Apply(const std::vector<Cand>& cands, bool out_side,
         lab[lo].dist = c.dist;
         ++st->updates;
       } else {
-        lab.push_back({c.pivot, c.dist});
-        inv[c.pivot].push_back(owner);
+        lab.push_back(c);
       }
     }
     std::inplace_merge(
@@ -626,7 +644,6 @@ uint64_t Builder::Apply(const std::vector<Cand>& cands, bool out_side,
         lab.end(), [](const LabelEntry& a, const LabelEntry& b) {
           return a.pivot < b.pivot;
         });
-    i = j;
   }
   return cands.size();
 }
@@ -664,13 +681,13 @@ Result<BuildOutput> Builder::Run() {
 
     // This iteration's deduped and filtered candidates, sized exactly by
     // Generate and compacted in place by pruning.
-    std::vector<Cand> out_c, in_c;
+    std::vector<LabelEntry> out_c, in_c;
     Stopwatch phase_watch;
     HOPDB_RETURN_NOT_OK(Generate(st.mode_used, &out_c, &in_c, &st));
-    // Only generation reads `prev`; release it before the later phases
-    // allocate.
-    std::vector<Cand>().swap(gen_out_.prev);
-    std::vector<Cand>().swap(gen_in_.prev);
+    // Only generation reads `prev` and the inverted lists; release them
+    // before the later phases allocate.
+    ReleaseSources(/*out_side=*/true);
+    if (directed_) ReleaseSources(/*out_side=*/false);
     st.generate_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
@@ -682,10 +699,14 @@ Result<BuildOutput> Builder::Run() {
     if (directed_) st.survivors += Apply(in_c, /*out_side=*/false, &st);
     st.apply_seconds = phase_watch.Seconds();
 
-    // Survivors become `prev` in exactly sized copies; the pre-pruning
-    // buffers die with this iteration.
+    // Survivors become `prev` in exactly sized copies, and their offsets
+    // its `prev_begin`; the pre-pruning buffers die with this iteration.
     gen_out_.prev.assign(out_c.begin(), out_c.end());
-    gen_in_.prev.assign(in_c.begin(), in_c.end());
+    gen_out_.prev_begin.swap(gen_out_.at);
+    if (directed_) {
+      gen_in_.prev.assign(in_c.begin(), in_c.end());
+      gen_in_.prev_begin.swap(gen_in_.at);
+    }
 
     uint64_t total_entries = 0;
     for (const auto& l : out_) total_entries += l.size();

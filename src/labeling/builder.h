@@ -6,19 +6,23 @@
 // two parallel over BuildOptions::num_threads (docs/ARCHITECTURE.md,
 // "Build pipeline"):
 //   1. generate — candidate entries from the entries that survived the
-//      previous iteration (`prev`, sorted by owner), joined against
-//      either all existing labels (Hop-Doubling, the 4 simplified rules
-//      of Fig. 6) or single edges (Hop-Stepping, Section 5.1). The rules
-//      run in pull form, owner by owner, each range of owners on one
-//      worker: every new entry of owner w joins a `prev` entry of one of
-//      w's sources (a graph neighbour, or a label entry that points at
-//      or from w). A first pass adds up the `prev` prefixes each owner
-//      will read — the exact raw count, checked against the cap and used
-//      to balance the ranges. Two gather passes then collect each
-//      owner's candidates, keep the smallest distance per pivot and drop
-//      those w's label already dominates: the first counts the
-//      survivors, the second writes them into one exactly sized buffer.
-//      No raw candidate is ever stored.
+//      previous iteration (`prev`), joined against either all existing
+//      labels (Hop-Doubling, the 4 simplified rules of Fig. 6) or single
+//      edges (Hop-Stepping, Section 5.1). Candidates and `prev` entries
+//      are 8-byte (pivot, dist) pairs: an entry's owner is implied by
+//      per-owner offsets. The rules run in pull form, owner by owner,
+//      each range of owners on one worker: every new entry of owner w
+//      joins a `prev` entry of one of w's sources (a graph neighbour, or
+//      a label entry that points at or from w; Hop-Doubling iterations
+//      find the latter through per-pivot inverted lists built from the
+//      labels when generation starts and freed when it ends). A first
+//      pass adds up the `prev` prefixes each owner will read — the exact
+//      raw count, checked against the cap and used to balance the
+//      ranges. Two gather passes then collect each owner's candidates,
+//      keep the smallest distance per pivot and drop those w's label
+//      already dominates: the first counts the survivors, the second
+//      writes them into one exactly sized buffer. No raw candidate is
+//      ever stored.
 //   2. prune — candidates with a witness through a higher-ranked pivot
 //      die (Section 3.3): candidate covering path x⇝y with pivot
 //      β = min(x, y) dies iff some w < β has (w,d1) ∈ Lout(x),
@@ -28,11 +32,14 @@
 //      distance table, and each of its candidates (w, p, d) probes that
 //      table with p's opposite-side label and candidates. Two exact
 //      distance bounds skip probes that cannot find a witness. Both
-//      sides are decided before either is compacted.
-//   3. apply — survivors merge into the labels and inverted lists in
-//      candidate order, on one thread: label growth made on worker
-//      threads would land in per-thread malloc arenas and raise peak
-//      memory with the thread count. Survivors become `prev`.
+//      sides are decided before either is compacted; compaction rewrites
+//      the per-owner offsets to the survivors'.
+//   3. apply — survivors merge into the labels owner by owner, on one
+//      thread, each touched label first reserved to its old size plus
+//      its survivor count: label growth made on worker threads would
+//      land in per-thread malloc arenas and raise peak memory with the
+//      thread count. Survivors become `prev`, and their offsets its
+//      index.
 // The loop ends when no candidate survives — at most DH iterations for
 // Stepping (Thm. 6) and 2⌈log DH⌉ for Doubling (Thm. 4).
 //

@@ -127,7 +127,12 @@ Status TwoHopIndex::Validate(bool ranked) const {
 }
 
 Status TwoHopIndex::Save(const std::string& path) const {
+  // 12 B header; per side an 8 B label count and 8 B per label length;
+  // 8 B per entry; the 8 B checksum.
+  const uint64_t size = 12 + 8 * (2 + out_.size() + in_.size()) +
+                        8 * TotalEntries() + 8;
   std::string buf;
+  buf.reserve(size);
   buf.append(kMagic, 4);
   PutU32(&buf, directed_ ? 1u : 0u);
   PutU32(&buf, num_vertices());
@@ -144,6 +149,9 @@ Status TwoHopIndex::Save(const std::string& path) const {
   write_side(out_);
   write_side(in_);
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
+  if (buf.size() != size) {
+    return Status::Internal("HLI1 writer size mismatch");
+  }
   return WriteStringToFile(path, buf);
 }
 

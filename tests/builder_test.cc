@@ -368,7 +368,9 @@ TEST(BuilderTest, StatsAreConsistent) {
 // Golden output over {undirected, directed} × {unweighted, weighted} ×
 // {stepping, doubling, hybrid switching after iteration 2} on small GLP
 // graphs, at 1 and 4 threads, plus weighted hybrid builds that prune
-// with old entries only (prune_with_candidates = false). A change to
+// with old entries only (prune_with_candidates = false) and that do not
+// prune at all (prune = false: generation's per-owner offsets feed the
+// next iteration's `prev` with no compaction between). A change to
 // candidate generation, dedup, pruning or apply that alters any
 // per-iteration counter, the peak candidate count or one byte of the
 // saved HLI1 file fails here. The benchmark runs only Hop-Stepping
@@ -382,6 +384,7 @@ struct PinnedBuild {
   uint64_t counters_fnv;  // FNV-1a of CountersText
   uint64_t hli1_fnv;      // FNV-1a of the saved HLI1 bytes
   bool prune_with_candidates = true;
+  bool prune = true;
 };
 
 /// Every IterationStats counter, one "iter:mode:raw:deduped:dropped:
@@ -430,6 +433,10 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
        0xfc2fe27bba9dd3b0ULL, 0x184d114710ac46d2ULL, false},
       {true, true, BuildMode::kHybrid, 5, 46624,
        0xa17bf0b57763e67fULL, 0xd63e944b7cdf620aULL, false},
+      {false, true, BuildMode::kHybrid, 8, 593800,
+       0x47fc53a82d77d3b8ULL, 0xbac51fe64a4fb9cfULL, true, false},
+      {true, true, BuildMode::kHybrid, 6, 149036,
+       0xb4532329469ec5c9ULL, 0xcce3c3d513288b20ULL, true, false},
   };
   auto tmp = TempDir::Create("hopdb_builder_pin");
   ASSERT_TRUE(tmp.ok());
@@ -448,11 +455,13 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
                    (pin.weighted ? "weighted " : "unweighted ") +
                    BuildModeName(pin.mode) +
                    (pin.prune_with_candidates ? "" : " old-entry witnesses") +
+                   (pin.prune ? "" : " no pruning") +
                    " threads " + std::to_string(threads));
       BuildOptions opts;
       opts.mode = pin.mode;
       opts.hybrid_switch_iteration = 2;
       opts.prune_with_candidates = pin.prune_with_candidates;
+      opts.prune = pin.prune;
       opts.num_threads = threads;
       auto out = BuildHopLabeling(*ranked, opts);
       ASSERT_TRUE(out.ok());

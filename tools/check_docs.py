@@ -30,6 +30,11 @@
    struct QueryKernel (src/labeling/query_kernel.h) must match, one for
    one, the backticked bullets after "carries <N> entry points:" in
    docs/ARCHITECTURE.md, and <N> must be their count.
+9. Cited markdown: every *.md file that program text under src/,
+   bench/, tests/, examples/ or tools/ names (docs/FORMATS.md,
+   PROTOCOL.md, ...) must exist, as a path from the repository root or
+   under docs/. The `--report F.md` placeholder in the CLI help is not
+   a citation.
 
 Exit status 0 = clean, 1 = at least one failure (each printed).
 """
@@ -91,6 +96,11 @@ FN_POINTER_MEMBER_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
 # then one "- `name` — ..." bullet per entry point.
 DOC_KERNEL_COUNT_RE = re.compile(r"carries\s+(\w+)\s+entry\s+points:")
 DOC_KERNEL_BULLET_RE = re.compile(r"^(\s*)- `(\w+)`")
+# A markdown file named in program text: docs/FORMATS.md, PROTOCOL.md.
+CITED_MD_RE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
+CITING_DIRS = ("src", "bench", "tests", "examples", "tools")
+# `hopdb_cli eval --report F.md` in the CLI help names an output file.
+CITED_MD_PLACEHOLDERS = {"F.md"}
 NUMBER_WORDS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
     "seven": 7, "eight": 8, "nine": 9, "ten": 10,
@@ -424,6 +434,34 @@ def check_kernel_entry_points(root: pathlib.Path) -> list[str]:
     return failures
 
 
+def check_cited_markdown(root: pathlib.Path) -> list[str]:
+    """Every *.md that program text cites must exist at the root or
+    under docs/."""
+    failures = []
+    for top in CITING_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if not path.is_file():
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                continue
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                for cited in CITED_MD_RE.findall(line):
+                    if cited in CITED_MD_PLACEHOLDERS:
+                        continue
+                    if (root / cited).is_file() or (
+                        root / "docs" / cited
+                    ).is_file():
+                        continue
+                    failures.append(
+                        f"{path.relative_to(root)}:{lineno}: cites "
+                        f"'{cited}', which is neither at the repository "
+                        "root nor under docs/"
+                    )
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -448,6 +486,7 @@ def main() -> int:
     failures += check_v2_opcodes(root)
     failures += check_eval_sections(root)
     failures += check_kernel_entry_points(root)
+    failures += check_cited_markdown(root)
     if args.cli_bin:
         failures += check_cli_help(root, args.cli_bin)
 
@@ -458,7 +497,8 @@ def main() -> int:
         print(
             f"docs OK: {checked} markdown files, links resolve, format "
             "magics + STATS keys + metric families + v2 opcodes + eval "
-            "report sections + query-kernel entry points in sync"
+            "report sections + query-kernel entry points in sync, cited "
+            "docs exist"
             + (", CLI help in sync" if args.cli_bin else "")
         )
     return 1 if failures else 0
