@@ -27,18 +27,9 @@ bool IsPermutation(const std::vector<VertexId>& order) {
   return true;
 }
 
-}  // namespace
-
-Result<HopDbIndex> HopDbIndex::Build(const EdgeList& edges,
-                                     const HopDbOptions& options) {
-  EdgeList normalized = edges;
-  normalized.Normalize();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(normalized));
-  return Build(graph, options);
-}
-
-Result<HopDbIndex> HopDbIndex::Build(const CsrGraph& graph,
-                                     const HopDbOptions& options) {
+/// The rank permutation `options` asks for on `graph`.
+Result<RankMapping> RankFor(const CsrGraph& graph,
+                            const HopDbOptions& options) {
   RankMapping mapping;
   switch (options.ranking) {
     case HopDbOptions::Ranking::kAuto:
@@ -62,11 +53,39 @@ Result<HopDbIndex> HopDbIndex::Build(const CsrGraph& graph,
       break;
     }
   }
+  return mapping;
+}
 
+}  // namespace
+
+Result<HopDbIndex> HopDbIndex::Build(const EdgeList& edges,
+                                     const HopDbOptions& options) {
+  // Labeling reads only the ranked graph, so the normalized edge list
+  // goes once the CSR exists and the unranked CSR once it is relabeled.
+  CsrGraph graph;
+  {
+    EdgeList normalized = edges;
+    normalized.Normalize();
+    HOPDB_ASSIGN_OR_RETURN(graph, CsrGraph::FromEdgeList(normalized));
+  }
+  HOPDB_ASSIGN_OR_RETURN(RankMapping mapping, RankFor(graph, options));
   HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked, RelabelByRank(graph, mapping));
+  graph = CsrGraph();
+  return BuildRanked(ranked, std::move(mapping), options);
+}
+
+Result<HopDbIndex> HopDbIndex::Build(const CsrGraph& graph,
+                                     const HopDbOptions& options) {
+  HOPDB_ASSIGN_OR_RETURN(RankMapping mapping, RankFor(graph, options));
+  HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked, RelabelByRank(graph, mapping));
+  return BuildRanked(ranked, std::move(mapping), options);
+}
+
+Result<HopDbIndex> HopDbIndex::BuildRanked(const CsrGraph& ranked,
+                                           RankMapping mapping,
+                                           const HopDbOptions& options) {
   HOPDB_ASSIGN_OR_RETURN(BuildOutput out,
                          BuildHopLabeling(ranked, options.build));
-
   HopDbIndex index;
   index.index_ = std::move(out.index);
   index.mapping_ = std::move(mapping);

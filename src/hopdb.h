@@ -50,12 +50,15 @@ class HopDbIndex {
   /// Blocking and CPU-bound — runtime is the paper's O(n h d_max log n)
   /// construction (seconds to minutes depending on |E| and
   /// options.build.num_threads); fails with DeadlineExceeded /
-  /// ResourceExhausted when the configured budgets are hit.
+  /// ResourceExhausted when the configured budgets are hit. The
+  /// normalized copy and the unranked graph it builds are freed before
+  /// labeling starts, which reads only the rank-relabeled graph.
   static Result<HopDbIndex> Build(const EdgeList& edges,
                                   const HopDbOptions& options = {});
 
   /// Builds from an already-frozen graph. Same contract as the EdgeList
-  /// overload; the graph is not retained after Build returns.
+  /// overload; the graph is borrowed (it stays alive through labeling)
+  /// and not retained after Build returns.
   static Result<HopDbIndex> Build(const CsrGraph& graph,
                                   const HopDbOptions& options = {});
 
@@ -127,6 +130,12 @@ class HopDbIndex {
   static Result<HopDbIndex> Load(const std::string& path);
 
  private:
+  /// Labels `ranked` (already relabeled by `mapping`) and adopts the
+  /// result.
+  static Result<HopDbIndex> BuildRanked(const CsrGraph& ranked,
+                                        RankMapping mapping,
+                                        const HopDbOptions& options);
+
   TwoHopIndex index_;   // labels over internal (rank) ids
   RankMapping mapping_; // internal <-> original ids
   BuildStats stats_;

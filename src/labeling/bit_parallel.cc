@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -62,7 +61,7 @@ Result<BitParallelIndex> BitParallelIndex::Transform(
   std::vector<Distance> root_d(R);
 
   for (VertexId v = 0; v < n; ++v) {
-    const std::span<const LabelEntry> label = base.OutLabel(v);
+    const LabelView label = base.OutLabel(v);
     std::fill(root_d.begin(), root_d.end(), kInfDistance);
 
     // Pass A: the tuple distance per root — the label's own (r, d) entry

@@ -21,8 +21,9 @@ class LabelCursor {
   LabelCursor(const uint8_t* payload, size_t begin, size_t end)
       : payload_(payload), pos_(begin), end_(end) {}
 
-  /// Advances to the next entry; false at end (corruption is impossible
-  /// here because encode/Load validated the payload).
+  /// Advances to the next entry; false at end. The payload came from
+  /// the encoder or passed Load's label checks, so every label decodes
+  /// to whole entries with strictly increasing pivots.
   bool Next(VertexId* pivot, Distance* dist) {
     if (pos_ >= end_) return false;
     uint64_t delta = 0, d = 0;
@@ -43,7 +44,46 @@ class LabelCursor {
   uint64_t prev_ = 0;
 };
 
-void EncodeLabel(std::span<const LabelEntry> label, std::string* payload) {
+/// Load's label checks: every label decodes to whole (pivot gap,
+/// distance) varint pairs ending at its end offset, with strictly
+/// increasing pivots < |V|, no trivial self entry and distances in
+/// [1, kInfDistance). `offsets` is already known to be monotone and to
+/// end at the payload size. O(payload bytes).
+Status CheckLabels(const std::string& payload_bytes,
+                   const std::vector<uint32_t>& offsets,
+                   VertexId num_vertices) {
+  const auto* payload = reinterpret_cast<const uint8_t*>(payload_bytes.data());
+  for (size_t slot = 0; slot + 1 < offsets.size(); ++slot) {
+    const VertexId owner = static_cast<VertexId>(
+        slot < num_vertices ? slot : slot - num_vertices);
+    const auto fail = [&](const char* what) {
+      return Status::InvalidArgument("label slot " + std::to_string(slot) +
+                                     " " + what);
+    };
+    size_t pos = offsets[slot];
+    const size_t end = offsets[slot + 1];
+    uint64_t next_key = 0;  // 1 + the previous pivot, as the encoder keeps it
+    while (pos < end) {
+      uint64_t delta = 0, dist = 0;
+      if (!GetVarint64(payload, end, &pos, &delta) ||
+          !GetVarint64(payload, end, &pos, &dist)) {
+        return fail("does not decode to whole entries");
+      }
+      // next_key <= |V| holds throughout, so this cannot overflow.
+      if (delta == 0 || delta > num_vertices - next_key) {
+        return fail("has a pivot out of order or out of range");
+      }
+      next_key += delta;
+      if (next_key - 1 == owner) return fail("stores a trivial self entry");
+      if (dist == 0 || dist >= kInfDistance) {
+        return fail("has a bad distance");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+void EncodeLabel(const LabelView& label, std::string* payload) {
   uint64_t prev = 0;
   for (const LabelEntry& e : label) {
     const uint64_t key = static_cast<uint64_t>(e.pivot) + 1;
@@ -191,6 +231,12 @@ Result<CompressedIndex> CompressedIndex::Load(const std::string& path) {
   out.payload_.resize(reader.remaining());
   HOPDB_RETURN_NOT_OK(
       reader.ReadBytes(out.payload_.data(), out.payload_.size()));
+  const Status valid = CheckLabels(out.payload_, out.offsets_,
+                                   out.num_vertices_);
+  if (!valid.ok()) {
+    return Status::InvalidArgument("invalid HLC1 labels (" + valid.message() +
+                                   "): " + path);
+  }
   return out;
 }
 

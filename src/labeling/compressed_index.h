@@ -73,9 +73,13 @@ class CompressedIndex {
   /// fnv1a-64 checksum; byte-exact spec in docs/FORMATS.md). Const and
   /// safe to call while other threads query.
   Status Save(const std::string& path) const;
-  /// Verifies magic and checksum before accepting any byte; corrupt or
-  /// truncated files fail cleanly with InvalidArgument. HopDbIndex::Load
-  /// dispatches here automatically on the "HLC1" magic.
+  /// Verifies the checksum, magic and offsets before accepting any byte
+  /// (those failures are IOError), then decodes every label once and
+  /// fails with InvalidArgument unless each is whole (pivot gap,
+  /// distance) varint pairs ending exactly at its end offset, with
+  /// strictly increasing pivots < |V|, no trivial self entry, and
+  /// distances in [1, kInfDistance). HopDbIndex::Load dispatches here
+  /// automatically on the "HLC1" magic.
   static Result<CompressedIndex> Load(const std::string& path);
 
  private:

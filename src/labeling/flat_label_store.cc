@@ -61,41 +61,29 @@ void FlatLabelStore::FinalizeBlocks() {
 FlatLabelStore FlatLabelStore::Build(const std::vector<LabelVector>& out,
                                      const std::vector<LabelVector>& in,
                                      bool directed) {
-  FlatLabelStore store;
-  store.directed_ = directed;
-  store.num_vertices_ = static_cast<VertexId>(out.size());
   if (directed) {
     HOPDB_CHECK_EQ(out.size(), in.size());
   } else {
     HOPDB_CHECK(in.empty()) << "undirected store must not carry in-labels";
   }
-
   std::vector<uint32_t> sizes;
-  sizes.reserve(store.num_slots());
+  sizes.reserve(out.size() + in.size());
   for (const LabelVector& label : out) {
     sizes.push_back(static_cast<uint32_t>(label.size()));
   }
-  if (directed) {
-    for (const LabelVector& label : in) {
-      sizes.push_back(static_cast<uint32_t>(label.size()));
-    }
+  for (const LabelVector& label : in) {
+    sizes.push_back(static_cast<uint32_t>(label.size()));
   }
-  store.InitBlockedLayout(std::move(sizes));
-
-  auto fill_side = [&](const std::vector<LabelVector>& side, size_t base) {
-    for (size_t v = 0; v < side.size(); ++v) {
-      uint64_t pos = store.offsets_[base + v];
-      for (const LabelEntry& e : side[v]) {
-        store.pivots_[pos] = e.pivot;
-        store.dists_[pos] = e.dist;
-        ++pos;
-      }
-    }
-  };
-  fill_side(out, 0);
-  if (directed) fill_side(in, out.size());
-  store.FinalizeBlocks();
-  return store;
+  return FromSlots(
+      static_cast<VertexId>(out.size()), directed, std::move(sizes),
+      [&](size_t slot, uint32_t* pivots, uint32_t* dists) {
+        const LabelVector& label =
+            slot < out.size() ? out[slot] : in[slot - out.size()];
+        for (size_t i = 0; i < label.size(); ++i) {
+          pivots[i] = label[i].pivot;
+          dists[i] = label[i].dist;
+        }
+      });
 }
 
 uint64_t FlatLabelStore::SizeBytes() const {

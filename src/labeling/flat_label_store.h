@@ -1,11 +1,13 @@
-// FlatLabelStore: contiguous structure-of-arrays label storage — the
-// frozen form every query of a heap index reads (TwoHopIndex::labels()).
+// FlatLabelStore: contiguous structure-of-arrays label storage — the one
+// form a heap index holds its labels in (TwoHopIndex is this store plus
+// its read API).
 //
-// The builder-facing representation (vector<LabelVector>) is ideal for
-// incremental merging but poor for querying: every label lookup chases a
-// heap pointer, and the interleaved (pivot, dist) pairs waste half of each
-// cache line during the pivot-comparison phase of a merge-join. The flat
-// store packs all label entries into two parallel 64-byte-aligned arenas
+// Per-vertex label vectors (vector<LabelVector>) are what the builders
+// emit and IncrementalUpdater repairs: ideal for incremental merging but
+// poor for querying, because every label lookup chases a heap pointer
+// and the interleaved (pivot, dist) pairs waste half of each cache line
+// during the pivot-comparison phase of a merge-join. The flat store
+// packs all label entries into two parallel 64-byte-aligned arenas
 // (all pivots, all distances) in slot order with one offset table, so a
 // query touches exactly two contiguous runs and the SIMD kernels
 // (labeling/query_kernel.h) can stream 8 pivots per compare.
@@ -26,20 +28,26 @@
 // direction's entries are one contiguous range of the arenas. Within a
 // slot, entries stay strictly sorted by pivot (the TwoHopIndex invariant).
 //
-// A store is frozen once, by Build, and never edited: TwoHopIndex
-// re-freezes a new one when its label vectors change, and the store has
-// no serialized form of its own (HLI2, labeling/mapped_index.h, is the
-// on-disk image of these arenas).
+// A store is frozen once — by Build from label vectors, or slot by slot
+// by FromSlots (the HLI1 loader decodes straight into the arenas) — and
+// never edited: a repair freezes a new store from the updater's vectors
+// (IncrementalUpdater::Finalize). The store has no serialized form of
+// its own: HLI1 (two_hop_index.h) holds its real entries, and HLI2
+// (labeling/mapped_index.h) is the on-disk image of its arenas.
 
 #ifndef HOPDB_LABELING_FLAT_LABEL_STORE_H_
 #define HOPDB_LABELING_FLAT_LABEL_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
 #include "labeling/label_entry.h"
 #include "util/aligned_buffer.h"
+#include "util/logging.h"
 
 namespace hopdb {
 
@@ -102,12 +110,34 @@ class FlatLabelStore {
 
   FlatLabelStore() = default;
 
-  /// Flattens per-vertex label vectors (the TwoHopIndex representation)
-  /// into the blocked SoA arenas. For undirected indexes pass an empty
-  /// `in`. O(total entries) time, one allocation per arena.
+  /// Flattens per-vertex label vectors (what builders emit and the
+  /// updater repairs) into the blocked SoA arenas. For undirected
+  /// indexes pass an empty `in`. O(total entries) time, one allocation
+  /// per arena.
   static FlatLabelStore Build(const std::vector<LabelVector>& out,
                               const std::vector<LabelVector>& in,
                               bool directed);
+
+  /// Builds a store slot by slot: `sizes` holds every slot's entry count
+  /// (out-labels of 0..n-1, then in-labels when directed), and
+  /// fill(slot, pivots, dists) is called once per slot, in slot order,
+  /// to write that slot's sizes[slot] entries. Then pads the blocks and
+  /// derives the sidecars. O(total entries), one allocation per arena.
+  template <typename Fill>
+  static FlatLabelStore FromSlots(VertexId num_vertices, bool directed,
+                                  std::vector<uint32_t> sizes, Fill&& fill) {
+    FlatLabelStore store;
+    store.directed_ = directed;
+    store.num_vertices_ = num_vertices;
+    HOPDB_CHECK_EQ(sizes.size(), store.num_slots());
+    store.InitBlockedLayout(std::move(sizes));
+    for (size_t slot = 0; slot < store.sizes_.size(); ++slot) {
+      const uint64_t begin = store.offsets_[slot];
+      fill(slot, store.pivots_.data() + begin, store.dists_.data() + begin);
+    }
+    store.FinalizeBlocks();
+    return store;
+  }
 
   VertexId num_vertices() const { return num_vertices_; }
   bool directed() const { return directed_; }
@@ -169,6 +199,63 @@ class FlatLabelStore {
 /// Namespace-level shorthand: the view type is used far from the store
 /// (query engines, the server) where the qualified name is noise.
 using LabelSetView = FlatLabelStore::LabelSetView;
+
+/// Read-only view of one frozen label (TwoHopIndex::OutLabel/InLabel)
+/// for code that walks labels entry by entry: size(), empty(),
+/// operator[] and forward iteration, each entry yielded as a LabelEntry
+/// value rebuilt from the two arenas. Same lifetime as the store slot
+/// it views. flat() gives the SoA view the query kernels take.
+class LabelView {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = LabelEntry;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = LabelEntry;
+
+    Iterator() = default;
+    LabelEntry operator*() const { return {*pivot_, *dist_}; }
+    Iterator& operator++() {
+      ++pivot_;
+      ++dist_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const Iterator& other) const {
+      return pivot_ == other.pivot_;
+    }
+
+   private:
+    friend class LabelView;
+    Iterator(const uint32_t* pivot, const uint32_t* dist)
+        : pivot_(pivot), dist_(dist) {}
+
+    const uint32_t* pivot_ = nullptr;
+    const uint32_t* dist_ = nullptr;
+  };
+
+  explicit LabelView(FlatLabelStore::View flat) : flat_(flat) {}
+
+  size_t size() const { return flat_.size; }
+  bool empty() const { return flat_.size == 0; }
+  LabelEntry operator[](size_t i) const {
+    return {flat_.pivots[i], flat_.dists[i]};
+  }
+  Iterator begin() const { return Iterator(flat_.pivots, flat_.dists); }
+  Iterator end() const {
+    return Iterator(flat_.pivots + flat_.size, flat_.dists + flat_.size);
+  }
+  const FlatLabelStore::View& flat() const { return flat_; }
+
+ private:
+  FlatLabelStore::View flat_;
+};
 
 /// Invokes fn(pivot, dist) for every entry of one side's label of v,
 /// SKIPPING entries whose pivot is >= view.num_vertices: a LabelSetView

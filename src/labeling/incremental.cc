@@ -183,8 +183,24 @@ IncrementalUpdater::IncrementalUpdater(DynamicGraph* graph,
                                        TwoHopIndex* index,
                                        const UpdateOptions& options)
     : graph_(graph), index_(index), options_(options) {
-  out_ = &index_->out_;
-  in_ = index_->directed() ? &index_->in_ : out_;
+  Thaw(*index_);
+}
+
+void IncrementalUpdater::Thaw(const TwoHopIndex& index) {
+  const VertexId n = index.num_vertices();
+  auto thaw_side = [&](bool in_side) {
+    std::vector<LabelVector> side(n);
+    for (VertexId v = 0; v < n; ++v) {
+      const LabelView label = in_side ? index.InLabel(v) : index.OutLabel(v);
+      side[v].assign(label.begin(), label.end());
+    }
+    return side;
+  };
+  out_labels_ = thaw_side(/*in_side=*/false);
+  in_labels_ = index.directed() ? thaw_side(/*in_side=*/true)
+                                : std::vector<LabelVector>();
+  out_ = &out_labels_;
+  in_ = index.directed() ? &in_labels_ : out_;
 }
 
 Result<bool> IncrementalUpdater::Apply(const UpdateOp& op) {
@@ -390,7 +406,8 @@ Status IncrementalUpdater::ApplyBatch(std::span<const UpdateOp> ops) {
 
 void IncrementalUpdater::Finalize() {
   if (finalized_) return;
-  index_->Freeze();
+  *index_ = TwoHopIndex(
+      FlatLabelStore::Build(out_labels_, in_labels_, index_->directed()));
   finalized_ = true;
 }
 
@@ -647,10 +664,9 @@ Status IncrementalUpdater::RebuildFallback() {
   // on an already-ranked graph and the index's RankMapping stays valid.
   HOPDB_ASSIGN_OR_RETURN(BuildOutput output,
                          BuildHopLabeling(csr, options_.rebuild));
-  // Adopt only the rebuilt vectors: the store stays as of the last
-  // freeze until Finalize(), as after any other Apply.
-  index_->out_ = std::move(output.index.out_);
-  index_->in_ = std::move(output.index.in_);
+  // Thaw the rebuilt labels into the live vectors: the index stays as
+  // of the last freeze until Finalize(), as after any other Apply.
+  Thaw(output.index);
   finalized_ = false;
   return Status::OK();
 }

@@ -215,17 +215,22 @@ struct UpdateStats {
 
 /// Applies edge updates to a (graph, index) pair in lock-step. The graph
 /// must be the rank-relabeled graph the index was built over; both are
-/// borrowed and mutated in place. The updater is the only code that
-/// edits an index's label vectors, and Finalize() — which ApplyBatch
-/// calls for you — is the only point that re-freezes the store queries
-/// read (two_hop_index.h). The rule: reads see the labels as of the
-/// last freeze, so between Apply() and Finalize() every Query, engine
-/// and labels() view answers as before the pending ops, while Save()
-/// already writes the repaired vectors.
+/// borrowed and mutated in place. The updater is the only holder of
+/// editable label vectors: it thaws them from the index's frozen store
+/// when it is constructed (O(total entries), a second copy of the
+/// labels for the updater's lifetime), repairs them, and Finalize() —
+/// which ApplyBatch calls for you — is the only point that freezes them
+/// back into the index (two_hop_index.h). The rule: the index is the
+/// labels as of the last freeze, so between Apply() and Finalize()
+/// every Query, engine, labels() view and Save() answers or writes as
+/// before the pending ops.
 class IncrementalUpdater {
  public:
   IncrementalUpdater(DynamicGraph* graph, TwoHopIndex* index,
                      const UpdateOptions& options = {});
+  // out_/in_ point into this object's own vectors.
+  IncrementalUpdater(const IncrementalUpdater&) = delete;
+  IncrementalUpdater& operator=(const IncrementalUpdater&) = delete;
 
   /// Applies one op. Returns true when the graph changed (and the
   /// labels were repaired), false for a structural no-op; fails with
@@ -238,11 +243,12 @@ class IncrementalUpdater {
   /// all-or-nothing semantics validate first; see server COMMIT).
   Status ApplyBatch(std::span<const UpdateOp> ops);
 
-  /// Re-freezes the index's label store from the repaired vectors, so
-  /// reads see every op applied so far. A no-op when nothing changed
-  /// since the last freeze; otherwise O(total entries), and it frees the
-  /// arenas of every labels() view (and engine) taken before it — not
-  /// safe against concurrent readers of the index.
+  /// Freezes the repaired vectors into a new store and assigns it to
+  /// the index, so reads and Save see every op applied so far. A no-op
+  /// when nothing changed since the last freeze; otherwise O(total
+  /// entries), and it frees the arenas of every labels() view (and
+  /// engine) taken before it — not safe against concurrent readers of
+  /// the index.
   void Finalize();
 
   /// Owners (INTERNAL ids) whose labels changed since construction or
@@ -276,6 +282,10 @@ class IncrementalUpdater {
   /// repairs Lout(reached).
   void ResumeDecrease(VertexId root, Distance start_dist, VertexId start,
                       bool backward);
+
+  /// Replaces the live vectors with a copy of `index`'s labels (the
+  /// constructor's thaw, and the rebuild valve's).
+  void Thaw(const TwoHopIndex& index);
 
   /// d(u->v) under the current live label vectors.
   Distance LiveQuery(VertexId u, VertexId v) const;
@@ -316,7 +326,11 @@ class IncrementalUpdater {
   UpdateStats stats_;
   bool finalized_ = true;  // no Apply since the last Finalize
 
-  std::vector<LabelVector>* out_ = nullptr;  // live label vectors
+  // The live label vectors, thawed from the index and frozen back into
+  // it by Finalize().
+  std::vector<LabelVector> out_labels_;
+  std::vector<LabelVector> in_labels_;       // empty when undirected
+  std::vector<LabelVector>* out_ = nullptr;  // &out_labels_
   std::vector<LabelVector>* in_ = nullptr;   // == out_ when undirected
 
   // Per-op repair state, reused across ops.

@@ -19,14 +19,7 @@ constexpr char kMagic[4] = {'H', 'L', 'I', '1'};
 
 TwoHopIndex::TwoHopIndex(std::vector<LabelVector> out,
                          std::vector<LabelVector> in, bool directed)
-    : out_(std::move(out)), in_(std::move(in)), directed_(directed) {
-  if (!directed_) {
-    HOPDB_CHECK(in_.empty()) << "undirected index must not carry in-labels";
-  } else {
-    HOPDB_CHECK_EQ(out_.size(), in_.size());
-  }
-  Freeze();
-}
+    : flat_(FlatLabelStore::Build(out, in, directed)) {}
 
 Distance QueryLabelHalves(std::span<const LabelEntry> out_s,
                           std::span<const LabelEntry> in_t, VertexId s,
@@ -50,104 +43,83 @@ Distance TwoHopIndex::Query(VertexId s, VertexId t) const {
                          ActiveQueryKernel());
 }
 
-uint64_t TwoHopIndex::TotalEntries() const {
-  uint64_t total = 0;
-  for (const auto& l : out_) total += l.size();
-  for (const auto& l : in_) total += l.size();
-  return total;
-}
-
 double TwoHopIndex::AvgLabelSize() const {
-  if (out_.empty()) return 0;
-  return static_cast<double>(TotalEntries()) / static_cast<double>(out_.size());
-}
-
-uint64_t TwoHopIndex::SizeBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& l : out_) bytes += l.size() * sizeof(LabelEntry);
-  for (const auto& l : in_) bytes += l.size() * sizeof(LabelEntry);
-  bytes += (out_.size() + in_.size()) * sizeof(LabelVector);
-  return bytes + flat_.SizeBytes();
+  if (num_vertices() == 0) return 0;
+  return static_cast<double>(TotalEntries()) /
+         static_cast<double>(num_vertices());
 }
 
 uint64_t TwoHopIndex::PaperSizeBytes() const {
   // 4-byte pivot + 1-byte distance per entry, 8-byte offset per label.
-  uint64_t labels = directed_ ? 2ull * out_.size() : out_.size();
+  const uint64_t labels = directed() ? 2ull * num_vertices() : num_vertices();
   return TotalEntries() * 5ull + labels * 8ull;
 }
 
 std::vector<uint64_t> TwoHopIndex::EntriesPerPivot() const {
   std::vector<uint64_t> counts(num_vertices(), 0);
-  for (const auto& l : out_) {
-    for (const LabelEntry& e : l) counts[e.pivot]++;
-  }
-  for (const auto& l : in_) {
-    for (const LabelEntry& e : l) counts[e.pivot]++;
+  const LabelSetView view = labels();
+  for (size_t slot = 0; slot < view.num_slots(); ++slot) {
+    const FlatLabelStore::View label = view.Slot(slot);
+    for (uint32_t i = 0; i < label.size; ++i) counts[label.pivots[i]]++;
   }
   return counts;
 }
 
 Status TwoHopIndex::Validate(bool ranked) const {
-  auto check_side = [&](const std::vector<LabelVector>& side,
-                        const char* name) -> Status {
-    for (VertexId v = 0; v < side.size(); ++v) {
-      const LabelVector& l = side[v];
-      for (size_t i = 0; i < l.size(); ++i) {
-        if (i > 0 && l[i - 1].pivot >= l[i].pivot) {
-          return Status::Internal(std::string(name) + " label of " +
-                                  std::to_string(v) +
-                                  " not strictly sorted by pivot");
+  const VertexId n = num_vertices();
+  auto check_side = [&](bool in_side, const char* name) -> Status {
+    for (VertexId v = 0; v < n; ++v) {
+      const FlatLabelStore::View l = in_side ? flat_.In(v) : flat_.Out(v);
+      const auto fail = [&](const char* what) {
+        return Status::Internal(std::string(name) + " label of " +
+                                std::to_string(v) + " " + what);
+      };
+      for (uint32_t i = 0; i < l.size; ++i) {
+        const VertexId pivot = l.pivots[i];
+        if (i > 0 && l.pivots[i - 1] >= pivot) {
+          return fail("not strictly sorted by pivot");
         }
-        if (l[i].pivot == v) {
-          return Status::Internal(std::string(name) + " label of " +
-                                  std::to_string(v) +
-                                  " stores a trivial self entry");
-        }
-        if (l[i].pivot >= side.size()) {
-          return Status::Internal(std::string(name) + " label of " +
-                                  std::to_string(v) +
-                                  " has pivot out of range");
-        }
-        if (ranked && l[i].pivot > v) {
-          return Status::Internal(std::string(name) + " label of " +
-                                  std::to_string(v) +
-                                  " has pivot ranked below owner");
-        }
-        if (l[i].dist == 0 || l[i].dist == kInfDistance) {
-          return Status::Internal(std::string(name) + " label of " +
-                                  std::to_string(v) + " has bad distance");
+        if (pivot == v) return fail("stores a trivial self entry");
+        if (pivot >= n) return fail("has pivot out of range");
+        if (ranked && pivot > v) return fail("has pivot ranked below owner");
+        if (l.dists[i] == 0 || l.dists[i] == kInfDistance) {
+          return fail("has bad distance");
         }
       }
     }
     return Status::OK();
   };
-  HOPDB_RETURN_NOT_OK(check_side(out_, directed_ ? "out" : "undirected"));
-  HOPDB_RETURN_NOT_OK(check_side(in_, "in"));
+  HOPDB_RETURN_NOT_OK(
+      check_side(/*in_side=*/false, directed() ? "out" : "undirected"));
+  if (directed()) HOPDB_RETURN_NOT_OK(check_side(/*in_side=*/true, "in"));
   return Status::OK();
 }
 
 Status TwoHopIndex::Save(const std::string& path) const {
+  const VertexId n = num_vertices();
+  const uint64_t in_count = directed() ? n : 0;
   // 12 B header; per side an 8 B label count and 8 B per label length;
   // 8 B per entry; the 8 B checksum.
-  const uint64_t size = 12 + 8 * (2 + out_.size() + in_.size()) +
-                        8 * TotalEntries() + 8;
+  const uint64_t size =
+      12 + 8 * (2 + n + in_count) + 8 * TotalEntries() + 8;
   std::string buf;
   buf.reserve(size);
   buf.append(kMagic, 4);
-  PutU32(&buf, directed_ ? 1u : 0u);
-  PutU32(&buf, num_vertices());
-  auto write_side = [&](const std::vector<LabelVector>& side) {
-    PutU64(&buf, side.size());
-    for (const auto& l : side) {
-      PutU64(&buf, l.size());
-      for (const LabelEntry& e : l) {
-        PutU32(&buf, e.pivot);
-        PutU32(&buf, e.dist);
+  PutU32(&buf, directed() ? 1u : 0u);
+  PutU32(&buf, n);
+  auto write_side = [&](uint64_t count, bool in_side) {
+    PutU64(&buf, count);
+    for (VertexId v = 0; v < count; ++v) {
+      const FlatLabelStore::View l = in_side ? flat_.In(v) : flat_.Out(v);
+      PutU64(&buf, l.size);
+      for (uint32_t i = 0; i < l.size; ++i) {
+        PutU32(&buf, l.pivots[i]);
+        PutU32(&buf, l.dists[i]);
       }
     }
   };
-  write_side(out_);
-  write_side(in_);
+  write_side(n, /*in_side=*/false);
+  write_side(in_count, /*in_side=*/true);
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
   if (buf.size() != size) {
     return Status::Internal("HLI1 writer size mismatch");
@@ -173,52 +145,63 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
   }
   ByteReader reader(bytes + sizeof(kMagic), body - sizeof(kMagic));
   uint32_t directed = 0, nv = 0;
-  std::vector<LabelVector> out, in;
-  // Every label takes 8 bytes for its length and every entry 8 bytes, so
-  // a count the rest of the body cannot hold is corrupt — reject it
-  // before it sizes an allocation.
-  auto read_side = [&](std::vector<LabelVector>* side) -> Status {
-    uint64_t count = 0;
-    HOPDB_RETURN_NOT_OK(reader.ReadU64(&count));
-    if (count > reader.remaining() / 8) {
+  uint64_t out_count = 0, in_count = 0;
+  // First pass: the label lengths, which size the store's slots. Every
+  // label takes 8 bytes for its length and every entry 8 bytes, so a
+  // count the rest of the body cannot hold is corrupt — reject it before
+  // it sizes an allocation.
+  std::vector<uint32_t> sizes;
+  auto read_lengths = [&](uint64_t* count) -> Status {
+    HOPDB_RETURN_NOT_OK(reader.ReadU64(count));
+    if (*count > reader.remaining() / 8) {
       return Status::InvalidArgument("label count exceeds file size");
     }
-    side->resize(count);
-    for (auto& l : *side) {
+    sizes.reserve(sizes.size() + *count);
+    for (uint64_t i = 0; i < *count; ++i) {
       uint64_t len = 0;
       HOPDB_RETURN_NOT_OK(reader.ReadU64(&len));
-      if (len > reader.remaining() / 8) {
+      if (len > reader.remaining() / 8 || len > UINT32_MAX) {
         return Status::InvalidArgument("label length exceeds file size");
       }
-      l.resize(len);
-      for (auto& e : l) {
-        HOPDB_RETURN_NOT_OK(reader.ReadU32(&e.pivot));
-        HOPDB_RETURN_NOT_OK(reader.ReadU32(&e.dist));
-      }
+      sizes.push_back(static_cast<uint32_t>(len));
+      HOPDB_RETURN_NOT_OK(reader.Skip(len * 8));
     }
     return Status::OK();
   };
-  auto read_body = [&]() -> Status {
+  auto read_shape = [&]() -> Status {
     HOPDB_RETURN_NOT_OK(reader.ReadU32(&directed));
     HOPDB_RETURN_NOT_OK(reader.ReadU32(&nv));
-    HOPDB_RETURN_NOT_OK(read_side(&out));
-    HOPDB_RETURN_NOT_OK(read_side(&in));
+    HOPDB_RETURN_NOT_OK(read_lengths(&out_count));
+    HOPDB_RETURN_NOT_OK(read_lengths(&in_count));
     if (reader.remaining() != 0) {
       return Status::InvalidArgument("bytes after the label sides");
     }
-    // The shapes the constructor CHECKs, refused before it runs.
-    if (directed > 1 || out.size() != nv ||
-        in.size() != (directed != 0 ? nv : 0)) {
+    // The shapes the store's slot layout needs, refused before it runs.
+    if (directed > 1 || out_count != nv ||
+        in_count != (directed != 0 ? nv : 0)) {
       return Status::InvalidArgument(
           "label side counts disagree with the header");
     }
     return Status::OK();
   };
-  if (const Status parsed = read_body(); !parsed.ok()) {
+  if (const Status parsed = read_shape(); !parsed.ok()) {
     return Status::InvalidArgument("corrupt HLI1 body (" +
                                    parsed.message() + "): " + path);
   }
-  TwoHopIndex index(std::move(out), std::move(in), directed != 0);
+  // Second pass: decode every label into its slot. The first pass
+  // bounded every length, so the walk stays inside the body.
+  const uint8_t* cursor = bytes + 12;
+  TwoHopIndex index(FlatLabelStore::FromSlots(
+      nv, directed != 0, std::move(sizes),
+      [&](size_t slot, uint32_t* pivots, uint32_t* dists) {
+        if (slot == 0 || slot == nv) cursor += 8;  // the side's count
+        const uint64_t len = DecodeU64(cursor);
+        cursor += 8;
+        for (uint64_t i = 0; i < len; ++i, cursor += 8) {
+          pivots[i] = DecodeU32(cursor);
+          dists[i] = DecodeU32(cursor + 4);
+        }
+      }));
   const Status valid = index.Validate(/*ranked=*/false);
   if (!valid.ok()) {
     return Status::InvalidArgument("invalid HLI1 labels (" + valid.message() +

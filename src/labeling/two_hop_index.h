@@ -4,16 +4,17 @@
 // layout, same active query kernel — so Table 6's "memory query time"
 // comparisons measure label quality, not implementation differences.
 //
-// The labels live in two forms with one rule between them:
-//   - per-vertex LabelVectors (array-of-structs): the form every builder
-//     emits, IncrementalUpdater repairs, and HLI1 stores;
-//   - a frozen FlatLabelStore (structure-of-arrays, cache-line-aligned
-//     arenas): the form every query reads — Query, labels(), and through
-//     labels() the batch/KNN engines, the hot-hub table and the serving
-//     snapshot.
-// The store is frozen from the vectors at construction, at Load, and at
-// IncrementalUpdater::Finalize() — the only code that edits the vectors
-// in place. Reads see the labels as of the last freeze.
+// The index holds its labels in one form: a frozen FlatLabelStore
+// (structure-of-arrays, cache-line-aligned blocked arenas). Every read
+// goes through it — Query, labels() (and through labels() the batch/KNN
+// engines, the hot-hub table and the serving snapshot), and the
+// OutLabel/InLabel views, which yield LabelEntry values for code that
+// walks a label entry by entry. Per-vertex label vectors exist only
+// while labels are built or repaired: the vector constructor freezes
+// them into the store and lets them go, and IncrementalUpdater thaws
+// its own editable copy, freezing it back at Finalize(). Save writes
+// the store's real entries (HLI1 never sees the block padding), and
+// Load decodes HLI1 straight into the arenas.
 
 #ifndef HOPDB_LABELING_TWO_HOP_INDEX_H_
 #define HOPDB_LABELING_TWO_HOP_INDEX_H_
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -34,8 +36,8 @@ class TwoHopIndex {
  public:
   TwoHopIndex() = default;
 
-  /// Takes ownership of the label vectors and freezes the store from
-  /// them (O(total entries)). For undirected indexes pass an empty `in`
+  /// Freezes the label vectors into the store and lets them go
+  /// (O(total entries)). For undirected indexes pass an empty `in`
   /// (queries then intersect out[s] with out[t]).
   /// Trivial (v, 0) self-entries must NOT be stored; Query handles them
   /// implicitly (the paper's tables count non-trivial entries the same
@@ -43,23 +45,20 @@ class TwoHopIndex {
   TwoHopIndex(std::vector<LabelVector> out, std::vector<LabelVector> in,
               bool directed);
 
-  VertexId num_vertices() const {
-    return static_cast<VertexId>(out_.size());
-  }
-  bool directed() const { return directed_; }
+  /// Adopts an already frozen store.
+  explicit TwoHopIndex(FlatLabelStore store) : flat_(std::move(store)) {}
 
-  /// Label views over the vectors (the editable form: between an
-  /// IncrementalUpdater's Apply and Finalize they run ahead of the
-  /// frozen store). O(1).
-  std::span<const LabelEntry> OutLabel(VertexId v) const { return out_[v]; }
-  std::span<const LabelEntry> InLabel(VertexId v) const {
-    return directed_ ? std::span<const LabelEntry>(in_[v])
-                     : std::span<const LabelEntry>(out_[v]);
-  }
+  VertexId num_vertices() const { return flat_.num_vertices(); }
+  bool directed() const { return flat_.directed(); }
+
+  /// Read-only views of one label in the store; InLabel aliases
+  /// OutLabel on undirected indexes. O(1); valid while the store is.
+  LabelView OutLabel(VertexId v) const { return LabelView(flat_.Out(v)); }
+  LabelView InLabel(VertexId v) const { return LabelView(flat_.In(v)); }
 
   /// The frozen label store (INTERNAL ids), as MappedIndex::labels()
-  /// exposes a mapped one. Valid until the index is destroyed, assigned,
-  /// or re-frozen by IncrementalUpdater::Finalize().
+  /// exposes a mapped one. Valid until the index is destroyed or
+  /// assigned (IncrementalUpdater::Finalize() assigns a new store).
   LabelSetView labels() const { return flat_.view(); }
 
   /// Exact distance from s to t (both internal/ranked ids);
@@ -72,15 +71,16 @@ class TwoHopIndex {
   /// IncrementalUpdater::Finalize().
   Distance Query(VertexId s, VertexId t) const;
 
-  /// Number of non-trivial label entries. O(|V|).
-  uint64_t TotalEntries() const;
+  /// Number of non-trivial label entries. O(1).
+  uint64_t TotalEntries() const { return flat_.TotalEntries(); }
 
   /// Average non-trivial entries per vertex; for directed graphs counts
   /// Lin and Lout together (the paper's "Avg |label| per vertex").
   double AvgLabelSize() const;
 
-  /// In-memory footprint in bytes: label vectors plus the frozen store.
-  uint64_t SizeBytes() const;
+  /// In-memory footprint in bytes: the frozen store's arenas, sidecars
+  /// and tables.
+  uint64_t SizeBytes() const { return flat_.SizeBytes(); }
 
   /// Size under the paper's disk accounting: 32-bit pivot + 8-bit
   /// distance per entry plus a 64-bit offset per label vector — what the
@@ -98,27 +98,20 @@ class TwoHopIndex {
   /// additionally checks pivot id < owner id.
   Status Validate(bool ranked) const;
 
-  /// Serializes the label vectors to the HLI1 binary format: the label
-  /// body followed by a u64 FNV-1a-64 checksum of it (docs/FORMATS.md).
-  /// Load verifies the checksum, rejects any byte past it, checks the
-  /// side shapes and Validate(false) — every failure is InvalidArgument
-  /// — and then freezes the store. Files written by earlier builds (with
-  /// a trailing HFS1 section, or none) fail the checksum and must be
-  /// rebuilt.
+  /// Serializes the store's real entries (no block padding) to the HLI1
+  /// binary format: the label body followed by a u64 FNV-1a-64 checksum
+  /// of it (docs/FORMATS.md). Load verifies the checksum and rejects any
+  /// byte past it, sizes the slots from the label lengths (each count
+  /// checked against the bytes left before it sizes anything), checks
+  /// the side shapes against the header, decodes the entries straight
+  /// into the store and runs Validate(false) on it — every failure is
+  /// InvalidArgument. Files written by earlier builds (with a trailing
+  /// HFS1 section, or none) fail the checksum and must be rebuilt.
   Status Save(const std::string& path) const;
   static Result<TwoHopIndex> Load(const std::string& path);
 
  private:
-  friend class IncrementalUpdater;
-
-  /// Re-freezes the store from the vectors. O(total entries); frees the
-  /// arenas every previously returned labels() view points into.
-  void Freeze() { flat_ = FlatLabelStore::Build(out_, in_, directed_); }
-
-  std::vector<LabelVector> out_;
-  std::vector<LabelVector> in_;  // empty when undirected
-  FlatLabelStore flat_;          // frozen from out_/in_; what queries read
-  bool directed_ = false;
+  FlatLabelStore flat_;
 };
 
 /// Query helper shared with builders' pruning logic: minimum of

@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "labeling/query_kernel.h"
+
 namespace hopdb {
 
 PathReconstructor::PathReconstructor(const CsrGraph& graph,
@@ -76,8 +78,8 @@ VertexId PathReconstructor::MeetingPivot(VertexId s, VertexId t) const {
     return kInvalidVertex;
   }
   if (s == t) return s;
-  const std::span<const LabelEntry> out_s = index_.OutLabel(s);
-  const std::span<const LabelEntry> in_t = index_.InLabel(t);
+  const LabelView out_s = index_.OutLabel(s);
+  const LabelView in_t = index_.InLabel(t);
 
   Distance best = kInfDistance;
   VertexId pivot = kInvalidVertex;
@@ -102,12 +104,12 @@ VertexId PathReconstructor::MeetingPivot(VertexId s, VertexId t) const {
   // The trivial pivots: t itself in Lout(s), s itself in Lin(t). Either
   // endpoint may be the highest-ranked vertex of the path (Theorem 1's
   // "w can be u or v").
-  const Distance via_t = LookupPivot(out_s, t);
+  const Distance via_t = LookupPivotFlat(out_s.flat(), t);
   if (via_t < best || (via_t == best && t < pivot)) {
     best = via_t;
     pivot = t;
   }
-  const Distance via_s = LookupPivot(in_t, s);
+  const Distance via_s = LookupPivotFlat(in_t.flat(), s);
   if (via_s < best || (via_s == best && s < pivot)) {
     best = via_s;
     pivot = s;

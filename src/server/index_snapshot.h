@@ -11,8 +11,9 @@
 // Zero downtime, no reader-side locks held across a query.
 //
 // A snapshot is backed by exactly one of two index forms:
-//   - heap: a HopDbIndex (HLI1/HLC1 deserialized into label vectors and
-//     their frozen store) — RELOAD re-reads and re-deserializes the file;
+//   - heap: a HopDbIndex (HLI1 decoded straight into its frozen label
+//     store, HLC1 decompressed into one) — RELOAD re-reads and
+//     re-deserializes the file;
 //   - mmap: a MappedIndex over an HLI2 file — the label arenas live in
 //     the page cache, resident bytes grow with the touched working set,
 //     and RELOAD is an O(1) remap.
@@ -84,9 +85,10 @@ class ServingSnapshot {
   bool directed() const { return labels_.directed; }
 
   /// Bytes of index data this snapshot holds in RAM. Heap snapshots
-  /// report their full in-memory footprint (label vectors + frozen
-  /// store); mmap snapshots report the currently resident page-cache
-  /// bytes (an mincore walk — near 0 cold, up to MappedBytes() warm).
+  /// report their frozen label store (arenas, sidecars and tables — the
+  /// only form a heap index holds its labels in); mmap snapshots report
+  /// the currently resident page-cache bytes (an mincore walk — near 0
+  /// cold, up to MappedBytes() warm).
   uint64_t ResidentBytes() const;
 
   /// Exact distance between ORIGINAL vertex ids — the single-pair query

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gen/erdos_renyi.h"
 #include "gen/glp.h"
 #include "gen/small_graphs.h"
@@ -243,6 +247,75 @@ TEST_F(CompressedCorruptionTest, BadMagicIsRejected) {
   auto r = CompressedIndex::Load(p);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("magic"), std::string::npos);
+}
+
+/// One label's HLC1 payload as the encoder writes it (pivot gaps from
+/// -1, then the distance), whatever the entries hold: a repeated pivot
+/// encodes a zero gap.
+std::string EncodedLabel(std::vector<std::pair<uint32_t, uint32_t>> entries) {
+  std::string payload;
+  uint64_t prev = 0;
+  for (const auto& [pivot, dist] : entries) {
+    const uint64_t key = uint64_t{pivot} + 1;
+    PutVarint64(&payload, key - prev);
+    PutVarint64(&payload, dist);
+    prev = key;
+  }
+  return payload;
+}
+
+/// An undirected HLC1 file with one vertex per label payload, sealed
+/// with a valid checksum.
+std::string SealedHlc1(const std::vector<std::string>& labels) {
+  std::string file;
+  PutU32(&file, 0x31434c48);  // "HLC1"
+  PutU8(&file, 0);            // undirected
+  PutU32(&file, static_cast<uint32_t>(labels.size()));
+  uint32_t offset = 0;
+  PutU32(&file, offset);
+  for (const std::string& label : labels) {
+    offset += static_cast<uint32_t>(label.size());
+    PutU32(&file, offset);
+  }
+  for (const std::string& label : labels) file += label;
+  PutU64(&file, Fnv1a64(file.data(), file.size()));
+  return file;
+}
+
+// Sealed files whose offsets are sound but one label breaks an entry
+// check. Without the label checks they loaded, and the zero-distance
+// one answered 0 between two distinct vertices.
+TEST(CompressedIndexTest, CraftedLabelsFailLoad) {
+  auto dir = TempDir::Create("hlc_crafted");
+  ASSERT_TRUE(dir.ok()) << dir.status();
+  const std::string path = dir->File("crafted.hlc");
+
+  ASSERT_TRUE(
+      WriteStringToFile(path, SealedHlc1({"", EncodedLabel({{0, 3}})})).ok());
+  auto sound = CompressedIndex::Load(path);
+  ASSERT_TRUE(sound.ok()) << sound.status();
+  EXPECT_EQ(sound->Query(1, 0), 3u);
+
+  for (const auto& [labels, what] :
+       {std::pair{std::vector<std::string>{"", EncodedLabel({{5, 1}})},
+                  "pivot out of range"},
+        std::pair{std::vector<std::string>{"", EncodedLabel({{0, 0}})},
+                  "zero distance"},
+        std::pair{std::vector<std::string>{"", EncodedLabel({{1, 1}})},
+                  "self entry"},
+        std::pair{std::vector<std::string>{"", "",
+                                           EncodedLabel({{0, 1}, {0, 2}})},
+                  "repeated pivot"},
+        std::pair{std::vector<std::string>{"", std::string("\x01")},
+                  "entry cut short"},
+        std::pair{std::vector<std::string>{"", std::string("\x01\x81")},
+                  "varint past the end offset"}}) {
+    ASSERT_TRUE(WriteStringToFile(path, SealedHlc1(labels)).ok());
+    auto loaded = CompressedIndex::Load(path);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << loaded.status();
+  }
 }
 
 // --- varint / checksum primitives (serde additions) ---

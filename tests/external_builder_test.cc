@@ -42,8 +42,8 @@ void ExpectSameIndex(const CsrGraph& ranked, const BuildOptions& build,
 
   ASSERT_EQ(ext_idx->TotalEntries(), mem_out->index.TotalEntries());
   for (VertexId v = 0; v < ranked.num_vertices(); ++v) {
-    auto check = [&](std::span<const LabelEntry> a,
-                     std::span<const LabelEntry> b, const char* side) {
+    auto check = [&](const LabelView& a, const LabelView& b,
+                     const char* side) {
       ASSERT_EQ(a.size(), b.size()) << side << " label of " << v;
       for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].pivot, b[i].pivot) << side << " label of " << v;

@@ -27,6 +27,7 @@
 #include "query/path.h"
 #include "search/dijkstra.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace hopdb {
 namespace {
@@ -507,10 +508,12 @@ std::pair<VertexId, VertexId> FarPair(const TwoHopIndex& index,
   return {kInvalidVertex, kInvalidVertex};
 }
 
-// The freeze rule over two update rounds: every read (Query and the
-// engines over labels()) answers as of the last Finalize(), while Save()
-// writes the repaired vectors — so a file saved between Apply() and
-// Finalize() loads, and it and the finalized index answer like a rebuild.
+// The freeze rule over two update rounds: the index is the labels as of
+// the last Finalize(). Between Apply() and Finalize() every read (Query
+// and the engines over labels()) answers as before the pending ops, and
+// Save() writes those same labels — the very bytes saved right after the
+// previous freeze. After Finalize() the index and the file it saves
+// answer like a rebuild.
 TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
   Fixture fix = MakeFixture(GlpGraph(300, 4.0, /*seed=*/112), BuildOptions());
   IncrementalUpdater updater(&fix.dyn, &fix.index);
@@ -519,12 +522,22 @@ TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
     ASSERT_TRUE(changed.ok()) << changed.status();
     ASSERT_TRUE(*changed);
   };
+  auto dir = TempDir::Create("incremental_save");
+  ASSERT_TRUE(dir.ok()) << dir.status();
+  const auto saved = [&](const std::string& name) {
+    const std::string path = dir->File(name);
+    EXPECT_TRUE(fix.index.Save(path).ok());
+    std::string bytes;
+    EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
+    return bytes;
+  };
 
   const auto [s1, t1] = FarPair(fix.index, 0);
   ASSERT_NE(s1, kInvalidVertex);
   ASSERT_NO_FATAL_FAILURE(shortcut(s1, t1));
   updater.Finalize();
   EXPECT_EQ(fix.index.Query(s1, t1), 1u);
+  const std::string frozen = saved("frozen.hli");
 
   const auto [s2, t2] = FarPair(fix.index, s1 + 1);
   ASSERT_NE(s2, kInvalidVertex);
@@ -534,20 +547,85 @@ TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
   EXPECT_EQ(OneToManyEngine(fix.index.labels(), {t2}).Query(s2),
             std::vector<Distance>{before});
 
-  auto dir = TempDir::Create("incremental_save");
-  ASSERT_TRUE(dir.ok()) << dir.status();
-  const std::string path = dir->File("repaired.hli");
-  ASSERT_TRUE(fix.index.Save(path).ok());
-  auto reloaded = TwoHopIndex::Load(path);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->Query(s2, t2), 1u);
+  EXPECT_EQ(saved("pending.hli"), frozen);
+  auto pending = TwoHopIndex::Load(dir->File("pending.hli"));
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  EXPECT_EQ(pending->Query(s1, t1), 1u);
+  EXPECT_EQ(pending->Query(s2, t2), before);
 
   updater.Finalize();
   EXPECT_EQ(fix.index.Query(s2, t2), 1u);
+  EXPECT_NE(saved("repaired.hli"), frozen);
+  auto reloaded = TwoHopIndex::Load(dir->File("repaired.hli"));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->Query(s2, t2), 1u);
   ASSERT_NO_FATAL_FAILURE(
       CheckEquivalence(fix.dyn, fix.index, BuildOptions(), 8, 312));
   ASSERT_NO_FATAL_FAILURE(
       CheckEquivalence(fix.dyn, *reloaded, BuildOptions(), 8, 313));
+}
+
+// The updater thaws its vectors from the store, so one opened on a
+// loaded index — which never held label vectors — must repair exactly
+// as one opened on the index the builder returned. The same mixed
+// stream, first under the default valve and then with the valve at
+// epsilon so that deletes fall back to a full rebuild, leaves both
+// saving the same HLI1 bytes.
+TEST(IncrementalTest, UpdaterOnLoadedIndexMatchesUpdaterOnBuiltIndex) {
+  Fixture fix = MakeFixture(GlpGraph(200, 4.0, /*seed=*/113), BuildOptions());
+  auto dir = TempDir::Create("incremental_loaded");
+  ASSERT_TRUE(dir.ok()) << dir.status();
+  ASSERT_TRUE(fix.index.Save(dir->File("built.hli")).ok());
+  auto loaded = TwoHopIndex::Load(dir->File("built.hli"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  DynamicGraph loaded_dyn = fix.dyn;
+
+  const VertexId n = fix.dyn.num_vertices();
+  Rng rng(313);
+  for (const double valve : {0.5, 1e-9}) {
+    UpdateOptions options;
+    options.rebuild_frontier_fraction = valve;
+    IncrementalUpdater built_updater(&fix.dyn, &fix.index, options);
+    IncrementalUpdater loaded_updater(&loaded_dyn, &*loaded, options);
+    for (int i = 0; i < 12; ++i) {
+      UpdateOp op;
+      if (i % 3 == 2) {
+        const EdgeList current = fix.dyn.ToEdgeList();
+        const Edge& pick = current.edges()[rng.Below(current.edges().size())];
+        op = {UpdateOp::Kind::kDelEdge, pick.src, pick.dst, 1};
+      } else {
+        op.kind = UpdateOp::Kind::kAddEdge;
+        do {
+          op.u = static_cast<VertexId>(rng.Below(n));
+          op.v = static_cast<VertexId>(rng.Below(n));
+        } while (op.u == op.v ||
+                 fix.dyn.ArcWeight(op.u, op.v) != kInfDistance);
+      }
+      const Result<bool> built_changed = built_updater.Apply(op);
+      const Result<bool> loaded_changed = loaded_updater.Apply(op);
+      ASSERT_TRUE(built_changed.ok()) << built_changed.status();
+      ASSERT_TRUE(loaded_changed.ok()) << loaded_changed.status();
+      ASSERT_EQ(*built_changed, *loaded_changed) << "op " << i;
+    }
+    built_updater.Finalize();
+    loaded_updater.Finalize();
+    EXPECT_EQ(built_updater.stats().full_rebuilds,
+              loaded_updater.stats().full_rebuilds);
+    if (valve < 0.5) {
+      EXPECT_GT(loaded_updater.stats().full_rebuilds, 0u);
+    }
+  }
+
+  const auto saved = [&](const TwoHopIndex& index, const std::string& name) {
+    EXPECT_TRUE(index.Save(dir->File(name)).ok());
+    std::string bytes;
+    EXPECT_TRUE(ReadFileToString(dir->File(name), &bytes).ok());
+    return bytes;
+  };
+  EXPECT_EQ(saved(fix.index, "built_after.hli"),
+            saved(*loaded, "loaded_after.hli"));
+  ASSERT_NO_FATAL_FAILURE(
+      CheckEquivalence(loaded_dyn, *loaded, BuildOptions(), 8, 314));
 }
 
 TEST(IncrementalTest, ParseUpdateOpLine) {
@@ -585,7 +663,7 @@ std::vector<std::vector<LabelEntry>> SnapshotLabels(
   return copy;
 }
 
-bool LabelDiffers(std::span<const LabelEntry> now,
+bool LabelDiffers(const LabelView& now,
                   const std::vector<LabelEntry>& before) {
   if (now.size() != before.size()) return true;
   for (size_t i = 0; i < now.size(); ++i) {

@@ -10,6 +10,7 @@
 #include "eval/verify.h"
 #include "gen/small_graphs.h"
 #include "labeling/builder.h"
+#include "labeling/query_kernel.h"
 #include "search/bfs.h"
 
 namespace hopdb {
@@ -22,7 +23,7 @@ LabelVector Sorted(std::vector<LabelEntry> v) {
   return v;
 }
 
-void ExpectLabel(std::span<const LabelEntry> got,
+void ExpectLabel(const LabelView& got,
                  std::vector<LabelEntry> want, const std::string& what) {
   LabelVector w = Sorted(std::move(want));
   ASSERT_EQ(got.size(), w.size()) << what;
@@ -48,11 +49,11 @@ TEST(PaperExampleTest, Figure5LabelsWithoutPruning) {
   ASSERT_TRUE(out.ok());
   const TwoHopIndex& idx = out->index;
 
-  auto expect_contains = [&](std::span<const LabelEntry> label,
+  auto expect_contains = [&](const LabelView& label,
                              std::vector<LabelEntry> want,
                              const std::string& what) {
     for (const LabelEntry& e : want) {
-      EXPECT_EQ(LookupPivot(label, e.pivot), e.dist)
+      EXPECT_EQ(LookupPivotFlat(label.flat(), e.pivot), e.dist)
           << what << " must contain (" << e.pivot << ", " << e.dist << ")";
     }
   };
@@ -75,7 +76,7 @@ TEST(PaperExampleTest, Figure5LabelsWithoutPruning) {
   ExpectLabel(idx.OutLabel(0), {}, "Lout(0)");
   // Objective [O1] entries the figure's rendering lost: 7->2->0 and
   // 6 has no outgoing edges, so Lout(6) stays empty.
-  EXPECT_EQ(LookupPivot(idx.OutLabel(7), 0), 2u);
+  EXPECT_EQ(LookupPivotFlat(idx.OutLabel(7).flat(), 0), 2u);
   ExpectLabel(idx.OutLabel(6), {}, "Lout(6)");
 }
 
@@ -105,7 +106,8 @@ TEST(PaperExampleTest, PruningRemovesDominatedEntry) {
   opts.prune = true;
   auto out = BuildHopLabeling(*g, opts);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(LookupPivot(out->index.OutLabel(2), 1), kInfDistance)
+  EXPECT_EQ(LookupPivotFlat(out->index.OutLabel(2).flat(), 1),
+            kInfDistance)
       << "(2->1,2) must be pruned (Example 2)";
   // Queries remain exact.
   ASSERT_TRUE(VerifyExactDistances(
@@ -133,7 +135,7 @@ TEST(PaperExampleTest, SteppingGeneratesLongEntryAtIterationThree) {
   auto out = BuildHopLabeling(*g, opts);
   ASSERT_TRUE(out.ok());
   // The entry exists in the final labels with distance 4...
-  EXPECT_EQ(LookupPivot(out->index.OutLabel(4), 2), 4u);
+  EXPECT_EQ(LookupPivotFlat(out->index.OutLabel(4).flat(), 2), 4u);
   // ...and stepping needs one more productive iteration than doubling:
   // paths of 3 hops complete at iteration 3 (Lemma 5), so the build runs
   // 4 rule iterations (the last one generating nothing).

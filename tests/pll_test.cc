@@ -134,8 +134,7 @@ TEST(PllTest, DirectedEquivalenceWithHopDb) {
   ASSERT_TRUE(hop.ok());
   EXPECT_EQ(pll->index.TotalEntries(), hop->index.TotalEntries());
   for (VertexId v = 0; v < ranked->num_vertices(); ++v) {
-    auto check = [&](std::span<const LabelEntry> a,
-                     std::span<const LabelEntry> b) {
+    auto check = [&](const LabelView& a, const LabelView& b) {
       ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
       for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].pivot, b[i].pivot);

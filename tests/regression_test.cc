@@ -12,6 +12,7 @@
 #include "io/block_file.h"
 #include "io/temp_dir.h"
 #include "labeling/builder.h"
+#include "labeling/query_kernel.h"
 
 namespace hopdb {
 namespace {
@@ -39,7 +40,7 @@ TEST(WeightedUpdateTest, InPlaceDistanceImprovement) {
     updates += it.updates;
   }
   EXPECT_GE(updates, 1u) << "the (0,9) entry must be improved to (0,2)";
-  EXPECT_EQ(LookupPivot(out->index.OutLabel(1), 0), 2u);
+  EXPECT_EQ(LookupPivotFlat(out->index.OutLabel(1).flat(), 0), 2u);
   ASSERT_TRUE(VerifyExactDistances(
                   *g,
                   [&](VertexId s, VertexId t) {

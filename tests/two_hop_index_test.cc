@@ -318,10 +318,39 @@ TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
   PutU32(&unsorted, 2);
   PutU64(&unsorted, 0);
 
+  // Undirected files with one non-empty label (owner's) that breaks
+  // one entry check.
+  const auto one_label =
+      [](uint32_t vertices, uint32_t owner,
+         std::vector<std::pair<uint32_t, uint32_t>> entries) {
+        std::string file = "HLI1";
+        PutU32(&file, 0);
+        PutU32(&file, vertices);
+        PutU64(&file, vertices);
+        for (uint32_t v = 0; v < vertices; ++v) {
+          PutU64(&file, v == owner ? entries.size() : 0);
+          if (v != owner) continue;
+          for (const auto& [pivot, dist] : entries) {
+            PutU32(&file, pivot);
+            PutU32(&file, dist);
+          }
+        }
+        PutU64(&file, 0);
+        return file;
+      };
+  const std::string self_entry = one_label(2, 1, {{1, 1}});
+  const std::string zero_dist = one_label(2, 1, {{0, 0}});
+  const std::string inf_dist = one_label(2, 1, {{0, kInfDistance}});
+  const std::string repeated = one_label(3, 2, {{0, 1}, {0, 2}});
+
   for (const auto& [bytes, what] :
        {std::pair{in_side, "undirected in side"},
         std::pair{far_pivot, "pivot out of range"},
-        std::pair{unsorted, "unsorted label"}}) {
+        std::pair{unsorted, "unsorted label"},
+        std::pair{self_entry, "self entry"},
+        std::pair{zero_dist, "zero distance"},
+        std::pair{inf_dist, "infinite distance"},
+        std::pair{repeated, "repeated pivot"}}) {
     ExpectInvalid(path, bytes, std::string(what) + ", unsealed");
     ExpectInvalid(path, Sealed(bytes), std::string(what) + ", sealed");
   }
