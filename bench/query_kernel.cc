@@ -1,16 +1,18 @@
-// Query-kernel comparison: the per-vertex-vector AoS path against the
-// cacheline-blocked SoA layout under every kernel this CPU supports, on
-// one GLP scale-free graph (default |V| = 100k — the acceptance setting).
+// Query-kernel comparison: the cacheline-blocked SoA layout under every
+// kernel this CPU supports against the scalar AoS and compressed-stream
+// merges, on one GLP scale-free graph (default |V| = 100k — the
+// acceptance setting).
 //
 // Variants measured, all answering the same random point-query stream:
-//   aos/<kernel>     span-based QueryLabelHalves over an AoS copy of the
-//                    labels, one vector<LabelVector> per side
-//                    ("aos/scalar" is the pre-flat-store hot path)
+//   aos/scalar       span-based QueryLabelHalves over an AoS copy of the
+//                    labels, one vector<LabelVector> per side (the
+//                    pre-flat-store hot path; one scalar merge, no
+//                    kernel)
 //   blocked/<kernel> QueryFlatHalves over the blocked arenas (sidecar
 //                    skip-scan)
 //   hothub/<kernel>  HotHubCache (k=64) dense-table fold + suffix merge
-//   stream/<kernel>  CompressedIndex::Query — the kernel's varint
-//                    stream leg, no decompression pass
+//   stream/scalar    CompressedIndex::Query — its one scalar merge over
+//                    the varint streams, no decompression pass
 //   index/default    TwoHopIndex::Query as served (blocked + default
 //                    kernel)
 // plus one OneToManyEngine row timing over the flat bucket arena.
@@ -76,8 +78,8 @@ int Run(int argc, char** argv) {
   flags.Define("ci", "false", "CI mode: small graph, short run");
   if (!flags.Parse(argc, argv).ok() || flags.help_requested()) {
     std::cout << flags.Usage(
-        "bench_query_kernel — blocked/compressed SIMD query kernels "
-        "vs the per-vertex-vector AoS path");
+        "bench_query_kernel — blocked SIMD query kernels vs the scalar "
+        "AoS and compressed-stream merges");
     return flags.help_requested() ? 0 : 1;
   }
 
@@ -193,13 +195,9 @@ int Run(int argc, char** argv) {
     }
     const std::vector<LabelVector>& aos_in_side =
         index.directed() ? aos_in : aos_out;
-    for (const QueryKernel* kernel : SupportedQueryKernels()) {
-      SetActiveQueryKernel(kernel->name);
-      results.push_back(run_variant(
-          std::string("aos/") + kernel->name, [&](VertexId s, VertexId t) {
-            return QueryLabelHalves(aos_out[s], aos_in_side[t], s, t);
-          }));
-    }
+    results.push_back(run_variant("aos/scalar", [&](VertexId s, VertexId t) {
+      return QueryLabelHalves(aos_out[s], aos_in_side[t], s, t);
+    }));
   }
   for (const QueryKernel* kernel : SupportedQueryKernels()) {
     results.push_back(run_variant(
@@ -214,14 +212,9 @@ int Run(int argc, char** argv) {
           return hub.Query(blocked_view, s, t, *kernel);
         }));
   }
-  for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    SetActiveQueryKernel(kernel->name);
-    results.push_back(run_variant(
-        std::string("stream/") + kernel->name, [&](VertexId s, VertexId t) {
-          return compressed->Query(s, t);
-        }));
-  }
-  SetActiveQueryKernel(default_kernel);
+  results.push_back(run_variant("stream/scalar", [&](VertexId s, VertexId t) {
+    return compressed->Query(s, t);
+  }));
   results.push_back(run_variant("index/default", [&](VertexId s, VertexId t) {
     return index.Query(s, t);
   }));

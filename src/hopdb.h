@@ -71,10 +71,13 @@ class HopDbIndex {
   ///
   /// Thread safety: safe for any number of concurrent callers on one
   /// index. The whole read path is const end-to-end and touches no
-  /// mutable or static state — RankMapping::ToInternal (vector read),
-  /// TwoHopIndex::Query / CompressedIndex::Query (label intersection
-  /// over immutable arrays). The serving layer (src/server/) relies on
-  /// this: worker threads query a shared snapshot with no locking.
+  /// mutable state — RankMapping::ToInternal (vector read) and
+  /// TwoHopIndex::Query, the active kernel's blocked merge over the
+  /// immutable store (the kernel is a stateless function table behind
+  /// an atomic pointer, resolved on first use). An HLC1 file is
+  /// decompressed into that store at Load and read the same way. The
+  /// serving layer (src/server/) relies on this: worker threads query a
+  /// shared snapshot with no locking.
   /// The guarantee holds only while nothing mutates the index — callers
   /// using mutable_label_index() or Load-time construction must publish
   /// the index to readers with an appropriate happens-before edge (e.g.

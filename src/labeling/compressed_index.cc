@@ -1,11 +1,11 @@
 #include "labeling/compressed_index.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "labeling/query_kernel.h"
 #include "util/serde.h"
 
 namespace hopdb {
@@ -153,17 +153,37 @@ Result<TwoHopIndex> CompressedIndex::Decompress() const {
 Distance CompressedIndex::Query(VertexId s, VertexId t) const {
   if (s >= num_vertices_ || t >= num_vertices_) return kInfDistance;
   if (s == t) return 0;
-  // The active kernel's stream leg merges the two delta-varint payloads
-  // directly — SIMD kernels decode register-width blocks on the fly, so
-  // compressed queries ride the same dispatch as flat ones. The trivial
-  // pivots (t in Lout(s), s in Lin(t)) are the kernel's direct probes.
+  // One scalar merge over the two labels as they decode. The trivial
+  // pivots (t in Lout(s), s in Lin(t)) are folded in as their entries
+  // pass, so each label is decoded once and never materialized.
   const auto* payload = reinterpret_cast<const uint8_t*>(payload_.data());
-  const uint32_t a_off = offsets_[SlotOut(s)];
-  const uint32_t b_off = offsets_[SlotIn(t)];
-  return ActiveQueryKernel().intersect_stream(
-      payload + a_off, offsets_[SlotOut(s) + 1] - a_off, payload + b_off,
-      offsets_[SlotIn(t) + 1] - b_off,
-      /*direct_a=*/t, /*direct_b=*/s);
+  LabelCursor a(payload, offsets_[SlotOut(s)], offsets_[SlotOut(s) + 1]);
+  LabelCursor b(payload, offsets_[SlotIn(t)], offsets_[SlotIn(t) + 1]);
+  Distance best = kInfDistance;
+  VertexId pa = kInvalidVertex, pb = kInvalidVertex;
+  Distance da = kInfDistance, db = kInfDistance;
+  bool va = a.Next(&pa, &da);
+  bool vb = b.Next(&pb, &db);
+  while (va && vb) {
+    if (pa == pb) {
+      best = std::min(best, SaturatingAdd(da, db));
+      va = a.Next(&pa, &da);
+      vb = b.Next(&pb, &db);
+    } else if (pa < pb) {
+      if (pa == t) best = std::min(best, da);
+      va = a.Next(&pa, &da);
+    } else {
+      if (pb == s) best = std::min(best, db);
+      vb = b.Next(&pb, &db);
+    }
+  }
+  for (; va; va = a.Next(&pa, &da)) {
+    if (pa == t) best = std::min(best, da);
+  }
+  for (; vb; vb = b.Next(&pb, &db)) {
+    if (pb == s) best = std::min(best, db);
+  }
+  return best;
 }
 
 uint64_t CompressedIndex::SizeBytes() const {

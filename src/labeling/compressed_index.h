@@ -17,8 +17,10 @@
 // then all in-labels) and |V| otherwise. Each label's payload is
 // (varint pivot-delta, varint dist)* with the first delta relative to -1.
 //
-// Queries decode the two label vectors lazily inside a sorted-merge
-// intersection; no per-query allocation.
+// Queries decode the two label vectors lazily inside one scalar
+// sorted-merge intersection (Query, compressed_index.cc); no per-query
+// allocation and no query-kernel dispatch. Only compressed_index.cc
+// decodes the payload.
 
 #ifndef HOPDB_LABELING_COMPRESSED_INDEX_H_
 #define HOPDB_LABELING_COMPRESSED_INDEX_H_
@@ -52,11 +54,12 @@ class CompressedIndex {
 
   /// Exact distance query over the compressed form; kInfDistance when
   /// unreachable. Identical results to TwoHopIndex::Query on the
-  /// source index. O(|Lout(s)| + |Lin(t)|) varint decodes inside a
-  /// sorted-merge intersection; no per-query allocation, roughly 2-3x
-  /// the flat-store query cost in exchange for the 2-3x smaller
-  /// footprint. Both ids must be < num_vertices() (internal/ranked
-  /// ids, like TwoHopIndex).
+  /// source index. O(|Lout(s)| + |Lin(t)|) varint decodes inside one
+  /// scalar sorted-merge intersection that also folds in the trivial
+  /// pivots as their entries pass; no per-query allocation and no
+  /// kernel dispatch (ActiveQueryKernel does not apply). Ids >=
+  /// num_vertices() answer kInfDistance (internal/ranked ids, like
+  /// TwoHopIndex).
   ///
   /// Thread safety: const end-to-end (varint decode into locals, no
   /// mutable/static state) — safe for concurrent readers.

@@ -76,31 +76,6 @@ std::vector<Distance> DynDistances(const DynamicGraph& graph, VertexId source,
   return dist;
 }
 
-/// QueryLabelHalves over live label vectors: intersection minimum plus
-/// the two implicit trivial pivots.
-Distance QueryRefs(const LabelVector& out_s, const LabelVector& in_t,
-                   VertexId s, VertexId t) {
-  if (s == t) return 0;
-  Distance best = kInfDistance;
-  size_t i = 0, j = 0;
-  while (i < out_s.size() && j < in_t.size()) {
-    const VertexId pa = out_s[i].pivot;
-    const VertexId pb = in_t[j].pivot;
-    if (pa == pb) {
-      best = std::min(best, SaturatingAdd(out_s[i].dist, in_t[j].dist));
-      ++i;
-      ++j;
-    } else if (pa < pb) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  best = std::min(best, LookupPivot(out_s, t));
-  best = std::min(best, LookupPivot(in_t, s));
-  return best;
-}
-
 }  // namespace
 
 // -----------------------------------------------------------------------
@@ -412,7 +387,7 @@ void IncrementalUpdater::Finalize() {
 }
 
 Distance IncrementalUpdater::LiveQuery(VertexId u, VertexId v) const {
-  return QueryRefs((*out_)[u], (*in_)[v], u, v);
+  return QueryLabelHalves((*out_)[u], (*in_)[v], u, v);
 }
 
 void IncrementalUpdater::ApplyDecrease(VertexId a, VertexId b,

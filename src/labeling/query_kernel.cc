@@ -4,8 +4,6 @@
 #include <atomic>
 #include <vector>
 
-#include "util/serde.h"
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #define HOPDB_X86_KERNELS 1
 #include <immintrin.h>
@@ -16,34 +14,6 @@
 namespace hopdb {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Scalar reference. Also the tail finisher of the AVX2 kernel, so both
-// kernels share one definition of the boundary semantics.
-// ---------------------------------------------------------------------------
-
-Distance ScalarTailEntries(const LabelEntry* a, size_t an,
-                           const LabelEntry* b, size_t bn, size_t i, size_t j,
-                           Distance best) {
-  while (i < an && j < bn) {
-    if (a[i].pivot == b[j].pivot) {
-      const Distance d = SaturatingAdd(a[i].dist, b[j].dist);
-      if (d < best) best = d;
-      ++i;
-      ++j;
-    } else if (a[i].pivot < b[j].pivot) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return best;
-}
-
-Distance IntersectEntriesScalar(const LabelEntry* a, uint32_t an,
-                                const LabelEntry* b, uint32_t bn) {
-  return ScalarTailEntries(a, an, b, bn, 0, 0, kInfDistance);
-}
 
 // ---------------------------------------------------------------------------
 // Blocked merge, scalar. The outer loop walks the per-block pivot
@@ -104,101 +74,7 @@ Distance IntersectBlockedScalar(const uint32_t* ap, const uint32_t* ad,
   return best;
 }
 
-// ---------------------------------------------------------------------------
-// Compressed-stream merge, scalar — the HLC1 delta-varint payload
-// decoded entry-at-a-time into a sorted merge, with the trivial-pivot
-// direct hits folded in (the exact semantics CompressedIndex::Query has
-// always had). The AVX2 variant below decodes register-width blocks
-// instead but keeps the identical match/direct-hit set.
-// ---------------------------------------------------------------------------
-
-struct StreamCursor {
-  const uint8_t* data;
-  size_t pos;
-  size_t end;
-  /// 1 + previous pivot, so the first entry's gap is pivot + 1 (gap 0
-  /// never occurs: pivots strictly increase).
-  uint64_t prev = 0;
-
-  bool Next(uint32_t* pivot, uint32_t* dist) {
-    if (pos >= end) return false;
-    uint64_t gap = 0, d = 0;
-    if (!GetVarint64(data, end, &pos, &gap)) return false;
-    if (!GetVarint64(data, end, &pos, &d)) return false;
-    prev += gap;
-    *pivot = static_cast<uint32_t>(prev - 1);
-    *dist = static_cast<uint32_t>(d);
-    return true;
-  }
-};
-
-Distance IntersectStreamScalar(const uint8_t* a, size_t a_len,
-                               const uint8_t* b, size_t b_len,
-                               VertexId direct_a, VertexId direct_b) {
-  StreamCursor ca{a, 0, a_len};
-  StreamCursor cb{b, 0, b_len};
-  Distance best = kInfDistance;
-  uint32_t pa = kInvalidVertex, pb = kInvalidVertex;
-  uint32_t da = kInfDistance, db = kInfDistance;
-  bool va = ca.Next(&pa, &da);
-  bool vb = cb.Next(&pb, &db);
-  while (va && vb) {
-    if (pa == pb) {
-      const Distance d = SaturatingAdd(da, db);
-      if (d < best) best = d;
-      va = ca.Next(&pa, &da);
-      vb = cb.Next(&pb, &db);
-    } else if (pa < pb) {
-      if (pa == direct_a && da < best) best = da;
-      va = ca.Next(&pa, &da);
-    } else {
-      if (pb == direct_b && db < best) best = db;
-      vb = cb.Next(&pb, &db);
-    }
-  }
-  for (; va; va = ca.Next(&pa, &da)) {
-    if (pa == direct_a && da < best) best = da;
-  }
-  for (; vb; vb = cb.Next(&pb, &db)) {
-    if (pb == direct_b && db < best) best = db;
-  }
-  return best;
-}
-
-/// Register-width decode buffer for the AVX2 stream kernel. Unused
-/// lanes are padded with 0xFFFFFFFF pivots/dists, which the all-pairs
-/// fold treats as inert (label_entry.h).
-struct StreamBlock {
-  static constexpr uint32_t kLanes = 8;
-  alignas(32) uint32_t p[kLanes];
-  alignas(32) uint32_t d[kLanes];
-  uint32_t n = 0;
-};
-
-/// Decodes up to StreamBlock::kLanes entries into `blk`, folding any
-/// direct-pivot hit into the returned running minimum — every decoded
-/// entry passes through here exactly once, so the direct-hit set matches
-/// the scalar stream merge's.
-inline Distance RefillStream(StreamCursor* cur, StreamBlock* blk,
-                             VertexId direct, Distance best) {
-  uint32_t n = 0;
-  while (n < StreamBlock::kLanes && cur->Next(&blk->p[n], &blk->d[n])) {
-    if (blk->p[n] == direct && blk->d[n] < best) best = blk->d[n];
-    ++n;
-  }
-  for (uint32_t k = n; k < StreamBlock::kLanes; ++k) {
-    blk->p[k] = kInvalidVertex;
-    blk->d[k] = kInfDistance;
-  }
-  blk->n = n;
-  return best;
-}
-
-constexpr QueryKernel kScalarKernel{
-    "scalar",
-    &IntersectEntriesScalar,
-    &IntersectBlockedScalar,
-    &IntersectStreamScalar};
+constexpr QueryKernel kScalarKernel{"scalar", &IntersectBlockedScalar};
 
 #if HOPDB_X86_KERNELS
 
@@ -235,42 +111,6 @@ HorizontalMinU32(__m256i v) {
   Distance best = lanes[0];
   for (int k = 1; k < 8; ++k) best = std::min(best, lanes[k]);
   return best;
-}
-
-/// Deinterleaves 8 consecutive (pivot, dist) entries into one pivot and
-/// one distance vector. Both outputs share the same lane permutation
-/// (p0 p1 p4 p5 p2 p3 p6 p7), which the all-pairs compare is insensitive
-/// to — only pivot/distance lane correspondence matters.
-__attribute__((target("avx2"))) inline void
-LoadEntries8(const LabelEntry* e, __m256i* pivots, __m256i* dists) {
-  const __m256i lo =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e));
-  const __m256i hi =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(e + 4));
-  const __m256i s0 = _mm256_shuffle_epi32(lo, _MM_SHUFFLE(3, 1, 2, 0));
-  const __m256i s1 = _mm256_shuffle_epi32(hi, _MM_SHUFFLE(3, 1, 2, 0));
-  *pivots = _mm256_unpacklo_epi64(s0, s1);
-  *dists = _mm256_unpackhi_epi64(s0, s1);
-}
-
-__attribute__((target("avx2"))) Distance
-IntersectEntriesAvx2(const LabelEntry* a, uint32_t an, const LabelEntry* b,
-                     uint32_t bn) {
-  size_t i = 0, j = 0;
-  const size_t a_n = an, b_n = bn;
-  __m256i best = _mm256_set1_epi32(-1);
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  while (i + 8 <= a_n && j + 8 <= b_n) {
-    const uint32_t amax = a[i + 7].pivot;
-    const uint32_t bmax = b[j + 7].pivot;
-    __m256i va_p, va_d, vb_p, vb_d;
-    LoadEntries8(a + i, &va_p, &va_d);
-    LoadEntries8(b + j, &vb_p, &vb_d);
-    best = FoldMatches8(va_p, va_d, vb_p, vb_d, best, rot1);
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  return ScalarTailEntries(a, a_n, b, b_n, i, j, HorizontalMinU32(best));
 }
 
 // ---------------------------------------------------------------------------
@@ -333,58 +173,7 @@ IntersectBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
   return HorizontalMinU32(best);
 }
 
-// ---------------------------------------------------------------------------
-// Compressed-stream merge, AVX2: decode 8-entry blocks per side into
-// stack buffers (direct hits folded at decode time), then run the same
-// all-pairs fold/advance scheme as the entries kernel. Partial end blocks
-// are sentinel-padded, so the fold needs no tail handling.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) Distance
-IntersectStreamAvx2(const uint8_t* a, size_t a_len, const uint8_t* b,
-                    size_t b_len, VertexId direct_a, VertexId direct_b) {
-  StreamCursor ca{a, 0, a_len};
-  StreamCursor cb{b, 0, b_len};
-  StreamBlock blk_a, blk_b;
-  Distance direct_best = kInfDistance;
-  direct_best = RefillStream(&ca, &blk_a, direct_a, direct_best);
-  direct_best = RefillStream(&cb, &blk_b, direct_b, direct_best);
-  __m256i best = _mm256_set1_epi32(-1);
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  while (blk_a.n > 0 && blk_b.n > 0) {
-    const __m256i va_p =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_a.p));
-    const __m256i va_d =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_a.d));
-    const __m256i vb_p =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_b.p));
-    const __m256i vb_d =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(blk_b.d));
-    best = FoldMatches8(va_p, va_d, vb_p, vb_d, best, rot1);
-    const uint32_t amax = blk_a.p[blk_a.n - 1];
-    const uint32_t bmax = blk_b.p[blk_b.n - 1];
-    const bool adv_a = amax <= bmax;
-    const bool adv_b = bmax <= amax;
-    if (adv_a) direct_best = RefillStream(&ca, &blk_a, direct_a, direct_best);
-    if (adv_b) direct_best = RefillStream(&cb, &blk_b, direct_b, direct_best);
-  }
-  // One side is exhausted: nothing left to match, but the other side's
-  // remaining entries still owe their direct-hit checks (done inside
-  // RefillStream).
-  while (blk_a.n > 0) {
-    direct_best = RefillStream(&ca, &blk_a, direct_a, direct_best);
-  }
-  while (blk_b.n > 0) {
-    direct_best = RefillStream(&cb, &blk_b, direct_b, direct_best);
-  }
-  return std::min(direct_best, HorizontalMinU32(best));
-}
-
-constexpr QueryKernel kAvx2Kernel{
-    "avx2",
-    &IntersectEntriesAvx2,
-    &IntersectBlockedAvx2,
-    &IntersectStreamAvx2};
+constexpr QueryKernel kAvx2Kernel{"avx2", &IntersectBlockedAvx2};
 
 #endif  // HOPDB_X86_KERNELS
 

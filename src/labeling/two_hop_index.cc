@@ -25,9 +25,7 @@ Distance QueryLabelHalves(std::span<const LabelEntry> out_s,
                           std::span<const LabelEntry> in_t, VertexId s,
                           VertexId t) {
   if (s == t) return 0;
-  Distance best = ActiveQueryKernel().intersect_entries(
-      out_s.data(), static_cast<uint32_t>(out_s.size()), in_t.data(),
-      static_cast<uint32_t>(in_t.size()));
+  Distance best = IntersectLabels(out_s, in_t);
   // Implicit trivial pivots: (s, 0) in Lout(s) and (t, 0) in Lin(t).
   Distance direct_t = LookupPivot(out_s, t);
   if (direct_t < best) best = direct_t;

@@ -114,14 +114,15 @@ class TwoHopIndex {
   FlatLabelStore flat_;
 };
 
-/// Query helper shared with builders' pruning logic: minimum of
+/// The one merge over LabelEntry spans — PLL's pruned searches, the
+/// disk index and IncrementalUpdater's live labels: minimum of the
 /// intersection plus the two implicit trivial pivots.
 ///   dist = min( min_{w in out_s ∩ in_t} d1+d2,
 ///               dist stored for pivot t in out_s,
 ///               dist stored for pivot s in in_t,
 ///               0 if s == t )
-/// The intersection routes through the active query kernel
-/// (labeling/query_kernel.h); results are identical for every kernel.
+/// The intersection is IntersectLabels' scalar two-pointer merge
+/// (label_entry.h); the active query kernel does not apply.
 Distance QueryLabelHalves(std::span<const LabelEntry> out_s,
                           std::span<const LabelEntry> in_t, VertexId s,
                           VertexId t);

@@ -7,8 +7,8 @@
 //   - Load never crashes on hostile files, it returns a Status;
 //   - a file it accepts decompresses, and the decompressed index passes
 //     Validate(false), answers Query(v, v) == 0, and agrees with
-//     CompressedIndex::Query on in-range pairs (the stream kernel reads
-//     the payload Load checked).
+//     CompressedIndex::Query on in-range pairs (its scalar merge decodes
+//     the payload Load checked, without re-checking it).
 // The seed corpus is two small valid files (undirected unweighted,
 // directed weighted).
 

@@ -1,8 +1,8 @@
 // Scalar-vs-SIMD agreement for the query kernels: every kernel the CPU
 // supports must return bit-identical distances on randomized labels —
 // including the kInfDistance saturation corner when d1 + d2 overflows
-// uint32 — and the blocked query path must match the span-based
-// reference.
+// uint32 — and so must the span-based QueryLabelHalves merge, which the
+// blocked query path must also match.
 
 #include <gtest/gtest.h>
 
@@ -60,13 +60,9 @@ void ExpectAllKernelsAgree(const LabelVector& a, const LabelVector& b,
                                         vb.size),
               want)
         << context << " intersect_blocked kernel=" << kernel->name;
-    EXPECT_EQ(kernel->intersect_entries(a.data(),
-                                        static_cast<uint32_t>(a.size()),
-                                        b.data(),
-                                        static_cast<uint32_t>(b.size())),
-              want)
-        << context << " intersect_entries kernel=" << kernel->name;
   }
+  // Endpoints outside the pivot space: the trivial probes miss.
+  EXPECT_EQ(QueryLabelHalves(a, b, 1u << 30, 1u << 31), want) << context;
 }
 
 TEST(QueryKernelTest, ScalarKernelIsAlwaysFirst) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "io/temp_dir.h"
+#include "labeling/compressed_index.h"
 #include "labeling/label_entry.h"
 #include "util/serde.h"
 
@@ -155,16 +156,32 @@ TEST(TwoHopIndexTest, LoadRejectsGarbage) {
 }
 
 TEST(QueryLabelHalvesTest, TrivialPivots) {
-  // out_s contains pivot t directly.
-  LabelVector out_s = {{2, 3}};
-  EXPECT_EQ(QueryLabelHalves(out_s, {}, 5, 2), 3u);
-  // in_t contains pivot s directly.
-  LabelVector in_t = {{5, 4}};
-  EXPECT_EQ(QueryLabelHalves({}, in_t, 5, 9), 4u);
-  // Same vertex.
-  EXPECT_EQ(QueryLabelHalves({}, {}, 3, 3), 0u);
-  // Nothing in common.
-  EXPECT_EQ(QueryLabelHalves(out_s, in_t, 7, 8), kInfDistance);
+  // Each case runs through both scalar merges: QueryLabelHalves on the
+  // spans, and CompressedIndex::Query on a directed index whose Lout(s)
+  // and Lin(t) are those labels.
+  const struct {
+    LabelVector out_s, in_t;
+    VertexId s, t;
+    Distance want;
+  } cases[] = {
+      {{{2, 3}}, {}, 5, 2, 3},                   // t in out_s directly
+      {{}, {{5, 4}}, 5, 9, 4},                   // s in in_t directly
+      {{}, {}, 3, 3, 0},                         // same vertex
+      {{{2, 3}}, {{5, 4}}, 7, 8, kInfDistance},  // nothing in common
+      {{{2, 3}, {4, 5}}, {{4, 1}}, 6, 2, 3},     // hit on t beats pivot 4
+      {{{1, 4}, {8, 2}}, {{1, 1}}, 6, 8, 2},     // hit on t after in_t ends
+      {{{5, 1}}, {{3, 2}, {5, 4}}, 3, 7, 2},     // hit on s beats pivot 5
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::to_string(c.s) + "->" + std::to_string(c.t));
+    std::vector<LabelVector> out(10), in(10);
+    out[c.s] = c.out_s;
+    in[c.t] = c.in_t;
+    const CompressedIndex compressed =
+        CompressedIndex::FromIndex(TwoHopIndex(out, in, true)).ValueOrDie();
+    EXPECT_EQ(QueryLabelHalves(c.out_s, c.in_t, c.s, c.t), c.want);
+    EXPECT_EQ(compressed.Query(c.s, c.t), c.want);
+  }
 }
 
 TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {

@@ -28,8 +28,9 @@
    runbook's description of the report cannot silently go stale.
 8. Query-kernel entry-point drift: the function-pointer members of
    struct QueryKernel (src/labeling/query_kernel.h) must match, one for
-   one, the backticked bullets after "carries <N> entry points:" in
-   docs/ARCHITECTURE.md, and <N> must be their count.
+   one, the backticked bullets after "carries <N> entry points:" (or
+   "carries one entry point:") in docs/ARCHITECTURE.md, and <N> must be
+   their count.
 9. Cited markdown: every *.md file that program text under src/,
    bench/, tests/, examples/ or tools/ names (docs/FORMATS.md,
    PROTOCOL.md, ...) must exist, as a path from the repository root or
@@ -87,14 +88,15 @@ EVAL_SECTIONS_RE = re.compile(
     r"kEvalReportSections\[\]\s*=\s*\{([^}]*)\}", re.DOTALL
 )
 EVAL_SECTION_LITERAL_RE = re.compile(r'"(## [^"]+)"')
-# query_kernel.h: struct QueryKernel { ... Distance (*intersect_entries)(...
+# query_kernel.h: struct QueryKernel { ... Distance (*intersect_blocked)(...
 QUERY_KERNEL_STRUCT_RE = re.compile(
     r"struct\s+QueryKernel\s*\{(.*?)\n\};", re.DOTALL
 )
 FN_POINTER_MEMBER_RE = re.compile(r"\(\s*\*\s*(\w+)\s*\)\s*\(")
-# ARCHITECTURE.md: "Each kernel carries three entry points:" (may wrap),
-# then one "- `name` — ..." bullet per entry point.
-DOC_KERNEL_COUNT_RE = re.compile(r"carries\s+(\w+)\s+entry\s+points:")
+# ARCHITECTURE.md: "Each kernel carries one entry point:" or "carries
+# three entry points:" (may wrap), then one "- `name` — ..." bullet per
+# entry point.
+DOC_KERNEL_COUNT_RE = re.compile(r"carries\s+(\w+)\s+entry\s+points?:")
 DOC_KERNEL_BULLET_RE = re.compile(r"^(\s*)- `(\w+)`")
 # A markdown file named in program text: docs/FORMATS.md, PROTOCOL.md.
 CITED_MD_RE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
@@ -396,7 +398,7 @@ def check_kernel_entry_points(root: pathlib.Path) -> list[str]:
     doc_text = architecture_md.read_text(encoding="utf-8")
     stated = DOC_KERNEL_COUNT_RE.search(doc_text)
     if stated is None:
-        return ["docs/ARCHITECTURE.md has no 'carries <N> entry points:' "
+        return ["docs/ARCHITECTURE.md has no 'carries <N> entry point(s):' "
                 "sentence listing the QueryKernel entry points"]
     # The bullets run from the line after the sentence until the first
     # line at the bullets' indent that is not a bullet (deeper-indented
