@@ -3,10 +3,11 @@
 //
 // The paper's builders are sequential; its scalability story is I/O
 // shaped. This ablation measures the natural shared-memory extension:
-// owner-major candidate generation and SIMD witness pruning are
-// data-parallel (the test suite proves bit-identical output for every
-// thread count), so scaling is bounded by owner-range skew, the O(n)
-// prefix sums and the sequential label merge, about 2% of a build.
+// owner-major candidate generation and owner-by-owner pruning against a
+// per-worker distance table are data-parallel (the test suite proves
+// bit-identical output for every thread count), so scaling is bounded
+// by owner-range skew, the O(n) prefix sums and the sequential label
+// merge, about 2% of a build.
 // bench_build records the per-phase breakdown.
 
 #include <cstdio>

@@ -146,13 +146,16 @@ Result<HopDbIndex> HopDbIndex::Load(const std::string& path) {
   ByteReader reader(perm);
   uint64_t n = 0;
   HOPDB_RETURN_NOT_OK(reader.ReadU64(&n));
-  // Both checks come before `n` sizes an allocation.
+  // Both checks come before `n` sizes an allocation. The file holds
+  // exactly n ids: a short one is truncated, and bytes past the last id
+  // are corrupt, as in every index loader.
   if (n != out.index_.num_vertices()) {
     return Status::InvalidArgument("permutation/index size mismatch");
   }
-  if (n > reader.remaining() / 4) {
-    return Status::InvalidArgument("truncated permutation file: " + path +
-                                   ".perm");
+  if (reader.remaining() != 4 * n) {
+    return Status::InvalidArgument(
+        "permutation file is truncated or has trailing bytes: " + path +
+        ".perm");
   }
   std::vector<VertexId> order(n);
   for (auto& v : order) HOPDB_RETURN_NOT_OK(reader.ReadU32(&v));

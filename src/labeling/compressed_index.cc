@@ -127,27 +127,27 @@ Result<CompressedIndex> CompressedIndex::FromIndex(const TwoHopIndex& index) {
 }
 
 Result<TwoHopIndex> CompressedIndex::Decompress() const {
+  // HLC1 slots are the store's slots (out-labels, then in-labels when
+  // directed), so each label decodes straight into its slot: a counting
+  // pass sizes the slots, then a second pass fills them.
   const auto* payload = reinterpret_cast<const uint8_t*>(payload_.data());
-  auto decode_slot = [&](size_t slot) -> LabelVector {
-    LabelVector label;
+  VertexId pivot = 0;
+  Distance dist = 0;
+  std::vector<uint32_t> sizes(
+      directed_ ? 2 * static_cast<size_t>(num_vertices_) : num_vertices_, 0);
+  for (size_t slot = 0; slot < sizes.size(); ++slot) {
     LabelCursor cursor(payload, offsets_[slot], offsets_[slot + 1]);
-    VertexId pivot;
-    Distance dist;
-    while (cursor.Next(&pivot, &dist)) label.push_back({pivot, dist});
-    return label;
-  };
-
-  std::vector<LabelVector> outs(num_vertices_), ins;
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    outs[v] = decode_slot(SlotOut(v));
+    while (cursor.Next(&pivot, &dist)) ++sizes[slot];
   }
-  if (directed_) {
-    ins.resize(num_vertices_);
-    for (VertexId v = 0; v < num_vertices_; ++v) {
-      ins[v] = decode_slot(SlotIn(v));
-    }
-  }
-  return TwoHopIndex(std::move(outs), std::move(ins), directed_);
+  return TwoHopIndex(FlatLabelStore::FromSlots(
+      num_vertices_, directed_, std::move(sizes),
+      [&](size_t slot, uint32_t* pivots, uint32_t* dists) {
+        LabelCursor cursor(payload, offsets_[slot], offsets_[slot + 1]);
+        for (size_t i = 0; cursor.Next(&pivot, &dist); ++i) {
+          pivots[i] = pivot;
+          dists[i] = dist;
+        }
+      }));
 }
 
 Distance CompressedIndex::Query(VertexId s, VertexId t) const {

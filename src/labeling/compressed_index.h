@@ -45,11 +45,12 @@ class CompressedIndex {
   /// payload would overflow the u32 offset table (> 4 GiB).
   static Result<CompressedIndex> FromIndex(const TwoHopIndex& index);
 
-  /// Expands back to a plain TwoHopIndex. Exact round trip:
-  /// Decompress(FromIndex(x)) equals x entry-for-entry (and freezes its
-  /// label store). O(total entries) time and full heap
-  /// footprint — use this to hand labels to code that needs the
-  /// uncompressed representation, not on the serving path.
+  /// Expands back to a plain TwoHopIndex, decoding each label straight
+  /// into its frozen label store. Exact round trip:
+  /// Decompress(FromIndex(x)) equals x entry-for-entry. O(total entries)
+  /// time and full heap footprint — use this to hand labels to code
+  /// that needs the uncompressed representation, not on the serving
+  /// path.
   Result<TwoHopIndex> Decompress() const;
 
   /// Exact distance query over the compressed form; kInfDistance when

@@ -63,13 +63,11 @@ Status IndexRegistry::Attach(const std::string& name,
                              std::shared_ptr<const ServingSnapshot> snapshot) {
   HOPDB_RETURN_NOT_OK(ValidateIndexName(name));
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = handles_.try_emplace(name);
-  if (!inserted) {
+  if (!snapshots_.try_emplace(name, std::move(snapshot)).second) {
     return Status::InvalidArgument("index '" + name +
                                    "' is already attached (DETACH it or "
                                    "RELOAD it instead)");
   }
-  it->second = std::make_shared<IndexHandle>(std::move(snapshot));
   return Status::OK();
 }
 
@@ -78,56 +76,55 @@ Status IndexRegistry::Detach(const std::string& name) {
     return Status::InvalidArgument(
         "the default index cannot be detached (RELOAD it to replace it)");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = handles_.find(name);
-  if (it == handles_.end()) {
-    return Status::NotFound("no index named '" + name + "'");
+  // Dropped after the unlock: when no reader holds the snapshot, its
+  // whole destructor runs here, and lookups must not wait for it.
+  std::shared_ptr<const ServingSnapshot> detached;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = snapshots_.find(name);
+    if (it == snapshots_.end()) {
+      return Status::NotFound("no index named '" + name + "'");
+    }
+    detached = std::move(it->second);
+    snapshots_.erase(it);
   }
-  // Erasing the handle only drops this registry's reference; workers
-  // holding the snapshot (or the handle) keep serving until they finish.
-  handles_.erase(it);
   return Status::OK();
 }
 
 Status IndexRegistry::Publish(const std::string& name,
                               std::shared_ptr<const ServingSnapshot> snapshot) {
-  std::shared_ptr<IndexHandle> handle;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = handles_.find(name);
-    if (it == handles_.end()) {
+    const auto it = snapshots_.find(name);
+    if (it == snapshots_.end()) {
       return Status::NotFound("no index named '" + name + "'");
     }
-    handle = it->second;
+    it->second.swap(snapshot);
   }
-  handle->Set(std::move(snapshot));
+  // `snapshot` now holds the replaced one; it is released after the
+  // unlock, for the reason Detach gives.
   return Status::OK();
 }
 
 std::shared_ptr<const ServingSnapshot> IndexRegistry::Find(
     const std::string& name) const {
   const std::string& key = name.empty() ? kDefaultIndexName : name;
-  std::shared_ptr<IndexHandle> handle;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = handles_.find(key);
-    if (it == handles_.end()) return nullptr;
-    handle = it->second;
-  }
-  return handle->Get();
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = snapshots_.find(key);
+  return it == snapshots_.end() ? nullptr : it->second;
 }
 
 std::vector<std::string> IndexRegistry::Names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  names.reserve(handles_.size());
-  for (const auto& [name, handle] : handles_) names.push_back(name);
+  names.reserve(snapshots_.size());
+  for (const auto& [name, snapshot] : snapshots_) names.push_back(name);
   return names;  // std::map iterates in sorted order already
 }
 
 size_t IndexRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return handles_.size();
+  return snapshots_.size();
 }
 
 }  // namespace hopdb

@@ -1,12 +1,13 @@
-// Named multi-index registry: one RCU-style IndexHandle per index name,
-// so a single server can hold many graphs hot at once.
+// Named multi-index registry: one RCU-style snapshot pointer per index
+// name, so a single server can hold many graphs hot at once.
 //
-// The registry is a thin concurrent map from name to the existing
-// hot-swap machinery (index_snapshot.h): every name owns its own
-// IndexHandle, so per-index RELOAD/ATTACH/DETACH never disturbs queries
-// on other indexes, and DETACH is safe against in-flight queries — a
-// worker that already holds the snapshot's shared_ptr finishes on it,
-// and the index is freed when the last reference drops. One index is the
+// The registry is a mutex-guarded map from name to the current
+// ServingSnapshot (index_snapshot.h). A lookup copies the shared_ptr
+// under the mutex and queries without it, so per-index RELOAD/ATTACH/
+// DETACH never disturbs queries on other indexes, and DETACH is safe
+// against in-flight queries — a worker that already holds the
+// snapshot's shared_ptr finishes on it, and the index is freed when the
+// last reference drops, never under the mutex. One index is the
 // DEFAULT ("default"): unprefixed DIST/BATCH/KNN/RELOAD route to it, and
 // it cannot be detached (a serving process always has an index).
 //
@@ -86,9 +87,7 @@ class IndexRegistry {
 
  private:
   mutable std::mutex mu_;
-  /// Each name keeps its own swappable handle so per-index publishes
-  /// never contend with lookups of other names beyond this map mutex.
-  std::map<std::string, std::shared_ptr<IndexHandle>> handles_;
+  std::map<std::string, std::shared_ptr<const ServingSnapshot>> snapshots_;
 };
 
 }  // namespace hopdb

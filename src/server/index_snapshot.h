@@ -1,4 +1,4 @@
-// Immutable serving snapshot + atomically swappable handle.
+// Immutable serving snapshot, hot-swapped by the index registry.
 //
 // The hot-swap design is RCU-style: the whole queryable state (index,
 // lazily built KNN engine, provenance) lives in one immutable
@@ -191,30 +191,6 @@ class ServingSnapshot {
   mutable std::once_flag path_once_;
   mutable std::unique_ptr<HopDbPathQuerier> path_;
   mutable Status path_status_;
-};
-
-/// The swappable pointer. A plain mutex guards the shared_ptr itself
-/// (not the data): Get() copies the pointer under the lock — a handful
-/// of nanoseconds — and never holds the lock while querying.
-class IndexHandle {
- public:
-  IndexHandle() = default;
-  explicit IndexHandle(std::shared_ptr<const ServingSnapshot> snapshot)
-      : snapshot_(std::move(snapshot)) {}
-
-  std::shared_ptr<const ServingSnapshot> Get() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return snapshot_;
-  }
-
-  void Set(std::shared_ptr<const ServingSnapshot> snapshot) {
-    std::lock_guard<std::mutex> lock(mu_);
-    snapshot_ = std::move(snapshot);
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const ServingSnapshot> snapshot_;
 };
 
 }  // namespace hopdb

@@ -72,18 +72,9 @@ class LatencyHistogram {
 
 class ServerMetrics {
  public:
-  static constexpr size_t kLatencyBuckets = LatencyHistogram::kBuckets;
-
   /// Counts one completed request. Latency histograms are fed separately
   /// by RecordTrace once the response bytes are written.
   void CountRequest() { requests_.fetch_add(1, std::memory_order_relaxed); }
-
-  /// Back-compat convenience (tests, embedders): count a request and
-  /// record its latency into the overall histogram in one call.
-  void RecordRequest(double latency_us) {
-    CountRequest();
-    latency_.Record(latency_us <= 0 ? 0 : static_cast<uint64_t>(latency_us));
-  }
 
   /// Feeds every histogram from one completed trace: overall (or
   /// degraded for shed/error/parse-error requests), per-stage, per-verb.
@@ -152,12 +143,6 @@ class ServerMetrics {
   }
   uint64_t micro_batched_queries() const {
     return micro_batched_queries_.load(std::memory_order_relaxed);
-  }
-
-  /// Overall (non-degraded) latency percentile; see
-  /// LatencyHistogram::PercentileUs.
-  uint64_t LatencyPercentileUs(double p) const {
-    return latency_.PercentileUs(p);
   }
 
   const LatencyHistogram& latency_histogram() const { return latency_; }

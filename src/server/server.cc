@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -43,50 +44,48 @@ Distance CachedQuery(const ServingSnapshot& snapshot, VertexId s, VertexId t) {
 }
 
 // ---------------------------------------------------------------------------
-// STATS payload helpers. Every key the server emits goes through one of
-// these two appenders; tools/check_docs.py parses the call sites to keep
-// the key table in docs/OPERATIONS.md from drifting.
+// The export table. STATS and METRICS render the same rows, which
+// DistanceServer::ExportResponse fills. tools/check_docs.py reads the
+// quoted .stat and .family names of those rows (so each row is written
+// as a designated initializer that starts with one of the two) to keep
+// the key and family tables in docs/OPERATIONS.md from drifting, and
+// tools/check_metrics.py lints the rendered exposition.
 // ---------------------------------------------------------------------------
 
-void AppendStat(std::string* payload, const char* key,
-                const std::string& value) {
-  if (!payload->empty()) payload->push_back(' ');
-  payload->append(key);
-  payload->push_back('=');
-  payload->append(value);
+/// One exported value. STATS prints it as `stat=value`, or as
+/// `index.<index>.<stat>=value` on a per-index row. METRICS prints it
+/// under its family's HELP and TYPE lines, as one sample or as a
+/// histogram's series, labelled `index="<index>"` on a per-index row.
+/// A row without a stat shows only in METRICS, one without a family
+/// only in STATS. Every member has a default initializer, so a row
+/// names only the members it sets.
+struct ExportRow {
+  const char* stat = nullptr;
+  const char* family = nullptr;
+  const char* type = nullptr;  // counter, gauge or histogram
+  const char* help = nullptr;
+  std::string index{};   // the index's name on a per-index row
+  std::string labels{};  // the Prometheus labels of any other row
+  std::string value{};
+  /// METRICS' format of the value where it differs from STATS'.
+  std::string prom_value{};
+  const LatencyHistogram* histogram = nullptr;
+};
+
+std::string RenderStats(const std::vector<ExportRow>& rows) {
+  std::string payload;
+  for (const ExportRow& row : rows) {
+    if (row.stat == nullptr) continue;
+    if (!payload.empty()) payload.push_back(' ');
+    if (!row.index.empty()) payload += "index." + row.index + '.';
+    payload += row.stat;
+    payload += '=';
+    payload += row.value;
+  }
+  return payload;
 }
 
-/// Emits `index.<name>.<key>=<value>` for the per-index STATS section.
-void AppendIndexStat(std::string* payload, const std::string& name,
-                     const char* key, const std::string& value) {
-  if (!payload->empty()) payload->push_back(' ');
-  payload->append("index.");
-  payload->append(name);
-  payload->push_back('.');
-  payload->append(key);
-  payload->push_back('=');
-  payload->append(value);
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text-exposition helpers (the METRICS verb). Every family
-// the server exports is declared through PromFamily; tools/check_docs.py
-// parses those call sites to keep the metric table in docs/OPERATIONS.md
-// from drifting, and tools/check_metrics.py lints the rendered output.
-// ---------------------------------------------------------------------------
-
-void PromFamily(std::string* text, const char* name, const char* type,
-                const char* help) {
-  text->append("# HELP ");
-  text->append(name);
-  text->push_back(' ');
-  text->append(help);
-  text->append("\n# TYPE ");
-  text->append(name);
-  text->push_back(' ');
-  text->append(type);
-  text->push_back('\n');
-}
+// Prometheus text-exposition helpers (RenderMetrics below).
 
 /// Escapes a label value per the exposition format (\\, \", \n).
 std::string PromLabelValue(const std::string& value) {
@@ -141,6 +140,37 @@ void PromHistogram(std::string* text, const std::string& name,
              std::to_string(cumulative));
   PromSample(text, name + "_sum", labels, std::to_string(hist.sum_us()));
   PromSample(text, name + "_count", labels, std::to_string(cumulative));
+}
+
+/// Prints each family as one group, as the text format requires: its
+/// HELP and TYPE lines, then the samples of all its rows in table order.
+std::string RenderMetrics(const std::vector<ExportRow>& rows) {
+  std::string text;
+  text.reserve(32 * 1024);
+  std::vector<bool> rendered(rows.size(), false);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].family == nullptr || rendered[i]) continue;
+    const ExportRow& head = rows[i];
+    const std::string_view family = head.family;
+    text.append("# HELP ").append(family).append(" ").append(head.help);
+    text.append("\n# TYPE ").append(family).append(" ").append(head.type);
+    text.push_back('\n');
+    for (size_t j = i; j < rows.size(); ++j) {
+      const ExportRow& row = rows[j];
+      if (row.family == nullptr || row.family != family) continue;
+      rendered[j] = true;
+      const std::string labels =
+          row.index.empty() ? row.labels
+                            : "index=\"" + PromLabelValue(row.index) + "\"";
+      if (row.histogram != nullptr) {
+        PromHistogram(&text, row.family, labels, *row.histogram);
+      } else {
+        PromSample(&text, row.family, labels,
+                   row.prom_value.empty() ? row.value : row.prom_value);
+      }
+    }
+  }
+  return text;
 }
 
 WireResponse ErrNoSuchIndex(const std::string& name) {
@@ -509,8 +539,6 @@ WireResponse DistanceServer::ExecuteWire(const Request& request) {
       return HandleAttach(request.index_name, request.path);
     case RequestKind::kDetach:
       return HandleDetach(request.index_name);
-    case RequestKind::kMetrics:
-      return MetricsResponse();
     case RequestKind::kTrace:
       return TraceResponse(request.k);
     case RequestKind::kAddEdge:
@@ -535,7 +563,8 @@ WireResponse DistanceServer::ExecuteOnWire(const Request& request,
     case RequestKind::kPing:
       return WireOk("pong");
     case RequestKind::kStats:
-      return StatsResponse(snapshot);
+    case RequestKind::kMetrics:
+      return ExportResponse(request.kind, snapshot);
     case RequestKind::kDist: {
       const VertexId s = request.src;
       const VertexId t = request.targets[0];
@@ -603,7 +632,6 @@ WireResponse DistanceServer::ExecuteOnWire(const Request& request,
     case RequestKind::kReload:
     case RequestKind::kAttach:
     case RequestKind::kDetach:
-    case RequestKind::kMetrics:
     case RequestKind::kTrace:
     case RequestKind::kAddEdge:
     case RequestKind::kDelEdge:
@@ -613,249 +641,195 @@ WireResponse DistanceServer::ExecuteOnWire(const Request& request,
   return WireErr("unhandled request kind");
 }
 
-WireResponse DistanceServer::StatsResponse(const ServingSnapshot& snapshot) {
+WireResponse DistanceServer::ExportResponse(RequestKind verb,
+                                            const ServingSnapshot& snapshot) {
   const double uptime = uptime_.Seconds();
   const uint64_t requests = metrics_.requests();
   const ResultCache::Stats cache = snapshot.cache().GetStats();
-  std::string payload;
-  AppendStat(&payload, "uptime_seconds", FormatDouble(uptime, 1));
-  AppendStat(&payload, "build_git_sha", BuildGitSha());
-  AppendStat(&payload, "requests", std::to_string(requests));
-  AppendStat(&payload, "errors", std::to_string(metrics_.errors()));
-  AppendStat(&payload, "shed", std::to_string(metrics_.shed()));
-  AppendStat(&payload, "qps",
-             FormatDouble(uptime > 0
-                              ? static_cast<double>(requests) / uptime
-                              : 0.0,
-                          1));
-  AppendStat(&payload, "p50_us",
-             std::to_string(metrics_.LatencyPercentileUs(50)));
-  AppendStat(&payload, "p99_us",
-             std::to_string(metrics_.LatencyPercentileUs(99)));
-  AppendStat(&payload, "degraded_p99_us",
-             std::to_string(metrics_.degraded_histogram().PercentileUs(99)));
-  AppendStat(&payload, "queue_wait_p50_us",
-             std::to_string(metrics_.queue_wait_histogram().PercentileUs(50)));
-  AppendStat(&payload, "queue_wait_p99_us",
-             std::to_string(metrics_.queue_wait_histogram().PercentileUs(99)));
-  AppendStat(&payload, "execute_p50_us",
-             std::to_string(metrics_.execute_histogram().PercentileUs(50)));
-  AppendStat(&payload, "execute_p99_us",
-             std::to_string(metrics_.execute_histogram().PercentileUs(99)));
-  AppendStat(&payload, "write_p50_us",
-             std::to_string(metrics_.write_histogram().PercentileUs(50)));
-  AppendStat(&payload, "write_p99_us",
-             std::to_string(metrics_.write_histogram().PercentileUs(99)));
-  AppendStat(&payload, "slow_queries", std::to_string(metrics_.slow_queries()));
-  AppendStat(&payload, "traces_sampled",
-             std::to_string(metrics_.traces_sampled()));
-  AppendStat(&payload, "dist_queries", std::to_string(metrics_.dist_queries()));
-  AppendStat(&payload, "batch_requests",
-             std::to_string(metrics_.batch_requests()));
-  AppendStat(&payload, "knn_requests",
-             std::to_string(metrics_.knn_requests()));
-  AppendStat(&payload, "within_requests",
-             std::to_string(metrics_.within_requests()));
-  AppendStat(&payload, "reach_requests",
-             std::to_string(metrics_.reach_requests()));
-  AppendStat(&payload, "path_requests",
-             std::to_string(metrics_.path_requests()));
-  AppendStat(&payload, "micro_batches",
-             std::to_string(metrics_.micro_batches()));
-  AppendStat(&payload, "micro_batched_queries",
-             std::to_string(metrics_.micro_batched_queries()));
-  AppendStat(&payload, "cache_hits", std::to_string(cache.hits));
-  AppendStat(&payload, "cache_misses", std::to_string(cache.misses));
-  AppendStat(&payload, "cache_hit_rate", FormatDouble(cache.HitRate(), 4));
-  AppendStat(&payload, "cache_entries", std::to_string(cache.entries));
-  AppendStat(&payload, "cache_capacity", std::to_string(cache.capacity));
-  AppendStat(&payload, "queue_depth", std::to_string(queue_.size()));
-  AppendStat(&payload, "queue_capacity", std::to_string(queue_.capacity()));
-  AppendStat(&payload, "workers", std::to_string(workers_.size()));
-  AppendStat(&payload, "io_threads", std::to_string(num_io_threads_));
-  AppendStat(&payload, "open_connections",
-             std::to_string(open_connections()));
-  AppendStat(&payload, "kernel", ActiveQueryKernel().name);
-  AppendStat(&payload, "hot_hub_k", std::to_string(snapshot.hot_hub().k()));
-  AppendStat(&payload, "hot_hub_bytes",
-             std::to_string(snapshot.hot_hub().SizeBytes()));
-  AppendStat(&payload, "reloads", std::to_string(metrics_.reloads()));
-  AppendStat(&payload, "connections", std::to_string(connections_accepted()));
-  AppendStat(&payload, "vertices", std::to_string(snapshot.num_vertices()));
-  AppendStat(&payload, "directed", snapshot.directed() ? "1" : "0");
-  // Per-index section: one group of keys per attached index, so an
-  // operator sees every graph's footprint and storage mode in one line.
+  const auto percentile = [](const LatencyHistogram& histogram, double p) {
+    return std::to_string(histogram.PercentileUs(p));
+  };
   const std::vector<std::string> names = registry_.Names();
-  AppendStat(&payload, "indexes", std::to_string(names.size()));
+  std::vector<ExportRow> rows = {
+      {.stat = "uptime_seconds", .family = "hopdb_uptime_seconds",
+       .type = "gauge", .help = "Seconds since the server started.",
+       .value = FormatDouble(uptime, 1), .prom_value = FormatDouble(uptime, 3)},
+      {.stat = "build_git_sha", .value = BuildGitSha()},
+      {.stat = "kernel", .value = ActiveQueryKernel().name},
+      {.family = "hopdb_build_info", .type = "gauge",
+       .help = "Build provenance; value is always 1, the labels carry the "
+               "information.",
+       .labels = "git_sha=\"" + PromLabelValue(BuildGitSha()) +
+                 "\",version=\"" + PromLabelValue(BuildVersion()) +
+                 "\",kernel=\"" + PromLabelValue(ActiveQueryKernel().name) +
+                 "\"",
+       .value = "1"},
+      {.stat = "requests", .family = "hopdb_requests_total", .type = "counter",
+       .help = "Requests completed, including shed and errored ones.",
+       .value = std::to_string(requests)},
+      {.stat = "errors", .family = "hopdb_errors_total", .type = "counter",
+       .help = "Requests answered with ERR (parse or execution failure).",
+       .value = std::to_string(metrics_.errors())},
+      {.stat = "shed", .family = "hopdb_shed_total", .type = "counter",
+       .help = "Requests shed with BUSY by admission control.",
+       .value = std::to_string(metrics_.shed())},
+      {.stat = "qps",
+       .value = FormatDouble(
+           uptime > 0 ? static_cast<double>(requests) / uptime : 0.0, 1)},
+      {.stat = "slow_queries", .family = "hopdb_slow_queries_total",
+       .type = "counter",
+       .help = "Requests at or above --slow-query-us, emitted to the "
+               "slow-query log.",
+       .value = std::to_string(metrics_.slow_queries())},
+      {.stat = "traces_sampled", .family = "hopdb_traces_sampled_total",
+       .type = "counter", .help = "Requests sampled into the TRACE LAST ring.",
+       .value = std::to_string(metrics_.traces_sampled())},
+      {.stat = "connections", .family = "hopdb_connections_total",
+       .type = "counter", .help = "Client connections accepted since start.",
+       .value = std::to_string(connections_accepted())},
+      {.stat = "reloads", .family = "hopdb_reloads_total", .type = "counter",
+       .help = "Successful index hot-swaps (RELOAD).",
+       .value = std::to_string(metrics_.reloads())},
+      {.stat = "open_connections", .family = "hopdb_open_connections",
+       .type = "gauge", .help = "Currently open client connections.",
+       .value = std::to_string(open_connections())},
+      {.stat = "queue_depth", .family = "hopdb_queue_depth", .type = "gauge",
+       .help = "Requests waiting in the work queue right now.",
+       .value = std::to_string(queue_.size())},
+      {.stat = "queue_capacity", .family = "hopdb_queue_capacity",
+       .type = "gauge",
+       .help = "Work queue capacity (requests beyond it are shed).",
+       .value = std::to_string(queue_.capacity())},
+      {.stat = "workers", .family = "hopdb_workers", .type = "gauge",
+       .help = "Query worker threads.",
+       .value = std::to_string(workers_.size())},
+      {.stat = "io_threads", .family = "hopdb_io_threads", .type = "gauge",
+       .help = "Epoll I/O threads.", .value = std::to_string(num_io_threads_)},
+      {.stat = "dist_queries", .family = "hopdb_dist_queries_total",
+       .type = "counter",
+       .help = "Point-to-point distance queries executed (BATCH targets "
+               "count individually).",
+       .value = std::to_string(metrics_.dist_queries())},
+      {.stat = "batch_requests", .family = "hopdb_batch_requests_total",
+       .type = "counter", .help = "BATCH requests executed.",
+       .value = std::to_string(metrics_.batch_requests())},
+      {.stat = "knn_requests", .family = "hopdb_knn_requests_total",
+       .type = "counter", .help = "KNN requests executed.",
+       .value = std::to_string(metrics_.knn_requests())},
+      {.stat = "within_requests", .family = "hopdb_within_requests_total",
+       .type = "counter", .help = "WITHIN (radius) requests executed.",
+       .value = std::to_string(metrics_.within_requests())},
+      {.stat = "reach_requests", .family = "hopdb_reach_requests_total",
+       .type = "counter",
+       .help = "REACH (bounded reachability) requests executed.",
+       .value = std::to_string(metrics_.reach_requests())},
+      {.stat = "path_requests", .family = "hopdb_path_requests_total",
+       .type = "counter",
+       .help = "PATH (shortest-path unfolding) requests executed.",
+       .value = std::to_string(metrics_.path_requests())},
+      {.stat = "micro_batches", .family = "hopdb_micro_batches_total",
+       .type = "counter",
+       .help = "Same-source DIST groups answered by one one-to-many scan.",
+       .value = std::to_string(metrics_.micro_batches())},
+      {.stat = "micro_batched_queries",
+       .family = "hopdb_micro_batched_queries_total", .type = "counter",
+       .help = "DIST queries answered inside those micro-batches.",
+       .value = std::to_string(metrics_.micro_batched_queries())},
+      // Latency. STATS prints percentiles of histograms that METRICS
+      // renders whole; buckets are powers of two in microseconds (the le
+      // bound is the bucket's inclusive upper edge).
+      {.stat = "p50_us", .value = percentile(metrics_.latency_histogram(), 50)},
+      {.stat = "p99_us", .value = percentile(metrics_.latency_histogram(), 99)},
+      {.stat = "degraded_p99_us",
+       .value = percentile(metrics_.degraded_histogram(), 99)},
+      {.stat = "queue_wait_p50_us",
+       .value = percentile(metrics_.queue_wait_histogram(), 50)},
+      {.stat = "queue_wait_p99_us",
+       .value = percentile(metrics_.queue_wait_histogram(), 99)},
+      {.stat = "execute_p50_us",
+       .value = percentile(metrics_.execute_histogram(), 50)},
+      {.stat = "execute_p99_us",
+       .value = percentile(metrics_.execute_histogram(), 99)},
+      {.stat = "write_p50_us",
+       .value = percentile(metrics_.write_histogram(), 50)},
+      {.stat = "write_p99_us",
+       .value = percentile(metrics_.write_histogram(), 99)},
+      {.family = "hopdb_request_latency_us", .type = "histogram",
+       .help = "Accepted-to-written latency of requests answered OK.",
+       .histogram = &metrics_.latency_histogram()},
+      {.family = "hopdb_degraded_latency_us", .type = "histogram",
+       .help = "Accepted-to-written latency of shed/error answers.",
+       .histogram = &metrics_.degraded_histogram()},
+      // The default index.
+      {.stat = "cache_hits", .value = std::to_string(cache.hits)},
+      {.stat = "cache_misses", .value = std::to_string(cache.misses)},
+      {.stat = "cache_hit_rate", .value = FormatDouble(cache.HitRate(), 4)},
+      {.stat = "cache_entries", .value = std::to_string(cache.entries)},
+      {.stat = "cache_capacity", .value = std::to_string(cache.capacity)},
+      {.stat = "hot_hub_k", .value = std::to_string(snapshot.hot_hub().k())},
+      {.stat = "hot_hub_bytes",
+       .value = std::to_string(snapshot.hot_hub().SizeBytes())},
+      {.stat = "vertices", .value = std::to_string(snapshot.num_vertices())},
+      {.stat = "directed", .value = snapshot.directed() ? "1" : "0"},
+      {.stat = "indexes", .value = std::to_string(names.size())},
+  };
+  const std::pair<const char*, const LatencyHistogram*> stages[] = {
+      {"queue_wait", &metrics_.queue_wait_histogram()},
+      {"execute", &metrics_.execute_histogram()},
+      {"write", &metrics_.write_histogram()}};
+  for (const auto& [stage, histogram] : stages) {
+    rows.push_back({.family = "hopdb_stage_duration_us", .type = "histogram",
+                    .help = "Per-stage request time: queue_wait "
+                            "(enqueued->dequeued), execute "
+                            "(dequeued->executed), write (executed->written).",
+                    .labels = std::string("stage=\"") + stage + "\"",
+                    .histogram = histogram});
+  }
+  for (size_t i = 0; i < kNumRequestKinds; ++i) {
+    const RequestKind kind = static_cast<RequestKind>(i);
+    rows.push_back({.family = "hopdb_verb_latency_us", .type = "histogram",
+                    .help = "Accepted-to-written latency per verb.",
+                    .labels = std::string("verb=\"") + RequestKindName(kind) +
+                              "\"",
+                    .histogram = &metrics_.verb_histogram(kind)});
+  }
+  // One group of rows per attached index, so an operator sees every
+  // graph's footprint and storage mode.
   for (const std::string& name : names) {
     const std::shared_ptr<const ServingSnapshot> snap = registry_.Find(name);
     if (snap == nullptr) continue;  // detached between Names() and Find()
-    AppendIndexStat(&payload, name, "vertices",
-                    std::to_string(snap->num_vertices()));
-    AppendIndexStat(&payload, name, "mode", snap->map_mode());
-    AppendIndexStat(&payload, name, "resident_bytes",
-                    std::to_string(snap->ResidentBytes()));
-    const UpdateSessionInfo update = GetUpdateSessionInfo(name);
-    AppendIndexStat(&payload, name, "pending_updates",
-                    std::to_string(update.pending_updates));
-    AppendIndexStat(&payload, name, "last_commit_seconds",
-                    FormatDouble(update.last_commit_seconds, 3));
+    const ResultCache::Stats index_cache = snap->cache().GetStats();
+    // Only STATS shows the update session. A repair holds the session's
+    // mutex until it ends, and a METRICS scrape must not wait for one.
+    const UpdateSessionInfo update = verb == RequestKind::kStats
+                                         ? GetUpdateSessionInfo(name)
+                                         : UpdateSessionInfo{};
+    rows.insert(
+        rows.end(),
+        {{.stat = "vertices", .family = "hopdb_index_vertices",
+          .type = "gauge", .help = "Vertices served by each attached index.",
+          .index = name, .value = std::to_string(snap->num_vertices())},
+         {.stat = "mode", .index = name, .value = snap->map_mode()},
+         {.stat = "resident_bytes", .family = "hopdb_index_resident_bytes",
+          .type = "gauge",
+          .help = "Resident memory of each attached index snapshot.",
+          .index = name, .value = std::to_string(snap->ResidentBytes())},
+         {.stat = "pending_updates", .index = name,
+          .value = std::to_string(update.pending_updates)},
+         {.stat = "last_commit_seconds", .index = name,
+          .value = FormatDouble(update.last_commit_seconds, 3)},
+         {.family = "hopdb_index_cache_hits_total", .type = "counter",
+          .help = "Result-cache hits per index (current snapshot).",
+          .index = name, .value = std::to_string(index_cache.hits)},
+         {.family = "hopdb_index_cache_misses_total", .type = "counter",
+          .help = "Result-cache misses per index (current snapshot).",
+          .index = name, .value = std::to_string(index_cache.misses)},
+         {.family = "hopdb_index_cache_entries", .type = "gauge",
+          .help = "Result-cache entries per index (current snapshot).",
+          .index = name, .value = std::to_string(index_cache.entries)}});
   }
-  return WireOk(std::move(payload));
-}
-
-WireResponse DistanceServer::MetricsResponse() {
-  std::string text;
-  text.reserve(32 * 1024);
-
-  PromFamily(&text, "hopdb_build_info", "gauge",
-             "Build provenance; value is always 1, the labels carry the "
-             "information.");
-  PromSample(&text, "hopdb_build_info",
-             "git_sha=\"" + PromLabelValue(BuildGitSha()) + "\",version=\"" +
-                 PromLabelValue(BuildVersion()) + "\",kernel=\"" +
-                 PromLabelValue(ActiveQueryKernel().name) + "\"",
-             "1");
-  PromFamily(&text, "hopdb_uptime_seconds", "gauge",
-             "Seconds since the server started.");
-  PromSample(&text, "hopdb_uptime_seconds", "",
-             FormatDouble(uptime_.Seconds(), 3));
-
-  PromFamily(&text, "hopdb_requests_total", "counter",
-             "Requests completed, including shed and errored ones.");
-  PromSample(&text, "hopdb_requests_total", "",
-             std::to_string(metrics_.requests()));
-  PromFamily(&text, "hopdb_errors_total", "counter",
-             "Requests answered with ERR (parse or execution failure).");
-  PromSample(&text, "hopdb_errors_total", "",
-             std::to_string(metrics_.errors()));
-  PromFamily(&text, "hopdb_shed_total", "counter",
-             "Requests shed with BUSY by admission control.");
-  PromSample(&text, "hopdb_shed_total", "", std::to_string(metrics_.shed()));
-  PromFamily(&text, "hopdb_slow_queries_total", "counter",
-             "Requests at or above --slow-query-us, emitted to the "
-             "slow-query log.");
-  PromSample(&text, "hopdb_slow_queries_total", "",
-             std::to_string(metrics_.slow_queries()));
-  PromFamily(&text, "hopdb_traces_sampled_total", "counter",
-             "Requests sampled into the TRACE LAST ring.");
-  PromSample(&text, "hopdb_traces_sampled_total", "",
-             std::to_string(metrics_.traces_sampled()));
-  PromFamily(&text, "hopdb_connections_total", "counter",
-             "Client connections accepted since start.");
-  PromSample(&text, "hopdb_connections_total", "",
-             std::to_string(connections_accepted()));
-  PromFamily(&text, "hopdb_reloads_total", "counter",
-             "Successful index hot-swaps (RELOAD).");
-  PromSample(&text, "hopdb_reloads_total", "",
-             std::to_string(metrics_.reloads()));
-
-  PromFamily(&text, "hopdb_open_connections", "gauge",
-             "Currently open client connections.");
-  PromSample(&text, "hopdb_open_connections", "",
-             std::to_string(open_connections()));
-  PromFamily(&text, "hopdb_queue_depth", "gauge",
-             "Requests waiting in the work queue right now.");
-  PromSample(&text, "hopdb_queue_depth", "", std::to_string(queue_.size()));
-  PromFamily(&text, "hopdb_queue_capacity", "gauge",
-             "Work queue capacity (requests beyond it are shed).");
-  PromSample(&text, "hopdb_queue_capacity", "",
-             std::to_string(queue_.capacity()));
-  PromFamily(&text, "hopdb_workers", "gauge", "Query worker threads.");
-  PromSample(&text, "hopdb_workers", "", std::to_string(workers_.size()));
-  PromFamily(&text, "hopdb_io_threads", "gauge", "Epoll I/O threads.");
-  PromSample(&text, "hopdb_io_threads", "", std::to_string(num_io_threads_));
-
-  PromFamily(&text, "hopdb_dist_queries_total", "counter",
-             "Point-to-point distance queries executed (BATCH targets "
-             "count individually).");
-  PromSample(&text, "hopdb_dist_queries_total", "",
-             std::to_string(metrics_.dist_queries()));
-  PromFamily(&text, "hopdb_batch_requests_total", "counter",
-             "BATCH requests executed.");
-  PromSample(&text, "hopdb_batch_requests_total", "",
-             std::to_string(metrics_.batch_requests()));
-  PromFamily(&text, "hopdb_knn_requests_total", "counter",
-             "KNN requests executed.");
-  PromSample(&text, "hopdb_knn_requests_total", "",
-             std::to_string(metrics_.knn_requests()));
-  PromFamily(&text, "hopdb_within_requests_total", "counter",
-             "WITHIN (radius) requests executed.");
-  PromSample(&text, "hopdb_within_requests_total", "",
-             std::to_string(metrics_.within_requests()));
-  PromFamily(&text, "hopdb_reach_requests_total", "counter",
-             "REACH (bounded reachability) requests executed.");
-  PromSample(&text, "hopdb_reach_requests_total", "",
-             std::to_string(metrics_.reach_requests()));
-  PromFamily(&text, "hopdb_path_requests_total", "counter",
-             "PATH (shortest-path unfolding) requests executed.");
-  PromSample(&text, "hopdb_path_requests_total", "",
-             std::to_string(metrics_.path_requests()));
-  PromFamily(&text, "hopdb_micro_batches_total", "counter",
-             "Same-source DIST groups answered by one one-to-many scan.");
-  PromSample(&text, "hopdb_micro_batches_total", "",
-             std::to_string(metrics_.micro_batches()));
-  PromFamily(&text, "hopdb_micro_batched_queries_total", "counter",
-             "DIST queries answered inside those micro-batches.");
-  PromSample(&text, "hopdb_micro_batched_queries_total", "",
-             std::to_string(metrics_.micro_batched_queries()));
-
-  // Latency histograms. Buckets are powers of two in microseconds (the
-  // le bound is the bucket's inclusive upper edge).
-  PromFamily(&text, "hopdb_request_latency_us", "histogram",
-             "Accepted-to-written latency of requests answered OK.");
-  PromHistogram(&text, "hopdb_request_latency_us", "",
-                metrics_.latency_histogram());
-  PromFamily(&text, "hopdb_degraded_latency_us", "histogram",
-             "Accepted-to-written latency of shed/error answers.");
-  PromHistogram(&text, "hopdb_degraded_latency_us", "",
-                metrics_.degraded_histogram());
-  PromFamily(&text, "hopdb_stage_duration_us", "histogram",
-             "Per-stage request time: queue_wait (enqueued->dequeued), "
-             "execute (dequeued->executed), write (executed->written).");
-  PromHistogram(&text, "hopdb_stage_duration_us", "stage=\"queue_wait\"",
-                metrics_.queue_wait_histogram());
-  PromHistogram(&text, "hopdb_stage_duration_us", "stage=\"execute\"",
-                metrics_.execute_histogram());
-  PromHistogram(&text, "hopdb_stage_duration_us", "stage=\"write\"",
-                metrics_.write_histogram());
-  PromFamily(&text, "hopdb_verb_latency_us", "histogram",
-             "Accepted-to-written latency per verb.");
-  for (size_t i = 0; i < kNumRequestKinds; ++i) {
-    const RequestKind kind = static_cast<RequestKind>(i);
-    PromHistogram(&text, "hopdb_verb_latency_us",
-                  std::string("verb=\"") + RequestKindName(kind) + "\"",
-                  metrics_.verb_histogram(kind));
-  }
-
-  // Per-index gauges/counters via the registry.
-  PromFamily(&text, "hopdb_index_vertices", "gauge",
-             "Vertices served by each attached index.");
-  PromFamily(&text, "hopdb_index_resident_bytes", "gauge",
-             "Resident memory of each attached index snapshot.");
-  PromFamily(&text, "hopdb_index_cache_hits_total", "counter",
-             "Result-cache hits per index (current snapshot).");
-  PromFamily(&text, "hopdb_index_cache_misses_total", "counter",
-             "Result-cache misses per index (current snapshot).");
-  PromFamily(&text, "hopdb_index_cache_entries", "gauge",
-             "Result-cache entries per index (current snapshot).");
-  for (const std::string& name : registry_.Names()) {
-    const std::shared_ptr<const ServingSnapshot> snap = registry_.Find(name);
-    if (snap == nullptr) continue;  // detached between Names() and Find()
-    const std::string label = "index=\"" + PromLabelValue(name) + "\"";
-    const ResultCache::Stats cache = snap->cache().GetStats();
-    PromSample(&text, "hopdb_index_vertices", label,
-               std::to_string(snap->num_vertices()));
-    PromSample(&text, "hopdb_index_resident_bytes", label,
-               std::to_string(snap->ResidentBytes()));
-    PromSample(&text, "hopdb_index_cache_hits_total", label,
-               std::to_string(cache.hits));
-    PromSample(&text, "hopdb_index_cache_misses_total", label,
-               std::to_string(cache.misses));
-    PromSample(&text, "hopdb_index_cache_entries", label,
-               std::to_string(cache.entries));
-  }
-  return WireBlobResponse(std::move(text));
+  if (verb == RequestKind::kStats) return WireOk(RenderStats(rows));
+  return WireBlobResponse(RenderMetrics(rows));
 }
 
 WireResponse DistanceServer::TraceResponse(uint32_t n) {

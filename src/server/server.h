@@ -163,8 +163,6 @@ class DistanceServer : public RequestSink {
   Status Reload(const std::string& name, const std::string& path) {
     return ReloadInternal(name, path, nullptr);
   }
-  /// Back-compat shorthand: reload the default index.
-  Status Reload(const std::string& path) { return Reload("", path); }
 
   /// Registers the graph file index `name` ("" = default) was built
   /// from, enabling ADDEDGE/DELEDGE/COMMIT on that index (`serve
@@ -238,10 +236,11 @@ class DistanceServer : public RequestSink {
   WireResponse ExecuteWire(const Request& request);
   WireResponse ExecuteOnWire(const Request& request,
                              const ServingSnapshot& snapshot);
-  WireResponse StatsResponse(const ServingSnapshot& snapshot);
-  /// Prometheus text exposition of every counter/gauge/histogram the
-  /// server owns (the METRICS verb; whole-server scoped).
-  WireResponse MetricsResponse();
+  /// STATS (one key=value line) or METRICS (Prometheus text), both
+  /// rendered from one table of every value the server exports, with
+  /// `snapshot` as the default index.
+  WireResponse ExportResponse(RequestKind verb,
+                              const ServingSnapshot& snapshot);
   /// Span table of the n most recent sampled traces (TRACE LAST n).
   WireResponse TraceResponse(uint32_t n);
   WireResponse HandleReload(const std::string& name, const std::string& path);

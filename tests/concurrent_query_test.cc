@@ -183,7 +183,7 @@ TEST(ConcurrentQueryTest, ServerStressWithRacingHotSwap) {
 
   // Race hot-swaps against the query storm, alternating A <-> B.
   for (int r = 0; r < kReloads; ++r) {
-    const Status status = server->Reload(r % 2 == 0 ? path_b : path_a);
+    const Status status = server->Reload("", r % 2 == 0 ? path_b : path_a);
     EXPECT_TRUE(status.ok()) << status;
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
   }

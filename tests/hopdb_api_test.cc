@@ -138,6 +138,7 @@ TEST(HopDbApiTest, LoadRejectsCraftedPermutation) {
       perm_with(9, {0, 1, 2}),                   // truncated
       perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 9}),  // id out of range
       perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 7}),  // duplicate id
+      perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 8, 0}),  // trailing bytes
   };
   for (const std::string& perm : crafted) {
     ASSERT_TRUE(WriteStringToFile(path + ".perm", perm).ok());

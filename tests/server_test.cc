@@ -11,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -630,16 +631,17 @@ TEST(ResultCacheTest, ConcurrentMixedAccess) {
 
 TEST(MetricsTest, PercentilesFromHistogram) {
   ServerMetrics metrics;
-  EXPECT_EQ(metrics.LatencyPercentileUs(99), 0u);
+  LatencyHistogram hist;
+  EXPECT_EQ(hist.PercentileUs(99), 0u);
   // 99 requests at ~1us, one at ~1000us.
-  for (int i = 0; i < 99; ++i) metrics.RecordRequest(1.0);
-  metrics.RecordRequest(1000.0);
+  for (int i = 0; i < 100; ++i) metrics.CountRequest();
+  for (int i = 0; i < 99; ++i) hist.Record(1);
+  hist.Record(1000);
   EXPECT_EQ(metrics.requests(), 100u);
-  EXPECT_LE(metrics.LatencyPercentileUs(50), 2u);
+  EXPECT_LE(hist.PercentileUs(50), 2u);
   // p100 lands in the bucket containing 1000us: [512, 1024).
-  EXPECT_EQ(metrics.LatencyPercentileUs(100), 1024u);
-  EXPECT_GE(metrics.LatencyPercentileUs(100),
-            metrics.LatencyPercentileUs(50));
+  EXPECT_EQ(hist.PercentileUs(100), 1024u);
+  EXPECT_GE(hist.PercentileUs(100), hist.PercentileUs(50));
 }
 
 TEST(MetricsTest, PercentileEdgeCases) {
@@ -759,6 +761,54 @@ EdgeList TestGraph(VertexId n, uint64_t seed) {
   options.target_avg_degree = 5.0;
   options.seed = seed;
   return GenerateGlp(options).ValueOrDie();
+}
+
+TEST(IndexRegistryTest, ReadersKeepReplacedSnapshotsAndUnheldOnesGoAtOnce) {
+  IndexRegistry registry;
+  int destroyed = 0;
+  // Each snapshot's deleter looks the registry up, which would deadlock
+  // if Publish or Detach dropped the replaced snapshot under its mutex.
+  const auto make = [&] {
+    HopDbIndex index =
+        HopDbIndex::Build(CsrGraph::FromEdgeList(TestGraph(50, 3)).ValueOrDie())
+            .ValueOrDie();
+    return std::shared_ptr<const ServingSnapshot>(
+        new ServingSnapshot(std::move(index), "", /*cache_capacity=*/16),
+        [&](const ServingSnapshot* snapshot) {
+          EXPECT_EQ(registry.Find("absent"), nullptr);
+          ++destroyed;
+          delete snapshot;
+        });
+  };
+  EXPECT_TRUE(registry.Attach("a", make()).ok());
+
+  // A reader's copy outlives the Publish that replaces it.
+  std::shared_ptr<const ServingSnapshot> reader = registry.Find("a");
+  EXPECT_TRUE(registry.Publish("a", make()).ok());
+  EXPECT_NE(registry.Find("a"), reader);
+  EXPECT_EQ(destroyed, 0);
+  EXPECT_EQ(reader->num_vertices(), 50u);
+  reader.reset();
+  EXPECT_EQ(destroyed, 1);
+  // A replaced snapshot that nobody holds is gone when Publish returns.
+  std::weak_ptr<const ServingSnapshot> unheld = registry.Find("a");
+  EXPECT_TRUE(registry.Publish("a", make()).ok());
+  EXPECT_TRUE(unheld.expired());
+  EXPECT_EQ(destroyed, 2);
+
+  // The same for Detach.
+  reader = registry.Find("a");
+  EXPECT_TRUE(registry.Detach("a").ok());
+  EXPECT_EQ(registry.Find("a"), nullptr);
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(reader->num_vertices(), 50u);
+  reader.reset();
+  EXPECT_EQ(destroyed, 3);
+  EXPECT_TRUE(registry.Attach("b", make()).ok());
+  unheld = registry.Find("b");
+  EXPECT_TRUE(registry.Detach("b").ok());
+  EXPECT_TRUE(unheld.expired());
+  EXPECT_EQ(destroyed, 4);
 }
 
 class ServerEndToEndTest : public ::testing::Test {
@@ -1580,6 +1630,12 @@ class TracingEndToEndTest : public ::testing::Test {
 };
 
 TEST_F(TracingEndToEndTest, MetricsBlobIsPrometheusText) {
+  // A second index, so each per-index family has two samples.
+  auto tmp = TempDir::Create("server_metrics");
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp->File("second.hopdb");
+  ASSERT_TRUE(HopDbIndex::Build(graph_).ValueOrDie().Save(path).ok());
+  ASSERT_TRUE(server_->AttachIndex("second", path).ok());
   ASSERT_TRUE(StartsWith(*client_.RoundTrip("DIST 5 20"), "OK "));
   const std::string body = *client_.RoundTrip("METRICS");
   // RoundTrip unwraps the blob framing: the body is the exposition text.
@@ -1590,6 +1646,27 @@ TEST_F(TracingEndToEndTest, MetricsBlobIsPrometheusText) {
   EXPECT_NE(body.find("le=\"+Inf\""), std::string::npos);
   EXPECT_NE(body.find("hopdb_stage_duration_us_bucket{stage=\"execute\""),
             std::string::npos);
+  EXPECT_NE(body.find("hopdb_index_vertices{index=\"second\"} 200"),
+            std::string::npos);
+  // Each family is one group, as the text format requires: its HELP
+  // line, its TYPE line, then all of its samples.
+  std::set<std::string> families;
+  std::string family, previous;
+  for (const std::string& line : SplitString(body, '\n')) {
+    if (StartsWith(line, "# HELP ")) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(families.insert(family).second) << "split: " << family;
+    } else if (StartsWith(line, "# TYPE ")) {
+      EXPECT_TRUE(StartsWith(previous, "# HELP " + family + " ")) << line;
+      EXPECT_TRUE(StartsWith(line, "# TYPE " + family + " ")) << line;
+    } else {
+      const std::string name = line.substr(0, line.find_first_of("{ "));
+      EXPECT_TRUE(name == family || name == family + "_bucket" ||
+                  name == family + "_sum" || name == family + "_count")
+          << line << " is outside the group of " << family;
+    }
+    previous = line;
+  }
   // v2 carries the same bytes as a blob payload.
   auto v2 = DistanceClient::Connect("127.0.0.1", server_->port(),
                                     DistanceClient::Protocol::kV2)

@@ -13,15 +13,16 @@
 3. Format magic/version drift: every on-disk format magic defined in
    src/ (the kMagic constants) must be documented in docs/FORMATS.md
    and vice versa, and the HLI2 version constant must match the doc.
-4. STATS key drift: every key the server emits (the AppendStat /
-   AppendIndexStat call sites in src/server/server.cc) must appear in
-   the key-reference table of docs/OPERATIONS.md and vice versa.
+4. STATS key drift: every STATS key of the server's export table (the
+   `.stat = "..."` names of its rows in src/server/server.cc, as
+   `index.<name>.<key>` on a per-index row) must appear in the
+   key-reference table of docs/OPERATIONS.md and vice versa.
 5. v2 opcode drift: the V2Opcode enum in src/server/protocol.h and the
    opcode table in docs/PROTOCOL.md must agree on every value <-> verb
    pair.
-6. Metric family drift: every Prometheus family the METRICS verb emits
-   (the PromFamily call sites in src/server/server.cc) must appear in
-   the metric-family table of docs/OPERATIONS.md and vice versa.
+6. Metric family drift: every Prometheus family of that same export
+   table (the `.family = "..."` names of its rows) must appear in the
+   metric-family table of docs/OPERATIONS.md and vice versa.
 7. Eval report section drift: every section header the eval harness
    renders (kEvalReportSections in src/eval/harness.h) must be listed —
    backticked — in the eval runbook of docs/OPERATIONS.md, so the
@@ -64,16 +65,19 @@ U32_MAGIC_RE = re.compile(
 HLI2_VERSION_RE = re.compile(r"constexpr\s+uint32_t\s+kHli2Version\s*=\s*(\d+)")
 # FORMATS.md table row: | `HLI1` | ... (the magic inventory table)
 DOC_MAGIC_ROW_RE = re.compile(r"^\|\s*`([A-Z0-9]{4})`\s*\|")
-# server.cc:  AppendStat(&payload, "key", ...) / AppendIndexStat(..., "key", ...)
-APPEND_STAT_RE = re.compile(r'AppendStat\(&payload,\s*"([a-z0-9_]+)"')
-APPEND_INDEX_STAT_RE = re.compile(r'AppendIndexStat\(&payload,[^,]+,\s*"([a-z0-9_]+)"')
+# server.cc export-table rows, which STATS and METRICS both render:
+#   {.stat = "requests", .family = "hopdb_requests_total", ...}
+# A row with an `.index = ` member is per-index: STATS prints its key as
+# index.<name>.<key>.
+EXPORT_ROW_RE = re.compile(r"\{(\.(?:stat|family) = [^{}]*)\}")
+ROW_STAT_RE = re.compile(r'\.stat = "([a-z0-9_]+)"')
+ROW_FAMILY_RE = re.compile(r'\.family = "(hopdb_[a-z0-9_]+)"')
+ROW_INDEX_RE = re.compile(r"\.index = ")
 # OPERATIONS.md table rows: | `key` | ... |  (hopdb_* rows belong to the
 # Prometheus metric-family table, not the STATS key table)
 DOC_STAT_ROW_RE = re.compile(
     r"^\|\s*`((?!hopdb_)(?:index\.<name>\.)?[a-z0-9_]+)`\s*\|"
 )
-# server.cc: PromFamily(&text, "hopdb_requests_total", ...)
-PROM_FAMILY_RE = re.compile(r'PromFamily\(&\w+,\s*"(hopdb_[a-z0-9_]+)"')
 # OPERATIONS.md metric table rows: | `hopdb_requests_total` | ... |
 DOC_METRIC_ROW_RE = re.compile(r"^\|\s*`(hopdb_[a-z0-9_]+)`")
 # protocol.h: enum class V2Opcode : uint8_t { kDist = 1, ... };
@@ -248,53 +252,58 @@ def check_format_magics(root: pathlib.Path) -> list[str]:
     return failures
 
 
+def export_table(root: pathlib.Path) -> tuple[set[str], set[str]]:
+    """The STATS keys and Prometheus families of server.cc's export
+    table."""
+    code = (root / "src" / "server" / "server.cc").read_text(encoding="utf-8")
+    keys: set[str] = set()
+    families: set[str] = set()
+    for row in EXPORT_ROW_RE.findall(code):
+        if m := ROW_STAT_RE.search(row):
+            per_index = ROW_INDEX_RE.search(row) is not None
+            keys.add(f"index.<name>.{m.group(1)}" if per_index else m.group(1))
+        if m := ROW_FAMILY_RE.search(row):
+            families.add(m.group(1))
+    return keys, families
+
+
 def check_stats_keys(root: pathlib.Path) -> list[str]:
-    """Every STATS key the server emits must be documented, and vice versa."""
-    server_cc = root / "src" / "server" / "server.cc"
+    """Every STATS key of the export table must be documented, and vice
+    versa."""
     operations_md = root / "docs" / "OPERATIONS.md"
     if not operations_md.exists():
         return ["docs/OPERATIONS.md is missing (STATS reference is required)"]
-    code = server_cc.read_text(encoding="utf-8")
-    code_keys = set(APPEND_STAT_RE.findall(code))
-    code_keys |= {
-        f"index.<name>.{k}" for k in APPEND_INDEX_STAT_RE.findall(code)
-    }
+    code_keys, _ = export_table(root)
     doc_keys = {
         m.group(1)
         for line in operations_md.read_text(encoding="utf-8").splitlines()
         if (m := DOC_STAT_ROW_RE.match(line.strip()))
     }
-    # Drop table rows that are not STATS keys (e.g. the incident table
-    # has no backticked single-word first column, so no filtering needed
-    # beyond the regex shape).
     failures = []
     for key in sorted(code_keys - doc_keys):
         failures.append(
-            f"server.cc emits STATS key '{key}' but docs/OPERATIONS.md does "
-            "not document it"
+            f"server.cc exports STATS key '{key}' but docs/OPERATIONS.md "
+            "does not document it"
         )
     for key in sorted(doc_keys - code_keys):
         failures.append(
             f"docs/OPERATIONS.md documents STATS key '{key}' but server.cc "
-            "does not emit it"
+            "does not export it"
         )
     if not code_keys:
-        failures.append("no AppendStat call sites found in server.cc "
+        failures.append("no .stat rows found in server.cc's export table "
                         "(parser drifted?)")
     return failures
 
 
 def check_metric_families(root: pathlib.Path) -> list[str]:
-    """Every Prometheus family METRICS emits must be documented, and
-    vice versa."""
-    server_cc = root / "src" / "server" / "server.cc"
+    """Every Prometheus family of the export table must be documented,
+    and vice versa."""
     operations_md = root / "docs" / "OPERATIONS.md"
     if not operations_md.exists():
         return ["docs/OPERATIONS.md is missing (metrics reference is "
                 "required)"]
-    code_families = set(
-        PROM_FAMILY_RE.findall(server_cc.read_text(encoding="utf-8"))
-    )
+    _, code_families = export_table(root)
     doc_families = {
         m.group(1)
         for line in operations_md.read_text(encoding="utf-8").splitlines()
@@ -303,16 +312,16 @@ def check_metric_families(root: pathlib.Path) -> list[str]:
     failures = []
     for family in sorted(code_families - doc_families):
         failures.append(
-            f"server.cc emits metric family '{family}' but "
+            f"server.cc exports metric family '{family}' but "
             "docs/OPERATIONS.md does not document it"
         )
     for family in sorted(doc_families - code_families):
         failures.append(
             f"docs/OPERATIONS.md documents metric family '{family}' but "
-            "server.cc does not emit it"
+            "server.cc does not export it"
         )
     if not code_families:
-        failures.append("no PromFamily call sites found in server.cc "
+        failures.append("no .family rows found in server.cc's export table "
                         "(parser drifted?)")
     return failures
 

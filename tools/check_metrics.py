@@ -11,7 +11,9 @@ Checks:
      `name{labels} value` (metric/label name charset, quoted label
      values, finite float value).
   2. Every sample belongs to a family announced by # HELP and # TYPE
-     (in that order, immediately adjacent), with a known type.
+     (in that order, immediately adjacent), with a known type, and each
+     family is one contiguous group: its HELP line, its TYPE line, then
+     all of its samples, as the text format requires.
   3. Counter families end in _total; counter and histogram samples are
      non-negative.
   4. No duplicate series (same name + label set twice).
@@ -75,6 +77,37 @@ def family_of(name: str, types: dict[str, str]) -> str:
     return name
 
 
+def check_groups(lines: list[str], types: dict[str, str]) -> list[str]:
+    """Each family must be one group: HELP, TYPE right after it, then
+    every sample of the family before the next family's HELP."""
+    failures = []
+    group = None  # the family whose HELP/TYPE lines were read last
+    previous = ""
+    for lineno, line in enumerate(lines, start=1):
+        if m := HELP_RE.match(line):
+            group = m.group(1)
+        elif m := TYPE_RE.match(line):
+            help_line = HELP_RE.match(previous)
+            if help_line is None or help_line.group(1) != m.group(1):
+                failures.append(
+                    f"line {lineno}: # TYPE {m.group(1)} does not follow "
+                    f"its # HELP line"
+                )
+        elif line.strip() and not line.startswith("#"):
+            sample = SAMPLE_RE.match(line)
+            if sample is not None:
+                family = family_of(sample.group(1), types)
+                # A family without a TYPE is reported on its own.
+                if family in types and family != group:
+                    failures.append(
+                        f"line {lineno}: sample '{sample.group(1)}' is "
+                        f"outside the group of family '{family}' "
+                        f"(it follows the lines of '{group}')"
+                    )
+        previous = line
+    return failures
+
+
 def lint(text: str) -> list[str]:
     failures: list[str] = []
     if not text.strip():
@@ -82,7 +115,8 @@ def lint(text: str) -> list[str]:
 
     helps: dict[str, str] = {}
     types: dict[str, str] = {}
-    # First pass: families, so suffix resolution works on any line order.
+    # First pass: families, so a sample's family resolves even where its
+    # TYPE line comes later (which check_groups reports).
     for lineno, line in enumerate(text.splitlines(), start=1):
         if m := HELP_RE.match(line):
             if m.group(1) in helps:
@@ -97,6 +131,8 @@ def lint(text: str) -> list[str]:
                     f"line {lineno}: # TYPE {name} has unknown type '{kind}'"
                 )
             types[name] = kind
+
+    failures += check_groups(text.splitlines(), types)
 
     seen_series: set[tuple[str, tuple[tuple[str, str], ...]]] = set()
     # family -> label-set (minus le) -> [(le, value)] / sums / counts
