@@ -74,7 +74,8 @@ Result<CsrGraph> RelabelByRank(const CsrGraph& graph,
     }
   }
   edges.set_num_vertices(graph.num_vertices());
-  edges.Normalize();
+  // A permutation keeps a simple graph simple, and FromEdgeList sorts
+  // every adjacency, so the list is frozen as it is.
   return CsrGraph::FromEdgeList(edges);
 }
 

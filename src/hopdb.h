@@ -56,9 +56,11 @@ class HopDbIndex {
   static Result<HopDbIndex> Build(const EdgeList& edges,
                                   const HopDbOptions& options = {});
 
-  /// Builds from an already-frozen graph. Same contract as the EdgeList
-  /// overload; the graph is borrowed (it stays alive through labeling)
-  /// and not retained after Build returns.
+  /// Builds from an already-frozen graph, which must be simple (no
+  /// self-loops or parallel arcs), as a CSR frozen from a Normalize()d
+  /// edge list is. Otherwise the same contract as the EdgeList overload;
+  /// the graph is borrowed (it stays alive through labeling) and not
+  /// retained after Build returns.
   static Result<HopDbIndex> Build(const CsrGraph& graph,
                                   const HopDbOptions& options = {});
 

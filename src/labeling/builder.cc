@@ -1,8 +1,12 @@
 #include "labeling/builder.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,6 +30,55 @@ constexpr uint64_t kTickEvery = 1 << 16;
 /// the others up.
 constexpr uint32_t kRangesPerThread = 8;
 
+/// A fixed array of T in a fresh anonymous page mapping, mapped and
+/// unmapped on the calling thread. Only the pages written become
+/// resident, so an array sized by an upper bound costs the memory of what
+/// it holds, and unmapping returns those pages at once. A malloc block of
+/// that size can instead reuse heap pages an earlier allocation left
+/// resident, and keep them once freed. Never value-initialized.
+template <typename T>
+class PageArray {
+ public:
+  PageArray() = default;
+  PageArray(const PageArray&) = delete;
+  PageArray& operator=(const PageArray&) = delete;
+  ~PageArray() { Unmap(); }
+
+  /// Replaces the array with a fresh one of `size` elements (none for
+  /// 0); fails with ResourceExhausted when the kernel refuses the mapping.
+  Status Map(uint64_t size) {
+    Unmap();
+    if (size == 0) return Status::OK();
+    errno = ENOMEM;  // reported when the byte count overflows size_t
+    void* pages = size > SIZE_MAX / sizeof(T)
+                      ? MAP_FAILED
+                      : mmap(nullptr, size * sizeof(T), PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (pages == MAP_FAILED) {
+      return Status::ResourceExhausted(
+          "cannot map a build buffer of " + std::to_string(size) + " x " +
+          std::to_string(sizeof(T)) + " B: " + std::strerror(errno));
+    }
+    data_ = static_cast<T*>(pages);
+    size_ = size;
+    return Status::OK();
+  }
+
+  void Unmap() {
+    if (data_ != nullptr) munmap(data_, size_ * sizeof(T));
+    data_ = nullptr;
+    size_ = 0;
+  }
+
+  uint64_t size() const { return size_; }
+  T* data() const { return data_; }
+  T& operator[](uint64_t i) const { return data_[i]; }
+
+ private:
+  T* data_ = nullptr;
+  uint64_t size_ = 0;
+};
+
 class Builder {
  public:
   Builder(const CsrGraph& g, const BuildOptions& opts)
@@ -43,17 +96,23 @@ class Builder {
   /// carry no owner: owner w's entries are a slice cut by per-owner
   /// offsets, sorted by pivot (every pivot ranks above its owner).
   struct GenSide {
-    /// Entries that survived the previous iteration; exactly sized, and
-    /// released once generation has read them.
+    /// Entries that survived the previous iteration, packed in owner
+    /// order; exactly sized, and released once generation has read them.
     std::vector<LabelEntry> prev;
     /// Vertex x's slice of `prev` is [prev_begin[x], prev_begin[x + 1]).
     std::vector<uint64_t> prev_begin;
-    /// Per-owner counts prefix-summed into offsets (owner w's range is
-    /// [at[w], at[w + 1])): raw candidates after pass 1, survivors after
-    /// pass 2 (the ranges pass 3 fills and pruning reads), pruning's
-    /// survivors after compaction. Apply reads them, and they become the
-    /// next iteration's `prev_begin`.
-    std::vector<uint64_t> at;
+    /// This iteration's deduped and filtered candidates, in a mapping
+    /// with room for the raw count; unmapped once the survivors are
+    /// `prev`.
+    PageArray<LabelEntry> cands;
+    /// Owner w's candidates are cands[begin[w], end[w]). Pass 1 leaves
+    /// the raw counts' prefix sums in `begin` (w's raw offset; begin[n]
+    /// is the raw total). The gather packs each range's owners from the
+    /// raw offset of its first owner: an owner keeps at most its raw
+    /// count, so its slice ends by the next owner's raw offset. Pruning's
+    /// compaction lowers end[w]; apply and the next `prev` read both.
+    std::vector<uint64_t> begin;
+    std::vector<uint64_t> end;
     /// Owner range bounds for the gather and prune passes, cut at
     /// raw-count quantiles.
     std::vector<VertexId> ranges;
@@ -78,10 +137,12 @@ class Builder {
     std::vector<uint64_t> best;
     /// The current owner's distinct pivots.
     std::vector<VertexId> pivots;
-    /// Distinct candidates this worker gathered, and those of them an
-    /// existing entry dominated, over the current pass.
+    /// Distinct candidates this worker gathered, those of them an
+    /// existing entry dominated, and those it pruned, over the current
+    /// pass.
     uint64_t deduped = 0;
     uint64_t dropped = 0;
+    uint64_t pruned = 0;
   };
 
   void Initialize();
@@ -89,11 +150,10 @@ class Builder {
   /// Generates, dedups and filters this iteration's candidates owner by
   /// owner, each range of owners on one worker. Pass 1 counts each
   /// owner's raw candidates and checks the cap before any candidate
-  /// memory exists; pass 2 gathers, dedups and filters every owner to
-  /// count its survivors; pass 3 repeats that and writes them into one
-  /// exactly sized buffer per side.
-  Status Generate(BuildMode mode_used, std::vector<LabelEntry>* out_c,
-                  std::vector<LabelEntry>* in_c, IterationStats* st);
+  /// memory exists; the gather then writes each owner's survivors once,
+  /// into one mapping per side sized by the raw count. Fails with
+  /// ResourceExhausted when a mapping is refused.
+  Status Generate(BuildMode mode_used, IterationStats* st);
 
   /// Fills one side's inverted lists (GenSide::inv) from its labels.
   void BuildInvertedLists(bool out_side);
@@ -129,24 +189,23 @@ class Builder {
   void ForEachSource(BuildMode mode, bool out_side, VertexId w,
                      const Visit& visit) const;
 
-  /// Runs fn(w, worker, &work, &generated) for every owner of `ranges`,
-  /// each range on one worker: workers claim the next unclaimed range
-  /// until none is left. fn adds the work it did and the candidates it
-  /// counted; both feed GenerationTick, and a tripped tick stops the
-  /// pass.
+  /// Runs fn(k, w, worker, &work, &generated) for every owner w of
+  /// range k of `ranges`, each range on one worker in owner order:
+  /// workers claim the next unclaimed range until none is left. fn adds
+  /// the work it did and the candidates it counted; both feed
+  /// GenerationTick, and a tripped tick stops the pass.
   template <typename Fn>
   void ForEachOwner(const std::vector<VertexId>& ranges, const Fn& fn) const;
 
-  /// Pass 1 for one side: fills `at` with exact per-owner raw counts and
-  /// cuts `ranges` from them. Reports the raw count through
-  /// GenerationTick.
+  /// Pass 1 for one side: fills `begin` with the prefix sums of the
+  /// exact per-owner raw counts and cuts `ranges` from them. Reports the
+  /// raw count through GenerationTick.
   void CountRaw(BuildMode mode, bool out_side);
 
-  /// Passes 2 and 3 for one side: `cands` ends up holding the side's
-  /// deduped and filtered candidates, owner w's in [at[w], at[w + 1])
-  /// sorted by pivot.
-  void Gather(BuildMode mode, bool out_side, std::vector<LabelEntry>* cands,
-              IterationStats* st);
+  /// The gather for one side: maps `cands` with room for the raw count
+  /// and writes each owner's deduped and filtered candidates, sorted by
+  /// pivot, at [begin[w], end[w]).
+  Status Gather(BuildMode mode, bool out_side, IterationStats* st);
 
   /// Gathers owner w's candidates into sc->best, keeping the smallest
   /// distance per pivot, and drops pivots w's label already holds at that
@@ -157,18 +216,19 @@ class Builder {
                      GatherScratch* sc) const;
 
   /// Section 3.3 pruning over both candidate lists: decides every
-  /// candidate of both sides, then compacts both and rewrites each side's
-  /// `at` to its survivors' offsets. Fails with DeadlineExceeded, leaving
-  /// the lists unpruned, when the deadline stops a decision pass.
-  Status Prune(std::vector<LabelEntry>* out_c, std::vector<LabelEntry>* in_c,
-               IterationStats* st);
+  /// candidate of both sides, then compacts both, owner by owner. Fails
+  /// with DeadlineExceeded when the deadline stops a pass (the build then
+  /// ends without applying anything), and with ResourceExhausted when a
+  /// keep-mark mapping is refused.
+  Status Prune(IterationStats* st);
 
   /// Decides one side's candidates owner by owner: keep[i] = 1 iff
-  /// cands[i] has no witness. `opposite` holds the other side's
-  /// candidates (the same list on undirected graphs).
-  void DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
-                  const std::vector<LabelEntry>& opposite,
-                  std::vector<uint8_t>* keep);
+  /// cands[i] has no witness.
+  void DecideSide(bool out_side, PageArray<uint8_t>* keep);
+
+  /// Moves each owner's kept candidates to the front of its slice and
+  /// lowers end[w] to match, owner by owner.
+  void CompactSide(bool out_side, const PageArray<uint8_t>& keep);
 
   /// Merges survivors into the labels owner by owner, reserving each
   /// touched label to its old size plus its survivor count first; returns
@@ -176,8 +236,12 @@ class Builder {
   /// memory (the labels), and growth made on worker threads lands in
   /// per-thread malloc arenas and raises the build's peak RSS with the
   /// thread count, for a phase that costs ~2% of the build.
-  uint64_t Apply(const std::vector<LabelEntry>& cands, bool out_side,
-                 IterationStats* st);
+  uint64_t Apply(bool out_side, IterationStats* st);
+
+  /// Makes one side's survivors the next `prev`: an exactly sized copy
+  /// packed in owner order, with its offsets in `prev_begin`. Unmaps the
+  /// candidates.
+  void AdvancePrev(bool out_side);
 
   std::vector<LabelVector>& Side(bool out_side) {
     return out_side || !directed_ ? out_ : in_;
@@ -219,47 +283,36 @@ class Builder {
 
 void Builder::Initialize() {
   const VertexId n = g_.num_vertices();
-  out_.assign(n, {});
-  if (directed_) in_.assign(n, {});
-
   // One entry per edge: the higher-ranked endpoint becomes the pivot.
   // Directed arc u->v: v < u places (v, w) in Lout(u); u < v places
   // (u, w) in Lin(v). Undirected edge {u, v} with u < v: (u, w) in L(v).
-  for (VertexId u = 0; u < n; ++u) {
-    for (const Arc& a : g_.OutArcs(u)) {
-      const VertexId v = a.to;
-      if (directed_) {
-        if (v < u) {
-          out_[u].push_back({v, a.weight});
-        } else {
-          in_[v].push_back({u, a.weight});
-        }
-      } else if (u < v) {
-        out_[v].push_back({u, a.weight});
-      }
-    }
-  }
-  // Sorts each label and trims it to its size. The labels, flattened in
-  // owner order, are iteration 1's `prev`.
-  auto flatten = [&](bool out_side) {
+  // So v's initial label is the part of its adjacency (out-arcs for Lout
+  // and L, in-arcs for Lin) that lies below v, already in pivot order:
+  // each label is sized once and copied from it. The labels, flattened
+  // in owner order, are iteration 1's `prev`.
+  auto init_side = [&](bool out_side) {
     std::vector<LabelVector>& labels = Side(out_side);
     GenSide& gen = Gen(out_side);
+    labels.resize(n);
     gen.prev_begin.assign(static_cast<size_t>(n) + 1, 0);
     for (VertexId v = 0; v < n; ++v) {
-      std::sort(labels[v].begin(), labels[v].end(),
-                [](const LabelEntry& a, const LabelEntry& b) {
-                  return a.pivot < b.pivot;
-                });
-      labels[v].shrink_to_fit();
-      gen.prev_begin[v + 1] = gen.prev_begin[v] + labels[v].size();
+      const std::span<const Arc> arcs = out_side ? g_.OutArcs(v) : g_.InArcs(v);
+      const auto below = std::partition_point(
+          arcs.begin(), arcs.end(), [v](const Arc& a) { return a.to < v; });
+      LabelVector& label = labels[v];
+      label.reserve(static_cast<size_t>(below - arcs.begin()));
+      for (auto a = arcs.begin(); a != below; ++a) {
+        label.push_back({a->to, a->weight});
+      }
+      gen.prev_begin[v + 1] = gen.prev_begin[v] + label.size();
     }
     gen.prev.reserve(gen.prev_begin[n]);
     for (const LabelVector& label : labels) {
       gen.prev.insert(gen.prev.end(), label.begin(), label.end());
     }
   };
-  flatten(/*out_side=*/true);
-  if (directed_) flatten(/*out_side=*/false);
+  init_side(/*out_side=*/true);
+  if (directed_) init_side(/*out_side=*/false);
   stats_.initial_entries = gen_out_.prev.size() + gen_in_.prev.size();
 }
 
@@ -336,7 +389,7 @@ void Builder::ForEachOwner(const std::vector<VertexId>& ranges,
     for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) + 1 <
                    ranges.size();) {
       for (VertexId w = ranges[k]; w < ranges[k + 1]; ++w) {
-        fn(w, worker, &work, &generated);
+        fn(k, w, worker, &work, &generated);
         if (work >= kTickEvery) {
           if (!GenerationTick(generated)) return;
           work = generated = 0;
@@ -351,13 +404,13 @@ void Builder::CountRaw(BuildMode mode, bool out_side) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
   const uint32_t parts = threads_ * kRangesPerThread;
-  gen.at.assign(static_cast<size_t>(n) + 1, 0);
+  gen.begin.assign(static_cast<size_t>(n) + 1, 0);
   // Count over owner ranges of equal size.
   gen.ranges.clear();
   for (uint32_t k = 0; k <= parts; ++k) {
     gen.ranges.push_back(static_cast<VertexId>(uint64_t{n} * k / parts));
   }
-  ForEachOwner(gen.ranges, [&](VertexId w, uint32_t, uint64_t* work,
+  ForEachOwner(gen.ranges, [&](size_t, VertexId w, uint32_t, uint64_t* work,
                                uint64_t* generated) {
     uint64_t raw = 0;
     ForEachSource(mode, out_side, w,
@@ -365,19 +418,19 @@ void Builder::CountRaw(BuildMode mode, bool out_side) {
                     raw += slice.size();
                     ++*work;
                   });
-    gen.at[w + 1] = raw;
+    gen.begin[w + 1] = raw;
     *work += raw;
     *generated += raw;
   });
 
   // Prefix-sum into offsets and recut the ranges at raw-count quantiles.
-  for (size_t w = 0; w < n; ++w) gen.at[w + 1] += gen.at[w];
-  const uint64_t total = gen.at[n];
+  for (size_t w = 0; w < n; ++w) gen.begin[w + 1] += gen.begin[w];
+  const uint64_t total = gen.begin[n];
   gen.ranges.assign(1, 0);
   for (uint32_t k = 1; k < parts; ++k) {
-    const auto it = std::lower_bound(gen.at.begin(), gen.at.end(),
+    const auto it = std::lower_bound(gen.begin.begin(), gen.begin.end(),
                                      total * k / parts);
-    const auto bound = static_cast<VertexId>(it - gen.at.begin());
+    const auto bound = static_cast<VertexId>(it - gen.begin.begin());
     if (bound > gen.ranges.back() && bound < n) gen.ranges.push_back(bound);
   }
   gen.ranges.push_back(n);
@@ -413,10 +466,19 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
   return gathered;
 }
 
-void Builder::Gather(BuildMode mode, bool out_side,
-                     std::vector<LabelEntry>* cands, IterationStats* st) {
+Status Builder::Gather(BuildMode mode, bool out_side, IterationStats* st) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
+  HOPDB_RETURN_NOT_OK(gen.cands.Map(gen.begin[n]));
+  gen.end.resize(n);
+  gen.cmin.assign(n, kInfDistance);
+  // Where each range's run of owners starts (and, past the last range,
+  // the raw total), copied so that no worker reads an offset another
+  // worker rewrites.
+  std::vector<uint64_t> run_start(gen.ranges.size());
+  for (size_t k = 0; k < gen.ranges.size(); ++k) {
+    run_start[k] = gen.begin[gen.ranges[k]];
+  }
   scratch_.resize(threads_);
   for (GatherScratch& sc : scratch_) {
     sc.best.resize(n, 0);
@@ -424,47 +486,33 @@ void Builder::Gather(BuildMode mode, bool out_side,
     sc.deduped = sc.dropped = 0;
   }
 
-  // Runs on_owner(w, scratch) after gathering each owner.
-  auto for_each_owner = [&](const auto& on_owner) {
-    ForEachOwner(gen.ranges, [&](VertexId w, uint32_t worker, uint64_t* work,
-                                 uint64_t*) {
-      GatherScratch* sc = &scratch_[worker];
-      *work += GatherOwner(mode, out_side, w, sc) + 1;
-      on_owner(w, sc);
-    });
-  };
-
-  // Pass 2: count each owner's survivors.
-  for_each_owner([&](VertexId w, GatherScratch* sc) {
-    gen.at[w + 1] = sc->pivots.size();
-    for (const VertexId p : sc->pivots) sc->best[p] = 0;
+  // Each owner's survivors are written in pivot order right after the
+  // previous owner's of its range, and their smallest distance is noted
+  // for pruning.
+  ForEachOwner(gen.ranges, [&](size_t k, VertexId w, uint32_t worker,
+                               uint64_t* work, uint64_t*) {
+    GatherScratch* sc = &scratch_[worker];
+    *work += GatherOwner(mode, out_side, w, sc) + 1;
+    std::sort(sc->pivots.begin(), sc->pivots.end());
+    uint64_t at = w == gen.ranges[k] ? run_start[k] : gen.end[w - 1];
+    HOPDB_DCHECK_LE(at + sc->pivots.size(), run_start[k + 1]);
+    gen.begin[w] = at;
+    for (const VertexId p : sc->pivots) {
+      const auto d = static_cast<Distance>(sc->best[p] - 1);
+      gen.cands[at++] = LabelEntry{p, d};
+      gen.cmin[w] = std::min(gen.cmin[w], d);
+      sc->best[p] = 0;
+    }
+    gen.end[w] = at;
   });
-  if (generation_abort_.load(std::memory_order_relaxed)) return;
   for (const GatherScratch& sc : scratch_) {
     st->deduped_candidates += sc.deduped;
     st->existing_dropped += sc.dropped;
   }
-  for (size_t w = 0; w < n; ++w) gen.at[w + 1] += gen.at[w];
-
-  // Pass 3: the same gather again, each owner's survivors written in
-  // pivot order into its range, and their smallest distance noted for
-  // pruning.
-  cands->resize(gen.at[n]);
-  gen.cmin.assign(n, kInfDistance);
-  for_each_owner([&](VertexId w, GatherScratch* sc) {
-    std::sort(sc->pivots.begin(), sc->pivots.end());
-    LabelEntry* out = cands->data() + gen.at[w];
-    for (const VertexId p : sc->pivots) {
-      const auto d = static_cast<Distance>(sc->best[p] - 1);
-      *out++ = LabelEntry{p, d};
-      gen.cmin[w] = std::min(gen.cmin[w], d);
-      sc->best[p] = 0;
-    }
-  });
+  return Status::OK();
 }
 
-Status Builder::Generate(BuildMode mode_used, std::vector<LabelEntry>* out_c,
-                         std::vector<LabelEntry>* in_c, IterationStats* st) {
+Status Builder::Generate(BuildMode mode_used, IterationStats* st) {
   generated_total_.store(0, std::memory_order_relaxed);
   generation_abort_.store(false, std::memory_order_relaxed);
 
@@ -492,26 +540,26 @@ Status Builder::Generate(BuildMode mode_used, std::vector<LabelEntry>* out_c,
   st->raw_candidates = counted;
   stats_.peak_candidates = std::max(stats_.peak_candidates, counted);
 
-  Gather(mode_used, /*out_side=*/true, out_c, st);
-  if (directed_) Gather(mode_used, /*out_side=*/false, in_c, st);
+  HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/true, st));
+  if (directed_) HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/false, st));
   if (generation_abort_.load(std::memory_order_relaxed)) {
     return Status::DeadlineExceeded("label generation over time budget");
   }
   return Status::OK();
 }
 
-void Builder::DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
-                         const std::vector<LabelEntry>& opposite,
-                         std::vector<uint8_t>* keep) {
+void Builder::DecideSide(bool out_side, PageArray<uint8_t>* keep) {
   const GenSide& gen = Gen(out_side);
   const GenSide& opp_gen = Gen(!out_side);
   const std::vector<LabelVector>& labels = Side(out_side);
   const std::vector<LabelVector>& opp_labels = Side(!out_side);
   const bool with_cands = opts_.prune_with_candidates;
-  ForEachOwner(gen.ranges, [&](VertexId w, uint32_t worker, uint64_t* work,
-                               uint64_t*) {
-    const size_t begin = gen.at[w];
-    const size_t end = gen.at[w + 1];
+  const LabelEntry* cands = gen.cands.data();
+  const LabelEntry* opposite = opp_gen.cands.data();
+  ForEachOwner(gen.ranges, [&](size_t, VertexId w, uint32_t worker,
+                               uint64_t* work, uint64_t*) {
+    const uint64_t begin = gen.begin[w];
+    const uint64_t end = gen.end[w];
     if (begin == end) return;
     // Load w's own side into the table as 1 + dist, the smaller distance
     // where a pivot is both a label entry and a candidate.
@@ -525,7 +573,9 @@ void Builder::DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
     const LabelVector& own = labels[w];
     for (const LabelEntry& e : own) load(e.pivot, e.dist);
     if (with_cands) {
-      for (size_t i = begin; i < end; ++i) load(cands[i].pivot, cands[i].dist);
+      for (uint64_t i = begin; i < end; ++i) {
+        load(cands[i].pivot, cands[i].dist);
+      }
     }
 
     // Candidate (w, p, d) has a witness iff an entry (x, d2) of p's
@@ -534,7 +584,7 @@ void Builder::DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
     // tmin, so an entry with tmin + d2 > d is skipped unprobed, and so is
     // p's whole candidate slice when tmin + cmin[p] > d.
     uint64_t probes = 0;
-    for (size_t i = begin; i < end; ++i) {
+    for (uint64_t i = begin; i < end; ++i) {
       const VertexId p = cands[i].pivot;
       const Distance d = cands[i].dist;
       auto witnesses = [&](VertexId x, Distance d2) {
@@ -548,21 +598,33 @@ void Builder::DecideSide(bool out_side, const std::vector<LabelEntry>& cands,
           [&](const LabelEntry& e) { return witnesses(e.pivot, e.dist); });
       if (!found && with_cands && SaturatingAdd(tmin, opp_gen.cmin[p]) <= d) {
         found = std::any_of(
-            opposite.begin() + opp_gen.at[p],
-            opposite.begin() + opp_gen.at[p + 1],
+            opposite + opp_gen.begin[p], opposite + opp_gen.end[p],
             [&](const LabelEntry& e) { return witnesses(e.pivot, e.dist); });
       }
       (*keep)[i] = !found;
     }
 
     for (const LabelEntry& e : own) best[e.pivot] = 0;
-    for (size_t i = begin; i < end; ++i) best[cands[i].pivot] = 0;
+    for (uint64_t i = begin; i < end; ++i) best[cands[i].pivot] = 0;
     *work += own.size() + (end - begin) + probes;
   });
 }
 
-Status Builder::Prune(std::vector<LabelEntry>* out_c,
-                      std::vector<LabelEntry>* in_c, IterationStats* st) {
+void Builder::CompactSide(bool out_side, const PageArray<uint8_t>& keep) {
+  GenSide& gen = Gen(out_side);
+  ForEachOwner(gen.ranges, [&](size_t, VertexId w, uint32_t worker,
+                               uint64_t* work, uint64_t*) {
+    uint64_t kept = gen.begin[w];
+    for (uint64_t i = gen.begin[w]; i < gen.end[w]; ++i) {
+      if (keep[i]) gen.cands[kept++] = gen.cands[i];
+    }
+    scratch_[worker].pruned += gen.end[w] - kept;
+    *work += gen.end[w] - gen.begin[w] + 1;
+    gen.end[w] = kept;
+  });
+}
+
+Status Builder::Prune(IterationStats* st) {
   if (!opts_.prune) return Status::OK();
 
   // A candidate covering the directed path source ⇝ dest with pivot
@@ -576,50 +638,41 @@ Status Builder::Prune(std::vector<LabelEntry>* out_c,
   // sides are decided, owner by owner, before either list is compacted:
   // in-candidates are witnessed by out-candidates and vice versa.
   // Decisions read only frozen state, so the output is identical for any
-  // thread count.
-  std::vector<uint8_t> keep_out(out_c->size()), keep_in(in_c->size());
-  DecideSide(/*out_side=*/true, *out_c, directed_ ? *in_c : *out_c,
-             &keep_out);
-  if (directed_) DecideSide(/*out_side=*/false, *in_c, *out_c, &keep_in);
+  // thread count. The keep marks share their candidates' offsets, in
+  // mappings of the same size, so only the marks written become
+  // resident.
+  PageArray<uint8_t> keep_out, keep_in;
+  HOPDB_RETURN_NOT_OK(keep_out.Map(gen_out_.cands.size()));
+  if (directed_) HOPDB_RETURN_NOT_OK(keep_in.Map(gen_in_.cands.size()));
+  DecideSide(/*out_side=*/true, &keep_out);
+  if (directed_) DecideSide(/*out_side=*/false, &keep_in);
   if (generation_abort_.load(std::memory_order_relaxed)) {
     return Status::DeadlineExceeded("label pruning over time budget");
   }
-  // Compacts one side owner by owner, rewriting `at` to the survivors'
-  // offsets.
-  auto compact = [&](bool out_side, std::vector<LabelEntry>* cands,
-                     const std::vector<uint8_t>& keep) {
-    std::vector<uint64_t>& at = Gen(out_side).at;
-    uint64_t kept = 0;
-    uint64_t begin = 0;  // owner w's offset before compaction
-    for (size_t w = 0; w + 1 < at.size(); ++w) {
-      const uint64_t end = at[w + 1];
-      for (uint64_t i = begin; i < end; ++i) {
-        if (keep[i]) (*cands)[kept++] = (*cands)[i];
-      }
-      at[w + 1] = kept;
-      begin = end;
-    }
-    st->pruned += cands->size() - kept;
-    cands->resize(kept);
-  };
-  compact(/*out_side=*/true, out_c, keep_out);
-  if (directed_) compact(/*out_side=*/false, in_c, keep_in);
+  for (GatherScratch& sc : scratch_) sc.pruned = 0;
+  CompactSide(/*out_side=*/true, keep_out);
+  if (directed_) CompactSide(/*out_side=*/false, keep_in);
+  if (generation_abort_.load(std::memory_order_relaxed)) {
+    return Status::DeadlineExceeded("label pruning over time budget");
+  }
+  for (const GatherScratch& sc : scratch_) st->pruned += sc.pruned;
   return Status::OK();
 }
 
-uint64_t Builder::Apply(const std::vector<LabelEntry>& cands, bool out_side,
-                        IterationStats* st) {
+uint64_t Builder::Apply(bool out_side, IterationStats* st) {
   std::vector<LabelVector>& side = Side(out_side);
-  const std::vector<uint64_t>& at = Gen(out_side).at;
+  const GenSide& gen = Gen(out_side);
+  uint64_t applied = 0;
   for (VertexId owner = 0; owner < side.size(); ++owner) {
-    const uint64_t i = at[owner];
-    const uint64_t j = at[owner + 1];
+    const uint64_t i = gen.begin[owner];
+    const uint64_t j = gen.end[owner];
     if (i == j) continue;
+    applied += j - i;
     LabelVector& lab = side[owner];
     const size_t old_size = lab.size();
     lab.reserve(old_size + (j - i));
     for (uint64_t k = i; k < j; ++k) {
-      const LabelEntry& c = cands[k];
+      const LabelEntry& c = gen.cands[k];
       // In-place update when the pivot already exists (possible for
       // weighted graphs and Hop-Doubling's overshooting paths).
       size_t lo = 0, hi = old_size;
@@ -645,7 +698,22 @@ uint64_t Builder::Apply(const std::vector<LabelEntry>& cands, bool out_side,
           return a.pivot < b.pivot;
         });
   }
-  return cands.size();
+  return applied;
+}
+
+void Builder::AdvancePrev(bool out_side) {
+  GenSide& gen = Gen(out_side);
+  const VertexId n = g_.num_vertices();
+  gen.prev_begin.assign(static_cast<size_t>(n) + 1, 0);
+  for (VertexId w = 0; w < n; ++w) {
+    gen.prev_begin[w + 1] = gen.prev_begin[w] + (gen.end[w] - gen.begin[w]);
+  }
+  gen.prev.reserve(gen.prev_begin[n]);
+  for (VertexId w = 0; w < n; ++w) {
+    gen.prev.insert(gen.prev.end(), gen.cands.data() + gen.begin[w],
+                    gen.cands.data() + gen.end[w]);
+  }
+  gen.cands.Unmap();
 }
 
 Result<BuildOutput> Builder::Run() {
@@ -679,11 +747,8 @@ Result<BuildOutput> Builder::Run() {
         break;
     }
 
-    // This iteration's deduped and filtered candidates, sized exactly by
-    // Generate and compacted in place by pruning.
-    std::vector<LabelEntry> out_c, in_c;
     Stopwatch phase_watch;
-    HOPDB_RETURN_NOT_OK(Generate(st.mode_used, &out_c, &in_c, &st));
+    HOPDB_RETURN_NOT_OK(Generate(st.mode_used, &st));
     // Only generation reads `prev` and the inverted lists; release them
     // before the later phases allocate.
     ReleaseSources(/*out_side=*/true);
@@ -691,22 +756,16 @@ Result<BuildOutput> Builder::Run() {
     st.generate_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
-    HOPDB_RETURN_NOT_OK(Prune(&out_c, &in_c, &st));
+    HOPDB_RETURN_NOT_OK(Prune(&st));
     st.prune_seconds = phase_watch.Seconds();
 
     phase_watch.Restart();
-    st.survivors = Apply(out_c, /*out_side=*/true, &st);
-    if (directed_) st.survivors += Apply(in_c, /*out_side=*/false, &st);
+    st.survivors = Apply(/*out_side=*/true, &st);
+    if (directed_) st.survivors += Apply(/*out_side=*/false, &st);
     st.apply_seconds = phase_watch.Seconds();
 
-    // Survivors become `prev` in exactly sized copies, and their offsets
-    // its `prev_begin`; the pre-pruning buffers die with this iteration.
-    gen_out_.prev.assign(out_c.begin(), out_c.end());
-    gen_out_.prev_begin.swap(gen_out_.at);
-    if (directed_) {
-      gen_in_.prev.assign(in_c.begin(), in_c.end());
-      gen_in_.prev_begin.swap(gen_in_.at);
-    }
+    AdvancePrev(/*out_side=*/true);
+    if (directed_) AdvancePrev(/*out_side=*/false);
 
     uint64_t total_entries = 0;
     for (const auto& l : out_) total_entries += l.size();

@@ -17,12 +17,14 @@
 //      find the latter through per-pivot inverted lists built from the
 //      labels when generation starts and freed when it ends). A first
 //      pass adds up the `prev` prefixes each owner will read — the exact
-//      raw count, checked against the cap and used to balance the
-//      ranges. Two gather passes then collect each owner's candidates,
-//      keep the smallest distance per pivot and drop those w's label
-//      already dominates: the first counts the survivors, the second
-//      writes them into one exactly sized buffer. No raw candidate is
-//      ever stored.
+//      raw count, checked against the cap, used to balance the ranges
+//      and to size the candidate buffers. One gather pass then collects
+//      each owner's candidates, keeps the smallest distance per pivot,
+//      drops those w's label already dominates and writes the survivors
+//      once, into one buffer per side: a fresh page mapping with room for
+//      the raw count, in which each range packs its owners from the raw
+//      offset of its first owner, so only the pages written become
+//      resident. No raw candidate is ever stored.
 //   2. prune — candidates with a witness through a higher-ranked pivot
 //      die (Section 3.3): candidate covering path x⇝y with pivot
 //      β = min(x, y) dies iff some w < β has (w,d1) ∈ Lout(x),
@@ -32,14 +34,15 @@
 //      distance table, and each of its candidates (w, p, d) probes that
 //      table with p's opposite-side label and candidates. Two exact
 //      distance bounds skip probes that cannot find a witness. Both
-//      sides are decided before either is compacted; compaction rewrites
-//      the per-owner offsets to the survivors'.
+//      sides are decided before either is compacted; compaction then
+//      moves each owner's survivors to the front of its own slice, owner
+//      by owner on the workers.
 //   3. apply — survivors merge into the labels owner by owner, on one
 //      thread, each touched label first reserved to its old size plus
 //      its survivor count: label growth made on worker threads would
 //      land in per-thread malloc arenas and raise peak memory with the
-//      thread count. Survivors become `prev`, and their offsets its
-//      index.
+//      thread count. Survivors become `prev` in an exactly sized copy
+//      packed in owner order, and the candidate mappings are unmapped.
 // The loop ends when no candidate survives — at most DH iterations for
 // Stepping (Thm. 6) and 2⌈log DH⌉ for Doubling (Thm. 4).
 //
@@ -90,7 +93,11 @@ struct BuildOptions {
   /// Candidate-volume cap per iteration; 0 disables. An iteration whose
   /// exact raw count exceeds it aborts with Status::ResourceExhausted
   /// before any candidate memory is allocated (Hop-Doubling on large
-  /// graphs can explode; the paper's Table 8 shows exactly this).
+  /// graphs can explode; the paper's Table 8 shows exactly this). The raw
+  /// count also sizes the address space of the iteration's candidate
+  /// mappings, 8 B per raw candidate (79 MB on the benchmark's 50k-vertex
+  /// graph), of which only the deduped and filtered candidates' pages
+  /// become resident (about 38 MB there).
   uint64_t max_candidates_per_iteration = 0;
   /// Disables pruning entirely (ablation; reproduces the Figure 5
   /// labeling of Example 1 when false).
@@ -140,7 +147,9 @@ struct BuildStats {
   double total_seconds = 0;
   /// Largest raw candidate count of any iteration (the largest
   /// IterationStats::raw_candidates). The builder never stores raw
-  /// candidates; it allocates only the deduped and filtered ones.
+  /// candidates: it maps address space for this many 8-byte entries, and
+  /// only the pages its deduped and filtered candidates fill become
+  /// resident.
   uint64_t peak_candidates = 0;
 
   /// Sum of a per-iteration phase time over all iterations.
@@ -164,8 +173,9 @@ struct BuildOutput {
 /// and 2⌈log DH⌉ for Hop-Doubling (DH = hop-diameter), each iteration
 /// roughly linear in candidate volume. Deterministic — bit-identical
 /// output for any options.num_threads. Fails with DeadlineExceeded when
-/// time_budget_seconds is exceeded and ResourceExhausted when an
-/// iteration tops max_candidates_per_iteration; the graph is only read.
+/// time_budget_seconds is exceeded, and with ResourceExhausted when an
+/// iteration tops max_candidates_per_iteration or the kernel refuses a
+/// candidate mapping; the graph is only read.
 /// Reentrant: independent builds may run concurrently on different
 /// graphs.
 Result<BuildOutput> BuildHopLabeling(const CsrGraph& ranked_graph,

@@ -799,11 +799,7 @@ WireResponse DistanceServer::ExportResponse(RequestKind verb,
     const std::shared_ptr<const ServingSnapshot> snap = registry_.Find(name);
     if (snap == nullptr) continue;  // detached between Names() and Find()
     const ResultCache::Stats index_cache = snap->cache().GetStats();
-    // Only STATS shows the update session. A repair holds the session's
-    // mutex until it ends, and a METRICS scrape must not wait for one.
-    const UpdateSessionInfo update = verb == RequestKind::kStats
-                                         ? GetUpdateSessionInfo(name)
-                                         : UpdateSessionInfo{};
+    const UpdateSessionInfo update = GetUpdateSessionInfo(name);
     rows.insert(
         rows.end(),
         {{.stat = "vertices", .family = "hopdb_index_vertices",
@@ -915,9 +911,13 @@ WireResponse DistanceServer::HandleEdgeOp(const Request& request,
   if (!is_delete) op.weight = static_cast<Distance>(request.k);
   const Result<bool> changed = session->updater->Apply(op);
   if (!changed.ok()) return WireErr(changed.status().ToString());
-  if (changed.value()) ++session->pending_updates;
+  if (changed.value()) {
+    session->pending_updates.fetch_add(1, std::memory_order_relaxed);
+  }
   return WireOk(std::string(changed.value() ? "applied" : "noop") +
-                " pending=" + std::to_string(session->pending_updates));
+                " pending=" +
+                std::to_string(session->pending_updates.load(
+                    std::memory_order_relaxed)));
 }
 
 WireResponse DistanceServer::HandleCommit(const std::string& name) {
@@ -931,7 +931,8 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   }
   if (session == nullptr) return WireOk("nothing to commit");
   std::lock_guard<std::mutex> session_lock(session->mu);
-  if (!session->loaded || session->pending_updates == 0) {
+  if (!session->loaded ||
+      session->pending_updates.load(std::memory_order_relaxed) == 0) {
     return WireOk("nothing to commit");
   }
   Stopwatch commit_timer;
@@ -939,7 +940,8 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   // Deep-copy the repaired working index into the snapshot so later
   // edge ops keep mutating the session copy, never a published one.
   HopDbIndex published = session->index;
-  const uint64_t committed = session->pending_updates;
+  const uint64_t committed =
+      session->pending_updates.load(std::memory_order_relaxed);
   // Publish under the same per-name lock RELOAD uses, so a commit and a
   // reload of one index serialize. Lock order is session->mu then the
   // reload lock — InvalidateUpdateSession never takes session->mu, so
@@ -1019,18 +1021,19 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   const VertexId vertices = snapshot->num_vertices();
   const Status status = registry_.Publish(resolved, std::move(snapshot));
   if (!status.ok()) return WireErr(status.ToString());
-  session->last_commit_seconds = commit_timer.Seconds();
-  session->commits++;
-  session->pending_updates = 0;
+  const double seconds = commit_timer.Seconds();
+  session->last_commit_seconds.store(seconds, std::memory_order_relaxed);
+  session->commits.fetch_add(1, std::memory_order_relaxed);
+  session->pending_updates.store(0, std::memory_order_relaxed);
   JsonLogLine(JsonLogLevel::kInfo, "index_commit")
       .Str("name", resolved)
       .Num("updates", committed)
-      .Fixed("seconds", session->last_commit_seconds, 3)
+      .Fixed("seconds", seconds, 3)
       .Num("vertices", vertices)
       .Num("cache_carried", cache_carried)
       .Num("cache_dropped", cache_dropped);
   return WireOk("committed updates=" + std::to_string(committed) +
-                " seconds=" + FormatDouble(session->last_commit_seconds, 3) +
+                " seconds=" + FormatDouble(seconds, 3) +
                 " vertices=" + std::to_string(vertices) +
                 " cache_carried=" + std::to_string(cache_carried) +
                 " cache_dropped=" + std::to_string(cache_dropped));
@@ -1162,11 +1165,12 @@ DistanceServer::UpdateSessionInfo DistanceServer::GetUpdateSessionInfo(
     if (it == update_sessions_.end()) return {};
     session = it->second;
   }
-  std::lock_guard<std::mutex> lock(session->mu);
   UpdateSessionInfo info;
-  info.pending_updates = session->pending_updates;
-  info.last_commit_seconds = session->last_commit_seconds;
-  info.commits = session->commits;
+  info.pending_updates =
+      session->pending_updates.load(std::memory_order_relaxed);
+  info.last_commit_seconds =
+      session->last_commit_seconds.load(std::memory_order_relaxed);
+  info.commits = session->commits.load(std::memory_order_relaxed);
   return info;
 }
 

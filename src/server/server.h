@@ -174,7 +174,8 @@ class DistanceServer : public RequestSink {
                              const std::string& path);
 
   /// Uncommitted-transaction state for STATS (zeroes when the index has
-  /// no update session).
+  /// no update session). Read without the session's lock, so it never
+  /// waits for a repair in progress.
   struct UpdateSessionInfo {
     uint64_t pending_updates = 0;
     double last_commit_seconds = 0;
@@ -288,9 +289,11 @@ class DistanceServer : public RequestSink {
     HopDbIndex index;        // working copy (deep copy of the snapshot)
     DynamicGraph graph;      // rank-relabeled adjacency, kept in sync
     std::unique_ptr<IncrementalUpdater> updater;
-    uint64_t pending_updates = 0;  // applied-but-uncommitted ops
-    double last_commit_seconds = 0;
-    uint64_t commits = 0;
+    /// Written under mu and read without it, so STATS never waits for a
+    /// repair.
+    std::atomic<uint64_t> pending_updates{0};  // applied-but-uncommitted
+    std::atomic<double> last_commit_seconds{0};
+    std::atomic<uint64_t> commits{0};
   };
 
   /// Fetches (creating if absent) the session for `resolved`; fails

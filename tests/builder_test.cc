@@ -1,8 +1,11 @@
 #include "labeling/builder.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -337,6 +340,33 @@ TEST(BuilderTest, CandidateCapIsExact) {
       EXPECT_TRUE(below.status().IsResourceExhausted()) << below.status();
     }
   }
+}
+
+// Builds `ranked` by Hop-Stepping with 1 GB of address space left to the
+// process, then exits 0 iff the build failed with ResourceExhausted.
+[[noreturn]] void StepWithOneGigabyteLeft(const CsrGraph& ranked) {
+  uint64_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap =
+      pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) + (rlim_t{1} << 30);
+  const rlimit limit{cap, cap};
+  if (pages == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+  BuildOptions opts;
+  opts.mode = BuildMode::kHopStepping;
+  const auto out = BuildHopLabeling(ranked, opts);
+  std::_Exit(out.status().IsResourceExhausted() ? 0 : 1);
+}
+
+TEST(BuilderTest, RefusedCandidateMappingIsResourceExhausted) {
+  // Each iteration maps 8 B of address space per raw candidate. On a
+  // 1000-vertex clique, Hop-Stepping's first iteration counts about
+  // 3.3e8 of them (2.7 GB) while the labels stay a few MB, so with 1 GB
+  // of address space left the kernel refuses the mapping, and the build
+  // must fail with ResourceExhausted rather than abort.
+  auto ranked = RankedGraph(CompleteGraph(1000));
+  ASSERT_TRUE(ranked.ok());
+  EXPECT_EXIT(StepWithOneGigabyteLeft(*ranked), ::testing::ExitedWithCode(0),
+              "");
 }
 
 TEST(BuilderTest, StatsAreConsistent) {

@@ -125,7 +125,7 @@ TEST_P(ParallelBuildTest, ThreadCountDoesNotChangeTheIndex) {
   EdgeList edges;
   if (c.name == "glp") {
     GlpOptions glp;
-    glp.num_vertices = 400;  // owner ranges for every thread
+    glp.num_vertices = 400;  // 16 threads cut up to 128 owner ranges
     glp.seed = c.seed;
     edges = c.directed ? GenerateDirectedGlp(glp).ValueOrDie()
                        : GenerateGlp(glp).ValueOrDie();
@@ -155,7 +155,8 @@ TEST_P(ParallelBuildTest, ThreadCountDoesNotChangeTheIndex) {
   auto reference = BuildHopLabeling(*ranked, opts);
   reference.status().CheckOK();
 
-  for (const uint32_t threads : {2u, 4u, 8u, 0u /* all hardware */}) {
+  for (const uint32_t threads :
+       {2u, 4u, 8u, 16u, 0u /* all hardware */}) {
     opts.num_threads = threads;
     auto parallel = BuildHopLabeling(*ranked, opts);
     ASSERT_TRUE(parallel.ok()) << "threads=" << threads;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/small_graphs.h"
 
 namespace hopdb {
@@ -64,24 +66,44 @@ TEST(RankingTest, DeterministicTieBreak) {
 }
 
 TEST(RankingTest, RelabelPreservesStructure) {
-  EdgeList e(4, /*directed=*/true);
-  e.Add(3, 2, 5);  // make vertex 3 and 2 high-degree
-  e.Add(2, 3, 5);
-  e.Add(3, 0, 1);
-  e.Add(2, 1, 2);
-  e.Normalize();
-  auto g = CsrGraph::FromEdgeList(e);
-  ASSERT_TRUE(g.ok());
-  RankMapping m = ComputeRanking(*g, RankingPolicy::kDegree);
-  auto ranked = RelabelByRank(*g, m);
-  ASSERT_TRUE(ranked.ok());
-  EXPECT_EQ(ranked->num_edges(), g->num_edges());
-  // Every original arc must exist in internal coordinates with the same
-  // weight.
-  for (VertexId u = 0; u < g->num_vertices(); ++u) {
-    for (const Arc& a : g->OutArcs(u)) {
-      EXPECT_EQ(ranked->ArcWeight(m.ToInternal(u), m.ToInternal(a.to)),
-                a.weight);
+  EdgeList directed(4, /*directed=*/true);
+  directed.Add(3, 2, 5);  // make vertex 3 and 2 high-degree
+  directed.Add(2, 3, 5);
+  directed.Add(3, 0, 1);
+  directed.Add(2, 1, 2);
+  // Undirected and weighted, with edges listed in both orientations and
+  // a ranking that reverses most of them.
+  EdgeList undirected(6, /*directed=*/false);
+  undirected.Add(5, 4, 3);
+  undirected.Add(4, 3, 7);
+  undirected.Add(2, 4, 1);
+  undirected.Add(4, 0, 9);
+  undirected.Add(1, 5, 2);
+  undirected.Add(5, 3, 4);
+  for (EdgeList e : {directed, undirected}) {
+    SCOPED_TRACE(e.directed() ? "directed" : "undirected");
+    e.Normalize();
+    auto g = CsrGraph::FromEdgeList(e);
+    ASSERT_TRUE(g.ok());
+    RankMapping m = ComputeRanking(*g, RankingPolicy::kDegree);
+    auto ranked = RelabelByRank(*g, m);
+    ASSERT_TRUE(ranked.ok());
+    EXPECT_EQ(ranked->num_edges(), g->num_edges());
+    EXPECT_EQ(ranked->weighted(), g->weighted());
+    // Every original arc must exist in internal coordinates with the same
+    // weight, and no other: each vertex keeps its degrees, and its
+    // adjacency stays sorted by target.
+    for (VertexId u = 0; u < g->num_vertices(); ++u) {
+      const VertexId r = m.ToInternal(u);
+      EXPECT_EQ(ranked->OutDegree(r), g->OutDegree(u));
+      EXPECT_EQ(ranked->InDegree(r), g->InDegree(u));
+      for (const Arc& a : g->OutArcs(u)) {
+        EXPECT_EQ(ranked->ArcWeight(r, m.ToInternal(a.to)), a.weight);
+      }
+      const auto arcs = ranked->OutArcs(r);
+      EXPECT_TRUE(std::is_sorted(
+          arcs.begin(), arcs.end(),
+          [](const Arc& a, const Arc& b) { return a.to < b.to; }));
     }
   }
 }

@@ -18,10 +18,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/temp_dir.h"
@@ -178,20 +180,32 @@ TEST(ServerScaleTest, SustainsTenThousandIdleConnections) {
   const size_t connected = fds.size();
 
   // With every idle socket still connected, the server answers queries
-  // and its own count agrees with ours (+1 for the querying client).
+  // and its own count agrees with ours (+1 for the querying client). The
+  // querying client can be accepted and answered while idle connections
+  // still wait in the accept backlog, so STATS is polled until the count
+  // reaches ours or 10 s pass.
   std::string stats;
+  size_t reported = 0;
   {
     auto client = DistanceClient::Connect("127.0.0.1", port);
     ASSERT_TRUE(client.ok()) << client.status();
     EXPECT_EQ(*client->RoundTrip("PING"), "OK pong");
     EXPECT_EQ(*client->QueryDistance(0, 1), *client->QueryDistance(0, 1));
-    stats = *client->RoundTrip("STATS");
-  }
-  size_t reported = 0;
-  const size_t key = stats.find("open_connections=");
-  if (key != std::string::npos) {
-    reported = std::strtoull(stats.c_str() + key + strlen("open_connections="),
-                             nullptr, 10);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (true) {
+      stats = *client->RoundTrip("STATS");
+      const size_t key = stats.find("open_connections=");
+      if (key != std::string::npos) {
+        reported = std::strtoull(
+            stats.c_str() + key + strlen("open_connections="), nullptr, 10);
+      }
+      if (reported >= connected + 1 ||
+          std::chrono::steady_clock::now() >= give_up) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
   }
   EXPECT_GE(reported, connected) << stats;
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -1499,6 +1500,63 @@ TEST_F(ServerEndToEndTest, CommitCarriesUnaffectedCacheEntries) {
           << s << "->" << t;
     }
   }
+}
+
+// STATS reads the update session's counters without the lock a repair
+// holds: while one connection streams ADDEDGE/DELEDGE/COMMIT, a second
+// connection's STATS keeps answering, and every answer parses.
+TEST_F(ServerEndToEndTest, StatsAnswersWhileUpdatesStream) {
+  auto tmp = TempDir::Create("server_update_stats");
+  ASSERT_TRUE(tmp.ok());
+  const std::string graph_path = tmp->File("g.hgr");
+  ASSERT_TRUE(WriteBinaryGraph(edges_, graph_path).ok());
+  ASSERT_TRUE(server_->RegisterUpdateGraph("", graph_path).ok());
+  std::vector<VertexId> absent;  // vertices with no edge to 0
+  for (VertexId v = 1; v < graph_.num_vertices() && absent.size() < 6; ++v) {
+    if (graph_.ArcWeight(0, v) == kInfDistance) absent.push_back(v);
+  }
+  ASSERT_EQ(absent.size(), 6u);
+
+  std::atomic<bool> done{false};
+  std::thread updater([&] {
+    auto conn = DistanceClient::Connect("127.0.0.1", server_->port());
+    EXPECT_TRUE(conn.ok()) << conn.status();
+    if (conn.ok()) {
+      for (const VertexId v : absent) {
+        const std::string edge = "0 " + std::to_string(v);
+        EXPECT_EQ(*conn->RoundTrip("ADDEDGE " + edge), "OK applied pending=1");
+        EXPECT_EQ(*conn->RoundTrip("DELEDGE " + edge), "OK applied pending=2");
+        EXPECT_TRUE(StartsWith(*conn->RoundTrip("COMMIT"),
+                               "OK committed updates=2 "));
+      }
+    }
+    done.store(true);
+  });
+
+  const std::string key = "index.default.pending_updates=";
+  size_t answered = 0;
+  do {
+    const Result<std::string> stats = client_.RoundTrip("STATS");
+    if (!stats.ok() || !StartsWith(*stats, "OK ")) {
+      ADD_FAILURE() << (stats.ok() ? *stats : stats.status().ToString());
+      break;
+    }
+    const size_t at = stats->find(key);
+    EXPECT_NE(at, std::string::npos) << *stats;
+    if (at != std::string::npos) {
+      EXPECT_LE(std::strtoull(stats->c_str() + at + key.size(), nullptr, 10),
+                2u)
+          << *stats;
+    }
+    EXPECT_NE(stats->find("index.default.last_commit_seconds="),
+              std::string::npos)
+        << *stats;
+    ++answered;
+  } while (!done.load());
+  updater.join();
+  EXPECT_GT(answered, 0u);
+  const std::string stats = *client_.RoundTrip("STATS");
+  EXPECT_NE(stats.find(key + "0 "), std::string::npos) << stats;
 }
 
 TEST_F(ServerEndToEndTest, UpdateVerbsRequireRegisteredGraph) {
