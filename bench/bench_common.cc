@@ -9,10 +9,6 @@
 #include <sys/resource.h>
 #endif
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #if defined(__linux__)
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
@@ -154,36 +150,6 @@ uint64_t PeakRssBytes() {
 #else
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 #endif
-#else
-  return 0;
-#endif
-}
-
-bool ResetPeakRss() {
-#if defined(__linux__)
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool wrote = std::fputs("5", f) >= 0;
-  return std::fclose(f) == 0 && wrote;
-#else
-  return false;
-#endif
-}
-
-uint64_t PeakRssSinceResetBytes() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  unsigned long long kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) break;
-  }
-  std::fclose(f);
-  return static_cast<uint64_t>(kb) * 1024;
 #else
   return 0;
 #endif

@@ -85,16 +85,6 @@ std::string SecondsOrDash(const Status& status, double seconds);
 /// 0 when the platform doesn't report it.
 uint64_t PeakRssBytes();
 
-/// Starts a new peak-RSS window: returns freed heap to the OS (glibc
-/// malloc_trim) and resets the kernel's high-water mark to the current
-/// RSS (writes "5" to /proc/self/clear_refs). False when the reset is
-/// unsupported; PeakRssSinceResetBytes is then meaningless.
-bool ResetPeakRss();
-
-/// Peak RSS in bytes since the last successful ResetPeakRss (VmHWM of
-/// /proc/self/status); 0 when unavailable.
-uint64_t PeakRssSinceResetBytes();
-
 /// One named phase of a benchmarked pipeline.
 struct PhaseTiming {
   std::string name;

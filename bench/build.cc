@@ -4,24 +4,33 @@
 // check — the serialized index of every thread count must be
 // byte-identical (FNV-1a checksum asserted; non-zero exit on mismatch).
 //
+// Each thread count builds in its own child process, forked after the
+// graph set-up, so a run's peak RSS is that build's own: it starts from
+// the set-up the child inherits, never from heap an earlier run left.
+//
 // Emits machine-readable results to --out (default BENCH_build.json):
 // per thread count the build seconds, speedup vs. one thread, the
 // generate/dedup/prune/apply phase seconds (dedup reads 0: generation
-// dedups as it gathers), that build's own peak RSS (the high-water mark
-// is reset before each run; null where the kernel does not support the
-// reset) and its largest per-iteration raw candidate count, plus the
-// whole process's peak RSS.
+// dedups as it gathers), that build's peak RSS and its largest
+// per-iteration raw candidate count, plus the largest peak of the
+// parent and every run.
 //
 //   bench_build            # 60k-vertex GLP (the acceptance setting)
 //   bench_build --ci       # seconds-long CI mode, same JSON shape
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,16 +50,23 @@
 namespace hopdb {
 namespace {
 
+/// One thread count's build. Trivially copyable: the child that ran the
+/// build sends it to the parent as raw bytes through a pipe.
 struct RunResult {
   uint32_t threads = 0;
   double seconds = 0;
   uint64_t checksum = 0;
   uint64_t total_entries = 0;
-  std::vector<bench::PhaseTiming> phases;
-  /// VmHWM of this build alone; unset when the peak could not be reset.
-  std::optional<uint64_t> peak_rss_bytes;
+  /// The child's ru_maxrss when the build returns.
+  uint64_t peak_rss_bytes = 0;
   uint64_t peak_candidates = 0;
+  double generate_seconds = 0;
+  double dedup_seconds = 0;
+  double prune_seconds = 0;
+  double apply_seconds = 0;
+  double init_seconds = 0;
 };
+static_assert(std::is_trivially_copyable_v<RunResult>);
 
 Result<uint64_t> SerializedChecksum(const TwoHopIndex& index,
                                     const TempDir& dir, uint32_t threads) {
@@ -62,6 +78,74 @@ Result<uint64_t> SerializedChecksum(const TwoHopIndex& index,
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   return Fnv1a64(bytes.data(), bytes.size());
+}
+
+/// Builds with `threads` workers, then serializes and checksums the
+/// index. The peak is read before serializing, so it is the build's.
+Result<RunResult> BuildOnce(const CsrGraph& ranked, const TempDir& dir,
+                            uint32_t threads) {
+  BuildOptions opts;
+  opts.num_threads = threads;
+  Stopwatch watch;
+  HOPDB_ASSIGN_OR_RETURN(BuildOutput built, BuildHopLabeling(ranked, opts));
+  RunResult r;
+  r.threads = threads;
+  r.seconds = watch.Seconds();
+  r.peak_rss_bytes = bench::PeakRssBytes();
+  r.total_entries = built.index.TotalEntries();
+  const BuildStats& stats = built.stats;
+  r.peak_candidates = stats.peak_candidates;
+  r.generate_seconds = stats.PhaseSeconds(&IterationStats::generate_seconds);
+  r.dedup_seconds = stats.PhaseSeconds(&IterationStats::dedup_seconds);
+  r.prune_seconds = stats.PhaseSeconds(&IterationStats::prune_seconds);
+  r.apply_seconds = stats.PhaseSeconds(&IterationStats::apply_seconds);
+  r.init_seconds = stats.init_seconds;
+  HOPDB_ASSIGN_OR_RETURN(r.checksum,
+                         SerializedChecksum(built.index, dir, threads));
+  return r;
+}
+
+/// Runs BuildOnce in a forked child, whose ru_maxrss starts from the RSS
+/// it inherits here. The caller must have no other thread alive (the
+/// set-up runs on one thread), so the child is a consistent copy.
+Result<RunResult> BuildInChild(const CsrGraph& ranked, const TempDir& dir,
+                               uint32_t threads) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    return Status::IOError(std::string("pipe: ") + std::strerror(errno));
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    return Status::IOError(std::string("fork: ") + std::strerror(errno));
+  }
+  if (pid == 0) {
+    // _exit, not return: the child's copies of the parent's objects
+    // (the temp dir above all) must not run their destructors, and its
+    // copy of the parent's unflushed stdout must not be printed again.
+    ::close(fds[0]);
+    const Result<RunResult> r = BuildOnce(ranked, dir, threads);
+    if (!r.ok()) {
+      std::cerr << "threads=" << threads << ": " << r.status() << "\n";
+      ::_exit(1);
+    }
+    const bool sent =
+        ::write(fds[1], &*r, sizeof(RunResult)) == sizeof(RunResult);
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  RunResult r;
+  const bool received = ::read(fds[0], &r, sizeof r) == sizeof r;
+  ::close(fds[0]);
+  int wstatus = 0;
+  const bool reaped = ::waitpid(pid, &wstatus, 0) == pid;
+  if (!received || !reaped || !WIFEXITED(wstatus) ||
+      WEXITSTATUS(wstatus) != 0) {
+    return Status::Internal("the build at threads=" +
+                            std::to_string(threads) + " failed");
+  }
+  return r;
 }
 
 int Run(int argc, char** argv) {
@@ -120,49 +204,23 @@ int Run(int argc, char** argv) {
             << " (" << HardwareThreads() << " hardware threads)\n";
 
   std::vector<RunResult> results;
+  uint64_t peak_rss_bytes = bench::PeakRssBytes();
   for (const uint32_t threads : thread_counts) {
-    BuildOptions opts;
-    opts.num_threads = threads;
-    const bool peak_reset = bench::ResetPeakRss();
-    Stopwatch watch;
-    auto built = BuildHopLabeling(*ranked, opts);
-    const double seconds = watch.Seconds();
-    if (!built.ok()) {
-      std::cerr << "build failed at threads=" << threads << ": "
-                << built.status() << "\n";
+    auto r = BuildInChild(*ranked, *tmp, threads);
+    if (!r.ok()) {
+      std::cerr << "build failed: " << r.status() << "\n";
       return 1;
     }
-    RunResult r;
-    r.threads = threads;
-    r.seconds = seconds;
-    if (peak_reset) r.peak_rss_bytes = bench::PeakRssSinceResetBytes();
-    r.total_entries = built->index.TotalEntries();
-    const BuildStats& stats = built->stats;
-    r.peak_candidates = stats.peak_candidates;
-    r.phases = {
-        {"generate", stats.PhaseSeconds(&IterationStats::generate_seconds)},
-        {"dedup", stats.PhaseSeconds(&IterationStats::dedup_seconds)},
-        {"prune", stats.PhaseSeconds(&IterationStats::prune_seconds)},
-        {"apply", stats.PhaseSeconds(&IterationStats::apply_seconds)},
-        {"init", stats.init_seconds},
-    };
-    auto checksum = SerializedChecksum(built->index, *tmp, threads);
-    if (!checksum.ok()) {
-      std::cerr << "serialize failed: " << checksum.status() << "\n";
-      return 1;
-    }
-    r.checksum = *checksum;
     std::cout << "  threads=" << threads << "  "
-              << FormatDouble(seconds, 2) << " s  (gen "
-              << FormatDouble(r.phases[0].seconds, 2) << ", dedup "
-              << FormatDouble(r.phases[1].seconds, 2) << ", prune "
-              << FormatDouble(r.phases[2].seconds, 2) << ", apply "
-              << FormatDouble(r.phases[3].seconds, 2) << ")  peak "
-              << (r.peak_rss_bytes ? std::to_string(*r.peak_rss_bytes >> 20) +
-                                         " MB"
-                                   : std::string("n/a"))
-              << "  checksum " << r.checksum << "\n";
-    results.push_back(std::move(r));
+              << FormatDouble(r->seconds, 2) << " s  (gen "
+              << FormatDouble(r->generate_seconds, 2) << ", dedup "
+              << FormatDouble(r->dedup_seconds, 2) << ", prune "
+              << FormatDouble(r->prune_seconds, 2) << ", apply "
+              << FormatDouble(r->apply_seconds, 2) << ")  peak "
+              << (r->peak_rss_bytes >> 20) << " MB  checksum " << r->checksum
+              << "\n";
+    peak_rss_bytes = std::max(peak_rss_bytes, r->peak_rss_bytes);
+    results.push_back(*r);
   }
 
   bool checksums_agree = true;
@@ -191,7 +249,7 @@ int Run(int argc, char** argv) {
   out << "{\n"
       << "  \"bench\": \"build\",\n"
       << "  \"ci_mode\": " << (ci ? "true" : "false") << ",\n"
-      << "  \"peak_rss_bytes\": " << bench::PeakRssBytes() << ",\n"
+      << "  \"peak_rss_bytes\": " << peak_rss_bytes << ",\n"
       << "  \"graph\": {\"type\": \"glp\", \"n\": " << n
       << ", \"avg_degree\": " << FormatDouble(glp.target_avg_degree, 2)
       << ", \"seed\": " << seed << "},\n"
@@ -206,10 +264,14 @@ int Run(int argc, char** argv) {
     out << "    {\"threads\": " << r.threads << ", \"build_seconds\": "
         << FormatDouble(r.seconds, 3) << ", \"speedup_vs_1\": "
         << FormatDouble(base > 0 ? base / r.seconds : 0, 3)
-        << ", \"peak_rss_bytes\": "
-        << (r.peak_rss_bytes ? std::to_string(*r.peak_rss_bytes) : "null")
+        << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
         << ", \"peak_candidates\": " << r.peak_candidates << ", "
-        << bench::PhasesJson(r.phases) << "}"
+        << bench::PhasesJson({{"generate", r.generate_seconds},
+                              {"dedup", r.dedup_seconds},
+                              {"prune", r.prune_seconds},
+                              {"apply", r.apply_seconds},
+                              {"init", r.init_seconds}})
+        << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

@@ -16,7 +16,6 @@
 #include "io/temp_dir.h"
 #include "labeling/bit_parallel.h"
 #include "labeling/builder.h"
-#include "labeling/compressed_index.h"
 #include "labeling/disk_index.h"
 #include "query/batch.h"
 #include "query/knn.h"
@@ -37,7 +36,6 @@ struct MicroContext {
   BitParallelIndex bp;
   TempDir dir;
   DiskIndex disk;
-  CompressedIndex compressed;
   std::unique_ptr<IsLabelPartialIndex> is_label_partial;
   std::vector<QueryPair> pairs;
 
@@ -82,10 +80,6 @@ struct MicroContext {
     auto disk = DiskIndex::Open(path);
     disk.status().CheckOK();
     ctx->disk = std::move(*disk);
-
-    auto compressed = CompressedIndex::FromIndex(ctx->hopdb);
-    compressed.status().CheckOK();
-    ctx->compressed = std::move(*compressed);
 
     auto partial = BuildIsLabelPartial(ctx->ranked, /*num_levels=*/4);
     partial.status().CheckOK();
@@ -138,16 +132,6 @@ void BM_DiskQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskQuery);
-
-void BM_CompressedQuery(benchmark::State& state) {
-  MicroContext& ctx = MicroContext::Get();
-  size_t i = 0;
-  for (auto _ : state) {
-    const QueryPair& p = ctx.pairs[i++ & (kPairs - 1)];
-    benchmark::DoNotOptimize(ctx.compressed.Query(p.s, p.t));
-  }
-}
-BENCHMARK(BM_CompressedQuery);
 
 void BM_IsLabelPartialQuery(benchmark::State& state) {
   // The paper's Section 1 criticism quantified: IS-Label's deployment

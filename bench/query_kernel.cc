@@ -1,7 +1,6 @@
 // Query-kernel comparison: the cacheline-blocked SoA layout under every
-// kernel this CPU supports against the scalar AoS and compressed-stream
-// merges, on one GLP scale-free graph (default |V| = 100k — the
-// acceptance setting).
+// kernel this CPU supports against the scalar AoS merge, on one GLP
+// scale-free graph (default |V| = 100k — the acceptance setting).
 //
 // Variants measured, all answering the same random point-query stream:
 //   aos/scalar       span-based QueryLabelHalves over an AoS copy of the
@@ -11,8 +10,6 @@
 //   blocked/<kernel> QueryFlatHalves over the blocked arenas (sidecar
 //                    skip-scan)
 //   hothub/<kernel>  HotHubCache (k=64) dense-table fold + suffix merge
-//   stream/scalar    CompressedIndex::Query — its one scalar merge over
-//                    the varint streams, no decompression pass
 //   index/default    TwoHopIndex::Query as served (blocked + default
 //                    kernel)
 // plus one OneToManyEngine row timing over the flat bucket arena.
@@ -43,7 +40,6 @@
 #include "graph/csr_graph.h"
 #include "graph/ranking.h"
 #include "labeling/builder.h"
-#include "labeling/compressed_index.h"
 #include "labeling/flat_label_store.h"
 #include "labeling/hot_hub.h"
 #include "labeling/query_kernel.h"
@@ -79,7 +75,7 @@ int Run(int argc, char** argv) {
   if (!flags.Parse(argc, argv).ok() || flags.help_requested()) {
     std::cout << flags.Usage(
         "bench_query_kernel — blocked SIMD query kernels vs the scalar "
-        "AoS and compressed-stream merges");
+        "AoS merge");
     return flags.help_requested() ? 0 : 1;
   }
 
@@ -132,11 +128,6 @@ int Run(int argc, char** argv) {
   const LabelSetView blocked_view = index.labels();
 
   const HotHubCache hub = HotHubCache::Build(blocked_view, hot_hub_k);
-  auto compressed = CompressedIndex::FromIndex(index);
-  if (!compressed.ok()) {
-    std::cerr << "compression failed: " << compressed.status() << "\n";
-    return 1;
-  }
 
   const std::vector<QueryPair> pairs = RandomPairs(n, num_queries, seed + 1);
   bench::PerfCounters counters;
@@ -212,9 +203,6 @@ int Run(int argc, char** argv) {
           return hub.Query(blocked_view, s, t, *kernel);
         }));
   }
-  results.push_back(run_variant("stream/scalar", [&](VertexId s, VertexId t) {
-    return compressed->Query(s, t);
-  }));
   results.push_back(run_variant("index/default", [&](VertexId s, VertexId t) {
     return index.Query(s, t);
   }));
@@ -268,7 +256,6 @@ int Run(int argc, char** argv) {
       << "  \"default_kernel\": \"" << default_kernel << "\",\n"
       << "  \"hot_hub_k\": " << hub.k() << ",\n"
       << "  \"hot_hub_bytes\": " << hub.SizeBytes() << ",\n"
-      << "  \"compressed_bytes\": " << compressed->SizeBytes() << ",\n"
       << "  \"perf_counters_available\": "
       << (counters.available() ? "true" : "false") << ",\n"
       << "  \"checksums_agree\": " << (checksums_agree ? "true" : "false")

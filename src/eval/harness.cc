@@ -15,7 +15,6 @@
 #include "gen/glp.h"
 #include "gen/weights.h"
 #include "hopdb.h"
-#include "labeling/compressed_index.h"
 #include "labeling/mapped_index.h"
 #include "query/batch.h"
 #include "query/knn.h"
@@ -101,15 +100,12 @@ std::string SafeFileName(const std::string& name) {
   return out.empty() ? "graph" : out;
 }
 
-/// All query-side forms of one built dataset. The heap index owns the
+/// Both query-side forms of one built dataset. The heap index owns the
 /// labels; blocked is an mmap view over an HLI2 file written into
-/// work_dir; compressed re-encodes the same labels.
+/// work_dir, opened only when the spec wants it.
 struct VariantSet {
   const HopDbIndex* heap = nullptr;
   MappedIndex blocked;
-  CompressedIndex compressed;
-  bool has_blocked = false;
-  bool has_compressed = false;
 };
 
 bool WantVariant(const EvalSpec& spec, const std::string& name) {
@@ -130,36 +126,19 @@ Status PrepareVariants(const EvalSpec& spec, const EvalOptions& options,
     HOPDB_RETURN_NOT_OK(
         MappedIndex::Write(index.label_index(), index.ranking(), path));
     HOPDB_ASSIGN_OR_RETURN(variants->blocked, MappedIndex::Open(path));
-    variants->has_blocked = true;
-  }
-  if (WantVariant(spec, "compressed")) {
-    HOPDB_ASSIGN_OR_RETURN(variants->compressed,
-                           CompressedIndex::FromIndex(index.label_index()));
-    variants->has_compressed = true;
   }
   return Status::OK();
 }
 
-/// Point query in ORIGINAL ids for a variant; null when the variant is
-/// not prepared.
+/// Point query in ORIGINAL ids for a prepared variant.
 std::function<Distance(VertexId, VertexId)> PointQuery(
     const VariantSet& variants, const std::string& variant) {
   if (variant == "heap") {
     const HopDbIndex* index = variants.heap;
     return [index](VertexId s, VertexId t) { return index->Query(s, t); };
   }
-  if (variant == "blocked" && variants.has_blocked) {
-    const MappedIndex* mapped = &variants.blocked;
-    return [mapped](VertexId s, VertexId t) { return mapped->Query(s, t); };
-  }
-  if (variant == "compressed" && variants.has_compressed) {
-    const CompressedIndex* comp = &variants.compressed;
-    const RankMapping* ranking = &variants.heap->ranking();
-    return [comp, ranking](VertexId s, VertexId t) {
-      return comp->Query(ranking->ToInternal(s), ranking->ToInternal(t));
-    };
-  }
-  return nullptr;
+  const MappedIndex* mapped = &variants.blocked;
+  return [mapped](VertexId s, VertexId t) { return mapped->Query(s, t); };
 }
 
 /// Internal-id translation for a variant's flat label view (batch/knn/
@@ -174,13 +153,7 @@ std::function<VertexId(VertexId)> ToInternalFn(const VariantSet& variants,
   return [mapped](VertexId v) { return mapped->ToInternal(v); };
 }
 
-bool HasLabelView(const VariantSet& variants, const std::string& variant) {
-  if (variant == "heap") return true;
-  if (variant == "blocked") return variants.has_blocked;
-  return false;  // compressed exposes no flat view
-}
-
-/// The flat label view of a variant with HasLabelView.
+/// The flat label view of a prepared variant.
 LabelSetView LabelsOf(const VariantSet& variants, const std::string& variant) {
   if (variant == "heap") return variants.heap->label_index().labels();
   return variants.blocked.labels();
@@ -194,10 +167,6 @@ EvalWorkloadResult RunDistLike(const EvalWorkload& workload,
   result.workload = EvalWorkloadName(workload.kind);
   result.variant = variant;
   const auto query = PointQuery(variants, variant);
-  if (query == nullptr) {
-    result.supported = false;
-    return result;
-  }
   const bool reach = workload.kind == EvalWorkload::Kind::kReach;
   const Distance bound = workload.bound;
   Checksum checksum;
@@ -224,10 +193,6 @@ EvalWorkloadResult RunBatch(const EvalWorkload& workload,
   EvalWorkloadResult result;
   result.workload = EvalWorkloadName(workload.kind);
   result.variant = variant;
-  if (!HasLabelView(variants, variant)) {
-    result.supported = false;
-    return result;
-  }
   const auto to_internal = ToInternalFn(variants, variant);
   const uint32_t batch = std::max<uint32_t>(1, workload.batch_size);
   Checksum checksum;
@@ -262,10 +227,6 @@ EvalWorkloadResult RunKnnOrWithin(const EvalWorkload& workload,
   EvalWorkloadResult result;
   result.workload = EvalWorkloadName(workload.kind);
   result.variant = variant;
-  if (!HasLabelView(variants, variant)) {
-    result.supported = false;
-    return result;
-  }
   const auto to_internal = ToInternalFn(variants, variant);
   // Engine construction (one inverted-list build) happens outside the
   // timed loop, like the serving snapshot's lazily built engine.
@@ -554,7 +515,7 @@ Result<EvalSpec> ParseEvalSpec(const std::string& text) {
       for (const std::string& name : SplitString(tokens[1], ',')) {
         if (!KnownVariant(name)) {
           return SpecError(line_no, "unknown variant '" + name +
-                                        "' (heap | blocked | compressed)");
+                                        "' (heap | blocked)");
         }
         spec.variants.push_back(name);
       }
@@ -855,7 +816,7 @@ std::string RenderEvalMarkdown(const EvalReport& report) {
   md += std::string("- build: ") + BuildVersion() + " (" + BuildGitSha() +
         ")\n";
   md += "- variants: heap (in-memory, frozen blocked store), blocked (mmap "
-        "HLI2 blocked arenas), compressed (HLC1 delta-varint)\n\n";
+        "HLI2 blocked arenas)\n\n";
 
   md += std::string(kEvalReportSections[1]) + "\n\n";  // ## Datasets
   md += "| dataset | vertices | edges | directed | weighted |\n";

@@ -6,11 +6,10 @@
 // JSON report whose numbers are held to order-of-magnitude
 // expectations (the CI gate re-asserts them from the JSON).
 //
-// Index variants (one build, three query-side forms):
-//   heap        in-memory HopDbIndex: frozen blocked store + SIMD kernel
-//   blocked     HLI2 file, mmap-served (blocked arenas + skip
-//               sidecars — the cache-conscious microarchitecture)
-//   compressed  HLC1 delta-varint form queried without expansion
+// Index variants (one build, two query-side forms):
+//   heap     in-memory HopDbIndex: frozen blocked store + SIMD kernel
+//   blocked  HLI2 file, mmap-served (blocked arenas + skip sidecars —
+//            the cache-conscious microarchitecture)
 // Every variant answers from the same labels, so checksum agreement
 // across variants is itself one of the report's expectations.
 //
@@ -20,7 +19,7 @@
 //   # one directive per line; '#' starts a comment
 //   dataset Enron scale=0.5        # Table 6 registry entry
 //   graph n=2000 avg-degree=8 directed=1 weighted=1 seed=13
-//   variants heap,blocked          # default: all three
+//   variants heap,blocked          # default: both
 //   queries 512 seed=7
 //   workload dist
 //   workload batch size=16
@@ -70,8 +69,7 @@ struct EvalDataset {
 };
 
 /// Index variant names, in report order (see the file comment).
-inline constexpr const char* kEvalVariants[] = {"heap", "blocked",
-                                                "compressed"};
+inline constexpr const char* kEvalVariants[] = {"heap", "blocked"};
 
 struct EvalSpec {
   std::vector<EvalDataset> datasets;
@@ -109,9 +107,8 @@ struct EvalOptions {
 struct EvalWorkloadResult {
   std::string workload;
   std::string variant;
-  /// False when the variant cannot run this workload (e.g. PATH needs
-  /// the heap index, compressed has no batch/knn engine) — rendered as
-  /// a dash, not an error.
+  /// False when the variant cannot run this workload (PATH needs the
+  /// heap index) — rendered as a dash, not an error.
   bool supported = true;
   uint64_t queries = 0;
   double avg_us = 0;

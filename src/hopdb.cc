@@ -1,13 +1,10 @@
 #include "hopdb.h"
 
 #include <cstdint>
-#include <fstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "labeling/compressed_index.h"
 #include "query/path.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -99,48 +96,18 @@ Distance HopDbIndex::Query(VertexId src, VertexId dst) const {
   return index_.Query(mapping_.ToInternal(src), mapping_.ToInternal(dst));
 }
 
-namespace {
-
-/// Writes the rank permutation sidecar shared by both save formats.
-Status SavePermutation(const RankMapping& mapping, const std::string& path) {
-  std::string perm;
-  perm.reserve(8 + 4ull * mapping.rank_to_orig.size());
-  PutU64(&perm, mapping.rank_to_orig.size());
-  for (VertexId v : mapping.rank_to_orig) PutU32(&perm, v);
-  return WriteStringToFile(path + ".perm", perm);
-}
-
-}  // namespace
-
 Status HopDbIndex::Save(const std::string& path) const {
   HOPDB_RETURN_NOT_OK(index_.Save(path));
-  return SavePermutation(mapping_, path);
-}
-
-Status HopDbIndex::SaveCompressed(const std::string& path) const {
-  HOPDB_ASSIGN_OR_RETURN(CompressedIndex compressed,
-                         CompressedIndex::FromIndex(index_));
-  HOPDB_RETURN_NOT_OK(compressed.Save(path));
-  return SavePermutation(mapping_, path);
+  std::string perm;
+  perm.reserve(8 + 4ull * mapping_.rank_to_orig.size());
+  PutU64(&perm, mapping_.rank_to_orig.size());
+  for (VertexId v : mapping_.rank_to_orig) PutU32(&perm, v);
+  return WriteStringToFile(path + ".perm", perm);
 }
 
 Result<HopDbIndex> HopDbIndex::Load(const std::string& path) {
   HopDbIndex out;
-  // Dispatch on the file magic: "HLC1" (compressed) or "HLI1" (plain).
-  // Only the magic is read here; the chosen loader reads the file once.
-  char magic[4] = {0, 0, 0, 0};
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IOError("cannot open index file: " + path);
-    in.read(magic, 4);  // a shorter file falls to the HLI1 loader's error
-  }
-  if (std::string_view(magic, 4) == "HLC1") {
-    HOPDB_ASSIGN_OR_RETURN(CompressedIndex compressed,
-                           CompressedIndex::Load(path));
-    HOPDB_ASSIGN_OR_RETURN(out.index_, compressed.Decompress());
-  } else {
-    HOPDB_ASSIGN_OR_RETURN(out.index_, TwoHopIndex::Load(path));
-  }
+  HOPDB_ASSIGN_OR_RETURN(out.index_, TwoHopIndex::Load(path));
   std::string perm;
   HOPDB_RETURN_NOT_OK(ReadFileToString(path + ".perm", &perm));
   ByteReader reader(perm);

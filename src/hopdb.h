@@ -76,10 +76,9 @@ class HopDbIndex {
   /// mutable state — RankMapping::ToInternal (vector read) and
   /// TwoHopIndex::Query, the active kernel's blocked merge over the
   /// immutable store (the kernel is a stateless function table behind
-  /// an atomic pointer, resolved on first use). An HLC1 file is
-  /// decompressed into that store at Load and read the same way. The
-  /// serving layer (src/server/) relies on this: worker threads query a
-  /// shared snapshot with no locking.
+  /// an atomic pointer, resolved on first use). The serving layer
+  /// (src/server/) relies on this: worker threads query a shared
+  /// snapshot with no locking.
   /// The guarantee holds only while nothing mutates the index — callers
   /// using mutable_label_index() or Load-time construction must publish
   /// the index to readers with an appropriate happens-before edge (e.g.
@@ -121,17 +120,11 @@ class HopDbIndex {
   /// restores both. O(total label entries) I/O; const and safe to call
   /// while other threads query.
   Status Save(const std::string& path) const;
-  /// Persists in the delta-varint compressed (HLC1) format instead —
-  /// typically 2-3x smaller on scale-free labels. Load() detects the
-  /// format from the file magic, so callers need not remember which
-  /// Save was used.
-  Status SaveCompressed(const std::string& path) const;
-  /// Reads either format (HLI1/HLC1, detected by magic) plus the .perm
-  /// sidecar and freezes the label store queries read, so a loaded
-  /// index serves at full speed. HLI1 files from earlier builds fail
-  /// with InvalidArgument and must be rebuilt. The result is
-  /// independent of other indexes; publish it to reader threads with a
-  /// happens-before edge.
+  /// Reads an HLI1 file plus its .perm sidecar and freezes the label
+  /// store queries read, so a loaded index serves at full speed. Any
+  /// other file, including an HLI1 file from an earlier build, fails
+  /// with InvalidArgument. The result is independent of other indexes;
+  /// publish it to reader threads with a happens-before edge.
   static Result<HopDbIndex> Load(const std::string& path);
 
  private:

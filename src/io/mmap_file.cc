@@ -57,11 +57,6 @@ uint64_t MmapFile::ResidentBytes() const {
   return count * page;
 }
 
-void MmapFile::AdviseWillNeed() const {
-  if (data_ == nullptr) return;
-  (void)::madvise(const_cast<uint8_t*>(data_), size_, MADV_WILLNEED);
-}
-
 void MmapFile::Unmap() {
   if (data_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(data_), size_);

@@ -70,12 +70,6 @@ class MmapFile {
   /// platform query fails or nothing is mapped.
   uint64_t ResidentBytes() const;
 
-  /// Advises the kernel to start readahead for the whole mapping
-  /// (madvise WILLNEED). Optional warm-up for servers that want the
-  /// first queries fast at the cost of eager I/O; never affects
-  /// correctness and errors are deliberately ignored.
-  void AdviseWillNeed() const;
-
  private:
   void Unmap();
 

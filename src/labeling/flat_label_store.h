@@ -29,9 +29,9 @@
 // slot, entries stay strictly sorted by pivot (the TwoHopIndex invariant).
 //
 // A store is frozen once — by Build from label vectors, or slot by slot
-// by FromSlots (the HLI1 loader and HLC1 Decompress decode straight
-// into the arenas) — and never edited: a repair freezes a new store
-// from the updater's vectors (IncrementalUpdater::Finalize). The store
+// by FromSlots (the HLI1 loader decodes straight into the arenas) — and
+// never edited: a repair freezes a new store from the updater's vectors
+// (IncrementalUpdater::Finalize). The store
 // has no serialized form of its own: HLI1 (two_hop_index.h) holds its
 // real entries, and HLI2 (labeling/mapped_index.h) is the on-disk image
 // of its arenas.

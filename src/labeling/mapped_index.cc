@@ -309,9 +309,6 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
   if (options.verify_arenas) {
     HOPDB_RETURN_NOT_OK(index.VerifyArenas());
   }
-  if (options.prefault) {
-    index.file_.AdviseWillNeed();
-  }
   return index;
 }
 

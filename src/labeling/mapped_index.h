@@ -95,10 +95,6 @@ class MappedIndex {
     /// load). Off by default; serving paths rely on the always-on
     /// metadata validation for memory safety instead.
     bool verify_arenas = false;
-    /// Ask the kernel to start readahead for the whole mapping right
-    /// after validation (MADV_WILLNEED). Trades eager I/O for faster
-    /// first queries on a cold file.
-    bool prefault = false;
   };
 
   MappedIndex() = default;

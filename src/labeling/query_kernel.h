@@ -20,13 +20,11 @@
 // saturation on d1+d2 overflow — which the test suite verifies pairwise
 // on randomized labels.
 //
-// The other two label layouts each have one scalar merge in the module
-// that owns them, with no dispatch (AVX2 lost to scalar on both):
-// LabelEntry spans (PLL's pruned searches, the disk index, the
-// incremental updater's live labels) merge in QueryLabelHalves
-// (two_hop_index.h), and HLC1 delta-varint streams merge as they decode
-// in CompressedIndex::Query (compressed_index.h). The builder uses no
-// merge at all: its rule-(ii) pruning probes a per-worker distance
+// The other label layout has one scalar merge in the module that owns
+// it, with no dispatch (AVX2 lost to scalar there): LabelEntry spans
+// (PLL's pruned searches, the disk index, the incremental updater's live
+// labels) merge in QueryLabelHalves (two_hop_index.h). The builder uses
+// no merge at all: its rule-(ii) pruning probes a per-worker distance
 // table instead (labeling/builder.h).
 //
 // Kernel selection is runtime CPUID dispatch: the first query picks avx2

@@ -12,8 +12,7 @@
 //
 // A snapshot is backed by exactly one of two index forms:
 //   - heap: a HopDbIndex (HLI1 decoded straight into its frozen label
-//     store, HLC1 decompressed into one) — RELOAD re-reads and
-//     re-deserializes the file;
+//     store) — RELOAD re-reads and re-deserializes the file;
 //   - mmap: a MappedIndex over an HLI2 file — the label arenas live in
 //     the page cache, resident bytes grow with the touched working set,
 //     and RELOAD is an O(1) remap.

@@ -1023,7 +1023,6 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   if (!status.ok()) return WireErr(status.ToString());
   const double seconds = commit_timer.Seconds();
   session->last_commit_seconds.store(seconds, std::memory_order_relaxed);
-  session->commits.fetch_add(1, std::memory_order_relaxed);
   session->pending_updates.store(0, std::memory_order_relaxed);
   JsonLogLine(JsonLogLevel::kInfo, "index_commit")
       .Str("name", resolved)
@@ -1170,7 +1169,6 @@ DistanceServer::UpdateSessionInfo DistanceServer::GetUpdateSessionInfo(
       session->pending_updates.load(std::memory_order_relaxed);
   info.last_commit_seconds =
       session->last_commit_seconds.load(std::memory_order_relaxed);
-  info.commits = session->commits.load(std::memory_order_relaxed);
   return info;
 }
 
@@ -1202,7 +1200,7 @@ Status DistanceServer::EnsureSessionLoaded(const std::string& resolved,
   if (snap->mapped()) {
     return Status::InvalidArgument(
         "index '" + resolved +
-        "' is mmap-served (HLI2) and read-only; serve the HLI1/HLC1 "
+        "' is mmap-served (HLI2) and read-only; serve the HLI1 "
         "form to enable online updates");
   }
   // The working copy starts as a deep copy of the published snapshot:

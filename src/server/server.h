@@ -29,7 +29,7 @@
 // The registry (index_registry.h) holds one RCU-swappable snapshot per
 // index name. Unprefixed requests hit the default index; `USE <name>`
 // routes to any attached one; ATTACH/DETACH manage the set at runtime.
-// Snapshots are heap (HLI1/HLC1) or mmap (HLI2, zero-copy page-cache
+// Snapshots are heap (HLI1) or mmap (HLI2, zero-copy page-cache
 // serving with O(1) RELOAD) — the server never cares which.
 //
 // The result cache is owned by the snapshot, not the server: a RELOAD
@@ -168,7 +168,7 @@ class DistanceServer : public RequestSink {
   /// from, enabling ADDEDGE/DELEDGE/COMMIT on that index (`serve
   /// --graph [name=]path` funnels here). Updates without a registered
   /// graph are refused — label repair needs the adjacency. Only
-  /// heap-served (HLI1/HLC1) indexes are updatable; the mmap check
+  /// heap-served (HLI1) indexes are updatable; the mmap check
   /// happens lazily at the first edge op, after the index is attached.
   Status RegisterUpdateGraph(const std::string& name,
                              const std::string& path);
@@ -179,7 +179,6 @@ class DistanceServer : public RequestSink {
   struct UpdateSessionInfo {
     uint64_t pending_updates = 0;
     double last_commit_seconds = 0;
-    uint64_t commits = 0;
   };
   UpdateSessionInfo GetUpdateSessionInfo(const std::string& name) const;
 
@@ -293,7 +292,6 @@ class DistanceServer : public RequestSink {
     /// repair.
     std::atomic<uint64_t> pending_updates{0};  // applied-but-uncommitted
     std::atomic<double> last_commit_seconds{0};
-    std::atomic<uint64_t> commits{0};
   };
 
   /// Fetches (creating if absent) the session for `resolved`; fails

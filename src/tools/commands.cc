@@ -17,7 +17,6 @@
 #include "graph/graph_io.h"
 #include "graph/ordering.h"
 #include "hopdb.h"
-#include "labeling/compressed_index.h"
 #include "labeling/incremental.h"
 #include "labeling/mapped_index.h"
 #include "server/client.h"
@@ -299,17 +298,13 @@ Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
   const TwoHopIndex& labels = index.label_index();
 
-  HOPDB_ASSIGN_OR_RETURN(CompressedIndex compressed,
-                         CompressedIndex::FromIndex(labels));
-
   out << "index " << index_path << "\n"
       << "  vertices        " << labels.num_vertices() << "\n"
       << "  directed        " << (labels.directed() ? "yes" : "no") << "\n"
       << "  label entries   " << labels.TotalEntries() << "\n"
       << "  avg |label|     " << labels.AvgLabelSize() << "\n"
       << "  memory size     " << labels.SizeBytes() << " bytes\n"
-      << "  paper size      " << labels.PaperSizeBytes() << " bytes\n"
-      << "  compressed      " << compressed.SizeBytes() << " bytes\n";
+      << "  paper size      " << labels.PaperSizeBytes() << " bytes\n";
 
   // Table 7's "top vertices coverage": the smallest pivot prefix (by
   // rank) covering 70 / 80 / 90% of all entries.
@@ -339,7 +334,7 @@ Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // ---------------------------------------------------------------------------
 
 Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
-  flags->Define("in", "", "input index (HLI1/HLC1, from hopdb_cli build)");
+  flags->Define("in", "", "input index (HLI1, from hopdb_cli build)");
   flags->Define("out", "", "output HLI2 (memory-mappable) index path");
   flags->Define("verify", "true",
                 "re-open the output, checksum the label arenas, and "
@@ -666,8 +661,8 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     graphs.emplace_back(name, path);
   }
 
-  // The default index loads by file magic: HLI2 maps zero-copy, HLI1 /
-  // HLC1 deserialize onto the heap.
+  // The default index loads by file magic: HLI2 maps zero-copy, HLI1
+  // deserializes onto the heap.
   HOPDB_ASSIGN_OR_RETURN(
       std::shared_ptr<const ServingSnapshot> snapshot,
       LoadServingSnapshot(specs[0].path, options.cache_capacity,
@@ -891,9 +886,9 @@ void PrintUsage(std::ostream& out) {
          "  client  connect to a server (--host H --port P [--cmd LINE]\n"
          "          [--protocol v1|v2])\n"
          "  eval    run the unified eval harness: build every index\n"
-         "          variant (heap/blocked/compressed) over the spec's\n"
-         "          graphs, time the query workloads (dist/batch/knn/\n"
-         "          within/reach/path), oracle-verify, and report\n"
+         "          variant (heap/blocked) over the spec's graphs, time\n"
+         "          the query workloads (dist/batch/knn/within/reach/\n"
+         "          path), oracle-verify, and report\n"
          "          ([--spec F] [--ci] [--report F.md] [--json F.json]\n"
          "          [--work-dir D] [--data-dir D] [--scale X])\n"
          "  help    this text\n"

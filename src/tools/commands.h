@@ -5,7 +5,7 @@
 // Subcommands:
 //   gen     generate a synthetic graph (GLP / BA / ER) to an edge-list file
 //   build   build a HopDb index from an edge-list file and save it
-//   convert rewrite an HLI1/HLC1 index as a memory-mappable HLI2 file
+//   convert rewrite an HLI1 index as a memory-mappable HLI2 file
 //   query   answer distance queries against a saved index
 //   stats   print label statistics of a saved index (Table 7-style)
 //   serve   serve one or more indexes over TCP

@@ -30,13 +30,6 @@ Status ByteReader::ReadU64(uint64_t* out) {
   return Status::OK();
 }
 
-Status ByteReader::ReadVarint64(uint64_t* out) {
-  if (!GetVarint64(data_, size_, &pos_, out)) {
-    return Status::OutOfRange("ReadVarint64: truncated or oversized varint");
-  }
-  return Status::OK();
-}
-
 Status ByteReader::ReadBytes(void* out, size_t n) {
   if (remaining() < n) {
     return Status::OutOfRange("ReadBytes past end of buffer");

@@ -54,37 +54,6 @@ inline void PutU64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
-/// LEB128 variable-length encoding: 7 value bits per byte, high bit set on
-/// all but the last byte. Values < 128 cost one byte — the common case for
-/// label distances and delta-encoded pivot gaps in the compressed index
-/// format.
-inline void PutVarint64(std::string* dst, uint64_t v) {
-  while (v >= 0x80) {
-    dst->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  dst->push_back(static_cast<char>(v));
-}
-
-/// Decodes a varint from `data`; advances *pos past it. Returns false on
-/// truncation or a value exceeding 64 bits.
-inline bool GetVarint64(const uint8_t* data, size_t size, size_t* pos,
-                        uint64_t* out) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*pos < size && shift < 64) {
-    const uint8_t byte = data[*pos];
-    ++*pos;
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = v;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
 /// FNV-1a 64-bit hash; the integrity checksum of hopdb disk formats.
 inline uint64_t Fnv1a64(const void* data, size_t size) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
@@ -109,7 +78,6 @@ class ByteReader {
   Status ReadU8(uint8_t* out);
   Status ReadU32(uint32_t* out);
   Status ReadU64(uint64_t* out);
-  Status ReadVarint64(uint64_t* out);
   Status ReadBytes(void* out, size_t n);
   Status Skip(size_t n);
 

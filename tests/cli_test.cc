@@ -102,7 +102,7 @@ TEST(CliTest, FullPipelineTextGraph) {
   ASSERT_EQ(RunTool({"stats", "--index", index}, &out), 0);
   EXPECT_NE(out.find("label entries"), std::string::npos);
   EXPECT_NE(out.find("avg |label|"), std::string::npos);
-  EXPECT_NE(out.find("compressed"), std::string::npos);
+  EXPECT_NE(out.find("paper size"), std::string::npos);
 }
 
 TEST(CliTest, FullPipelineBinaryDirectedWeighted) {

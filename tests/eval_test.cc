@@ -199,6 +199,7 @@ TEST(EvalSpecTest, RejectsMalformedWithLineNumbers) {
       {"graph n=0\n", "line 1"},
       {"graph n=abc\n", "line 1"},
       {"# ok\nvariants heap,nosuch\n", "line 2"},
+      {"graph n=10\nvariants heap,compressed\n", "line 2"},
       {"graph n=10\nworkload sideways\n", "line 2"},
       {"graph n=10\nworkload dist radius=z\n", "line 2"},
       {"graph n=10\nqueries\n", "line 2"},
@@ -247,7 +248,7 @@ TEST(EvalHarnessTest, MicroRunProducesPassingReport) {
   for (const EvalDatasetResult& d : report->datasets) {
     EXPECT_EQ(d.verify, "pass");
     EXPECT_GT(d.label_entries, 0u);
-    EXPECT_EQ(d.workloads.size(), 6u * 3u);
+    EXPECT_EQ(d.workloads.size(), 6u * 2u);
   }
   EXPECT_TRUE(report->AllPass());
 
@@ -258,7 +259,7 @@ TEST(EvalHarnessTest, MicroRunProducesPassingReport) {
   }
   const std::string json = RenderEvalJson(*report);
   EXPECT_NE(json.find("\"all_pass\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"variant\": \"compressed\""), std::string::npos);
+  EXPECT_NE(json.find("\"variant\": \"blocked\""), std::string::npos);
 }
 
 TEST(EvalHarnessTest, VariantSubsetSkipsOthers) {

@@ -73,6 +73,7 @@ std::vector<std::string> SeedInputs() {
       "workload batch size=16\n"
       "workload knn k=8\n",
       "# comment only\n\n   \n",
+      // A retired variant name: the unknown-variant rejection path.
       "variants compressed\ngraph n=16\nqueries 1\n",
   };
 }

@@ -186,40 +186,5 @@ TEST(HopDbApiTest, ReachabilityMatchesFiniteDistance) {
   }
 }
 
-TEST(HopDbApiTest, CompressedSaveLoadRoundTrips) {
-  GlpOptions glp;
-  glp.num_vertices = 300;
-  glp.seed = 19;
-  auto edges = GenerateDirectedGlp(glp);
-  ASSERT_TRUE(edges.ok());
-  auto index = HopDbIndex::Build(*edges);
-  ASSERT_TRUE(index.ok());
-
-  auto dir = TempDir::Create("api_compressed");
-  ASSERT_TRUE(dir.ok());
-  const std::string plain_path = dir->File("idx.hli");
-  const std::string comp_path = dir->File("idx.hlc");
-  ASSERT_TRUE(index->Save(plain_path).ok());
-  ASSERT_TRUE(index->SaveCompressed(comp_path).ok());
-
-  // The compressed file is smaller, and Load auto-detects both formats.
-  auto plain_size = FileSizeBytes(plain_path);
-  auto comp_size = FileSizeBytes(comp_path);
-  ASSERT_TRUE(plain_size.ok() && comp_size.ok());
-  EXPECT_LT(*comp_size, *plain_size);
-
-  auto from_plain = HopDbIndex::Load(plain_path);
-  auto from_comp = HopDbIndex::Load(comp_path);
-  ASSERT_TRUE(from_plain.ok());
-  ASSERT_TRUE(from_comp.ok()) << from_comp.status().ToString();
-  for (VertexId s = 0; s < index->num_vertices(); s += 13) {
-    for (VertexId t = 0; t < index->num_vertices(); t += 7) {
-      const Distance expected = index->Query(s, t);
-      EXPECT_EQ(from_plain->Query(s, t), expected);
-      EXPECT_EQ(from_comp->Query(s, t), expected);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace hopdb

@@ -139,22 +139,6 @@ TEST_F(MappedIndexTest, VerifyArenasPassesOnIntactFile) {
   EXPECT_TRUE(mapped->VerifyArenas().ok());
 }
 
-TEST_F(MappedIndexTest, PrefaultOpenServesIdenticalAnswers) {
-  // prefault is advisory readahead (madvise WILLNEED) for embedders
-  // that want warm first queries; it must change timing only, never
-  // answers or residency semantics.
-  auto [index, hli2] = BuildBoth(130, 29, false, false, "prefault");
-  MappedIndex::OpenOptions options;
-  options.prefault = true;
-  auto mapped = MappedIndex::Open(hli2, options);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  for (VertexId t = 0; t < 130; ++t) {
-    ASSERT_EQ(mapped->Query(5, t), index.Query(5, t)) << "t=" << t;
-  }
-  EXPECT_LE(mapped->ResidentBytes(),
-            mapped->MappedBytes() + 4096);  // page-rounded upper bound
-}
-
 TEST_F(MappedIndexTest, EnginesAgreeBetweenHeapAndMapped) {
   auto [index, hli2] = BuildBoth(250, 23, true, false, "engines");
   MappedIndex mapped = MappedIndex::Open(hli2).ValueOrDie();

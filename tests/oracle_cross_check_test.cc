@@ -23,7 +23,6 @@
 #include "graph/ranking.h"
 #include "hopdb.h"
 #include "io/temp_dir.h"
-#include "labeling/compressed_index.h"
 #include "labeling/incremental.h"
 #include "labeling/mapped_index.h"
 #include "labeling/query_kernel.h"
@@ -254,9 +253,9 @@ TEST(OracleCrossCheckTest, UpdateStreamWeightedBa) {
 
 // -----------------------------------------------------------------------
 // Richer query verbs: WITHIN / REACH / PATH against the same oracles,
-// swept over the serving backings (heap labels, the HLI2 mmap file,
-// HLC1 compressed). Every backing re-expresses one build's labels, so
-// one verb disagreeing on one backing pinpoints that backing's decode.
+// swept over the serving backings (heap labels, the HLI2 mmap file).
+// Both backings re-express one build's labels, so one verb disagreeing
+// on one backing pinpoints that backing's decode.
 // -----------------------------------------------------------------------
 
 // One backing's labels as an engine-compatible view plus a point-query
@@ -264,7 +263,7 @@ TEST(OracleCrossCheckTest, UpdateStreamWeightedBa) {
 struct Backing {
   std::string name;
   std::function<Distance(VertexId, VertexId)> query;  // internal ids
-  std::unique_ptr<KnnEngine> knn;                     // null: no flat view
+  std::unique_ptr<KnnEngine> knn;
 };
 
 void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
@@ -277,20 +276,13 @@ void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
   auto tmp = TempDir::Create("verbs");
   ASSERT_TRUE(tmp.ok()) << tmp.status();
 
-  // Materialize the backings. The mmap file and the compressed form both
-  // come from the one heap build.
+  // Materialize the backings: the mmap file comes from the heap build.
   const std::string hli2_path = tmp->File("labels.hli2");
   ASSERT_TRUE(
       MappedIndex::Write(hopdb->label_index(), hopdb->ranking(), hli2_path)
           .ok());
   auto mapped = MappedIndex::Open(hli2_path);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
-  auto compressed = CompressedIndex::FromIndex(hopdb->label_index());
-  ASSERT_TRUE(compressed.ok()) << compressed.status();
-  // The compressed backing has no flat label view; its WITHIN leg runs
-  // over the decompressed labels (exact round trip is its own test).
-  auto expanded = compressed->Decompress();
-  ASSERT_TRUE(expanded.ok()) << expanded.status();
 
   std::vector<Backing> backings;
   backings.push_back(
@@ -307,11 +299,6 @@ void VerbOracleSweep(const EdgeList& edges, uint64_t seed) {
          return m->Query(mapping.ToOriginal(s), mapping.ToOriginal(t));
        },
        std::make_unique<KnnEngine>(m->labels(),
-                                   KnnEngine::Direction::kForward)});
-  backings.push_back(
-      {"compressed",
-       [&](VertexId s, VertexId t) { return compressed->Query(s, t); },
-       std::make_unique<KnnEngine>(expanded->labels(),
                                    KnnEngine::Direction::kForward)});
 
   // PATH runs on the heap index only (it needs the build graph).

@@ -20,7 +20,6 @@
 #include "io/temp_dir.h"
 #include "labeling/bit_parallel.h"
 #include "labeling/builder.h"
-#include "labeling/compressed_index.h"
 #include "labeling/disk_index.h"
 #include "labeling/external_builder.h"
 #include "search/bidirectional.h"
@@ -199,22 +198,6 @@ TEST_P(AllMethodsTest, EveryMethodIsExact) {
                     verify)
                     .ok())
         << "IS-Label partial";
-  }
-
-  // --- Compressed index (delta-varint form of the HopDb labels).
-  {
-    auto out = BuildHopLabeling(g, {});
-    ASSERT_TRUE(out.ok());
-    auto compressed = CompressedIndex::FromIndex(out->index);
-    ASSERT_TRUE(compressed.ok()) << compressed.status();
-    EXPECT_TRUE(VerifyExactDistances(
-                    g,
-                    [&](VertexId s, VertexId t) {
-                      return compressed->Query(s, t);
-                    },
-                    verify)
-                    .ok())
-        << "compressed index";
   }
 
   // --- Parallel build (8 threads) answers like everything else.

@@ -82,5 +82,13 @@ TEST(SerdeFileTest, RemoveIfExists) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());  // second time: no error
 }
 
+TEST(Fnv1aTest, KnownVectorsAndSensitivity) {
+  // FNV-1a 64 reference values.
+  EXPECT_EQ(Fnv1a64("", 0), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
+  EXPECT_NE(Fnv1a64("abc", 3), Fnv1a64("abd", 3));
+  EXPECT_NE(Fnv1a64("abc", 3), Fnv1a64("abc", 2));
+}
+
 }  // namespace
 }  // namespace hopdb

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "hopdb.h"
 #include "io/temp_dir.h"
-#include "labeling/compressed_index.h"
 #include "labeling/label_entry.h"
 #include "util/serde.h"
 
@@ -150,15 +150,33 @@ TEST(TwoHopIndexTest, SaveLoadRoundTrip) {
 TEST(TwoHopIndexTest, LoadRejectsGarbage) {
   auto dir = TempDir::Create("thi");
   ASSERT_TRUE(dir.ok());
-  std::string path = dir->File("junk");
-  ASSERT_TRUE(WriteStringToFile(path, "garbage").ok());
-  EXPECT_FALSE(TwoHopIndex::Load(path).ok());
+  // A well-formed file of the retired compressed format (magic, flags,
+  // |V|, label offsets, delta-varint payload, checksum) holding L(1) =
+  // {(0, 1)}: no loader reads it any more, so it is refused, not decoded.
+  std::string hlc1 = "HLC1";
+  PutU8(&hlc1, 0);
+  PutU32(&hlc1, 2);
+  for (const uint32_t offset : {0, 0, 2}) PutU32(&hlc1, offset);
+  PutU8(&hlc1, 1);  // pivot 0, as a gap from -1
+  PutU8(&hlc1, 1);  // distance 1
+  PutU64(&hlc1, Fnv1a64(hlc1.data(), hlc1.size()));
+  std::string perm;  // a valid sidecar, so only the index file can fail
+  PutU64(&perm, 2);
+  PutU32(&perm, 0);
+  PutU32(&perm, 1);
+  const std::string path = dir->File("junk");
+  ASSERT_TRUE(WriteStringToFile(path + ".perm", perm).ok());
+  for (const std::string& bytes : {std::string("garbage"), hlc1}) {
+    ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+    EXPECT_EQ(TwoHopIndex::Load(path).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(HopDbIndex::Load(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(QueryLabelHalvesTest, TrivialPivots) {
-  // Each case runs through both scalar merges: QueryLabelHalves on the
-  // spans, and CompressedIndex::Query on a directed index whose Lout(s)
-  // and Lin(t) are those labels.
+  // Each case is one Lout(s), Lin(t) pair through the span merge.
   const struct {
     LabelVector out_s, in_t;
     VertexId s, t;
@@ -174,13 +192,7 @@ TEST(QueryLabelHalvesTest, TrivialPivots) {
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(std::to_string(c.s) + "->" + std::to_string(c.t));
-    std::vector<LabelVector> out(10), in(10);
-    out[c.s] = c.out_s;
-    in[c.t] = c.in_t;
-    const CompressedIndex compressed =
-        CompressedIndex::FromIndex(TwoHopIndex(out, in, true)).ValueOrDie();
     EXPECT_EQ(QueryLabelHalves(c.out_s, c.in_t, c.s, c.t), c.want);
-    EXPECT_EQ(compressed.Query(c.s, c.t), c.want);
   }
 }
 
@@ -417,14 +429,13 @@ TEST(TwoHopIndexIoTest, OldFileWithHfs1TrailerIsRefused) {
   PutU32(&file, 1);
   PutU64(&file, 0);
   // The trailer: magic, flags (delta pivots), |V|, total entries, slot
-  // sizes, pivot gaps, distances — then its own checksum.
+  // sizes, pivot gaps, distances — then its own checksum. The last three
+  // were varints; every value here is below 128, so each is one byte.
   std::string section = "HFS1";
   PutU8(&section, 2);
   PutU32(&section, 3);
   PutU64(&section, 3);
-  for (const uint64_t v : {0, 1, 2, 1, 1, 1, 1, 2, 1}) {
-    PutVarint64(&section, v);
-  }
+  for (const uint8_t v : {0, 1, 2, 1, 1, 1, 1, 2, 1}) PutU8(&section, v);
   file += section;
   PutU64(&file, Fnv1a64(section.data(), section.size()));
 

@@ -58,10 +58,6 @@ CHAR_MAGIC_RE = re.compile(
     r"constexpr\s+char\s+kMagic\[4\]\s*=\s*\{\s*'(.)',\s*'(.)',\s*'(.)',"
     r"\s*'(.)'\s*\}"
 )
-# constexpr uint32_t kMagic = 0x...;  // "HLC1" little-endian
-U32_MAGIC_RE = re.compile(
-    r'constexpr\s+uint32_t\s+kMagic\s*=\s*0x[0-9a-fA-F]+;\s*//\s*"([A-Z0-9]{4})"'
-)
 HLI2_VERSION_RE = re.compile(r"constexpr\s+uint32_t\s+kHli2Version\s*=\s*(\d+)")
 # FORMATS.md table row: | `HLI1` | ... (the magic inventory table)
 DOC_MAGIC_ROW_RE = re.compile(r"^\|\s*`([A-Z0-9]{4})`\s*\|")
@@ -215,8 +211,6 @@ def check_format_magics(root: pathlib.Path) -> list[str]:
         rel = str(path.relative_to(root))
         for m in CHAR_MAGIC_RE.finditer(text):
             code_magics["".join(m.groups())] = rel
-        for m in U32_MAGIC_RE.finditer(text):
-            code_magics[m.group(1)] = rel
         for m in HLI2_VERSION_RE.finditer(text):
             hli2_version = int(m.group(1))
 
