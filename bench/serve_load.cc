@@ -695,7 +695,6 @@ int Run(int argc, char** argv) {
   const ResultCache::Stats cache = (*server)->cache_stats();
   const uint64_t server_requests = (*server)->metrics().requests();
   const uint64_t server_shed = (*server)->metrics().shed();
-  const uint64_t micro_batches = (*server)->metrics().micro_batches();
   const uint32_t workers = (*server)->num_workers();
   const uint32_t io_threads = (*server)->num_io_threads();
   // Per-stage pipeline histograms (fed for every request, not just
@@ -782,7 +781,6 @@ int Run(int argc, char** argv) {
       << cache.misses << ", \"hit_rate\": "
       << FormatDouble(cache.HitRate(), 4) << ", \"entries\": "
       << cache.entries << ", \"evictions\": " << cache.evictions << "},\n"
-      << "  \"micro_batches\": " << micro_batches << ",\n"
       << "  \"server_stats\": \"" << stats_line << "\"\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";

@@ -32,9 +32,13 @@ namespace hopdb {
 /// buckets the targets' in-labels by pivot; each Query(s) is then a scan
 /// of the buckets named by Lout(s).
 ///
+/// Construction touches all |V| + 1 bucket offsets, so an engine pays
+/// off only when it answers many sources (ManyToManyDistances); a few
+/// targets of one source are cheaper as one label merge each, which is
+/// how the server answers BATCH.
+///
 /// Thread safety: construction is exclusive; after that Query is const
-/// over immutable arenas and safe for concurrent callers (the serving
-/// micro-batch path relies on this).
+/// over immutable arenas and safe for concurrent callers.
 class OneToManyEngine {
  public:
   /// Buckets the targets' in-labels of a flat label set — a heap

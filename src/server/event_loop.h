@@ -29,7 +29,7 @@
 // backlog above kMaxBufferedOutBytes) stops being read until it drains,
 // and the sink sheds with BUSY when the worker queue is full — an
 // overloaded server degrades to fast BUSY answers instead of stalling
-// its I/O threads (the old reader blocked inside BoundedQueue::Push).
+// its I/O threads (BoundedQueue::TryPush never blocks).
 
 #ifndef HOPDB_SERVER_EVENT_LOOP_H_
 #define HOPDB_SERVER_EVENT_LOOP_H_

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "labeling/query_kernel.h"
-#include "query/batch.h"
 #include "util/logging.h"
 
 namespace hopdb {
@@ -32,10 +31,10 @@ const HopDbIndex& ServingSnapshot::index() const {
 
 std::vector<Distance> ServingSnapshot::QueryOneToMany(
     VertexId s, const std::vector<VertexId>& targets) const {
-  std::vector<VertexId> internal;
-  internal.reserve(targets.size());
-  for (VertexId t : targets) internal.push_back(ToInternal(t));
-  return OneToManyEngine(labels_, std::move(internal)).Query(ToInternal(s));
+  std::vector<Distance> dists;
+  dists.reserve(targets.size());
+  for (VertexId t : targets) dists.push_back(Query(s, t));
+  return dists;
 }
 
 std::vector<std::pair<VertexId, Distance>> ServingSnapshot::ToOriginal(

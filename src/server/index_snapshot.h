@@ -102,10 +102,10 @@ class ServingSnapshot {
   /// STATS reads k/SizeBytes off it.
   const HotHubCache& hot_hub() const { return hub_; }
 
-  /// One-to-many distances from s to every target (ORIGINAL ids),
-  /// answered by one pivot-bucket join (query/batch.h) over this
-  /// snapshot's labels; out-of-range ids answer kInfDistance. Backs
-  /// BATCH requests and same-source DIST micro-batches.
+  /// One-to-many distances from s to every target (ORIGINAL ids): one
+  /// Query per target, in target order, so out-of-range ids answer
+  /// kInfDistance. The server answers BATCH through its cache instead;
+  /// this uncached form serves benches and tests.
   std::vector<Distance> QueryOneToMany(VertexId s,
                                        const std::vector<VertexId>& targets)
       const;

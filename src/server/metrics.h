@@ -102,11 +102,6 @@ class ServerMetrics {
     path_requests_.fetch_add(1, std::memory_order_relaxed);
   }
   void RecordReload() { reloads_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordMicroBatch(uint64_t batched_queries) {
-    micro_batches_.fetch_add(1, std::memory_order_relaxed);
-    micro_batched_queries_.fetch_add(batched_queries,
-                                     std::memory_order_relaxed);
-  }
 
   uint64_t requests() const {
     return requests_.load(std::memory_order_relaxed);
@@ -138,12 +133,10 @@ class ServerMetrics {
     return path_requests_.load(std::memory_order_relaxed);
   }
   uint64_t reloads() const { return reloads_.load(std::memory_order_relaxed); }
-  uint64_t micro_batches() const {
-    return micro_batches_.load(std::memory_order_relaxed);
-  }
-  uint64_t micro_batched_queries() const {
-    return micro_batched_queries_.load(std::memory_order_relaxed);
-  }
+  /// Always 0: the server answers no DIST in a group. Kept only because
+  /// benchmark/hopdb_bench.cc reads it for `server.micro_batched_frac`;
+  /// delete it with that row.
+  uint64_t micro_batched_queries() const { return 0; }
 
   const LatencyHistogram& latency_histogram() const { return latency_; }
   const LatencyHistogram& degraded_histogram() const { return degraded_; }
@@ -167,8 +160,6 @@ class ServerMetrics {
   std::atomic<uint64_t> reach_requests_{0};
   std::atomic<uint64_t> path_requests_{0};
   std::atomic<uint64_t> reloads_{0};
-  std::atomic<uint64_t> micro_batches_{0};
-  std::atomic<uint64_t> micro_batched_queries_{0};
 
   /// accepted -> written, requests answered OK.
   LatencyHistogram latency_;

@@ -1,21 +1,20 @@
-// A bounded multi-producer / multi-consumer FIFO built on a mutex and two
-// condition variables. Producers either block while the queue is full
-// (Push — backpressure toward slow clients instead of unbounded memory
-// growth) or fail fast (TryPush — so an event-loop producer can shed
-// load with a BUSY response instead of stalling its whole I/O thread);
-// consumers block while it is empty. Close() wakes everyone: pending
-// items still drain, further pushes are refused.
+// A bounded multi-producer / multi-consumer FIFO built on a mutex and a
+// condition variable. Producers never block: TryPush fails fast when
+// the queue is full, so an event-loop producer can shed load with a
+// BUSY response instead of stalling its whole I/O thread. Consumers
+// block while it is empty. Close() wakes every consumer: pending items
+// still drain, further pushes are refused.
 //
-// PopBatch is the micro-batching hook: one consumer wakes up and takes
-// every immediately available item up to `max`, so a worker can amortize
-// per-wakeup costs (lock traffic, label-scan setup) across a burst of
-// queued requests without adding latency when the queue is shallow.
+// PopBatch takes every immediately available item up to `max` in one
+// lock hold, so a worker pays one wakeup for a burst of queued requests
+// without adding latency when the queue is shallow.
 
 #ifndef HOPDB_SERVER_REQUEST_QUEUE_H_
 #define HOPDB_SERVER_REQUEST_QUEUE_H_
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -30,18 +29,6 @@ class BoundedQueue {
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Blocks while full. Returns false (item dropped) once closed.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [this] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
 
   /// TryPush outcome: the two failure modes need different client-facing
   /// answers (kFull -> BUSY, retryable; kClosed -> shutting down).
@@ -60,18 +47,6 @@ class BoundedQueue {
     return PushResult::kOk;
   }
 
-  /// Blocks while empty. Returns false only when closed AND drained.
-  bool Pop(T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
   /// Blocks for the first item, then drains up to `max` items that are
   /// already queued into `out` (appended). Returns the number taken;
   /// 0 only when closed and drained.
@@ -85,25 +60,17 @@ class BoundedQueue {
       items_.pop_front();
       ++taken;
     }
-    lock.unlock();
-    if (taken > 0) not_full_.notify_all();
     return taken;
   }
 
-  /// Refuses further pushes and wakes all blocked producers/consumers.
-  /// Already queued items remain poppable.
+  /// Refuses further pushes and wakes all blocked consumers. Already
+  /// queued items remain poppable.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
   }
 
   size_t size() const {
@@ -117,7 +84,6 @@ class BoundedQueue {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
   bool closed_ = false;
 };

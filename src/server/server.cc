@@ -27,14 +27,8 @@ namespace hopdb {
 
 namespace {
 
-/// Same-source DIST groups at or above this size go through the
-/// OneToManyEngine instead of independent label intersections.
-constexpr size_t kMicroBatchGroupMin = 2;
-
-/// BATCH requests with at least this many targets use the bucket join.
-constexpr size_t kBatchEngineMin = 4;
-
-/// Answers one (s, t) pair through the snapshot's cache.
+/// Answers one (s, t) pair through the snapshot's cache. Every DIST and
+/// every BATCH target is answered here.
 Distance CachedQuery(const ServingSnapshot& snapshot, VertexId s, VertexId t) {
   Distance d = kInfDistance;
   if (snapshot.cache().Lookup(s, t, &d)) return d;
@@ -407,122 +401,34 @@ void DistanceServer::ExecuteWorkBatch(std::vector<WorkItem>* items) {
   if (options_.pre_execute_hook) {
     for (const WorkItem& item : *items) options_.pre_execute_hook(item.request);
   }
-  // DIST requests that miss the cache are deferred and grouped by
-  // (snapshot, source) so one OneToManyEngine pass can answer a whole
-  // group. Requests for different indexes in the same drain resolve to
-  // different snapshots and therefore never mix. Each pending entry
-  // keeps its snapshot shared_ptr: even if the index is DETACHed or
-  // RELOADed mid-batch, the group is answered (coherently) on the
-  // snapshot it resolved.
-  struct PendingDist {
-    size_t item_index;
-    std::shared_ptr<const ServingSnapshot> snap;
-    VertexId s, t;
-  };
-  std::vector<PendingDist> pending;
-
-  // Memoize name -> snapshot for this drain: most batches target one or
+  // Memoize name -> snapshot for this drain: most drains target one or
   // two indexes, and resolving per item would pay a registry mutex +
   // map lookup on every DIST. A whole drain intentionally sees one
   // consistent snapshot per name (same RCU semantics as a single
-  // in-flight request).
+  // in-flight request); each entry holds its snapshot, so a DETACH or
+  // RELOAD mid-drain never frees one a later item still reads.
   std::vector<std::pair<const std::string*,
                         std::shared_ptr<const ServingSnapshot>>> resolved;
-  // Returns by value (one refcount bump): a reference into `resolved`
-  // would dangle across the push_back of the next distinct name.
-  auto resolve = [&](const std::string& name)
-      -> std::shared_ptr<const ServingSnapshot> {
+  auto resolve = [&](const std::string& name) -> const ServingSnapshot* {
     for (const auto& [known, snap] : resolved) {
-      if (*known == name) return snap;
+      if (*known == name) return snap.get();
     }
     resolved.emplace_back(&name, registry_.Find(name));
-    return resolved.back().second;
+    return resolved.back().second.get();
   };
 
-  for (size_t i = 0; i < items->size(); ++i) {
-    WorkItem& item = (*items)[i];
+  // Items are answered in queue order, each as soon as it is reached.
+  for (WorkItem& item : *items) {
     const Request& req = item.request;
-    if (req.kind == RequestKind::kDist) {
-      std::shared_ptr<const ServingSnapshot> snap = resolve(req.index_name);
-      if (snap == nullptr) {
-        Finish(&item, ErrNoSuchIndex(req.index_name));
-        continue;
-      }
-      const VertexId s = req.src;
-      const VertexId t = req.targets[0];
-      const VertexId n = snap->num_vertices();
-      if (s >= n || t >= n) {
-        Finish(&item, ErrVertexOutOfRange(n));
-        continue;
-      }
-      metrics_.RecordDist();
-      Distance d = kInfDistance;
-      if (snap->cache().Lookup(s, t, &d)) {
-        Finish(&item, WireDistanceResponse(d));
-      } else {
-        pending.push_back(PendingDist{i, std::move(snap), s, t});
-      }
-    } else if (req.kind == RequestKind::kBatch ||
-               req.kind == RequestKind::kKnn ||
-               req.kind == RequestKind::kWithin ||
-               req.kind == RequestKind::kReach ||
-               req.kind == RequestKind::kPath) {
-      // The other routed verbs share the memoized resolution so the
-      // whole drain sees one snapshot per name and pays the registry
-      // mutex once, same as DIST.
-      const std::shared_ptr<const ServingSnapshot> snap =
-          resolve(req.index_name);
-      if (snap == nullptr) {
-        Finish(&item, ErrNoSuchIndex(req.index_name));
-      } else {
-        Finish(&item, ExecuteOnWire(req, *snap));
-      }
+    if (req.kind == RequestKind::kDist || req.kind == RequestKind::kBatch ||
+        req.kind == RequestKind::kKnn || req.kind == RequestKind::kWithin ||
+        req.kind == RequestKind::kReach || req.kind == RequestKind::kPath) {
+      const ServingSnapshot* snap = resolve(req.index_name);
+      Finish(&item, snap == nullptr ? ErrNoSuchIndex(req.index_name)
+                                    : ExecuteOnWire(req, *snap));
     } else {
       Finish(&item, ExecuteWire(req));
     }
-  }
-  if (pending.empty()) return;
-
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const PendingDist& a, const PendingDist& b) {
-                     if (a.snap.get() != b.snap.get()) {
-                       return a.snap.get() < b.snap.get();
-                     }
-                     return a.s < b.s;
-                   });
-  size_t group_start = 0;
-  while (group_start < pending.size()) {
-    size_t group_end = group_start + 1;
-    while (group_end < pending.size() &&
-           pending[group_end].snap.get() == pending[group_start].snap.get() &&
-           pending[group_end].s == pending[group_start].s) {
-      ++group_end;
-    }
-    const size_t group_size = group_end - group_start;
-    const ServingSnapshot& snap = *pending[group_start].snap;
-    const VertexId s = pending[group_start].s;
-    if (group_size >= kMicroBatchGroupMin) {
-      // One bucket join answers every queued query from this source.
-      std::vector<VertexId> targets;
-      targets.reserve(group_size);
-      for (size_t j = group_start; j < group_end; ++j) {
-        targets.push_back(pending[j].t);
-      }
-      const std::vector<Distance> dists = snap.QueryOneToMany(s, targets);
-      for (size_t j = group_start; j < group_end; ++j) {
-        const Distance d = dists[j - group_start];
-        snap.cache().Insert(s, pending[j].t, d);
-        Finish(&(*items)[pending[j].item_index], WireDistanceResponse(d));
-      }
-      metrics_.RecordMicroBatch(group_size);
-    } else {
-      const VertexId t = pending[group_start].t;
-      const Distance d = snap.Query(s, t);
-      snap.cache().Insert(s, t, d);
-      Finish(&(*items)[pending[group_start].item_index],
-             WireDistanceResponse(d));
-    }
-    group_start = group_end;
   }
 }
 
@@ -581,16 +487,9 @@ WireResponse DistanceServer::ExecuteOnWire(const Request& request,
       metrics_.RecordBatch();
       metrics_.RecordDist(request.targets.size());
       std::vector<Distance> dists;
-      if (request.targets.size() >= kBatchEngineMin) {
-        dists = snapshot.QueryOneToMany(s, request.targets);
-        for (size_t j = 0; j < request.targets.size(); ++j) {
-          snapshot.cache().Insert(s, request.targets[j], dists[j]);
-        }
-      } else {
-        dists.reserve(request.targets.size());
-        for (VertexId t : request.targets) {
-          dists.push_back(CachedQuery(snapshot, s, t));
-        }
+      dists.reserve(request.targets.size());
+      for (VertexId t : request.targets) {
+        dists.push_back(CachedQuery(snapshot, s, t));
       }
       return WireDistancesResponse(std::move(dists));
     }
@@ -727,14 +626,6 @@ WireResponse DistanceServer::ExportResponse(RequestKind verb,
        .type = "counter",
        .help = "PATH (shortest-path unfolding) requests executed.",
        .value = std::to_string(metrics_.path_requests())},
-      {.stat = "micro_batches", .family = "hopdb_micro_batches_total",
-       .type = "counter",
-       .help = "Same-source DIST groups answered by one one-to-many scan.",
-       .value = std::to_string(metrics_.micro_batches())},
-      {.stat = "micro_batched_queries",
-       .family = "hopdb_micro_batched_queries_total", .type = "counter",
-       .help = "DIST queries answered inside those micro-batches.",
-       .value = std::to_string(metrics_.micro_batched_queries())},
       // Latency. STATS prints percentiles of histograms that METRICS
       // renders whole; buckets are powers of two in microseconds (the le
       // bound is the bucket's inclusive upper edge).

@@ -13,12 +13,13 @@
 //        ▼
 //   BoundedQueue<WorkItem>  ◀── TryPush: full queue sheds with BUSY
 //        │                      instead of stalling an I/O thread
-//        ▼  PopBatch (micro-batching)
-//   worker pool (N threads) ── snapshot = registry lookup (per request)
-//        │                       ├─ per-snapshot sharded LRU cache
-//        │                       ├─ same-source DIST groups answered via
-//        │                       │  OneToManyEngine (one label scan for
-//        │                       │  the whole group)
+//        ▼  PopBatch (up to --batch requests per wakeup)
+//   worker pool (N threads) ── snapshot = registry lookup (once per
+//        │                       name per drain); requests answered in
+//        │                       queue order
+//        │                       ├─ DIST and each BATCH target: one label
+//        │                       │  merge behind the per-snapshot
+//        │                       │  sharded LRU cache
 //        │                       └─ KNN via the snapshot's lazy KnnEngine
 //        ▼
 //   Connection::Complete(seq, WireResponse) ── the owning I/O thread
@@ -92,7 +93,8 @@ struct ServerOptions {
   /// and handing only the non-hub label suffixes to the merge-join.
   /// Costs 8k bytes per vertex side of RAM per snapshot; 0 disables.
   uint32_t hot_hub_k = 64;
-  /// Max requests one worker drains per wakeup (micro-batch size).
+  /// Max requests a worker takes per wakeup (one drain); it answers
+  /// them one by one, in queue order.
   uint32_t max_micro_batch = 32;
   /// Path RELOAD-without-argument re-reads for the default index;
   /// typically the file the index was loaded from. Empty = bare RELOAD

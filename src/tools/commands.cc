@@ -592,7 +592,7 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   flags->Define("max-inflight", "128",
                 "max unanswered pipelined requests per connection before "
                 "its socket pauses");
-  flags->Define("batch", "32", "max requests per worker wakeup (micro-batch)");
+  flags->Define("batch", "32", "max requests a worker takes per wakeup");
   flags->Define("trace-sample-rate", "0.01",
                 "fraction of requests recorded into the TRACE LAST ring "
                 "(0 disables sampling; per-stage metrics are always on)");
