@@ -2,6 +2,10 @@
 
 #include <sys/mman.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -79,6 +83,21 @@ class PageArray {
   uint64_t size_ = 0;
 };
 
+/// Whether an entry (x, d2) of `half` meets x's slot in `best` (1 + dist,
+/// 0 if none) within d. No slot holds less than tmin, so an entry with
+/// tmin + d2 > d is skipped unprobed. Adds the probes made to *probes.
+bool HasWitness(const uint64_t* best, Distance tmin,
+                std::span<const LabelEntry> half, Distance d,
+                uint64_t* probes) {
+  return std::any_of(half.begin(), half.end(), [&](const LabelEntry& e) {
+    if (SaturatingAdd(tmin, e.dist) > d) return false;
+    ++*probes;
+    return best[e.pivot] != 0 &&
+           SaturatingAdd(static_cast<Distance>(best[e.pivot] - 1), e.dist) <=
+               d;
+  });
+}
+
 class Builder {
  public:
   Builder(const CsrGraph& g, const BuildOptions& opts)
@@ -101,9 +120,9 @@ class Builder {
     std::vector<LabelEntry> prev;
     /// Vertex x's slice of `prev` is [prev_begin[x], prev_begin[x + 1]).
     std::vector<uint64_t> prev_begin;
-    /// This iteration's deduped and filtered candidates, in a mapping
-    /// with room for the raw count; unmapped once the survivors are
-    /// `prev`.
+    /// This iteration's deduped and filtered candidates (only those that
+    /// survive pruning, when the gather decides them), in a mapping with
+    /// room for the raw count; unmapped once the survivors are `prev`.
     PageArray<LabelEntry> cands;
     /// Owner w's candidates are cands[begin[w], end[w]). Pass 1 leaves
     /// the raw counts' prefix sums in `begin` (w's raw offset; begin[n]
@@ -131,7 +150,7 @@ class Builder {
   /// One worker's gather and prune state, sized on the calling thread so
   /// the workers never allocate.
   struct GatherScratch {
-    /// best[p]: 1 + the smallest distance gathered (or, while pruning,
+    /// best[p]: 1 + the smallest distance gathered (or, while deciding,
     /// loaded) for pivot p from the current owner, 0 if none; all zero
     /// between owners.
     std::vector<uint64_t> best;
@@ -147,13 +166,25 @@ class Builder {
 
   void Initialize();
 
+  /// Whether no candidate of a Hop-Stepping iteration over `prev` can
+  /// witness another, so that its candidates can be decided as they are
+  /// gathered. Every candidate distance lies in [min_w + min_prev,
+  /// max_w + max_prev], over arc weights and `prev` distances, and every
+  /// label or candidate distance is at least min_w, so a witness sum that
+  /// involves a candidate is at least 2 min_w + min_prev. True when that
+  /// exceeds the largest candidate distance, as on unit weights (whatever
+  /// weighted() says).
+  bool CandidatesCannotWitness() const;
+
   /// Generates, dedups and filters this iteration's candidates owner by
   /// owner, each range of owners on one worker. Pass 1 counts each
   /// owner's raw candidates and checks the cap before any candidate
   /// memory exists; the gather then writes each owner's survivors once,
-  /// into one mapping per side sized by the raw count. Fails with
+  /// into one mapping per side sized by the raw count. With `decide`
+  /// (see CandidatesCannotWitness) the gather also prunes, so that only
+  /// the candidates that survive pruning are written. Fails with
   /// ResourceExhausted when a mapping is refused.
-  Status Generate(BuildMode mode_used, IterationStats* st);
+  Status Generate(BuildMode mode_used, bool decide, IterationStats* st);
 
   /// Fills one side's inverted lists (GenSide::inv) from its labels.
   void BuildInvertedLists(bool out_side);
@@ -203,9 +234,11 @@ class Builder {
   void CountRaw(BuildMode mode, bool out_side);
 
   /// The gather for one side: maps `cands` with room for the raw count
-  /// and writes each owner's deduped and filtered candidates, sorted by
-  /// pivot, at [begin[w], end[w]).
-  Status Gather(BuildMode mode, bool out_side, IterationStats* st);
+  /// and writes each owner's deduped and filtered candidates (with
+  /// `decide`, only those DecideOwner keeps), sorted by pivot, at
+  /// [begin[w], end[w]).
+  Status Gather(BuildMode mode, bool out_side, bool decide,
+                IterationStats* st);
 
   /// Gathers owner w's candidates into sc->best, keeping the smallest
   /// distance per pivot, and drops pivots w's label already holds at that
@@ -215,11 +248,21 @@ class Builder {
   size_t GatherOwner(BuildMode mode, bool out_side, VertexId w,
                      GatherScratch* sc) const;
 
-  /// Section 3.3 pruning over both candidate lists: decides every
-  /// candidate of both sides, then compacts both, owner by owner. Fails
-  /// with DeadlineExceeded when the deadline stops a pass (the build then
-  /// ends without applying anything), and with ResourceExhausted when a
-  /// keep-mark mapping is refused.
+  /// Section 3.3 pruning of owner w's gathered candidates, for an
+  /// iteration in which no candidate can witness another: loads w's own
+  /// label into sc->best beside them, removes from sc->pivots every
+  /// candidate with a witness in w's label and its pivot's opposite-side
+  /// label, and clears every slot but the kept candidates'. The same
+  /// decisions as DecideSide's. Returns the work done: label entries
+  /// loaded plus probes.
+  uint64_t DecideOwner(bool out_side, VertexId w, GatherScratch* sc) const;
+
+  /// Section 3.3 pruning over both candidate lists, for iterations the
+  /// gather did not decide: decides every candidate of both sides, then
+  /// compacts both, owner by owner. Fails with DeadlineExceeded when the
+  /// deadline stops a pass (the build then ends without applying
+  /// anything), and with ResourceExhausted when a keep-mark mapping is
+  /// refused.
   Status Prune(IterationStats* st);
 
   /// Decides one side's candidates owner by owner: keep[i] = 1 iff
@@ -264,6 +307,11 @@ class Builder {
 
   std::vector<LabelVector> out_;
   std::vector<LabelVector> in_;
+
+  /// The smallest and largest arc weight (kInfDistance and 0 without
+  /// arcs).
+  Distance min_arc_ = kInfDistance;
+  Distance max_arc_ = 0;
 
   GenSide gen_out_;
   GenSide gen_in_;
@@ -314,6 +362,28 @@ void Builder::Initialize() {
   init_side(/*out_side=*/true);
   if (directed_) init_side(/*out_side=*/false);
   stats_.initial_entries = gen_out_.prev.size() + gen_in_.prev.size();
+  for (VertexId v = 0; v < n; ++v) {
+    for (const Arc& a : g_.OutArcs(v)) {
+      min_arc_ = std::min(min_arc_, a.weight);
+      max_arc_ = std::max(max_arc_, a.weight);
+    }
+  }
+}
+
+bool Builder::CandidatesCannotWitness() const {
+  Distance min_prev = kInfDistance, max_prev = 0;
+  for (const GenSide* gen : {&gen_out_, &gen_in_}) {
+    for (const LabelEntry& e : gen->prev) {
+      min_prev = std::min(min_prev, e.dist);
+      max_prev = std::max(max_prev, e.dist);
+    }
+  }
+  // In 64 bits, and only while no candidate distance saturates: the
+  // witness sums and the candidate distances then never meet at
+  // kInfDistance.
+  const uint64_t max_cand = uint64_t{max_arc_} + max_prev;
+  return max_cand < kInfDistance &&
+         uint64_t{min_arc_} + (uint64_t{min_arc_} + min_prev) > max_cand;
 }
 
 void Builder::BuildInvertedLists(bool out_side) {
@@ -466,7 +536,47 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
   return gathered;
 }
 
-Status Builder::Gather(BuildMode mode, bool out_side, IterationStats* st) {
+uint64_t Builder::DecideOwner(bool out_side, VertexId w,
+                              GatherScratch* sc) const {
+  if (sc->pivots.empty()) return 0;
+  uint64_t* best = sc->best.data();
+  Distance tmin = kInfDistance;
+  for (const VertexId p : sc->pivots) {
+    tmin = std::min(tmin, static_cast<Distance>(best[p] - 1));
+  }
+  // The table then holds what DecideSide loads: w's label and its
+  // candidates, the smaller distance per pivot. A candidate outlived the
+  // domination drop only below the label entry at its pivot, so a label
+  // entry fills only empty slots.
+  const LabelVector& own = Side(out_side)[w];
+  for (const LabelEntry& e : own) {
+    if (best[e.pivot] == 0) best[e.pivot] = uint64_t{e.dist} + 1;
+    tmin = std::min(tmin, e.dist);
+  }
+  // Candidate (w, p, d) has a witness iff an entry of p's opposite-side
+  // label meets the table within d. p's own candidates cannot witness,
+  // so they go unprobed (DecideSide's slice bound would skip them all).
+  // Every candidate is decided before any slot is cleared.
+  const std::vector<LabelVector>& opp_labels = Side(!out_side);
+  uint64_t probes = 0;
+  const auto pruned = std::partition(
+      sc->pivots.begin(), sc->pivots.end(), [&](VertexId p) {
+        return !HasWitness(best, tmin, opp_labels[p],
+                           static_cast<Distance>(best[p] - 1), &probes);
+      });
+  // A slot holding its label entry's distance + 1 was loaded from the
+  // label: a candidate's slot there holds less.
+  for (const LabelEntry& e : own) {
+    if (best[e.pivot] == uint64_t{e.dist} + 1) best[e.pivot] = 0;
+  }
+  for (auto it = pruned; it != sc->pivots.end(); ++it) best[*it] = 0;
+  sc->pruned += static_cast<uint64_t>(sc->pivots.end() - pruned);
+  sc->pivots.erase(pruned, sc->pivots.end());
+  return own.size() + probes;
+}
+
+Status Builder::Gather(BuildMode mode, bool out_side, bool decide,
+                       IterationStats* st) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
   HOPDB_RETURN_NOT_OK(gen.cands.Map(gen.begin[n]));
@@ -483,7 +593,7 @@ Status Builder::Gather(BuildMode mode, bool out_side, IterationStats* st) {
   for (GatherScratch& sc : scratch_) {
     sc.best.resize(n, 0);
     sc.pivots.reserve(n);
-    sc.deduped = sc.dropped = 0;
+    sc.deduped = sc.dropped = sc.pruned = 0;
   }
 
   // Each owner's survivors are written in pivot order right after the
@@ -493,6 +603,7 @@ Status Builder::Gather(BuildMode mode, bool out_side, IterationStats* st) {
                                uint64_t* work, uint64_t*) {
     GatherScratch* sc = &scratch_[worker];
     *work += GatherOwner(mode, out_side, w, sc) + 1;
+    if (decide) *work += DecideOwner(out_side, w, sc);
     std::sort(sc->pivots.begin(), sc->pivots.end());
     uint64_t at = w == gen.ranges[k] ? run_start[k] : gen.end[w - 1];
     HOPDB_DCHECK_LE(at + sc->pivots.size(), run_start[k + 1]);
@@ -508,11 +619,13 @@ Status Builder::Gather(BuildMode mode, bool out_side, IterationStats* st) {
   for (const GatherScratch& sc : scratch_) {
     st->deduped_candidates += sc.deduped;
     st->existing_dropped += sc.dropped;
+    st->pruned += sc.pruned;
   }
   return Status::OK();
 }
 
-Status Builder::Generate(BuildMode mode_used, IterationStats* st) {
+Status Builder::Generate(BuildMode mode_used, bool decide,
+                         IterationStats* st) {
   generated_total_.store(0, std::memory_order_relaxed);
   generation_abort_.store(false, std::memory_order_relaxed);
 
@@ -540,8 +653,10 @@ Status Builder::Generate(BuildMode mode_used, IterationStats* st) {
   st->raw_candidates = counted;
   stats_.peak_candidates = std::max(stats_.peak_candidates, counted);
 
-  HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/true, st));
-  if (directed_) HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/false, st));
+  HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/true, decide, st));
+  if (directed_) {
+    HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/false, decide, st));
+  }
   if (generation_abort_.load(std::memory_order_relaxed)) {
     return Status::DeadlineExceeded("label generation over time budget");
   }
@@ -581,25 +696,19 @@ void Builder::DecideSide(bool out_side, PageArray<uint8_t>* keep) {
     // Candidate (w, p, d) has a witness iff an entry (x, d2) of p's
     // opposite side meets x's table entry within d. Every such x ranks
     // above p, so the beta bound needs no check. No table entry is below
-    // tmin, so an entry with tmin + d2 > d is skipped unprobed, and so is
-    // p's whole candidate slice when tmin + cmin[p] > d.
+    // tmin, so p's whole candidate slice is skipped when
+    // tmin + cmin[p] > d.
     uint64_t probes = 0;
     for (uint64_t i = begin; i < end; ++i) {
       const VertexId p = cands[i].pivot;
       const Distance d = cands[i].dist;
-      auto witnesses = [&](VertexId x, Distance d2) {
-        if (SaturatingAdd(tmin, d2) > d) return false;
-        ++probes;
-        return best[x] != 0 &&
-               SaturatingAdd(static_cast<Distance>(best[x] - 1), d2) <= d;
-      };
-      bool found = std::any_of(
-          opp_labels[p].begin(), opp_labels[p].end(),
-          [&](const LabelEntry& e) { return witnesses(e.pivot, e.dist); });
+      bool found = HasWitness(best, tmin, opp_labels[p], d, &probes);
       if (!found && with_cands && SaturatingAdd(tmin, opp_gen.cmin[p]) <= d) {
-        found = std::any_of(
-            opposite + opp_gen.begin[p], opposite + opp_gen.end[p],
-            [&](const LabelEntry& e) { return witnesses(e.pivot, e.dist); });
+        found = HasWitness(best, tmin,
+                           std::span<const LabelEntry>(
+                               opposite + opp_gen.begin[p],
+                               opposite + opp_gen.end[p]),
+                           d, &probes);
       }
       (*keep)[i] = !found;
     }
@@ -747,17 +856,27 @@ Result<BuildOutput> Builder::Run() {
         break;
     }
 
+    // A Hop-Stepping iteration in which no candidate can witness another
+    // prunes as it gathers, so only the candidates that survive pruning
+    // are stored; the others, and the ablations, prune in a phase of
+    // their own.
+    const bool decide_in_gather =
+        st.mode_used == BuildMode::kHopStepping && opts_.prune &&
+        opts_.prune_with_candidates && CandidatesCannotWitness();
+
     Stopwatch phase_watch;
-    HOPDB_RETURN_NOT_OK(Generate(st.mode_used, &st));
+    HOPDB_RETURN_NOT_OK(Generate(st.mode_used, decide_in_gather, &st));
     // Only generation reads `prev` and the inverted lists; release them
     // before the later phases allocate.
     ReleaseSources(/*out_side=*/true);
     if (directed_) ReleaseSources(/*out_side=*/false);
     st.generate_seconds = phase_watch.Seconds();
 
-    phase_watch.Restart();
-    HOPDB_RETURN_NOT_OK(Prune(&st));
-    st.prune_seconds = phase_watch.Seconds();
+    if (!decide_in_gather) {
+      phase_watch.Restart();
+      HOPDB_RETURN_NOT_OK(Prune(&st));
+      st.prune_seconds = phase_watch.Seconds();
+    }
 
     phase_watch.Restart();
     st.survivors = Apply(/*out_side=*/true, &st);
@@ -817,8 +936,14 @@ Result<BuildOutput> BuildHopLabeling(const CsrGraph& ranked_graph,
     return Status::InvalidArgument(
         "hybrid mode needs hybrid_switch_iteration >= 1");
   }
-  Builder builder(ranked_graph, options);
-  return builder.Run();
+  Result<BuildOutput> output = Builder(ranked_graph, options).Run();
+#ifdef __GLIBC__
+  // The builder is gone and the labels live in the frozen store: hand the
+  // heap the label vectors and build state held back to the kernel, or a
+  // process that builds and then serves keeps it resident for good.
+  malloc_trim(0);
+#endif
+  return output;
 }
 
 }  // namespace hopdb

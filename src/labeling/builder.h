@@ -24,19 +24,29 @@
 //      once, into one buffer per side: a fresh page mapping with room for
 //      the raw count, in which each range packs its owners from the raw
 //      offset of its first owner, so only the pages written become
-//      resident. No raw candidate is ever stored.
-//   2. prune — candidates with a witness through a higher-ranked pivot
-//      die (Section 3.3): candidate covering path x⇝y with pivot
-//      β = min(x, y) dies iff some w < β has (w,d1) ∈ Lout(x),
-//      (w,d2) ∈ Lin(y) with d1+d2 ≤ d, over labels ∪ this iteration's
-//      candidates. Owner by owner, each range of owners on one worker:
-//      the owner's own side is loaded into the worker's |V|-slot
-//      distance table, and each of its candidates (w, p, d) probes that
-//      table with p's opposite-side label and candidates. Two exact
-//      distance bounds skip probes that cannot find a witness. Both
+//      resident. No raw candidate is ever stored. In a Hop-Stepping
+//      iteration in which no candidate can witness another (every
+//      candidate distance lies in [min_w + min_prev, max_w + max_prev],
+//      so 2 min_w + min_prev > max_w + max_prev rules it out; always so
+//      on unit weights), the gather also makes phase 2's decisions for
+//      each owner, right after the domination drop, and writes only the
+//      candidates that survive pruning; phase 2 then does not run.
+//   2. prune — for iterations the gather did not decide (Hop-Doubling,
+//      mixed weights, and the ablations prune_with_candidates = false
+//      and prune = false). Candidates with a witness through a
+//      higher-ranked pivot die (Section 3.3): candidate covering path
+//      x⇝y with pivot β = min(x, y) dies iff some w < β has
+//      (w,d1) ∈ Lout(x), (w,d2) ∈ Lin(y) with d1+d2 ≤ d, over labels ∪
+//      this iteration's candidates. Owner by owner, each range of owners
+//      on one worker: the owner's own side is loaded into the worker's
+//      |V|-slot distance table, and each of its candidates (w, p, d)
+//      probes that table with p's opposite-side label and candidates. Two
+//      exact distance bounds skip probes that cannot find a witness. Both
 //      sides are decided before either is compacted; compaction then
 //      moves each owner's survivors to the front of its own slice, owner
-//      by owner on the workers.
+//      by owner on the workers. A decision made in the gather is the same
+//      table and the same probes, minus the candidate slices that cannot
+//      witness.
 //   3. apply — survivors merge into the labels owner by owner, on one
 //      thread, each touched label first reserved to its old size plus
 //      its survivor count: label growth made on worker threads would
@@ -44,7 +54,10 @@
 //      thread count. Survivors become `prev` in an exactly sized copy
 //      packed in owner order, and the candidate mappings are unmapped.
 // The loop ends when no candidate survives — at most DH iterations for
-// Stepping (Thm. 6) and 2⌈log DH⌉ for Doubling (Thm. 4).
+// Stepping (Thm. 6) and 2⌈log DH⌉ for Doubling (Thm. 4). The labels are
+// then frozen into the index, and once the builder is destroyed the
+// heap its label vectors held goes back to the kernel (malloc_trim,
+// glibc only).
 //
 // Per-iteration statistics (candidate counts, pruning counts, per-phase
 // times) feed Figure 10's growing/pruning-factor plots and
@@ -96,8 +109,10 @@ struct BuildOptions {
   /// graphs can explode; the paper's Table 8 shows exactly this). The raw
   /// count also sizes the address space of the iteration's candidate
   /// mappings, 8 B per raw candidate (79 MB on the benchmark's 50k-vertex
-  /// graph), of which only the deduped and filtered candidates' pages
-  /// become resident (about 38 MB there).
+  /// graph), of which only the pages of the candidates stored become
+  /// resident: the deduped and filtered ones, or, in an iteration decided
+  /// in the gather, only those that survive pruning (the benchmark's
+  /// unit-weight Hop-Stepping iterations: about 13 MB there).
   uint64_t max_candidates_per_iteration = 0;
   /// Disables pruning entirely (ablation; reproduces the Figure 5
   /// labeling of Example 1 when false).
@@ -105,14 +120,16 @@ struct BuildOptions {
   /// When true (default, matching Section 4.2's outer block which holds
   /// both old labels and fresh candidates), pruning witnesses may be this
   /// iteration's deduped candidates as well as old entries; when false,
-  /// only old entries witness. Ablation knob.
+  /// only old entries witness. Ablation knob. Where no candidate can
+  /// witness another (unit-weight Hop-Stepping) both settings build the
+  /// same labels, but only true prunes in the gather.
   bool prune_with_candidates = true;
   /// Worker threads for the generation and pruning phases (the label
   /// merge is sequential). The output is bit-identical for every thread
-  /// count: each owner's candidates are gathered and ordered by one
-  /// worker from iteration-start state, and pruning decisions read only
-  /// the labels and the uncompacted candidate lists. 0 means all
-  /// hardware threads.
+  /// count: each owner's candidates are gathered, ordered and (in an
+  /// iteration decided in the gather) pruned by one worker from
+  /// iteration-start state, and pruning decisions read only the labels
+  /// and the uncompacted candidate lists. 0 means all hardware threads.
   uint32_t num_threads = 1;
 };
 
@@ -135,6 +152,9 @@ struct IterationStats {
   /// them, and reports that time as generate_seconds. Kept so phase
   /// tables keep their columns.
   double dedup_seconds = 0;
+  /// 0 for an iteration decided in the gather (unit-weight Hop-Stepping
+  /// with pruning on and prune_with_candidates): its pruning decisions
+  /// are counted in generate_seconds.
   double prune_seconds = 0;
   double apply_seconds = 0;
 };
@@ -148,8 +168,7 @@ struct BuildStats {
   /// Largest raw candidate count of any iteration (the largest
   /// IterationStats::raw_candidates). The builder never stores raw
   /// candidates: it maps address space for this many 8-byte entries, and
-  /// only the pages its deduped and filtered candidates fill become
-  /// resident.
+  /// only the pages of the candidates it stores become resident.
   uint64_t peak_candidates = 0;
 
   /// Sum of a per-iteration phase time over all iterations.

@@ -1,18 +1,14 @@
 #include "util/build_info.h"
 
-// HOPDB_GIT_SHA / HOPDB_VERSION are injected as compile definitions on
-// this one translation unit by CMakeLists.txt, so touching the sha only
-// recompiles this file.
+// build_sha.h defines HOPDB_GIT_SHA. CMakeLists.txt regenerates it on
+// every build, rewriting it only when the sha changes, so a new commit
+// recompiles only this file. HOPDB_VERSION is a compile definition on
+// this one translation unit.
+#include "build_sha.h"
 
 namespace hopdb {
 
-const char* BuildGitSha() {
-#ifdef HOPDB_GIT_SHA
-  return HOPDB_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
+const char* BuildGitSha() { return HOPDB_GIT_SHA; }
 
 const char* BuildVersion() {
 #ifdef HOPDB_VERSION

@@ -7,8 +7,8 @@
 
 namespace hopdb {
 
-/// Short git commit sha the binary was configured from, or "unknown"
-/// when the source tree was not a git checkout at configure time.
+/// Short git commit sha of the checkout the binary was built from,
+/// resolved at build time, or "unknown" outside a git checkout.
 const char* BuildGitSha();
 
 /// Project version (CMake PROJECT_VERSION).

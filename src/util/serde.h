@@ -94,8 +94,10 @@ class ByteReader {
 /// Reads an entire file into `out`.
 Status ReadFileToString(const std::string& path, std::string* out);
 
-/// Atomically-ish writes `data` to `path` (write then rename is overkill for
-/// this project; we write directly but fsync before close).
+/// Writes `data` to `path` in place: fopen ("wb", truncating any existing
+/// file), fwrite, fclose. There is no fsync and no rename, so a crash or
+/// a failed write can leave a torn or empty file behind (crash-atomic
+/// writes are ROADMAP item 8).
 Status WriteStringToFile(const std::string& path, const std::string& data);
 
 /// Removes a file if it exists; missing files are not an error.

@@ -509,6 +509,109 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
   }
 }
 
+/// The HLI1 bytes `index` saves to `path`.
+std::string SavedBytes(const TwoHopIndex& index, const std::string& path) {
+  if (!index.Save(path).ok()) return "";
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// On unit weights no Hop-Stepping candidate can witness another, so each
+// iteration prunes its candidates as it gathers them (prune_seconds stays
+// 0). With prune_with_candidates = false the same iterations take the
+// two-phase path, deciding into keep marks and compacting, with old
+// entries as the only witnesses, which on unit weights are all the
+// witnesses there are. Both must save the same index and count the same.
+TEST(BuilderTest, GatherDecisionsMatchTwoPhasePruning) {
+  auto tmp = TempDir::Create("hopdb_builder_decide");
+  ASSERT_TRUE(tmp.ok());
+  for (const bool directed : {false, true}) {
+    GlpOptions glp;
+    glp.num_vertices = 2000;
+    glp.seed = 61 + directed;
+    auto edges = directed ? GenerateDirectedGlp(glp) : GenerateGlp(glp);
+    ASSERT_TRUE(edges.ok());
+    auto ranked = RankedGraph(*edges);
+    ASSERT_TRUE(ranked.ok());
+    ASSERT_FALSE(ranked->weighted());
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(directed ? "directed" : "undirected") +
+                   " threads " + std::to_string(threads));
+      BuildOptions opts;
+      opts.mode = BuildMode::kHopStepping;
+      opts.num_threads = threads;
+      auto gathered = BuildHopLabeling(*ranked, opts);
+      opts.prune_with_candidates = false;
+      auto two_phase = BuildHopLabeling(*ranked, opts);
+      ASSERT_TRUE(gathered.ok());
+      ASSERT_TRUE(two_phase.ok());
+
+      uint64_t pruned = 0;
+      for (const IterationStats& it : gathered->stats.iterations) {
+        EXPECT_EQ(it.prune_seconds, 0.0) << "iteration " << it.iteration;
+        pruned += it.pruned;
+      }
+      EXPECT_GT(pruned, 0u);
+      for (const IterationStats& it : two_phase->stats.iterations) {
+        EXPECT_GT(it.prune_seconds, 0.0) << "iteration " << it.iteration;
+      }
+      EXPECT_EQ(CountersText(gathered->stats),
+                CountersText(two_phase->stats));
+      const std::string bytes =
+          SavedBytes(gathered->index, tmp->File("gathered.hli"));
+      ASSERT_FALSE(bytes.empty());
+      EXPECT_TRUE(bytes ==
+                  SavedBytes(two_phase->index, tmp->File("two_phase.hli")));
+    }
+  }
+}
+
+// The gather's decision test reads arc weights and distances, not
+// weighted(): a graph whose every weight is 3 is flagged weighted, yet
+// its iterations are decided in the gather too, and its labels are the
+// unit-weight labels with every distance tripled.
+TEST(BuilderTest, EqualWeightsDecideInTheGather) {
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    GlpOptions glp;
+    glp.num_vertices = 2000;
+    glp.seed = 63 + directed;
+    auto unit_edges = directed ? GenerateDirectedGlp(glp) : GenerateGlp(glp);
+    ASSERT_TRUE(unit_edges.ok());
+    EdgeList tripled_edges = *unit_edges;
+    AssignUniformWeights(&tripled_edges, 3, 3, glp.seed);
+    auto unit = RankedGraph(*unit_edges);
+    auto tripled = RankedGraph(tripled_edges);
+    ASSERT_TRUE(unit.ok());
+    ASSERT_TRUE(tripled.ok());
+    ASSERT_TRUE(tripled->weighted());
+
+    BuildOptions opts;
+    opts.mode = BuildMode::kHopStepping;
+    auto a = BuildHopLabeling(*unit, opts);
+    auto b = BuildHopLabeling(*tripled, opts);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    for (const IterationStats& it : b->stats.iterations) {
+      EXPECT_EQ(it.prune_seconds, 0.0) << "iteration " << it.iteration;
+    }
+    EXPECT_EQ(CountersText(a->stats), CountersText(b->stats));
+    ASSERT_EQ(a->index.num_vertices(), b->index.num_vertices());
+    for (VertexId v = 0; v < a->index.num_vertices(); ++v) {
+      for (const bool out : {true, false}) {
+        const LabelView x = out ? a->index.OutLabel(v) : a->index.InLabel(v);
+        const LabelView y = out ? b->index.OutLabel(v) : b->index.InLabel(v);
+        ASSERT_EQ(x.size(), y.size()) << "vertex " << v;
+        for (size_t i = 0; i < x.size(); ++i) {
+          ASSERT_EQ(x[i].pivot, y[i].pivot) << "vertex " << v;
+          ASSERT_EQ(3 * x[i].dist, y[i].dist) << "vertex " << v;
+        }
+      }
+    }
+  }
+}
+
 TEST(BuilderTest, LogsOneEventPerIteration) {
   GlpOptions glp;
   glp.num_vertices = 800;
