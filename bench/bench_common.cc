@@ -1,9 +1,15 @@
 #include "bench_common.h"
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -13,7 +19,6 @@
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
 #include <sys/syscall.h>
-#include <unistd.h>
 
 #include <cstring>
 #endif
@@ -153,6 +158,51 @@ uint64_t PeakRssBytes() {
 #else
   return 0;
 #endif
+}
+
+uint64_t CurrentRssBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long pages = 0, resident = 0;
+  const bool read = std::fscanf(f, "%llu %llu", &pages, &resident) == 2;
+  std::fclose(f);
+  return read ? resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+Status RunInChildBytes(const std::string& what, void* out, size_t size,
+                       const std::function<Status(void* out)>& fn) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    return Status::IOError(std::string("pipe: ") + std::strerror(errno));
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    return Status::IOError(std::string("fork: ") + std::strerror(errno));
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    const Status status = fn(out);
+    if (!status.ok()) {
+      std::cerr << what << ": " << status << "\n";
+      ::_exit(1);
+    }
+    const bool sent =
+        ::write(fds[1], out, size) == static_cast<ssize_t>(size);
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  const bool received =
+      ::read(fds[0], out, size) == static_cast<ssize_t>(size);
+  ::close(fds[0]);
+  int wstatus = 0;
+  const bool reaped = ::waitpid(pid, &wstatus, 0) == pid;
+  if (!received || !reaped || !WIFEXITED(wstatus) ||
+      WEXITSTATUS(wstatus) != 0) {
+    return Status::Internal(what + " failed");
+  }
+  return Status::OK();
 }
 
 std::string PhasesJson(const std::vector<PhaseTiming>& phases) {

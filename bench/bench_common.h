@@ -14,9 +14,11 @@
 #ifndef HOPDB_BENCH_BENCH_COMMON_H_
 #define HOPDB_BENCH_BENCH_COMMON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "eval/datasets.h"
@@ -84,6 +86,34 @@ std::string SecondsOrDash(const Status& status, double seconds);
 /// Peak resident set size of this process in bytes (getrusage ru_maxrss);
 /// 0 when the platform doesn't report it.
 uint64_t PeakRssBytes();
+
+/// Resident set size of this process now, in bytes (/proc/self/statm);
+/// 0 when the platform doesn't report it.
+uint64_t CurrentRssBytes();
+
+/// Runs fn(out) in a forked child, whose ru_maxrss starts from the RSS
+/// it inherits here, so a peak the child reads is that of its own work.
+/// fn fills the child's copy of the `size` bytes at `out`; the child
+/// writes them to a pipe, which the parent reads back into `out`, and
+/// _exits, so its copies of the caller's objects run no destructors and
+/// its copy of unflushed stdout is not printed again. The caller must
+/// have no other thread alive, so that the child is a consistent copy.
+/// `what` names the run in errors.
+Status RunInChildBytes(const std::string& what, void* out, size_t size,
+                       const std::function<Status(void* out)>& fn);
+
+/// RunInChildBytes for fn() returning Result<T>, T trivially copyable.
+template <typename T, typename Fn>
+Result<T> RunInChild(const std::string& what, const Fn& fn) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T value{};
+  HOPDB_RETURN_NOT_OK(
+      RunInChildBytes(what, &value, sizeof(T), [&](void* out) -> Status {
+        HOPDB_ASSIGN_OR_RETURN(*static_cast<T*>(out), fn());
+        return Status::OK();
+      }));
+  return value;
+}
 
 /// One named phase of a benchmarked pipeline.
 struct PhaseTiming {

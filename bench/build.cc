@@ -18,19 +18,13 @@
 //   bench_build            # 60k-vertex GLP (the acceptance setting)
 //   bench_build --ci       # seconds-long CI mode, same JSON shape
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,7 +45,7 @@ namespace hopdb {
 namespace {
 
 /// One thread count's build. Trivially copyable: the child that ran the
-/// build sends it to the parent as raw bytes through a pipe.
+/// build sends it to the parent as raw bytes (bench::RunInChild).
 struct RunResult {
   uint32_t threads = 0;
   double seconds = 0;
@@ -66,7 +60,6 @@ struct RunResult {
   double apply_seconds = 0;
   double init_seconds = 0;
 };
-static_assert(std::is_trivially_copyable_v<RunResult>);
 
 Result<uint64_t> SerializedChecksum(const TwoHopIndex& index,
                                     const TempDir& dir, uint32_t threads) {
@@ -102,49 +95,6 @@ Result<RunResult> BuildOnce(const CsrGraph& ranked, const TempDir& dir,
   r.init_seconds = stats.init_seconds;
   HOPDB_ASSIGN_OR_RETURN(r.checksum,
                          SerializedChecksum(built.index, dir, threads));
-  return r;
-}
-
-/// Runs BuildOnce in a forked child, whose ru_maxrss starts from the RSS
-/// it inherits here. The caller must have no other thread alive (the
-/// set-up runs on one thread), so the child is a consistent copy.
-Result<RunResult> BuildInChild(const CsrGraph& ranked, const TempDir& dir,
-                               uint32_t threads) {
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    return Status::IOError(std::string("pipe: ") + std::strerror(errno));
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return Status::IOError(std::string("fork: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    // _exit, not return: the child's copies of the parent's objects
-    // (the temp dir above all) must not run their destructors, and its
-    // copy of the parent's unflushed stdout must not be printed again.
-    ::close(fds[0]);
-    const Result<RunResult> r = BuildOnce(ranked, dir, threads);
-    if (!r.ok()) {
-      std::cerr << "threads=" << threads << ": " << r.status() << "\n";
-      ::_exit(1);
-    }
-    const bool sent =
-        ::write(fds[1], &*r, sizeof(RunResult)) == sizeof(RunResult);
-    ::_exit(sent ? 0 : 1);
-  }
-  ::close(fds[1]);
-  RunResult r;
-  const bool received = ::read(fds[0], &r, sizeof r) == sizeof r;
-  ::close(fds[0]);
-  int wstatus = 0;
-  const bool reaped = ::waitpid(pid, &wstatus, 0) == pid;
-  if (!received || !reaped || !WIFEXITED(wstatus) ||
-      WEXITSTATUS(wstatus) != 0) {
-    return Status::Internal("the build at threads=" +
-                            std::to_string(threads) + " failed");
-  }
   return r;
 }
 
@@ -206,7 +156,10 @@ int Run(int argc, char** argv) {
   std::vector<RunResult> results;
   uint64_t peak_rss_bytes = bench::PeakRssBytes();
   for (const uint32_t threads : thread_counts) {
-    auto r = BuildInChild(*ranked, *tmp, threads);
+    // In a child of its own, so that its peak RSS is this build's.
+    auto r = bench::RunInChild<RunResult>(
+        "the build at threads=" + std::to_string(threads),
+        [&] { return BuildOnce(*ranked, *tmp, threads); });
     if (!r.ok()) {
       std::cerr << "build failed: " << r.status() << "\n";
       return 1;

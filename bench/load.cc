@@ -17,6 +17,10 @@
 // count; HLI2 open + remap time does not (it is O(|V|) metadata work),
 // so hot-swapping a 10x bigger index costs the same milliseconds.
 //
+// It also reports what one HLI1 load adds to RSS, beside the store it
+// builds: Load reads the file through a fixed 1 MiB window, so the
+// growth should be the store plus that window, never the file.
+//
 //   bench_load            # 20k + 60k GLP sweep (~30 s, build-dominated)
 //   bench_load --ci       # seconds-long CI mode, same JSON shape
 //
@@ -27,6 +31,10 @@
 #include <iostream>
 #include <string>
 #include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "bench_common.h"
 #include "gen/glp.h"
@@ -55,7 +63,40 @@ struct SizeResult {
   double hli2_remap_s = 0;
   double hli2_first_query_us = 0;
   bool answers_agree = false;
+  uint64_t hli1_load_growth_bytes = 0;
+  uint64_t hli1_store_bytes = 0;
 };
+
+/// What one HLI1 load adds to RSS, and the store it builds.
+struct LoadGrowth {
+  uint64_t growth_bytes = 0;
+  uint64_t store_bytes = 0;
+};
+
+/// Loads `path` twice in a forked child and reports the RSS the second
+/// load added there. A child's peak RSS starts at the RSS it inherits,
+/// so the heap is trimmed before the fork and again before the second
+/// load: neither load can then hide its growth in heap pages that were
+/// freed but left resident. The child does not inherit the caller's
+/// code pages mapped, so the first load maps the loader's.
+Result<LoadGrowth> MeasureLoadGrowth(const std::string& path) {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+  return bench::RunInChild<LoadGrowth>(
+      "the HLI1 load of " + path, [&]() -> Result<LoadGrowth> {
+        HOPDB_RETURN_NOT_OK(HopDbIndex::Load(path).status());
+#ifdef __GLIBC__
+        malloc_trim(0);
+#endif
+        const uint64_t before = bench::CurrentRssBytes();
+        HOPDB_ASSIGN_OR_RETURN(HopDbIndex loaded, HopDbIndex::Load(path));
+        LoadGrowth g;
+        g.growth_bytes = bench::PeakRssBytes() - before;
+        g.store_bytes = loaded.label_index().SizeBytes();
+        return g;
+      });
+}
 
 int Run(int argc, char** argv) {
   CliFlags flags;
@@ -209,6 +250,16 @@ int Run(int argc, char** argv) {
       std::cerr << "FAIL: HLI2 answers diverge from HLI1 at n=" << n << "\n";
     }
 
+    // --- HLI1 load memory, after the timed loads so that they run on the
+    // heap the earlier steps left.
+    auto growth = MeasureLoadGrowth(hli1_path);
+    if (!growth.ok()) {
+      std::cerr << "HLI1 load growth: " << growth.status() << "\n";
+      return 1;
+    }
+    r.hli1_load_growth_bytes = growth->growth_bytes;
+    r.hli1_store_bytes = growth->store_bytes;
+
     std::cout << "n=" << n << " entries=" << r.entries << "\n"
               << "  build             " << FormatDouble(r.build_seconds, 2)
               << " s\n"
@@ -221,7 +272,12 @@ int Run(int argc, char** argv) {
               << FormatDouble(r.hli2_open_cold_s * 1e3, 2) << " ms (remap "
               << FormatDouble(r.hli2_remap_s * 1e3, 2)
               << " ms), first query "
-              << FormatDouble(r.hli2_first_query_us, 2) << " us\n";
+              << FormatDouble(r.hli2_first_query_us, 2) << " us\n"
+              << "  HLI1 load growth  "
+              << FormatDouble(r.hli1_load_growth_bytes / 1048576.0, 2)
+              << " MiB (store "
+              << FormatDouble(r.hli1_store_bytes / 1048576.0, 2)
+              << " MiB)\n";
     results.push_back(r);
   }
 
@@ -250,7 +306,11 @@ int Run(int argc, char** argv) {
                      ", \"hli2_first_query_us\": " +
                      FormatDouble(r.hli2_first_query_us, 2) +
                      ", \"answers_agree\": " +
-                     (r.answers_agree ? "true" : "false") + "}";
+                     (r.answers_agree ? "true" : "false") +
+                     ",\n     \"hli1_load_growth_bytes\": " +
+                     std::to_string(r.hli1_load_growth_bytes) +
+                     ", \"hli1_store_bytes\": " +
+                     std::to_string(r.hli1_store_bytes) + "}";
   }
 
   const std::string out_path = flags.GetString("out");

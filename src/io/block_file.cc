@@ -36,8 +36,13 @@ Result<BlockFile> BlockFile::OpenRead(const std::string& path,
   }
   struct stat st;
   if (::fstat(fd, &st) != 0) {
+    const std::string err = std::strerror(errno);
     ::close(fd);
-    return Status::IOError("fstat " + path + ": " + std::strerror(errno));
+    return Status::IOError("fstat " + path + ": " + err);
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("not a regular file: " + path);
   }
   BlockFile f;
   f.fd_ = fd;

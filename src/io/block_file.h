@@ -25,7 +25,8 @@ class BlockFile {
   BlockFile(const BlockFile&) = delete;
   BlockFile& operator=(const BlockFile&) = delete;
 
-  /// Opens for reading; fails if missing.
+  /// Opens for reading; fails with IOError if missing or not a regular
+  /// file.
   static Result<BlockFile> OpenRead(const std::string& path,
                                     uint64_t block_size = kDefaultBlockSize);
   /// Creates/truncates for writing (and reading back).

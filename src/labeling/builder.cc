@@ -1,6 +1,7 @@
 #include "labeling/builder.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #ifdef __GLIBC__
 #include <malloc.h>
@@ -37,15 +38,25 @@ constexpr uint32_t kRangesPerThread = 8;
 /// A fixed array of T in a fresh anonymous page mapping, mapped and
 /// unmapped on the calling thread. Only the pages written become
 /// resident, so an array sized by an upper bound costs the memory of what
-/// it holds, and unmapping returns those pages at once. A malloc block of
-/// that size can instead reuse heap pages an earlier allocation left
-/// resident, and keep them once freed. Never value-initialized.
+/// it holds, and unmapping (or releasing a stretch) returns those pages at
+/// once. A malloc block of that size can instead reuse heap pages an
+/// earlier allocation left resident, and keep them once freed. Never
+/// value-initialized.
 template <typename T>
 class PageArray {
  public:
   PageArray() = default;
   PageArray(const PageArray&) = delete;
   PageArray& operator=(const PageArray&) = delete;
+  /// Takes over other's mapping, leaving it empty.
+  PageArray& operator=(PageArray&& other) noexcept {
+    if (this != &other) {
+      Unmap();
+      data_ = std::exchange(other.data_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
   ~PageArray() { Unmap(); }
 
   /// Replaces the array with a fresh one of `size` elements (none for
@@ -72,6 +83,20 @@ class PageArray {
     if (data_ != nullptr) munmap(data_, size_ * sizeof(T));
     data_ = nullptr;
     size_ = 0;
+  }
+
+  /// Returns the whole pages inside elements [from, to) to the kernel;
+  /// they read as zeros if written again. Pages only partly inside stay.
+  void Release(uint64_t from, uint64_t to) const {
+    if (from >= to) return;
+    static const auto kPage = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+    const uintptr_t first =
+        (reinterpret_cast<uintptr_t>(data_ + from) + kPage - 1) & ~(kPage - 1);
+    const uintptr_t last =
+        reinterpret_cast<uintptr_t>(data_ + to) & ~(kPage - 1);
+    if (first < last) {
+      madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
+    }
   }
 
   uint64_t size() const { return size_; }
@@ -116,13 +141,16 @@ class Builder {
   /// offsets, sorted by pivot (every pivot ranks above its owner).
   struct GenSide {
     /// Entries that survived the previous iteration, packed in owner
-    /// order; exactly sized, and released once generation has read them.
-    std::vector<LabelEntry> prev;
+    /// order at the front of the mapping that held them as candidates
+    /// (Initialize maps iteration 1's), whose other pages are released;
+    /// unmapped once generation has read them.
+    PageArray<LabelEntry> prev;
     /// Vertex x's slice of `prev` is [prev_begin[x], prev_begin[x + 1]).
     std::vector<uint64_t> prev_begin;
     /// This iteration's deduped and filtered candidates (only those that
     /// survive pruning, when the gather decides them), in a mapping with
-    /// room for the raw count; unmapped once the survivors are `prev`.
+    /// room for the raw count; AdvancePrev packs the survivors in it and
+    /// makes it the next `prev`.
     PageArray<LabelEntry> cands;
     /// Owner w's candidates are cands[begin[w], end[w]). Pass 1 leaves
     /// the raw counts' prefix sums in `begin` (w's raw offset; begin[n]
@@ -145,6 +173,11 @@ class Builder {
     /// Rules 1 and 4 for the opposite side's owners.
     std::vector<uint64_t> inv_begin;
     std::vector<VertexId> inv;
+
+    /// The packed `prev` entries.
+    std::span<const LabelEntry> Prev() const {
+      return {prev.data(), prev_begin.empty() ? 0 : prev_begin.back()};
+    }
   };
 
   /// One worker's gather and prune state, sized on the calling thread so
@@ -164,7 +197,9 @@ class Builder {
     uint64_t pruned = 0;
   };
 
-  void Initialize();
+  /// Seeds the labels from the arcs and maps iteration 1's `prev`; fails
+  /// with ResourceExhausted when a mapping is refused.
+  Status Initialize();
 
   /// Whether no candidate of a Hop-Stepping iteration over `prev` can
   /// witness another, so that its candidates can be decided as they are
@@ -281,9 +316,10 @@ class Builder {
   /// thread count, for a phase that costs ~2% of the build.
   uint64_t Apply(bool out_side, IterationStats* st);
 
-  /// Makes one side's survivors the next `prev`: an exactly sized copy
-  /// packed in owner order, with its offsets in `prev_begin`. Unmaps the
-  /// candidates.
+  /// Makes one side's survivors the next `prev`: packs them in owner
+  /// order at the front of the candidate mapping, in place, with their
+  /// offsets in `prev_begin`, releasing the pages they leave as it goes,
+  /// and keeps the mapping as `prev`.
   void AdvancePrev(bool out_side);
 
   std::vector<LabelVector>& Side(bool out_side) {
@@ -329,7 +365,7 @@ class Builder {
   BuildStats stats_;
 };
 
-void Builder::Initialize() {
+Status Builder::Initialize() {
   const VertexId n = g_.num_vertices();
   // One entry per edge: the higher-ranked endpoint becomes the pivot.
   // Directed arc u->v: v < u places (v, w) in Lout(u); u < v places
@@ -338,7 +374,7 @@ void Builder::Initialize() {
   // and L, in-arcs for Lin) that lies below v, already in pivot order:
   // each label is sized once and copied from it. The labels, flattened
   // in owner order, are iteration 1's `prev`.
-  auto init_side = [&](bool out_side) {
+  auto init_side = [&](bool out_side) -> Status {
     std::vector<LabelVector>& labels = Side(out_side);
     GenSide& gen = Gen(out_side);
     labels.resize(n);
@@ -354,26 +390,29 @@ void Builder::Initialize() {
       }
       gen.prev_begin[v + 1] = gen.prev_begin[v] + label.size();
     }
-    gen.prev.reserve(gen.prev_begin[n]);
+    HOPDB_RETURN_NOT_OK(gen.prev.Map(gen.prev_begin[n]));
+    LabelEntry* at = gen.prev.data();
     for (const LabelVector& label : labels) {
-      gen.prev.insert(gen.prev.end(), label.begin(), label.end());
+      at = std::copy(label.begin(), label.end(), at);
     }
+    return Status::OK();
   };
-  init_side(/*out_side=*/true);
-  if (directed_) init_side(/*out_side=*/false);
-  stats_.initial_entries = gen_out_.prev.size() + gen_in_.prev.size();
+  HOPDB_RETURN_NOT_OK(init_side(/*out_side=*/true));
+  if (directed_) HOPDB_RETURN_NOT_OK(init_side(/*out_side=*/false));
+  stats_.initial_entries = gen_out_.Prev().size() + gen_in_.Prev().size();
   for (VertexId v = 0; v < n; ++v) {
     for (const Arc& a : g_.OutArcs(v)) {
       min_arc_ = std::min(min_arc_, a.weight);
       max_arc_ = std::max(max_arc_, a.weight);
     }
   }
+  return Status::OK();
 }
 
 bool Builder::CandidatesCannotWitness() const {
   Distance min_prev = kInfDistance, max_prev = 0;
   for (const GenSide* gen : {&gen_out_, &gen_in_}) {
-    for (const LabelEntry& e : gen->prev) {
+    for (const LabelEntry& e : gen->Prev()) {
       min_prev = std::min(min_prev, e.dist);
       max_prev = std::max(max_prev, e.dist);
     }
@@ -405,7 +444,7 @@ void Builder::BuildInvertedLists(bool out_side) {
 
 void Builder::ReleaseSources(bool out_side) {
   GenSide& gen = Gen(out_side);
-  std::vector<LabelEntry>().swap(gen.prev);
+  gen.prev.Unmap();
   std::vector<uint64_t>().swap(gen.inv_begin);
   std::vector<VertexId>().swap(gen.inv);
 }
@@ -813,28 +852,39 @@ uint64_t Builder::Apply(bool out_side, IterationStats* st) {
 void Builder::AdvancePrev(bool out_side) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
+  LabelEntry* cands = gen.cands.data();
   gen.prev_begin.assign(static_cast<size_t>(n) + 1, 0);
-  for (VertexId w = 0; w < n; ++w) {
-    gen.prev_begin[w + 1] = gen.prev_begin[w] + (gen.end[w] - gen.begin[w]);
+  // Slices ascend with their owners and do not overlap, so owner w's
+  // packed start is at or below begin[w]: moving the owners in ascending
+  // order overwrites only entries already moved. After each range, the
+  // whole pages between the packed entries and the next range's first
+  // slice hold nothing live; past the last range, the tail.
+  for (size_t k = 0; k + 1 < gen.ranges.size(); ++k) {
+    for (VertexId w = gen.ranges[k]; w < gen.ranges[k + 1]; ++w) {
+      const uint64_t count = gen.end[w] - gen.begin[w];
+      if (count != 0 && gen.prev_begin[w] != gen.begin[w]) {
+        std::memmove(cands + gen.prev_begin[w], cands + gen.begin[w],
+                     count * sizeof(LabelEntry));
+      }
+      gen.prev_begin[w + 1] = gen.prev_begin[w] + count;
+    }
+    const VertexId next = gen.ranges[k + 1];
+    gen.cands.Release(gen.prev_begin[next],
+                      next < n ? gen.begin[next] : gen.cands.size());
   }
-  gen.prev.reserve(gen.prev_begin[n]);
-  for (VertexId w = 0; w < n; ++w) {
-    gen.prev.insert(gen.prev.end(), gen.cands.data() + gen.begin[w],
-                    gen.cands.data() + gen.end[w]);
-  }
-  gen.cands.Unmap();
+  gen.prev = std::move(gen.cands);
 }
 
 Result<BuildOutput> Builder::Run() {
   Stopwatch total_watch;
   {
     Stopwatch init_watch;
-    Initialize();
+    HOPDB_RETURN_NOT_OK(Initialize());
     stats_.init_seconds = init_watch.Seconds();
   }
 
   for (uint32_t iter = 1; iter <= opts_.max_iterations; ++iter) {
-    if (gen_out_.prev.empty() && gen_in_.prev.empty()) break;
+    if (gen_out_.Prev().empty() && gen_in_.Prev().empty()) break;
     if (deadline_.Exceeded()) {
       return Status::DeadlineExceeded("label construction over time budget");
     }

@@ -74,16 +74,19 @@ FlatLabelStore FlatLabelStore::Build(const std::vector<LabelVector>& out,
   for (const LabelVector& label : in) {
     sizes.push_back(static_cast<uint32_t>(label.size()));
   }
-  return FromSlots(
-      static_cast<VertexId>(out.size()), directed, std::move(sizes),
-      [&](size_t slot, uint32_t* pivots, uint32_t* dists) {
-        const LabelVector& label =
-            slot < out.size() ? out[slot] : in[slot - out.size()];
-        for (size_t i = 0; i < label.size(); ++i) {
-          pivots[i] = label[i].pivot;
-          dists[i] = label[i].dist;
-        }
-      });
+  auto fill = [&](size_t slot, uint32_t size, uint32_t* pivots,
+                  uint32_t* dists) {
+    const LabelVector& label =
+        slot < out.size() ? out[slot] : in[slot - out.size()];
+    for (uint32_t i = 0; i < size; ++i) {
+      pivots[i] = label[i].pivot;
+      dists[i] = label[i].dist;
+    }
+    return Status::OK();
+  };
+  return FromSlots(static_cast<VertexId>(out.size()), directed,
+                   std::move(sizes), fill)
+      .ValueOrDie();
 }
 
 uint64_t FlatLabelStore::SizeBytes() const {

@@ -49,6 +49,7 @@
 #include "labeling/label_entry.h"
 #include "util/aligned_buffer.h"
 #include "util/logging.h"
+#include "util/status.h"
 
 namespace hopdb {
 
@@ -121,12 +122,16 @@ class FlatLabelStore {
 
   /// Builds a store slot by slot: `sizes` holds every slot's entry count
   /// (out-labels of 0..n-1, then in-labels when directed), and
-  /// fill(slot, pivots, dists) is called once per slot, in slot order,
-  /// to write that slot's sizes[slot] entries. Then pads the blocks and
-  /// derives the sidecars. O(total entries), one allocation per arena.
+  /// fill(slot, size, pivots, dists) is called once per slot, in slot
+  /// order, to write that slot's `size` (= sizes[slot]) entries. A fill
+  /// that returns an error stops the build, and FromSlots returns that
+  /// error. Then pads the blocks and derives the sidecars.
+  /// O(total entries), one allocation per arena.
   template <typename Fill>
-  static FlatLabelStore FromSlots(VertexId num_vertices, bool directed,
-                                  std::vector<uint32_t> sizes, Fill&& fill) {
+  static Result<FlatLabelStore> FromSlots(VertexId num_vertices,
+                                          bool directed,
+                                          std::vector<uint32_t> sizes,
+                                          Fill&& fill) {
     FlatLabelStore store;
     store.directed_ = directed;
     store.num_vertices_ = num_vertices;
@@ -134,7 +139,9 @@ class FlatLabelStore {
     store.InitBlockedLayout(std::move(sizes));
     for (size_t slot = 0; slot < store.sizes_.size(); ++slot) {
       const uint64_t begin = store.offsets_[slot];
-      fill(slot, store.pivots_.data() + begin, store.dists_.data() + begin);
+      HOPDB_RETURN_NOT_OK(fill(slot, store.sizes_[slot],
+                               store.pivots_.data() + begin,
+                               store.dists_.data() + begin));
     }
     store.FinalizeBlocks();
     return store;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "io/block_file.h"
 #include "labeling/query_kernel.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -14,8 +16,113 @@
 namespace hopdb {
 
 namespace {
+
 constexpr char kMagic[4] = {'H', 'L', 'I', '1'};
-}
+
+/// The bytes of an HLI1 file a load holds at a time: Load reads the file
+/// through one window of this size, never the whole file.
+constexpr size_t kLoadWindowBytes = size_t{1} << 20;
+
+/// Sequential reader of an HLI1 file through one fixed window, refilled
+/// by positional reads. Bytes it hands out below the hash end set by
+/// Rewind are chained into hash().
+class WindowReader {
+ public:
+  explicit WindowReader(BlockFile* file)
+      : file_(file), window_(new uint8_t[kLoadWindowBytes]) {}
+
+  /// Offset of the next byte to hand out.
+  uint64_t position() const { return next_read_ - buffered(); }
+  size_t buffered() const { return end_ - begin_; }
+  uint64_t hash() const { return hash_; }
+
+  /// Goes back to byte 0 and restarts the hash over bytes [0, hash_end).
+  void Rewind(uint64_t hash_end) {
+    next_read_ = 0;
+    begin_ = end_ = 0;
+    hash_end_ = hash_end;
+    hash_ = kFnv1a64Basis;
+  }
+
+  /// Makes at least n (<= kLoadWindowBytes) bytes buffered, moving what
+  /// is left to the front of the window and reading the file after it.
+  Status Fill(size_t n) {
+    if (buffered() >= n) return Status::OK();
+    std::memmove(window_.get(), window_.get() + begin_, buffered());
+    end_ = buffered();
+    begin_ = 0;
+    const size_t more = static_cast<size_t>(std::min<uint64_t>(
+        kLoadWindowBytes - end_, file_->size() - next_read_));
+    if (end_ + more < n) {
+      return Status::InvalidArgument("file ends inside a field");
+    }
+    HOPDB_RETURN_NOT_OK(file_->ReadAt(next_read_, window_.get() + end_, more));
+    next_read_ += more;
+    end_ += more;
+    return Status::OK();
+  }
+
+  /// Hands out the next n <= buffered() bytes.
+  const uint8_t* Consume(size_t n) {
+    const uint8_t* bytes = window_.get() + begin_;
+    const uint64_t at = position();
+    if (at < hash_end_) {
+      hash_ = Fnv1a64(bytes, std::min<uint64_t>(n, hash_end_ - at), hash_);
+    }
+    begin_ += n;
+    return bytes;
+  }
+
+  Status Take(size_t n, const uint8_t** bytes) {
+    HOPDB_RETURN_NOT_OK(Fill(n));
+    *bytes = Consume(n);
+    return Status::OK();
+  }
+
+  /// Reads a little-endian u32 or u64 field that must end by offset
+  /// `limit`.
+  template <typename T>
+  Status Read(uint64_t limit, T* v) {
+    if (position() > limit || limit - position() < sizeof(T)) {
+      return Status::OutOfRange("field runs past the end of the body");
+    }
+    const uint8_t* bytes = nullptr;
+    HOPDB_RETURN_NOT_OK(Take(sizeof(T), &bytes));
+    std::memcpy(v, bytes, sizeof(T));
+    return Status::OK();
+  }
+
+  /// Moves n bytes ahead: bytes below the hash end are read and hashed,
+  /// the rest are not read at all.
+  Status Skip(uint64_t n) {
+    while (n > 0 && position() < hash_end_) {
+      HOPDB_RETURN_NOT_OK(Fill(1));
+      const size_t k =
+          static_cast<size_t>(std::min<uint64_t>(n, buffered()));
+      Consume(k);
+      n -= k;
+    }
+    if (n <= buffered()) {
+      begin_ += static_cast<size_t>(n);
+    } else {
+      next_read_ = position() + n;
+      begin_ = end_ = 0;
+    }
+    return Status::OK();
+  }
+
+ private:
+  BlockFile* file_;
+  std::unique_ptr<uint8_t[]> window_;
+  /// window_[begin_, end_) holds the file's bytes up to next_read_.
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  uint64_t next_read_ = 0;
+  uint64_t hash_end_ = 0;
+  uint64_t hash_ = kFnv1a64Basis;
+};
+
+}  // namespace
 
 TwoHopIndex::TwoHopIndex(std::vector<LabelVector> out,
                          std::vector<LabelVector> in, bool directed)
@@ -126,39 +233,45 @@ Status TwoHopIndex::Save(const std::string& path) const {
 }
 
 Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
-  std::string data;
-  HOPDB_RETURN_NOT_OK(ReadFileToString(path, &data));
-  if (data.size() < sizeof(kMagic) + 8 ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+  HOPDB_ASSIGN_OR_RETURN(BlockFile file, BlockFile::OpenRead(path));
+  WindowReader reader(&file);
+  const uint8_t* magic = nullptr;
+  if (file.size() >= sizeof(kMagic) + 8) {
+    HOPDB_RETURN_NOT_OK(reader.Take(sizeof(kMagic), &magic));
+  }
+  if (magic == nullptr || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("not a HLI1 index file: " + path);
   }
   // The body is every byte but the trailing checksum, so a file that
-  // carries anything past the checksum fails here too.
-  const size_t body = data.size() - 8;
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(data.data());
-  if (Fnv1a64(bytes, body) != DecodeU64(bytes + body)) {
+  // carries anything past the checksum fails its checks too.
+  const uint64_t body = file.size() - 8;
+  // With the reader at the body's end, having hashed every byte before.
+  const auto verify_checksum = [&]() -> Status {
+    uint64_t stored = 0;
+    HOPDB_RETURN_NOT_OK(reader.Read(file.size(), &stored));
+    if (reader.hash() == stored) return Status::OK();
     return Status::InvalidArgument(
         "HLI1 checksum mismatch (a corrupt file, or one written by an "
         "earlier hopdb build: rebuild it): " + path);
-  }
-  ByteReader reader(bytes + sizeof(kMagic), body - sizeof(kMagic));
+  };
+
+  // Pass 1: the header and the label lengths, which size the store's
+  // slots; the entries are skipped. Every label takes 8 bytes for its
+  // length and every entry 8 bytes, so a count the rest of the body
+  // cannot hold is corrupt — reject it before it sizes an allocation.
   uint32_t directed = 0, nv = 0;
   uint64_t out_count = 0, in_count = 0;
-  // First pass: the label lengths, which size the store's slots. Every
-  // label takes 8 bytes for its length and every entry 8 bytes, so a
-  // count the rest of the body cannot hold is corrupt — reject it before
-  // it sizes an allocation.
   std::vector<uint32_t> sizes;
   auto read_lengths = [&](uint64_t* count) -> Status {
-    HOPDB_RETURN_NOT_OK(reader.ReadU64(count));
-    if (*count > reader.remaining() / 8) {
+    HOPDB_RETURN_NOT_OK(reader.Read(body, count));
+    if (*count > (body - reader.position()) / 8) {
       return Status::InvalidArgument("label count exceeds file size");
     }
     sizes.reserve(sizes.size() + *count);
     for (uint64_t i = 0; i < *count; ++i) {
       uint64_t len = 0;
-      HOPDB_RETURN_NOT_OK(reader.ReadU64(&len));
-      if (len > reader.remaining() / 8 || len > UINT32_MAX) {
+      HOPDB_RETURN_NOT_OK(reader.Read(body, &len));
+      if (len > (body - reader.position()) / 8 || len > UINT32_MAX) {
         return Status::InvalidArgument("label length exceeds file size");
       }
       sizes.push_back(static_cast<uint32_t>(len));
@@ -167,11 +280,11 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
     return Status::OK();
   };
   auto read_shape = [&]() -> Status {
-    HOPDB_RETURN_NOT_OK(reader.ReadU32(&directed));
-    HOPDB_RETURN_NOT_OK(reader.ReadU32(&nv));
+    HOPDB_RETURN_NOT_OK(reader.Read(body, &directed));
+    HOPDB_RETURN_NOT_OK(reader.Read(body, &nv));
     HOPDB_RETURN_NOT_OK(read_lengths(&out_count));
     HOPDB_RETURN_NOT_OK(read_lengths(&in_count));
-    if (reader.remaining() != 0) {
+    if (reader.position() != body) {
       return Status::InvalidArgument("bytes after the label sides");
     }
     // The shapes the store's slot layout needs, refused before it runs.
@@ -183,23 +296,67 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
     return Status::OK();
   };
   if (const Status parsed = read_shape(); !parsed.ok()) {
+    // A file that fails its checksum reports that first, whatever else
+    // is wrong with it.
+    reader.Rewind(body);
+    HOPDB_RETURN_NOT_OK(reader.Skip(body));
+    HOPDB_RETURN_NOT_OK(verify_checksum());
     return Status::InvalidArgument("corrupt HLI1 body (" +
                                    parsed.message() + "): " + path);
   }
-  // Second pass: decode every label into its slot. The first pass
-  // bounded every length, so the walk stays inside the body.
-  const uint8_t* cursor = bytes + 12;
-  TwoHopIndex index(FlatLabelStore::FromSlots(
+
+  // Pass 2: read the body again, hashing every byte, and decode each
+  // label straight into its slot. A header, count or length that
+  // differs from pass 1's means the file changed in between.
+  const auto changed = [&] {
+    return Status::InvalidArgument("HLI1 file changed while loading: " +
+                                   path);
+  };
+  reader.Rewind(body);
+  uint32_t directed2 = 0, nv2 = 0;
+  HOPDB_RETURN_NOT_OK(reader.Take(sizeof(kMagic), &magic));
+  HOPDB_RETURN_NOT_OK(reader.Read(body, &directed2));
+  HOPDB_RETURN_NOT_OK(reader.Read(body, &nv2));
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
+      directed2 != directed || nv2 != nv) {
+    return changed();
+  }
+  int counts_read = 0;
+  auto read_count = [&]() -> Status {
+    uint64_t count = 0;
+    HOPDB_RETURN_NOT_OK(reader.Read(body, &count));
+    if (count != (counts_read++ == 0 ? out_count : in_count)) {
+      return changed();
+    }
+    return Status::OK();
+  };
+  Result<FlatLabelStore> store = FlatLabelStore::FromSlots(
       nv, directed != 0, std::move(sizes),
-      [&](size_t slot, uint32_t* pivots, uint32_t* dists) {
-        if (slot == 0 || slot == nv) cursor += 8;  // the side's count
-        const uint64_t len = DecodeU64(cursor);
-        cursor += 8;
-        for (uint64_t i = 0; i < len; ++i, cursor += 8) {
-          pivots[i] = DecodeU32(cursor);
-          dists[i] = DecodeU32(cursor + 4);
+      [&](size_t slot, uint32_t size, uint32_t* pivots,
+          uint32_t* dists) -> Status {
+        if (slot == 0 || slot == nv) HOPDB_RETURN_NOT_OK(read_count());
+        uint64_t len = 0;
+        HOPDB_RETURN_NOT_OK(reader.Read(body, &len));
+        if (len != size) return changed();
+        // As many whole entries as the window holds at a time.
+        for (uint32_t i = 0; i < size;) {
+          HOPDB_RETURN_NOT_OK(reader.Fill(8));
+          const auto n = static_cast<uint32_t>(
+              std::min<uint64_t>(size - i, reader.buffered() / 8));
+          const uint8_t* entry = reader.Consume(size_t{n} * 8);
+          for (const uint32_t stop = i + n; i < stop; ++i, entry += 8) {
+            pivots[i] = DecodeU32(entry);
+            dists[i] = DecodeU32(entry + 4);
+          }
         }
-      }));
+        return Status::OK();
+      });
+  HOPDB_RETURN_NOT_OK(store.status());
+  while (counts_read < 2) HOPDB_RETURN_NOT_OK(read_count());
+  if (reader.position() != body) return changed();
+  HOPDB_RETURN_NOT_OK(verify_checksum());
+
+  TwoHopIndex index(std::move(store).value());
   const Status valid = index.Validate(/*ranked=*/false);
   if (!valid.ok()) {
     return Status::InvalidArgument("invalid HLI1 labels (" + valid.message() +

@@ -100,11 +100,20 @@ class TwoHopIndex {
 
   /// Serializes the store's real entries (no block padding) to the HLI1
   /// binary format: the label body followed by a u64 FNV-1a-64 checksum
-  /// of it (docs/FORMATS.md). Load verifies the checksum and rejects any
-  /// byte past it, sizes the slots from the label lengths (each count
-  /// checked against the bytes left before it sizes anything), checks
-  /// the side shapes against the header, decodes the entries straight
-  /// into the store and runs Validate(false) on it — every failure is
+  /// of it (docs/FORMATS.md).
+  ///
+  /// Load reads the file through one fixed 1 MiB window, never whole,
+  /// so it holds the store it builds and little else. Pass 1 reads the
+  /// header and every label length, skipping the entries: each count is
+  /// checked against the bytes left before it sizes anything, the side
+  /// shapes against the header, and no byte may follow the body. The
+  /// lengths size the store's slots. Pass 2 re-reads the body, hashes
+  /// every byte, checks each length against pass 1's and decodes each
+  /// label straight into its slot; the checksum is compared before
+  /// Validate(false) runs, so no label is kept from bytes it did not
+  /// cover. A file that pass 1 cannot parse is hashed whole first, and
+  /// reports a checksum mismatch if it has one. A path that is not a
+  /// regular file fails with IOError; every other failure is
   /// InvalidArgument. Files written by earlier builds (with a trailing
   /// HFS1 section, or none) fail the checksum and must be rebuilt.
   Status Save(const std::string& path) const;

@@ -92,7 +92,11 @@ struct ServerOptions {
   /// answering the hub-covered portion of each DIST with one dense fold
   /// and handing only the non-hub label suffixes to the merge-join.
   /// Costs 8k bytes per vertex side of RAM per snapshot; 0 disables.
-  uint32_t hot_hub_k = 64;
+  /// Off by default: the table lost on every measurement taken (the
+  /// kernel bench, ServingSnapshot::Query on uniform and Zipf pairs, and
+  /// BENCH_serve.json's hub pair; ROADMAP item 1), and at k = 64 it
+  /// costs about 13 MB at 50k vertices.
+  uint32_t hot_hub_k = 0;
   /// Max requests a worker takes per wakeup (one drain); it answers
   /// them one by one, in queue order.
   uint32_t max_micro_batch = 32;

@@ -51,15 +51,20 @@ Status ReadFileToString(const std::string& path, std::string* out) {
     return Status::IOError("open failed for " + path + ": " +
                            std::strerror(errno));
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  if (size < 0) {
+  // A directory opens too, so anything but a regular file is refused
+  // here, before its reported size sizes the buffer.
+  struct stat st;
+  if (::fstat(::fileno(f), &st) != 0) {
+    const std::string err = std::strerror(errno);
     std::fclose(f);
-    return Status::IOError("ftell failed for " + path);
+    return Status::IOError("fstat failed for " + path + ": " + err);
   }
-  out->resize(static_cast<size_t>(size));
-  size_t got = size == 0 ? 0 : std::fread(out->data(), 1, out->size(), f);
+  if (!S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::IOError("not a regular file: " + path);
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t got = out->empty() ? 0 : std::fread(out->data(), 1, out->size(), f);
   std::fclose(f);
   if (got != out->size()) {
     return Status::IOError("short read from " + path);

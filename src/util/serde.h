@@ -54,10 +54,16 @@ inline void PutU64(std::string* dst, uint64_t v) {
   dst->append(buf, 8);
 }
 
+/// FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// FNV-1a 64-bit hash; the integrity checksum of hopdb disk formats.
-inline uint64_t Fnv1a64(const void* data, size_t size) {
+/// Chainable: hashing a buffer in pieces, each call seeded with the
+/// previous call's result, gives the hash of the whole buffer.
+inline uint64_t Fnv1a64(const void* data, size_t size,
+                        uint64_t seed = kFnv1a64Basis) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = seed;
   for (size_t i = 0; i < size; ++i) {
     h ^= p[i];
     h *= 0x100000001b3ULL;
@@ -91,7 +97,8 @@ class ByteReader {
 // Whole-file helpers.
 // ---------------------------------------------------------------------------
 
-/// Reads an entire file into `out`.
+/// Reads an entire regular file into `out`. Anything else (a directory,
+/// a pipe, a device) fails with IOError before any allocation.
 Status ReadFileToString(const std::string& path, std::string* out);
 
 /// Writes `data` to `path` in place: fopen ("wb", truncating any existing

@@ -238,6 +238,22 @@ TEST(CliTest, QueryMissingIndexFileFails) {
             1);
 }
 
+// A directory where an index file is expected is an error line and exit
+// 1, not an abort.
+TEST(CliTest, DirectoryAsIndexFails) {
+  TempDir dir = TempDir::Create("cli_test").ValueOrDie();
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"stats", "--index", dir.path()},
+        std::vector<std::string>{"query", "--index", dir.path(), "--src",
+                                 "0", "--dst", "1"}}) {
+    std::string err;
+    EXPECT_EQ(RunTool(args, nullptr, &err), 1) << args[0];
+    EXPECT_NE(err.find("hopdb_cli " + args[0] + ": IOError"),
+              std::string::npos)
+        << err;
+  }
+}
+
 // All argument errors go through one usage-printing path: nonzero exit,
 // the status message, and the subcommand's flag table on stderr.
 TEST(CliTest, ArgumentErrorsPrintUsageWithFlagTable) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "io/temp_dir.h"
 
 namespace hopdb {
@@ -73,6 +76,18 @@ TEST(SerdeFileTest, MissingFileErrors) {
   EXPECT_FALSE(FileSizeBytes("/nonexistent/nowhere.bin").ok());
 }
 
+// A directory opens for reading, but has no size to read: refused with
+// IOError before anything is allocated, not by throwing bad_alloc.
+TEST(SerdeFileTest, DirectoryIsNotAFile) {
+  auto dir = TempDir::Create("serde_test");
+  ASSERT_TRUE(dir.ok());
+  std::string back = "untouched";
+  Status status;
+  EXPECT_NO_THROW(status = ReadFileToString(dir->path(), &back));
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status;
+  EXPECT_EQ(back, "untouched");
+}
+
 TEST(SerdeFileTest, RemoveIfExists) {
   auto dir = TempDir::Create("serde_test");
   ASSERT_TRUE(dir.ok());
@@ -88,6 +103,19 @@ TEST(Fnv1aTest, KnownVectorsAndSensitivity) {
   EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);
   EXPECT_NE(Fnv1a64("abc", 3), Fnv1a64("abd", 3));
   EXPECT_NE(Fnv1a64("abc", 3), Fnv1a64("abc", 2));
+}
+
+TEST(Fnv1aTest, ChainedPiecesHashLikeOneCall) {
+  std::string data;
+  for (int i = 0; i < 1000; ++i) data.push_back(static_cast<char>(i * 37));
+  const uint64_t whole = Fnv1a64(data.data(), data.size());
+  for (const size_t piece : {1, 7, 64, 999, 1000}) {
+    uint64_t h = kFnv1a64Basis;
+    for (size_t at = 0; at < data.size(); at += piece) {
+      h = Fnv1a64(data.data() + at, std::min(piece, data.size() - at), h);
+    }
+    EXPECT_EQ(h, whole) << "pieces of " << piece;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "gen/glp.h"
+#include "gen/weights.h"
 #include "hopdb.h"
 #include "io/temp_dir.h"
 #include "labeling/label_entry.h"
@@ -448,6 +451,178 @@ TEST(TwoHopIndexIoTest, OldFileWithHfs1TrailerIsRefused) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
       << loaded.status();
+}
+
+// TwoHopIndex::Load reads a file through one 1 MiB window. These tests
+// use a directed weighted index whose HLI1 file spans several windows.
+constexpr uint64_t kLoadWindow = uint64_t{1} << 20;
+
+class TwoHopIndexWindowTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    GlpOptions glp;
+    glp.num_vertices = 10000;
+    glp.target_avg_degree = 8;
+    glp.seed = 5;
+    EdgeList edges = GenerateDirectedGlp(glp).ValueOrDie();
+    AssignUniformWeights(&edges, 1, 100, 5);
+    HopDbOptions options;
+    options.build.num_threads = 2;
+    index_ = new HopDbIndex(HopDbIndex::Build(edges, options).ValueOrDie());
+    dir_ = new TempDir(TempDir::Create("hli_windows").ValueOrDie());
+    path_ = new std::string(dir_->File("idx.hli"));
+    index_->label_index().Save(*path_).CheckOK();
+    bytes_ = new std::string;
+    ReadFileToString(*path_, bytes_).CheckOK();
+    // Where every label's length field and entries lie.
+    labels_ = new std::vector<LabelBytes>;
+    uint64_t at = 12;
+    for (int side = 0; side < 2; ++side) {
+      const uint64_t count = DecodeU64(Byte(at));
+      at += 8;
+      for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t len = DecodeU64(Byte(at));
+        labels_->push_back({at, at + 8, at + 8 + 8 * len});
+        at += 8 + 8 * len;
+      }
+    }
+    ASSERT_EQ(at + 8, bytes_->size());
+  }
+  static void TearDownTestSuite() {
+    delete labels_;
+    delete bytes_;
+    delete path_;
+    delete dir_;
+    delete index_;
+  }
+
+  /// One label's byte ranges: its length field at `length`, its
+  /// entries in [entries, end).
+  struct LabelBytes {
+    uint64_t length;
+    uint64_t entries;
+    uint64_t end;
+  };
+
+  static const uint8_t* Byte(uint64_t at) {
+    return reinterpret_cast<const uint8_t*>(bytes_->data()) + at;
+  }
+
+  /// `file` with its checksum recomputed over its body.
+  static std::string Reseal(std::string file) {
+    file.resize(file.size() - 8);
+    PutU64(&file, Fnv1a64(file.data(), file.size()));
+    return file;
+  }
+
+  static HopDbIndex* index_;
+  static TempDir* dir_;
+  static std::string* path_;
+  static std::string* bytes_;
+  static std::vector<LabelBytes>* labels_;
+};
+
+HopDbIndex* TwoHopIndexWindowTest::index_ = nullptr;
+TempDir* TwoHopIndexWindowTest::dir_ = nullptr;
+std::string* TwoHopIndexWindowTest::path_ = nullptr;
+std::string* TwoHopIndexWindowTest::bytes_ = nullptr;
+std::vector<TwoHopIndexWindowTest::LabelBytes>*
+    TwoHopIndexWindowTest::labels_ = nullptr;
+
+TEST_F(TwoHopIndexWindowTest, RoundTripsAcrossWindows) {
+  ASSERT_GT(bytes_->size(), 2 * kLoadWindow) << "spans three windows";
+  // At every window edge a label's entries go on, with at least one
+  // whole entry on either side of it.
+  for (uint64_t edge = kLoadWindow; edge < bytes_->size();
+       edge += kLoadWindow) {
+    EXPECT_TRUE(std::any_of(labels_->begin(), labels_->end(),
+                            [&](const LabelBytes& l) {
+                              return l.entries + 8 <= edge &&
+                                     edge + 8 <= l.end;
+                            }))
+        << "no label across the edge at " << edge;
+  }
+
+  auto back = TwoHopIndex::Load(*path_);
+  ASSERT_TRUE(back.ok()) << back.status();
+  const TwoHopIndex& want = index_->label_index();
+  ASSERT_TRUE(back->directed());
+  ASSERT_EQ(back->num_vertices(), want.num_vertices());
+  EXPECT_EQ(back->TotalEntries(), want.TotalEntries());
+  for (VertexId v = 0; v < want.num_vertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(back->OutLabel(v), want.OutLabel(v)))
+        << "out label of " << v;
+    ASSERT_TRUE(std::ranges::equal(back->InLabel(v), want.InLabel(v)))
+        << "in label of " << v;
+  }
+  const std::string resaved = dir_->File("resaved.hli");
+  ASSERT_TRUE(back->Save(resaved).ok());
+  std::string again;
+  ASSERT_TRUE(ReadFileToString(resaved, &again).ok());
+  EXPECT_TRUE(again == *bytes_) << "re-saved bytes differ";
+}
+
+TEST_F(TwoHopIndexWindowTest, FlippedByteInTheLastWindowFails) {
+  const uint64_t last = bytes_->size() / kLoadWindow * kLoadWindow;
+  ASSERT_GE(last, 2 * kLoadWindow);
+  // An entry byte (pass 1 parses, the checksum fails) and a length byte
+  // (pass 1 fails, and the checksum is reported).
+  const auto in_last = std::find_if(
+      labels_->begin(), labels_->end(), [&](const LabelBytes& l) {
+        return l.length > last && l.end > l.entries;
+      });
+  ASSERT_NE(in_last, labels_->end());
+  const std::string path = dir_->File("flipped.hli");
+  for (const uint64_t at : {in_last->entries + 3, in_last->length + 2}) {
+    std::string flipped = *bytes_;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x10);
+    ExpectInvalid(path, flipped, "flipped byte " + std::to_string(at));
+    EXPECT_NE(TwoHopIndex::Load(path).status().message().find(
+                  "checksum mismatch"),
+              std::string::npos);
+  }
+}
+
+TEST_F(TwoHopIndexWindowTest, TruncationsAtWindowEdgesFail) {
+  const std::string path = dir_->File("truncated.hli");
+  for (uint64_t edge = kLoadWindow; edge < bytes_->size();
+       edge += kLoadWindow) {
+    for (const uint64_t keep : {edge - 1, edge, edge + 1}) {
+      ExpectInvalid(path, bytes_->substr(0, keep),
+                    "kept " + std::to_string(keep));
+    }
+  }
+}
+
+TEST_F(TwoHopIndexWindowTest, SealedOverrunningLengthFails) {
+  // A label past the first window whose length runs past the body, in a
+  // file with a valid checksum: pass 1 refuses it before anything is
+  // sized.
+  const auto late = std::find_if(
+      labels_->begin(), labels_->end(),
+      [](const LabelBytes& l) { return l.length > kLoadWindow; });
+  ASSERT_NE(late, labels_->end());
+  const std::string path = dir_->File("overrun.hli");
+  for (const uint64_t len :
+       {(bytes_->size() - late->entries) / 8, uint64_t{1} << 40}) {
+    std::string file = *bytes_;
+    EncodeU64(len, reinterpret_cast<uint8_t*>(file.data()) + late->length);
+    file = Reseal(std::move(file));
+    ExpectInvalid(path, file, "length " + std::to_string(len));
+    const Status status = TwoHopIndex::Load(path).status();
+    EXPECT_NE(status.message().find("label length exceeds file size"),
+              std::string::npos)
+        << status;
+  }
+}
+
+TEST(TwoHopIndexIoTest, DirectoryIsRefused) {
+  auto dir = TempDir::Create("hli_dir");
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(TwoHopIndex::Load(dir->path()).status().code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(HopDbIndex::Load(dir->path()).status().code(),
+            StatusCode::kIOError);
 }
 
 }  // namespace
