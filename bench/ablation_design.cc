@@ -10,16 +10,11 @@
 //   4. hybrid switch iteration sweep  ("Data flow", BuildHopLabeling's
 //                                      modes; Section 5.4's "first 10
 //                                      iterations")
-//   5. bit-parallel post-processing   ("Subsystem map", BitParallelIndex;
-//                                      Section 6: size and query effects)
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "eval/workload.h"
 #include "gen/glp.h"
-#include "labeling/bit_parallel.h"
-#include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
 
@@ -159,34 +154,6 @@ void AblateSwitchPoint(const CsrGraph& ranked, double budget) {
   std::printf("\n");
 }
 
-void AblateBitParallel(const CsrGraph& ranked, size_t queries) {
-  std::printf("5) Bit-parallel post-processing (Section 6):\n");
-  auto out = BuildHopLabeling(ranked, {});
-  out.status().CheckOK();
-  TwoHopIndex plain = out->index;
-  auto pairs = RandomPairs(ranked.num_vertices(), queries, 99);
-  QueryTiming plain_t = TimeQueries(pairs, [&](VertexId s, VertexId t) {
-    return plain.Query(s, t);
-  });
-  auto bp = BitParallelIndex::Transform(std::move(out->index), ranked, {});
-  bp.status().CheckOK();
-  QueryTiming bp_t = TimeQueries(pairs, [&](VertexId s, VertexId t) {
-    return bp->Query(s, t);
-  });
-  HOPDB_CHECK_EQ(plain_t.checksum, bp_t.checksum)
-      << "BP transform changed answers";
-  AsciiTable table({"index", "normal entries", "bp tuples", "size MB",
-                    "query us"});
-  table.AddRow({"2-hop labels", HumanCount(plain.TotalEntries()), "0",
-                Mb(plain.PaperSizeBytes()), FormatDouble(plain_t.avg_micros,
-                                                         2)});
-  table.AddRow({"bit-parallel", HumanCount(bp->NormalEntries()),
-                HumanCount(bp->BpTuples()), Mb(bp->PaperSizeBytes()),
-                FormatDouble(bp_t.avg_micros, 2)});
-  table.Print();
-  std::printf("\n");
-}
-
 int Run(int argc, char** argv) {
   BenchEnv env;
   if (!InitBenchEnv(argc, argv,
@@ -208,7 +175,6 @@ int Run(int argc, char** argv) {
   AblateWitnesses(*ranked_und, env.budget_seconds);
   AblateRanking(*directed, env.budget_seconds);
   AblateSwitchPoint(*ranked_und, env.budget_seconds);
-  AblateBitParallel(*ranked_und, env.queries);
   return 0;
 }
 

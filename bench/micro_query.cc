@@ -1,7 +1,6 @@
 // Query-path microbenchmarks (google-benchmark): per-query latency of
-// HopDb labels, bit-parallel labels, PLL labels, the disk-resident index,
-// and index-free bidirectional search, plus the core label-intersection
-// primitive. These are the per-operation counterparts of Table 6's
+// HopDb labels, PLL labels, the disk-resident index, and index-free
+// bidirectional search, plus the core label-intersection primitive. These are the per-operation counterparts of Table 6's
 // aggregate query columns.
 
 #include <benchmark/benchmark.h>
@@ -14,7 +13,6 @@
 #include "gen/glp.h"
 #include "graph/ranking.h"
 #include "io/temp_dir.h"
-#include "labeling/bit_parallel.h"
 #include "labeling/builder.h"
 #include "labeling/disk_index.h"
 #include "query/batch.h"
@@ -33,7 +31,6 @@ struct MicroContext {
   CsrGraph ranked;
   TwoHopIndex hopdb;
   TwoHopIndex pll;
-  BitParallelIndex bp;
   TempDir dir;
   DiskIndex disk;
   std::unique_ptr<IsLabelPartialIndex> is_label_partial;
@@ -66,11 +63,6 @@ struct MicroContext {
     auto pll = BuildPll(ctx->ranked);
     pll.status().CheckOK();
     ctx->pll = std::move(pll->index);
-
-    TwoHopIndex copy = ctx->hopdb;
-    auto bp = BitParallelIndex::Transform(std::move(copy), ctx->ranked, {});
-    bp.status().CheckOK();
-    ctx->bp = std::move(*bp);
 
     auto dir = TempDir::Create("micro_query");
     dir.status().CheckOK();
@@ -112,16 +104,6 @@ void BM_PllQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PllQuery);
-
-void BM_BitParallelQuery(benchmark::State& state) {
-  MicroContext& ctx = MicroContext::Get();
-  size_t i = 0;
-  for (auto _ : state) {
-    const QueryPair& p = ctx.pairs[i++ & (kPairs - 1)];
-    benchmark::DoNotOptimize(ctx.bp.Query(p.s, p.t));
-  }
-}
-BENCHMARK(BM_BitParallelQuery);
 
 void BM_DiskQuery(benchmark::State& state) {
   MicroContext& ctx = MicroContext::Get();

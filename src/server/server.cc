@@ -178,7 +178,7 @@ WireResponse ErrVertexOutOfRange(VertexId n) {
 
 /// --trace-sample-rate as a 1-in-N cadence for the I/O threads.
 uint32_t TraceSampleEvery(double rate) {
-  if (rate <= 0.0) return 0;
+  if (!(rate > 0.0)) return 0;  // also NaN
   if (rate >= 1.0) return 1;
   const double every = 1.0 / rate;
   if (every >= 4e9) return 0;  // effectively never
@@ -208,6 +208,10 @@ Result<std::unique_ptr<DistanceServer>> DistanceServer::Start(
     std::shared_ptr<const ServingSnapshot> snapshot,
     const ServerOptions& options) {
   std::unique_ptr<DistanceServer> server(new DistanceServer(options));
+  // A worker reads an empty drain as "queue closed", so it must take at
+  // least one request per wakeup.
+  server->options_.max_micro_batch =
+      std::max<uint32_t>(1, options.max_micro_batch);
   HOPDB_RETURN_NOT_OK(
       server->registry_.Attach(kDefaultIndexName, std::move(snapshot)));
   HOPDB_RETURN_NOT_OK(server->Listen());

@@ -98,7 +98,7 @@ struct ServerOptions {
   /// costs about 13 MB at 50k vertices.
   uint32_t hot_hub_k = 0;
   /// Max requests a worker takes per wakeup (one drain); it answers
-  /// them one by one, in queue order.
+  /// them one by one, in queue order. 0 is taken as 1.
   uint32_t max_micro_batch = 32;
   /// Path RELOAD-without-argument re-reads for the default index;
   /// typically the file the index was loaded from. Empty = bare RELOAD

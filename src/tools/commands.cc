@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,10 +38,17 @@ bool IsBinaryGraphPath(const std::string& path) {
   return EndsWith(path, ".hgr") || EndsWith(path, ".bin");
 }
 
-/// Reads an unsigned flag into an option field of a narrower type.
+/// Reads an unsigned flag into an option field of a narrower type,
+/// refusing values the field cannot hold.
 template <typename T>
 Status GetUintFlag(const CliFlags& flags, const std::string& name, T* out) {
   HOPDB_ASSIGN_OR_RETURN(const uint64_t value, flags.GetUint(name));
+  const uint64_t max = static_cast<uint64_t>(std::numeric_limits<T>::max());
+  if (value > max) {
+    return Status::InvalidArgument("flag --" + name + " wants at most " +
+                                   std::to_string(max) + ", got '" +
+                                   flags.GetString(name) + "'");
+  }
   *out = static_cast<T>(value);
   return Status::OK();
 }
@@ -96,8 +104,15 @@ Status CmdGen(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(const bool directed, flags->GetBool("directed"));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
   HOPDB_ASSIGN_OR_RETURN(const bool weighted, flags->GetBool("weighted"));
-  HOPDB_ASSIGN_OR_RETURN(const uint64_t wmin, flags->GetUint("wmin"));
-  HOPDB_ASSIGN_OR_RETURN(const uint64_t wmax, flags->GetUint("wmax"));
+  Distance wmin = 0;
+  Distance wmax = 0;
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "wmin", &wmin));
+  HOPDB_RETURN_NOT_OK(GetUintFlag(*flags, "wmax", &wmax));
+  if (weighted && (wmin == 0 || wmax < wmin)) {
+    return Status::InvalidArgument(
+        "flag --wmin/--wmax want 1 <= wmin <= wmax, got " +
+        std::to_string(wmin) + " and " + std::to_string(wmax));
+  }
 
   EdgeList edges;
   if (type == "glp") {
@@ -132,8 +147,7 @@ Status CmdGen(CliFlags* flags, int argc, char** argv, std::ostream& out) {
                                    "' (glp | ba | er)");
   }
   if (weighted) {
-    AssignUniformWeights(&edges, static_cast<Distance>(wmin),
-                         static_cast<Distance>(wmax), DeriveSeed(seed, 97));
+    AssignUniformWeights(&edges, wmin, wmax, DeriveSeed(seed, 97));
   }
 
   HOPDB_RETURN_NOT_OK(IsBinaryGraphPath(out_path)
@@ -799,7 +813,8 @@ Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out) {
                 "scratch directory for on-disk index variants");
   flags->Define("data-dir", "",
                 "directory searched for real '<name>.txt' edge lists");
-  flags->Define("scale", "1", "extra |V| multiplier over the spec");
+  flags->Define("scale", "1",
+                "extra |V| multiplier over the spec, in (0, 100]");
   flags->Define("print-spec", "false",
                 "print the effective spec text and exit");
   HOPDB_RETURN_NOT_OK(flags->Parse(argc, argv));
@@ -811,8 +826,12 @@ Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   options.work_dir = flags->GetString("work-dir");
   options.data_dir = flags->GetString("data-dir");
   HOPDB_ASSIGN_OR_RETURN(options.scale, flags->GetDouble("scale"));
-  if (!(options.scale > 0)) {
-    return Status::InvalidArgument("--scale must be positive");
+  // The spec's scale= has the same cap, which keeps a dataset's
+  // n x scale inside VertexId.
+  if (!(options.scale > 0) || options.scale > 100) {
+    return Status::InvalidArgument(
+        "flag --scale wants a number in (0, 100], got '" +
+        flags->GetString("scale") + "'");
   }
 
   std::string spec_text;
@@ -882,9 +901,10 @@ void PrintUsage(std::ostream& out) {
          "          default) --io-threads I --cache-capacity C --backlog B\n"
          "          --max-inflight M --trace-sample-rate R --slow-query-us\n"
          "          U); HLI2 files are served zero-copy from the page cache;\n"
-         "          protocol: DIST/BATCH/KNN/STATS/METRICS/TRACE/RELOAD/\n"
-         "          ATTACH/DETACH/USE/ADDEDGE/DELEDGE/COMMIT (ASCII lines,\n"
-         "          or the v2 binary framing after the magic)\n"
+         "          protocol: DIST/BATCH/KNN/WITHIN/REACH/PATH/PING/STATS/\n"
+         "          METRICS/TRACE/RELOAD/ATTACH/DETACH/USE/ADDEDGE/DELEDGE/\n"
+         "          COMMIT (ASCII lines, or the v2 binary framing after the\n"
+         "          magic)\n"
          "  client  connect to a server (--host H --port P [--cmd LINE]\n"
          "          [--protocol v1|v2])\n"
          "  eval    run the unified eval harness: build every index\n"

@@ -116,7 +116,7 @@ bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }

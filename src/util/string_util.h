@@ -37,7 +37,8 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 /// Parses a non-negative integer; returns false on any non-digit content.
 bool ParseUint64(const std::string& s, uint64_t* out);
 
-/// Parses a double via strtod; returns false on trailing garbage.
+/// Parses a finite double via strtod; returns false on trailing garbage
+/// and on nan, inf and out-of-range values such as 1e999.
 bool ParseDouble(const std::string& s, double* out);
 
 }  // namespace hopdb

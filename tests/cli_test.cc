@@ -289,7 +289,8 @@ TEST(CliTest, ArgumentErrorsPrintUsageWithFlagTable) {
 TEST(CliTest, MalformedFlagValuesPrintUsageWithFlagTable) {
   TempDir dir = TempDir::Create("cli_test").ValueOrDie();
   const std::string graph = dir.File("g.txt");
-  for (const char* bad : {"--n=abc", "--avg-degree=fast", "--directed=maybe"}) {
+  for (const char* bad : {"--n=abc", "--n=4294967306", "--avg-degree=fast",
+                          "--avg-degree=nan", "--directed=maybe"}) {
     std::string err;
     EXPECT_EQ(RunTool({"gen", bad, "--out", graph}, nullptr, &err), 1) << bad;
     const std::string flag(bad, std::string(bad).find('='));
@@ -298,6 +299,31 @@ TEST(CliTest, MalformedFlagValuesPrintUsageWithFlagTable) {
         << err;
     EXPECT_NE(err.find("usage: hopdb_cli gen"), std::string::npos) << err;
     EXPECT_FALSE(std::filesystem::exists(graph)) << bad;
+  }
+}
+
+// A value that parses but does not fit the option it sets is refused the
+// same way, before any index loads, eval spec is read or graph is made.
+TEST(CliTest, OutOfRangeFlagValuesPrintUsageWithFlagTable) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"serve", "--index", "/nonexistent/idx", "--port", "65536"},
+      {"serve", "--index", "/nonexistent/idx", "--batch", "4294967296"},
+      {"eval", "--print-spec", "true", "--scale", "inf"},
+      {"eval", "--print-spec", "true", "--scale", "101"},
+      {"gen", "--out", "/nonexistent/g.txt", "--weighted", "true", "--wmin",
+       "0"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    const std::string& command = args[0];
+    const std::string& flag = args[args.size() - 2];
+    std::string err;
+    EXPECT_EQ(RunTool(args, nullptr, &err), 1) << flag;
+    EXPECT_NE(err.find("hopdb_cli " + command + ": InvalidArgument: flag " +
+                       flag),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage: hopdb_cli " + command), std::string::npos)
+        << err;
   }
 }
 

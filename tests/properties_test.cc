@@ -1,9 +1,9 @@
 // Cross-method property suite: every distance method in the repository —
-// HopDb (three modes), the external builder, the disk index, the
-// bit-parallel index, PLL, IS-Label, HCL, and bidirectional search — must
-// return exactly the BFS/Dijkstra ground truth on a sweep of random
-// graphs (scale-free, uniform-random, directed, weighted, disconnected).
-// Structural invariants of the labeling are checked alongside.
+// HopDb (three modes), the external builder, the disk index, PLL,
+// IS-Label, HCL, and bidirectional search — must return exactly the
+// BFS/Dijkstra ground truth on a sweep of random graphs (scale-free,
+// uniform-random, directed, weighted, disconnected). Structural
+// invariants of the labeling are checked alongside.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "gen/weights.h"
 #include "graph/ranking.h"
 #include "io/temp_dir.h"
-#include "labeling/bit_parallel.h"
 #include "labeling/builder.h"
 #include "labeling/disk_index.h"
 #include "labeling/external_builder.h"
@@ -138,22 +137,6 @@ TEST_P(AllMethodsTest, EveryMethodIsExact) {
                     verify)
                     .ok())
         << "disk index";
-  }
-
-  // --- Bit-parallel (undirected unweighted only).
-  if (!c.directed && !c.weighted) {
-    auto out = BuildHopLabeling(g, {});
-    ASSERT_TRUE(out.ok());
-    BitParallelOptions bp_opts;
-    bp_opts.num_roots = 16;
-    auto bp = BitParallelIndex::Transform(std::move(out->index), g, bp_opts);
-    ASSERT_TRUE(bp.ok());
-    EXPECT_TRUE(VerifyExactDistances(
-                    g,
-                    [&](VertexId s, VertexId t) { return bp->Query(s, t); },
-                    verify)
-                    .ok())
-        << "bit-parallel";
   }
 
   // --- PLL.

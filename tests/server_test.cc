@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -1645,6 +1646,31 @@ TEST(ServerLifecycleTest, PortZeroPicksEphemeralPortAndRebinds) {
   EXPECT_NE(a->port(), 0);
   EXPECT_NE(b->port(), 0);
   EXPECT_NE(a->port(), b->port());
+}
+
+TEST(ServerLifecycleTest, ZeroMicroBatchStillAnswers) {
+  // A drain of at most 0 requests takes none, which a worker reads as a
+  // closed queue; the server must still take one request per wakeup.
+  const EdgeList edges = TestGraph(120, /*seed=*/5);
+  const CsrGraph graph = CsrGraph::FromEdgeList(edges).ValueOrDie();
+  ServerOptions options;
+  options.num_workers = 2;
+  options.max_micro_batch = 0;
+  auto server =
+      DistanceServer::Start(HopDbIndex::Build(graph).ValueOrDie(), options)
+          .ValueOrDie();
+  auto client =
+      DistanceClient::Connect("127.0.0.1", server->port()).ValueOrDie();
+  auto answer = std::async(std::launch::async,
+                           [&client] { return client.QueryDistance(1, 2); });
+  const bool answered = answer.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  // Stopping closes the connection, so a client still waiting returns.
+  if (!answered) server->Stop();
+  ASSERT_TRUE(answered) << "DIST 1 2 unanswered after 10 s";
+  const Result<Distance> distance = answer.get();
+  ASSERT_TRUE(distance.ok()) << distance.status();
+  EXPECT_EQ(*distance, ExactDistances(graph, 1)[2]);
 }
 
 // ---------------------------------------------------------------------------

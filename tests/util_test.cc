@@ -117,6 +117,10 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(d, 2.5);
   EXPECT_FALSE(ParseDouble("2.5x", &d));
   EXPECT_FALSE(ParseDouble("", &d));
+  // Non-finite values parse with strtod but are refused.
+  for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad, &d)) << bad;
+  }
 }
 
 TEST(TimerTest, StopwatchAdvances) {

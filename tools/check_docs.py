@@ -37,6 +37,11 @@
    PROTOCOL.md, ...) must exist, as a path from the repository root or
    under docs/. The `--report F.md` placeholder in the CLI help is not
    a citation.
+10. Subsystem-map names: every backticked name in the "Key types"
+   column of docs/ARCHITECTURE.md's subsystem map must be declared in
+   a header under src/ as a class, struct, enum, alias or function
+   (template arguments such as the `<T>` of `Result<T>` are ignored),
+   and every `bench_<name>` must have a matching bench/<name>.cc.
 
 Exit status 0 = clean, 1 = at least one failure (each printed).
 """
@@ -103,6 +108,13 @@ CITED_MD_RE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
 CITING_DIRS = ("src", "bench", "tests", "examples", "tools")
 # `hopdb_cli eval --report F.md` in the CLI help names an output file.
 CITED_MD_PLACEHOLDERS = {"F.md"}
+# ARCHITECTURE.md's subsystem map: the table under "## Subsystem map".
+MAP_HEADING = "## Subsystem map"
+MAP_COLUMN = "Key types"
+BACKTICKED_RE = re.compile(r"`([^`]+)`")
+# A line that opens a function declaration or definition: a return type
+# (not a statement keyword) and then the name and its parameter list.
+DECL_KEYWORDS = r"(?!(?:return|else|case|new|delete|throw|co_return)\b)"
 NUMBER_WORDS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
     "seven": 7, "eight": 8, "nine": 9, "ten": 10,
@@ -467,6 +479,73 @@ def check_cited_markdown(root: pathlib.Path) -> list[str]:
     return failures
 
 
+def declaration_patterns(name: str) -> list[re.Pattern]:
+    """Regexes that match a declaration of `name` as a class, struct,
+    enum, alias or function (forward declarations do not count)."""
+    n = re.escape(name)
+    return [
+        re.compile(rf"\b(?:class|struct)\s+{n}\b(?!\s*;)"),
+        re.compile(rf"\benum\s+(?:class\s+|struct\s+)?{n}\b"),
+        re.compile(rf"\busing\s+{n}\s*="),
+        re.compile(
+            rf"^[ \t]*{DECL_KEYWORDS}[A-Za-z_][\w:<>,\s*&]*[\s*&]{n}\s*\(",
+            re.MULTILINE,
+        ),
+    ]
+
+
+def check_subsystem_map(root: pathlib.Path) -> list[str]:
+    """Every Key-types name in ARCHITECTURE.md's subsystem map must be
+    declared in a header under src/ (bench_* names: built from
+    bench/*.cc)."""
+    architecture_md = root / "docs" / "ARCHITECTURE.md"
+    lines = architecture_md.read_text(encoding="utf-8").splitlines()
+    try:
+        start = lines.index(MAP_HEADING)
+    except ValueError:
+        return [f"docs/ARCHITECTURE.md has no '{MAP_HEADING}' section"]
+    rows = []
+    for line in lines[start + 1:]:
+        if line.startswith("## "):
+            break
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    if not rows or MAP_COLUMN not in rows[0]:
+        return [f"docs/ARCHITECTURE.md's subsystem map has no "
+                f"'{MAP_COLUMN}' column (parser drifted?)"]
+    column = rows[0].index(MAP_COLUMN)
+    names = [
+        re.sub(r"<.*>$", "", name)
+        for row in rows[2:]  # past the header and its --- separator
+        if len(row) > column
+        for name in BACKTICKED_RE.findall(row[column])
+    ]
+    if not names:
+        return ["docs/ARCHITECTURE.md's subsystem map names no key types "
+                "(parser drifted?)"]
+    # Headers only: a class local to one .cc file is not a key type.
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((root / "src").rglob("*.h"))]
+    failures = []
+    for name in names:
+        if name.startswith("bench_"):
+            source = f"bench/{name[len('bench_'):]}.cc"
+            if not (root / source).is_file():
+                failures.append(
+                    f"docs/ARCHITECTURE.md's subsystem map names '{name}' "
+                    f"but {source} does not exist"
+                )
+            continue
+        patterns = declaration_patterns(name)
+        if not any(p.search(text) for text in sources for p in patterns):
+            failures.append(
+                f"docs/ARCHITECTURE.md's subsystem map names '{name}' but "
+                "no class, struct, enum, alias or function of that name is "
+                "declared in a header under src/"
+            )
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -492,6 +571,7 @@ def main() -> int:
     failures += check_eval_sections(root)
     failures += check_kernel_entry_points(root)
     failures += check_cited_markdown(root)
+    failures += check_subsystem_map(root)
     if args.cli_bin:
         failures += check_cli_help(root, args.cli_bin)
 
@@ -503,7 +583,7 @@ def main() -> int:
             f"docs OK: {checked} markdown files, links resolve, format "
             "magics + STATS keys + metric families + v2 opcodes + eval "
             "report sections + query-kernel entry points in sync, cited "
-            "docs exist"
+            "docs exist, subsystem-map names declared"
             + (", CLI help in sync" if args.cli_bin else "")
         )
     return 1 if failures else 0
