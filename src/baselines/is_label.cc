@@ -333,7 +333,6 @@ Result<IsLabelPartialIndex> IsLabelPartialIndex::Create(
     }
     compact.Add(a, b, e.weight);
   }
-  compact.Normalize();
   HOPDB_ASSIGN_OR_RETURN(engine.gk_, CsrGraph::FromEdgeList(compact));
 
   const VertexId gk_n = engine.gk_.num_vertices();

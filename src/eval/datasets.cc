@@ -111,11 +111,7 @@ Result<CsrGraph> LoadDataset(const DatasetSpec& spec,
   if (!options.data_dir.empty()) {
     std::string path = options.data_dir + "/" + spec.name + ".txt";
     if (FileExists(path)) {
-      TextGraphOptions topt;
-      topt.directed = spec.directed;
-      topt.read_weights = spec.weighted;
-      HOPDB_ASSIGN_OR_RETURN(EdgeList edges, ReadTextEdgeList(path, topt));
-      return CsrGraph::FromEdgeList(edges);
+      return LoadCsrGraph(path, spec.directed, spec.weighted);
     }
   }
 

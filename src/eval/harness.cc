@@ -676,7 +676,6 @@ Result<EvalReport> RunEval(const EvalSpec& spec, const EvalOptions& options) {
       if (dataset.weighted) {
         AssignUniformWeights(&edges, 1, 9, DeriveSeed(dataset.seed, 97));
       }
-      edges.Normalize();
       HOPDB_ASSIGN_OR_RETURN(graph, CsrGraph::FromEdgeList(edges));
     } else {
       const DatasetSpec* registry = FindDataset(dataset.name);

@@ -1,90 +1,116 @@
 #include "graph/csr_graph.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
-
-#include "util/logging.h"
 
 namespace hopdb {
 
-Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& edges) {
-  HOPDB_RETURN_NOT_OK(edges.Validate());
-  CsrGraph g;
-  g.num_vertices_ = edges.num_vertices();
-  g.directed_ = edges.directed();
-  g.weighted_ = edges.weighted();
+CsrFreezer::CsrFreezer(VertexId num_vertices, bool directed, bool weighted)
+    : cursor_out_(num_vertices, 0),
+      cursor_in_(directed ? num_vertices : 0, 0) {
+  graph_.num_vertices_ = num_vertices;
+  graph_.directed_ = directed;
+  graph_.weighted_ = weighted;
+}
 
-  const VertexId n = g.num_vertices_;
-  const auto& es = edges.edges();
-
-  // Counting pass.
-  std::vector<uint64_t> out_count(n + 1, 0);
-  std::vector<uint64_t> in_count(g.directed_ ? n + 1 : 0, 0);
-  for (const Edge& e : es) {
-    out_count[e.src]++;
-    if (g.directed_) {
-      in_count[e.dst]++;
-    } else {
-      out_count[e.dst]++;  // undirected: both endpoints see the arc
-    }
+void CsrFreezer::Reject(VertexId src, VertexId dst, Distance weight) {
+  if (!error_.ok()) return;  // the first bad edge names the error
+  const VertexId n = graph_.num_vertices_;
+  if (src >= n || dst >= n) {
+    error_ = Status::InvalidArgument(
+        "edge endpoint out of range: " + std::to_string(src) + "->" +
+        std::to_string(dst) + " with |V|=" + std::to_string(n));
+  } else {
+    error_ = Status::InvalidArgument("edge weight must be in [1, inf), got " +
+                                     std::to_string(weight));
   }
+}
 
-  g.offsets_out_.assign(n + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    g.offsets_out_[v + 1] = g.offsets_out_[v] + out_count[v];
-  }
-  g.arcs_out_.resize(g.offsets_out_[n]);
-
-  if (g.directed_) {
-    g.offsets_in_.assign(n + 1, 0);
+Status CsrFreezer::StartPlacing() {
+  HOPDB_RETURN_NOT_OK(error_);
+  // Counts become offsets, and each vertex's cursor its first slot.
+  const auto start = [n = graph_.num_vertices_](
+                         std::vector<uint64_t>* cursor,
+                         std::vector<uint64_t>* offsets,
+                         std::vector<Arc>* arcs) {
+    offsets->assign(static_cast<size_t>(n) + 1, 0);
     for (VertexId v = 0; v < n; ++v) {
-      g.offsets_in_[v + 1] = g.offsets_in_[v] + in_count[v];
+      (*offsets)[v + 1] = (*offsets)[v] + (*cursor)[v];
+      (*cursor)[v] = (*offsets)[v];
     }
-    g.arcs_in_.resize(g.offsets_in_[n]);
-  }
-
-  // Filling pass.
-  std::vector<uint64_t> out_pos(g.offsets_out_.begin(), g.offsets_out_.end() - 1);
-  std::vector<uint64_t> in_pos;
-  if (g.directed_) {
-    in_pos.assign(g.offsets_in_.begin(), g.offsets_in_.end() - 1);
-  }
-  for (const Edge& e : es) {
-    g.arcs_out_[out_pos[e.src]++] = Arc{e.dst, e.weight};
-    if (g.directed_) {
-      g.arcs_in_[in_pos[e.dst]++] = Arc{e.src, e.weight};
-    } else {
-      g.arcs_out_[out_pos[e.dst]++] = Arc{e.src, e.weight};
-    }
-  }
-
-  // Sort adjacency by target id so neighborhood scans and ArcWeight lookups
-  // are deterministic and binary-searchable.
-  auto sort_range = [](std::vector<Arc>& arcs, const std::vector<uint64_t>& off,
-                       VertexId nv) {
-    for (VertexId v = 0; v < nv; ++v) {
-      std::sort(arcs.begin() + static_cast<ptrdiff_t>(off[v]),
-                arcs.begin() + static_cast<ptrdiff_t>(off[v + 1]),
-                [](const Arc& a, const Arc& b) { return a.to < b.to; });
-    }
+    arcs->resize((*offsets)[n]);
   };
-  sort_range(g.arcs_out_, g.offsets_out_, n);
-  if (g.directed_) sort_range(g.arcs_in_, g.offsets_in_, n);
-
-#ifndef NDEBUG
-  // A Normalize()d edge list yields no duplicate targets per vertex.
-  for (VertexId v = 0; v < n; ++v) {
-    auto span = g.OutArcs(v);
-    for (size_t i = 1; i < span.size(); ++i) {
-      HOPDB_DCHECK_LT(span[i - 1].to, span[i].to)
-          << "duplicate/parallel arc at vertex " << v;
-    }
+  start(&cursor_out_, &graph_.offsets_out_, &graph_.arcs_out_);
+  if (graph_.directed_) {
+    start(&cursor_in_, &graph_.offsets_in_, &graph_.arcs_in_);
   }
-#endif
+  return Status::OK();
+}
 
-  g.num_edges_ = es.size();
-  return g;
+Result<CsrGraph> CsrFreezer::Finish() {
+  HOPDB_RETURN_NOT_OK(error_);
+  const auto changed = [] {
+    return Status::InvalidArgument(
+        "edge source yielded other edges on its second pass");
+  };
+  if (changed_) return changed();
+  const VertexId n = graph_.num_vertices_;
+  const auto less = [](const Arc& a, const Arc& b) {
+    return a.to != b.to ? a.to < b.to : a.weight < b.weight;
+  };
+  // Sorts each adjacency by (target, weight) and keeps the first arc per
+  // target, the lightest, packing the kept arcs to the front.
+  const auto finish = [&](const std::vector<uint64_t>& cursor,
+                          std::vector<uint64_t>* offsets,
+                          std::vector<Arc>* arcs) -> Status {
+    uint64_t kept = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      const uint64_t begin = (*offsets)[v];
+      const uint64_t end = (*offsets)[v + 1];
+      if (cursor[v] != end) return changed();  // fewer arcs than counted
+      (*offsets)[v] = kept;
+      const auto first = arcs->begin() + static_cast<ptrdiff_t>(begin);
+      const auto last = arcs->begin() + static_cast<ptrdiff_t>(end);
+      // Sources that yield each vertex's arcs in order (a sorted edge
+      // list, a DynamicGraph) skip the sort.
+      if (!std::is_sorted(first, last, less)) std::sort(first, last, less);
+      for (uint64_t i = begin; i < end; ++i) {
+        if (kept > (*offsets)[v] && (*arcs)[kept - 1].to == (*arcs)[i].to) {
+          continue;  // a parallel arc, heavier than the one kept
+        }
+        (*arcs)[kept++] = (*arcs)[i];
+      }
+    }
+    (*offsets)[n] = kept;
+    if (kept < arcs->size()) {
+      arcs->resize(kept);
+      arcs->shrink_to_fit();
+    }
+    return Status::OK();
+  };
+  HOPDB_RETURN_NOT_OK(
+      finish(cursor_out_, &graph_.offsets_out_, &graph_.arcs_out_));
+  if (graph_.directed_) {
+    HOPDB_RETURN_NOT_OK(
+        finish(cursor_in_, &graph_.offsets_in_, &graph_.arcs_in_));
+  }
+  // Undirected graphs hold each edge as two arcs.
+  graph_.num_edges_ = graph_.arcs_out_.size() / (graph_.directed_ ? 1 : 2);
+  return std::move(graph_);
+}
+
+Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& edges) {
+  return Freeze(edges.num_vertices(), edges.directed(), edges.weighted(),
+                [&edges](auto&& emit) {
+                  for (const Edge& e : edges.edges()) {
+                    emit(e.src, e.dst, e.weight);
+                  }
+                  return Status::OK();
+                });
 }
 
 uint32_t CsrGraph::MaxDegree() const {

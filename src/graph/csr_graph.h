@@ -18,19 +18,39 @@
 
 namespace hopdb {
 
+class CsrFreezer;
+
 /// One adjacency arc: target vertex and edge weight.
 struct Arc {
   VertexId to;
   Distance weight;
 };
 
-/// Immutable CSR graph. Construct via FromEdgeList.
+/// Immutable CSR graph. Every CSR comes out of one freeze, Freeze;
+/// FromEdgeList is its edge-list front end.
 class CsrGraph {
  public:
   CsrGraph() = default;
 
-  /// Freezes an edge list into CSR form. The edge list should already be
-  /// Normalize()d (simple graph); this is verified in debug builds.
+  /// The freeze. for_each_edge(emit) must call emit(src, dst, weight)
+  /// once per edge and return a Status; the freeze calls it twice, once
+  /// to count each vertex's arcs and once to place them, so no edge
+  /// array is held, and both calls must yield the same edges (for an
+  /// undirected graph, each edge {u, v} once in either orientation).
+  /// The input need not be simple: self-loops are dropped, each
+  /// adjacency is sorted by target and only the lightest of parallel
+  /// arcs is kept, so the result equals FromEdgeList of the same edges
+  /// after EdgeList::Normalize, arc for arc. InvalidArgument on an edge
+  /// (other than a self-loop) with an endpoint >= num_vertices or a
+  /// weight outside [1, inf), and when the second call yields other
+  /// edges than the first; a non-OK Status from for_each_edge is
+  /// returned as it is. O(|V| + |E| log d_max).
+  template <typename ForEachEdge>
+  static Result<CsrGraph> Freeze(VertexId num_vertices, bool directed,
+                                 bool weighted, ForEachEdge&& for_each_edge);
+
+  /// Freezes an edge list, which need not be Normalize()d (see Freeze).
+  /// The list is read in place: nothing is copied or sorted.
   static Result<CsrGraph> FromEdgeList(const EdgeList& edges);
 
   VertexId num_vertices() const { return num_vertices_; }
@@ -84,6 +104,8 @@ class CsrGraph {
   uint64_t PaperSizeBytes() const;
 
  private:
+  friend class CsrFreezer;
+
   VertexId num_vertices_ = 0;
   uint64_t num_edges_ = 0;
   bool directed_ = true;
@@ -93,6 +115,81 @@ class CsrGraph {
   std::vector<uint64_t> offsets_in_;  // empty when undirected
   std::vector<Arc> arcs_in_;          // empty when undirected
 };
+
+/// CsrGraph::Freeze's state between and after its two passes over the
+/// edges; not used on its own.
+class CsrFreezer {
+ public:
+  CsrFreezer(VertexId num_vertices, bool directed, bool weighted);
+  /// Pass 1: counts the arc(s) of one edge.
+  void Count(VertexId src, VertexId dst, Distance weight) {
+    if (src == dst || !Check(src, dst, weight)) return;
+    ++cursor_out_[src];
+    ++(graph_.directed_ ? cursor_in_ : cursor_out_)[dst];
+  }
+  /// Between the passes: sizes the arc arrays from the counts.
+  Status StartPlacing();
+  /// Pass 2: places the arc(s) of one edge.
+  void Place(VertexId src, VertexId dst, Distance weight) {
+    if (src == dst || !Check(src, dst, weight)) return;
+    Put(&cursor_out_, graph_.offsets_out_, &graph_.arcs_out_, src,
+        Arc{dst, weight});
+    if (graph_.directed_) {
+      Put(&cursor_in_, graph_.offsets_in_, &graph_.arcs_in_, dst,
+          Arc{src, weight});
+    } else {
+      Put(&cursor_out_, graph_.offsets_out_, &graph_.arcs_out_, dst,
+          Arc{src, weight});
+    }
+  }
+  /// After pass 2: sorts each adjacency and drops parallel arcs.
+  Result<CsrGraph> Finish();
+
+ private:
+  bool Check(VertexId src, VertexId dst, Distance weight) {
+    const VertexId n = graph_.num_vertices_;
+    if (src < n && dst < n && weight != 0 && weight != kInfDistance) {
+      return true;
+    }
+    Reject(src, dst, weight);
+    return false;
+  }
+  void Reject(VertexId src, VertexId dst, Distance weight);
+  void Put(std::vector<uint64_t>* cursor,
+           const std::vector<uint64_t>& offsets, std::vector<Arc>* arcs,
+           VertexId v, Arc arc) {
+    uint64_t& at = (*cursor)[v];
+    if (at == offsets[v + 1]) {
+      changed_ = true;  // more arcs than pass 1 counted
+      return;
+    }
+    (*arcs)[at++] = arc;
+  }
+
+  CsrGraph graph_;
+  /// Arcs counted per vertex in pass 1, then each vertex's next free
+  /// slot in pass 2.
+  std::vector<uint64_t> cursor_out_;
+  std::vector<uint64_t> cursor_in_;  // empty when undirected
+  Status error_;
+  bool changed_ = false;
+};
+
+template <typename ForEachEdge>
+Result<CsrGraph> CsrGraph::Freeze(VertexId num_vertices, bool directed,
+                                  bool weighted, ForEachEdge&& for_each_edge) {
+  CsrFreezer freezer(num_vertices, directed, weighted);
+  HOPDB_RETURN_NOT_OK(
+      for_each_edge([&freezer](VertexId src, VertexId dst, Distance weight) {
+        freezer.Count(src, dst, weight);
+      }));
+  HOPDB_RETURN_NOT_OK(freezer.StartPlacing());
+  HOPDB_RETURN_NOT_OK(
+      for_each_edge([&freezer](VertexId src, VertexId dst, Distance weight) {
+        freezer.Place(src, dst, weight);
+      }));
+  return freezer.Finish();
+}
 
 }  // namespace hopdb
 

@@ -12,7 +12,9 @@
 
 #include <string>
 
+#include "graph/csr_graph.h"
 #include "graph/edge_list.h"
+#include "graph/ranking.h"
 #include "util/status.h"
 
 namespace hopdb {
@@ -40,15 +42,32 @@ Status WriteTextEdgeList(const EdgeList& edges, const std::string& path);
 /// Binary format:
 ///   magic "HGR1" | u32 flags (bit0 directed, bit1 weighted) |
 ///   u32 num_vertices | u64 num_edges | edges (u32 src, u32 dst[, u32 w])
+/// Exactly num_edges records follow the header: a file with fewer bytes
+/// or with bytes after the last record is refused.
 Status WriteBinaryGraph(const EdgeList& edges, const std::string& path);
+/// Reads an HGR1 file as it is stored (not normalized), checking the
+/// header and every record as LoadCsrGraph does.
 Result<EdgeList> ReadBinaryGraph(const std::string& path);
 
-/// Loads a graph by extension: .hgr/.bin read the self-describing HGR1
-/// binary (directed/weighted flags ignored); anything else reads a text
-/// edge list with the given options. The shared loader behind
-/// `hopdb_cli build/update` and the server's --graph registration.
-Result<EdgeList> LoadGraphFile(const std::string& path, bool directed,
-                               bool read_weights);
+/// True for the extensions that select HGR1 (.hgr, .bin); every other
+/// graph path is a text edge list.
+bool IsBinaryGraphPath(const std::string& path);
+
+/// Loads a graph file into CSR form, choosing the format by extension:
+/// an HGR1 file streams through a fixed 1 MiB window into
+/// CsrGraph::Freeze in two passes, so no edge list is held (its own
+/// directed/weighted flags win over the arguments); a text edge list is
+/// parsed with the given options, then frozen. Both give the CSR
+/// FromEdgeList gives on the file's Normalize()d edges. With a
+/// `ranking`, each edge is relabeled through ranking->orig_to_rank as
+/// it is read, so the CSR is in the rank ids of the index that mapping
+/// belongs to; a graph whose vertex count differs from the mapping's is
+/// refused with InvalidArgument before the CSR is sized. The loader
+/// behind `hopdb_cli build/update` and the server's --graph
+/// registration.
+Result<CsrGraph> LoadCsrGraph(const std::string& path, bool directed,
+                              bool read_weights,
+                              const RankMapping* ranking = nullptr);
 
 }  // namespace hopdb
 

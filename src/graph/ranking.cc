@@ -65,18 +65,18 @@ Result<CsrGraph> RelabelByRank(const CsrGraph& graph,
   if (mapping.size() != graph.num_vertices()) {
     return Status::InvalidArgument("rank mapping size mismatch");
   }
-  EdgeList edges(graph.num_vertices(), graph.directed());
-  edges.set_weighted(graph.weighted());
-  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
-    for (const Arc& a : graph.OutArcs(u)) {
-      if (!graph.directed() && a.to < u) continue;
-      edges.Add(mapping.ToInternal(u), mapping.ToInternal(a.to), a.weight);
-    }
-  }
-  edges.set_num_vertices(graph.num_vertices());
-  // A permutation keeps a simple graph simple, and FromEdgeList sorts
-  // every adjacency, so the list is frozen as it is.
-  return CsrGraph::FromEdgeList(edges);
+  const std::vector<VertexId>& rank = mapping.orig_to_rank;
+  return CsrGraph::Freeze(
+      graph.num_vertices(), graph.directed(), graph.weighted(),
+      [&](auto&& emit) {
+        for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+          for (const Arc& a : graph.OutArcs(u)) {
+            if (!graph.directed() && a.to < u) continue;  // each edge once
+            emit(rank[u], rank[a.to], a.weight);
+          }
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace hopdb

@@ -54,9 +54,9 @@ RankMapping ComputeRanking(const CsrGraph& graph, RankingPolicy policy);
 /// rank i). Used for custom rankings on general graphs (Section 7).
 RankMapping RankingFromOrder(std::vector<VertexId> rank_to_orig);
 
-/// Returns `graph` relabeled so internal id == rank position. `graph`
-/// must be simple (no self-loops or parallel arcs), as a CSR frozen from
-/// a Normalize()d edge list is: the arcs are copied as they are.
+/// Returns `graph` relabeled so internal id == rank position: the
+/// graph's arcs, permuted, go through CsrGraph::Freeze with no edge
+/// list in between.
 Result<CsrGraph> RelabelByRank(const CsrGraph& graph,
                                const RankMapping& mapping);
 

@@ -57,14 +57,9 @@ Result<RankMapping> RankFor(const CsrGraph& graph,
 
 Result<HopDbIndex> HopDbIndex::Build(const EdgeList& edges,
                                      const HopDbOptions& options) {
-  // Labeling reads only the ranked graph, so the normalized edge list
-  // goes once the CSR exists and the unranked CSR once it is relabeled.
-  CsrGraph graph;
-  {
-    EdgeList normalized = edges;
-    normalized.Normalize();
-    HOPDB_ASSIGN_OR_RETURN(graph, CsrGraph::FromEdgeList(normalized));
-  }
+  // The caller's list is frozen in place. Labeling reads only the
+  // ranked graph, so the unranked CSR goes once it is relabeled.
+  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
   HOPDB_ASSIGN_OR_RETURN(RankMapping mapping, RankFor(graph, options));
   HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked, RelabelByRank(graph, mapping));
   graph = CsrGraph();

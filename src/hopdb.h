@@ -46,21 +46,21 @@ class HopDbIndex {
  public:
   HopDbIndex() = default;
 
-  /// Builds an index from an edge list (normalized internally).
-  /// Blocking and CPU-bound — runtime is the paper's O(n h d_max log n)
-  /// construction (seconds to minutes depending on |E| and
-  /// options.build.num_threads); fails with DeadlineExceeded /
+  /// Builds an index from an edge list, which need not be normalized:
+  /// it is frozen in place (CsrGraph::FromEdgeList), never copied or
+  /// sorted. Blocking and CPU-bound — runtime is the paper's
+  /// O(n h d_max log n) construction (seconds to minutes depending on
+  /// |E| and options.build.num_threads); fails with DeadlineExceeded /
   /// ResourceExhausted when the configured budgets are hit. The
-  /// normalized copy and the unranked graph it builds are freed before
-  /// labeling starts, which reads only the rank-relabeled graph.
+  /// unranked graph is freed before labeling starts, which reads only
+  /// the rank-relabeled graph.
   static Result<HopDbIndex> Build(const EdgeList& edges,
                                   const HopDbOptions& options = {});
 
-  /// Builds from an already-frozen graph, which must be simple (no
-  /// self-loops or parallel arcs), as a CSR frozen from a Normalize()d
-  /// edge list is. Otherwise the same contract as the EdgeList overload;
-  /// the graph is borrowed (it stays alive through labeling) and not
-  /// retained after Build returns.
+  /// Builds from an already-frozen graph (every CSR is simple: the
+  /// freeze drops self-loops and parallel arcs). Otherwise the same
+  /// contract as the EdgeList overload; the graph is borrowed (it stays
+  /// alive through labeling) and not retained after Build returns.
   static Result<HopDbIndex> Build(const CsrGraph& graph,
                                   const HopDbOptions& options = {});
 

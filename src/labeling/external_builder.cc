@@ -323,7 +323,7 @@ Status ExternalBuilder::Initialize() {
     LabelRec rec;
     *count = 0;
     while (sorter->Next(&rec)) {
-      // Parallel edges were removed by Normalize(); keys are unique.
+      // The CSR freeze dropped parallel arcs; keys are unique.
       HOPDB_RETURN_NOT_OK(w_old.Append(rec));
       HOPDB_RETURN_NOT_OK(w_prev.Append(rec));
       HOPDB_RETURN_NOT_OK(bp_sorter.Add({rec.b, rec.a, rec.dist}));

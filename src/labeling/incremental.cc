@@ -133,6 +133,20 @@ bool DynamicGraph::RemoveArc(VertexId u, VertexId v) {
   return true;
 }
 
+Result<CsrGraph> DynamicGraph::Freeze() const {
+  return CsrGraph::Freeze(num_vertices(), directed_, weighted_,
+                          [this](auto&& emit) {
+                            for (VertexId u = 0; u < num_vertices(); ++u) {
+                              for (const Arc& arc : out_[u]) {
+                                // One orientation per undirected edge.
+                                if (!directed_ && arc.to < u) continue;
+                                emit(u, arc.to, arc.weight);
+                              }
+                            }
+                            return Status::OK();
+                          });
+}
+
 EdgeList DynamicGraph::ToEdgeList() const {
   EdgeList edges(num_vertices(), directed_);
   edges.set_weighted(weighted_);
@@ -633,8 +647,7 @@ IncrementalUpdater::TouchedOwners IncrementalUpdater::TakeTouchedOwners() {
 Status IncrementalUpdater::RebuildFallback() {
   ++stats_.full_rebuilds;
   touched_all_ = true;
-  EdgeList edges = graph_->ToEdgeList();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph csr, CsrGraph::FromEdgeList(edges));
+  HOPDB_ASSIGN_OR_RETURN(CsrGraph csr, graph_->Freeze());
   // The dynamic graph lives in internal (rank) ids, so the rebuild runs
   // on an already-ranked graph and the index's RankMapping stays valid.
   HOPDB_ASSIGN_OR_RETURN(BuildOutput output,

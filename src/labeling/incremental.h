@@ -173,8 +173,13 @@ class DynamicGraph {
   /// Removes arc u->v; false when absent.
   bool RemoveArc(VertexId u, VertexId v);
 
-  /// Freezes the current adjacency back into an edge list (for fallback
-  /// rebuilds and differential tests). Deterministic order.
+  /// Freezes the current adjacency into a CSR through CsrGraph::Freeze,
+  /// with no edge list in between: a COMMIT's PATH graph and the
+  /// fallback rebuild's input. Same ids as the adjacency.
+  Result<CsrGraph> Freeze() const;
+
+  /// The current adjacency as an edge list, in a deterministic order
+  /// (`hopdb_cli update --out-graph` and differential tests).
   EdgeList ToEdgeList() const;
 
  private:

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "io/block_file.h"
+#include "io/window_reader.h"
 #include "labeling/query_kernel.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -18,109 +18,6 @@ namespace hopdb {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'L', 'I', '1'};
-
-/// The bytes of an HLI1 file a load holds at a time: Load reads the file
-/// through one window of this size, never the whole file.
-constexpr size_t kLoadWindowBytes = size_t{1} << 20;
-
-/// Sequential reader of an HLI1 file through one fixed window, refilled
-/// by positional reads. Bytes it hands out below the hash end set by
-/// Rewind are chained into hash().
-class WindowReader {
- public:
-  explicit WindowReader(BlockFile* file)
-      : file_(file), window_(new uint8_t[kLoadWindowBytes]) {}
-
-  /// Offset of the next byte to hand out.
-  uint64_t position() const { return next_read_ - buffered(); }
-  size_t buffered() const { return end_ - begin_; }
-  uint64_t hash() const { return hash_; }
-
-  /// Goes back to byte 0 and restarts the hash over bytes [0, hash_end).
-  void Rewind(uint64_t hash_end) {
-    next_read_ = 0;
-    begin_ = end_ = 0;
-    hash_end_ = hash_end;
-    hash_ = kFnv1a64Basis;
-  }
-
-  /// Makes at least n (<= kLoadWindowBytes) bytes buffered, moving what
-  /// is left to the front of the window and reading the file after it.
-  Status Fill(size_t n) {
-    if (buffered() >= n) return Status::OK();
-    std::memmove(window_.get(), window_.get() + begin_, buffered());
-    end_ = buffered();
-    begin_ = 0;
-    const size_t more = static_cast<size_t>(std::min<uint64_t>(
-        kLoadWindowBytes - end_, file_->size() - next_read_));
-    if (end_ + more < n) {
-      return Status::InvalidArgument("file ends inside a field");
-    }
-    HOPDB_RETURN_NOT_OK(file_->ReadAt(next_read_, window_.get() + end_, more));
-    next_read_ += more;
-    end_ += more;
-    return Status::OK();
-  }
-
-  /// Hands out the next n <= buffered() bytes.
-  const uint8_t* Consume(size_t n) {
-    const uint8_t* bytes = window_.get() + begin_;
-    const uint64_t at = position();
-    if (at < hash_end_) {
-      hash_ = Fnv1a64(bytes, std::min<uint64_t>(n, hash_end_ - at), hash_);
-    }
-    begin_ += n;
-    return bytes;
-  }
-
-  Status Take(size_t n, const uint8_t** bytes) {
-    HOPDB_RETURN_NOT_OK(Fill(n));
-    *bytes = Consume(n);
-    return Status::OK();
-  }
-
-  /// Reads a little-endian u32 or u64 field that must end by offset
-  /// `limit`.
-  template <typename T>
-  Status Read(uint64_t limit, T* v) {
-    if (position() > limit || limit - position() < sizeof(T)) {
-      return Status::OutOfRange("field runs past the end of the body");
-    }
-    const uint8_t* bytes = nullptr;
-    HOPDB_RETURN_NOT_OK(Take(sizeof(T), &bytes));
-    std::memcpy(v, bytes, sizeof(T));
-    return Status::OK();
-  }
-
-  /// Moves n bytes ahead: bytes below the hash end are read and hashed,
-  /// the rest are not read at all.
-  Status Skip(uint64_t n) {
-    while (n > 0 && position() < hash_end_) {
-      HOPDB_RETURN_NOT_OK(Fill(1));
-      const size_t k =
-          static_cast<size_t>(std::min<uint64_t>(n, buffered()));
-      Consume(k);
-      n -= k;
-    }
-    if (n <= buffered()) {
-      begin_ += static_cast<size_t>(n);
-    } else {
-      next_read_ = position() + n;
-      begin_ = end_ = 0;
-    }
-    return Status::OK();
-  }
-
- private:
-  BlockFile* file_;
-  std::unique_ptr<uint8_t[]> window_;
-  /// window_[begin_, end_) holds the file's bytes up to next_read_.
-  size_t begin_ = 0;
-  size_t end_ = 0;
-  uint64_t next_read_ = 0;
-  uint64_t hash_end_ = 0;
-  uint64_t hash_ = kFnv1a64Basis;
-};
 
 }  // namespace
 

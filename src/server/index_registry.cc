@@ -45,18 +45,18 @@ Result<std::shared_ptr<const ServingSnapshot>> LoadServingSnapshot(
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(path));
   std::shared_ptr<const CsrGraph> path_graph;
   if (!graph_path.empty()) {
-    // A bad graph file must fail the load loudly, not surface later as
-    // a confusing per-request PATH error.
+    // A bad graph file, or one over another vertex count, must fail the
+    // load loudly, not surface later as a per-request PATH error. The
+    // graph is frozen in the index's rank ids as it is read.
     HOPDB_ASSIGN_OR_RETURN(
-        EdgeList edges,
-        LoadGraphFile(graph_path, index.directed(), /*read_weights=*/true));
-    edges.Normalize();
-    HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
+        CsrGraph graph,
+        LoadCsrGraph(graph_path, index.directed(), /*read_weights=*/true,
+                     &index.ranking()));
     path_graph = std::make_shared<const CsrGraph>(std::move(graph));
   }
-  return std::make_shared<const ServingSnapshot>(std::move(index), path,
-                                                 cache_capacity, hot_hub_k,
-                                                 std::move(path_graph));
+  return std::make_shared<const ServingSnapshot>(
+      std::move(index), path, cache_capacity, hot_hub_k, std::move(path_graph),
+      ServingSnapshot::PathGraphIds::kRank);
 }
 
 Status IndexRegistry::Attach(const std::string& name,

@@ -44,10 +44,12 @@ Status ValidateIndexName(const std::string& name);
 /// HopDbIndex::Load (HLI1 + .perm sidecar, O(total entries)).
 /// The returned snapshot records `path` as its reload source and builds
 /// a hot-hub cache over the top `hot_hub_k` pivots (0 disables).
-/// A non-empty `graph_path` loads the index's build graph (original
-/// ids) alongside a heap-backed snapshot so it can answer PATH; it is
-/// ignored for mmap-backed (HLI2) indexes, which cannot host the path
-/// engine (their PATH answers stay FailedPrecondition).
+/// A non-empty `graph_path` loads the index's build graph alongside a
+/// heap-backed snapshot so it can answer PATH, frozen straight into the
+/// index's rank ids (LoadCsrGraph); a graph whose vertex count differs
+/// from the index's fails the load with InvalidArgument. It is ignored
+/// for mmap-backed (HLI2) indexes, which cannot host the path engine
+/// (their PATH answers stay FailedPrecondition).
 Result<std::shared_ptr<const ServingSnapshot>> LoadServingSnapshot(
     const std::string& path, size_t cache_capacity, uint32_t hot_hub_k = 0,
     const std::string& graph_path = std::string());

@@ -1,13 +1,47 @@
 #include "server/index_snapshot.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "graph/ranking.h"
 #include "labeling/query_kernel.h"
+#include "query/path.h"
 #include "util/logging.h"
 
 namespace hopdb {
+
+ServingSnapshot::ServingSnapshot(HopDbIndex index, std::string source_path,
+                                 size_t cache_capacity, uint32_t hot_hub_k,
+                                 std::shared_ptr<const CsrGraph> path_graph,
+                                 PathGraphIds path_graph_ids)
+    : index_(std::move(index)),
+      labels_(index_.label_index().labels()),
+      to_internal_(index_.ranking().orig_to_rank.data()),
+      to_original_(index_.ranking().rank_to_orig.data()),
+      hub_(HotHubCache::Build(labels_, hot_hub_k)),
+      source_path_(std::move(source_path)),
+      cache_(cache_capacity) {
+  if (path_graph == nullptr) return;
+  if (path_graph->num_vertices() != index_.num_vertices()) {
+    path_status_ = Status::InvalidArgument(
+        "graph has " + std::to_string(path_graph->num_vertices()) +
+        " vertices but the index was built over " +
+        std::to_string(index_.num_vertices()));
+    return;
+  }
+  if (path_graph_ids == PathGraphIds::kRank) {
+    path_graph_ = std::move(path_graph);
+    return;
+  }
+  Result<CsrGraph> ranked = RelabelByRank(*path_graph, index_.ranking());
+  if (!ranked.ok()) {
+    path_status_ = ranked.status();
+    return;
+  }
+  path_graph_ = std::make_shared<const CsrGraph>(std::move(ranked).value());
+}
 
 Distance ServingSnapshot::Query(VertexId s, VertexId t) const {
   if (s >= num_vertices() || t >= num_vertices()) return kInfDistance;
@@ -70,21 +104,20 @@ std::vector<std::pair<VertexId, Distance>> ServingSnapshot::QueryWithin(
 
 Result<std::vector<VertexId>> ServingSnapshot::QueryPath(VertexId s,
                                                          VertexId t) const {
+  HOPDB_RETURN_NOT_OK(path_status_);
   if (!HasPathGraph()) {
     return Status::FailedPrecondition(
         "PATH needs the build graph; serve this index with --graph "
         "(heap-backed indexes only)");
   }
-  std::call_once(path_once_, [this] {
-    auto querier = HopDbPathQuerier::Create(index_, *path_graph_);
-    if (querier.ok()) {
-      path_ = std::make_unique<HopDbPathQuerier>(std::move(*querier));
-    } else {
-      path_status_ = querier.status();
-    }
-  });
-  if (path_ == nullptr) return path_status_;
-  return path_->ShortestPath(s, t);
+  if (s >= num_vertices() || t >= num_vertices()) {
+    return Status::InvalidArgument("vertex id out of range");
+  }
+  const PathReconstructor recon(*path_graph_, index_.label_index());
+  HOPDB_ASSIGN_OR_RETURN(std::vector<VertexId> path,
+                         recon.ShortestPath(to_internal_[s], to_internal_[t]));
+  for (VertexId& v : path) v = to_original_[v];
+  return path;
 }
 
 const KnnEngine& ServingSnapshot::knn_engine() const {

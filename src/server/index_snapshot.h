@@ -41,25 +41,30 @@ namespace hopdb {
 
 class ServingSnapshot {
  public:
+  /// The vertex ids of a path graph handed to the heap constructor.
+  enum class PathGraphIds {
+    /// The caller's ids: the constructor relabels the graph once, into
+    /// a copy it holds.
+    kOriginal,
+    /// The index's INTERNAL (rank) ids, as LoadCsrGraph with the
+    /// index's ranking and a COMMIT's freeze produce it: held as it is.
+    kRank,
+  };
+
   /// Heap-backed snapshot. `source_path` is the file RELOAD-without-
   /// argument re-reads; may be empty for in-memory indexes (RELOAD then
   /// requires an explicit path). `cache_capacity` sizes this snapshot's
   /// result cache (0 disables). `hot_hub_k` sizes the snapshot's dense
   /// top-k pivot table (labeling/hot_hub.h; 0 disables) — built here,
   /// at publish time, so readers never see a partially built cache.
-  /// `path_graph` (ORIGINAL ids, the graph the index was built from)
-  /// enables PATH queries; the path engine is built lazily on first use.
+  /// `path_graph` (the graph the index was built from, in the ids
+  /// `path_graph_ids` names) enables PATH queries; one whose vertex
+  /// count differs from the index's makes every PATH answer
+  /// InvalidArgument.
   ServingSnapshot(HopDbIndex index, std::string source_path,
                   size_t cache_capacity, uint32_t hot_hub_k = 0,
-                  std::shared_ptr<const CsrGraph> path_graph = nullptr)
-      : index_(std::move(index)),
-        labels_(index_.label_index().labels()),
-        to_internal_(index_.ranking().orig_to_rank.data()),
-        to_original_(index_.ranking().rank_to_orig.data()),
-        hub_(HotHubCache::Build(labels_, hot_hub_k)),
-        path_graph_(std::move(path_graph)),
-        source_path_(std::move(source_path)),
-        cache_(cache_capacity) {}
+                  std::shared_ptr<const CsrGraph> path_graph = nullptr,
+                  PathGraphIds path_graph_ids = PathGraphIds::kOriginal);
 
   /// Mmap-backed snapshot over an opened HLI2 index. Same contract;
   /// RELOAD on this snapshot is an O(1) remap of source_path (plus the
@@ -137,9 +142,9 @@ class ServingSnapshot {
 
   /// One shortest-path vertex sequence s -> t (ORIGINAL ids, both
   /// endpoints inclusive; {s} when s == t). NotFound when unreachable;
-  /// FailedPrecondition when HasPathGraph() is false. The path engine
-  /// (a rank-relabeled copy of the graph + greedy label descent) is
-  /// built on first use and shared by subsequent PATH requests.
+  /// FailedPrecondition when HasPathGraph() is false. A greedy label
+  /// descent (query/path.h) over the rank-id path graph the snapshot
+  /// holds, read as it is.
   Result<std::vector<VertexId>> QueryPath(VertexId s, VertexId t) const;
 
   /// The heap index. Only valid for !mapped() snapshots (checked);
@@ -181,15 +186,15 @@ class ServingSnapshot {
   const VertexId* to_internal_;  // ORIGINAL -> INTERNAL
   const VertexId* to_original_;  // INTERNAL -> ORIGINAL
   HotHubCache hub_;  // built from labels_ at publish time, then immutable
-  /// ORIGINAL-id build graph backing PATH queries (heap snapshots only).
+  /// The build graph backing PATH queries (heap snapshots only), in
+  /// INTERNAL (rank) ids: the only copy a snapshot holds.
   std::shared_ptr<const CsrGraph> path_graph_;
+  /// Why PATH cannot run on the graph the constructor was given.
+  Status path_status_;
   std::string source_path_;
   mutable ResultCache cache_;
   mutable std::once_flag knn_once_;
   mutable std::unique_ptr<KnnEngine> knn_;
-  mutable std::once_flag path_once_;
-  mutable std::unique_ptr<HopDbPathQuerier> path_;
-  mutable Status path_status_;
 };
 
 }  // namespace hopdb

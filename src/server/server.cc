@@ -853,28 +853,16 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   // PATH must keep answering against the committed adjacency, so the
   // new snapshot's path graph is frozen from the session's (updated)
   // dynamic graph — not re-read from the on-disk file, which still
-  // describes the pre-update graph. ToEdgeList is in rank space; remap
-  // to the original ids snapshots serve.
+  // describes the pre-update graph. Both speak rank ids, as snapshots
+  // hold their path graphs.
   std::shared_ptr<const CsrGraph> path_graph;
-  {
-    const RankMapping& ranking = session->index.ranking();
-    const EdgeList ranked = session->graph.ToEdgeList();
-    EdgeList original(ranked.num_vertices(), ranked.directed());
-    original.set_weighted(ranked.weighted());
-    for (const Edge& e : ranked.edges()) {
-      original.Add(ranking.ToOriginal(e.src), ranking.ToOriginal(e.dst),
-                   e.weight);
-    }
-    original.Normalize();
-    Result<CsrGraph> frozen = CsrGraph::FromEdgeList(original);
-    if (frozen.ok()) {
-      path_graph =
-          std::make_shared<const CsrGraph>(std::move(frozen).value());
-    }
+  if (Result<CsrGraph> frozen = session->graph.Freeze(); frozen.ok()) {
+    path_graph = std::make_shared<const CsrGraph>(std::move(frozen).value());
   }
   auto snapshot = std::make_shared<ServingSnapshot>(
       std::move(published), current->source_path(), options_.cache_capacity,
-      options_.hot_hub_k, std::move(path_graph));
+      options_.hot_hub_k, std::move(path_graph),
+      ServingSnapshot::PathGraphIds::kRank);
   // Carry forward result-cache entries this commit cannot have changed:
   // Query(s, t) reads only Lout(s) and Lin(t), so a cached pair is
   // stale iff the repair touched either of those labels. When the
@@ -1098,25 +1086,16 @@ Status DistanceServer::EnsureSessionLoaded(const std::string& resolved,
         "' is mmap-served (HLI2) and read-only; serve the HLI1 "
         "form to enable online updates");
   }
+  // The graph file is frozen in the index's rank ids as it is read; a
+  // file over another vertex count is refused before anything is sized.
+  HOPDB_ASSIGN_OR_RETURN(
+      CsrGraph ranked,
+      LoadCsrGraph(session->graph_path, snap->directed(),
+                   /*read_weights=*/true, &snap->index().ranking()));
+  session->graph = DynamicGraph::FromGraph(ranked);
   // The working copy starts as a deep copy of the published snapshot:
   // readers keep the immutable snapshot, repairs mutate only the copy.
   session->index = snap->index();
-  HOPDB_ASSIGN_OR_RETURN(
-      EdgeList edges,
-      LoadGraphFile(session->graph_path, session->index.directed(),
-                    /*read_weights=*/true));
-  edges.Normalize();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
-  if (graph.num_vertices() > session->index.num_vertices()) {
-    return Status::InvalidArgument(
-        "graph file '" + session->graph_path + "' has " +
-        std::to_string(graph.num_vertices()) + " vertices but index '" +
-        resolved + "' serves " +
-        std::to_string(session->index.num_vertices()));
-  }
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked,
-                         RelabelByRank(graph, session->index.ranking()));
-  session->graph = DynamicGraph::FromGraph(ranked);
   session->updater = std::make_unique<IncrementalUpdater>(
       &session->graph, &session->index.mutable_label_index());
   session->loaded = true;

@@ -34,10 +34,6 @@ namespace hopdb {
 
 namespace {
 
-bool IsBinaryGraphPath(const std::string& path) {
-  return EndsWith(path, ".hgr") || EndsWith(path, ".bin");
-}
-
 /// Reads an unsigned flag into an option field of a narrower type,
 /// refusing values the field cannot hold.
 template <typename T>
@@ -198,10 +194,8 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(options.build.time_budget_seconds,
                          flags->GetDouble("budget"));
 
-  HOPDB_ASSIGN_OR_RETURN(EdgeList edges,
-                         LoadGraphFile(graph_path, directed, weighted));
-  edges.Normalize();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
+  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph,
+                         LoadCsrGraph(graph_path, directed, weighted));
   const std::string order_name = flags->GetString("order");
   if (order_name != "auto") {
     HOPDB_ASSIGN_OR_RETURN(OrderStrategy strategy, ParseOrder(order_name));
@@ -437,21 +431,16 @@ Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out) {
                          flags->GetDouble("frontier-fraction"));
 
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
-  HOPDB_ASSIGN_OR_RETURN(
-      EdgeList edges,
-      LoadGraphFile(graph_path, index.directed(), /*read_weights=*/true));
-  edges.Normalize();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
-  if (graph.num_vertices() > index.num_vertices()) {
-    return Status::InvalidArgument(
-        "graph has " + std::to_string(graph.num_vertices()) +
-        " vertices but the index serves " +
-        std::to_string(index.num_vertices()) +
-        " (vertex additions need a rebuild)");
-  }
   const RankMapping& ranking = index.ranking();
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked, RelabelByRank(graph, ranking));
-  DynamicGraph dynamic = DynamicGraph::FromGraph(ranked);
+  // Frozen in the index's rank ids as it is read; a graph over another
+  // vertex count (vertex additions need a rebuild) is refused.
+  DynamicGraph dynamic;
+  {
+    HOPDB_ASSIGN_OR_RETURN(
+        CsrGraph ranked, LoadCsrGraph(graph_path, index.directed(),
+                                      /*read_weights=*/true, &ranking));
+    dynamic = DynamicGraph::FromGraph(ranked);
+  }
 
   // Parse the whole script up front (all-or-nothing on syntax errors),
   // translating original ids into the index's internal rank space.
@@ -652,6 +641,14 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_RETURN_NOT_OK(
       GetUintFlag(*flags, "slow-query-us", &options.slow_query_us));
   HOPDB_ASSIGN_OR_RETURN(const double duration, flags->GetDouble("duration"));
+  // sleep_for converts to an integral count, so a duration past the cap
+  // (say 1e300, which is finite and parses) would overflow it.
+  constexpr double kMaxServeSeconds = 365.0 * 24 * 3600;
+  if (!(duration >= 0) || duration > kMaxServeSeconds) {
+    return Status::InvalidArgument(
+        "flag --duration wants seconds in [0, 31536000] (one year), got '" +
+        flags->GetString("duration") + "'");
+  }
   options.source_path = specs[0].path;
 
   // A foreground server wants its lifecycle events (start/stop,

@@ -310,6 +310,8 @@ TEST(CliTest, OutOfRangeFlagValuesPrintUsageWithFlagTable) {
       {"serve", "--index", "/nonexistent/idx", "--batch", "4294967296"},
       {"eval", "--print-spec", "true", "--scale", "inf"},
       {"eval", "--print-spec", "true", "--scale", "101"},
+      {"serve", "--index", "/nonexistent/idx", "--duration", "1e300"},
+      {"serve", "--index", "/nonexistent/idx", "--duration", "-1"},
       {"gen", "--out", "/nonexistent/g.txt", "--weighted", "true", "--wmin",
        "0"},
   };
@@ -325,6 +327,25 @@ TEST(CliTest, OutOfRangeFlagValuesPrintUsageWithFlagTable) {
     EXPECT_NE(err.find("usage: hopdb_cli " + command), std::string::npos)
         << err;
   }
+}
+
+// An HGR1 file whose header claims 10^12 edges is refused with a
+// Status (exit 1), not by aborting in an allocation it sized.
+TEST(CliTest, BuildRefusesCraftedBinaryGraph) {
+  TempDir dir = TempDir::Create("cli_test").ValueOrDie();
+  const std::string graph = dir.File("crafted.hgr");
+  std::string bytes = "HGR1";
+  PutU32(&bytes, 1);
+  PutU32(&bytes, 4);
+  PutU64(&bytes, uint64_t{1000000000000});
+  PutU64(&bytes, 0);
+  ASSERT_EQ(bytes.size(), 28u);
+  ASSERT_TRUE(WriteStringToFile(graph, bytes).ok());
+  std::string err;
+  EXPECT_EQ(RunTool({"build", "--graph", graph, "--out", dir.File("g.hli")},
+                    nullptr, &err),
+            1);
+  EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
 }
 
 TEST(CliTest, NonArgumentErrorsSkipTheFlagTable) {

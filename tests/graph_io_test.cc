@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gen/glp.h"
+#include "gen/weights.h"
+#include "graph/csr_graph.h"
+#include "graph/ranking.h"
 #include "io/temp_dir.h"
 #include "util/serde.h"
 
@@ -110,6 +116,144 @@ TEST(BinaryGraphTest, RejectsWrongMagic) {
   std::string path = dir->File("bad.bin");
   ASSERT_TRUE(WriteStringToFile(path, "NOTAGRAPH").ok());
   EXPECT_FALSE(ReadBinaryGraph(path).ok());
+}
+
+/// An HGR1 file as raw bytes: header, then each record as given.
+std::string Hgr1Bytes(uint32_t flags, uint32_t num_vertices,
+                      uint64_t num_edges,
+                      const std::vector<std::vector<uint32_t>>& records) {
+  std::string bytes = "HGR1";
+  PutU32(&bytes, flags);
+  PutU32(&bytes, num_vertices);
+  PutU64(&bytes, num_edges);
+  for (const std::vector<uint32_t>& record : records) {
+    for (const uint32_t field : record) PutU32(&bytes, field);
+  }
+  return bytes;
+}
+
+// Every crafted file answers a Status from both readers: the edge count
+// is bounded by the file's size before it sizes anything, and bytes
+// after the last record are refused.
+TEST(BinaryGraphTest, CraftedFilesReturnAStatus) {
+  auto dir = TempDir::Create("graph_io");
+  ASSERT_TRUE(dir.ok());
+  const uint32_t kWeighted = 3;  // directed | weighted
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"count past the end of the file",
+       Hgr1Bytes(1, 4, uint64_t{1000000000000}, {{0, 1}})},
+      {"count one past the records", Hgr1Bytes(1, 4, 2, {{0, 1}})},
+      {"trailing bytes", Hgr1Bytes(1, 4, 1, {{0, 1}}) + "xyz"},
+      {"a whole extra record", Hgr1Bytes(1, 4, 1, {{0, 1}, {1, 2}})},
+      {"endpoint == num_vertices", Hgr1Bytes(1, 4, 2, {{0, 1}, {1, 4}})},
+      {"source past num_vertices", Hgr1Bytes(0, 4, 1, {{9, 1}})},
+      {"weight 0", Hgr1Bytes(kWeighted, 4, 2, {{0, 1, 3}, {1, 2, 0}})},
+      {"weight inf",
+       Hgr1Bytes(kWeighted, 4, 1, {{0, 1, kInfDistance}})},
+      {"truncated inside a record",
+       Hgr1Bytes(kWeighted, 4, 2, {{0, 1, 3}, {1, 2}})},
+      {"truncated header", std::string("HGR1\1\0\0\0\4", 9)},
+      {"wrong magic", "HGR2" + Hgr1Bytes(1, 4, 0, {}).substr(4)},
+  };
+  for (const auto& [what, bytes] : cases) {
+    const std::string path = dir->File("crafted.hgr");
+    ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+    const Result<EdgeList> edges = ReadBinaryGraph(path);
+    EXPECT_EQ(edges.status().code(), StatusCode::kInvalidArgument) << what;
+    const Result<CsrGraph> csr = LoadCsrGraph(path, true, true);
+    EXPECT_EQ(csr.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+  // The unchanged file loads.
+  const std::string path = dir->File("ok.hgr");
+  ASSERT_TRUE(
+      WriteStringToFile(path, Hgr1Bytes(1, 4, 2, {{0, 1}, {1, 3}})).ok());
+  EXPECT_TRUE(ReadBinaryGraph(path).ok());
+  EXPECT_TRUE(LoadCsrGraph(path, true, true).ok());
+}
+
+/// Arc-for-arc equality of two CSRs, both directions.
+void ExpectSameCsr(const CsrGraph& a, const CsrGraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_EQ(a.directed(), b.directed());
+  EXPECT_EQ(a.weighted(), b.weighted());
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    for (const bool in : {false, true}) {
+      const auto x = in ? a.InArcs(v) : a.OutArcs(v);
+      const auto y = in ? b.InArcs(v) : b.OutArcs(v);
+      ASSERT_EQ(x.size(), y.size()) << "v=" << v << " in=" << in;
+      for (size_t i = 0; i < x.size(); ++i) {
+        ASSERT_EQ(x[i].to, y[i].to) << "v=" << v << " i=" << i;
+        ASSERT_EQ(x[i].weight, y[i].weight) << "v=" << v << " i=" << i;
+      }
+    }
+  }
+}
+
+// The windowed two-pass load gives the CSR of the file's normalized
+// edges, and with a ranking the same CSR RelabelByRank makes of it, on
+// both formats. The graphs hold both orientations and parallel edges.
+TEST(LoadCsrGraphTest, MatchesNormalizeFreezeRelabel) {
+  auto dir = TempDir::Create("graph_io");
+  ASSERT_TRUE(dir.ok());
+  for (const bool directed : {false, true}) {
+    GlpOptions glp;
+    glp.num_vertices = 700;
+    glp.seed = 11;
+    EdgeList edges = directed ? GenerateDirectedGlp(glp).ValueOrDie()
+                              : GenerateGlp(glp).ValueOrDie();
+    AssignUniformWeights(&edges, 1, 9, 5);
+    const size_t n = edges.num_edges();
+    for (size_t i = 0; i < n; i += 7) {
+      const Edge e = edges.edges()[i];
+      edges.Add(e.dst, e.src, e.weight + 1);
+      edges.Add(e.src, e.dst, e.weight + 2);
+    }
+    const std::string hgr = dir->File("g.hgr");
+    const std::string txt = dir->File("g.txt");
+    ASSERT_TRUE(WriteBinaryGraph(edges, hgr).ok());
+    ASSERT_TRUE(WriteTextEdgeList(edges, txt).ok());
+    TextGraphOptions text;
+    text.directed = directed;
+    for (const std::string& path : {hgr, txt}) {
+      SCOPED_TRACE(path + (directed ? " directed" : " undirected"));
+      // The reference: each format's edge-list reader (the text one
+      // compacts ids), Normalize, FromEdgeList, RelabelByRank.
+      EdgeList normalized = path == hgr
+                                ? ReadBinaryGraph(path).ValueOrDie()
+                                : ReadTextEdgeList(path, text).ValueOrDie();
+      normalized.Normalize();
+      const CsrGraph reference =
+          CsrGraph::FromEdgeList(normalized).ValueOrDie();
+      const RankMapping ranking =
+          ComputeRanking(reference, directed ? RankingPolicy::kInOutProduct
+                                             : RankingPolicy::kDegree);
+      const CsrGraph ranked_reference =
+          RelabelByRank(reference, ranking).ValueOrDie();
+
+      auto plain = LoadCsrGraph(path, directed, true);
+      ASSERT_TRUE(plain.ok()) << plain.status();
+      ExpectSameCsr(*plain, reference);
+      auto ranked = LoadCsrGraph(path, directed, true, &ranking);
+      ASSERT_TRUE(ranked.ok()) << ranked.status();
+      ExpectSameCsr(*ranked, ranked_reference);
+    }
+  }
+}
+
+TEST(LoadCsrGraphTest, RefusesAGraphOverAnotherVertexCount) {
+  auto dir = TempDir::Create("graph_io");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("g.hgr");
+  EdgeList edges(5, /*directed=*/true);
+  edges.Add(0, 1);
+  edges.Add(1, 4);
+  ASSERT_TRUE(WriteBinaryGraph(edges, path).ok());
+  const RankMapping four = RankingFromOrder({3, 2, 1, 0});
+  const Result<CsrGraph> csr = LoadCsrGraph(path, true, false, &four);
+  EXPECT_EQ(csr.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(csr.status().message().find("5 vertices"), std::string::npos)
+      << csr.status();
 }
 
 }  // namespace

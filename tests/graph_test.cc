@@ -143,6 +143,89 @@ TEST(CsrGraphTest, IsolatedVertices) {
   EXPECT_TRUE(g->OutArcs(4).empty());
 }
 
+/// Arc-for-arc equality of two CSRs, both directions.
+void ExpectSameCsr(const CsrGraph& a, const CsrGraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_EQ(a.directed(), b.directed());
+  EXPECT_EQ(a.weighted(), b.weighted());
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    for (const bool in : {false, true}) {
+      const auto x = in ? a.InArcs(v) : a.OutArcs(v);
+      const auto y = in ? b.InArcs(v) : b.OutArcs(v);
+      ASSERT_EQ(x.size(), y.size()) << "v=" << v << " in=" << in;
+      for (size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].to, y[i].to) << "v=" << v << " i=" << i;
+        EXPECT_EQ(x[i].weight, y[i].weight) << "v=" << v << " i=" << i;
+      }
+    }
+  }
+}
+
+// The freeze normalizes what it is given: a list holding both
+// orientations of an edge, parallel edges of different weights and
+// weighted self-loops freezes to the CSR of its Normalize()d copy.
+TEST(CsrGraphTest, FromEdgeListEqualsFromEdgeListAfterNormalize) {
+  for (const bool directed : {false, true}) {
+    EdgeList raw(7, directed);
+    raw.Add(0, 1, 5);
+    raw.Add(1, 0, 3);  // the other orientation, lighter
+    raw.Add(2, 3, 7);
+    raw.Add(2, 3, 2);  // parallel, lightest
+    raw.Add(2, 3, 9);
+    raw.Add(3, 2, 4);
+    raw.Add(4, 4, 1);  // self-loops
+    raw.Add(5, 5, 6);
+    raw.Add(3, 5, 4);
+    raw.Add(1, 4, 1);
+    raw.Add(6, 0, 8);
+    raw.Add(0, 6, 8);
+    EdgeList normalized = raw;
+    normalized.Normalize();
+    auto frozen = CsrGraph::FromEdgeList(raw);
+    auto reference = CsrGraph::FromEdgeList(normalized);
+    ASSERT_TRUE(frozen.ok()) << frozen.status();
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    EXPECT_EQ(frozen->num_edges(), normalized.num_edges());
+    ExpectSameCsr(*frozen, *reference);
+    EXPECT_EQ(frozen->ArcWeight(2, 3), 2u);
+    EXPECT_EQ(frozen->ArcWeight(4, 4), kInfDistance);
+  }
+}
+
+TEST(CsrGraphTest, FreezeRejectsBadEdgesAndChangedSources) {
+  const auto freeze = [](Edge e) {
+    return CsrGraph::Freeze(3, true, true, [e](auto&& emit) {
+      emit(0, 1, 1);
+      emit(e.src, e.dst, e.weight);
+      return Status::OK();
+    });
+  };
+  EXPECT_TRUE(freeze(Edge(1, 2, 4)).ok());
+  EXPECT_TRUE(freeze(Edge(2, 2, 4)).ok());  // a self-loop is dropped
+  EXPECT_EQ(freeze(Edge(1, 3, 4)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(freeze(Edge(1, 2, 0)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(freeze(Edge(1, 2, kInfDistance)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A source whose second pass yields other edges than its first, more
+  // or fewer arcs at some vertex, is refused, never written past.
+  for (const int extra : {-1, 1}) {
+    int pass = 0;
+    auto changed = CsrGraph::Freeze(3, false, false, [&](auto&& emit) {
+      ++pass;
+      emit(0, 1, 1);
+      if (pass == 1 || extra > 0) emit(1, 2, 1);
+      if (pass == 2 && extra > 0) emit(0, 2, 1);
+      return Status::OK();
+    });
+    EXPECT_EQ(changed.status().code(), StatusCode::kInvalidArgument) << extra;
+  }
+}
+
 TEST(TypesTest, SaturatingAdd) {
   EXPECT_EQ(SaturatingAdd(2, 3), 5u);
   EXPECT_EQ(SaturatingAdd(kInfDistance, 1), kInfDistance);

@@ -767,5 +767,53 @@ TEST(IncrementalTest, TouchedOwnersAllAfterRebuildFallback) {
   EXPECT_FALSE(updater.TakeTouchedOwners().all);
 }
 
+// Freezing the dynamic graph straight into CSR (COMMIT's PATH graph,
+// the fallback rebuild's input) equals the edge-list route, arc for arc,
+// after a stream of inserts, re-weights and deletes.
+TEST(IncrementalTest, FreezeMatchesFromEdgeListOfToEdgeList) {
+  for (const bool directed : {false, true}) {
+    GlpOptions options;
+    options.num_vertices = 150;
+    options.target_avg_degree = 4.0;
+    options.seed = 123;
+    EdgeList edges = directed ? GenerateDirectedGlp(options).ValueOrDie()
+                              : GenerateGlp(options).ValueOrDie();
+    DynamicGraph dyn =
+        DynamicGraph::FromGraph(CsrGraph::FromEdgeList(edges).ValueOrDie());
+    Rng rng(directed ? 424 : 423);
+    const VertexId n = dyn.num_vertices();
+    for (int op = 0; op < 400; ++op) {
+      const auto u = static_cast<VertexId>(rng.Below(n));
+      const auto v = static_cast<VertexId>(rng.Below(n));
+      if (u == v) continue;
+      if (rng.Chance(0.4)) {
+        dyn.RemoveArc(u, v);
+      } else {
+        dyn.AddArc(u, v, static_cast<Distance>(1 + rng.Below(5)));
+      }
+    }
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    auto frozen = dyn.Freeze();
+    ASSERT_TRUE(frozen.ok()) << frozen.status();
+    auto reference = CsrGraph::FromEdgeList(dyn.ToEdgeList());
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_EQ(frozen->num_vertices(), reference->num_vertices());
+    EXPECT_EQ(frozen->num_edges(), reference->num_edges());
+    EXPECT_EQ(frozen->num_edges(), dyn.num_arcs());
+    EXPECT_EQ(frozen->weighted(), reference->weighted());
+    for (VertexId v = 0; v < n; ++v) {
+      for (const bool in : {false, true}) {
+        const auto x = in ? frozen->InArcs(v) : frozen->OutArcs(v);
+        const auto y = in ? reference->InArcs(v) : reference->OutArcs(v);
+        ASSERT_EQ(x.size(), y.size()) << "v=" << v << " in=" << in;
+        for (size_t i = 0; i < x.size(); ++i) {
+          EXPECT_EQ(x[i].to, y[i].to);
+          EXPECT_EQ(x[i].weight, y[i].weight);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hopdb

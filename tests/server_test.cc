@@ -815,6 +815,33 @@ TEST(IndexRegistryTest, ReadersKeepReplacedSnapshotsAndUnheldOnesGoAtOnce) {
   EXPECT_EQ(destroyed, 4);
 }
 
+// A PATH graph over another vertex count than the index fails the load,
+// before its CSR is sized, instead of serving an ERR on every PATH.
+TEST(LoadServingSnapshotTest, RefusesGraphOverAnotherVertexCount) {
+  auto tmp = TempDir::Create("server_snapshot_graph");
+  ASSERT_TRUE(tmp.ok());
+  const EdgeList edges = TestGraph(300, /*seed=*/17);
+  const std::string index_path = tmp->File("g.hli");
+  ASSERT_TRUE(HopDbIndex::Build(edges).ValueOrDie().Save(index_path).ok());
+  const std::string right = tmp->File("right.hgr");
+  const std::string wrong = tmp->File("wrong.hgr");
+  ASSERT_TRUE(WriteBinaryGraph(edges, right).ok());
+  ASSERT_TRUE(WriteBinaryGraph(TestGraph(500, /*seed=*/17), wrong).ok());
+
+  auto refused = LoadServingSnapshot(index_path, 16, 0, wrong);
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("500 vertices"),
+            std::string::npos)
+      << refused.status();
+
+  auto served = LoadServingSnapshot(index_path, 16, 0, right);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_TRUE((*served)->HasPathGraph());
+  auto path = (*served)->QueryPath(7, 7);
+  ASSERT_TRUE(path.ok()) << path.status();
+  EXPECT_EQ(*path, std::vector<VertexId>{7});
+}
+
 class ServerEndToEndTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -1564,6 +1591,32 @@ TEST_F(ServerEndToEndTest, UpdateVerbsRequireRegisteredGraph) {
   EXPECT_NE(response.find("--graph"), std::string::npos) << response;
   // COMMIT without a session is a harmless no-op, not an error.
   EXPECT_EQ(*client_.RoundTrip("COMMIT"), "OK nothing to commit");
+}
+
+// A registered graph file replaced before the first update by one whose
+// header claims 10^12 edges: the session load answers ERR (the count is
+// bounded by the file's size before it sizes anything) and reads go on.
+TEST_F(ServerEndToEndTest, ReplacedGraphFileAnswersErrAndKeepsServing) {
+  auto tmp = TempDir::Create("server_update_crafted");
+  ASSERT_TRUE(tmp.ok());
+  const std::string graph_path = tmp->File("g.hgr");
+  ASSERT_TRUE(WriteBinaryGraph(edges_, graph_path).ok());
+  ASSERT_TRUE(server_->RegisterUpdateGraph("", graph_path).ok());
+  std::string crafted = "HGR1";
+  PutU32(&crafted, 1);  // directed
+  PutU32(&crafted, graph_.num_vertices());
+  PutU64(&crafted, uint64_t{1000000000000});
+  PutU64(&crafted, 0);  // one record's worth of bytes: 28 in all
+  ASSERT_TRUE(WriteStringToFile(graph_path, crafted).ok());
+
+  const std::string response = *client_.RoundTrip("ADDEDGE 0 5");
+  ASSERT_TRUE(StartsWith(response, "ERR ")) << response;
+  EXPECT_NE(response.find("InvalidArgument"), std::string::npos) << response;
+  const std::vector<Distance> truth = ExactDistances(graph_, 5);
+  for (VertexId t = 0; t < 20; ++t) {
+    ASSERT_EQ(*client_.QueryDistance(5, t), truth[t]) << "t=" << t;
+  }
+  EXPECT_EQ(*client_.RoundTrip("PING"), "OK pong");
 }
 
 TEST_F(ServerEndToEndTest, UpdatesRefusedOnMmapIndex) {
