@@ -61,11 +61,14 @@ struct RunResult {
   double init_seconds = 0;
 };
 
+/// The FNV-1a-64 of the HLI1 file `index` saves with `ranking`'s ranks,
+/// the file HopDbIndex::Save writes for the same build.
 Result<uint64_t> SerializedChecksum(const TwoHopIndex& index,
+                                    const RankMapping& ranking,
                                     const TempDir& dir, uint32_t threads) {
   const std::string path =
       dir.File("index_t" + std::to_string(threads) + ".hli");
-  HOPDB_RETURN_NOT_OK(index.Save(path));
+  HOPDB_RETURN_NOT_OK(index.Save(path, ranking));
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot reopen " + path);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -75,8 +78,8 @@ Result<uint64_t> SerializedChecksum(const TwoHopIndex& index,
 
 /// Builds with `threads` workers, then serializes and checksums the
 /// index. The peak is read before serializing, so it is the build's.
-Result<RunResult> BuildOnce(const CsrGraph& ranked, const TempDir& dir,
-                            uint32_t threads) {
+Result<RunResult> BuildOnce(const CsrGraph& ranked, const RankMapping& ranking,
+                            const TempDir& dir, uint32_t threads) {
   BuildOptions opts;
   opts.num_threads = threads;
   Stopwatch watch;
@@ -93,8 +96,8 @@ Result<RunResult> BuildOnce(const CsrGraph& ranked, const TempDir& dir,
   r.prune_seconds = stats.PhaseSeconds(&IterationStats::prune_seconds);
   r.apply_seconds = stats.PhaseSeconds(&IterationStats::apply_seconds);
   r.init_seconds = stats.init_seconds;
-  HOPDB_ASSIGN_OR_RETURN(r.checksum,
-                         SerializedChecksum(built.index, dir, threads));
+  HOPDB_ASSIGN_OR_RETURN(
+      r.checksum, SerializedChecksum(built.index, ranking, dir, threads));
   return r;
 }
 
@@ -138,8 +141,8 @@ int Run(int argc, char** argv) {
     std::cerr << "graph freeze failed: " << graph.status() << "\n";
     return 1;
   }
-  auto ranked = RelabelByRank(*graph,
-                              ComputeRanking(*graph, RankingPolicy::kDegree));
+  const RankMapping ranking = ComputeRanking(*graph, RankingPolicy::kDegree);
+  auto ranked = RelabelByRank(*graph, ranking);
   if (!ranked.ok()) {
     std::cerr << "relabel failed: " << ranked.status() << "\n";
     return 1;
@@ -159,7 +162,7 @@ int Run(int argc, char** argv) {
     // In a child of its own, so that its peak RSS is this build's.
     auto r = bench::RunInChild<RunResult>(
         "the build at threads=" + std::to_string(threads),
-        [&] { return BuildOnce(*ranked, *tmp, threads); });
+        [&] { return BuildOnce(*ranked, ranking, *tmp, threads); });
     if (!r.ok()) {
       std::cerr << "build failed: " << r.status() << "\n";
       return 1;

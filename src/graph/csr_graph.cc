@@ -3,18 +3,38 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace hopdb {
 
-CsrFreezer::CsrFreezer(VertexId num_vertices, bool directed, bool weighted)
-    : cursor_out_(num_vertices, 0),
-      cursor_in_(directed ? num_vertices : 0, 0) {
+namespace {
+
+/// Runs `allocate`, answering an array the process cannot hold with
+/// ResourceExhausted instead of an abort.
+template <typename Allocate>
+Status Allocating(Allocate&& allocate) {
+  try {
+    allocate();
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("cannot allocate the graph's arrays");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CsrFreezer::Start(VertexId num_vertices, bool directed,
+                         bool weighted) {
   graph_.num_vertices_ = num_vertices;
   graph_.directed_ = directed;
   graph_.weighted_ = weighted;
+  return Allocating([&] {
+    cursor_out_.assign(num_vertices, 0);
+    if (directed) cursor_in_.assign(num_vertices, 0);
+  });
 }
 
 void CsrFreezer::Reject(VertexId src, VertexId dst, Distance weight) {
@@ -44,11 +64,12 @@ Status CsrFreezer::StartPlacing() {
     }
     arcs->resize((*offsets)[n]);
   };
-  start(&cursor_out_, &graph_.offsets_out_, &graph_.arcs_out_);
-  if (graph_.directed_) {
-    start(&cursor_in_, &graph_.offsets_in_, &graph_.arcs_in_);
-  }
-  return Status::OK();
+  return Allocating([&] {
+    start(&cursor_out_, &graph_.offsets_out_, &graph_.arcs_out_);
+    if (graph_.directed_) {
+      start(&cursor_in_, &graph_.offsets_in_, &graph_.arcs_in_);
+    }
+  });
 }
 
 Result<CsrGraph> CsrFreezer::Finish() {

@@ -43,8 +43,9 @@ class CsrGraph {
   /// after EdgeList::Normalize, arc for arc. InvalidArgument on an edge
   /// (other than a self-loop) with an endpoint >= num_vertices or a
   /// weight outside [1, inf), and when the second call yields other
-  /// edges than the first; a non-OK Status from for_each_edge is
-  /// returned as it is. O(|V| + |E| log d_max).
+  /// edges than the first; ResourceExhausted when its arrays cannot be
+  /// allocated; for_each_edge's own errors as they are. O(|V| + |E| log
+  /// d_max).
   template <typename ForEachEdge>
   static Result<CsrGraph> Freeze(VertexId num_vertices, bool directed,
                                  bool weighted, ForEachEdge&& for_each_edge);
@@ -120,14 +121,15 @@ class CsrGraph {
 /// edges; not used on its own.
 class CsrFreezer {
  public:
-  CsrFreezer(VertexId num_vertices, bool directed, bool weighted);
+  /// Before pass 1: sizes the |V|-entry cursor arrays.
+  Status Start(VertexId num_vertices, bool directed, bool weighted);
   /// Pass 1: counts the arc(s) of one edge.
   void Count(VertexId src, VertexId dst, Distance weight) {
     if (src == dst || !Check(src, dst, weight)) return;
     ++cursor_out_[src];
     ++(graph_.directed_ ? cursor_in_ : cursor_out_)[dst];
   }
-  /// Between the passes: sizes the arc arrays from the counts.
+  /// Between the passes: sizes the offsets and arcs from the counts.
   Status StartPlacing();
   /// Pass 2: places the arc(s) of one edge.
   void Place(VertexId src, VertexId dst, Distance weight) {
@@ -178,7 +180,8 @@ class CsrFreezer {
 template <typename ForEachEdge>
 Result<CsrGraph> CsrGraph::Freeze(VertexId num_vertices, bool directed,
                                   bool weighted, ForEachEdge&& for_each_edge) {
-  CsrFreezer freezer(num_vertices, directed, weighted);
+  CsrFreezer freezer;
+  HOPDB_RETURN_NOT_OK(freezer.Start(num_vertices, directed, weighted));
   HOPDB_RETURN_NOT_OK(
       for_each_edge([&freezer](VertexId src, VertexId dst, Distance weight) {
         freezer.Count(src, dst, weight);

@@ -46,6 +46,15 @@ RankMapping ComputeRanking(const CsrGraph& graph, RankingPolicy policy) {
   return RankingFromOrder(std::move(order));
 }
 
+bool IsPermutation(std::span<const VertexId> order) {
+  std::vector<uint8_t> seen(order.size(), 0);
+  for (const VertexId v : order) {
+    if (v >= order.size() || seen[v]) return false;
+    seen[v] = 1;
+  }
+  return true;
+}
+
 RankMapping RankingFromOrder(std::vector<VertexId> rank_to_orig) {
   RankMapping m;
   m.rank_to_orig = std::move(rank_to_orig);

@@ -15,6 +15,7 @@
 #define HOPDB_GRAPH_RANKING_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr_graph.h"
@@ -53,6 +54,10 @@ RankMapping ComputeRanking(const CsrGraph& graph, RankingPolicy policy);
 /// Builds a mapping from an explicit order (order[i] = original id with
 /// rank i). Used for custom rankings on general graphs (Section 7).
 RankMapping RankingFromOrder(std::vector<VertexId> rank_to_orig);
+
+/// True iff `order` lists each of 0..order.size()-1 exactly once — the
+/// precondition RankingFromOrder CHECK-enforces.
+bool IsPermutation(std::span<const VertexId> order);
 
 /// Returns `graph` relabeled so internal id == rank position: the
 /// graph's arcs, permuted, go through CsrGraph::Freeze with no edge

@@ -1,28 +1,15 @@
 #include "hopdb.h"
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "query/path.h"
 #include "util/logging.h"
-#include "util/serde.h"
 
 namespace hopdb {
 
 namespace {
-
-/// True iff `order` lists each of 0..order.size()-1 exactly once — the
-/// precondition RankingFromOrder CHECK-enforces.
-bool IsPermutation(const std::vector<VertexId>& order) {
-  std::vector<uint8_t> seen(order.size(), 0);
-  for (const VertexId v : order) {
-    if (v >= order.size() || seen[v]) return false;
-    seen[v] = 1;
-  }
-  return true;
-}
 
 /// The rank permutation `options` asks for on `graph`.
 Result<RankMapping> RankFor(const CsrGraph& graph,
@@ -92,41 +79,12 @@ Distance HopDbIndex::Query(VertexId src, VertexId dst) const {
 }
 
 Status HopDbIndex::Save(const std::string& path) const {
-  HOPDB_RETURN_NOT_OK(index_.Save(path));
-  std::string perm;
-  perm.reserve(8 + 4ull * mapping_.rank_to_orig.size());
-  PutU64(&perm, mapping_.rank_to_orig.size());
-  for (VertexId v : mapping_.rank_to_orig) PutU32(&perm, v);
-  return WriteStringToFile(path + ".perm", perm);
+  return index_.Save(path, mapping_);
 }
 
 Result<HopDbIndex> HopDbIndex::Load(const std::string& path) {
   HopDbIndex out;
-  HOPDB_ASSIGN_OR_RETURN(out.index_, TwoHopIndex::Load(path));
-  std::string perm;
-  HOPDB_RETURN_NOT_OK(ReadFileToString(path + ".perm", &perm));
-  ByteReader reader(perm);
-  uint64_t n = 0;
-  HOPDB_RETURN_NOT_OK(reader.ReadU64(&n));
-  // Both checks come before `n` sizes an allocation. The file holds
-  // exactly n ids: a short one is truncated, and bytes past the last id
-  // are corrupt, as in every index loader.
-  if (n != out.index_.num_vertices()) {
-    return Status::InvalidArgument("permutation/index size mismatch");
-  }
-  if (reader.remaining() != 4 * n) {
-    return Status::InvalidArgument(
-        "permutation file is truncated or has trailing bytes: " + path +
-        ".perm");
-  }
-  std::vector<VertexId> order(n);
-  for (auto& v : order) HOPDB_RETURN_NOT_OK(reader.ReadU32(&v));
-  // RankingFromOrder CHECK-fails on a non-permutation; a file must not.
-  if (!IsPermutation(order)) {
-    return Status::InvalidArgument("permutation file is not a permutation: " +
-                                   path + ".perm");
-  }
-  out.mapping_ = RankingFromOrder(std::move(order));
+  HOPDB_ASSIGN_OR_RETURN(out.index_, TwoHopIndex::Load(path, &out.mapping_));
   return out;
 }
 

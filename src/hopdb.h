@@ -116,15 +116,16 @@ class HopDbIndex {
   /// Serialized size under the paper's accounting (Table 6 "Index size").
   uint64_t PaperSizeBytes() const { return index_.PaperSizeBytes(); }
 
-  /// Persists index + permutation (path and path + ".perm"); Load
-  /// restores both. O(total label entries) I/O; const and safe to call
-  /// while other threads query.
+  /// Persists labels and permutation to one HLI1 file, under one
+  /// checksum (TwoHopIndex::Save, which also deletes a `.perm` sidecar
+  /// an earlier build left beside it). O(total label entries) I/O;
+  /// const and safe to call while other threads query.
   Status Save(const std::string& path) const;
-  /// Reads an HLI1 file plus its .perm sidecar and freezes the label
-  /// store queries read, so a loaded index serves at full speed. Any
-  /// other file, including an HLI1 file from an earlier build, fails
-  /// with InvalidArgument. The result is independent of other indexes;
-  /// publish it to reader threads with a happens-before edge.
+  /// Reads an HLI1 file and freezes the label store queries read, so a
+  /// loaded index serves at full speed. Any other file, including an
+  /// HLI1 file from an earlier build, fails with InvalidArgument. The
+  /// result is independent of other indexes; publish it to reader
+  /// threads with a happens-before edge.
   static Result<HopDbIndex> Load(const std::string& path);
 
  private:

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/ranking.h"
 #include "io/block_file.h"
 #include "io/window_reader.h"
 #include "labeling/query_kernel.h"
@@ -97,13 +98,17 @@ Status TwoHopIndex::Validate(bool ranked) const {
   return Status::OK();
 }
 
-Status TwoHopIndex::Save(const std::string& path) const {
+Status TwoHopIndex::Save(const std::string& path,
+                         const RankMapping& ranking) const {
   const VertexId n = num_vertices();
+  if (ranking.size() != n) {
+    return Status::InvalidArgument("HLI1 rank section needs |V| ids");
+  }
   const uint64_t in_count = directed() ? n : 0;
   // 12 B header; per side an 8 B label count and 8 B per label length;
-  // 8 B per entry; the 8 B checksum.
+  // 8 B per entry; 4 B per rank id; the 8 B checksum.
   const uint64_t size =
-      12 + 8 * (2 + n + in_count) + 8 * TotalEntries() + 8;
+      12 + 8 * (2 + n + in_count) + 8 * TotalEntries() + 4ull * n + 8;
   std::string buf;
   buf.reserve(size);
   buf.append(kMagic, 4);
@@ -122,14 +127,17 @@ Status TwoHopIndex::Save(const std::string& path) const {
   };
   write_side(n, /*in_side=*/false);
   write_side(in_count, /*in_side=*/true);
+  for (const VertexId v : ranking.rank_to_orig) PutU32(&buf, v);
   PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
   if (buf.size() != size) {
     return Status::Internal("HLI1 writer size mismatch");
   }
-  return WriteStringToFile(path, buf);
+  HOPDB_RETURN_NOT_OK(WriteStringToFile(path, buf));
+  return RemoveFileIfExists(path + ".perm");
 }
 
-Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
+Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path,
+                                      RankMapping* ranking) {
   HOPDB_ASSIGN_OR_RETURN(BlockFile file, BlockFile::OpenRead(path));
   WindowReader reader(&file);
   const uint8_t* magic = nullptr;
@@ -153,8 +161,8 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
   };
 
   // Pass 1: the header and the label lengths, which size the store's
-  // slots; the entries are skipped. Every label takes 8 bytes for its
-  // length and every entry 8 bytes, so a count the rest of the body
+  // slots; entries and ranks are skipped. Every label takes 8 bytes for
+  // its length and every entry 8 bytes, so a count the rest of the body
   // cannot hold is corrupt — reject it before it sizes an allocation.
   uint32_t directed = 0, nv = 0;
   uint64_t out_count = 0, in_count = 0;
@@ -181,8 +189,11 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
     HOPDB_RETURN_NOT_OK(reader.Read(body, &nv));
     HOPDB_RETURN_NOT_OK(read_lengths(&out_count));
     HOPDB_RETURN_NOT_OK(read_lengths(&in_count));
-    if (reader.position() != body) {
-      return Status::InvalidArgument("bytes after the label sides");
+    // One u32 rank id per vertex, and nothing after them.
+    if (body - reader.position() != 4ull * nv) {
+      return Status::InvalidArgument(
+          "no 4|V|-byte rank section after the label sides; rebuild an "
+          "index an earlier build saved with a .perm sidecar");
     }
     // The shapes the store's slot layout needs, refused before it runs.
     if (directed > 1 || out_count != nv ||
@@ -203,8 +214,8 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
   }
 
   // Pass 2: read the body again, hashing every byte, and decode each
-  // label straight into its slot. A header, count or length that
-  // differs from pass 1's means the file changed in between.
+  // label straight into its slot, then the ranks. A header, count or
+  // length that differs from pass 1's means the file changed in between.
   const auto changed = [&] {
     return Status::InvalidArgument("HLI1 file changed while loading: " +
                                    path);
@@ -250,6 +261,8 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
       });
   HOPDB_RETURN_NOT_OK(store.status());
   while (counts_read < 2) HOPDB_RETURN_NOT_OK(read_count());
+  std::vector<VertexId> order(nv);
+  for (VertexId& v : order) HOPDB_RETURN_NOT_OK(reader.Read(body, &v));
   if (reader.position() != body) return changed();
   HOPDB_RETURN_NOT_OK(verify_checksum());
 
@@ -259,6 +272,10 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path) {
     return Status::InvalidArgument("invalid HLI1 labels (" + valid.message() +
                                    "): " + path);
   }
+  if (!IsPermutation(order)) {
+    return Status::InvalidArgument("HLI1 ranks are not a permutation: " + path);
+  }
+  *ranking = RankingFromOrder(std::move(order));
   return index;
 }
 

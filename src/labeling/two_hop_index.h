@@ -13,8 +13,9 @@
 // while labels are built or repaired: the vector constructor freezes
 // them into the store and lets them go, and IncrementalUpdater thaws
 // its own editable copy, freezing it back at Finalize(). Save writes
-// the store's real entries (HLI1 never sees the block padding), and
-// Load decodes HLI1 straight into the arenas.
+// the store's real entries (HLI1 never sees the block padding) and the
+// caller's rank permutation, and Load decodes both back, the labels
+// straight into the arenas.
 
 #ifndef HOPDB_LABELING_TWO_HOP_INDEX_H_
 #define HOPDB_LABELING_TWO_HOP_INDEX_H_
@@ -31,6 +32,8 @@
 #include "util/status.h"
 
 namespace hopdb {
+
+struct RankMapping;
 
 class TwoHopIndex {
  public:
@@ -98,26 +101,29 @@ class TwoHopIndex {
   /// additionally checks pivot id < owner id.
   Status Validate(bool ranked) const;
 
-  /// Serializes the store's real entries (no block padding) to the HLI1
-  /// binary format: the label body followed by a u64 FNV-1a-64 checksum
-  /// of it (docs/FORMATS.md).
+  /// Serializes to HLI1 (docs/FORMATS.md): the store's real entries (no
+  /// block padding), the rank section (`ranking.rank_to_orig`, which
+  /// must cover |V| ids), then a u64 FNV-1a-64 checksum of it all.
+  /// Removes a `<path>.perm` sidecar an earlier build left beside it.
   ///
   /// Load reads the file through one fixed 1 MiB window, never whole,
   /// so it holds the store it builds and little else. Pass 1 reads the
   /// header and every label length, skipping the entries: each count is
   /// checked against the bytes left before it sizes anything, the side
-  /// shapes against the header, and no byte may follow the body. The
-  /// lengths size the store's slots. Pass 2 re-reads the body, hashes
-  /// every byte, checks each length against pass 1's and decodes each
-  /// label straight into its slot; the checksum is compared before
-  /// Validate(false) runs, so no label is kept from bytes it did not
-  /// cover. A file that pass 1 cannot parse is hashed whole first, and
-  /// reports a checksum mismatch if it has one. A path that is not a
-  /// regular file fails with IOError; every other failure is
-  /// InvalidArgument. Files written by earlier builds (with a trailing
-  /// HFS1 section, or none) fail the checksum and must be rebuilt.
-  Status Save(const std::string& path) const;
-  static Result<TwoHopIndex> Load(const std::string& path);
+  /// shapes against the header, and 4|V| rank bytes must end the body.
+  /// The lengths size the store's slots. Pass 2 re-reads the body,
+  /// hashes every byte, checks each length against pass 1's and decodes
+  /// each label straight into its slot, then the ranks; the checksum is
+  /// compared first, then Validate(false) runs, then the ranks must be a
+  /// permutation before they become `*ranking`. A file that pass 1
+  /// cannot parse is hashed whole first, and reports a checksum mismatch
+  /// if it has one.
+  /// A path that is not a regular file fails with IOError; every other
+  /// failure is InvalidArgument. Files written by earlier builds (with
+  /// an HFS1 section, or no rank section) are refused: rebuild them.
+  Status Save(const std::string& path, const RankMapping& ranking) const;
+  static Result<TwoHopIndex> Load(const std::string& path,
+                                  RankMapping* ranking);
 
  private:
   FlatLabelStore flat_;

@@ -55,8 +55,7 @@ Result<std::shared_ptr<const ServingSnapshot>> LoadServingSnapshot(
     path_graph = std::make_shared<const CsrGraph>(std::move(graph));
   }
   return std::make_shared<const ServingSnapshot>(
-      std::move(index), path, cache_capacity, hot_hub_k, std::move(path_graph),
-      ServingSnapshot::PathGraphIds::kRank);
+      std::move(index), path, cache_capacity, hot_hub_k, std::move(path_graph));
 }
 
 Status IndexRegistry::Attach(const std::string& name,

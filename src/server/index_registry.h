@@ -41,7 +41,8 @@ Status ValidateIndexName(const std::string& name);
 /// Loads a serving snapshot from any index file format, dispatching on
 /// the file magic: "HLI2" opens a zero-copy MappedIndex (O(|V|)
 /// metadata validation, no deserialization), anything else goes through
-/// HopDbIndex::Load (HLI1 + .perm sidecar, O(total entries)).
+/// HopDbIndex::Load (one HLI1 file holding labels and ranks, O(total
+/// entries)).
 /// The returned snapshot records `path` as its reload source and builds
 /// a hot-hub cache over the top `hot_hub_k` pivots (0 disables).
 /// A non-empty `graph_path` loads the index's build graph alongside a

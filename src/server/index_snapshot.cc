@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/ranking.h"
 #include "labeling/query_kernel.h"
 #include "query/path.h"
 #include "util/logging.h"
@@ -14,8 +13,7 @@ namespace hopdb {
 
 ServingSnapshot::ServingSnapshot(HopDbIndex index, std::string source_path,
                                  size_t cache_capacity, uint32_t hot_hub_k,
-                                 std::shared_ptr<const CsrGraph> path_graph,
-                                 PathGraphIds path_graph_ids)
+                                 std::shared_ptr<const CsrGraph> path_graph)
     : index_(std::move(index)),
       labels_(index_.label_index().labels()),
       to_internal_(index_.ranking().orig_to_rank.data()),
@@ -31,16 +29,7 @@ ServingSnapshot::ServingSnapshot(HopDbIndex index, std::string source_path,
         std::to_string(index_.num_vertices()));
     return;
   }
-  if (path_graph_ids == PathGraphIds::kRank) {
-    path_graph_ = std::move(path_graph);
-    return;
-  }
-  Result<CsrGraph> ranked = RelabelByRank(*path_graph, index_.ranking());
-  if (!ranked.ok()) {
-    path_status_ = ranked.status();
-    return;
-  }
-  path_graph_ = std::make_shared<const CsrGraph>(std::move(ranked).value());
+  path_graph_ = std::move(path_graph);
 }
 
 Distance ServingSnapshot::Query(VertexId s, VertexId t) const {

@@ -41,30 +41,20 @@ namespace hopdb {
 
 class ServingSnapshot {
  public:
-  /// The vertex ids of a path graph handed to the heap constructor.
-  enum class PathGraphIds {
-    /// The caller's ids: the constructor relabels the graph once, into
-    /// a copy it holds.
-    kOriginal,
-    /// The index's INTERNAL (rank) ids, as LoadCsrGraph with the
-    /// index's ranking and a COMMIT's freeze produce it: held as it is.
-    kRank,
-  };
-
   /// Heap-backed snapshot. `source_path` is the file RELOAD-without-
   /// argument re-reads; may be empty for in-memory indexes (RELOAD then
   /// requires an explicit path). `cache_capacity` sizes this snapshot's
   /// result cache (0 disables). `hot_hub_k` sizes the snapshot's dense
   /// top-k pivot table (labeling/hot_hub.h; 0 disables) — built here,
   /// at publish time, so readers never see a partially built cache.
-  /// `path_graph` (the graph the index was built from, in the ids
-  /// `path_graph_ids` names) enables PATH queries; one whose vertex
-  /// count differs from the index's makes every PATH answer
-  /// InvalidArgument.
+  /// `path_graph` (the graph the index was built from, in the index's
+  /// INTERNAL (rank) ids, as LoadCsrGraph with the index's ranking,
+  /// RelabelByRank and a COMMIT's freeze produce it) enables PATH
+  /// queries and is held as it is; one whose vertex count differs from
+  /// the index's makes every PATH answer InvalidArgument.
   ServingSnapshot(HopDbIndex index, std::string source_path,
                   size_t cache_capacity, uint32_t hot_hub_k = 0,
-                  std::shared_ptr<const CsrGraph> path_graph = nullptr,
-                  PathGraphIds path_graph_ids = PathGraphIds::kOriginal);
+                  std::shared_ptr<const CsrGraph> path_graph = nullptr);
 
   /// Mmap-backed snapshot over an opened HLI2 index. Same contract;
   /// RELOAD on this snapshot is an O(1) remap of source_path (plus the

@@ -861,8 +861,7 @@ WireResponse DistanceServer::HandleCommit(const std::string& name) {
   }
   auto snapshot = std::make_shared<ServingSnapshot>(
       std::move(published), current->source_path(), options_.cache_capacity,
-      options_.hot_hub_k, std::move(path_graph),
-      ServingSnapshot::PathGraphIds::kRank);
+      options_.hot_hub_k, std::move(path_graph));
   // Carry forward result-cache entries this commit cannot have changed:
   // Query(s, t) reads only Lout(s) and Lin(t), so a cached pair is
   // stale iff the repair touched either of those labels. When the

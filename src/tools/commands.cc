@@ -227,7 +227,7 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
       << "  index size      " << index.PaperSizeBytes() << " bytes (paper "
       << "accounting)\n"
       << "  build time      " << seconds << " s\n"
-      << "  saved to        " << out_path << " (+ .perm)\n";
+      << "  saved to        " << out_path << "\n";
   return Status::OK();
 }
 
@@ -263,8 +263,11 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   };
 
   if (random_n > 0) {
-    Rng rng(seed);
     const VertexId n = index.num_vertices();
+    if (n == 0) {
+      return Status::InvalidArgument("--random on an index with no vertices");
+    }
+    Rng rng(seed);
     Stopwatch watch;
     uint64_t reachable = 0;
     for (uint64_t i = 0; i < random_n; ++i) {
@@ -374,7 +377,8 @@ Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
                            MappedIndex::Open(out_path, options));
     Rng rng(seed);
     const VertexId n = index.num_vertices();
-    for (uint64_t i = 0; i < samples && n > 0; ++i) {
+    const uint64_t sampled = n > 0 ? samples : 0;  // no pair to draw
+    for (uint64_t i = 0; i < sampled; ++i) {
       const VertexId s = static_cast<VertexId>(rng.Below(n));
       const VertexId t = static_cast<VertexId>(rng.Below(n));
       if (mapped.Query(s, t) != index.Query(s, t)) {
@@ -383,13 +387,13 @@ Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
             std::to_string(s) + ", " + std::to_string(t) + ")");
       }
     }
-    out << "verified arena checksum + " << samples
+    out << "verified arena checksum + " << sampled
         << " sampled queries against " << in_path << "\n";
   }
   out << "converted " << in_path << " -> " << out_path << " (HLI2)\n"
       << "  vertices        " << index.num_vertices() << "\n"
       << "  label entries   " << index.label_index().TotalEntries() << "\n"
-      << "  input size      " << in_bytes << " bytes (+ .perm sidecar)\n"
+      << "  input size      " << in_bytes << " bytes\n"
       << "  output size     " << out_bytes
       << " bytes (self-contained, mmap-servable)\n";
   return Status::OK();
@@ -505,7 +509,7 @@ Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out) {
       << stats.entries_updated << " -" << stats.entries_removed << "\n"
       << "  label entries   " << index.label_index().TotalEntries() << "\n"
       << "  update time     " << seconds << " s\n"
-      << "  saved to        " << out_path << " (+ .perm)\n";
+      << "  saved to        " << out_path << "\n";
   if (!out_graph.empty()) {
     out << "  updated graph   " << out_graph << "\n";
   }

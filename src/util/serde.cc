@@ -10,41 +10,6 @@
 
 namespace hopdb {
 
-Status ByteReader::ReadU8(uint8_t* out) {
-  if (remaining() < 1) return Status::OutOfRange("ReadU8 past end of buffer");
-  *out = data_[pos_++];
-  return Status::OK();
-}
-
-Status ByteReader::ReadU32(uint32_t* out) {
-  if (remaining() < 4) return Status::OutOfRange("ReadU32 past end of buffer");
-  *out = DecodeU32(data_ + pos_);
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status ByteReader::ReadU64(uint64_t* out) {
-  if (remaining() < 8) return Status::OutOfRange("ReadU64 past end of buffer");
-  *out = DecodeU64(data_ + pos_);
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status ByteReader::ReadBytes(void* out, size_t n) {
-  if (remaining() < n) {
-    return Status::OutOfRange("ReadBytes past end of buffer");
-  }
-  std::memcpy(out, data_ + pos_, n);
-  pos_ += n;
-  return Status::OK();
-}
-
-Status ByteReader::Skip(size_t n) {
-  if (remaining() < n) return Status::OutOfRange("Skip past end of buffer");
-  pos_ += n;
-  return Status::OK();
-}
-
 Status ReadFileToString(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

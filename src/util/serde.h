@@ -71,28 +71,6 @@ inline uint64_t Fnv1a64(const void* data, size_t size,
   return h;
 }
 
-/// Sequential reader over a byte buffer with bounds checking.
-class ByteReader {
- public:
-  ByteReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit ByteReader(const std::string& s)
-      : data_(reinterpret_cast<const uint8_t*>(s.data())), size_(s.size()) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t position() const { return pos_; }
-
-  Status ReadU8(uint8_t* out);
-  Status ReadU32(uint32_t* out);
-  Status ReadU64(uint64_t* out);
-  Status ReadBytes(void* out, size_t n);
-  Status Skip(size_t n);
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Whole-file helpers.
 // ---------------------------------------------------------------------------

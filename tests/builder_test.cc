@@ -412,7 +412,8 @@ struct PinnedBuild {
   uint32_t iterations;
   uint64_t peak_candidates;
   uint64_t counters_fnv;  // FNV-1a of CountersText
-  uint64_t hli1_fnv;      // FNV-1a of the saved HLI1 bytes
+  uint64_t hli1_fnv;      // FNV-1a of the saved HLI1 bytes (identity
+                          // rank section)
   bool prune_with_candidates = true;
   bool prune = true;
 };
@@ -436,37 +437,37 @@ std::string CountersText(const BuildStats& stats) {
 TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
   constexpr PinnedBuild kPins[] = {
       {false, false, BuildMode::kHopStepping, 4, 38954,
-       0xcfd14f8aa1210caaULL, 0x5bfa9a956691e402ULL},
+       0xcfd14f8aa1210caaULL, 0xd884bcba9a3b314dULL},
       {false, false, BuildMode::kHopDoubling, 4, 102606,
-       0x6689f2e53e0173f0ULL, 0x5bfa9a956691e402ULL},
+       0x6689f2e53e0173f0ULL, 0xd884bcba9a3b314dULL},
       {false, false, BuildMode::kHybrid, 4, 38954,
-       0xa8e26c95b7755f99ULL, 0x5bfa9a956691e402ULL},
+       0xa8e26c95b7755f99ULL, 0xd884bcba9a3b314dULL},
       {false, true, BuildMode::kHopStepping, 6, 31171,
-       0xb65df4aa6e7cfae1ULL, 0x7f885b23dc051459ULL},
+       0xb65df4aa6e7cfae1ULL, 0x2be0a8cee8db73daULL},
       {false, true, BuildMode::kHopDoubling, 4, 55204,
-       0x2b032908f4c2a9c0ULL, 0x9102d5d68473a184ULL},
+       0x2b032908f4c2a9c0ULL, 0x23d095d5f61da998ULL},
       {false, true, BuildMode::kHybrid, 5, 42956,
-       0xcb5e5ebe83ab82a3ULL, 0x6940d54bbc725f45ULL},
+       0xcb5e5ebe83ab82a3ULL, 0xfff0e65d33e2ff9cULL},
       {true, false, BuildMode::kHopStepping, 5, 15265,
-       0xe0c861716ea5cf94ULL, 0x78e1e3dffb4ac188ULL},
+       0xe0c861716ea5cf94ULL, 0xad48e71a6059be98ULL},
       {true, false, BuildMode::kHopDoubling, 4, 25857,
-       0xf06beb0dd50ee0b4ULL, 0x78e1e3dffb4ac188ULL},
+       0xf06beb0dd50ee0b4ULL, 0xad48e71a6059be98ULL},
       {true, false, BuildMode::kHybrid, 5, 15265,
-       0x68e5b953c015b987ULL, 0x78e1e3dffb4ac188ULL},
+       0x68e5b953c015b987ULL, 0xad48e71a6059be98ULL},
       {true, true, BuildMode::kHopStepping, 8, 18962,
-       0x21e20ac5786d070fULL, 0x0b2040e3e7e46c90ULL},
+       0x21e20ac5786d070fULL, 0x7852a94d10f11c05ULL},
       {true, true, BuildMode::kHopDoubling, 5, 40097,
-       0x9f3501bd47536a65ULL, 0x25913b6517f4a3e5ULL},
+       0x9f3501bd47536a65ULL, 0x4e34bf69e55a46f7ULL},
       {true, true, BuildMode::kHybrid, 5, 27506,
-       0x558859f56af3452aULL, 0x0f6cdeb9332d232cULL},
+       0x558859f56af3452aULL, 0x879a5ff7dd6ef889ULL},
       {false, true, BuildMode::kHybrid, 5, 77115,
-       0xfc2fe27bba9dd3b0ULL, 0x184d114710ac46d2ULL, false},
+       0xfc2fe27bba9dd3b0ULL, 0x02d39934f406bdcaULL, false},
       {true, true, BuildMode::kHybrid, 5, 46624,
-       0xa17bf0b57763e67fULL, 0xd63e944b7cdf620aULL, false},
+       0xa17bf0b57763e67fULL, 0x5e061b0a5ce854b9ULL, false},
       {false, true, BuildMode::kHybrid, 8, 593800,
-       0x47fc53a82d77d3b8ULL, 0xbac51fe64a4fb9cfULL, true, false},
+       0x47fc53a82d77d3b8ULL, 0x1b05e1b66139851bULL, true, false},
       {true, true, BuildMode::kHybrid, 6, 149036,
-       0xb4532329469ec5c9ULL, 0xcce3c3d513288b20ULL, true, false},
+       0xb4532329469ec5c9ULL, 0x0c35e122aadd4a5cULL, true, false},
   };
   auto tmp = TempDir::Create("hopdb_builder_pin");
   ASSERT_TRUE(tmp.ok());
@@ -500,7 +501,9 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
       EXPECT_EQ(out->stats.peak_candidates, pin.peak_candidates);
       EXPECT_EQ(Fnv1a64(counters.data(), counters.size()), pin.counters_fnv)
           << counters;
-      ASSERT_TRUE(out->index.Save(path).ok());
+      const RankMapping identity =
+          ComputeRanking(*ranked, RankingPolicy::kIdentity);
+      ASSERT_TRUE(out->index.Save(path, identity).ok());
       std::ifstream in(path, std::ios::binary);
       const std::string bytes((std::istreambuf_iterator<char>(in)),
                               std::istreambuf_iterator<char>());
@@ -509,9 +512,11 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
   }
 }
 
-/// The HLI1 bytes `index` saves to `path`.
-std::string SavedBytes(const TwoHopIndex& index, const std::string& path) {
-  if (!index.Save(path).ok()) return "";
+/// The HLI1 bytes `index`, over the ids of `ranked`, saves to `path`.
+std::string SavedBytes(const TwoHopIndex& index, const CsrGraph& ranked,
+                       const std::string& path) {
+  const RankMapping identity = ComputeRanking(ranked, RankingPolicy::kIdentity);
+  if (!index.Save(path, identity).ok()) return "";
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
@@ -559,10 +564,10 @@ TEST(BuilderTest, GatherDecisionsMatchTwoPhasePruning) {
       EXPECT_EQ(CountersText(gathered->stats),
                 CountersText(two_phase->stats));
       const std::string bytes =
-          SavedBytes(gathered->index, tmp->File("gathered.hli"));
+          SavedBytes(gathered->index, *ranked, tmp->File("gathered.hli"));
       ASSERT_FALSE(bytes.empty());
-      EXPECT_TRUE(bytes ==
-                  SavedBytes(two_phase->index, tmp->File("two_phase.hli")));
+      EXPECT_TRUE(bytes == SavedBytes(two_phase->index, *ranked,
+                                      tmp->File("two_phase.hli")));
     }
   }
 }

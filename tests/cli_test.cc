@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -30,6 +31,16 @@ int RunTool(std::vector<std::string> args, std::string* stdout_text = nullptr,
   if (stdout_text != nullptr) *stdout_text = out.str();
   if (stderr_text != nullptr) *stderr_text = err.str();
   return code;
+}
+
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FileNames(const TempDir& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 TEST(CliTest, NoArgumentsPrintsUsageAndFails) {
@@ -139,6 +150,8 @@ TEST(CliTest, UpdateAppliesOpsOffline) {
                 &out),
             0);
   ASSERT_EQ(RunTool({"build", "--graph", graph, "--out", index}, &out), 0);
+  // One index file: labels and ranks both live in HLI1.
+  EXPECT_EQ(FileNames(dir), (std::vector<std::string>{"g.hgr", "g.hli"}));
 
   // Insert edge {0, 1} (a no-op if the generator already placed it);
   // either way the repaired index must answer dist(0, 1) = 1.
@@ -155,6 +168,9 @@ TEST(CliTest, UpdateAppliesOpsOffline) {
             0);
   EXPECT_NE(out.find("applied"), std::string::npos) << out;
   EXPECT_NE(out.find("saved to"), std::string::npos);
+  EXPECT_EQ(FileNames(dir),
+            (std::vector<std::string>{"g.hgr", "g.hli", "g2.hgr", "g2.hli",
+                                      "ops1.txt"}));
   ASSERT_EQ(RunTool({"query", "--index", index2, "--src", "0", "--dst", "1"},
                 &out),
             0);
@@ -400,6 +416,31 @@ TEST(CliTest, ConvertRoundTripIsQueryIdentical) {
   EXPECT_NE(out.find("converted"), std::string::npos);
   EXPECT_NE(out.find("verified arena checksum"), std::string::npos);
   EXPECT_NE(out.find("HLI2"), std::string::npos);
+}
+
+// An index over no vertices: `query --random` has no pair to draw and
+// refuses (it aborted on an out-of-range id), and `convert --verify`
+// reports the zero queries it could run.
+TEST(CliTest, EmptyIndexRefusesRandomQueriesAndConvertsWithNoSamples) {
+  TempDir dir = TempDir::Create("cli_empty").ValueOrDie();
+  const std::string graph = dir.File("empty.txt");
+  const std::string index = dir.File("empty.hli");
+  ASSERT_TRUE(WriteStringToFile(graph, "").ok());
+  std::string out, err;
+  ASSERT_EQ(RunTool({"build", "--graph", graph, "--out", index}, &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find("|V|=0"), std::string::npos) << out;
+  EXPECT_EQ(RunTool({"query", "--index", index, "--random", "5"}, &out, &err),
+            1);
+  EXPECT_NE(err.find("InvalidArgument"), std::string::npos) << err;
+  ASSERT_EQ(RunTool({"convert", "--in", index, "--out", dir.File("e.hli2")},
+                    &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find("verified arena checksum + 0 sampled queries"),
+            std::string::npos)
+      << out;
 }
 
 TEST(CliTest, ConvertRequiresInAndOut) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,8 +144,12 @@ TEST(FlatLabelStoreTest, BuilderToFlatToReload) {
   auto dir = TempDir::Create("flat_store_pipeline");
   ASSERT_TRUE(dir.ok()) << dir.status();
   const std::string hli_path = dir->File("labels.hli");
-  ASSERT_TRUE(index.Save(hli_path).ok());
-  auto reloaded = TwoHopIndex::Load(hli_path);
+  std::vector<VertexId> order(index.num_vertices());
+  std::iota(order.begin(), order.end(), 0u);
+  ASSERT_TRUE(index.Save(hli_path, RankingFromOrder(order)).ok());
+  RankMapping ranking;
+  auto reloaded = TwoHopIndex::Load(hli_path, &ranking);
+  EXPECT_EQ(ranking.rank_to_orig, order);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   ExpectViewsEqual(index.labels(), reloaded->labels());
 

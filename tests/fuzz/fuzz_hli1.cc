@@ -1,12 +1,14 @@
 // Fuzz target for the HLI1 heap-index loader. The input is an HLI1
-// body (magic, header, label sides); the target seals it with the
-// FNV-1a-64 checksum the format ends with, writes it to a scratch file
-// and hands it to TwoHopIndex::Load. Sealing every input lets mutations
-// get past the checksum to the side-shape and label checks. Properties
-// checked on every input:
-//   - Load never crashes on hostile bodies, it returns a Status;
-//   - an index it accepts passes Validate(false), and answers in-range
-//     point queries and a one-to-many row over its frozen labels.
+// body (magic, header, label sides, rank section); the target seals it
+// with the FNV-1a-64 checksum the format ends with, writes it to a
+// scratch file and hands it to HopDbIndex::Load. Sealing every input
+// lets mutations get past the checksum to the side-shape, label and
+// rank-permutation checks. Properties checked on every input:
+//   - Load never crashes on hostile bodies (a rank section that is not
+//     a permutation included), it returns a Status;
+//   - an index it accepts passes Validate(false), its ranking maps each
+//     id back to itself, and it answers in-range point queries and a
+//     one-to-many row over its frozen labels.
 // The seed corpus is the bodies of two small valid files (undirected
 // unweighted, directed weighted).
 
@@ -41,23 +43,29 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   hopdb::PutU64(&bytes, hopdb::Fnv1a64(data, size));
   if (!hopdb::WriteStringToFile(path, bytes).ok()) return 0;
 
-  auto index = hopdb::TwoHopIndex::Load(path);
-  if (!index.ok()) return 0;  // rejection is the expected outcome
+  auto loaded = hopdb::HopDbIndex::Load(path);
+  if (!loaded.ok()) return 0;  // rejection is the expected outcome
 
-  if (!index->Validate(/*ranked=*/false).ok()) __builtin_trap();
-  const hopdb::VertexId n = index->num_vertices();
-  if (index->labels().num_vertices != n) __builtin_trap();
+  const hopdb::TwoHopIndex& index = loaded->label_index();
+  if (!index.Validate(/*ranked=*/false).ok()) __builtin_trap();
+  const hopdb::VertexId n = index.num_vertices();
+  if (index.labels().num_vertices != n) __builtin_trap();
+  const hopdb::RankMapping& ranking = loaded->ranking();
+  if (ranking.size() != n) __builtin_trap();
+  for (hopdb::VertexId v = 0; v < n; ++v) {
+    if (ranking.ToOriginal(ranking.ToInternal(v)) != v) __builtin_trap();
+  }
   std::vector<hopdb::VertexId> targets;
   for (hopdb::VertexId v = 0; v < n && v < 8; ++v) {
-    if (index->Query(v, v) != 0) __builtin_trap();
-    (void)index->Query(v, n - 1 - v);
+    if (loaded->Query(v, v) != 0) __builtin_trap();
+    (void)loaded->Query(v, n - 1 - v);
     targets.push_back(n - 1 - v);
   }
   if (n > 0) {
     const std::vector<hopdb::Distance> row =
-        hopdb::OneToManyEngine(index->labels(), targets).Query(0);
+        hopdb::OneToManyEngine(index.labels(), targets).Query(0);
     for (size_t j = 0; j < targets.size(); ++j) {
-      if (row[j] != index->Query(0, targets[j])) __builtin_trap();
+      if (row[j] != index.Query(0, targets[j])) __builtin_trap();
     }
   }
   return 0;
@@ -80,7 +88,7 @@ std::vector<std::string> SeedInputs() {
     auto index = hopdb::HopDbIndex::Build(edges);
     if (!index.ok()) continue;
     const std::string path = ScratchPath() + ".seed";
-    if (!index->label_index().Save(path).ok()) continue;
+    if (!index->Save(path).ok()) continue;
     std::string file;
     const hopdb::Status read = hopdb::ReadFileToString(path, &file);
     std::remove(path.c_str());

@@ -1,7 +1,11 @@
 #include "graph/graph_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -254,6 +258,52 @@ TEST(LoadCsrGraphTest, RefusesAGraphOverAnotherVertexCount) {
   EXPECT_EQ(csr.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(csr.status().message().find("5 vertices"), std::string::npos)
       << csr.status();
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// Loads `path` with 1 GB of address space left to the process, then
+// exits 0 iff the load failed with ResourceExhausted.
+[[noreturn]] void LoadWithOneGigabyteLeft(const std::string& path) {
+  uint64_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  const rlim_t cap =
+      pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) + (rlim_t{1} << 30);
+  const rlimit limit{cap, cap};
+  if (pages == 0 || setrlimit(RLIMIT_AS, &limit) != 0) std::_Exit(2);
+  const Result<CsrGraph> csr = LoadCsrGraph(path, false, false);
+  std::_Exit(csr.status().IsResourceExhausted() ? 0 : 1);
+}
+
+TEST(LoadCsrGraphTest, VertexCountBeyondMemoryIsResourceExhausted) {
+  // ASan's allocator aborts on a refused allocation and TSan's
+  // overcommits, so neither throws the bad_alloc the freeze turns into
+  // a Status.
+  if (kSanitized) GTEST_SKIP() << "sanitizer allocators do not throw";
+  auto dir = TempDir::Create("graph_io");
+  ASSERT_TRUE(dir.ok());
+  // A 20-byte HGR1 file: 4 294 967 295 vertices and no edges. The
+  // freeze's |V|-entry arrays take 32 GB each, so with 1 GB of address
+  // space left the load must fail with ResourceExhausted, not abort.
+  std::string bytes = "HGR1";
+  PutU32(&bytes, 1);  // directed
+  PutU32(&bytes, UINT32_MAX);
+  PutU64(&bytes, 0);
+  ASSERT_EQ(bytes.size(), 20u);
+  const std::string path = dir->File("huge.hgr");
+  ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
+  EXPECT_EXIT(LoadWithOneGigabyteLeft(path), ::testing::ExitedWithCode(0),
+              "");
 }
 
 }  // namespace

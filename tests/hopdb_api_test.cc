@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "eval/verify.h"
 #include "gen/glp.h"
 #include "gen/small_graphs.h"
@@ -119,34 +123,96 @@ TEST(HopDbApiTest, SaveLoadRoundTrip) {
   }
 }
 
-TEST(HopDbApiTest, LoadRejectsCraftedPermutation) {
-  auto dir = TempDir::Create("api_perm");
-  ASSERT_TRUE(dir.ok());
+/// A 3x3 grid's index saved to `path`, split into its label body (the
+/// file before the rank section) and its rank section.
+void SaveGrid(const std::string& path, std::string* labels,
+              std::string* ranks) {
   auto index = HopDbIndex::Build(GridGraph(3, 3));
   ASSERT_TRUE(index.ok());
-  const std::string path = dir->File("g.hopdb");
   ASSERT_TRUE(index->Save(path).ok());
-  auto perm_with = [](uint64_t n, std::vector<uint32_t> ids) {
-    std::string perm;
-    PutU64(&perm, n);
-    for (uint32_t v : ids) PutU32(&perm, v);
-    return perm;
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(path, &file).ok());
+  ASSERT_GT(file.size(), 8u + 4 * 9);
+  const size_t rank_start = file.size() - 8 - 4 * 9;
+  *labels = file.substr(0, rank_start);
+  *ranks = file.substr(rank_start, 4 * 9);
+}
+
+/// `body` followed by its FNV-1a-64, as HLI1 files end.
+std::string Sealed(std::string body) {
+  PutU64(&body, Fnv1a64(body.data(), body.size()));
+  return body;
+}
+
+// HLI1 files whose checksum holds but whose rank section is not a
+// permutation of the 9 vertices: each must fail with InvalidArgument
+// rather than reach RankingFromOrder, which CHECK-fails on it.
+TEST(HopDbApiTest, LoadRejectsCraftedRankSection) {
+  auto dir = TempDir::Create("api_ranks");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("g.hopdb");
+  std::string labels, ranks;
+  ASSERT_NO_FATAL_FAILURE(SaveGrid(path, &labels, &ranks));
+  ASSERT_TRUE(HopDbIndex::Load(path).ok());
+  const auto ids = [](std::vector<uint32_t> list) {
+    std::string section;
+    for (const uint32_t v : list) PutU32(&section, v);
+    return section;
   };
-  const std::vector<std::string> crafted = {
-      perm_with(uint64_t{1} << 40, {}),          // count sizes no allocation
-      perm_with(8, {0, 1, 2, 3, 4, 5, 6, 7}),    // wrong vertex count
-      perm_with(9, {0, 1, 2}),                   // truncated
-      perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 9}),  // id out of range
-      perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 7}),  // duplicate id
-      perm_with(9, {0, 1, 2, 3, 4, 5, 6, 7, 8, 0}),  // trailing bytes
+  const std::pair<std::string, const char*> crafted[] = {
+      {ids({0, 1, 2, 3, 4, 5, 6, 7}), "short"},
+      {ranks + ids({0}), "long"},
+      {ids({0, 1, 2, 3, 4, 5, 6, 7, 9}), "id out of range"},
+      {ids({0, 1, 2, 3, 4, 5, 6, 7, 7}), "repeated id"},
   };
-  for (const std::string& perm : crafted) {
-    ASSERT_TRUE(WriteStringToFile(path + ".perm", perm).ok());
+  for (const auto& [section, what] : crafted) {
+    ASSERT_TRUE(WriteStringToFile(path, Sealed(labels + section)).ok());
+    auto back = HopDbIndex::Load(path);
+    ASSERT_FALSE(back.ok()) << what;
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << back.status();
+  }
+}
+
+// An index saved before HLI1 carried its ranks: the label body sealed
+// by its own checksum, the ranks in a .perm sidecar. It is refused with
+// a message that says to rebuild it, sidecar or not.
+TEST(HopDbApiTest, LoadRefusesIndexWithPermSidecar) {
+  auto dir = TempDir::Create("api_old");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("g.hopdb");
+  std::string labels, ranks;
+  ASSERT_NO_FATAL_FAILURE(SaveGrid(path, &labels, &ranks));
+  ASSERT_TRUE(WriteStringToFile(path, Sealed(labels)).ok());
+  for (const bool sidecar : {false, true}) {
+    if (sidecar) {
+      std::string perm;
+      PutU64(&perm, 9);
+      perm += ranks;
+      ASSERT_TRUE(WriteStringToFile(path + ".perm", perm).ok());
+    }
     auto back = HopDbIndex::Load(path);
     ASSERT_FALSE(back.ok());
-    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument)
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(back.status().message().find("rebuild"), std::string::npos)
         << back.status();
   }
+}
+
+// Save writes one file and removes the sidecar an earlier build left
+// beside the index it replaces.
+TEST(HopDbApiTest, SaveRemovesLeftoverPermSidecar) {
+  auto dir = TempDir::Create("api_sidecar");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("g.hopdb");
+  ASSERT_TRUE(WriteStringToFile(path + ".perm", "stale").ok());
+  auto index = HopDbIndex::Build(GridGraph(3, 3));
+  ASSERT_TRUE(index.ok());
+  ASSERT_TRUE(index->Save(path).ok());
+  EXPECT_FALSE(FileSizeBytes(path + ".perm").ok());
+  auto back = HopDbIndex::Load(path);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->ranking().rank_to_orig, index->ranking().rank_to_orig);
 }
 
 TEST(HopDbApiTest, BuildStatsExposed) {

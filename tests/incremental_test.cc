@@ -526,7 +526,9 @@ TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
   ASSERT_TRUE(dir.ok()) << dir.status();
   const auto saved = [&](const std::string& name) {
     const std::string path = dir->File(name);
-    EXPECT_TRUE(fix.index.Save(path).ok());
+    const RankMapping identity =
+        ComputeRanking(fix.ranked, RankingPolicy::kIdentity);
+    EXPECT_TRUE(fix.index.Save(path, identity).ok());
     std::string bytes;
     EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
     return bytes;
@@ -548,7 +550,8 @@ TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
             std::vector<Distance>{before});
 
   EXPECT_EQ(saved("pending.hli"), frozen);
-  auto pending = TwoHopIndex::Load(dir->File("pending.hli"));
+  RankMapping ranking;
+  auto pending = TwoHopIndex::Load(dir->File("pending.hli"), &ranking);
   ASSERT_TRUE(pending.ok()) << pending.status();
   EXPECT_EQ(pending->Query(s1, t1), 1u);
   EXPECT_EQ(pending->Query(s2, t2), before);
@@ -556,7 +559,7 @@ TEST(IncrementalTest, SaveAfterSecondApplyLoadsAndReadsFollowTheFreeze) {
   updater.Finalize();
   EXPECT_EQ(fix.index.Query(s2, t2), 1u);
   EXPECT_NE(saved("repaired.hli"), frozen);
-  auto reloaded = TwoHopIndex::Load(dir->File("repaired.hli"));
+  auto reloaded = TwoHopIndex::Load(dir->File("repaired.hli"), &ranking);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
   EXPECT_EQ(reloaded->Query(s2, t2), 1u);
   ASSERT_NO_FATAL_FAILURE(
@@ -575,8 +578,11 @@ TEST(IncrementalTest, UpdaterOnLoadedIndexMatchesUpdaterOnBuiltIndex) {
   Fixture fix = MakeFixture(GlpGraph(200, 4.0, /*seed=*/113), BuildOptions());
   auto dir = TempDir::Create("incremental_loaded");
   ASSERT_TRUE(dir.ok()) << dir.status();
-  ASSERT_TRUE(fix.index.Save(dir->File("built.hli")).ok());
-  auto loaded = TwoHopIndex::Load(dir->File("built.hli"));
+  const RankMapping identity =
+      ComputeRanking(fix.ranked, RankingPolicy::kIdentity);
+  ASSERT_TRUE(fix.index.Save(dir->File("built.hli"), identity).ok());
+  RankMapping ranking;
+  auto loaded = TwoHopIndex::Load(dir->File("built.hli"), &ranking);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   DynamicGraph loaded_dyn = fix.dyn;
 
@@ -617,7 +623,7 @@ TEST(IncrementalTest, UpdaterOnLoadedIndexMatchesUpdaterOnBuiltIndex) {
   }
 
   const auto saved = [&](const TwoHopIndex& index, const std::string& name) {
-    EXPECT_TRUE(index.Save(dir->File(name)).ok());
+    EXPECT_TRUE(index.Save(dir->File(name), identity).ok());
     std::string bytes;
     EXPECT_TRUE(ReadFileToString(dir->File(name), &bytes).ok());
     return bytes;

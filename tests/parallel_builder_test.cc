@@ -221,7 +221,8 @@ TEST(ParallelBuildTest, SerializedIndexIsByteIdenticalAcrossThreadCounts) {
 
     const std::string path =
         tmp->File("index_t" + std::to_string(threads) + ".hli");
-    built->index.Save(path).CheckOK();
+    built->index.Save(path, ComputeRanking(*ranked, RankingPolicy::kIdentity))
+        .CheckOK();
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good());
     std::string bytes((std::istreambuf_iterator<char>(in)),

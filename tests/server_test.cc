@@ -22,6 +22,7 @@
 #include "gen/glp.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_io.h"
+#include "graph/ranking.h"
 #include "hopdb.h"
 #include "labeling/mapped_index.h"
 #include "query/knn.h"
@@ -1002,11 +1003,14 @@ TEST_F(ServerEndToEndTest, PathWithoutGraphIsPreconditionError) {
 TEST_F(ServerEndToEndTest, PathMatchesOracleWhenGraphAttached) {
   ServerOptions options;
   options.num_workers = 2;
+  HopDbIndex index = HopDbIndex::Build(graph_).ValueOrDie();
+  // A snapshot holds its PATH graph in the index's rank ids.
+  auto ranked = std::make_shared<const CsrGraph>(
+      RelabelByRank(graph_, index.ranking()).ValueOrDie());
   auto with_graph =
       DistanceServer::Start(
-          std::make_shared<ServingSnapshot>(
-              HopDbIndex::Build(graph_).ValueOrDie(), "", 128, 0,
-              std::make_shared<const CsrGraph>(graph_)),
+          std::make_shared<ServingSnapshot>(std::move(index), "", 128, 0,
+                                            std::move(ranked)),
           options)
           .ValueOrDie();
   auto v1 = DistanceClient::Connect("127.0.0.1", with_graph->port())
@@ -1340,31 +1344,67 @@ TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
   PutU64(&header, uint64_t{1} << 40);
   PutU32(&header, 0);
   ASSERT_EQ(header.size(), 24u);
-  const std::string crafted = tmp->File("crafted.hli");
-  ASSERT_TRUE(WriteStringToFile(crafted, header).ok());
-  // A real index whose .perm sidecar claims 2^40 entries.
-  const std::string bad_perm = tmp->File("bad_perm.hli");
-  ASSERT_TRUE(index_.Save(bad_perm).ok());
-  std::string perm;
-  PutU64(&perm, uint64_t{1} << 40);
-  ASSERT_TRUE(WriteStringToFile(bad_perm + ".perm", perm).ok());
+  std::vector<std::string> crafted = {tmp->File("crafted.hli")};
+  ASSERT_TRUE(WriteStringToFile(crafted[0], header).ok());
 
-  for (const std::string& path : {crafted, bad_perm}) {
+  // Real indexes whose rank section is short, long, out of range or
+  // repeats an id, each sealed with a valid checksum so the rank checks
+  // run; and one saved before HLI1 carried its ranks, beside its .perm.
+  const std::string saved = tmp->File("saved.hli");
+  ASSERT_TRUE(index_.Save(saved).ok());
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(saved, &file).ok());
+  const VertexId n = index_.num_vertices();
+  ASSERT_GE(n, 2u);
+  const std::string labels = file.substr(0, file.size() - 8 - 4 * n);
+  const auto with_ranks = [&](std::vector<VertexId> ids) {
+    std::string body = labels;
+    for (const VertexId v : ids) PutU32(&body, v);
+    PutU64(&body, Fnv1a64(body.data(), body.size()));
+    return body;
+  };
+  std::vector<VertexId> ranks(index_.ranking().rank_to_orig);
+  std::vector<VertexId> out_of_range = ranks;
+  out_of_range.back() = n;
+  std::vector<VertexId> repeated = ranks;
+  repeated.back() = repeated.front();
+  std::vector<VertexId> long_ranks = ranks;
+  long_ranks.push_back(0);
+  std::vector<VertexId> short_ranks = ranks;
+  short_ranks.pop_back();
+  for (const auto& ids : {short_ranks, long_ranks, out_of_range, repeated}) {
+    crafted.push_back(tmp->File("ranks" + std::to_string(crafted.size())));
+    ASSERT_TRUE(WriteStringToFile(crafted.back(), with_ranks(ids)).ok());
+  }
+  const std::string old = tmp->File("old.hli");
+  std::string old_file = labels;
+  PutU64(&old_file, Fnv1a64(labels.data(), labels.size()));
+  ASSERT_TRUE(WriteStringToFile(old, old_file).ok());
+  std::string perm;
+  PutU64(&perm, n);
+  for (const VertexId v : ranks) PutU32(&perm, v);
+  ASSERT_TRUE(WriteStringToFile(old + ".perm", perm).ok());
+  crafted.push_back(old);
+
+  const std::vector<Distance> truth = ExactDistances(graph_, 2);
+  for (const std::string& path : crafted) {
     const std::string attach = *client_.RoundTrip("ATTACH c " + path);
-    EXPECT_TRUE(StartsWith(attach, "ERR ")) << attach;
+    EXPECT_TRUE(StartsWith(attach, "ERR ")) << path << ": " << attach;
     const std::string reload = *client_.RoundTrip("RELOAD " + path);
-    EXPECT_TRUE(StartsWith(reload, "ERR ")) << reload;
+    EXPECT_TRUE(StartsWith(reload, "ERR ")) << path << ": " << reload;
+    if (path == old) {
+      EXPECT_NE(reload.find("rebuild"), std::string::npos) << reload;
+    }
+    EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]) << path;
   }
   EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE c DIST 0 1"), "ERR "));
-  const std::vector<Distance> truth = ExactDistances(graph_, 2);
-  EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]);
 }
 
 TEST_F(ServerEndToEndTest, CraftedHli1ShapeAnswersErrAndKeepsServing) {
   auto tmp = TempDir::Create("server_shape");
   ASSERT_TRUE(tmp.ok());
   // An undirected one-vertex HLI1 whose in side holds one empty label,
-  // ending after the label body. The loader must refuse it rather than
+  // sealed with a valid checksum. The loader must refuse it rather than
   // hand the constructor a shape it aborts on.
   std::string body = "HLI1";
   PutU32(&body, 0);  // undirected
@@ -1373,12 +1413,10 @@ TEST_F(ServerEndToEndTest, CraftedHli1ShapeAnswersErrAndKeepsServing) {
   PutU64(&body, 0);
   PutU64(&body, 1);  // in side: one empty label
   PutU64(&body, 0);
+  PutU32(&body, 0);  // rank section
+  PutU64(&body, Fnv1a64(body.data(), body.size()));
   const std::string crafted = tmp->File("shape.hli");
   ASSERT_TRUE(WriteStringToFile(crafted, body).ok());
-  std::string perm;
-  PutU64(&perm, 1);
-  PutU32(&perm, 0);
-  ASSERT_TRUE(WriteStringToFile(crafted + ".perm", perm).ok());
 
   const std::string attach = *client_.RoundTrip("ATTACH s " + crafted);
   EXPECT_TRUE(StartsWith(attach, "ERR ")) << attach;

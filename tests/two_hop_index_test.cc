@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gen/glp.h"
 #include "gen/weights.h"
+#include "graph/ranking.h"
 #include "hopdb.h"
 #include "io/temp_dir.h"
 #include "labeling/label_entry.h"
@@ -58,6 +60,20 @@ TwoHopIndex PathIndex() {
   out[1] = {{0, 1}};
   out[2] = {{0, 2}, {1, 1}};
   return TwoHopIndex(std::move(out), {}, /*directed=*/false);
+}
+
+/// The identity ranking over n vertices, for indexes built in rank ids
+/// with no original ids of their own.
+RankMapping Identity(VertexId n) {
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  return RankingFromOrder(std::move(order));
+}
+
+/// `body` followed by the identity rank section over n vertices.
+std::string WithRanks(std::string body, VertexId n) {
+  for (VertexId v = 0; v < n; ++v) PutU32(&body, v);
+  return body;
 }
 
 TEST(TwoHopIndexTest, UndirectedQueries) {
@@ -137,9 +153,12 @@ TEST(TwoHopIndexTest, SaveLoadRoundTrip) {
   in[2] = {{0, 4}};
   TwoHopIndex idx(std::move(out), std::move(in), /*directed=*/true);
   std::string path = dir->File("index.hli");
-  ASSERT_TRUE(idx.Save(path).ok());
-  auto back = TwoHopIndex::Load(path);
+  EXPECT_EQ(idx.Save(path, Identity(2)).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(idx.Save(path, RankingFromOrder({2, 0, 1})).ok());
+  RankMapping ranking;
+  auto back = TwoHopIndex::Load(path, &ranking);
   ASSERT_TRUE(back.ok());
+  EXPECT_EQ(ranking.rank_to_orig, (std::vector<VertexId>{2, 0, 1}));
   EXPECT_TRUE(back->directed());
   EXPECT_EQ(back->num_vertices(), 3u);
   EXPECT_EQ(back->TotalEntries(), 4u);
@@ -163,15 +182,11 @@ TEST(TwoHopIndexTest, LoadRejectsGarbage) {
   PutU8(&hlc1, 1);  // pivot 0, as a gap from -1
   PutU8(&hlc1, 1);  // distance 1
   PutU64(&hlc1, Fnv1a64(hlc1.data(), hlc1.size()));
-  std::string perm;  // a valid sidecar, so only the index file can fail
-  PutU64(&perm, 2);
-  PutU32(&perm, 0);
-  PutU32(&perm, 1);
   const std::string path = dir->File("junk");
-  ASSERT_TRUE(WriteStringToFile(path + ".perm", perm).ok());
+  RankMapping ranking;
   for (const std::string& bytes : {std::string("garbage"), hlc1}) {
     ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
-    EXPECT_EQ(TwoHopIndex::Load(path).status().code(),
+    EXPECT_EQ(TwoHopIndex::Load(path, &ranking).status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(HopDbIndex::Load(path).status().code(),
               StatusCode::kInvalidArgument);
@@ -208,15 +223,16 @@ TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {
   auto dir = TempDir::Create("hli_fail");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("idx.hli");
-  ASSERT_TRUE(index.Save(path).ok());
+  ASSERT_TRUE(index.Save(path, Identity(3)).ok());
   std::string blob;
   ASSERT_TRUE(ReadFileToString(path, &blob).ok());
 
   // Every strict prefix must fail to load, never crash or mis-load.
   const std::string trunc_path = dir->File("trunc.hli");
+  RankMapping ranking;
   for (size_t keep = 0; keep < blob.size(); ++keep) {
     ASSERT_TRUE(WriteStringToFile(trunc_path, blob.substr(0, keep)).ok());
-    auto loaded = TwoHopIndex::Load(trunc_path);
+    auto loaded = TwoHopIndex::Load(trunc_path, &ranking);
     ASSERT_FALSE(loaded.ok()) << "kept " << keep;
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << "kept " << keep << ": " << loaded.status();
@@ -226,12 +242,12 @@ TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {
   std::string bad = blob;
   bad[0] = 'Z';
   ASSERT_TRUE(WriteStringToFile(trunc_path, bad).ok());
-  EXPECT_FALSE(TwoHopIndex::Load(trunc_path).ok());
+  EXPECT_FALSE(TwoHopIndex::Load(trunc_path, &ranking).ok());
 }
 
 // The HLI1 bytes of a 3-vertex directed index, spelled out from the
-// docs/FORMATS.md layout: header, out side, in side, then the FNV-1a-64
-// of everything before it.
+// docs/FORMATS.md layout: header, out side, in side, rank section, then
+// the FNV-1a-64 of everything before it.
 TEST(TwoHopIndexIoTest, SaveMatchesDocumentedLayout) {
   std::vector<LabelVector> out(3), in(3);
   out[1] = {{0, 1}};
@@ -241,7 +257,7 @@ TEST(TwoHopIndexIoTest, SaveMatchesDocumentedLayout) {
   auto dir = TempDir::Create("hli_layout");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("idx.hli");
-  ASSERT_TRUE(index.Save(path).ok());
+  ASSERT_TRUE(index.Save(path, RankingFromOrder({1, 2, 0})).ok());
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
 
@@ -261,8 +277,9 @@ TEST(TwoHopIndexIoTest, SaveMatchesDocumentedLayout) {
   label({});
   label({});
   label({{0, 4}});
+  for (const uint32_t id : {1, 2, 0}) PutU32(&want, id);  // rank section
   PutU64(&want, Fnv1a64(want.data(), want.size()));
-  ASSERT_EQ(want.size(), 116u);
+  ASSERT_EQ(want.size(), 128u);
   EXPECT_EQ(bytes, want);
 }
 
@@ -284,7 +301,8 @@ std::string Sealed(std::string body) {
 void ExpectInvalid(const std::string& path, const std::string& bytes,
                    const std::string& what) {
   ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
-  auto loaded = TwoHopIndex::Load(path);
+  RankMapping ranking;
+  auto loaded = TwoHopIndex::Load(path, &ranking);
   ASSERT_FALSE(loaded.ok()) << what;
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
       << what << ": " << loaded.status();
@@ -310,9 +328,9 @@ TEST(TwoHopIndexIoTest, CraftedCountsFailBeforeAllocating) {
 }
 
 // Files whose every count is in bounds but whose shape or labels the
-// index cannot hold. Each is tried both as it ends after the label body
-// (the layout of earlier builds) and sealed with a valid checksum, so
-// the shape and label checks run rather than the checksum.
+// index cannot hold. Each carries an identity rank section and is tried
+// both as it ends there, with no checksum, and sealed with a valid one,
+// so the shape and label checks run rather than the checksum.
 TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
   auto dir = TempDir::Create("hli_shapes");
   ASSERT_TRUE(dir.ok());
@@ -324,6 +342,7 @@ TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
   PutU64(&in_side, 0);
   PutU64(&in_side, 1);  // in side: one empty label
   PutU64(&in_side, 0);
+  in_side = WithRanks(std::move(in_side), 1);
 
   // Two vertices, one label naming pivot 4 000 000 000.
   std::string far_pivot = "HLI1";
@@ -335,6 +354,7 @@ TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
   PutU32(&far_pivot, 4000000000u);
   PutU32(&far_pivot, 1);
   PutU64(&far_pivot, 0);
+  far_pivot = WithRanks(std::move(far_pivot), 2);
 
   // Three vertices, a label whose pivots descend.
   std::string unsorted = "HLI1";
@@ -349,6 +369,7 @@ TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
   PutU32(&unsorted, 0);
   PutU32(&unsorted, 2);
   PutU64(&unsorted, 0);
+  unsorted = WithRanks(std::move(unsorted), 3);
 
   // Undirected files with one non-empty label (owner's) that breaks
   // one entry check.
@@ -368,7 +389,7 @@ TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
           }
         }
         PutU64(&file, 0);
-        return file;
+        return WithRanks(std::move(file), vertices);
       };
   const std::string self_entry = one_label(2, 1, {{1, 1}});
   const std::string zero_dist = one_label(2, 1, {{0, 0}});
@@ -395,17 +416,19 @@ TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
   for (int v = 0; v < 3; ++v) PutU64(&short_in, 0);
   PutU64(&short_in, 1);
   PutU64(&short_in, 0);
-  ExpectInvalid(path, Sealed(short_in), "short directed in side");
+  ExpectInvalid(path, Sealed(WithRanks(short_in, 3)),
+                "short directed in side");
 }
 
 TEST(TwoHopIndexIoTest, FlippedBodyByteFailsTheChecksum) {
   auto dir = TempDir::Create("hli_flip");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("idx.hli");
-  ASSERT_TRUE(PathIndex().Save(path).ok());
+  ASSERT_TRUE(PathIndex().Save(path, Identity(3)).ok());
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
-  // Every body byte past the magic, one at a time.
+  // Every body byte past the magic, one at a time, the rank section's
+  // too.
   for (size_t i = 4; i + 8 < bytes.size(); ++i) {
     std::string flipped = bytes;
     flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
@@ -446,7 +469,8 @@ TEST(TwoHopIndexIoTest, OldFileWithHfs1TrailerIsRefused) {
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("old.hli");
   ASSERT_TRUE(WriteStringToFile(path, file).ok());
-  auto loaded = TwoHopIndex::Load(path);
+  RankMapping ranking;
+  auto loaded = TwoHopIndex::Load(path, &ranking);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
@@ -471,7 +495,7 @@ class TwoHopIndexWindowTest : public ::testing::Test {
     index_ = new HopDbIndex(HopDbIndex::Build(edges, options).ValueOrDie());
     dir_ = new TempDir(TempDir::Create("hli_windows").ValueOrDie());
     path_ = new std::string(dir_->File("idx.hli"));
-    index_->label_index().Save(*path_).CheckOK();
+    index_->Save(*path_).CheckOK();
     bytes_ = new std::string;
     ReadFileToString(*path_, bytes_).CheckOK();
     // Where every label's length field and entries lie.
@@ -486,7 +510,7 @@ class TwoHopIndexWindowTest : public ::testing::Test {
         at += 8 + 8 * len;
       }
     }
-    ASSERT_EQ(at + 8, bytes_->size());
+    ASSERT_EQ(at + 4 * index_->num_vertices() + 8, bytes_->size());
   }
   static void TearDownTestSuite() {
     delete labels_;
@@ -543,8 +567,10 @@ TEST_F(TwoHopIndexWindowTest, RoundTripsAcrossWindows) {
         << "no label across the edge at " << edge;
   }
 
-  auto back = TwoHopIndex::Load(*path_);
+  RankMapping ranking;
+  auto back = TwoHopIndex::Load(*path_, &ranking);
   ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(ranking.rank_to_orig, index_->ranking().rank_to_orig);
   const TwoHopIndex& want = index_->label_index();
   ASSERT_TRUE(back->directed());
   ASSERT_EQ(back->num_vertices(), want.num_vertices());
@@ -556,7 +582,7 @@ TEST_F(TwoHopIndexWindowTest, RoundTripsAcrossWindows) {
         << "in label of " << v;
   }
   const std::string resaved = dir_->File("resaved.hli");
-  ASSERT_TRUE(back->Save(resaved).ok());
+  ASSERT_TRUE(back->Save(resaved, ranking).ok());
   std::string again;
   ASSERT_TRUE(ReadFileToString(resaved, &again).ok());
   EXPECT_TRUE(again == *bytes_) << "re-saved bytes differ";
@@ -577,7 +603,8 @@ TEST_F(TwoHopIndexWindowTest, FlippedByteInTheLastWindowFails) {
     std::string flipped = *bytes_;
     flipped[at] = static_cast<char>(flipped[at] ^ 0x10);
     ExpectInvalid(path, flipped, "flipped byte " + std::to_string(at));
-    EXPECT_NE(TwoHopIndex::Load(path).status().message().find(
+    RankMapping ranking;
+    EXPECT_NE(TwoHopIndex::Load(path, &ranking).status().message().find(
                   "checksum mismatch"),
               std::string::npos);
   }
@@ -609,7 +636,8 @@ TEST_F(TwoHopIndexWindowTest, SealedOverrunningLengthFails) {
     EncodeU64(len, reinterpret_cast<uint8_t*>(file.data()) + late->length);
     file = Reseal(std::move(file));
     ExpectInvalid(path, file, "length " + std::to_string(len));
-    const Status status = TwoHopIndex::Load(path).status();
+    RankMapping ranking;
+    const Status status = TwoHopIndex::Load(path, &ranking).status();
     EXPECT_NE(status.message().find("label length exceeds file size"),
               std::string::npos)
         << status;
@@ -619,7 +647,8 @@ TEST_F(TwoHopIndexWindowTest, SealedOverrunningLengthFails) {
 TEST(TwoHopIndexIoTest, DirectoryIsRefused) {
   auto dir = TempDir::Create("hli_dir");
   ASSERT_TRUE(dir.ok());
-  EXPECT_EQ(TwoHopIndex::Load(dir->path()).status().code(),
+  RankMapping ranking;
+  EXPECT_EQ(TwoHopIndex::Load(dir->path(), &ranking).status().code(),
             StatusCode::kIOError);
   EXPECT_EQ(HopDbIndex::Load(dir->path()).status().code(),
             StatusCode::kIOError);
