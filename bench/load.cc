@@ -19,7 +19,9 @@
 //
 // It also reports what one HLI1 load adds to RSS, beside the store it
 // builds: Load reads the file through a fixed 1 MiB window, so the
-// growth should be the store plus that window, never the file.
+// growth should be the store plus that window, never the file. And it
+// reports the HLI1 file's bytes per label entry: its entries are
+// varints, about 2.3 bytes each on GLP graphs, where the store spends 8.
 //
 //   bench_load            # 20k + 60k GLP sweep (~30 s, build-dominated)
 //   bench_load --ci       # seconds-long CI mode, same JSON shape
@@ -66,6 +68,13 @@ struct SizeResult {
   uint64_t hli1_load_growth_bytes = 0;
   uint64_t hli1_store_bytes = 0;
 };
+
+/// The HLI1 file's bytes per label entry (0 with no entries).
+double BytesPerEntry(const SizeResult& r) {
+  return r.entries == 0 ? 0.0
+                        : static_cast<double>(r.hli1_bytes) /
+                              static_cast<double>(r.entries);
+}
 
 /// What one HLI1 load adds to RSS, and the store it builds.
 struct LoadGrowth {
@@ -263,6 +272,8 @@ int Run(int argc, char** argv) {
     std::cout << "n=" << n << " entries=" << r.entries << "\n"
               << "  build             " << FormatDouble(r.build_seconds, 2)
               << " s\n"
+              << "  HLI1 file         " << r.hli1_bytes << " B ("
+              << FormatDouble(BytesPerEntry(r), 2) << " B/entry)\n"
               << "  HLI1 load         "
               << FormatDouble(r.hli1_load_cold_s * 1e3, 2) << " ms (warm "
               << FormatDouble(r.hli1_load_warm_s * 1e3, 2)
@@ -292,6 +303,8 @@ int Run(int argc, char** argv) {
                      ", \"build_seconds\": " +
                      FormatDouble(r.build_seconds, 3) +
                      ", \"hli1_bytes\": " + std::to_string(r.hli1_bytes) +
+                     ", \"hli1_bytes_per_entry\": " +
+                     FormatDouble(BytesPerEntry(r), 3) +
                      ", \"hli2_bytes\": " + std::to_string(r.hli2_bytes) +
                      ",\n     \"hli1_load_cold_s\": " +
                      FormatDouble(r.hli1_load_cold_s, 6) +

@@ -117,9 +117,10 @@ class HopDbIndex {
   uint64_t PaperSizeBytes() const { return index_.PaperSizeBytes(); }
 
   /// Persists labels and permutation to one HLI1 file, under one
-  /// checksum (TwoHopIndex::Save, which also deletes a `.perm` sidecar
-  /// an earlier build left beside it). O(total label entries) I/O;
-  /// const and safe to call while other threads query.
+  /// checksum (TwoHopIndex::Save, which replaces `path` atomically and
+  /// also deletes a `.perm` sidecar an earlier build left beside it).
+  /// O(total label entries) I/O; const and safe to call while other
+  /// threads query.
   Status Save(const std::string& path) const;
   /// Reads an HLI1 file and freezes the label store queries read, so a
   /// loaded index serves at full speed. Any other file, including an

@@ -1,8 +1,15 @@
 #include "labeling/two_hop_index.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +26,164 @@ namespace hopdb {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'L', 'I', '1'};
+
+/// The header word after the magic: bit 1 marks the compact layout,
+/// which every file this build writes has, and bit 0 is the index's
+/// direction. Files of the earlier fixed-width layout hold 0 or 1 there.
+constexpr uint32_t kCompactLayout = 2;
+
+/// The bytes one label entry takes at most: a pivot gap and a distance.
+constexpr size_t kMaxEntryBytes = 2 * kMaxVarint32Bytes;
+
+constexpr const char* kBadVarint =
+    "a varint is overlong, exceeds 32 bits or runs past its section";
+
+/// Decodes `count` varint-coded values of at most `max_bytes` bytes each
+/// from `reader`'s window, none reaching past offset `limit`.
+/// `decode(&p, end, i)` decodes value i from [p, end) and moves p past
+/// it, returning nullptr, or what is wrong with the value. The window is
+/// refilled whenever fewer than `max_bytes` of its bytes are left before
+/// `limit`, so a value split across two windows is decoded whole, and a
+/// value that does not end before `limit` is refused.
+template <typename Decode>
+Status DecodeVarints(WindowReader* reader, uint64_t limit, size_t max_bytes,
+                     uint64_t count, Decode&& decode) {
+  for (uint64_t i = 0; i < count;) {
+    const uint64_t left = limit - reader->position();
+    HOPDB_RETURN_NOT_OK(reader->Fill(
+        static_cast<size_t>(std::min<uint64_t>(max_bytes, left))));
+    const size_t avail =
+        static_cast<size_t>(std::min<uint64_t>(reader->buffered(), left));
+    // Consume(0) points at the buffered bytes and takes none of them.
+    const uint8_t* const begin = reader->Consume(0);
+    const uint8_t* const end = begin + avail;
+    // Values that start by `stop` end before the window does, or must
+    // end before `limit`.
+    const uint8_t* const stop = avail == left ? end : end - max_bytes;
+    const uint8_t* p = begin;
+    const char* error = nullptr;
+    for (; i < count && p <= stop; ++i) {
+      if ((error = decode(&p, end, i)) != nullptr) break;
+    }
+    reader->Consume(static_cast<size_t>(p - begin));
+    if (error != nullptr) return Status::InvalidArgument(error);
+  }
+  return Status::OK();
+}
+
+/// Writes a file through one fixed window (kLoadWindowBytes, the window
+/// Load reads through) into a temporary file beside its target, chaining
+/// FNV-1a-64 over each window it flushes. Commit() appends that checksum,
+/// fsyncs the file, renames it over the target and fsyncs the directory,
+/// so a reader of the target sees the old file or the new one, never a
+/// torn one. A writer destroyed before its rename removes its temporary
+/// file, leaving the target as it was. The first failed write is kept
+/// (the puts after it are dropped) and Commit() returns it.
+class ReplacingWriter {
+ public:
+  ReplacingWriter() : window_(new uint8_t[kLoadWindowBytes]) {}
+  ~ReplacingWriter() {
+    if (fd_ >= 0) ::close(fd_);
+    if (!temp_.empty()) ::unlink(temp_.c_str());
+  }
+  ReplacingWriter(const ReplacingWriter&) = delete;
+  ReplacingWriter& operator=(const ReplacingWriter&) = delete;
+
+  /// Creates the temporary file, `<path>.tmp-<pid>-<n>`, with the mode a
+  /// new file at `path` would get.
+  Status Open(const std::string& path) {
+    static std::atomic<uint64_t> next_temp{0};
+    path_ = path;
+    for (int attempt = 0; fd_ < 0; ++attempt) {
+      temp_ = path + ".tmp-" + std::to_string(::getpid()) + "-" +
+              std::to_string(next_temp++);
+      fd_ = ::open(temp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                   0666);
+      if (fd_ < 0 && (errno != EEXIST || attempt == 100)) {
+        const Status failed = Error("open failed for", temp_);
+        temp_.clear();
+        return failed;
+      }
+    }
+    return Status::OK();
+  }
+
+  void Put(const void* bytes, size_t n) {
+    Room(n);
+    std::memcpy(window_.get() + used_, bytes, n);
+    used_ += n;
+  }
+  void PutU32(uint32_t v) {
+    Room(4);
+    EncodeU32(v, window_.get() + used_);
+    used_ += 4;
+  }
+  void PutVarint(uint32_t v) {
+    Room(kMaxVarint32Bytes);
+    used_ += EncodeVarint32(v, window_.get() + used_);
+  }
+
+  Status Commit() {
+    Flush();
+    uint8_t checksum[8];
+    EncodeU64(hash_, checksum);
+    if (status_.ok()) status_ = WriteAll(checksum, sizeof(checksum));
+    HOPDB_RETURN_NOT_OK(status_);
+    if (::fsync(fd_) != 0) return Error("fsync failed for", temp_);
+    const int closed = ::close(fd_);
+    fd_ = -1;
+    if (closed != 0) return Error("close failed for", temp_);
+    if (::rename(temp_.c_str(), path_.c_str()) != 0) {
+      return Error("rename over its target failed for", temp_);
+    }
+    temp_.clear();
+    const size_t slash = path_.find_last_of('/');
+    const std::string dir = slash == std::string::npos ? "."
+                            : slash == 0 ? "/"
+                                         : path_.substr(0, slash);
+    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dir_fd < 0) return Error("open failed for directory", dir);
+    const int synced = ::fsync(dir_fd);
+    ::close(dir_fd);
+    if (synced != 0) return Error("fsync failed for directory", dir);
+    return Status::OK();
+  }
+
+ private:
+  /// An IOError naming `file` and the errno the failed call just set.
+  static Status Error(const char* what, const std::string& file) {
+    const int err = errno;
+    return Status::IOError(std::string(what) + " " + file + ": " +
+                           std::strerror(err));
+  }
+
+  void Room(size_t n) {
+    if (kLoadWindowBytes - used_ < n) Flush();
+  }
+  void Flush() {
+    if (status_.ok()) status_ = WriteAll(window_.get(), used_);
+    hash_ = Fnv1a64(window_.get(), used_, hash_);
+    used_ = 0;
+  }
+  Status WriteAll(const uint8_t* bytes, size_t n) {
+    while (n > 0) {
+      const ssize_t put = ::write(fd_, bytes, n);
+      if (put < 0 && errno == EINTR) continue;
+      if (put <= 0) return Error("write failed for", temp_);
+      bytes += put;
+      n -= static_cast<size_t>(put);
+    }
+    return Status::OK();
+  }
+
+  std::unique_ptr<uint8_t[]> window_;
+  size_t used_ = 0;
+  uint64_t hash_ = kFnv1a64Basis;
+  Status status_;
+  int fd_ = -1;
+  std::string path_;
+  std::string temp_;  // empty once renamed, or when none was made
+};
 
 }  // namespace
 
@@ -104,52 +269,50 @@ Status TwoHopIndex::Save(const std::string& path,
   if (ranking.size() != n) {
     return Status::InvalidArgument("HLI1 rank section needs |V| ids");
   }
-  const uint64_t in_count = directed() ? n : 0;
-  // 12 B header; per side an 8 B label count and 8 B per label length;
-  // 8 B per entry; 4 B per rank id; the 8 B checksum.
-  const uint64_t size =
-      12 + 8 * (2 + n + in_count) + 8 * TotalEntries() + 4ull * n + 8;
-  std::string buf;
-  buf.reserve(size);
-  buf.append(kMagic, 4);
-  PutU32(&buf, directed() ? 1u : 0u);
-  PutU32(&buf, n);
-  auto write_side = [&](uint64_t count, bool in_side) {
-    PutU64(&buf, count);
-    for (VertexId v = 0; v < count; ++v) {
-      const FlatLabelStore::View l = in_side ? flat_.In(v) : flat_.Out(v);
-      PutU64(&buf, l.size);
-      for (uint32_t i = 0; i < l.size; ++i) {
-        PutU32(&buf, l.pivots[i]);
-        PutU32(&buf, l.dists[i]);
-      }
-    }
-  };
-  write_side(n, /*in_side=*/false);
-  write_side(in_count, /*in_side=*/true);
-  for (const VertexId v : ranking.rank_to_orig) PutU32(&buf, v);
-  PutU64(&buf, Fnv1a64(buf.data(), buf.size()));
-  if (buf.size() != size) {
-    return Status::Internal("HLI1 writer size mismatch");
+  const LabelSetView view = labels();
+  ReplacingWriter out;
+  HOPDB_RETURN_NOT_OK(out.Open(path));
+  out.Put(kMagic, sizeof(kMagic));
+  out.PutU32(kCompactLayout | (directed() ? 1u : 0u));
+  out.PutU32(n);
+  for (size_t slot = 0; slot < view.num_slots(); ++slot) {
+    out.PutVarint(view.Slot(slot).size);
   }
-  HOPDB_RETURN_NOT_OK(WriteStringToFile(path, buf));
+  for (size_t slot = 0; slot < view.num_slots(); ++slot) {
+    const FlatLabelStore::View l = view.Slot(slot);
+    uint64_t next = 0;  // the lowest pivot the entry may name
+    for (uint32_t i = 0; i < l.size; ++i) {
+      if (l.pivots[i] < next) {
+        return Status::InvalidArgument(
+            "HLI1 cannot encode a label that is not strictly sorted by "
+            "pivot (slot " + std::to_string(slot) + ")");
+      }
+      out.PutVarint(static_cast<uint32_t>(l.pivots[i] - next));
+      out.PutVarint(l.dists[i]);
+      next = uint64_t{l.pivots[i]} + 1;
+    }
+  }
+  for (const VertexId v : ranking.rank_to_orig) out.PutU32(v);
+  HOPDB_RETURN_NOT_OK(out.Commit());
   return RemoveFileIfExists(path + ".perm");
 }
 
 Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path,
                                       RankMapping* ranking) {
   HOPDB_ASSIGN_OR_RETURN(BlockFile file, BlockFile::OpenRead(path));
-  WindowReader reader(&file);
-  const uint8_t* magic = nullptr;
-  if (file.size() >= sizeof(kMagic) + 8) {
-    HOPDB_RETURN_NOT_OK(reader.Take(sizeof(kMagic), &magic));
-  }
-  if (magic == nullptr || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  const auto not_hli1 = [&] {
     return Status::InvalidArgument("not a HLI1 index file: " + path);
-  }
+  };
+  if (file.size() < sizeof(kMagic) + 8) return not_hli1();
   // The body is every byte but the trailing checksum, so a file that
-  // carries anything past the checksum fails its checks too.
+  // carries anything past the checksum fails its checks too. Pass 1
+  // hashes what it reads, for pass 2 to compare.
   const uint64_t body = file.size() - 8;
+  WindowReader reader(&file);
+  reader.Rewind(body);
+  const uint8_t* magic = nullptr;
+  HOPDB_RETURN_NOT_OK(reader.Take(sizeof(kMagic), &magic));
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return not_hli1();
   // With the reader at the body's end, having hashed every byte before.
   const auto verify_checksum = [&]() -> Status {
     uint64_t stored = 0;
@@ -159,124 +322,119 @@ Result<TwoHopIndex> TwoHopIndex::Load(const std::string& path,
         "HLI1 checksum mismatch (a corrupt file, or one written by an "
         "earlier hopdb build: rebuild it): " + path);
   };
-
-  // Pass 1: the header and the label lengths, which size the store's
-  // slots; entries and ranks are skipped. Every label takes 8 bytes for
-  // its length and every entry 8 bytes, so a count the rest of the body
-  // cannot hold is corrupt — reject it before it sizes an allocation.
-  uint32_t directed = 0, nv = 0;
-  uint64_t out_count = 0, in_count = 0;
-  std::vector<uint32_t> sizes;
-  auto read_lengths = [&](uint64_t* count) -> Status {
-    HOPDB_RETURN_NOT_OK(reader.Read(body, count));
-    if (*count > (body - reader.position()) / 8) {
-      return Status::InvalidArgument("label count exceeds file size");
-    }
-    sizes.reserve(sizes.size() + *count);
-    for (uint64_t i = 0; i < *count; ++i) {
-      uint64_t len = 0;
-      HOPDB_RETURN_NOT_OK(reader.Read(body, &len));
-      if (len > (body - reader.position()) / 8 || len > UINT32_MAX) {
-        return Status::InvalidArgument("label length exceeds file size");
-      }
-      sizes.push_back(static_cast<uint32_t>(len));
-      HOPDB_RETURN_NOT_OK(reader.Skip(len * 8));
-    }
-    return Status::OK();
+  // Hashes the rest of the body and reports a checksum mismatch if there
+  // is one, else `refusal`: whatever else is wrong with a file, a failed
+  // checksum is what it reports.
+  const auto refuse = [&](const char* what, const Status& refusal) {
+    HOPDB_RETURN_NOT_OK(reader.Skip(body - reader.position()));
+    HOPDB_RETURN_NOT_OK(verify_checksum());
+    return Status::InvalidArgument(std::string(what) + " (" +
+                                   refusal.message() + "): " + path);
   };
+
+  // Pass 1: the header and the lengths section, which size the store's
+  // slots; the entries are not read. The slot count, then the length
+  // sum, is checked against the bytes it needs (at least 1 per length, 2
+  // per entry) before it sizes anything.
+  uint32_t layout = 0, nv = 0;
+  bool fixed_width = false;
+  std::vector<uint32_t> sizes;
+  uint64_t entries_begin = 0, ranks_begin = 0;
   auto read_shape = [&]() -> Status {
-    HOPDB_RETURN_NOT_OK(reader.Read(body, &directed));
+    HOPDB_RETURN_NOT_OK(reader.Read(body, &layout));
     HOPDB_RETURN_NOT_OK(reader.Read(body, &nv));
-    HOPDB_RETURN_NOT_OK(read_lengths(&out_count));
-    HOPDB_RETURN_NOT_OK(read_lengths(&in_count));
-    // One u32 rank id per vertex, and nothing after them.
-    if (body - reader.position() != 4ull * nv) {
-      return Status::InvalidArgument(
-          "no 4|V|-byte rank section after the label sides; rebuild an "
-          "index an earlier build saved with a .perm sidecar");
+    if (layout <= 1) {
+      fixed_width = true;
+      return Status::InvalidArgument("rebuild the index");
     }
-    // The shapes the store's slot layout needs, refused before it runs.
-    if (directed > 1 || out_count != nv ||
-        in_count != (directed != 0 ? nv : 0)) {
+    if ((layout & ~1u) != kCompactLayout) {
+      return Status::InvalidArgument("unknown layout word " +
+                                     std::to_string(layout));
+    }
+    const uint64_t slots = uint64_t{nv} << (layout & 1u);
+    const uint64_t left = body - reader.position();
+    if (4ull * nv > left || slots > left - 4ull * nv) {
       return Status::InvalidArgument(
-          "label side counts disagree with the header");
+          "label lengths and rank section exceed the file size");
+    }
+    ranks_begin = body - 4ull * nv;
+    sizes.resize(slots);
+    uint64_t total = 0;
+    HOPDB_RETURN_NOT_OK(DecodeVarints(
+        &reader, ranks_begin, kMaxVarint32Bytes, slots,
+        [&](const uint8_t** p, const uint8_t* end,
+            uint64_t i) -> const char* {
+          if (!DecodeVarint32(p, end, &sizes[i])) return kBadVarint;
+          total += sizes[i];
+          return nullptr;
+        }));
+    entries_begin = reader.position();
+    if (total > (ranks_begin - entries_begin) / 2) {
+      return Status::InvalidArgument(
+          "label lengths exceed the entry section (2 bytes an entry at "
+          "least)");
     }
     return Status::OK();
   };
   if (const Status parsed = read_shape(); !parsed.ok()) {
-    // A file that fails its checksum reports that first, whatever else
-    // is wrong with it.
-    reader.Rewind(body);
-    HOPDB_RETURN_NOT_OK(reader.Skip(body));
-    HOPDB_RETURN_NOT_OK(verify_checksum());
-    return Status::InvalidArgument("corrupt HLI1 body (" +
-                                   parsed.message() + "): " + path);
+    return refuse(fixed_width ? "HLI1 file in the fixed-width layout of an "
+                                "earlier hopdb build"
+                              : "corrupt HLI1 body",
+                  parsed);
   }
+  const uint64_t shape_hash = reader.hash();
 
   // Pass 2: read the body again, hashing every byte, and decode each
-  // label straight into its slot, then the ranks. A header, count or
-  // length that differs from pass 1's means the file changed in between.
-  const auto changed = [&] {
+  // label straight into its slot, then the ranks. Header and lengths
+  // that hash differently from pass 1's mean the file changed in
+  // between. The gap coding keeps every label strictly sorted, and the
+  // decoder checks the rest of Validate(false) (pivots in range, no
+  // self entry, finite nonzero distances) as it goes.
+  reader.Rewind(body);
+  HOPDB_RETURN_NOT_OK(reader.Skip(entries_begin));
+  if (reader.hash() != shape_hash) {
     return Status::InvalidArgument("HLI1 file changed while loading: " +
                                    path);
-  };
-  reader.Rewind(body);
-  uint32_t directed2 = 0, nv2 = 0;
-  HOPDB_RETURN_NOT_OK(reader.Take(sizeof(kMagic), &magic));
-  HOPDB_RETURN_NOT_OK(reader.Read(body, &directed2));
-  HOPDB_RETURN_NOT_OK(reader.Read(body, &nv2));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
-      directed2 != directed || nv2 != nv) {
-    return changed();
   }
-  int counts_read = 0;
-  auto read_count = [&]() -> Status {
-    uint64_t count = 0;
-    HOPDB_RETURN_NOT_OK(reader.Read(body, &count));
-    if (count != (counts_read++ == 0 ? out_count : in_count)) {
-      return changed();
-    }
-    return Status::OK();
-  };
   Result<FlatLabelStore> store = FlatLabelStore::FromSlots(
-      nv, directed != 0, std::move(sizes),
-      [&](size_t slot, uint32_t size, uint32_t* pivots,
-          uint32_t* dists) -> Status {
-        if (slot == 0 || slot == nv) HOPDB_RETURN_NOT_OK(read_count());
-        uint64_t len = 0;
-        HOPDB_RETURN_NOT_OK(reader.Read(body, &len));
-        if (len != size) return changed();
-        // As many whole entries as the window holds at a time.
-        for (uint32_t i = 0; i < size;) {
-          HOPDB_RETURN_NOT_OK(reader.Fill(8));
-          const auto n = static_cast<uint32_t>(
-              std::min<uint64_t>(size - i, reader.buffered() / 8));
-          const uint8_t* entry = reader.Consume(size_t{n} * 8);
-          for (const uint32_t stop = i + n; i < stop; ++i, entry += 8) {
-            pivots[i] = DecodeU32(entry);
-            dists[i] = DecodeU32(entry + 4);
-          }
-        }
-        return Status::OK();
+      nv, (layout & 1u) != 0, std::move(sizes),
+      [&](size_t slot, uint32_t size, uint32_t* pivots, uint32_t* dists) {
+        const uint64_t owner = slot < nv ? slot : slot - nv;
+        uint64_t next = 0;  // the lowest pivot the entry may name
+        return DecodeVarints(
+            &reader, ranks_begin, kMaxEntryBytes, size,
+            [&](const uint8_t** p, const uint8_t* end,
+                uint64_t i) -> const char* {
+              uint32_t gap = 0, dist = 0;
+              if (!DecodeVarint32(p, end, &gap) ||
+                  !DecodeVarint32(p, end, &dist)) {
+                return kBadVarint;
+              }
+              next += gap;
+              if (next >= nv) return "a pivot gap reaches |V|";
+              if (next == owner) return "a label stores a trivial self entry";
+              if (dist == 0 || dist == kInfDistance) {
+                return "a distance is 0 or infinite";
+              }
+              pivots[i] = static_cast<uint32_t>(next++);
+              dists[i] = dist;
+              return nullptr;
+            });
       });
-  HOPDB_RETURN_NOT_OK(store.status());
-  while (counts_read < 2) HOPDB_RETURN_NOT_OK(read_count());
+  Status entries = store.status();
+  if (entries.ok() && reader.position() != ranks_begin) {
+    entries = Status::InvalidArgument(
+        "the entry section ends before the rank section");
+  }
+  if (!entries.ok()) return refuse("invalid HLI1 labels", entries);
   std::vector<VertexId> order(nv);
   for (VertexId& v : order) HOPDB_RETURN_NOT_OK(reader.Read(body, &v));
-  if (reader.position() != body) return changed();
   HOPDB_RETURN_NOT_OK(verify_checksum());
-
-  TwoHopIndex index(std::move(store).value());
-  const Status valid = index.Validate(/*ranked=*/false);
-  if (!valid.ok()) {
-    return Status::InvalidArgument("invalid HLI1 labels (" + valid.message() +
-                                   "): " + path);
-  }
   if (!IsPermutation(order)) {
     return Status::InvalidArgument("HLI1 ranks are not a permutation: " + path);
   }
   *ranking = RankingFromOrder(std::move(order));
-  return index;
+  return TwoHopIndex(std::move(store).value());
 }
 
 }  // namespace hopdb

@@ -13,9 +13,9 @@
 // while labels are built or repaired: the vector constructor freezes
 // them into the store and lets them go, and IncrementalUpdater thaws
 // its own editable copy, freezing it back at Finalize(). Save writes
-// the store's real entries (HLI1 never sees the block padding) and the
-// caller's rank permutation, and Load decodes both back, the labels
-// straight into the arenas.
+// the store's real entries as varints (HLI1 never sees the block
+// padding) and the caller's rank permutation, and Load decodes both
+// back, the labels straight into the arenas.
 
 #ifndef HOPDB_LABELING_TWO_HOP_INDEX_H_
 #define HOPDB_LABELING_TWO_HOP_INDEX_H_
@@ -101,26 +101,37 @@ class TwoHopIndex {
   /// additionally checks pivot id < owner id.
   Status Validate(bool ranked) const;
 
-  /// Serializes to HLI1 (docs/FORMATS.md): the store's real entries (no
-  /// block padding), the rank section (`ranking.rank_to_orig`, which
-  /// must cover |V| ids), then a u64 FNV-1a-64 checksum of it all.
+  /// Serializes to HLI1 (docs/FORMATS.md): a header, every label's
+  /// length as a varint, every entry as a (pivot gap, distance) varint
+  /// pair (no block padding), the rank section (`ranking.rank_to_orig`,
+  /// which must cover |V| ids), then a u64 FNV-1a-64 checksum of it all.
+  /// The varints are canonical, so an index has one file. Save streams
+  /// the file through one fixed 1 MiB window into a temporary file beside
+  /// `path`, fsyncs it and renames it over `path`, then fsyncs the
+  /// directory: a reader sees the old file or the new one, and a failed
+  /// save (IOError) leaves the old one and no temporary file. A label
+  /// that is not strictly sorted cannot be encoded (InvalidArgument).
   /// Removes a `<path>.perm` sidecar an earlier build left beside it.
   ///
   /// Load reads the file through one fixed 1 MiB window, never whole,
   /// so it holds the store it builds and little else. Pass 1 reads the
-  /// header and every label length, skipping the entries: each count is
-  /// checked against the bytes left before it sizes anything, the side
-  /// shapes against the header, and 4|V| rank bytes must end the body.
-  /// The lengths size the store's slots. Pass 2 re-reads the body,
-  /// hashes every byte, checks each length against pass 1's and decodes
-  /// each label straight into its slot, then the ranks; the checksum is
-  /// compared first, then Validate(false) runs, then the ranks must be a
-  /// permutation before they become `*ranking`. A file that pass 1
-  /// cannot parse is hashed whole first, and reports a checksum mismatch
-  /// if it has one.
+  /// header and the lengths section only: the slot count and then the
+  /// length sum are checked against the bytes they need (1 per length,
+  /// 2 per entry at least) before they size the store's slots. Pass 2
+  /// re-reads the body, hashes every byte, checks that the header and
+  /// lengths hash as in pass 1, and decodes each label straight into its
+  /// slot, refusing a varint that is not canonical or runs past the
+  /// entry section, a pivot gap that reaches |V|, a self entry and a
+  /// distance of 0 or infinity (so every store it returns passes
+  /// Validate(false)); the entries must end where the 4|V| rank bytes
+  /// begin. Errors come in this order: the checksum (a file that fails
+  /// it reports that whatever else is wrong), then the shape (pass 1),
+  /// then the entries (pass 2), then the ranks, which must be a
+  /// permutation before they become `*ranking`.
   /// A path that is not a regular file fails with IOError; every other
-  /// failure is InvalidArgument. Files written by earlier builds (with
-  /// an HFS1 section, or no rank section) are refused: rebuild them.
+  /// failure is InvalidArgument. Files written by earlier builds (the
+  /// fixed-width layout, with or without a rank section, or an HFS1
+  /// section) are refused with a message to rebuild them.
   Status Save(const std::string& path, const RankMapping& ranking) const;
   static Result<TwoHopIndex> Load(const std::string& path,
                                   RankMapping* ranking);

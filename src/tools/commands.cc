@@ -49,6 +49,17 @@ Status GetUintFlag(const CliFlags& flags, const std::string& name, T* out) {
   return Status::OK();
 }
 
+/// Passes on the outcome of reading an input file, noting in `*refused`
+/// whether the file was refused. RunCli prints the flag table after an
+/// InvalidArgument that is a flag mistake only: a refused input (a
+/// corrupt or pre-change index, a crafted graph, a bad ops line) is not
+/// one, and the table would bury its message.
+template <typename T>
+T Input(T outcome, bool* refused) {
+  *refused = !outcome.ok();
+  return outcome;
+}
+
 Result<BuildMode> ParseMode(const std::string& name) {
   if (name == "hybrid") return BuildMode::kHybrid;
   if (name == "stepping" || name == "step") return BuildMode::kHopStepping;
@@ -161,7 +172,8 @@ Status CmdGen(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // build
 // ---------------------------------------------------------------------------
 
-Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out,
+                bool* refused) {
   flags->Define("graph", "", "input edge-list file (text or .hgr binary)");
   flags->Define("directed", "false", "treat the text edge list as directed");
   flags->Define("weighted", "false", "read weights from the text edge list");
@@ -194,8 +206,9 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(options.build.time_budget_seconds,
                          flags->GetDouble("budget"));
 
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph graph,
-                         LoadCsrGraph(graph_path, directed, weighted));
+  HOPDB_ASSIGN_OR_RETURN(
+      CsrGraph graph,
+      Input(LoadCsrGraph(graph_path, directed, weighted), refused));
   const std::string order_name = flags->GetString("order");
   if (order_name != "auto") {
     HOPDB_ASSIGN_OR_RETURN(OrderStrategy strategy, ParseOrder(order_name));
@@ -235,7 +248,8 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // query
 // ---------------------------------------------------------------------------
 
-Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out,
+                bool* refused) {
   flags->Define("index", "", "index path (from hopdb_cli build)");
   flags->Define("src", "", "query source (with --dst)");
   flags->Define("dst", "", "query destination");
@@ -250,7 +264,8 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   }
   HOPDB_ASSIGN_OR_RETURN(const uint64_t random_n, flags->GetUint("random"));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
-  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
+  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index,
+                         Input(HopDbIndex::Load(index_path), refused));
 
   auto print_one = [&](VertexId s, VertexId t) {
     const Distance d = index.Query(s, t);
@@ -298,7 +313,8 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // stats
 // ---------------------------------------------------------------------------
 
-Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out,
+                bool* refused) {
   flags->Define("index", "", "index path (from hopdb_cli build)");
   HOPDB_RETURN_NOT_OK(flags->Parse(argc, argv));
   if (flags->help_requested()) return Status::OK();
@@ -306,8 +322,15 @@ Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   if (index_path.empty()) {
     return Status::InvalidArgument("stats requires --index");
   }
-  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
+  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index,
+                         Input(HopDbIndex::Load(index_path), refused));
+  HOPDB_ASSIGN_OR_RETURN(const uint64_t file_bytes, FileSizeBytes(index_path));
   const TwoHopIndex& labels = index.label_index();
+  const double bytes_per_entry =
+      labels.TotalEntries() == 0
+          ? 0.0
+          : static_cast<double>(file_bytes) /
+                static_cast<double>(labels.TotalEntries());
 
   out << "index " << index_path << "\n"
       << "  vertices        " << labels.num_vertices() << "\n"
@@ -315,7 +338,9 @@ Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out) {
       << "  label entries   " << labels.TotalEntries() << "\n"
       << "  avg |label|     " << labels.AvgLabelSize() << "\n"
       << "  memory size     " << labels.SizeBytes() << " bytes\n"
-      << "  paper size      " << labels.PaperSizeBytes() << " bytes\n";
+      << "  paper size      " << labels.PaperSizeBytes() << " bytes\n"
+      << "  file size       " << file_bytes << " bytes ("
+      << FormatDouble(bytes_per_entry, 2) << " bytes/entry)\n";
 
   // Table 7's "top vertices coverage": the smallest pivot prefix (by
   // rank) covering 70 / 80 / 90% of all entries.
@@ -344,7 +369,8 @@ Status CmdStats(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // convert
 // ---------------------------------------------------------------------------
 
-Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out,
+                  bool* refused) {
   flags->Define("in", "", "input index (HLI1, from hopdb_cli build)");
   flags->Define("out", "", "output HLI2 (memory-mappable) index path");
   flags->Define("verify", "true",
@@ -364,7 +390,8 @@ Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(const bool verify, flags->GetBool("verify"));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t samples, flags->GetUint("samples"));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
-  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(in_path));
+  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index,
+                         Input(HopDbIndex::Load(in_path), refused));
   HOPDB_RETURN_NOT_OK(
       MappedIndex::Write(index.label_index(), index.ranking(), out_path));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t in_bytes, FileSizeBytes(in_path));
@@ -403,7 +430,41 @@ Status CmdConvert(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // update
 // ---------------------------------------------------------------------------
 
-Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+/// Parses an update script whole (all-or-nothing on syntax errors),
+/// translating original ids into the index's internal rank space.
+Result<std::vector<UpdateOp>> ReadUpdateOps(const std::string& path,
+                                            const RankMapping& ranking) {
+  std::string script;
+  HOPDB_RETURN_NOT_OK(ReadFileToString(path, &script));
+  std::vector<UpdateOp> ops;
+  size_t pos = 0, line_no = 0;
+  while (pos < script.size()) {
+    size_t end = script.find('\n', pos);
+    if (end == std::string::npos) end = script.size();
+    const std::string line = script.substr(pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    Result<UpdateOp> parsed = ParseUpdateOpLine(line);
+    if (parsed.status().code() == StatusCode::kNotFound) continue;
+    if (!parsed.ok()) {
+      return Status::InvalidArgument("ops line " + std::to_string(line_no) +
+                                     ": " + parsed.status().message());
+    }
+    UpdateOp op = std::move(parsed).value();
+    if (op.u >= ranking.size() || op.v >= ranking.size()) {
+      return Status::InvalidArgument(
+          "ops line " + std::to_string(line_no) + ": vertex id out of "
+          "range (|V|=" + std::to_string(ranking.size()) + ")");
+    }
+    op.u = ranking.ToInternal(op.u);
+    op.v = ranking.ToInternal(op.v);
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out,
+                 bool* refused) {
   flags->Define("index", "", "index path (from hopdb_cli build)");
   flags->Define("graph", "",
                 "edge-list file the index was built from (text or .hgr)");
@@ -434,46 +495,23 @@ Status CmdUpdate(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   HOPDB_ASSIGN_OR_RETURN(options.rebuild_frontier_fraction,
                          flags->GetDouble("frontier-fraction"));
 
-  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Load(index_path));
+  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index,
+                         Input(HopDbIndex::Load(index_path), refused));
   const RankMapping& ranking = index.ranking();
   // Frozen in the index's rank ids as it is read; a graph over another
   // vertex count (vertex additions need a rebuild) is refused.
   DynamicGraph dynamic;
   {
     HOPDB_ASSIGN_OR_RETURN(
-        CsrGraph ranked, LoadCsrGraph(graph_path, index.directed(),
-                                      /*read_weights=*/true, &ranking));
+        CsrGraph ranked,
+        Input(LoadCsrGraph(graph_path, index.directed(),
+                           /*read_weights=*/true, &ranking),
+              refused));
     dynamic = DynamicGraph::FromGraph(ranked);
   }
 
-  // Parse the whole script up front (all-or-nothing on syntax errors),
-  // translating original ids into the index's internal rank space.
-  std::string script;
-  HOPDB_RETURN_NOT_OK(ReadFileToString(ops_path, &script));
-  std::vector<UpdateOp> ops;
-  size_t pos = 0, line_no = 0;
-  while (pos < script.size()) {
-    size_t end = script.find('\n', pos);
-    if (end == std::string::npos) end = script.size();
-    const std::string line = script.substr(pos, end - pos);
-    pos = end + 1;
-    ++line_no;
-    Result<UpdateOp> parsed = ParseUpdateOpLine(line);
-    if (parsed.status().code() == StatusCode::kNotFound) continue;
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("ops line " + std::to_string(line_no) +
-                                     ": " + parsed.status().message());
-    }
-    UpdateOp op = std::move(parsed).value();
-    if (op.u >= ranking.size() || op.v >= ranking.size()) {
-      return Status::InvalidArgument(
-          "ops line " + std::to_string(line_no) + ": vertex id out of "
-          "range (|V|=" + std::to_string(ranking.size()) + ")");
-    }
-    op.u = ranking.ToInternal(op.u);
-    op.v = ranking.ToInternal(op.v);
-    ops.push_back(op);
-  }
+  HOPDB_ASSIGN_OR_RETURN(const std::vector<UpdateOp> ops,
+                         Input(ReadUpdateOps(ops_path, ranking), refused));
 
   Stopwatch watch;
   IncrementalUpdater updater(&dynamic, &index.mutable_label_index(),
@@ -572,7 +610,8 @@ Result<std::vector<IndexSpec>> ParseIndexSpecs(
   return specs;
 }
 
-Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out,
+                bool* refused) {
   flags->DefineRepeatable(
       "index",
       "index to serve: PATH (the default index) or NAME=PATH (additional "
@@ -682,17 +721,20 @@ Status CmdServe(CliFlags* flags, int argc, char** argv, std::ostream& out) {
   // deserializes onto the heap.
   HOPDB_ASSIGN_OR_RETURN(
       std::shared_ptr<const ServingSnapshot> snapshot,
-      LoadServingSnapshot(specs[0].path, options.cache_capacity,
-                          options.hot_hub_k, default_graph));
+      Input(LoadServingSnapshot(specs[0].path, options.cache_capacity,
+                                options.hot_hub_k, default_graph),
+            refused));
   HOPDB_ASSIGN_OR_RETURN(std::unique_ptr<DistanceServer> server,
                          DistanceServer::Start(std::move(snapshot), options));
   // Graphs register before the secondary attaches so those snapshots
   // pick up their path graphs too.
   for (const auto& [name, path] : graphs) {
-    HOPDB_RETURN_NOT_OK(server->RegisterUpdateGraph(name, path));
+    HOPDB_RETURN_NOT_OK(
+        Input(server->RegisterUpdateGraph(name, path), refused));
   }
   for (size_t i = 1; i < specs.size(); ++i) {
-    HOPDB_RETURN_NOT_OK(server->AttachIndex(specs[i].name, specs[i].path));
+    HOPDB_RETURN_NOT_OK(
+        Input(server->AttachIndex(specs[i].name, specs[i].path), refused));
   }
 
   const std::shared_ptr<const ServingSnapshot> def = server->snapshot();
@@ -801,7 +843,8 @@ Status CmdClient(CliFlags* flags, int argc, char** argv, std::ostream& out) {
 // eval
 // ---------------------------------------------------------------------------
 
-Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out) {
+Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out,
+               bool* refused) {
   flags->Define("spec", "",
                 "workload spec file (see src/eval/harness.h for the "
                 "grammar); default: built-in graph-family sweep");
@@ -846,7 +889,8 @@ Status CmdEval(CliFlags* flags, int argc, char** argv, std::ostream& out) {
     out << spec_text;
     return Status::OK();
   }
-  HOPDB_ASSIGN_OR_RETURN(EvalSpec spec, ParseEvalSpec(spec_text));
+  HOPDB_ASSIGN_OR_RETURN(EvalSpec spec,
+                         Input(ParseEvalSpec(spec_text), refused));
 
   HOPDB_ASSIGN_OR_RETURN(EvalReport report, RunEval(spec, options));
 
@@ -935,26 +979,27 @@ int RunCli(int argc, char** argv, std::ostream& out, std::ostream& err) {
   // Shift argv so the subcommand's flags parse from its own name.
   CliFlags flags;
   Status status;
+  bool input_refused = false;
   const int sub_argc = argc - 1;
   char** sub_argv = argv + 1;
   if (command == "gen") {
     status = CmdGen(&flags, sub_argc, sub_argv, out);
   } else if (command == "build") {
-    status = CmdBuild(&flags, sub_argc, sub_argv, out);
+    status = CmdBuild(&flags, sub_argc, sub_argv, out, &input_refused);
   } else if (command == "convert") {
-    status = CmdConvert(&flags, sub_argc, sub_argv, out);
+    status = CmdConvert(&flags, sub_argc, sub_argv, out, &input_refused);
   } else if (command == "query") {
-    status = CmdQuery(&flags, sub_argc, sub_argv, out);
+    status = CmdQuery(&flags, sub_argc, sub_argv, out, &input_refused);
   } else if (command == "update") {
-    status = CmdUpdate(&flags, sub_argc, sub_argv, out);
+    status = CmdUpdate(&flags, sub_argc, sub_argv, out, &input_refused);
   } else if (command == "stats") {
-    status = CmdStats(&flags, sub_argc, sub_argv, out);
+    status = CmdStats(&flags, sub_argc, sub_argv, out, &input_refused);
   } else if (command == "serve") {
-    status = CmdServe(&flags, sub_argc, sub_argv, out);
+    status = CmdServe(&flags, sub_argc, sub_argv, out, &input_refused);
   } else if (command == "client") {
     status = CmdClient(&flags, sub_argc, sub_argv, out);
   } else if (command == "eval") {
-    status = CmdEval(&flags, sub_argc, sub_argv, out);
+    status = CmdEval(&flags, sub_argc, sub_argv, out, &input_refused);
   } else {
     err << "unknown command '" << command << "'\n";
     PrintUsage(err);
@@ -966,10 +1011,11 @@ int RunCli(int argc, char** argv, std::ostream& out, std::ostream& err) {
   }
   if (!status.ok()) {
     // Single usage-printing error path: every subcommand failure reports
-    // the status, and argument mistakes additionally get the relevant
-    // flag table so the fix is visible without a second invocation.
+    // the status, and flag mistakes additionally get the relevant flag
+    // table so the fix is visible without a second invocation. A refused
+    // input file is no flag mistake.
     err << "hopdb_cli " << command << ": " << status.ToString() << "\n";
-    if (status.code() == StatusCode::kInvalidArgument) {
+    if (status.code() == StatusCode::kInvalidArgument && !input_refused) {
       err << "\n" << flags.Usage("usage: hopdb_cli " + command + " [flags]");
     }
     return 1;

@@ -1,10 +1,13 @@
 // Little-endian binary encoding helpers for the on-disk formats (graphs,
 // label indexes, external-sort runs). All hopdb disk formats are explicitly
-// little-endian and fixed-width so files are portable across machines.
+// little-endian so files are portable across machines; their integers are
+// fixed-width, except HLI1's label counts and entries, which are LEB128
+// varints.
 
 #ifndef HOPDB_UTIL_SERDE_H_
 #define HOPDB_UTIL_SERDE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -32,6 +35,49 @@ inline uint64_t DecodeU64(const uint8_t* in) {
   uint64_t v;
   std::memcpy(&v, in, 8);
   return v;
+}
+
+/// Bytes a LEB128 u32 takes at most.
+inline constexpr size_t kMaxVarint32Bytes = 5;
+
+/// Writes v as unsigned LEB128 — 7 bits a byte, low bits first, the high
+/// bit set on every byte but the last — and returns the bytes written
+/// (1..5). This is the shortest encoding of v, the only one
+/// DecodeVarint32 accepts.
+inline size_t EncodeVarint32(uint32_t v, uint8_t* out) {
+  size_t n = 0;
+  for (; v >= 0x80; v >>= 7) out[n++] = static_cast<uint8_t>(v | 0x80);
+  out[n++] = static_cast<uint8_t>(v);
+  return n;
+}
+
+/// Reads one LEB128 u32 from [*in, end) and moves *in past it. Only the
+/// shortest encoding of a value is accepted, so every value has one
+/// encoding: false (and *in unmoved) when the bytes end before the value
+/// does, when a last byte after the first is zero (an overlong
+/// encoding), or when the value needs more than 32 bits.
+inline bool DecodeVarint32(const uint8_t** in, const uint8_t* end,
+                           uint32_t* v) {
+  const uint8_t* p = *in;
+  if (p != end && *p < 0x80) {  // one byte, the common case
+    *v = *p;
+    *in = p + 1;
+    return true;
+  }
+  uint32_t value = 0;
+  for (int shift = 0; shift < 35 && p != end; shift += 7) {
+    const uint8_t byte = *p++;
+    value |= static_cast<uint32_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      if ((byte == 0 && shift > 0) || (shift == 28 && byte > 0x0f)) {
+        return false;
+      }
+      *in = p;
+      *v = value;
+      return true;
+    }
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -81,8 +127,10 @@ Status ReadFileToString(const std::string& path, std::string* out);
 
 /// Writes `data` to `path` in place: fopen ("wb", truncating any existing
 /// file), fwrite, fclose. There is no fsync and no rename, so a crash or
-/// a failed write can leave a torn or empty file behind (crash-atomic
-/// writes are ROADMAP item 8).
+/// a failed write can leave a torn or empty file behind. HLI1's
+/// TwoHopIndex::Save replaces its file atomically instead; the HLI2 and
+/// HDI1 writers still end here (crash-atomic writes for them are ROADMAP
+/// item 8).
 Status WriteStringToFile(const std::string& path, const std::string& data);
 
 /// Removes a file if it exists; missing files are not an error.

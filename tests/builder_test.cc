@@ -437,37 +437,37 @@ std::string CountersText(const BuildStats& stats) {
 TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
   constexpr PinnedBuild kPins[] = {
       {false, false, BuildMode::kHopStepping, 4, 38954,
-       0xcfd14f8aa1210caaULL, 0xd884bcba9a3b314dULL},
+       0xcfd14f8aa1210caaULL, 0x55613418a791c524ULL},
       {false, false, BuildMode::kHopDoubling, 4, 102606,
-       0x6689f2e53e0173f0ULL, 0xd884bcba9a3b314dULL},
+       0x6689f2e53e0173f0ULL, 0x55613418a791c524ULL},
       {false, false, BuildMode::kHybrid, 4, 38954,
-       0xa8e26c95b7755f99ULL, 0xd884bcba9a3b314dULL},
+       0xa8e26c95b7755f99ULL, 0x55613418a791c524ULL},
       {false, true, BuildMode::kHopStepping, 6, 31171,
-       0xb65df4aa6e7cfae1ULL, 0x2be0a8cee8db73daULL},
+       0xb65df4aa6e7cfae1ULL, 0x4bb0fa2153c1d0a4ULL},
       {false, true, BuildMode::kHopDoubling, 4, 55204,
-       0x2b032908f4c2a9c0ULL, 0x23d095d5f61da998ULL},
+       0x2b032908f4c2a9c0ULL, 0x02279bdacf3d2fe4ULL},
       {false, true, BuildMode::kHybrid, 5, 42956,
-       0xcb5e5ebe83ab82a3ULL, 0xfff0e65d33e2ff9cULL},
+       0xcb5e5ebe83ab82a3ULL, 0x3ec2fe5c5f5f1a45ULL},
       {true, false, BuildMode::kHopStepping, 5, 15265,
-       0xe0c861716ea5cf94ULL, 0xad48e71a6059be98ULL},
+       0xe0c861716ea5cf94ULL, 0x080cbf07ca7950edULL},
       {true, false, BuildMode::kHopDoubling, 4, 25857,
-       0xf06beb0dd50ee0b4ULL, 0xad48e71a6059be98ULL},
+       0xf06beb0dd50ee0b4ULL, 0x080cbf07ca7950edULL},
       {true, false, BuildMode::kHybrid, 5, 15265,
-       0x68e5b953c015b987ULL, 0xad48e71a6059be98ULL},
+       0x68e5b953c015b987ULL, 0x080cbf07ca7950edULL},
       {true, true, BuildMode::kHopStepping, 8, 18962,
-       0x21e20ac5786d070fULL, 0x7852a94d10f11c05ULL},
+       0x21e20ac5786d070fULL, 0xeb75d37eff1577b0ULL},
       {true, true, BuildMode::kHopDoubling, 5, 40097,
-       0x9f3501bd47536a65ULL, 0x4e34bf69e55a46f7ULL},
+       0x9f3501bd47536a65ULL, 0x6f29aa8c2e11f141ULL},
       {true, true, BuildMode::kHybrid, 5, 27506,
-       0x558859f56af3452aULL, 0x879a5ff7dd6ef889ULL},
+       0x558859f56af3452aULL, 0xabb332ca35f3cae9ULL},
       {false, true, BuildMode::kHybrid, 5, 77115,
-       0xfc2fe27bba9dd3b0ULL, 0x02d39934f406bdcaULL, false},
+       0xfc2fe27bba9dd3b0ULL, 0xb911b33ea02e5df8ULL, false},
       {true, true, BuildMode::kHybrid, 5, 46624,
-       0xa17bf0b57763e67fULL, 0x5e061b0a5ce854b9ULL, false},
+       0xa17bf0b57763e67fULL, 0x8bae4584e282e7f7ULL, false},
       {false, true, BuildMode::kHybrid, 8, 593800,
-       0x47fc53a82d77d3b8ULL, 0x1b05e1b66139851bULL, true, false},
+       0x47fc53a82d77d3b8ULL, 0x2f69357a7f6101d2ULL, true, false},
       {true, true, BuildMode::kHybrid, 6, 149036,
-       0xb4532329469ec5c9ULL, 0x0c35e122aadd4a5cULL, true, false},
+       0xb4532329469ec5c9ULL, 0x4378f2f56e19eabcULL, true, false},
   };
   auto tmp = TempDir::Create("hopdb_builder_pin");
   ASSERT_TRUE(tmp.ok());

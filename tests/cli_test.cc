@@ -10,9 +10,12 @@
 #include <vector>
 
 #include "graph/graph_io.h"
+#include "hli1_files.h"
+#include "hopdb.h"
 #include "io/temp_dir.h"
 #include "tools/commands.h"
 #include "util/serde.h"
+#include "util/string_util.h"
 
 namespace hopdb {
 namespace {
@@ -114,6 +117,18 @@ TEST(CliTest, FullPipelineTextGraph) {
   EXPECT_NE(out.find("label entries"), std::string::npos);
   EXPECT_NE(out.find("avg |label|"), std::string::npos);
   EXPECT_NE(out.find("paper size"), std::string::npos);
+  // The size on disk, beside the memory and paper sizes.
+  const std::string file_size = "  file size       ";
+  const size_t at = out.find(file_size);
+  ASSERT_NE(at, std::string::npos) << out;
+  uint64_t bytes = 0;
+  ASSERT_TRUE(ParseUint64(
+      out.substr(at + file_size.size(),
+                 out.find(' ', at + file_size.size()) - at - file_size.size()),
+      &bytes))
+      << out;
+  EXPECT_EQ(bytes, FileSizeBytes(index).ValueOrDie());
+  EXPECT_NE(out.find(" bytes/entry)", at), std::string::npos) << out;
 }
 
 TEST(CliTest, FullPipelineBinaryDirectedWeighted) {
@@ -371,6 +386,57 @@ TEST(CliTest, NonArgumentErrorsSkipTheFlagTable) {
                 nullptr, &err),
             1);
   EXPECT_EQ(err.find("usage: hopdb_cli query"), std::string::npos);
+
+  // So does a refused input file: its InvalidArgument is no flag mistake.
+  TempDir dir = TempDir::Create("cli_refused").ValueOrDie();
+  const std::string graph = dir.File("g.hgr");
+  const std::string index = dir.File("g.hli");
+  ASSERT_EQ(RunTool({"gen", "--type", "glp", "--n", "100", "--avg-degree",
+                     "4", "--seed", "3", "--out", graph}),
+            0);
+  ASSERT_EQ(RunTool({"build", "--graph", graph, "--out", index}), 0);
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(index, &file).ok());
+  const std::string truncated = dir.File("truncated.hli");
+  ASSERT_TRUE(WriteStringToFile(truncated, file.substr(0, file.size() / 2))
+                  .ok());
+  auto loaded = HopDbIndex::Load(index);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const std::string fixed_width = dir.File("fixed_width.hli");
+  ASSERT_TRUE(WriteStringToFile(fixed_width,
+                                FixedWidthHli1(loaded->label_index(),
+                                               &loaded->ranking().rank_to_orig))
+                  .ok());
+  std::string hgr1 = "HGR1";
+  PutU32(&hgr1, 1);
+  PutU32(&hgr1, 4);
+  PutU64(&hgr1, uint64_t{1000000000000});
+  PutU64(&hgr1, 0);
+  const std::string crafted = dir.File("crafted.hgr");
+  ASSERT_TRUE(WriteStringToFile(crafted, hgr1).ok());
+  const std::string ops = dir.File("ops.txt");
+  ASSERT_TRUE(WriteStringToFile(ops, "ADDEDGE 0 5000\n").ok());
+  const struct {
+    std::vector<std::string> args;
+    const char* message;
+  } cases[] = {
+      {{"stats", "--index", truncated}, "checksum mismatch"},
+      {{"stats", "--index", fixed_width}, "rebuild"},
+      {{"build", "--graph", crafted, "--out", dir.File("c.hli")},
+       "InvalidArgument"},
+      {{"update", "--index", index, "--graph", graph, "--ops", ops},
+       "out of range"},
+  };
+  for (const auto& c : cases) {
+    const std::string& command = c.args[0];
+    EXPECT_EQ(RunTool(c.args, nullptr, &err), 1) << c.args[2];
+    EXPECT_NE(err.find("hopdb_cli " + command + ": InvalidArgument: "),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find(c.message), std::string::npos) << err;
+    EXPECT_EQ(err.find("usage: hopdb_cli " + command), std::string::npos)
+        << err;
+  }
 }
 
 TEST(CliTest, ClientRequiresPort) {

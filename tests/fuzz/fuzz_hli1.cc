@@ -1,14 +1,18 @@
 // Fuzz target for the HLI1 heap-index loader. The input is an HLI1
-// body (magic, header, label sides, rank section); the target seals it
-// with the FNV-1a-64 checksum the format ends with, writes it to a
-// scratch file and hands it to HopDbIndex::Load. Sealing every input
-// lets mutations get past the checksum to the side-shape, label and
+// body in the compact layout (magic, layout word, |V|, lengths section,
+// varint entries, rank section); the target seals it with the
+// FNV-1a-64 checksum the format ends with, writes it to a scratch file
+// and hands it to HopDbIndex::Load. Sealing every input lets mutations
+// get past the checksum to the shape, varint, label and
 // rank-permutation checks. Properties checked on every input:
-//   - Load never crashes on hostile bodies (a rank section that is not
-//     a permutation included), it returns a Status;
+//   - Load never crashes on hostile bodies (overlong or truncated
+//     varints and a rank section that is not a permutation included),
+//     it returns a Status;
 //   - an index it accepts passes Validate(false), its ranking maps each
-//     id back to itself, and it answers in-range point queries and a
-//     one-to-many row over its frozen labels.
+//     id back to itself, it answers in-range point queries and a
+//     one-to-many row over its frozen labels, and it saves back to the
+//     very bytes it was loaded from, so the encoding is canonical: one
+//     file per index.
 // The seed corpus is the bodies of two small valid files (undirected
 // unweighted, directed weighted).
 
@@ -68,6 +72,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (row[j] != index.Query(0, targets[j])) __builtin_trap();
     }
   }
+  const std::string resaved = path + ".resaved";
+  if (!loaded->Save(resaved).ok()) __builtin_trap();
+  std::string again;
+  if (!hopdb::ReadFileToString(resaved, &again).ok()) __builtin_trap();
+  std::remove(resaved.c_str());
+  if (again != bytes) __builtin_trap();
   return 0;
 }
 

@@ -9,6 +9,7 @@
 #include "eval/verify.h"
 #include "gen/glp.h"
 #include "gen/small_graphs.h"
+#include "hli1_files.h"
 #include "io/temp_dir.h"
 #include "util/serde.h"
 #include "search/dijkstra.h"
@@ -138,15 +139,12 @@ void SaveGrid(const std::string& path, std::string* labels,
   *ranks = file.substr(rank_start, 4 * 9);
 }
 
-/// `body` followed by its FNV-1a-64, as HLI1 files end.
-std::string Sealed(std::string body) {
-  PutU64(&body, Fnv1a64(body.data(), body.size()));
-  return body;
-}
-
-// HLI1 files whose checksum holds but whose rank section is not a
-// permutation of the 9 vertices: each must fail with InvalidArgument
-// rather than reach RankingFromOrder, which CHECK-fails on it.
+// HLI1 files whose checksum holds but whose rank section is not 9 ids
+// or not a permutation of the 9 vertices: each must fail with
+// InvalidArgument rather than reach RankingFromOrder, which CHECK-fails
+// on it. The rank section is the body's last 4|V| bytes, so one that is
+// short or long moves where the entry section must end, and the lengths
+// or the entries are refused before the ranks are read.
 TEST(HopDbApiTest, LoadRejectsCraftedRankSection) {
   auto dir = TempDir::Create("api_ranks");
   ASSERT_TRUE(dir.ok());
@@ -159,31 +157,54 @@ TEST(HopDbApiTest, LoadRejectsCraftedRankSection) {
     for (const uint32_t v : list) PutU32(&section, v);
     return section;
   };
-  const std::pair<std::string, const char*> crafted[] = {
-      {ids({0, 1, 2, 3, 4, 5, 6, 7}), "short"},
-      {ranks + ids({0}), "long"},
-      {ids({0, 1, 2, 3, 4, 5, 6, 7, 9}), "id out of range"},
-      {ids({0, 1, 2, 3, 4, 5, 6, 7, 7}), "repeated id"},
+  const struct {
+    std::string section;
+    const char* what;
+    const char* refusal;
+  } crafted[] = {
+      {ids({0, 1, 2, 3, 4, 5, 6, 7}), "short",
+       "label lengths exceed the entry section"},
+      {ranks + ids({0}), "long", "ends before the rank section"},
+      {ids({0, 1, 2, 3, 4, 5, 6, 7, 9}), "id out of range",
+       "not a permutation"},
+      {ids({0, 1, 2, 3, 4, 5, 6, 7, 7}), "repeated id", "not a permutation"},
   };
-  for (const auto& [section, what] : crafted) {
-    ASSERT_TRUE(WriteStringToFile(path, Sealed(labels + section)).ok());
+  for (const auto& c : crafted) {
+    ASSERT_TRUE(WriteStringToFile(path, Sealed(labels + c.section)).ok());
     auto back = HopDbIndex::Load(path);
-    ASSERT_FALSE(back.ok()) << what;
+    ASSERT_FALSE(back.ok()) << c.what;
     EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument)
-        << what << ": " << back.status();
+        << c.what << ": " << back.status();
+    EXPECT_NE(back.status().message().find(c.refusal), std::string::npos)
+        << c.what << ": " << back.status();
   }
 }
 
-// An index saved before HLI1 carried its ranks: the label body sealed
-// by its own checksum, the ranks in a .perm sidecar. It is refused with
-// a message that says to rebuild it, sidecar or not.
+// An index saved before HLI1 carried its ranks: the fixed-width label
+// body sealed by its own checksum, the ranks in a .perm sidecar. It is
+// refused with a message that says to rebuild it, sidecar or not, and
+// so is the fixed-width file with its rank section that the build
+// before the compact layout wrote.
 TEST(HopDbApiTest, LoadRefusesIndexWithPermSidecar) {
   auto dir = TempDir::Create("api_old");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("g.hopdb");
   std::string labels, ranks;
   ASSERT_NO_FATAL_FAILURE(SaveGrid(path, &labels, &ranks));
-  ASSERT_TRUE(WriteStringToFile(path, Sealed(labels)).ok());
+  auto index = HopDbIndex::Load(path);
+  ASSERT_TRUE(index.ok()) << index.status();
+  const std::vector<VertexId>& order = index->ranking().rank_to_orig;
+  ASSERT_TRUE(
+      WriteStringToFile(path, FixedWidthHli1(index->label_index(), &order))
+          .ok());
+  auto parent_layout = HopDbIndex::Load(path);
+  EXPECT_EQ(parent_layout.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parent_layout.status().message().find("rebuild"),
+            std::string::npos)
+      << parent_layout.status();
+  ASSERT_TRUE(
+      WriteStringToFile(path, FixedWidthHli1(index->label_index(), nullptr))
+          .ok());
   for (const bool sidecar : {false, true}) {
     if (sidecar) {
       std::string perm;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "io/temp_dir.h"
 
@@ -35,6 +36,56 @@ TEST(SerdeTest, EncodeDecodeInPlace) {
   EXPECT_EQ(DecodeU32(buf), 77u);
   EncodeU64(1ull << 40, buf);
   EXPECT_EQ(DecodeU64(buf), 1ull << 40);
+}
+
+// LEB128: 7 bits a byte, low first; every value has one encoding, its
+// shortest, and the decoder takes no other.
+TEST(SerdeTest, VarintsRoundTripInTheirShortestForm) {
+  const struct {
+    uint32_t value;
+    std::vector<uint8_t> bytes;
+  } cases[] = {
+      {0, {0x00}},
+      {1, {0x01}},
+      {127, {0x7f}},
+      {128, {0x80, 0x01}},
+      {300, {0xac, 0x02}},
+      {16383, {0xff, 0x7f}},
+      {16384, {0x80, 0x80, 0x01}},
+      {0xfffffffeu, {0xfe, 0xff, 0xff, 0xff, 0x0f}},
+      {0xffffffffu, {0xff, 0xff, 0xff, 0xff, 0x0f}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.value);
+    uint8_t buf[kMaxVarint32Bytes];
+    const size_t n = EncodeVarint32(c.value, buf);
+    EXPECT_EQ(std::vector<uint8_t>(buf, buf + n), c.bytes);
+    const uint8_t* p = c.bytes.data();
+    uint32_t v = 0;
+    ASSERT_TRUE(DecodeVarint32(&p, c.bytes.data() + c.bytes.size(), &v));
+    EXPECT_EQ(v, c.value);
+    EXPECT_EQ(p, c.bytes.data() + c.bytes.size());
+    // One byte short: the value runs past the end, and nothing moves.
+    p = c.bytes.data();
+    EXPECT_FALSE(DecodeVarint32(&p, c.bytes.data() + c.bytes.size() - 1, &v));
+    EXPECT_EQ(p, c.bytes.data());
+  }
+}
+
+TEST(SerdeTest, VarintDecoderRefusesOtherForms) {
+  const std::vector<std::vector<uint8_t>> refused = {
+      {0x80, 0x00},                          // 0, overlong
+      {0x81, 0x80, 0x00},                    // 1, overlong
+      {0xff, 0xff, 0xff, 0xff, 0x10},        // 2^32: over 32 bits
+      {0xff, 0xff, 0xff, 0xff, 0x7f},        // over 32 bits
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x00},  // six bytes
+  };
+  for (const std::vector<uint8_t>& bytes : refused) {
+    const uint8_t* p = bytes.data();
+    uint32_t v = 0;
+    EXPECT_FALSE(DecodeVarint32(&p, bytes.data() + bytes.size(), &v));
+    EXPECT_EQ(p, bytes.data());
+  }
 }
 
 TEST(SerdeFileTest, FileRoundTrip) {

@@ -23,6 +23,7 @@
 #include "graph/csr_graph.h"
 #include "graph/graph_io.h"
 #include "graph/ranking.h"
+#include "hli1_files.h"
 #include "hopdb.h"
 #include "labeling/mapped_index.h"
 #include "query/knn.h"
@@ -1336,20 +1337,22 @@ TEST_F(ServerEndToEndTest, AttachRejectsBadNamesAndDuplicates) {
 TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
   auto tmp = TempDir::Create("server_crafted");
   ASSERT_TRUE(tmp.ok());
-  // A 24-byte HLI1 file claiming 2^40 labels: the loader must refuse it
-  // instead of sizing an allocation from the count.
+  // A sealed 24-byte HLI1 file claiming 2^30 vertices: the loader must
+  // refuse it instead of sizing an allocation from the count.
   std::string header = "HLI1";
-  PutU32(&header, 0);  // undirected
-  PutU32(&header, 1);  // one vertex
-  PutU64(&header, uint64_t{1} << 40);
+  PutU32(&header, 2);  // the compact layout, undirected
+  PutU32(&header, uint32_t{1} << 30);
   PutU32(&header, 0);
+  header = Sealed(std::move(header));
   ASSERT_EQ(header.size(), 24u);
   std::vector<std::string> crafted = {tmp->File("crafted.hli")};
   ASSERT_TRUE(WriteStringToFile(crafted[0], header).ok());
 
   // Real indexes whose rank section is short, long, out of range or
-  // repeats an id, each sealed with a valid checksum so the rank checks
-  // run; and one saved before HLI1 carried its ranks, beside its .perm.
+  // repeats an id, each sealed with a valid checksum so the section is
+  // checked; and two files of earlier builds, which must name a
+  // rebuild: the fixed-width one with its rank section, and the one
+  // before it, beside its .perm.
   const std::string saved = tmp->File("saved.hli");
   ASSERT_TRUE(index_.Save(saved).ok());
   std::string file;
@@ -1376,10 +1379,15 @@ TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
     crafted.push_back(tmp->File("ranks" + std::to_string(crafted.size())));
     ASSERT_TRUE(WriteStringToFile(crafted.back(), with_ranks(ids)).ok());
   }
+  const std::string fixed_width = tmp->File("fixed_width.hli");
+  ASSERT_TRUE(WriteStringToFile(
+                  fixed_width, FixedWidthHli1(index_.label_index(), &ranks))
+                  .ok());
+  crafted.push_back(fixed_width);
   const std::string old = tmp->File("old.hli");
-  std::string old_file = labels;
-  PutU64(&old_file, Fnv1a64(labels.data(), labels.size()));
-  ASSERT_TRUE(WriteStringToFile(old, old_file).ok());
+  ASSERT_TRUE(
+      WriteStringToFile(old, FixedWidthHli1(index_.label_index(), nullptr))
+          .ok());
   std::string perm;
   PutU64(&perm, n);
   for (const VertexId v : ranks) PutU32(&perm, v);
@@ -1392,7 +1400,8 @@ TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
     EXPECT_TRUE(StartsWith(attach, "ERR ")) << path << ": " << attach;
     const std::string reload = *client_.RoundTrip("RELOAD " + path);
     EXPECT_TRUE(StartsWith(reload, "ERR ")) << path << ": " << reload;
-    if (path == old) {
+    if (path == old || path == fixed_width) {
+      EXPECT_NE(attach.find("rebuild"), std::string::npos) << attach;
       EXPECT_NE(reload.find("rebuild"), std::string::npos) << reload;
     }
     EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]) << path;
@@ -1403,18 +1412,16 @@ TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
 TEST_F(ServerEndToEndTest, CraftedHli1ShapeAnswersErrAndKeepsServing) {
   auto tmp = TempDir::Create("server_shape");
   ASSERT_TRUE(tmp.ok());
-  // An undirected one-vertex HLI1 whose in side holds one empty label,
-  // sealed with a valid checksum. The loader must refuse it rather than
-  // hand the constructor a shape it aborts on.
+  // An undirected one-vertex HLI1 whose lengths section holds a second
+  // (in side) length, sealed with a valid checksum. The loader must
+  // refuse it rather than hand the constructor a shape it aborts on.
   std::string body = "HLI1";
-  PutU32(&body, 0);  // undirected
+  PutU32(&body, 2);  // the compact layout, undirected
   PutU32(&body, 1);  // one vertex
-  PutU64(&body, 1);  // out side: one empty label
-  PutU64(&body, 0);
-  PutU64(&body, 1);  // in side: one empty label
-  PutU64(&body, 0);
+  PutVarint(&body, 0);  // out side: one empty label
+  PutVarint(&body, 0);  // in side: one empty label
   PutU32(&body, 0);  // rank section
-  PutU64(&body, Fnv1a64(body.data(), body.size()));
+  body = Sealed(std::move(body));
   const std::string crafted = tmp->File("shape.hli");
   ASSERT_TRUE(WriteStringToFile(crafted, body).ok());
 

@@ -1,8 +1,14 @@
 #include "labeling/two_hop_index.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <csignal>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -11,6 +17,7 @@
 #include "gen/glp.h"
 #include "gen/weights.h"
 #include "graph/ranking.h"
+#include "hli1_files.h"
 #include "hopdb.h"
 #include "io/temp_dir.h"
 #include "labeling/label_entry.h"
@@ -246,13 +253,14 @@ TEST(TwoHopIndexIoTest, TruncatedFilesFailCleanly) {
 }
 
 // The HLI1 bytes of a 3-vertex directed index, spelled out from the
-// docs/FORMATS.md layout: header, out side, in side, rank section, then
+// docs/FORMATS.md layout: header, lengths section (out side, then in
+// side), entries as (pivot gap, distance) varints, rank section, then
 // the FNV-1a-64 of everything before it.
 TEST(TwoHopIndexIoTest, SaveMatchesDocumentedLayout) {
   std::vector<LabelVector> out(3), in(3);
   out[1] = {{0, 1}};
   out[2] = {{0, 2}, {1, 1}};
-  in[2] = {{0, 4}};
+  in[2] = {{1, 300}};
   TwoHopIndex index(std::move(out), std::move(in), /*directed=*/true);
   auto dir = TempDir::Create("hli_layout");
   ASSERT_TRUE(dir.ok());
@@ -261,40 +269,16 @@ TEST(TwoHopIndexIoTest, SaveMatchesDocumentedLayout) {
   std::string bytes;
   ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
 
-  std::string want("HLI1\x01\0\0\0\x03\0\0\0", 12);
-  const auto label = [&](std::vector<std::pair<uint32_t, uint32_t>> l) {
-    PutU64(&want, l.size());
-    for (const auto& [pivot, dist] : l) {
-      PutU32(&want, pivot);
-      PutU32(&want, dist);
-    }
-  };
-  PutU64(&want, 3);  // out side
-  label({});
-  label({{0, 1}});
-  label({{0, 2}, {1, 1}});
-  PutU64(&want, 3);  // in side
-  label({});
-  label({});
-  label({{0, 4}});
+  // Layout word 3: the compact layout (bit 1), directed (bit 0).
+  std::string want("HLI1\x03\0\0\0\x03\0\0\0", 12);
+  want += std::string("\x00\x01\x02\x00\x00\x01", 6);  // lengths
+  want += std::string("\x00\x01", 2);          // out[1]: pivot 0, dist 1
+  want += std::string("\x00\x02\x00\x01", 4);  // out[2]: 0 then 0 + 1 + 0
+  want += std::string("\x01\xac\x02", 3);      // in[2]: pivot 1, dist 300
   for (const uint32_t id : {1, 2, 0}) PutU32(&want, id);  // rank section
-  PutU64(&want, Fnv1a64(want.data(), want.size()));
-  ASSERT_EQ(want.size(), 128u);
+  want = Sealed(std::move(want));
+  ASSERT_EQ(want.size(), 47u);
   EXPECT_EQ(bytes, want);
-}
-
-/// An HLI1 header for one undirected vertex, up to the out-side count.
-std::string Hli1Header() {
-  std::string buf = "HLI1";
-  PutU32(&buf, 0);  // undirected
-  PutU32(&buf, 1);  // one vertex
-  return buf;
-}
-
-/// `body` followed by its checksum: a file that reaches the body checks.
-std::string Sealed(std::string body) {
-  PutU64(&body, Fnv1a64(body.data(), body.size()));
-  return body;
 }
 
 /// Writes `bytes` to `path` and requires Load to answer InvalidArgument.
@@ -308,116 +292,129 @@ void ExpectInvalid(const std::string& path, const std::string& bytes,
       << what << ": " << loaded.status();
 }
 
+/// The message Load refuses `bytes` with, written to `path`.
+std::string Refusal(const std::string& path, const std::string& bytes) {
+  if (!WriteStringToFile(path, bytes).ok()) return "write failed";
+  RankMapping ranking;
+  const Status status = TwoHopIndex::Load(path, &ranking).status();
+  if (status.code() != StatusCode::kInvalidArgument) {
+    return "not InvalidArgument: " + status.ToString();
+  }
+  return status.message();
+}
+
+/// The byte values of `values`, as a string.
+std::string Bytes(std::vector<uint8_t> values) {
+  return std::string(values.begin(), values.end());
+}
+
+/// A compact HLI1 body: the magic, `layout`, |V| = n, the lengths and
+/// entry sections as given, then the identity rank section.
+std::string CompactBody(uint32_t layout, uint32_t n,
+                        const std::string& lengths,
+                        const std::string& entries) {
+  std::string body = "HLI1";
+  PutU32(&body, layout);
+  PutU32(&body, n);
+  return WithRanks(body + lengths + entries, n);
+}
+
 TEST(TwoHopIndexIoTest, CraftedCountsFailBeforeAllocating) {
   auto dir = TempDir::Create("hli_crafted");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("crafted.hli");
 
-  // A side count of 2^40.
-  std::string side_count = Hli1Header();
-  PutU64(&side_count, uint64_t{1} << 40);
-  PutU32(&side_count, 0);
-  ASSERT_EQ(side_count.size(), 24u);
-  ExpectInvalid(path, Sealed(side_count), "side count");
+  // |V| = 2^30 in a 24-byte file: its lengths and ranks cannot fit.
+  std::string vertices = "HLI1";
+  PutU32(&vertices, 2);
+  PutU32(&vertices, uint32_t{1} << 30);
+  PutU32(&vertices, 0);
+  ASSERT_EQ(Sealed(vertices).size(), 24u);
+  EXPECT_NE(Refusal(path, Sealed(vertices)).find("exceed the file size"),
+            std::string::npos);
 
-  // One label whose length is 2^40.
-  std::string label_len = Hli1Header();
-  PutU64(&label_len, 1);
-  PutU64(&label_len, uint64_t{1} << 40);
-  ExpectInvalid(path, Sealed(label_len), "label length");
+  // One vertex whose label length is 2^31.
+  std::string length;
+  PutVarint(&length, uint32_t{1} << 31);
+  EXPECT_NE(Refusal(path, Sealed(CompactBody(2, 1, length, "")))
+                .find("label lengths exceed the entry section"),
+            std::string::npos);
 }
 
-// Files whose every count is in bounds but whose shape or labels the
-// index cannot hold. Each carries an identity rank section and is tried
-// both as it ends there, with no checksum, and sealed with a valid one,
-// so the shape and label checks run rather than the checksum.
-TEST(TwoHopIndexIoTest, CraftedShapesAndLabelsFailCleanly) {
-  auto dir = TempDir::Create("hli_shapes");
+// Files that break one rule of the compact layout, each on a small
+// index. Sealed with a valid checksum, each is refused for its own
+// fault; with a wrong checksum, each reports the checksum instead: the
+// errors come checksum first, then shape (pass 1), then entries.
+TEST(TwoHopIndexIoTest, CraftedCompactFilesFailInOrder) {
+  auto dir = TempDir::Create("hli_compact");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("crafted.hli");
-
-  // Undirected, yet the in side holds one (empty) label.
-  std::string in_side = Hli1Header();
-  PutU64(&in_side, 1);  // out side: one empty label
-  PutU64(&in_side, 0);
-  PutU64(&in_side, 1);  // in side: one empty label
-  PutU64(&in_side, 0);
-  in_side = WithRanks(std::move(in_side), 1);
-
-  // Two vertices, one label naming pivot 4 000 000 000.
-  std::string far_pivot = "HLI1";
-  PutU32(&far_pivot, 0);
-  PutU32(&far_pivot, 2);
-  PutU64(&far_pivot, 2);
-  PutU64(&far_pivot, 0);
-  PutU64(&far_pivot, 1);
-  PutU32(&far_pivot, 4000000000u);
-  PutU32(&far_pivot, 1);
-  PutU64(&far_pivot, 0);
-  far_pivot = WithRanks(std::move(far_pivot), 2);
-
-  // Three vertices, a label whose pivots descend.
-  std::string unsorted = "HLI1";
-  PutU32(&unsorted, 0);
-  PutU32(&unsorted, 3);
-  PutU64(&unsorted, 3);
-  PutU64(&unsorted, 0);
-  PutU64(&unsorted, 0);
-  PutU64(&unsorted, 2);
-  PutU32(&unsorted, 1);
-  PutU32(&unsorted, 1);
-  PutU32(&unsorted, 0);
-  PutU32(&unsorted, 2);
-  PutU64(&unsorted, 0);
-  unsorted = WithRanks(std::move(unsorted), 3);
-
-  // Undirected files with one non-empty label (owner's) that breaks
-  // one entry check.
-  const auto one_label =
-      [](uint32_t vertices, uint32_t owner,
-         std::vector<std::pair<uint32_t, uint32_t>> entries) {
-        std::string file = "HLI1";
-        PutU32(&file, 0);
-        PutU32(&file, vertices);
-        PutU64(&file, vertices);
-        for (uint32_t v = 0; v < vertices; ++v) {
-          PutU64(&file, v == owner ? entries.size() : 0);
-          if (v != owner) continue;
-          for (const auto& [pivot, dist] : entries) {
-            PutU32(&file, pivot);
-            PutU32(&file, dist);
-          }
-        }
-        PutU64(&file, 0);
-        return WithRanks(std::move(file), vertices);
-      };
-  const std::string self_entry = one_label(2, 1, {{1, 1}});
-  const std::string zero_dist = one_label(2, 1, {{0, 0}});
-  const std::string inf_dist = one_label(2, 1, {{0, kInfDistance}});
-  const std::string repeated = one_label(3, 2, {{0, 1}, {0, 2}});
-
-  for (const auto& [bytes, what] :
-       {std::pair{in_side, "undirected in side"},
-        std::pair{far_pivot, "pivot out of range"},
-        std::pair{unsorted, "unsorted label"},
-        std::pair{self_entry, "self entry"},
-        std::pair{zero_dist, "zero distance"},
-        std::pair{inf_dist, "infinite distance"},
-        std::pair{repeated, "repeated pivot"}}) {
-    ExpectInvalid(path, bytes, std::string(what) + ", unsealed");
-    ExpectInvalid(path, Sealed(bytes), std::string(what) + ", sealed");
+  // Undirected, 3 vertices; the lengths are of L(0), L(1), L(2).
+  const auto undirected = [](std::vector<uint8_t> lengths,
+                             std::vector<uint8_t> entries) {
+    return CompactBody(2, 3, Bytes(lengths), Bytes(entries));
+  };
+  const std::vector<VertexId> ids = {0, 1, 2};
+  std::string fixed_width = FixedWidthHli1(PathIndex(), &ids);
+  fixed_width.resize(fixed_width.size() - 8);
+  const struct {
+    std::string body;
+    const char* what;
+    const char* refusal;
+  } cases[] = {
+      {undirected({0, 1, 0}, {0x00, 0x81, 0x00}), "overlong distance",
+       "invalid HLI1 labels (a varint is overlong"},
+      {undirected({0x80, 0x00, 1, 0}, {0x00, 0x01}), "overlong length",
+       "corrupt HLI1 body (a varint is overlong"},
+      {undirected({0, 1, 0}, {0x00, 0xff, 0xff, 0xff, 0xff, 0x1f}),
+       "distance over 32 bits", "invalid HLI1 labels (a varint"},
+      {undirected({0, 1, 0}, {0x00, 0x81}), "distance running into ranks",
+       "invalid HLI1 labels (a varint"},
+      {undirected({0, 1, 1}, {0x00, 0x81, 0x01, 0x00}),
+       "entry section ending late", "invalid HLI1 labels (a varint"},
+      {undirected({0, 1, 0}, {0x00, 0x01, 0x00}),
+       "entry section ending early",
+       "the entry section ends before the rank section"},
+      {undirected({0, 0, 2}, {0x01, 0x01, 0x01, 0x01}),
+       "pivot gap reaching |V|", "a pivot gap reaches |V|"},
+      {undirected({0, 1, 0}, {0x00, 0x00}), "zero distance",
+       "a distance is 0 or infinite"},
+      {undirected({0, 1, 0}, {0x00, 0xff, 0xff, 0xff, 0xff, 0x0f}),
+       "infinite distance", "a distance is 0 or infinite"},
+      {undirected({0, 1, 2}, {0x00, 0x01, 0x00, 0x02}),
+       "length sum beyond the entry bytes",
+       "label lengths exceed the entry section"},
+      {undirected({0, 1, 0}, {0x01, 0x01}), "self entry",
+       "invalid HLI1 labels (a label stores a trivial self entry"},
+      {CompactBody(2, 1, Bytes({0, 0}), ""), "undirected in side",
+       "the entry section ends before the rank section"},
+      {CompactBody(3, 3, Bytes({0, 0, 0}), ""), "directed, no in side",
+       "corrupt HLI1 body (label lengths and rank section exceed the file "
+       "size"},
+      {CompactBody(6, 3, Bytes({0, 0, 0}), ""), "unknown layout word",
+       "unknown layout word 6"},
+      {fixed_width, "pre-change fixed-width file", "rebuild the index"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::string sealed = Sealed(c.body);
+    EXPECT_NE(Refusal(path, sealed).find(c.refusal), std::string::npos)
+        << Refusal(path, sealed);
+    sealed.back() = static_cast<char>(sealed.back() ^ 0x01);
+    EXPECT_NE(Refusal(path, sealed).find("checksum mismatch"),
+              std::string::npos)
+        << Refusal(path, sealed);
   }
-
-  // A directed header whose in side covers only one of three vertices.
-  std::string short_in = "HLI1";
-  PutU32(&short_in, 1);
-  PutU32(&short_in, 3);
-  PutU64(&short_in, 3);
-  for (int v = 0; v < 3; ++v) PutU64(&short_in, 0);
-  PutU64(&short_in, 1);
-  PutU64(&short_in, 0);
-  ExpectInvalid(path, Sealed(WithRanks(short_in, 3)),
-                "short directed in side");
+  // A bad entry beside a rank section that is no permutation reports the
+  // entry.
+  std::string zero_dist = "HLI1";
+  PutU32(&zero_dist, 2);
+  PutU32(&zero_dist, 3);
+  zero_dist += Bytes({0, 1, 0, 0x00, 0x00});
+  for (int i = 0; i < 3; ++i) PutU32(&zero_dist, 0);  // ids 0, 0, 0
+  EXPECT_NE(Refusal(path, Sealed(zero_dist)).find("a distance is 0"),
+            std::string::npos)
+      << Refusal(path, Sealed(zero_dist));
 }
 
 TEST(TwoHopIndexIoTest, FlippedBodyByteFailsTheChecksum) {
@@ -436,24 +433,16 @@ TEST(TwoHopIndexIoTest, FlippedBodyByteFailsTheChecksum) {
   }
 }
 
-// Files from earlier builds carry an HFS1 copy of the labels after the
-// body (and a checksum of that copy only). They must be refused with a
-// message that says to rebuild them.
-TEST(TwoHopIndexIoTest, OldFileWithHfs1TrailerIsRefused) {
-  std::string file = "HLI1";
-  PutU32(&file, 0);  // PathIndex(): L(1) = {(0, 1)}, L(2) = {(0, 2), (1, 1)}
-  PutU32(&file, 3);
-  PutU64(&file, 3);
-  PutU64(&file, 0);
-  PutU64(&file, 1);
-  PutU32(&file, 0);
-  PutU32(&file, 1);
-  PutU64(&file, 2);
-  PutU32(&file, 0);
-  PutU32(&file, 2);
-  PutU32(&file, 1);
-  PutU32(&file, 1);
-  PutU64(&file, 0);
+// Files from earlier builds must be refused with a message that says to
+// rebuild them: the fixed-width layout with its rank section (the last
+// layout before the compact one), without it (ranks in a .perm
+// sidecar), and with an HFS1 copy of the labels after the body (and a
+// checksum of that copy only), which fails the checksum.
+TEST(TwoHopIndexIoTest, FilesOfEarlierLayoutsAreRefused) {
+  const TwoHopIndex index = PathIndex();
+  const std::vector<VertexId> ranks = {2, 0, 1};
+  std::string hfs1 = FixedWidthHli1(index, nullptr);
+  hfs1.resize(hfs1.size() - 8);
   // The trailer: magic, flags (delta pivots), |V|, total entries, slot
   // sizes, pivot gaps, distances — then its own checksum. The last three
   // were varints; every value here is below 128, so each is one byte.
@@ -462,30 +451,130 @@ TEST(TwoHopIndexIoTest, OldFileWithHfs1TrailerIsRefused) {
   PutU32(&section, 3);
   PutU64(&section, 3);
   for (const uint8_t v : {0, 1, 2, 1, 1, 1, 1, 2, 1}) PutU8(&section, v);
-  file += section;
-  PutU64(&file, Fnv1a64(section.data(), section.size()));
+  hfs1 += section;
+  PutU64(&hfs1, Fnv1a64(section.data(), section.size()));
 
   auto dir = TempDir::Create("hli_old");
   ASSERT_TRUE(dir.ok());
   const std::string path = dir->File("old.hli");
-  ASSERT_TRUE(WriteStringToFile(path, file).ok());
-  RankMapping ranking;
-  auto loaded = TwoHopIndex::Load(path, &ranking);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
-      << loaded.status();
+  for (const auto& [file, what] :
+       {std::pair{FixedWidthHli1(index, &ranks), "fixed width"},
+        std::pair{FixedWidthHli1(index, nullptr), "fixed width, no ranks"},
+        std::pair{hfs1, "HFS1 trailer"}}) {
+    ASSERT_TRUE(WriteStringToFile(path, file).ok());
+    RankMapping ranking;
+    auto loaded = TwoHopIndex::Load(path, &ranking);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+        << what << ": " << loaded.status();
+    EXPECT_EQ(HopDbIndex::Load(path).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  }
 }
 
-// TwoHopIndex::Load reads a file through one 1 MiB window. These tests
-// use a directed weighted index whose HLI1 file spans several windows.
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// HLI1 cannot spell a label that is not strictly sorted, so Save refuses
+// one instead of writing a file Load would refuse; the target is left as
+// it was.
+TEST(TwoHopIndexIoTest, SaveRefusesUnsortedLabels) {
+  auto dir = TempDir::Create("hli_unsorted");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("idx.hli");
+  ASSERT_TRUE(PathIndex().Save(path, Identity(3)).ok());
+  for (const LabelVector& label :
+       {LabelVector{{1, 1}, {0, 2}}, LabelVector{{0, 1}, {0, 2}}}) {
+    std::vector<LabelVector> out(3);
+    out[2] = label;
+    const TwoHopIndex bad(std::move(out), {}, /*directed=*/false);
+    EXPECT_EQ(bad.Save(path, Identity(3)).code(),
+              StatusCode::kInvalidArgument);
+  }
+  RankMapping ranking;
+  auto back = TwoHopIndex::Load(path, &ranking);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->TotalEntries(), 3u);
+  EXPECT_EQ(FileNames(dir->path()), std::vector<std::string>{"idx.hli"});
+}
+
+// An 8-byte entry (a 3-byte pivot gap, a 5-byte distance) placed so
+// that it starts 1..8 bytes before the load window's first edge, 1 MiB
+// into the file: each split of it across two windows decodes whole, and
+// the file re-saves byte for byte.
+TEST(TwoHopIndexIoTest, EntriesAcrossTheFirstWindowEdgeDecodeWhole) {
+  constexpr VertexId kVertices = 400000;
+  constexpr uint32_t kGap = 20000;          // 3 varint bytes
+  constexpr uint32_t kFar = 0xfffffffeu;    // 5 varint bytes
+  constexpr uint64_t kEdge = uint64_t{1} << 20;
+  auto dir = TempDir::Create("hli_edge");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("edge.hli");
+  for (uint64_t before = 1; before <= 8; ++before) {
+    SCOPED_TRACE("entry starts " + std::to_string(before) +
+                 " bytes before the edge");
+    // Every label is empty but the last vertex's: entries of 2 bytes
+    // (gap 0, dist 1), the first `shift` of them 3 (dist 200), then the
+    // 8-byte entry, then three more of 2 bytes.
+    const uint64_t entries_begin = 12 + (kVertices - 1) + 3;
+    const uint64_t lead = kEdge - before - entries_begin;
+    const uint64_t shift = lead % 2;
+    const uint64_t j = (lead - shift) / 2;
+    LabelVector label;
+    for (uint64_t i = 0; i < j; ++i) {
+      label.push_back({static_cast<VertexId>(i), i < shift ? 200u : 1u});
+    }
+    const VertexId far_pivot = static_cast<VertexId>(j) + kGap;
+    label.push_back({far_pivot, kFar});
+    for (VertexId i = 1; i <= 3; ++i) label.push_back({far_pivot + i, 1});
+    std::string body = "HLI1";
+    PutU32(&body, 2);
+    PutU32(&body, kVertices);
+    body.append(kVertices - 1, '\0');
+    PutVarint(&body, static_cast<uint32_t>(label.size()));
+    ASSERT_EQ(body.size(), entries_begin);
+    uint64_t next = 0;
+    for (const LabelEntry& e : label) {
+      PutVarint(&body, static_cast<uint32_t>(e.pivot - next));
+      PutVarint(&body, e.dist);
+      next = e.pivot + 1;
+      if (e.dist == kFar) {
+        ASSERT_EQ(body.size(), kEdge + 8 - before);
+      }
+    }
+    const std::string file = Sealed(WithRanks(std::move(body), kVertices));
+    ASSERT_TRUE(WriteStringToFile(path, file).ok());
+
+    RankMapping ranking;
+    auto back = TwoHopIndex::Load(path, &ranking);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_TRUE(std::ranges::equal(back->OutLabel(kVertices - 1), label));
+    EXPECT_EQ(back->TotalEntries(), label.size());
+    ASSERT_TRUE(back->Save(path, ranking).ok());
+    std::string again;
+    ASSERT_TRUE(ReadFileToString(path, &again).ok());
+    EXPECT_TRUE(again == file) << "re-saved bytes differ";
+  }
+}
+
+// TwoHopIndex::Load and Save go through one 1 MiB window. These tests
+// use a directed weighted index whose HLI1 file spans three windows.
 constexpr uint64_t kLoadWindow = uint64_t{1} << 20;
 
 class TwoHopIndexWindowTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     GlpOptions glp;
-    glp.num_vertices = 10000;
+    glp.num_vertices = 25000;
     glp.target_avg_degree = 8;
     glp.seed = 5;
     EdgeList edges = GenerateDirectedGlp(glp).ValueOrDie();
@@ -498,19 +587,25 @@ class TwoHopIndexWindowTest : public ::testing::Test {
     index_->Save(*path_).CheckOK();
     bytes_ = new std::string;
     ReadFileToString(*path_, bytes_).CheckOK();
-    // Where every label's length field and entries lie.
+    // Where every label's length and entries lie.
     labels_ = new std::vector<LabelBytes>;
-    uint64_t at = 12;
-    for (int side = 0; side < 2; ++side) {
-      const uint64_t count = DecodeU64(Byte(at));
-      at += 8;
-      for (uint64_t i = 0; i < count; ++i) {
-        const uint64_t len = DecodeU64(Byte(at));
-        labels_->push_back({at, at + 8, at + 8 + 8 * len});
-        at += 8 + 8 * len;
-      }
+    const uint8_t* p = Byte(12);
+    const uint8_t* const body_end = Byte(bytes_->size() - 8);
+    for (VertexId slot = 0; slot < 2 * index_->num_vertices(); ++slot) {
+      LabelBytes l;
+      l.length = Offset(p);
+      ASSERT_TRUE(DecodeVarint32(&p, body_end, &l.size));
+      labels_->push_back(l);
     }
-    ASSERT_EQ(at + 4 * index_->num_vertices() + 8, bytes_->size());
+    for (LabelBytes& l : *labels_) {
+      l.entries = Offset(p);
+      for (uint32_t i = 0; i < 2 * l.size; ++i) {
+        uint32_t v = 0;
+        ASSERT_TRUE(DecodeVarint32(&p, body_end, &v));
+      }
+      l.end = Offset(p);
+    }
+    ASSERT_EQ(Offset(p) + 4 * index_->num_vertices() + 8, bytes_->size());
   }
   static void TearDownTestSuite() {
     delete labels_;
@@ -520,23 +615,26 @@ class TwoHopIndexWindowTest : public ::testing::Test {
     delete index_;
   }
 
-  /// One label's byte ranges: its length field at `length`, its
-  /// entries in [entries, end).
+  /// One label's bytes: its length varint at `length` (of value `size`),
+  /// its entry varints in [entries, end).
   struct LabelBytes {
-    uint64_t length;
-    uint64_t entries;
-    uint64_t end;
+    uint64_t length = 0;
+    uint32_t size = 0;
+    uint64_t entries = 0;
+    uint64_t end = 0;
   };
 
   static const uint8_t* Byte(uint64_t at) {
     return reinterpret_cast<const uint8_t*>(bytes_->data()) + at;
   }
+  static uint64_t Offset(const uint8_t* p) {
+    return static_cast<uint64_t>(p - Byte(0));
+  }
 
   /// `file` with its checksum recomputed over its body.
   static std::string Reseal(std::string file) {
     file.resize(file.size() - 8);
-    PutU64(&file, Fnv1a64(file.data(), file.size()));
-    return file;
+    return Sealed(std::move(file));
   }
 
   static HopDbIndex* index_;
@@ -555,14 +653,14 @@ std::vector<TwoHopIndexWindowTest::LabelBytes>*
 
 TEST_F(TwoHopIndexWindowTest, RoundTripsAcrossWindows) {
   ASSERT_GT(bytes_->size(), 2 * kLoadWindow) << "spans three windows";
-  // At every window edge a label's entries go on, with at least one
-  // whole entry on either side of it.
+  // At every window edge a label's varints go on, with at least one
+  // whole entry (two bytes or more) on either side of it.
   for (uint64_t edge = kLoadWindow; edge < bytes_->size();
        edge += kLoadWindow) {
     EXPECT_TRUE(std::any_of(labels_->begin(), labels_->end(),
                             [&](const LabelBytes& l) {
-                              return l.entries + 8 <= edge &&
-                                     edge + 8 <= l.end;
+                              return l.entries + 2 <= edge &&
+                                     edge + 2 <= l.end;
                             }))
         << "no label across the edge at " << edge;
   }
@@ -588,18 +686,23 @@ TEST_F(TwoHopIndexWindowTest, RoundTripsAcrossWindows) {
   EXPECT_TRUE(again == *bytes_) << "re-saved bytes differ";
 }
 
-TEST_F(TwoHopIndexWindowTest, FlippedByteInTheLastWindowFails) {
+TEST_F(TwoHopIndexWindowTest, FlippedEntryOrLengthByteFails) {
   const uint64_t last = bytes_->size() / kLoadWindow * kLoadWindow;
   ASSERT_GE(last, 2 * kLoadWindow);
-  // An entry byte (pass 1 parses, the checksum fails) and a length byte
-  // (pass 1 fails, and the checksum is reported).
+  // An entry byte in the last window (pass 1 parses, the checksum fails)
+  // and a length byte, in the lengths section's first window (pass 1
+  // may fail or not); each reports the checksum.
   const auto in_last = std::find_if(
       labels_->begin(), labels_->end(), [&](const LabelBytes& l) {
-        return l.length > last && l.end > l.entries;
+        return l.entries > last && l.end > l.entries;
       });
   ASSERT_NE(in_last, labels_->end());
+  const auto long_label = std::find_if(
+      labels_->begin(), labels_->end(),
+      [](const LabelBytes& l) { return l.size > 0; });
+  ASSERT_NE(long_label, labels_->end());
   const std::string path = dir_->File("flipped.hli");
-  for (const uint64_t at : {in_last->entries + 3, in_last->length + 2}) {
+  for (const uint64_t at : {in_last->entries + 1, long_label->length}) {
     std::string flipped = *bytes_;
     flipped[at] = static_cast<char>(flipped[at] ^ 0x10);
     ExpectInvalid(path, flipped, "flipped byte " + std::to_string(at));
@@ -622,26 +725,82 @@ TEST_F(TwoHopIndexWindowTest, TruncationsAtWindowEdgesFail) {
 }
 
 TEST_F(TwoHopIndexWindowTest, SealedOverrunningLengthFails) {
-  // A label past the first window whose length runs past the body, in a
-  // file with a valid checksum: pass 1 refuses it before anything is
-  // sized.
-  const auto late = std::find_if(
-      labels_->begin(), labels_->end(),
-      [](const LabelBytes& l) { return l.length > kLoadWindow; });
-  ASSERT_NE(late, labels_->end());
+  // The last label's length re-encoded so that the lengths ask for more
+  // entries than the entry section's bytes can hold (2 bytes an entry at
+  // least), in a file with a valid checksum: pass 1 refuses it before
+  // anything is sized.
+  const LabelBytes& last = labels_->back();
+  const uint64_t entry_bytes = labels_->back().end - labels_->front().entries;
+  uint64_t total = 0;
+  for (const LabelBytes& l : *labels_) total += l.size;
+  ASSERT_LE(2 * total, entry_bytes);
   const std::string path = dir_->File("overrun.hli");
   for (const uint64_t len :
-       {(bytes_->size() - late->entries) / 8, uint64_t{1} << 40}) {
-    std::string file = *bytes_;
-    EncodeU64(len, reinterpret_cast<uint8_t*>(file.data()) + late->length);
-    file = Reseal(std::move(file));
-    ExpectInvalid(path, file, "length " + std::to_string(len));
-    RankMapping ranking;
-    const Status status = TwoHopIndex::Load(path, &ranking).status();
-    EXPECT_NE(status.message().find("label length exceeds file size"),
+       {last.size + (entry_bytes - 2 * total) / 2 + 1, uint64_t{1} << 31}) {
+    std::string file = bytes_->substr(0, last.length);
+    PutVarint(&file, static_cast<uint32_t>(len));
+    file += bytes_->substr(labels_->front().entries);
+    const std::string message = Refusal(path, Reseal(std::move(file)));
+    EXPECT_NE(message.find("label lengths exceed the entry section"),
               std::string::npos)
-        << status;
+        << "length " << len << ": " << message;
   }
+}
+
+// Saves `index` over `path` with the process's file size limit at
+// `limit` bytes and SIGXFSZ ignored, so that the write past the limit
+// fails with EFBIG as a full disk would fail it; exits 0 iff Save
+// returned IOError.
+[[noreturn]] void SaveWithFileSizeLimit(const HopDbIndex& index,
+                                        const std::string& path,
+                                        rlim_t limit) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit cap{limit, limit};
+  if (setrlimit(RLIMIT_FSIZE, &cap) != 0) std::_Exit(2);
+  std::_Exit(index.Save(path).code() == StatusCode::kIOError ? 0 : 1);
+}
+
+// Save writes a temporary file beside its target and renames it over
+// the target only once the file is whole and synced. A save that fails
+// part way (before its first window is flushed, after it, or on the
+// last byte) leaves the old index loadable with its old answers and no
+// temporary file behind, and a reader that opened the old file before a
+// save keeps reading the old bytes.
+TEST_F(TwoHopIndexWindowTest, SaveReplacesTheFileAtomically) {
+  auto dir = TempDir::Create("hli_atomic");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("idx.hli");
+  const TwoHopIndex old_index = PathIndex();
+  ASSERT_TRUE(old_index.Save(path, Identity(3)).ok());
+  std::string old_bytes;
+  ASSERT_TRUE(ReadFileToString(path, &old_bytes).ok());
+
+  const uint64_t new_size = bytes_->size();
+  for (const rlim_t limit : {rlim_t{0}, rlim_t{new_size / 2},
+                             rlim_t{new_size - 1}}) {
+    SCOPED_TRACE("file size limit " + std::to_string(limit));
+    EXPECT_EXIT(SaveWithFileSizeLimit(*index_, path, limit),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EQ(FileNames(dir->path()), std::vector<std::string>{"idx.hli"});
+    RankMapping ranking;
+    auto back = TwoHopIndex::Load(path, &ranking);
+    ASSERT_TRUE(back.ok()) << back.status();
+    for (VertexId s = 0; s < 3; ++s) {
+      for (VertexId t = 0; t < 3; ++t) {
+        EXPECT_EQ(back->Query(s, t), old_index.Query(s, t));
+      }
+    }
+  }
+
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(index_->Save(path).ok());
+  std::string saved;
+  ASSERT_TRUE(ReadFileToString(path, &saved).ok());
+  EXPECT_TRUE(saved == *bytes_) << "the saved file differs";
+  const std::string held((std::istreambuf_iterator<char>(reader)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_TRUE(held == old_bytes) << "an open reader saw the new file";
+  EXPECT_EQ(FileNames(dir->path()), std::vector<std::string>{"idx.hli"});
 }
 
 TEST(TwoHopIndexIoTest, DirectoryIsRefused) {
