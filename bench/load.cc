@@ -20,8 +20,10 @@
 // It also reports what one HLI1 load adds to RSS, beside the store it
 // builds: Load reads the file through a fixed 1 MiB window, so the
 // growth should be the store plus that window, never the file. And it
-// reports the HLI1 file's bytes per label entry: its entries are
-// varints, about 2.3 bytes each on GLP graphs, where the store spends 8.
+// reports each file's bytes per label entry: HLI1's entries are
+// varints, about 2.3 bytes each on GLP graphs; HLI2 is the store's
+// image, a 4-byte pivot, a one-byte distance lane and the block padding
+// and sidecars, about 7.4 bytes an entry on the same graphs.
 //
 //   bench_load            # 20k + 60k GLP sweep (~30 s, build-dominated)
 //   bench_load --ci       # seconds-long CI mode, same JSON shape
@@ -69,11 +71,11 @@ struct SizeResult {
   uint64_t hli1_store_bytes = 0;
 };
 
-/// The HLI1 file's bytes per label entry (0 with no entries).
-double BytesPerEntry(const SizeResult& r) {
-  return r.entries == 0 ? 0.0
-                        : static_cast<double>(r.hli1_bytes) /
-                              static_cast<double>(r.entries);
+/// A file's bytes per label entry (0 with no entries).
+double BytesPerEntry(uint64_t file_bytes, uint64_t entries) {
+  return entries == 0 ? 0.0
+                      : static_cast<double>(file_bytes) /
+                            static_cast<double>(entries);
 }
 
 /// What one HLI1 load adds to RSS, and the store it builds.
@@ -273,7 +275,11 @@ int Run(int argc, char** argv) {
               << "  build             " << FormatDouble(r.build_seconds, 2)
               << " s\n"
               << "  HLI1 file         " << r.hli1_bytes << " B ("
-              << FormatDouble(BytesPerEntry(r), 2) << " B/entry)\n"
+              << FormatDouble(BytesPerEntry(r.hli1_bytes, r.entries), 2)
+              << " B/entry)\n"
+              << "  HLI2 file         " << r.hli2_bytes << " B ("
+              << FormatDouble(BytesPerEntry(r.hli2_bytes, r.entries), 2)
+              << " B/entry)\n"
               << "  HLI1 load         "
               << FormatDouble(r.hli1_load_cold_s * 1e3, 2) << " ms (warm "
               << FormatDouble(r.hli1_load_warm_s * 1e3, 2)
@@ -304,8 +310,10 @@ int Run(int argc, char** argv) {
                      FormatDouble(r.build_seconds, 3) +
                      ", \"hli1_bytes\": " + std::to_string(r.hli1_bytes) +
                      ", \"hli1_bytes_per_entry\": " +
-                     FormatDouble(BytesPerEntry(r), 3) +
+                     FormatDouble(BytesPerEntry(r.hli1_bytes, r.entries), 3) +
                      ", \"hli2_bytes\": " + std::to_string(r.hli2_bytes) +
+                     ", \"hli2_bytes_per_entry\": " +
+                     FormatDouble(BytesPerEntry(r.hli2_bytes, r.entries), 3) +
                      ",\n     \"hli1_load_cold_s\": " +
                      FormatDouble(r.hli1_load_cold_s, 6) +
                      ", \"hli1_load_warm_s\": " +

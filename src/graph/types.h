@@ -15,7 +15,9 @@ using VertexId = uint32_t;
 
 /// Distance / edge weight. The paper stores 8-bit distances for unweighted
 /// graphs; we compute in 32 bits (weighted graphs need the range) and
-/// narrow on disk when the value range allows it.
+/// store them narrower when every distance of an index allows it: the
+/// frozen label store and HLI2 in one-byte lanes when all are at most
+/// 127 (read sign-extended, labeling/flat_label_store.h), HDI1 as u8.
 using Distance = uint32_t;
 
 inline constexpr VertexId kInvalidVertex =

@@ -1,6 +1,7 @@
 #include "labeling/flat_label_store.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -17,44 +18,69 @@ uint64_t AlignUpBlock(uint64_t entries) {
 
 }  // namespace
 
-void FlatLabelStore::InitBlockedLayout(std::vector<uint32_t> sizes) {
+uint32_t FlatLabelStore::InitBlockedLayout(std::vector<uint32_t> sizes) {
   sizes_ = std::move(sizes);
   const size_t slots = sizes_.size();
   offsets_.assign(slots + 1, 0);
   uint64_t total = 0;
   uint64_t padded = 0;
+  uint32_t largest = 0;
   for (size_t s = 0; s < slots; ++s) {
     total += sizes_[s];
     padded += AlignUpBlock(sizes_[s]);
     offsets_[s + 1] = padded;
+    largest = std::max(largest, sizes_[s]);
   }
   total_entries_ = total;
   pivots_ = AlignedU32Array(padded);
-  dists_ = AlignedU32Array(padded);
+  dist_width_ = 1;
+  dists_ = AlignedByteArray(padded);
+  block_min_ = AlignedU32Array(padded / kLabelBlockEntries);
+  block_max_ = AlignedU32Array(padded / kLabelBlockEntries);
+  return largest;
 }
 
-void FlatLabelStore::FinalizeBlocks() {
-  const size_t slots = num_slots();
-  block_min_ = AlignedU32Array(pivots_.size() / kLabelBlockEntries);
-  block_max_ = AlignedU32Array(pivots_.size() / kLabelBlockEntries);
-  for (size_t s = 0; s < slots; ++s) {
-    const uint64_t begin = offsets_[s];
-    const uint32_t size = sizes_[s];
-    for (uint64_t i = begin + size; i < offsets_[s + 1]; ++i) {
-      pivots_[i] = kInvalidVertex;
-      dists_[i] = kInfDistance;
+void FlatLabelStore::WidenDists(uint64_t lanes) {
+  AlignedByteArray wide(4 * dists_.size());
+  for (uint64_t i = 0; i < lanes; ++i) {
+    const Distance dist = ReadDistLane(dists_.data(), 1, i);
+    std::memcpy(wide.data() + 4 * i, &dist, sizeof(dist));
+  }
+  dists_ = std::move(wide);
+  dist_width_ = 4;
+}
+
+void FlatLabelStore::SealSlot(size_t slot, const Distance* dists) {
+  const uint64_t begin = offsets_[slot];
+  const uint64_t lanes = offsets_[slot + 1] - begin;
+  const uint32_t size = sizes_[slot];
+  if (lanes == 0) return;  // an empty slot: no lanes, no blocks
+  if (dist_width_ == 1 &&
+      std::any_of(dists, dists + size,
+                  [](Distance d) { return d > kMaxNarrowDistance; })) {
+    WidenDists(begin);
+  }
+  uint8_t* lane = dists_.data() + begin * dist_width_;
+  if (dist_width_ == 1) {
+    for (uint32_t i = 0; i < size; ++i) {
+      lane[i] = static_cast<uint8_t>(dists[i]);
     }
-    // Every block holds at least one real entry (padding only rounds a
-    // non-empty slot up), so the sidecar minima/maxima are always real
-    // pivots.
-    const uint64_t blocks = (offsets_[s + 1] - begin) / kLabelBlockEntries;
-    for (uint64_t g = 0; g < blocks; ++g) {
-      const uint64_t first = begin + g * kLabelBlockEntries;
-      const uint64_t last =
-          begin + std::min<uint64_t>(size, (g + 1) * kLabelBlockEntries) - 1;
-      block_min_[first / kLabelBlockEntries] = pivots_[first];
-      block_max_[first / kLabelBlockEntries] = pivots_[last];
-    }
+  } else {
+    std::memcpy(lane, dists, size * sizeof(Distance));
+  }
+  // Padding: all-ones pivots and distance lanes.
+  std::fill(pivots_.data() + begin + size, pivots_.data() + begin + lanes,
+            kInvalidVertex);
+  std::memset(lane + size * dist_width_, 0xFF, (lanes - size) * dist_width_);
+  // Every block holds at least one real entry (padding only rounds a
+  // non-empty slot up), so the sidecar minima/maxima are always real
+  // pivots.
+  for (uint64_t g = 0; g < lanes / kLabelBlockEntries; ++g) {
+    const uint64_t first = begin + g * kLabelBlockEntries;
+    const uint64_t last =
+        begin + std::min<uint64_t>(size, (g + 1) * kLabelBlockEntries) - 1;
+    block_min_[first / kLabelBlockEntries] = pivots_[first];
+    block_max_[first / kLabelBlockEntries] = pivots_[last];
   }
 }
 
@@ -75,7 +101,7 @@ FlatLabelStore FlatLabelStore::Build(const std::vector<LabelVector>& out,
     sizes.push_back(static_cast<uint32_t>(label.size()));
   }
   auto fill = [&](size_t slot, uint32_t size, uint32_t* pivots,
-                  uint32_t* dists) {
+                  Distance* dists) {
     const LabelVector& label =
         slot < out.size() ? out[slot] : in[slot - out.size()];
     for (uint32_t i = 0; i < size; ++i) {

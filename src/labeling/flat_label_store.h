@@ -12,35 +12,47 @@
 // query touches exactly two contiguous runs and the SIMD kernels
 // (labeling/query_kernel.h) can stream 8 pivots per compare.
 //
+// DISTANCE LANES: pivots are u32, and every distance lane of a store has
+// one width, chosen from the labels when the store is frozen: 1 byte
+// when every distance is at most kMaxNarrowDistance (127), as on every
+// unweighted scale-free graph (the paper's 8-bit distances), otherwise
+// 4 bytes. One-byte lanes are read as signed and sign-extended (View::
+// dist, and _mm256_cvtepi8_epi32 in the AVX2 kernel), so the 0xFF byte
+// in a padding lane reads as kInfDistance exactly as a 4-byte padding
+// lane does, and every reader past the load sees the same u32 values at
+// either width.
+//
 // BLOCKED LAYOUT (cache-conscious microarchitecture): every slot starts
-// on a kLabelBlockEntries (= 16 entries = 64 bytes) boundary and is
-// padded up to a block multiple, with padding lanes holding 0xFFFFFFFF
-// in both arenas. Two sidecar arrays carry, per block, the minimum and
-// maximum real pivot in that block, so the merge-join kernels skip
-// whole non-overlapping blocks from the sidecars alone and process
-// overlapping blocks with full-width SIMD and no scalar tail. Padding
-// is provably inert to the kernels (see label_entry.h). Because a
-// slot's real entries stay contiguous from its aligned start, consumers
-// that walk (pivots, dists, size) directly never read the padding.
+// on a kLabelBlockEntries (= 16 entries = 64 pivot bytes) boundary and
+// is padded up to a block multiple, with padding lanes holding
+// 0xFFFFFFFF pivots and all-ones distances (kInfDistance at either
+// width). Two sidecar arrays carry, per block, the minimum and maximum
+// real pivot in that block, so the merge-join kernels skip whole
+// non-overlapping blocks from the sidecars alone and process
+// overlapping blocks with full-width SIMD and no scalar tail. Padding is
+// provably inert to the kernels (see label_entry.h). Because a slot's
+// real entries stay contiguous from its aligned start, consumers that
+// walk (pivots, dist(i), size) directly never read the padding.
 //
 // Slot layout: out-labels of vertices 0..n-1 occupy slots [0, n); for
 // directed indexes the in-labels follow in slots [n, 2n) — each
 // direction's entries are one contiguous range of the arenas. Within a
 // slot, entries stay strictly sorted by pivot (the TwoHopIndex invariant).
 //
-// A store is frozen once — by Build from label vectors, or slot by slot
-// by FromSlots (the HLI1 loader decodes straight into the arenas) — and
-// never edited: a repair freezes a new store from the updater's vectors
-// (IncrementalUpdater::Finalize). The store
+// A store is frozen once, by FromSlots — slot by slot from the HLI1
+// loader's decoder, or from label vectors through Build (the builders'
+// and IncrementalUpdater::Finalize's freeze) — and never edited: a
+// repair freezes a new store from the updater's vectors. The store
 // has no serialized form of its own: HLI1 (two_hop_index.h) holds its
 // real entries, and HLI2 (labeling/mapped_index.h) is the on-disk image
-// of its arenas.
+// of its arenas, distance lanes at the store's width.
 
 #ifndef HOPDB_LABELING_FLAT_LABEL_STORE_H_
 #define HOPDB_LABELING_FLAT_LABEL_STORE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -53,21 +65,45 @@
 
 namespace hopdb {
 
+/// The largest distance a one-byte lane holds: a store whose distances
+/// are all at most this keeps one-byte lanes (they read back signed, so
+/// 128..255 would turn negative).
+inline constexpr Distance kMaxNarrowDistance = 127;
+
+/// Distance lane i of a distance arena whose lanes are `width` bytes (1
+/// or 4). One-byte lanes sign-extend, so the 0xFF padding byte reads as
+/// kInfDistance.
+inline Distance ReadDistLane(const uint8_t* dists, uint32_t width,
+                             uint64_t i) {
+  if (width == 1) {
+    return static_cast<Distance>(
+        static_cast<int32_t>(static_cast<int8_t>(dists[i])));
+  }
+  uint32_t dist = 0;
+  std::memcpy(&dist, dists + 4 * i, sizeof(dist));
+  return dist;
+}
+
 class FlatLabelStore {
  public:
   /// Non-owning view of one vertex's label in SoA form: pivots[i] pairs
-  /// with dists[i]; pivots are strictly ascending. Valid as long as the
+  /// with dist(i); pivots are strictly ascending. Valid as long as the
   /// store or mapped HLI2 file it came from is alive and unmodified.
   /// Every view carries its slot's per-block pivot sidecars
   /// (block_min/block_max; entry g covers label entries [g*16,
-  /// (g+1)*16)), and its pivot/dist arrays are readable through the
-  /// padded end of the last block.
+  /// (g+1)*16)), and its pivot and distance lanes are readable through
+  /// the padded end of the last block.
   struct View {
     const uint32_t* pivots = nullptr;
-    const uint32_t* dists = nullptr;
+    const uint8_t* dists = nullptr;  // dist_width bytes a lane
     uint32_t size = 0;
+    uint32_t dist_width = 1;  // 1 or 4
     const uint32_t* block_min = nullptr;
     const uint32_t* block_max = nullptr;
+
+    Distance dist(uint64_t i) const {
+      return ReadDistLane(dists, dist_width, i);
+    }
   };
 
   /// Non-owning view over a COMPLETE label set in the flat slot layout
@@ -82,13 +118,14 @@ class FlatLabelStore {
   /// `sizes` the per-slot real entry counts, and `block_min` /
   /// `block_max` the global block sidecars (indexed by
   /// arena_entry / kLabelBlockEntries). There is no packed or
-  /// sidecar-less form.
+  /// sidecar-less form. `dists` holds dist_width bytes a lane.
   struct LabelSetView {
     VertexId num_vertices = 0;
     bool directed = false;
+    uint32_t dist_width = 1;            // 1 or 4
     const uint64_t* offsets = nullptr;  // num_slots() + 1 entries
     const uint32_t* pivots = nullptr;
-    const uint32_t* dists = nullptr;
+    const uint8_t* dists = nullptr;
     const uint32_t* sizes = nullptr;      // num_slots() real entry counts
     const uint32_t* block_min = nullptr;  // per-block pivot minima
     const uint32_t* block_max = nullptr;  // ... and maxima
@@ -99,8 +136,9 @@ class FlatLabelStore {
     View Slot(size_t slot) const {
       const uint64_t begin = offsets[slot];
       const uint64_t block = begin / kLabelBlockEntries;
-      return View{pivots + begin, dists + begin, sizes[slot],
-                  block_min + block, block_max + block};
+      return View{pivots + begin,      dists + begin * dist_width,
+                  sizes[slot],         dist_width,
+                  block_min + block,   block_max + block};
     }
     /// Per-vertex label views, mirroring TwoHopIndex::OutLabel/InLabel:
     /// undirected sets alias In(v) to Out(v).
@@ -113,20 +151,24 @@ class FlatLabelStore {
   FlatLabelStore() = default;
 
   /// Flattens per-vertex label vectors (what builders emit and the
-  /// updater repairs) into the blocked SoA arenas. For undirected
-  /// indexes pass an empty `in`. O(total entries) time, one allocation
-  /// per arena.
+  /// updater repairs) into the blocked SoA arenas, through FromSlots.
+  /// For undirected indexes pass an empty `in`. O(total entries) time.
   static FlatLabelStore Build(const std::vector<LabelVector>& out,
                               const std::vector<LabelVector>& in,
                               bool directed);
 
-  /// Builds a store slot by slot: `sizes` holds every slot's entry count
-  /// (out-labels of 0..n-1, then in-labels when directed), and
-  /// fill(slot, size, pivots, dists) is called once per slot, in slot
-  /// order, to write that slot's `size` (= sizes[slot]) entries. A fill
-  /// that returns an error stops the build, and FromSlots returns that
-  /// error. Then pads the blocks and derives the sidecars.
-  /// O(total entries), one allocation per arena.
+  /// The one freeze. Builds a store slot by slot: `sizes` holds every
+  /// slot's entry count (out-labels of 0..n-1, then in-labels when
+  /// directed), and fill(slot, size, pivots, dists) is called once per
+  /// slot, in slot order, to write that slot's `size` (= sizes[slot])
+  /// pivots into the arena and its distances into `dists`, a scratch
+  /// array of u32 that the store then copies into its lanes. A fill that
+  /// returns an error stops the build, and FromSlots returns that error.
+  /// Each slot is padded and its block sidecars derived as soon as it is
+  /// filled. The lanes start one byte wide; the first distance above
+  /// kMaxNarrowDistance widens the lanes filled so far, once, to 4 bytes
+  /// (the one moment both widths are held). O(total entries), one
+  /// allocation per arena (two for the distances when they widen).
   template <typename Fill>
   static Result<FlatLabelStore> FromSlots(VertexId num_vertices,
                                           bool directed,
@@ -136,14 +178,13 @@ class FlatLabelStore {
     store.directed_ = directed;
     store.num_vertices_ = num_vertices;
     HOPDB_CHECK_EQ(sizes.size(), store.num_slots());
-    store.InitBlockedLayout(std::move(sizes));
+    std::vector<Distance> dists(store.InitBlockedLayout(std::move(sizes)));
     for (size_t slot = 0; slot < store.sizes_.size(); ++slot) {
-      const uint64_t begin = store.offsets_[slot];
       HOPDB_RETURN_NOT_OK(fill(slot, store.sizes_[slot],
-                               store.pivots_.data() + begin,
-                               store.dists_.data() + begin));
+                               store.pivots_.data() + store.offsets_[slot],
+                               dists.data()));
+      store.SealSlot(slot, dists.data());
     }
-    store.FinalizeBlocks();
     return store;
   }
 
@@ -153,6 +194,9 @@ class FlatLabelStore {
   uint64_t TotalEntries() const { return total_entries_; }
   /// Arena entries including block padding; PaddedEntries() / 16 blocks.
   uint64_t PaddedEntries() const { return pivots_.size(); }
+  /// Bytes a distance lane takes: 1 when every distance is at most
+  /// kMaxNarrowDistance, else 4.
+  uint32_t dist_width() const { return dist_width_; }
 
   /// Label views; v must be < num_vertices(). For undirected stores
   /// In(v) aliases Out(v), mirroring TwoHopIndex::InLabel.
@@ -168,9 +212,9 @@ class FlatLabelStore {
   /// mapped indexes). Valid until the store is destroyed or reassigned;
   /// a default-constructed store yields an empty view.
   LabelSetView view() const {
-    return LabelSetView{num_vertices_,  directed_,        offsets_.data(),
-                        pivots_.data(), dists_.data(),    sizes_.data(),
-                        block_min_.data(), block_max_.data()};
+    return LabelSetView{num_vertices_,  directed_,     dist_width_,
+                        offsets_.data(), pivots_.data(), dists_.data(),
+                        sizes_.data(),  block_min_.data(), block_max_.data()};
   }
 
  private:
@@ -178,28 +222,29 @@ class FlatLabelStore {
     return directed_ ? 2 * static_cast<size_t>(num_vertices_)
                      : num_vertices_;
   }
-  View Slot(size_t slot) const {
-    const uint64_t begin = offsets_[slot];
-    const uint64_t block = begin / kLabelBlockEntries;
-    return View{pivots_.data() + begin, dists_.data() + begin, sizes_[slot],
-                block_min_.data() + block, block_max_.data() + block};
-  }
+  View Slot(size_t slot) const { return view().Slot(slot); }
 
   /// Sets sizes_/offsets_/total_entries_ from per-slot counts and
-  /// allocates the padded arenas (contents uninitialized).
-  void InitBlockedLayout(std::vector<uint32_t> sizes);
-  /// After the real entries are written: fills every slot's padding
-  /// lanes with 0xFFFFFFFF and derives the block_min_/block_max_
-  /// sidecars.
-  void FinalizeBlocks();
+  /// allocates the padded arenas and sidecars (contents uninitialized;
+  /// one-byte distance lanes). Returns the largest slot size.
+  uint32_t InitBlockedLayout(std::vector<uint32_t> sizes);
+  /// After fill wrote slot `slot`'s pivots and put its distances in
+  /// `dists`: widens the lanes if a distance needs it, copies the
+  /// distances in, fills the slot's padding lanes (0xFFFFFFFF pivots,
+  /// kInfDistance distances) and derives its block sidecars.
+  void SealSlot(size_t slot, const Distance* dists);
+  /// Re-lays the first `lanes` one-byte distance lanes as 4-byte lanes
+  /// in a new arena, sign-extended, and makes it the store's.
+  void WidenDists(uint64_t lanes);
 
   bool directed_ = false;
   VertexId num_vertices_ = 0;
   uint64_t total_entries_ = 0;
+  uint32_t dist_width_ = 1;
   std::vector<uint64_t> offsets_ = {0};  // num_slots + 1 padded block starts
   std::vector<uint32_t> sizes_;          // num_slots real entry counts
   AlignedU32Array pivots_;
-  AlignedU32Array dists_;
+  AlignedByteArray dists_;     // PaddedEntries() lanes of dist_width_ bytes
   AlignedU32Array block_min_;  // PaddedEntries()/16 per-block pivot minima
   AlignedU32Array block_max_;  // ... and maxima (real pivots only)
 };
@@ -211,8 +256,9 @@ using LabelSetView = FlatLabelStore::LabelSetView;
 /// Read-only view of one frozen label (TwoHopIndex::OutLabel/InLabel)
 /// for code that walks labels entry by entry: size(), empty(),
 /// operator[] and forward iteration, each entry yielded as a LabelEntry
-/// value rebuilt from the two arenas. Same lifetime as the store slot
-/// it views. flat() gives the SoA view the query kernels take.
+/// value rebuilt from the two arenas (its distance widened to u32).
+/// Same lifetime as the store slot it views. flat() gives the SoA view
+/// the query kernels take.
 class LabelView {
  public:
   class Iterator {
@@ -224,10 +270,12 @@ class LabelView {
     using reference = LabelEntry;
 
     Iterator() = default;
-    LabelEntry operator*() const { return {*pivot_, *dist_}; }
+    LabelEntry operator*() const {
+      return {*pivot_, ReadDistLane(dist_, width_, 0)};
+    }
     Iterator& operator++() {
       ++pivot_;
-      ++dist_;
+      dist_ += width_;
       return *this;
     }
     Iterator operator++(int) {
@@ -241,11 +289,14 @@ class LabelView {
 
    private:
     friend class LabelView;
-    Iterator(const uint32_t* pivot, const uint32_t* dist)
-        : pivot_(pivot), dist_(dist) {}
+    Iterator(const FlatLabelStore::View& flat, uint32_t i)
+        : pivot_(flat.pivots + i),
+          dist_(flat.dists + uint64_t{i} * flat.dist_width),
+          width_(flat.dist_width) {}
 
     const uint32_t* pivot_ = nullptr;
-    const uint32_t* dist_ = nullptr;
+    const uint8_t* dist_ = nullptr;
+    uint32_t width_ = 1;
   };
 
   explicit LabelView(FlatLabelStore::View flat) : flat_(flat) {}
@@ -253,12 +304,10 @@ class LabelView {
   size_t size() const { return flat_.size; }
   bool empty() const { return flat_.size == 0; }
   LabelEntry operator[](size_t i) const {
-    return {flat_.pivots[i], flat_.dists[i]};
+    return {flat_.pivots[i], flat_.dist(i)};
   }
-  Iterator begin() const { return Iterator(flat_.pivots, flat_.dists); }
-  Iterator end() const {
-    return Iterator(flat_.pivots + flat_.size, flat_.dists + flat_.size);
-  }
+  Iterator begin() const { return Iterator(flat_, 0); }
+  Iterator end() const { return Iterator(flat_, flat_.size); }
   const FlatLabelStore::View& flat() const { return flat_; }
 
  private:
@@ -279,7 +328,7 @@ void ForEachLabelEntry(const LabelSetView& view, bool in_side, VertexId v,
   const FlatLabelStore::View label = in_side ? view.In(v) : view.Out(v);
   for (uint32_t i = 0; i < label.size; ++i) {
     if (label.pivots[i] < view.num_vertices) {
-      fn(label.pivots[i], label.dists[i]);
+      fn(label.pivots[i], label.dist(i));
     }
   }
 }

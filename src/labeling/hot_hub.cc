@@ -19,7 +19,7 @@ HotHubCache HotHubCache::Build(const LabelSetView& labels, uint32_t k) {
     // internal ids, so the hub-covered entries are exactly a prefix.
     uint32_t i = 0;
     while (i < view.size && view.pivots[i] < k) {
-      row[view.pivots[i]] = view.dists[i];
+      row[view.pivots[i]] = view.dist(i);
       ++i;
     }
     cache.skip_[slot] = i;
@@ -69,15 +69,18 @@ Distance HotHubCache::Query(const LabelSetView& labels, VertexId s, VertexId t,
     // aligned with valid sidecars. Partial boundary blocks re-cover a
     // few hub entries; the duplicates fold to the same minimum
     // (idempotent), never a different one.
-    const uint32_t ba = skip_a / kLabelBlockEntries;
-    const uint32_t bb = skip_b / kLabelBlockEntries;
+    const auto from_block = [](FlatLabelStore::View view, uint32_t block) {
+      const uint32_t skipped = block * kLabelBlockEntries;
+      view.pivots += skipped;
+      view.dists += uint64_t{skipped} * view.dist_width;
+      view.size -= skipped;
+      view.block_min += block;
+      view.block_max += block;
+      return view;
+    };
     const Distance merged = kernel.intersect_blocked(
-        out_s.pivots + ba * kLabelBlockEntries,
-        out_s.dists + ba * kLabelBlockEntries, out_s.block_min + ba,
-        out_s.block_max + ba, out_s.size - ba * kLabelBlockEntries,
-        in_t.pivots + bb * kLabelBlockEntries,
-        in_t.dists + bb * kLabelBlockEntries, in_t.block_min + bb,
-        in_t.block_max + bb, in_t.size - bb * kLabelBlockEntries);
+        from_block(out_s, skip_a / kLabelBlockEntries),
+        from_block(in_t, skip_b / kLabelBlockEntries));
     if (merged < best) best = merged;
   }
   return best;

@@ -32,7 +32,8 @@ using LabelVector = std::vector<LabelEntry>;
 /// Entries per cacheline block in blocked label arenas: 16 u32 pivots
 /// fill one 64-byte cache line. Blocked stores pad every slot to a
 /// multiple of this, keep per-block pivot minima/maxima sidecars, and
-/// fill padding lanes with kInfDistance in both arenas (a padding
+/// fill padding lanes with all-ones bytes in both arenas, so a padding
+/// distance reads as kInfDistance at either lane width (a padding
 /// "match" sums to a wrapping value the kernels' overflow mask kills,
 /// and a padding pivot can never equal a real pivot, which is always
 /// < num_vertices <= 0xFFFFFFFE).

@@ -3,8 +3,8 @@
 #include <cstring>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "io/replacing_writer.h"
 #include "labeling/query_kernel.h"
 #include "util/serde.h"
 
@@ -14,8 +14,9 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'L', 'I', '2'};
 /// The one version written and read: blocked arenas + per-block pivot
-/// sidecars.
-constexpr uint32_t kHli2Version = 2;
+/// sidecars, distance lanes at the width the header's word at offset 20
+/// names (1 or 4 bytes).
+constexpr uint32_t kHli2Version = 3;
 constexpr uint64_t kFlagDirected = 1ull << 0;
 constexpr size_t kHeaderBytes = 128;
 constexpr size_t kHeaderChecksumOff = 64;
@@ -30,14 +31,10 @@ uint64_t AlignUpBlock(uint64_t entries) {
          kLabelBlockEntries;
 }
 
-/// Appends zero bytes until `buf` is kSectionAlign-aligned.
-void PadToAlignment(std::string* buf) {
-  buf->resize(AlignUp(buf->size()), '\0');
-}
-
 struct Header {
   uint64_t flags = 0;
   uint32_t num_vertices = 0;
+  uint32_t dist_width = 0;
   uint64_t total_entries = 0;
   uint64_t padded_entries = 0;
   uint64_t file_size = 0;
@@ -62,14 +59,15 @@ struct Layout {
   uint64_t file_size = 0;
 };
 
-Layout ComputeLayout(uint64_t num_slots, uint64_t n, uint64_t padded) {
+Layout ComputeLayout(uint64_t num_slots, uint64_t n, uint64_t padded,
+                     uint32_t dist_width) {
   const uint64_t blocks = padded / kLabelBlockEntries;
   Layout l;
   l.offsets_off = AlignUp(kHeaderBytes);
   l.sizes_off = AlignUp(l.offsets_off + (num_slots + 1) * sizeof(uint64_t));
   l.pivots_off = AlignUp(l.sizes_off + num_slots * sizeof(uint32_t));
   l.dists_off = AlignUp(l.pivots_off + padded * sizeof(uint32_t));
-  l.block_min_off = AlignUp(l.dists_off + padded * sizeof(uint32_t));
+  l.block_min_off = AlignUp(l.dists_off + padded * dist_width);
   l.block_max_off = AlignUp(l.block_min_off + blocks * sizeof(uint32_t));
   l.rank_to_orig_off = AlignUp(l.block_max_off + blocks * sizeof(uint32_t));
   l.orig_to_rank_off = AlignUp(l.rank_to_orig_off + n * sizeof(uint32_t));
@@ -86,10 +84,12 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
     return Status::InvalidArgument("not an HLI2 index file: " + path);
   }
   const uint32_t version = DecodeU32(data + 4);
-  if (version == 1) {
+  if (version == 1 || version == 2) {
     return Status::InvalidArgument(
-        "HLI2 version 1 (packed layout) is no longer readable; re-create "
-        "the file from its HLI1 index with `hopdb_cli convert`: " + path);
+        "HLI2 version " + std::to_string(version) +
+        (version == 1 ? " (packed layout)" : " (4-byte distance lanes)") +
+        " is no longer readable; re-create the file from its HLI1 index "
+        "with `hopdb_cli convert`: " + path);
   }
   if (version != kHli2Version) {
     return Status::InvalidArgument(
@@ -99,6 +99,7 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
   }
   h->flags = DecodeU64(data + 8);
   h->num_vertices = DecodeU32(data + 16);
+  h->dist_width = DecodeU32(data + 20);
   h->total_entries = DecodeU64(data + 24);
   h->padded_entries = DecodeU64(data + 32);
   h->file_size = DecodeU64(data + 40);
@@ -107,6 +108,11 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
   if (Fnv1a64(data, kHeaderChecksumOff) !=
       DecodeU64(data + kHeaderChecksumOff)) {
     return Status::InvalidArgument("HLI2 header checksum mismatch: " + path);
+  }
+  if (h->dist_width != 1 && h->dist_width != 4) {
+    return Status::InvalidArgument(
+        "HLI2 distance lane width " + std::to_string(h->dist_width) +
+        " (only 1 or 4 is valid): " + path);
   }
   return Status::OK();
 }
@@ -127,86 +133,63 @@ Status MappedIndex::Write(const TwoHopIndex& labels,
   const size_t num_slots = view.num_slots();
   uint64_t total = 0;
   for (size_t s = 0; s < num_slots; ++s) total += view.sizes[s];
+  const uint64_t padded = view.offsets[num_slots];
+  const uint64_t blocks = padded / kLabelBlockEntries;
+  const Layout l = ComputeLayout(num_slots, n, padded, view.dist_width);
 
-  Header h;
-  h.flags = labels.directed() ? kFlagDirected : 0;
-  h.num_vertices = n;
-  h.total_entries = total;
-  h.padded_entries = view.offsets[num_slots];
+  // The sections stream through the writer's window at the offsets the
+  // layout gives them, each preceded by the zero padding that reaches its
+  // 64-byte boundary. The writer hashes as it flushes, so the metadata
+  // checksum (the offset and size tables, then the permutation
+  // sections) and the arena checksum (both arenas and both sidecars)
+  // come from the one write pass, and the header they seal is patched in
+  // over a zero placeholder before the file is synced.
+  static constexpr uint8_t kZeros[kSectionAlign] = {};
+  uint8_t hd[kHeaderBytes] = {};
+  ReplacingWriter out;
+  HOPDB_RETURN_NOT_OK(out.Open(path));
+  uint64_t at = 0;  // bytes put so far
+  // Zero padding up to `off`, less than one section alignment away.
+  const auto pad_to = [&](uint64_t off) {
+    out.Put(kZeros, off - at);
+    at = off;
+  };
+  const auto put_at = [&](uint64_t off, const void* data, uint64_t bytes) {
+    pad_to(off);
+    out.Put(data, bytes);
+    at += bytes;
+  };
+  put_at(0, hd, sizeof(hd));
+  (void)out.TakeHash();
+  put_at(l.offsets_off, view.offsets, (num_slots + 1) * sizeof(uint64_t));
+  put_at(l.sizes_off, view.sizes, num_slots * sizeof(uint32_t));
+  pad_to(l.pivots_off);
+  const uint64_t tables_hash = out.TakeHash();
+  put_at(l.pivots_off, view.pivots, padded * sizeof(uint32_t));
+  put_at(l.dists_off, view.dists, padded * view.dist_width);
+  put_at(l.block_min_off, view.block_min, blocks * sizeof(uint32_t));
+  put_at(l.block_max_off, view.block_max, blocks * sizeof(uint32_t));
+  pad_to(l.rank_to_orig_off);
+  const uint64_t arena_hash = out.TakeHash();
+  put_at(l.rank_to_orig_off, mapping.rank_to_orig.data(),
+         n * sizeof(uint32_t));
+  put_at(l.orig_to_rank_off, mapping.orig_to_rank.data(),
+         n * sizeof(uint32_t));
+  const uint64_t ranks_hash = out.TakeHash();
 
-  std::string buf;
-  buf.resize(kHeaderBytes, '\0');
-
-  const Layout l = ComputeLayout(num_slots, n, h.padded_entries);
-  buf.reserve(l.file_size);
-
-  const size_t offsets_begin = buf.size();
-  for (size_t s = 0; s <= num_slots; ++s) PutU64(&buf, view.offsets[s]);
-  PadToAlignment(&buf);
-  const size_t sizes_begin = buf.size();
-  buf.append(reinterpret_cast<const char*>(view.sizes),
-             num_slots * sizeof(uint32_t));
-  PadToAlignment(&buf);
-  const size_t pivots_begin = buf.size();
-  buf.append(reinterpret_cast<const char*>(view.pivots),
-             h.padded_entries * sizeof(uint32_t));
-  PadToAlignment(&buf);
-  const size_t dists_begin = buf.size();
-  buf.append(reinterpret_cast<const char*>(view.dists),
-             h.padded_entries * sizeof(uint32_t));
-  PadToAlignment(&buf);
-  const uint64_t blocks = h.padded_entries / kLabelBlockEntries;
-  const size_t block_min_begin = buf.size();
-  buf.append(reinterpret_cast<const char*>(view.block_min),
-             blocks * sizeof(uint32_t));
-  PadToAlignment(&buf);
-  const size_t block_max_begin = buf.size();
-  buf.append(reinterpret_cast<const char*>(view.block_max),
-             blocks * sizeof(uint32_t));
-  PadToAlignment(&buf);
-  const size_t rank_to_orig_begin = buf.size();
-  for (VertexId r = 0; r < n; ++r) PutU32(&buf, mapping.rank_to_orig[r]);
-  PadToAlignment(&buf);
-  const size_t orig_to_rank_begin = buf.size();
-  for (VertexId v = 0; v < n; ++v) PutU32(&buf, mapping.orig_to_rank[v]);
-
-  // The layout math and the append cursor must agree exactly.
-  if (offsets_begin != l.offsets_off || sizes_begin != l.sizes_off ||
-      pivots_begin != l.pivots_off || dists_begin != l.dists_off ||
-      block_min_begin != l.block_min_off ||
-      block_max_begin != l.block_max_off ||
-      rank_to_orig_begin != l.rank_to_orig_off ||
-      orig_to_rank_begin != l.orig_to_rank_off ||
-      buf.size() != l.file_size) {
-    return Status::Internal("HLI2 writer layout mismatch");
-  }
-  h.file_size = l.file_size;
-
-  // The metadata checksum folds the offset/size tables in with the
-  // permutation sections so corrupt slot structure or id translation is
-  // caught at open time, not query time; the arena checksum covers both
-  // arenas and both sidecars.
-  h.meta_checksum =
-      Fnv1a64(buf.data() + l.offsets_off, l.pivots_off - l.offsets_off) ^
-      Fnv1a64(buf.data() + l.rank_to_orig_off,
-              l.file_size - l.rank_to_orig_off);
-  h.arena_checksum = Fnv1a64(buf.data() + l.pivots_off,
-                             l.rank_to_orig_off - l.pivots_off);
-
-  uint8_t* hd = reinterpret_cast<uint8_t*>(buf.data());
   std::memcpy(hd, kMagic, 4);
   EncodeU32(kHli2Version, hd + 4);
-  EncodeU64(h.flags, hd + 8);
-  EncodeU32(h.num_vertices, hd + 16);
-  EncodeU32(0, hd + 20);
-  EncodeU64(h.total_entries, hd + 24);
-  EncodeU64(h.padded_entries, hd + 32);
-  EncodeU64(h.file_size, hd + 40);
-  EncodeU64(h.meta_checksum, hd + 48);
-  EncodeU64(h.arena_checksum, hd + 56);
+  EncodeU64(labels.directed() ? kFlagDirected : 0, hd + 8);
+  EncodeU32(n, hd + 16);
+  EncodeU32(view.dist_width, hd + 20);
+  EncodeU64(total, hd + 24);
+  EncodeU64(padded, hd + 32);
+  EncodeU64(l.file_size, hd + 40);
+  EncodeU64(tables_hash ^ ranks_hash, hd + 48);
+  EncodeU64(arena_hash, hd + 56);
   EncodeU64(Fnv1a64(hd, kHeaderChecksumOff), hd + kHeaderChecksumOff);
-
-  return WriteStringToFile(path, buf);
+  out.Patch(0, hd, sizeof(hd));
+  return out.Commit();
 }
 
 Result<MappedIndex> MappedIndex::Open(const std::string& path,
@@ -236,7 +219,7 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
         "or are inconsistent: " + path);
   }
 
-  const Layout l = ComputeLayout(num_slots, n, h.padded_entries);
+  const Layout l = ComputeLayout(num_slots, n, h.padded_entries, h.dist_width);
   if (l.file_size != h.file_size) {
     return Status::InvalidArgument(
         "HLI2 file size disagrees with the canonical layout for "
@@ -291,13 +274,14 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
   index.file_ = std::move(file);
   index.directed_ = directed;
   index.num_vertices_ = h.num_vertices;
+  index.dist_width_ = h.dist_width;
   index.total_entries_ = h.total_entries;
   index.padded_entries_ = h.padded_entries;
   index.arena_checksum_ = h.arena_checksum;
   const uint8_t* data = index.file_.data();
   index.offsets_ = reinterpret_cast<const uint64_t*>(data + l.offsets_off);
   index.pivots_ = reinterpret_cast<const uint32_t*>(data + l.pivots_off);
-  index.dists_ = reinterpret_cast<const uint32_t*>(data + l.dists_off);
+  index.dists_ = data + l.dists_off;
   index.sizes_ = reinterpret_cast<const uint32_t*>(data + l.sizes_off);
   index.block_min_ = reinterpret_cast<const uint32_t*>(data + l.block_min_off);
   index.block_max_ = reinterpret_cast<const uint32_t*>(data + l.block_max_off);

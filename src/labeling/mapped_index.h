@@ -14,42 +14,48 @@
 // copy of the label pages.
 //
 // The file persists the BLOCKED arena layout (flat_label_store.h):
-// every slot's arena range starts on a 16-entry (64-byte) block
-// boundary and is padded up to a block multiple with 0xFFFFFFFF lanes,
-// and two sidecar sections carry each block's minimum/maximum real
-// pivot — so the skip-scan kernels run over the mapping exactly as they
-// do over a heap store, with no load-time reshaping. Version 2 is the
-// only version written or read; Open() rejects a version-1 (packed)
-// header with InvalidArgument pointing at `hopdb_cli convert`.
+// every slot's arena range starts on a 16-entry block boundary and is
+// padded up to a block multiple with all-ones lanes, and two sidecar
+// sections carry each block's minimum/maximum real pivot — so the
+// skip-scan kernels run over the mapping exactly as they do over a heap
+// store, with no load-time reshaping. The distance lanes keep the
+// store's width: 1 byte when every distance is at most 127 (read
+// sign-extended), else 4, named by the header's width word. Version 3
+// is the only version written or read; Open() rejects a version-1
+// (packed) or version-2 (4-byte lanes always) header with
+// InvalidArgument pointing at `hopdb_cli convert`.
 //
-// File layout ("HLI2" version 2, little-endian; byte-exact spec in
+// File layout ("HLI2" version 3, little-endian; byte-exact spec in
 // docs/FORMATS.md):
 //
 //   header (128 bytes):
 //     off   0  magic "HLI2"
-//     off   4  u32 version = 2
+//     off   4  u32 version = 3
 //     off   8  u64 flags                  bit0 = directed
 //     off  16  u32 num_vertices
-//     off  20  u32 reserved (zero)
+//     off  20  u32 dist_width             bytes a distance lane takes:
+//                                         1 or 4 (anything else is
+//                                         refused)
 //     off  24  u64 total_entries          real label entries
 //     off  32  u64 padded_entries         arena entries incl. block
 //                                         padding (multiple of 16)
 //     off  40  u64 file_size              total bytes (truncation check)
-//     off  48  u64 meta_checksum          fnv1a-64 of offsets + sizes +
-//                                         both permutation sections
+//     off  48  u64 meta_checksum          fnv1a-64 of offsets + sizes
+//                                         XOR fnv1a-64 of both
+//                                         permutation sections
 //     off  56  u64 arena_checksum         fnv1a-64 of pivot + dist
 //                                         arenas + both sidecars
 //     off  64  u64 header_checksum        fnv1a-64 of header bytes [0,64)
 //     off  72  zero padding to 128
 //   sections, in canonical order, each 64-byte aligned, with offsets
-//   derived from num_vertices/padded_entries (not stored):
+//   derived from num_vertices/padded_entries/dist_width (not stored):
 //     offsets:      (num_slots + 1) x u64 padded arena entry indices,
 //                   num_slots = 2 * |V| directed, |V| undirected; every
 //                   value a multiple of 16, offsets[num_slots] ==
 //                   padded_entries
 //     sizes:        num_slots x u32 real entry counts
 //     pivots:       padded_entries x u32
-//     dists:        padded_entries x u32
+//     dists:        padded_entries x (i8 | u32), per dist_width
 //     block_min:    padded_entries / 16 x u32 per-block pivot minima
 //     block_max:    padded_entries / 16 x u32 per-block pivot maxima
 //     rank_to_orig: |V| x u32   (rank -> original id)
@@ -100,20 +106,21 @@ class MappedIndex {
   MappedIndex() = default;
 
   /// Serializes `labels` + `mapping` into a new HLI2 file at `path`
-  /// (version 2: blocked arenas + sidecars) from the index's frozen
-  /// store — the labels its queries answer from (two_hop_index.h).
-  /// O(total entries) time and one file write; the written file
-  /// round-trips bit-exactly through Open(). Peak memory is the heap
-  /// index plus one full file image (the sections are checksummed
-  /// before the header is sealed) — convert on a machine that fits
-  /// both; serving needs neither.
+  /// (version 3: blocked arenas + sidecars, distance lanes at the
+  /// store's width) from the index's frozen store — the labels its
+  /// queries answer from (two_hop_index.h). O(total entries) time; the
+  /// written file round-trips bit-exactly through Open(). The sections
+  /// stream through one fixed window into a temporary file beside
+  /// `path`, which is synced and renamed over `path`: a reader sees the
+  /// old file or the new one, and a failed write (IOError) leaves the
+  /// old one and no temporary file.
   static Status Write(const TwoHopIndex& labels, const RankMapping& mapping,
                       const std::string& path);
 
   /// Maps an HLI2 file and validates its metadata (see the integrity
   /// model above). O(|V|) work regardless of label count. Fails with
-  /// InvalidArgument on bad magic/version/structure or checksum
-  /// mismatch (a version-1 header names `hopdb_cli convert`) and
+  /// InvalidArgument on bad magic/version/width/structure or checksum
+  /// mismatch (a version-1 or -2 header names `hopdb_cli convert`) and
   /// IOError when the file cannot be mapped; never crashes on truncated
   /// or corrupt input. The returned index serves queries immediately; no
   /// rehydration step exists.
@@ -131,6 +138,8 @@ class MappedIndex {
   uint64_t TotalEntries() const { return total_entries_; }
   /// Arena entries including block padding.
   uint64_t PaddedEntries() const { return padded_entries_; }
+  /// Bytes a distance lane takes (1 or 4), as the frozen store chose.
+  uint32_t dist_width() const { return dist_width_; }
   const std::string& path() const { return file_.path(); }
 
   /// Exact distance between ORIGINAL vertex ids (the embedded
@@ -158,8 +167,9 @@ class MappedIndex {
   /// is alive and unmoved. Views carry the per-slot sizes and block
   /// sidecars, routing queries through the skip-scan kernels.
   LabelSetView labels() const {
-    return LabelSetView{num_vertices_, directed_, offsets_,   pivots_,
-                        dists_,        sizes_,    block_min_, block_max_};
+    return LabelSetView{num_vertices_, directed_, dist_width_,
+                        offsets_,      pivots_,   dists_,
+                        sizes_,        block_min_, block_max_};
   }
 
   /// Size of the whole mapping in bytes (== file size).
@@ -181,13 +191,14 @@ class MappedIndex {
   MmapFile file_;
   bool directed_ = false;
   VertexId num_vertices_ = 0;
+  uint32_t dist_width_ = 1;
   uint64_t total_entries_ = 0;
   uint64_t padded_entries_ = 0;
   uint64_t arena_checksum_ = 0;
   // Typed section pointers into the mapping.
   const uint64_t* offsets_ = nullptr;
   const uint32_t* pivots_ = nullptr;
-  const uint32_t* dists_ = nullptr;
+  const uint8_t* dists_ = nullptr;
   const uint32_t* sizes_ = nullptr;
   const uint32_t* block_min_ = nullptr;
   const uint32_t* block_max_ = nullptr;

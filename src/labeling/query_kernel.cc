@@ -4,6 +4,8 @@
 #include <atomic>
 #include <vector>
 
+#include "util/logging.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define HOPDB_X86_KERNELS 1
 #include <immintrin.h>
@@ -15,6 +17,8 @@ namespace hopdb {
 
 namespace {
 
+using View = FlatLabelStore::View;
+
 // ---------------------------------------------------------------------------
 // Blocked merge, scalar. The outer loop walks the per-block pivot
 // min/max sidecars and advances past a block as soon as its range
@@ -24,45 +28,43 @@ namespace {
 // back to a bounded two-pointer merge over their real entries. The
 // block-advance rule — advance whichever block's maximum real pivot is
 // smaller, both on equal — is the same exhaustiveness argument as the
-// SIMD all-pairs merge.
+// SIMD all-pairs merge. Instantiated per distance-lane width.
 // ---------------------------------------------------------------------------
 
 inline uint32_t NumBlocks(uint32_t size) {
   return (size + kLabelBlockEntries - 1) / kLabelBlockEntries;
 }
 
-Distance IntersectBlockedScalar(const uint32_t* ap, const uint32_t* ad,
-                                const uint32_t* abmin, const uint32_t* abmax,
-                                uint32_t an, const uint32_t* bp,
-                                const uint32_t* bd, const uint32_t* bbmin,
-                                const uint32_t* bbmax, uint32_t bn) {
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
+template <uint32_t kWidth>
+Distance IntersectBlockedScalar(const View& a, const View& b) {
+  const uint32_t nba = NumBlocks(a.size);
+  const uint32_t nbb = NumBlocks(b.size);
   Distance best = kInfDistance;
   uint32_t ba = 0, bb = 0;
   while (ba < nba && bb < nbb) {
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
+    const uint32_t amax = a.block_max[ba];
+    const uint32_t bmax = b.block_max[bb];
+    if (amax < b.block_min[bb]) {
       ++ba;
       continue;
     }
-    if (bmax < abmin[ba]) {
+    if (bmax < a.block_min[ba]) {
       ++bb;
       continue;
     }
     const size_t i0 = static_cast<size_t>(ba) * kLabelBlockEntries;
     const size_t j0 = static_cast<size_t>(bb) * kLabelBlockEntries;
     size_t i = i0, j = j0;
-    const size_t ie = std::min<size_t>(an, i0 + kLabelBlockEntries);
-    const size_t je = std::min<size_t>(bn, j0 + kLabelBlockEntries);
+    const size_t ie = std::min<size_t>(a.size, i0 + kLabelBlockEntries);
+    const size_t je = std::min<size_t>(b.size, j0 + kLabelBlockEntries);
     while (i < ie && j < je) {
-      if (ap[i] == bp[j]) {
-        const Distance d = SaturatingAdd(ad[i], bd[j]);
+      if (a.pivots[i] == b.pivots[j]) {
+        const Distance d = SaturatingAdd(ReadDistLane(a.dists, kWidth, i),
+                                         ReadDistLane(b.dists, kWidth, j));
         if (d < best) best = d;
         ++i;
         ++j;
-      } else if (ap[i] < bp[j]) {
+      } else if (a.pivots[i] < b.pivots[j]) {
         ++i;
       } else {
         ++j;
@@ -74,7 +76,13 @@ Distance IntersectBlockedScalar(const uint32_t* ap, const uint32_t* ad,
   return best;
 }
 
-constexpr QueryKernel kScalarKernel{"scalar", &IntersectBlockedScalar};
+Distance IntersectScalar(const View& a, const View& b) {
+  HOPDB_DCHECK_EQ(a.dist_width, b.dist_width);
+  return a.dist_width == 1 ? IntersectBlockedScalar<1>(a, b)
+                           : IntersectBlockedScalar<4>(a, b);
+}
+
+constexpr QueryKernel kScalarKernel{"scalar", &IntersectScalar};
 
 #if HOPDB_X86_KERNELS
 
@@ -113,39 +121,52 @@ HorizontalMinU32(__m256i v) {
   return best;
 }
 
+/// Eight distance lanes as u32: one-byte lanes sign-extend, so the 0xFF
+/// padding byte becomes kInfDistance as a 4-byte padding lane is.
+template <uint32_t kWidth>
+__attribute__((target("avx2"))) inline __m256i LoadDists8(
+    const uint8_t* dists) {
+  if constexpr (kWidth == 1) {
+    return _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(dists)));
+  } else {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Blocked merge, AVX2: sidecar-driven outer loop, 16x16 all-pairs inner
 // fold as a 2x2 tile of 8-lane folds with a cheap sub-block range check
 // to skip tiles whose pivot ranges are disjoint. Padding lanes are
 // inert, so the fold always runs at full width — no scalar tail at all.
+// Instantiated per distance-lane width.
 // ---------------------------------------------------------------------------
 
+template <uint32_t kWidth>
 __attribute__((target("avx2"))) Distance
-IntersectBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
-                     const uint32_t* abmin, const uint32_t* abmax,
-                     uint32_t an, const uint32_t* bp, const uint32_t* bd,
-                     const uint32_t* bbmin, const uint32_t* bbmax,
-                     uint32_t bn) {
-  const uint32_t nba = NumBlocks(an);
-  const uint32_t nbb = NumBlocks(bn);
+IntersectBlockedAvx2(const View& a, const View& b) {
+  const uint32_t nba = NumBlocks(a.size);
+  const uint32_t nbb = NumBlocks(b.size);
   __m256i best = _mm256_set1_epi32(-1);
   const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
   uint32_t ba = 0, bb = 0;
   while (ba < nba && bb < nbb) {
-    const uint32_t amax = abmax[ba];
-    const uint32_t bmax = bbmax[bb];
-    if (amax < bbmin[bb]) {
+    const uint32_t amax = a.block_max[ba];
+    const uint32_t bmax = b.block_max[bb];
+    if (amax < b.block_min[bb]) {
       ++ba;
       continue;
     }
-    if (bmax < abmin[ba]) {
+    if (bmax < a.block_min[ba]) {
       ++bb;
       continue;
     }
-    const uint32_t* pa = ap + static_cast<size_t>(ba) * kLabelBlockEntries;
-    const uint32_t* da = ad + static_cast<size_t>(ba) * kLabelBlockEntries;
-    const uint32_t* pb = bp + static_cast<size_t>(bb) * kLabelBlockEntries;
-    const uint32_t* db = bd + static_cast<size_t>(bb) * kLabelBlockEntries;
+    const size_t i0 = static_cast<size_t>(ba) * kLabelBlockEntries;
+    const size_t j0 = static_cast<size_t>(bb) * kLabelBlockEntries;
+    const uint32_t* pa = a.pivots + i0;
+    const uint8_t* da = a.dists + i0 * kWidth;
+    const uint32_t* pb = b.pivots + j0;
+    const uint8_t* db = b.dists + j0 * kWidth;
     for (int sa = 0; sa < 2; ++sa) {
       const uint32_t alo = pa[8 * sa];
       const uint32_t ahi = pa[8 * sa + 7];
@@ -156,14 +177,12 @@ IntersectBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
         if (!loaded) {
           va_p = _mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(pa + 8 * sa));
-          va_d = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(da + 8 * sa));
+          va_d = LoadDists8<kWidth>(da + 8 * sa * kWidth);
           loaded = true;
         }
         const __m256i vb_p = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(pb + 8 * sb));
-        const __m256i vb_d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(db + 8 * sb));
+        const __m256i vb_d = LoadDists8<kWidth>(db + 8 * sb * kWidth);
         best = FoldMatches8(va_p, va_d, vb_p, vb_d, best, rot1);
       }
     }
@@ -173,7 +192,13 @@ IntersectBlockedAvx2(const uint32_t* ap, const uint32_t* ad,
   return HorizontalMinU32(best);
 }
 
-constexpr QueryKernel kAvx2Kernel{"avx2", &IntersectBlockedAvx2};
+Distance IntersectAvx2(const View& a, const View& b) {
+  HOPDB_DCHECK_EQ(a.dist_width, b.dist_width);
+  return a.dist_width == 1 ? IntersectBlockedAvx2<1>(a, b)
+                           : IntersectBlockedAvx2<4>(a, b);
+}
+
+constexpr QueryKernel kAvx2Kernel{"avx2", &IntersectAvx2};
 
 #endif  // HOPDB_X86_KERNELS
 
@@ -224,7 +249,7 @@ Distance LookupPivotFlat(FlatLabelStore::View label, VertexId pivot) {
       hi = mid;
     }
   }
-  if (lo < label.size && label.pivots[lo] == pivot) return label.dists[lo];
+  if (lo < label.size && label.pivots[lo] == pivot) return label.dist(lo);
   return kInfDistance;
 }
 
@@ -232,9 +257,7 @@ Distance QueryFlatHalves(FlatLabelStore::View out_s,
                          FlatLabelStore::View in_t, VertexId s, VertexId t,
                          const QueryKernel& kernel) {
   if (s == t) return 0;
-  Distance best = kernel.intersect_blocked(
-      out_s.pivots, out_s.dists, out_s.block_min, out_s.block_max, out_s.size,
-      in_t.pivots, in_t.dists, in_t.block_min, in_t.block_max, in_t.size);
+  Distance best = kernel.intersect_blocked(out_s, in_t);
   // Implicit trivial pivots: (s, 0) in Lout(s) and (t, 0) in Lin(t).
   const Distance direct_t = LookupPivotFlat(out_s, t);
   if (direct_t < best) best = direct_t;

@@ -18,7 +18,14 @@
 // minimum, then advance the block whose maximum pivot is smaller. Both
 // kernels return bit-identical results — including kInfDistance
 // saturation on d1+d2 overflow — which the test suite verifies pairwise
-// on randomized labels.
+// on randomized labels at both distance-lane widths.
+//
+// Each kernel body is written once and instantiated per distance-lane
+// width (flat_label_store.h): one-byte lanes are sign-extended to u32 as
+// they are loaded (int8_t in the scalar body, _mm256_cvtepi8_epi32 in
+// the AVX2 one), so the fold, its overflow mask and the padding rules
+// see the same u32 values at either width. The entry point picks the
+// instance from the views' width.
 //
 // The other label layout has one scalar merge in the module that owns
 // it, with no dispatch (AVX2 lost to scalar there): LabelEntry spans
@@ -57,18 +64,14 @@ struct QueryKernel {
   /// sidecars (FlatLabelStore::View::block_min/block_max; one entry per
   /// kLabelBlockEntries-entry block). Non-overlapping blocks are skipped
   /// from the sidecars alone; overlapping blocks are compared all-pairs
-  /// at full SIMD width with no scalar tail — both arenas must be
-  /// readable through the padded end of the last block, with padding
-  /// lanes holding 0xFFFFFFFF (see label_entry.h for why padding is
-  /// inert). Bit-identical to IntersectLabels on the same labels.
-  Distance (*intersect_blocked)(const uint32_t* a_pivots,
-                                const uint32_t* a_dists,
-                                const uint32_t* a_block_min,
-                                const uint32_t* a_block_max, uint32_t a_size,
-                                const uint32_t* b_pivots,
-                                const uint32_t* b_dists,
-                                const uint32_t* b_block_min,
-                                const uint32_t* b_block_max, uint32_t b_size);
+  /// at full SIMD width with no scalar tail — both views' pivot and
+  /// distance lanes must be readable through the padded end of the last
+  /// block, with padding lanes all ones (see label_entry.h for why
+  /// padding is inert). The two views must have one dist_width, as any
+  /// two slots of one label set do. Bit-identical to IntersectLabels on
+  /// the same labels.
+  Distance (*intersect_blocked)(const FlatLabelStore::View& a,
+                                const FlatLabelStore::View& b);
 };
 
 /// Kernels this binary can run on this CPU: the scalar reference first,

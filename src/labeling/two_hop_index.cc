@@ -1,21 +1,16 @@
 #include "labeling/two_hop_index.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/ranking.h"
 #include "io/block_file.h"
+#include "io/replacing_writer.h"
 #include "io/window_reader.h"
 #include "labeling/query_kernel.h"
 #include "util/logging.h"
@@ -70,120 +65,6 @@ Status DecodeVarints(WindowReader* reader, uint64_t limit, size_t max_bytes,
   }
   return Status::OK();
 }
-
-/// Writes a file through one fixed window (kLoadWindowBytes, the window
-/// Load reads through) into a temporary file beside its target, chaining
-/// FNV-1a-64 over each window it flushes. Commit() appends that checksum,
-/// fsyncs the file, renames it over the target and fsyncs the directory,
-/// so a reader of the target sees the old file or the new one, never a
-/// torn one. A writer destroyed before its rename removes its temporary
-/// file, leaving the target as it was. The first failed write is kept
-/// (the puts after it are dropped) and Commit() returns it.
-class ReplacingWriter {
- public:
-  ReplacingWriter() : window_(new uint8_t[kLoadWindowBytes]) {}
-  ~ReplacingWriter() {
-    if (fd_ >= 0) ::close(fd_);
-    if (!temp_.empty()) ::unlink(temp_.c_str());
-  }
-  ReplacingWriter(const ReplacingWriter&) = delete;
-  ReplacingWriter& operator=(const ReplacingWriter&) = delete;
-
-  /// Creates the temporary file, `<path>.tmp-<pid>-<n>`, with the mode a
-  /// new file at `path` would get.
-  Status Open(const std::string& path) {
-    static std::atomic<uint64_t> next_temp{0};
-    path_ = path;
-    for (int attempt = 0; fd_ < 0; ++attempt) {
-      temp_ = path + ".tmp-" + std::to_string(::getpid()) + "-" +
-              std::to_string(next_temp++);
-      fd_ = ::open(temp_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
-                   0666);
-      if (fd_ < 0 && (errno != EEXIST || attempt == 100)) {
-        const Status failed = Error("open failed for", temp_);
-        temp_.clear();
-        return failed;
-      }
-    }
-    return Status::OK();
-  }
-
-  void Put(const void* bytes, size_t n) {
-    Room(n);
-    std::memcpy(window_.get() + used_, bytes, n);
-    used_ += n;
-  }
-  void PutU32(uint32_t v) {
-    Room(4);
-    EncodeU32(v, window_.get() + used_);
-    used_ += 4;
-  }
-  void PutVarint(uint32_t v) {
-    Room(kMaxVarint32Bytes);
-    used_ += EncodeVarint32(v, window_.get() + used_);
-  }
-
-  Status Commit() {
-    Flush();
-    uint8_t checksum[8];
-    EncodeU64(hash_, checksum);
-    if (status_.ok()) status_ = WriteAll(checksum, sizeof(checksum));
-    HOPDB_RETURN_NOT_OK(status_);
-    if (::fsync(fd_) != 0) return Error("fsync failed for", temp_);
-    const int closed = ::close(fd_);
-    fd_ = -1;
-    if (closed != 0) return Error("close failed for", temp_);
-    if (::rename(temp_.c_str(), path_.c_str()) != 0) {
-      return Error("rename over its target failed for", temp_);
-    }
-    temp_.clear();
-    const size_t slash = path_.find_last_of('/');
-    const std::string dir = slash == std::string::npos ? "."
-                            : slash == 0 ? "/"
-                                         : path_.substr(0, slash);
-    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dir_fd < 0) return Error("open failed for directory", dir);
-    const int synced = ::fsync(dir_fd);
-    ::close(dir_fd);
-    if (synced != 0) return Error("fsync failed for directory", dir);
-    return Status::OK();
-  }
-
- private:
-  /// An IOError naming `file` and the errno the failed call just set.
-  static Status Error(const char* what, const std::string& file) {
-    const int err = errno;
-    return Status::IOError(std::string(what) + " " + file + ": " +
-                           std::strerror(err));
-  }
-
-  void Room(size_t n) {
-    if (kLoadWindowBytes - used_ < n) Flush();
-  }
-  void Flush() {
-    if (status_.ok()) status_ = WriteAll(window_.get(), used_);
-    hash_ = Fnv1a64(window_.get(), used_, hash_);
-    used_ = 0;
-  }
-  Status WriteAll(const uint8_t* bytes, size_t n) {
-    while (n > 0) {
-      const ssize_t put = ::write(fd_, bytes, n);
-      if (put < 0 && errno == EINTR) continue;
-      if (put <= 0) return Error("write failed for", temp_);
-      bytes += put;
-      n -= static_cast<size_t>(put);
-    }
-    return Status::OK();
-  }
-
-  std::unique_ptr<uint8_t[]> window_;
-  size_t used_ = 0;
-  uint64_t hash_ = kFnv1a64Basis;
-  Status status_;
-  int fd_ = -1;
-  std::string path_;
-  std::string temp_;  // empty once renamed, or when none was made
-};
 
 }  // namespace
 
@@ -250,7 +131,7 @@ Status TwoHopIndex::Validate(bool ranked) const {
         if (pivot == v) return fail("stores a trivial self entry");
         if (pivot >= n) return fail("has pivot out of range");
         if (ranked && pivot > v) return fail("has pivot ranked below owner");
-        if (l.dists[i] == 0 || l.dists[i] == kInfDistance) {
+        if (l.dist(i) == 0 || l.dist(i) == kInfDistance) {
           return fail("has bad distance");
         }
       }
@@ -288,11 +169,12 @@ Status TwoHopIndex::Save(const std::string& path,
             "pivot (slot " + std::to_string(slot) + ")");
       }
       out.PutVarint(static_cast<uint32_t>(l.pivots[i] - next));
-      out.PutVarint(l.dists[i]);
+      out.PutVarint(l.dist(i));
       next = uint64_t{l.pivots[i]} + 1;
     }
   }
   for (const VertexId v : ranking.rank_to_orig) out.PutU32(v);
+  out.PutU64(out.TakeHash());
   HOPDB_RETURN_NOT_OK(out.Commit());
   return RemoveFileIfExists(path + ".perm");
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -205,16 +206,18 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out,
       GetUintFlag(*flags, "threads", &options.build.num_threads));
   HOPDB_ASSIGN_OR_RETURN(options.build.time_budget_seconds,
                          flags->GetDouble("budget"));
+  const std::string order_name = flags->GetString("order");
+  std::optional<OrderStrategy> order;
+  if (order_name != "auto") {
+    HOPDB_ASSIGN_OR_RETURN(order, ParseOrder(order_name));
+  }
 
   HOPDB_ASSIGN_OR_RETURN(
       CsrGraph graph,
       Input(LoadCsrGraph(graph_path, directed, weighted), refused));
-  const std::string order_name = flags->GetString("order");
-  if (order_name != "auto") {
-    HOPDB_ASSIGN_OR_RETURN(OrderStrategy strategy, ParseOrder(order_name));
+  if (order.has_value()) {
     options.ranking = HopDbOptions::Ranking::kCustom;
-    HOPDB_ASSIGN_OR_RETURN(options.custom_order,
-                           ComputeOrder(graph, strategy));
+    HOPDB_ASSIGN_OR_RETURN(options.custom_order, ComputeOrder(graph, *order));
   }
 
   // Build progress: one build_iteration event per rule iteration on
@@ -264,6 +267,15 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out,
   }
   HOPDB_ASSIGN_OR_RETURN(const uint64_t random_n, flags->GetUint("random"));
   HOPDB_ASSIGN_OR_RETURN(const uint64_t seed, flags->GetUint("seed"));
+  uint64_t src = 0, dst = 0;
+  if (random_n == 0) {
+    if (flags->GetString("src").empty() || flags->GetString("dst").empty()) {
+      return Status::InvalidArgument(
+          "query requires --src and --dst (or --random N)");
+    }
+    HOPDB_ASSIGN_OR_RETURN(src, flags->GetUint("src"));
+    HOPDB_ASSIGN_OR_RETURN(dst, flags->GetUint("dst"));
+  }
   HOPDB_ASSIGN_OR_RETURN(HopDbIndex index,
                          Input(HopDbIndex::Load(index_path), refused));
 
@@ -296,16 +308,10 @@ Status CmdQuery(CliFlags* flags, int argc, char** argv, std::ostream& out,
     return Status::OK();
   }
 
-  if (flags->GetString("src").empty() || flags->GetString("dst").empty()) {
-    return Status::InvalidArgument(
-        "query requires --src and --dst (or --random N)");
-  }
-  HOPDB_ASSIGN_OR_RETURN(const uint64_t s, flags->GetUint("src"));
-  HOPDB_ASSIGN_OR_RETURN(const uint64_t t, flags->GetUint("dst"));
-  if (s >= index.num_vertices() || t >= index.num_vertices()) {
+  if (src >= index.num_vertices() || dst >= index.num_vertices()) {
     return Status::InvalidArgument("vertex id out of range");
   }
-  print_one(static_cast<VertexId>(s), static_cast<VertexId>(t));
+  print_one(static_cast<VertexId>(src), static_cast<VertexId>(dst));
   return Status::OK();
 }
 

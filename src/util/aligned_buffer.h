@@ -10,38 +10,42 @@
 #include <cstdint>
 #include <cstring>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 namespace hopdb {
 
-/// Fixed-size uint32 array whose storage is aligned to kAlignment bytes.
-/// There is no resize or growth path — callers size the array at
-/// construction — which keeps the invariant "data() is 64-byte aligned
-/// for the buffer's whole lifetime" trivially true. Deep-copyable and
-/// movable; a moved-from buffer is empty.
-class AlignedU32Array {
+/// Fixed-size array of trivially copyable T whose storage is aligned to
+/// kAlignment bytes. There is no resize or growth path — callers size
+/// the array at construction — which keeps the invariant "data() is
+/// 64-byte aligned for the buffer's whole lifetime" trivially true.
+/// Deep-copyable and movable; a moved-from buffer is empty.
+template <typename T>
+class AlignedArray {
+  static_assert(std::is_trivially_copyable_v<T>);
+
  public:
   static constexpr size_t kAlignment = 64;
 
-  AlignedU32Array() = default;
-  explicit AlignedU32Array(size_t size) { Allocate(size); }
+  AlignedArray() = default;
+  explicit AlignedArray(size_t size) { Allocate(size); }
 
-  AlignedU32Array(const AlignedU32Array& other) {
+  AlignedArray(const AlignedArray& other) {
     Allocate(other.size_);
-    if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(uint32_t));
+    if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(T));
   }
-  AlignedU32Array& operator=(const AlignedU32Array& other) {
+  AlignedArray& operator=(const AlignedArray& other) {
     if (this != &other) {
-      AlignedU32Array copy(other);
+      AlignedArray copy(other);
       *this = std::move(copy);
     }
     return *this;
   }
 
-  AlignedU32Array(AlignedU32Array&& other) noexcept
+  AlignedArray(AlignedArray&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
         size_(std::exchange(other.size_, 0)) {}
-  AlignedU32Array& operator=(AlignedU32Array&& other) noexcept {
+  AlignedArray& operator=(AlignedArray&& other) noexcept {
     if (this != &other) {
       Free();
       data_ = std::exchange(other.data_, nullptr);
@@ -50,25 +54,24 @@ class AlignedU32Array {
     return *this;
   }
 
-  ~AlignedU32Array() { Free(); }
+  ~AlignedArray() { Free(); }
 
-  uint32_t* data() { return data_; }
-  const uint32_t* data() const { return data_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  uint32_t& operator[](size_t i) { return data_[i]; }
-  uint32_t operator[](size_t i) const { return data_[i]; }
+  T& operator[](size_t i) { return data_[i]; }
+  T operator[](size_t i) const { return data_[i]; }
 
-  uint64_t SizeBytes() const { return size_ * sizeof(uint32_t); }
+  uint64_t SizeBytes() const { return size_ * sizeof(T); }
 
  private:
   void Allocate(size_t size) {
     size_ = size;
     data_ = size == 0 ? nullptr
-                      : static_cast<uint32_t*>(::operator new(
-                            size * sizeof(uint32_t),
-                            std::align_val_t(kAlignment)));
+                      : static_cast<T*>(::operator new(
+                            size * sizeof(T), std::align_val_t(kAlignment)));
   }
   void Free() {
     if (data_ != nullptr) {
@@ -78,9 +81,12 @@ class AlignedU32Array {
     size_ = 0;
   }
 
-  uint32_t* data_ = nullptr;
+  T* data_ = nullptr;
   size_t size_ = 0;
 };
+
+using AlignedU32Array = AlignedArray<uint32_t>;
+using AlignedByteArray = AlignedArray<uint8_t>;
 
 }  // namespace hopdb
 

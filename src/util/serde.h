@@ -127,10 +127,10 @@ Status ReadFileToString(const std::string& path, std::string* out);
 
 /// Writes `data` to `path` in place: fopen ("wb", truncating any existing
 /// file), fwrite, fclose. There is no fsync and no rename, so a crash or
-/// a failed write can leave a torn or empty file behind. HLI1's
-/// TwoHopIndex::Save replaces its file atomically instead; the HLI2 and
-/// HDI1 writers still end here (crash-atomic writes for them are ROADMAP
-/// item 8).
+/// a failed write can leave a torn or empty file behind. The index
+/// writers (HLI1's TwoHopIndex::Save, HLI2's MappedIndex::Write) replace
+/// their files atomically instead (io/replacing_writer.h); the HDI1 and
+/// HGR1 writers still end here.
 Status WriteStringToFile(const std::string& path, const std::string& data);
 
 /// Removes a file if it exists; missing files are not an error.

@@ -262,6 +262,29 @@ TEST(CliTest, BuildRejectsBadMode) {
   EXPECT_NE(err.find("unknown --mode"), std::string::npos);
 }
 
+// Flag values are checked before any input is read, so a misspelt flag
+// reports itself at once, even when the input it names is missing too.
+TEST(CliTest, FlagErrorsComeBeforeInputsAreRead) {
+  std::string err;
+  EXPECT_EQ(RunTool({"build", "--graph", "/nonexistent/g.txt", "--order",
+                     "bogus", "--out", "/nonexistent/i.hli"},
+                    nullptr, &err),
+            1);
+  EXPECT_NE(err.find("--order"), std::string::npos) << err;
+  EXPECT_NE(err.find("bogus"), std::string::npos) << err;
+  EXPECT_EQ(err.find("IOError"), std::string::npos) << err;
+
+  err.clear();
+  EXPECT_EQ(RunTool({"query", "--index", "/nonexistent/idx", "--src", "x1",
+                     "--dst", "2"},
+                    nullptr, &err),
+            1);
+  EXPECT_NE(err.find("flag --src wants a non-negative integer"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("IOError"), std::string::npos) << err;
+}
+
 TEST(CliTest, QueryMissingIndexFileFails) {
   std::string err;
   EXPECT_EQ(RunTool({"query", "--index", "/nonexistent/idx", "--random", "5"},

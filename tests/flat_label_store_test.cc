@@ -1,9 +1,11 @@
 // FlatLabelStore: a frozen store reproduces the label vectors it was
-// built from, degenerate inputs freeze cleanly, and a TwoHopIndex that
-// goes through HLI1 save/load re-freezes an identical store.
+// built from, picks its distance-lane width from them, degenerate inputs
+// freeze cleanly, and a TwoHopIndex that goes through HLI1 save/load
+// re-freezes an identical store.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <string>
@@ -42,7 +44,7 @@ void ExpectViewsEqual(const LabelSetView& a, const LabelSetView& b) {
     ASSERT_EQ(va.size, vb.size) << side << " label of " << v;
     for (uint32_t i = 0; i < va.size; ++i) {
       ASSERT_EQ(va.pivots[i], vb.pivots[i]) << side << " label of " << v;
-      ASSERT_EQ(va.dists[i], vb.dists[i]) << side << " label of " << v;
+      ASSERT_EQ(va.dist(i), vb.dist(i)) << side << " label of " << v;
     }
   };
   for (VertexId v = 0; v < a.num_vertices; ++v) {
@@ -60,14 +62,14 @@ void ExpectMatchesVectors(const FlatLabelStore& store,
     ASSERT_EQ(view.size, out[v].size()) << "out label of " << v;
     for (uint32_t i = 0; i < view.size; ++i) {
       ASSERT_EQ(view.pivots[i], out[v][i].pivot);
-      ASSERT_EQ(view.dists[i], out[v][i].dist);
+      ASSERT_EQ(view.dist(i), out[v][i].dist);
     }
     const std::vector<LabelVector>& in_side = store.directed() ? in : out;
     const FlatLabelStore::View iview = store.In(v);
     ASSERT_EQ(iview.size, in_side[v].size()) << "in label of " << v;
     for (uint32_t i = 0; i < iview.size; ++i) {
       ASSERT_EQ(iview.pivots[i], in_side[v][i].pivot);
-      ASSERT_EQ(iview.dists[i], in_side[v][i].dist);
+      ASSERT_EQ(iview.dist(i), in_side[v][i].dist);
     }
   }
 }
@@ -113,6 +115,93 @@ TEST(FlatLabelStoreTest, DegenerateStores) {
   const FlatLabelStore single = FlatLabelStore::Build(one, {}, false);
   ExpectMatchesVectors(single, one, {});
   EXPECT_EQ(single.PaddedEntries(), kLabelBlockEntries);
+}
+
+/// Every padding lane of every slot reads as an all-ones pivot and as
+/// kInfDistance through dist(i).
+void ExpectInertPadding(const FlatLabelStore& store) {
+  for (VertexId v = 0; v < store.num_vertices(); ++v) {
+    for (const FlatLabelStore::View view : {store.Out(v), store.In(v)}) {
+      const uint32_t padded =
+          (view.size + kLabelBlockEntries - 1) / kLabelBlockEntries *
+          kLabelBlockEntries;
+      for (uint32_t i = view.size; i < padded; ++i) {
+        ASSERT_EQ(view.pivots[i], kInvalidVertex) << "vertex " << v;
+        ASSERT_EQ(view.dist(i), kInfDistance) << "vertex " << v;
+      }
+    }
+  }
+}
+
+// The freeze sizes the distance lanes from the labels alone: one byte
+// while every distance is at most 127, four once a distance of 128
+// arrives — here in the last slot, after narrow slots were filled, so
+// the widening re-lays them — and one byte for a store with no entries.
+TEST(FlatLabelStoreTest, LaneWidthComesFromTheLabels) {
+  std::vector<LabelVector> narrow(4);
+  narrow[1] = {{0, 127}};
+  narrow[2] = {{0, 1}, {1, 127}};
+  narrow[3] = {{0, 3}, {1, 2}, {2, 127}};
+  const FlatLabelStore one = FlatLabelStore::Build(narrow, {}, false);
+  EXPECT_EQ(one.dist_width(), 1u);
+  EXPECT_EQ(one.view().dist_width, 1u);
+  ExpectMatchesVectors(one, narrow, {});
+  ExpectInertPadding(one);
+
+  std::vector<LabelVector> wide = narrow;
+  wide[3][1].dist = 128;
+  const FlatLabelStore four = FlatLabelStore::Build(wide, {}, false);
+  EXPECT_EQ(four.dist_width(), 4u);
+  EXPECT_EQ(four.view().dist_width, 4u);
+  ExpectMatchesVectors(four, wide, {});
+  ExpectInertPadding(four);
+  // Same slots, same pivots: only the distance lanes grow, 3 B a lane.
+  EXPECT_EQ(four.SizeBytes() - one.SizeBytes(), 3 * one.PaddedEntries());
+
+  // The first slot widens before any lane is filled; directed stores
+  // widen across both sides.
+  std::vector<LabelVector> in(4);
+  in[0] = {{2, 200}};
+  in[1] = {{0, 5}};
+  const FlatLabelStore directed = FlatLabelStore::Build(narrow, in, true);
+  EXPECT_EQ(directed.dist_width(), 4u);
+  ExpectMatchesVectors(directed, narrow, in);
+  ExpectInertPadding(directed);
+
+  EXPECT_EQ(FlatLabelStore::Build({}, {}, false).dist_width(), 1u);
+  EXPECT_EQ(FlatLabelStore().dist_width(), 1u);
+  EXPECT_EQ(
+      FlatLabelStore::Build(std::vector<LabelVector>(3), {}, false)
+          .dist_width(),
+      1u);
+}
+
+// Random stores at either width: the padding lanes stay inert after any
+// widening, and LabelView yields the stored entries.
+TEST(FlatLabelStoreTest, RandomStoresAtBothWidths) {
+  Rng rng(17);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<LabelVector> out = RandomLabels(&rng, 40, 40);
+    // Without a distance above 127, or with one in a random slot.
+    for (LabelVector& label : out) {
+      for (LabelEntry& e : label) e.dist = e.dist % 127 + 1;
+    }
+    const bool widen = round % 2 == 1;
+    if (widen) {
+      LabelVector& label = out[rng.Below(out.size())];
+      if (label.empty()) label.push_back({0, 128});
+      label[rng.Below(label.size())].dist = 128;
+    }
+    const FlatLabelStore store = FlatLabelStore::Build(out, {}, false);
+    ASSERT_EQ(store.dist_width(), widen ? 4u : 1u);
+    ExpectMatchesVectors(store, out, {});
+    ExpectInertPadding(store);
+    for (VertexId v = 0; v < store.num_vertices(); ++v) {
+      const LabelView label(store.Out(v));
+      ASSERT_TRUE(std::equal(label.begin(), label.end(), out[v].begin(),
+                             out[v].end()));
+    }
+  }
 }
 
 // Full pipeline: build labels with the real builder over a GLP graph,

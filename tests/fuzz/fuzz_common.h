@@ -13,13 +13,18 @@
 //     pass without a libFuzzer toolchain.
 //
 // Targets signal a property violation with __builtin_trap() (not
-// assert) so release builds abort too.
+// assert) so release builds abort too. Targets that hand their input to
+// a file loader write it to a ScratchFile, which is removed when the
+// process exits.
 
 #ifndef HOPDB_TESTS_FUZZ_FUZZ_COMMON_H_
 #define HOPDB_TESTS_FUZZ_FUZZ_COMMON_H_
 
+#include <unistd.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -30,12 +35,29 @@ namespace hopdb_fuzz {
 /// Structured inputs the target wants in every corpus (may be empty).
 std::vector<std::string> SeedInputs();
 
+/// A per-process scratch file, `/tmp/hopdb_fuzz_<stem>.<pid><ext>`,
+/// removed when the object is destroyed: a target keeps one in a
+/// function-local static, so the file goes when the process exits.
+class ScratchFile {
+ public:
+  ScratchFile(const char* stem, const char* ext)
+      : path_(std::string("/tmp/hopdb_fuzz_") + stem + "." +
+              std::to_string(::getpid()) + ext) {}
+  ~ScratchFile() { std::remove(path_.c_str()); }
+  ScratchFile(const ScratchFile&) = delete;
+  ScratchFile& operator=(const ScratchFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 }  // namespace hopdb_fuzz
 
 #if defined(HOPDB_FUZZ_STANDALONE)
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -44,14 +66,21 @@ std::vector<std::string> SeedInputs();
 
 namespace hopdb_fuzz {
 
+/// A structure-aware variant of `seed` — decoded, edited and re-encoded
+/// with knowledge of the format — that a target may define; the smoke
+/// loop then draws half of its seed mutations from it. Declared weak, so
+/// targets without one link and run the byte-level mutations alone.
+[[gnu::weak]] std::string MutateStructured(const std::string& seed,
+                                           hopdb::Rng* rng);
+
 inline void RunOne(const std::string& input) {
   LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(input.data()),
                          input.size());
 }
 
-/// Seed verbatim, then truncated / byte-flipped / extended variants,
-/// then pure random buffers: cheap approximations of what a guided
-/// fuzzer finds in its first minutes.
+/// Seed verbatim, then truncated / byte-flipped / extended (or
+/// structure-aware) variants, then pure random buffers: cheap
+/// approximations of what a guided fuzzer finds in its first minutes.
 inline int SmokeLoop(int iterations, uint64_t seed) {
   const std::vector<std::string> seeds = SeedInputs();
   for (const std::string& s : seeds) RunOne(s);
@@ -62,7 +91,9 @@ inline int SmokeLoop(int iterations, uint64_t seed) {
     if (!seeds.empty() && rng.Chance(0.7)) {
       input = seeds[rng.Below(seeds.size())];
       const int kind = static_cast<int>(rng.Below(3));
-      if (kind == 0 && !input.empty()) {
+      if (MutateStructured != nullptr && rng.Chance(0.5)) {
+        input = MutateStructured(input, &rng);
+      } else if (kind == 0 && !input.empty()) {
         input.resize(rng.Below(input.size() + 1));  // truncate
       } else if (kind == 1 && !input.empty()) {
         const size_t flips = 1 + rng.Below(8);

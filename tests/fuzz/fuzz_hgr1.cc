@@ -16,8 +16,6 @@
 // with it. The seed corpus is three small valid files, with parallel
 // edges, both orientations of an edge and self-loops.
 
-#include <unistd.h>
-
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -38,10 +36,9 @@ namespace {
 
 constexpr uint32_t kMaxVertices = 4096;
 
-std::string ScratchPath() {
-  static const std::string path =
-      "/tmp/hopdb_fuzz_hgr1." + std::to_string(::getpid()) + ".hgr";
-  return path;
+const std::string& ScratchPath() {
+  static const hopdb_fuzz::ScratchFile file("hgr1", ".hgr");
+  return file.path();
 }
 
 /// The permutation the load applies: a fixed shuffle of [0, n).

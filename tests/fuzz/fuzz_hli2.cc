@@ -5,15 +5,16 @@
 //     a Status (the loader's documented contract);
 //   - a file that passes validation serves in-range queries without
 //     crashing and with a consistent id permutation.
-// The seed corpus is one small valid HLI2 image, so mutation starts
-// from a file that exercises the deep (post-magic) validation paths.
-
-#include <unistd.h>
+// The seed corpus is two small valid HLI2 images, one with one-byte
+// distance lanes and one whose weights of 128 and more give it 4-byte
+// lanes, so mutation starts from files that exercise the deep
+// (post-magic) validation paths at both widths.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz_common.h"
@@ -25,10 +26,9 @@
 
 namespace {
 
-std::string ScratchPath() {
-  static const std::string path =
-      "/tmp/hopdb_fuzz_hli2." + std::to_string(::getpid()) + ".bin";
-  return path;
+const std::string& ScratchPath() {
+  static const hopdb_fuzz::ScratchFile file("hli2", ".bin");
+  return file.path();
 }
 
 }  // namespace
@@ -58,31 +58,37 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 namespace hopdb_fuzz {
 
 std::vector<std::string> SeedInputs() {
-  // A 6-vertex weighted graph, indexed and serialized to HLI2.
-  hopdb::EdgeList edges;
-  edges.set_directed(false);
-  edges.set_weighted(true);
-  edges.Add(0, 1, 2);
-  edges.Add(1, 2, 1);
-  edges.Add(2, 3, 4);
-  edges.Add(3, 4, 1);
-  edges.Add(0, 5, 7);
-  edges.Add(5, 4, 1);
-  auto graph = hopdb::CsrGraph::FromEdgeList(edges);
-  if (!graph.ok()) return {};
-  auto index = hopdb::HopDbIndex::Build(*graph);
-  if (!index.ok()) return {};
-  const std::string path = ScratchPath() + ".seed";
-  if (!hopdb::MappedIndex::Write(index->label_index(), index->ranking(),
-                                 path)
-           .ok()) {
-    return {};
+  // A small weighted graph, indexed and serialized to HLI2: six
+  // vertices (one-byte lanes), then the same with a pendant seventh
+  // vertex behind an edge of weight 200 (4-byte lanes).
+  std::vector<std::string> seeds;
+  for (const bool heavy : {false, true}) {
+    hopdb::EdgeList edges;
+    edges.set_directed(false);
+    edges.set_weighted(true);
+    edges.Add(0, 1, 2);
+    edges.Add(1, 2, 1);
+    edges.Add(2, 3, 4);
+    edges.Add(3, 4, 1);
+    edges.Add(0, 5, 7);
+    edges.Add(5, 4, 1);
+    if (heavy) edges.Add(4, 6, 200);
+    auto graph = hopdb::CsrGraph::FromEdgeList(edges);
+    if (!graph.ok()) continue;
+    auto index = hopdb::HopDbIndex::Build(*graph);
+    if (!index.ok()) continue;
+    const std::string path = ScratchPath() + ".seed";
+    if (!hopdb::MappedIndex::Write(index->label_index(), index->ranking(),
+                                   path)
+             .ok()) {
+      continue;
+    }
+    std::string bytes;
+    const hopdb::Status read = hopdb::ReadFileToString(path, &bytes);
+    std::remove(path.c_str());
+    if (read.ok()) seeds.push_back(std::move(bytes));
   }
-  std::string bytes;
-  const hopdb::Status read = hopdb::ReadFileToString(path, &bytes);
-  std::remove(path.c_str());
-  if (!read.ok()) return {};
-  return {bytes};
+  return seeds;
 }
 
 }  // namespace hopdb_fuzz

@@ -495,6 +495,43 @@ TEST(IncrementalTest, ApplyBatchFinalizes) {
       CheckEquivalence(fix.dyn, fix.index, BuildOptions(), 8, 311));
 }
 
+// The store a COMMIT publishes picks its lane width from the repaired
+// labels: an edge of weight 300 to an isolated vertex puts distances
+// above 127 into the labels, and Finalize freezes them at width 4;
+// deleting that edge takes every distance back under 127, and the next
+// freeze is width 1 again. Each answers exactly, as a rebuild does.
+TEST(IncrementalTest, CommitsPickTheLaneWidthFromTheRepairedLabels) {
+  EdgeList edges = GlpGraph(200, 4.0, /*seed=*/113);
+  edges.set_weighted(true);
+  edges.set_num_vertices(edges.num_vertices() + 1);  // one isolated vertex
+  Fixture fix = MakeFixture(edges, BuildOptions());
+  ASSERT_EQ(fix.index.labels().dist_width, 1u);
+  const VertexId n = fix.index.num_vertices();
+  VertexId lone = 1;
+  while (lone < n && fix.index.Query(lone, 0) != kInfDistance) ++lone;
+  ASSERT_LT(lone, n);
+
+  IncrementalUpdater updater(&fix.dyn, &fix.index);
+  UpdateOp heavy;
+  heavy.kind = UpdateOp::Kind::kAddEdge;
+  heavy.u = lone;
+  heavy.v = 0;
+  heavy.weight = 300;
+  ASSERT_TRUE(updater.ApplyBatch({&heavy, 1}).ok());
+  EXPECT_EQ(fix.index.labels().dist_width, 4u);
+  EXPECT_EQ(fix.index.Query(lone, 0), 300u);
+  ASSERT_NO_FATAL_FAILURE(
+      CheckEquivalence(fix.dyn, fix.index, BuildOptions(), n, 313));
+
+  UpdateOp removal = heavy;
+  removal.kind = UpdateOp::Kind::kDelEdge;
+  ASSERT_TRUE(updater.ApplyBatch({&removal, 1}).ok());
+  EXPECT_EQ(fix.index.labels().dist_width, 1u);
+  EXPECT_EQ(fix.index.Query(lone, 0), kInfDistance);
+  ASSERT_NO_FATAL_FAILURE(
+      CheckEquivalence(fix.dyn, fix.index, BuildOptions(), n, 317));
+}
+
 // The first pair (s, t) with s >= from whose current distance is finite
 // and at least 3, so that inserting the edge s-t changes it to 1.
 std::pair<VertexId, VertexId> FarPair(const TwoHopIndex& index,

@@ -1,17 +1,25 @@
 // HLI2 / MappedIndex coverage: convert round trips are query-identical
-// to the source index, every engine (point, one-to-many, KNN) agrees
-// between the heap and mmap representations, and malformed files —
-// truncated, bit-flipped header/metadata/arena, wrong magic — fail with
-// clean checksum/validation errors instead of crashing (the suite runs
-// under ASan/TSan in CI). Also covers read-only file permissions and
-// the LoadServingSnapshot format dispatch.
+// to the source index at both distance-lane widths, every engine (point,
+// one-to-many, KNN) agrees between the heap and mmap representations,
+// and malformed files — truncated, bit-flipped header/metadata/arena,
+// wrong magic, a retired version, a width word other than 1 or 4 — fail
+// with clean checksum/validation errors instead of crashing (the suite
+// runs under ASan/TSan in CI). Also covers read-only file permissions,
+// the atomic replacement of a file being written over, and the
+// LoadServingSnapshot format dispatch.
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/stat.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -34,7 +42,9 @@
 namespace hopdb {
 namespace {
 
-EdgeList TestGraph(VertexId n, uint64_t seed, bool directed, bool weighted) {
+/// A GLP graph; weighted graphs get weights in [1, max_weight].
+EdgeList TestGraph(VertexId n, uint64_t seed, bool directed, bool weighted,
+                   Distance max_weight = 7) {
   GlpOptions options;
   options.num_vertices = n;
   options.target_avg_degree = 5.0;
@@ -43,7 +53,7 @@ EdgeList TestGraph(VertexId n, uint64_t seed, bool directed, bool weighted) {
                              : GenerateGlp(options))
                        .ValueOrDie();
   if (weighted) {
-    AssignUniformWeights(&edges, 1, 7, DeriveSeed(seed, 5));
+    AssignUniformWeights(&edges, 1, max_weight, DeriveSeed(seed, 5));
   }
   return edges;
 }
@@ -57,9 +67,10 @@ class MappedIndexTest : public ::testing::Test {
   std::pair<HopDbIndex, std::string> BuildBoth(VertexId n, uint64_t seed,
                                                bool directed,
                                                bool weighted,
-                                               const std::string& stem) {
+                                               const std::string& stem,
+                                               Distance max_weight = 7) {
     HopDbIndex index =
-        HopDbIndex::Build(TestGraph(n, seed, directed, weighted))
+        HopDbIndex::Build(TestGraph(n, seed, directed, weighted, max_weight))
             .ValueOrDie();
     const std::string hli2 = tmp_->path() + "/" + stem + ".hli2";
     EXPECT_TRUE(
@@ -80,33 +91,53 @@ class MappedIndexTest : public ::testing::Test {
   Result<TempDir> tmp_ = Status::Internal("not set up");
 };
 
-/// Mirror of the canonical v2 section layout (derived offsets, 64-byte
-/// aligned, in fixed order) so corruption tests can aim at a specific
-/// section. Kept in lockstep with docs/FORMATS.md.
-struct V2Layout {
+/// Mirror of the canonical v3 section layout (derived offsets, 64-byte
+/// aligned, in fixed order, the dist section at the header's width) so
+/// corruption tests can aim at a specific section. Kept in lockstep with
+/// docs/FORMATS.md.
+struct Hli2Layout {
   uint64_t offsets_off, sizes_off, pivots_off, dists_off, block_min_off,
       block_max_off, rank_to_orig_off, orig_to_rank_off, file_size;
 };
 
-V2Layout ComputeV2Layout(const std::string& data) {
+Hli2Layout ComputeHli2Layout(const std::string& data) {
   const uint8_t* hd = reinterpret_cast<const uint8_t*>(data.data());
   const uint64_t flags = DecodeU64(hd + 8);
   const uint64_t n = DecodeU32(hd + 16);
+  const uint64_t width = DecodeU32(hd + 20);
   const uint64_t slots = (flags & 1) != 0 ? 2 * n : n;
   const uint64_t padded = DecodeU64(hd + 32);
   const uint64_t blocks = padded / 16;
   auto align = [](uint64_t off) { return (off + 63) & ~uint64_t{63}; };
-  V2Layout l;
+  Hli2Layout l;
   l.offsets_off = align(128);
   l.sizes_off = align(l.offsets_off + (slots + 1) * 8);
   l.pivots_off = align(l.sizes_off + slots * 4);
   l.dists_off = align(l.pivots_off + padded * 4);
-  l.block_min_off = align(l.dists_off + padded * 4);
+  l.block_min_off = align(l.dists_off + padded * width);
   l.block_max_off = align(l.block_min_off + blocks * 4);
   l.rank_to_orig_off = align(l.block_max_off + blocks * 4);
   l.orig_to_rank_off = align(l.rank_to_orig_off + n * 4);
   l.file_size = l.orig_to_rank_off + n * 4;
   return l;
+}
+
+/// `data` with its header checksum recomputed, so that only the gate a
+/// test aims at can refuse it.
+std::string ResealHeader(std::string data) {
+  uint8_t* bytes = reinterpret_cast<uint8_t*>(data.data());
+  EncodeU64(Fnv1a64(bytes, 64), bytes + 64);
+  return data;
+}
+
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 TEST_F(MappedIndexTest, RoundTripIsQueryIdenticalToHeapIndex) {
@@ -124,6 +155,46 @@ TEST_F(MappedIndexTest, RoundTripIsQueryIdenticalToHeapIndex) {
           ASSERT_EQ(mapped.Query(s, t), index.Query(s, t))
               << "directed=" << directed << " weighted=" << weighted
               << " s=" << s << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+// The file keeps the store's lane width: one-byte lanes when every
+// distance is at most 127, 4-byte lanes otherwise, and the dist section
+// is exactly that wide. Both widths answer every pair as the heap index
+// does, and their arenas verify.
+TEST_F(MappedIndexTest, RoundTripsAtBothWidths) {
+  for (const Distance max_weight : {Distance{7}, Distance{1000}}) {
+    for (const bool directed : {false, true}) {
+      SCOPED_TRACE("max weight " + std::to_string(max_weight) +
+                   (directed ? " directed" : " undirected"));
+      auto [index, hli2] =
+          BuildBoth(160, 41, directed, true,
+                    "width" + std::to_string(max_weight) +
+                        std::to_string(directed),
+                    max_weight);
+      const uint32_t width = max_weight == 7 ? 1 : 4;
+      ASSERT_EQ(index.label_index().labels().dist_width, width);
+      const std::string data = ReadFile(hli2);
+      EXPECT_EQ(DecodeU32(reinterpret_cast<const uint8_t*>(data.data()) + 4),
+                3u);
+      const Hli2Layout l = ComputeHli2Layout(data);
+      EXPECT_EQ(l.file_size, data.size());
+      EXPECT_EQ(l.block_min_off - l.dists_off,
+                (index.label_index().labels().offsets[directed ? 320 : 160] *
+                     width +
+                 63) / 64 * 64);
+      MappedIndex::OpenOptions options;
+      options.verify_arenas = true;
+      MappedIndex mapped = MappedIndex::Open(hli2, options).ValueOrDie();
+      EXPECT_EQ(mapped.dist_width(), width);
+      EXPECT_EQ(mapped.labels().dist_width, width);
+      for (VertexId s = 0; s < index.num_vertices(); s += 3) {
+        for (VertexId t = 0; t < index.num_vertices(); ++t) {
+          ASSERT_EQ(mapped.Query(s, t), index.Query(s, t))
+              << "s=" << s << " t=" << t;
         }
       }
     }
@@ -242,7 +313,7 @@ TEST_F(MappedIndexTest, OutOfRangePivotsInArenaCannotCrashEngines) {
   // num_vertices. The arenas are unhashed at open, and the batch/KNN
   // engines index arrays by pivot, so these must be skipped, not
   // followed (ASan enforces the "never OOB" half of the contract).
-  const uint64_t pivots_off = ComputeV2Layout(data).pivots_off;
+  const uint64_t pivots_off = ComputeHli2Layout(data).pivots_off;
   for (size_t i = 0; i < 16; ++i) {
     data[pivots_off + i] = static_cast<char>(0xff);
   }
@@ -264,34 +335,59 @@ TEST_F(MappedIndexTest, OutOfRangePivotsInArenaCannotCrashEngines) {
   EXPECT_FALSE(mapped->VerifyArenas().ok());
 }
 
-TEST_F(MappedIndexTest, VersionOneHeaderIsRejectedNamingConvert) {
-  // Only version 2 is readable. A version-1 header — here a v2 file
-  // relabelled with a re-sealed header checksum, so only the version
-  // gate can reject it — must fail cleanly and point at the tool that
-  // re-creates the file.
-  auto [index, hli2] = BuildBoth(150, 7, false, false, "v1header");
-  std::string data = ReadFile(hli2);
-  uint8_t* bytes = reinterpret_cast<uint8_t*>(data.data());
-  EncodeU32(1, bytes + 4);
-  EncodeU64(Fnv1a64(bytes, 64), bytes + 64);
-  const std::string path = tmp_->path() + "/v1header_bad.hli2";
-  WriteFile(path, data);
-  auto mapped = MappedIndex::Open(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(mapped.status().message().find("hopdb_cli convert"),
-            std::string::npos)
-      << mapped.status();
+TEST_F(MappedIndexTest, RetiredVersionsAreRejectedNamingConvert) {
+  // Only version 3 is readable. A version-1 (packed) or version-2
+  // (4-byte lanes always) header — here a v3 file relabelled with a
+  // re-sealed header checksum, so only the version gate can reject it —
+  // must fail cleanly and point at the tool that re-creates the file.
+  auto [index, hli2] = BuildBoth(150, 7, false, false, "oldheader");
+  const std::string data = ReadFile(hli2);
+  const std::string path = tmp_->path() + "/oldheader_bad.hli2";
+  for (const uint32_t version : {1u, 2u}) {
+    std::string old = data;
+    EncodeU32(version, reinterpret_cast<uint8_t*>(old.data()) + 4);
+    WriteFile(path, ResealHeader(old));
+    auto mapped = MappedIndex::Open(path);
+    ASSERT_FALSE(mapped.ok()) << version;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mapped.status().message().find("hopdb_cli convert"),
+              std::string::npos)
+        << mapped.status();
+    EXPECT_NE(mapped.status().message().find(
+                  "HLI2 version " + std::to_string(version)),
+              std::string::npos)
+        << mapped.status();
+  }
 
   // A version from a newer build is rejected as unsupported.
-  EncodeU32(3, bytes + 4);
-  EncodeU64(Fnv1a64(bytes, 64), bytes + 64);
-  WriteFile(path, data);
+  std::string newer_file = data;
+  EncodeU32(4, reinterpret_cast<uint8_t*>(newer_file.data()) + 4);
+  WriteFile(path, ResealHeader(newer_file));
   auto newer = MappedIndex::Open(path);
   ASSERT_FALSE(newer.ok());
-  EXPECT_NE(newer.status().message().find("unsupported HLI2 version 3"),
+  EXPECT_NE(newer.status().message().find("unsupported HLI2 version 4"),
             std::string::npos)
       << newer.status();
+}
+
+// The width word names 1 or 4 bytes a lane; any other value is refused
+// before it can size a section.
+TEST_F(MappedIndexTest, WidthWordsOtherThanOneOrFourAreRejected) {
+  auto [index, hli2] = BuildBoth(150, 7, false, false, "widthword");
+  const std::string data = ReadFile(hli2);
+  const std::string path = tmp_->path() + "/widthword_bad.hli2";
+  for (const uint32_t width : {0u, 2u, 3u, 5u}) {
+    std::string crafted = data;
+    EncodeU32(width, reinterpret_cast<uint8_t*>(crafted.data()) + 20);
+    WriteFile(path, ResealHeader(crafted));
+    auto mapped = MappedIndex::Open(path);
+    ASSERT_FALSE(mapped.ok()) << width;
+    EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(mapped.status().message().find(
+                  "distance lane width " + std::to_string(width)),
+              std::string::npos)
+        << mapped.status();
+  }
 }
 
 TEST_F(MappedIndexTest, CraftedHugeTotalEntriesIsRejected) {
@@ -333,7 +429,7 @@ TEST_F(MappedIndexTest, BlockSidecarCorruptionIsBoundsSafeAndDetectable) {
   // arenas, and VerifyArenas must flag the file.
   auto [index, hli2] = BuildBoth(200, 17, false, false, "sidecar");
   std::string data = ReadFile(hli2);
-  const V2Layout l = ComputeV2Layout(data);
+  const Hli2Layout l = ComputeHli2Layout(data);
   ASSERT_LT(l.block_min_off, l.block_max_off);
   // Non-monotone block minima: descending garbage across the section.
   for (uint64_t off = l.block_min_off; off + 4 <= l.block_max_off; off += 4) {
@@ -376,7 +472,7 @@ TEST_F(MappedIndexTest, CraftedSlotSizeInconsistencyIsRejected) {
   auto [index, hli2] = BuildBoth(150, 7, false, false, "slotsize");
   std::string data = ReadFile(hli2);
   uint8_t* bytes = reinterpret_cast<uint8_t*>(data.data());
-  const V2Layout l = ComputeV2Layout(data);
+  const Hli2Layout l = ComputeHli2Layout(data);
   const uint32_t size0 = DecodeU32(bytes + l.sizes_off);
   // Bump slot 0's size past its padded block span.
   EncodeU32(size0 + 16, bytes + l.sizes_off);
@@ -500,6 +596,105 @@ TEST_F(MappedIndexTest, BarabasiAlbertDirectedRoundTrip) {
     const VertexId t = static_cast<VertexId>(rng.Below(220));
     ASSERT_EQ(mapped.Query(s, t), index.Query(s, t));
   }
+}
+
+// Rewriting every one-byte distance lane (0x80 reads as -128, 0x7F as
+// 127, 0xFF as infinity) can mis-answer but never read out of the
+// mapping, and VerifyArenas reports it.
+TEST_F(MappedIndexTest, NarrowDistCorruptionIsBoundsSafeAndDetectable) {
+  auto [index, hli2] = BuildBoth(200, 9, true, false, "narrowdist");
+  std::string data = ReadFile(hli2);
+  const Hli2Layout l = ComputeHli2Layout(data);
+  ASSERT_EQ(DecodeU32(reinterpret_cast<const uint8_t*>(data.data()) + 20),
+            1u);
+  const char garbage[] = {'\x80', '\x7f', '\xff', '\x00', '\x81'};
+  for (uint64_t off = l.dists_off; off < l.block_min_off; ++off) {
+    data[off] = garbage[off % sizeof(garbage)];
+  }
+  const std::string path = tmp_->path() + "/narrowdist_bad.hli2";
+  WriteFile(path, data);
+  auto mapped = MappedIndex::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  std::vector<VertexId> targets;
+  for (VertexId t = 0; t < 200; t += 3) targets.push_back(t);
+  OneToManyEngine batch_engine(mapped->labels(), targets);
+  KnnEngine knn_engine(mapped->labels(), KnnEngine::Direction::kForward);
+  for (VertexId s = 0; s < 200; ++s) {
+    for (VertexId t = 0; t < 200; t += 7) (void)mapped->Query(s, t);
+    (void)batch_engine.Query(s);
+    (void)knn_engine.Query(s, 10);
+  }
+  EXPECT_FALSE(mapped->VerifyArenas().ok());
+  MappedIndex::OpenOptions options;
+  options.verify_arenas = true;
+  EXPECT_FALSE(MappedIndex::Open(path, options).ok());
+}
+
+// Writes `index` as HLI2 over `path` with the process's file size limit
+// at `limit` bytes and SIGXFSZ ignored, so that the write past the limit
+// fails with EFBIG as a full disk would fail it; exits 0 iff Write
+// returned IOError.
+[[noreturn]] void WriteWithFileSizeLimit(const HopDbIndex& index,
+                                         const std::string& path,
+                                         rlim_t limit) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit cap{limit, limit};
+  if (setrlimit(RLIMIT_FSIZE, &cap) != 0) std::_Exit(2);
+  const Status written =
+      MappedIndex::Write(index.label_index(), index.ranking(), path);
+  std::_Exit(written.code() == StatusCode::kIOError ? 0 : 1);
+}
+
+// Write streams into a temporary file beside its target and renames it
+// over the target only once the file is whole and synced. A write that
+// fails part way (before its first window is flushed, after it, or on
+// the last byte) leaves the old file mappable with its old answers and
+// no temporary file behind, and a reader that mapped the old file
+// before a write keeps reading the old bytes.
+TEST_F(MappedIndexTest, WriteReplacesTheFileAtomically) {
+  auto dir = TempDir::Create("hli2_atomic");
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("idx.hli2");
+  auto [old_index, old_hli2] = BuildBoth(60, 3, false, false, "atomic_old");
+  ASSERT_TRUE(MappedIndex::Write(old_index.label_index(),
+                                 old_index.ranking(), path)
+                  .ok());
+  // A new index whose file spans more than two write windows.
+  const HopDbIndex new_index =
+      HopDbIndex::Build(TestGraph(12000, 13, true, true, 1000)).ValueOrDie();
+  const std::string want = tmp_->path() + "/atomic_new.hli2";
+  ASSERT_TRUE(
+      MappedIndex::Write(new_index.label_index(), new_index.ranking(), want)
+          .ok());
+  const std::string new_bytes = ReadFile(want);
+  ASSERT_GT(new_bytes.size(), 2u << 20);
+
+  for (const rlim_t limit : {rlim_t{0}, rlim_t{new_bytes.size() / 2},
+                             rlim_t{new_bytes.size() - 1}}) {
+    SCOPED_TRACE("file size limit " + std::to_string(limit));
+    EXPECT_EXIT(WriteWithFileSizeLimit(new_index, path, limit),
+                ::testing::ExitedWithCode(0), "");
+    EXPECT_EQ(FileNames(dir->path()), std::vector<std::string>{"idx.hli2"});
+    auto back = MappedIndex::Open(path);
+    ASSERT_TRUE(back.ok()) << back.status();
+    for (VertexId s = 0; s < old_index.num_vertices(); ++s) {
+      for (VertexId t = 0; t < old_index.num_vertices(); ++t) {
+        ASSERT_EQ(back->Query(s, t), old_index.Query(s, t));
+      }
+    }
+  }
+
+  auto held = MappedIndex::Open(path);
+  ASSERT_TRUE(held.ok()) << held.status();
+  ASSERT_TRUE(
+      MappedIndex::Write(new_index.label_index(), new_index.ranking(), path)
+          .ok());
+  EXPECT_TRUE(ReadFile(path) == new_bytes) << "the written file differs";
+  for (VertexId t = 0; t < old_index.num_vertices(); ++t) {
+    EXPECT_EQ(held->Query(0, t), old_index.Query(0, t))
+        << "a mapped reader saw the new file";
+  }
+  EXPECT_EQ(FileNames(dir->path()), std::vector<std::string>{"idx.hli2"});
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // supports must return bit-identical distances on randomized labels —
 // including the kInfDistance saturation corner when d1 + d2 overflows
 // uint32 — and so must the span-based QueryLabelHalves merge, which the
-// blocked query path must also match.
+// blocked query path must also match, at both distance-lane widths
+// (one-byte lanes up to distance 127, 4-byte lanes from 128).
 
 #include <gtest/gtest.h>
 
@@ -54,11 +55,7 @@ void ExpectAllKernelsAgree(const LabelVector& a, const LabelVector& b,
   const FlatLabelStore::View va = store.Out(0);
   const FlatLabelStore::View vb = store.In(0);
   for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    EXPECT_EQ(kernel->intersect_blocked(va.pivots, va.dists, va.block_min,
-                                        va.block_max, va.size, vb.pivots,
-                                        vb.dists, vb.block_min, vb.block_max,
-                                        vb.size),
-              want)
+    EXPECT_EQ(kernel->intersect_blocked(va, vb), want)
         << context << " intersect_blocked kernel=" << kernel->name;
   }
   // Endpoints outside the pivot space: the trivial probes miss.
@@ -136,23 +133,65 @@ TEST(QueryKernelTest, SaturatingOverflowAgreement) {
   }
 }
 
+// Distances 127 and 128 straddle the one-byte lane limit: labels whose
+// largest distance is 127 freeze at width 1 (so 127 + 127 must read 254,
+// not a sign-extended negative), one distance of 128 moves the whole
+// store to width 4, and at either width every kernel agrees with brute
+// force and QueryLabelHalves. The 4-byte rounds mix in distances near
+// kInfDistance, so the saturation corner runs at the wider width too.
+TEST(QueryKernelTest, AgreementAtBothLaneWidths) {
+  Rng rng(2024);
+  const size_t sizes[] = {1, 7, 16, 17, 40, 130};
+  for (const Distance largest : {Distance{127}, Distance{128}}) {
+    const uint32_t width = largest <= kMaxNarrowDistance ? 1 : 4;
+    for (const size_t la : sizes) {
+      for (const size_t lb : sizes) {
+        for (int round = 0; round < 6; ++round) {
+          LabelVector a = RandomLabel(&rng, 160, la, largest);
+          LabelVector b = RandomLabel(&rng, 160, lb, largest);
+          if (a.empty()) a.push_back({0, largest});
+          a[rng.Below(a.size())].dist = largest;
+          for (LabelEntry& e : b) {
+            if (rng.Below(3) == 0) e.dist = largest;
+            if (width == 4 && rng.Below(5) == 0) {
+              e.dist = kInfDistance - static_cast<Distance>(rng.Below(4)) - 1;
+            }
+          }
+          ASSERT_EQ(FlatLabelStore::Build({a}, {b}, true).dist_width(), width);
+          ExpectAllKernelsAgree(a, b, "width " + std::to_string(width) +
+                                          " sizes " + std::to_string(la) +
+                                          "x" + std::to_string(lb));
+        }
+      }
+    }
+  }
+  // The largest sums each width holds exactly.
+  const LabelVector top127{{3, 127}, {9, 127}};
+  ExpectAllKernelsAgree(top127, top127, "127 + 127");
+  const LabelVector top128{{3, 128}, {9, 128}};
+  ExpectAllKernelsAgree(top128, top128, "128 + 128");
+}
+
 TEST(QueryKernelTest, FlatHalvesMatchSpanHalves) {
   Rng rng(1234);
   const VertexId nv = 40;
-  for (int round = 0; round < 30; ++round) {
-    std::vector<LabelVector> out(nv), in(nv);
-    for (VertexId v = 0; v < nv; ++v) {
-      out[v] = RandomLabel(&rng, nv, 12, 50);
-      in[v] = RandomLabel(&rng, nv, 12, 50);
-    }
-    const FlatLabelStore store = FlatLabelStore::Build(out, in, true);
-    for (const QueryKernel* kernel : SupportedQueryKernels()) {
-      for (int q = 0; q < 50; ++q) {
-        const VertexId s = static_cast<VertexId>(rng.Below(nv));
-        const VertexId t = static_cast<VertexId>(rng.Below(nv));
-        EXPECT_EQ(QueryFlatHalves(store.Out(s), store.In(t), s, t, *kernel),
-                  QueryLabelHalves(out[s], in[t], s, t))
-            << "kernel=" << kernel->name << " s=" << s << " t=" << t;
+  for (const Distance max_dist : {Distance{50}, Distance{1000}}) {
+    for (int round = 0; round < 30; ++round) {
+      std::vector<LabelVector> out(nv), in(nv);
+      for (VertexId v = 0; v < nv; ++v) {
+        out[v] = RandomLabel(&rng, nv, 12, max_dist);
+        in[v] = RandomLabel(&rng, nv, 12, max_dist);
+      }
+      const FlatLabelStore store = FlatLabelStore::Build(out, in, true);
+      for (const QueryKernel* kernel : SupportedQueryKernels()) {
+        for (int q = 0; q < 50; ++q) {
+          const VertexId s = static_cast<VertexId>(rng.Below(nv));
+          const VertexId t = static_cast<VertexId>(rng.Below(nv));
+          EXPECT_EQ(QueryFlatHalves(store.Out(s), store.In(t), s, t, *kernel),
+                    QueryLabelHalves(out[s], in[t], s, t))
+              << "kernel=" << kernel->name << " width=" << store.dist_width()
+              << " s=" << s << " t=" << t;
+        }
       }
     }
   }
@@ -160,14 +199,16 @@ TEST(QueryKernelTest, FlatHalvesMatchSpanHalves) {
 
 TEST(QueryKernelTest, LookupPivotFlatMatchesSpanLookup) {
   Rng rng(99);
-  for (int round = 0; round < 100; ++round) {
-    const LabelVector label = RandomLabel(&rng, 80, 30, 50);
-    const FlatLabelStore store =
-        FlatLabelStore::Build({label}, {}, /*directed=*/false);
-    for (VertexId probe = 0; probe < 85; ++probe) {
-      EXPECT_EQ(LookupPivotFlat(store.Out(0), probe),
-                LookupPivot(label, probe))
-          << "round " << round << " probe " << probe;
+  for (const Distance max_dist : {Distance{50}, Distance{300}}) {
+    for (int round = 0; round < 100; ++round) {
+      const LabelVector label = RandomLabel(&rng, 80, 30, max_dist);
+      const FlatLabelStore store =
+          FlatLabelStore::Build({label}, {}, /*directed=*/false);
+      for (VertexId probe = 0; probe < 85; ++probe) {
+        EXPECT_EQ(LookupPivotFlat(store.Out(0), probe),
+                  LookupPivot(label, probe))
+            << "round " << round << " probe " << probe;
+      }
     }
   }
 }

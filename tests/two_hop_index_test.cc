@@ -176,6 +176,64 @@ TEST(TwoHopIndexTest, SaveLoadRoundTrip) {
   }
 }
 
+// HLI1 codes distances as varints, whatever their size; the loaded store
+// picks its lane width from them as the built one did. A file with a
+// distance above 127 loads at width 4 — the freeze widens its lanes when
+// the first such distance arrives, after narrower slots were filled — a
+// file without one at width 1, and both answer every pair as the index
+// they were saved from, with the same entries.
+TEST(TwoHopIndexTest, LoadPicksTheLaneWidthFromTheFile) {
+  auto dir = TempDir::Create("hli_width");
+  ASSERT_TRUE(dir.ok());
+  for (const Distance heavy : {Distance{1}, Distance{300}}) {
+    SCOPED_TRACE("heavy weight " + std::to_string(heavy));
+    GlpOptions glp;
+    glp.num_vertices = 400;
+    glp.target_avg_degree = 4;
+    glp.seed = 21;
+    EdgeList edges = GenerateDirectedGlp(glp).ValueOrDie();
+    // Unit weights but for every 40th edge.
+    edges.set_weighted(true);
+    for (size_t e = 0; e < edges.num_edges(); e += 40) {
+      edges.mutable_edges()[e].weight = heavy;
+    }
+    const HopDbIndex built = HopDbIndex::Build(edges).ValueOrDie();
+    const TwoHopIndex& want = built.label_index();
+    const uint32_t width = heavy > kMaxNarrowDistance ? 4 : 1;
+    ASSERT_EQ(want.labels().dist_width, width);
+    if (width == 4) {
+      // Narrow entries come before the first wide one.
+      const LabelSetView view = want.labels();
+      uint64_t narrow_before = 0;
+      bool wide_seen = false;
+      for (size_t slot = 0; slot < view.num_slots() && !wide_seen; ++slot) {
+        const FlatLabelStore::View label = view.Slot(slot);
+        for (uint32_t i = 0; i < label.size && !wide_seen; ++i) {
+          wide_seen = label.dist(i) > kMaxNarrowDistance;
+          narrow_before += wide_seen ? 0 : 1;
+        }
+      }
+      ASSERT_GT(narrow_before, 0u);
+    }
+    const std::string path = dir->File("w" + std::to_string(heavy));
+    ASSERT_TRUE(built.Save(path).ok());
+    RankMapping ranking;
+    auto back = TwoHopIndex::Load(path, &ranking);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->labels().dist_width, width);
+    for (VertexId v = 0; v < want.num_vertices(); ++v) {
+      ASSERT_TRUE(std::ranges::equal(back->OutLabel(v), want.OutLabel(v)));
+      ASSERT_TRUE(std::ranges::equal(back->InLabel(v), want.InLabel(v)));
+    }
+    for (VertexId s = 0; s < want.num_vertices(); s += 3) {
+      for (VertexId t = 0; t < want.num_vertices(); ++t) {
+        ASSERT_EQ(back->Query(s, t), want.Query(s, t))
+            << "s=" << s << " t=" << t;
+      }
+    }
+  }
+}
+
 TEST(TwoHopIndexTest, LoadRejectsGarbage) {
   auto dir = TempDir::Create("thi");
   ASSERT_TRUE(dir.ok());
