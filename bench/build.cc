@@ -11,7 +11,9 @@
 // Emits machine-readable results to --out (default BENCH_build.json):
 // per thread count the build seconds, speedup vs. one thread, the
 // generate/dedup/prune/apply phase seconds (dedup reads 0: generation
-// dedups as it gathers), that build's peak RSS and its largest
+// dedups as it gathers), that build's peak RSS, its growth over the RSS
+// the build started from (build_growth_bytes: the build's own memory,
+// without the graph set-up the child inherits) and its largest
 // per-iteration raw candidate count, plus the largest peak of the
 // parent and every run.
 //
@@ -53,6 +55,9 @@ struct RunResult {
   uint64_t total_entries = 0;
   /// The child's ru_maxrss when the build returns.
   uint64_t peak_rss_bytes = 0;
+  /// peak_rss_bytes minus the child's RSS when the build started: the
+  /// build's own memory.
+  uint64_t build_growth_bytes = 0;
   uint64_t peak_candidates = 0;
   double generate_seconds = 0;
   double dedup_seconds = 0;
@@ -82,12 +87,15 @@ Result<RunResult> BuildOnce(const CsrGraph& ranked, const RankMapping& ranking,
                             const TempDir& dir, uint32_t threads) {
   BuildOptions opts;
   opts.num_threads = threads;
+  const uint64_t start_rss_bytes = bench::CurrentRssBytes();
   Stopwatch watch;
   HOPDB_ASSIGN_OR_RETURN(BuildOutput built, BuildHopLabeling(ranked, opts));
   RunResult r;
   r.threads = threads;
   r.seconds = watch.Seconds();
   r.peak_rss_bytes = bench::PeakRssBytes();
+  r.build_growth_bytes = r.peak_rss_bytes - std::min(start_rss_bytes,
+                                                     r.peak_rss_bytes);
   r.total_entries = built.index.TotalEntries();
   const BuildStats& stats = built.stats;
   r.peak_candidates = stats.peak_candidates;
@@ -173,7 +181,9 @@ int Run(int argc, char** argv) {
               << FormatDouble(r->dedup_seconds, 2) << ", prune "
               << FormatDouble(r->prune_seconds, 2) << ", apply "
               << FormatDouble(r->apply_seconds, 2) << ")  peak "
-              << (r->peak_rss_bytes >> 20) << " MB  checksum " << r->checksum
+              << (r->peak_rss_bytes >> 20) << " MB (build "
+              << (r->build_growth_bytes >> 20) << " MB)  checksum "
+              << r->checksum
               << "\n";
     peak_rss_bytes = std::max(peak_rss_bytes, r->peak_rss_bytes);
     results.push_back(*r);
@@ -221,6 +231,7 @@ int Run(int argc, char** argv) {
         << FormatDouble(r.seconds, 3) << ", \"speedup_vs_1\": "
         << FormatDouble(base > 0 ? base / r.seconds : 0, 3)
         << ", \"peak_rss_bytes\": " << r.peak_rss_bytes
+        << ", \"build_growth_bytes\": " << r.build_growth_bytes
         << ", \"peak_candidates\": " << r.peak_candidates << ", "
         << bench::PhasesJson({{"generate", r.generate_seconds},
                               {"dedup", r.dedup_seconds},

@@ -44,19 +44,18 @@ Result<RankMapping> RankFor(const CsrGraph& graph,
 
 Result<HopDbIndex> HopDbIndex::Build(const EdgeList& edges,
                                      const HopDbOptions& options) {
-  // The caller's list is frozen in place. Labeling reads only the
-  // ranked graph, so the unranked CSR goes once it is relabeled.
+  // The caller's list is frozen in place.
   HOPDB_ASSIGN_OR_RETURN(CsrGraph graph, CsrGraph::FromEdgeList(edges));
+  return Build(std::move(graph), options);
+}
+
+Result<HopDbIndex> HopDbIndex::Build(CsrGraph graph,
+                                     const HopDbOptions& options) {
+  // Labeling reads only the ranked graph, so the unranked one goes once
+  // it is relabeled.
   HOPDB_ASSIGN_OR_RETURN(RankMapping mapping, RankFor(graph, options));
   HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked, RelabelByRank(graph, mapping));
   graph = CsrGraph();
-  return BuildRanked(ranked, std::move(mapping), options);
-}
-
-Result<HopDbIndex> HopDbIndex::Build(const CsrGraph& graph,
-                                     const HopDbOptions& options) {
-  HOPDB_ASSIGN_OR_RETURN(RankMapping mapping, RankFor(graph, options));
-  HOPDB_ASSIGN_OR_RETURN(CsrGraph ranked, RelabelByRank(graph, mapping));
   return BuildRanked(ranked, std::move(mapping), options);
 }
 

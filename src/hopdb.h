@@ -59,9 +59,10 @@ class HopDbIndex {
 
   /// Builds from an already-frozen graph (every CSR is simple: the
   /// freeze drops self-loops and parallel arcs). Otherwise the same
-  /// contract as the EdgeList overload; the graph is borrowed (it stays
-  /// alive through labeling) and not retained after Build returns.
-  static Result<HopDbIndex> Build(const CsrGraph& graph,
+  /// contract as the EdgeList overload. The graph is taken over and freed
+  /// once it is relabeled, before labeling starts: move it in, unless the
+  /// caller still needs it (an lvalue is copied).
+  static Result<HopDbIndex> Build(CsrGraph graph,
                                   const HopDbOptions& options = {});
 
   /// Exact distance between original vertex ids; kInfDistance if

@@ -17,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "labeling/flat_label_store.h"
+#include "labeling/label_entry.h"
 #include "util/log.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -35,11 +37,14 @@ constexpr uint64_t kTickEvery = 1 << 16;
 /// the others up.
 constexpr uint32_t kRangesPerThread = 8;
 
+/// The smallest stretch of pages PageArray::Release hands back at once.
+constexpr uint64_t kReleaseStep = 64 << 10;
+
 /// A fixed array of T in a fresh anonymous page mapping, mapped and
 /// unmapped on the calling thread. Only the pages written become
 /// resident, so an array sized by an upper bound costs the memory of what
-/// it holds, and unmapping (or releasing a stretch) returns those pages at
-/// once. A malloc block of that size can instead reuse heap pages an
+/// it holds, and unmapping (or releasing its front) returns those pages
+/// at once. A malloc block of that size can instead reuse heap pages an
 /// earlier allocation left resident, and keep them once freed. Never
 /// value-initialized.
 template <typename T>
@@ -54,6 +59,7 @@ class PageArray {
       Unmap();
       data_ = std::exchange(other.data_, nullptr);
       size_ = std::exchange(other.size_, 0);
+      released_ = std::exchange(other.released_, 0);
     }
     return *this;
   }
@@ -83,20 +89,21 @@ class PageArray {
     if (data_ != nullptr) munmap(data_, size_ * sizeof(T));
     data_ = nullptr;
     size_ = 0;
+    released_ = 0;
   }
 
-  /// Returns the whole pages inside elements [from, to) to the kernel;
-  /// they read as zeros if written again. Pages only partly inside stay.
-  void Release(uint64_t from, uint64_t to) const {
-    if (from >= to) return;
-    static const auto kPage = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-    const uintptr_t first =
-        (reinterpret_cast<uintptr_t>(data_ + from) + kPage - 1) & ~(kPage - 1);
-    const uintptr_t last =
-        reinterpret_cast<uintptr_t>(data_ + to) & ~(kPage - 1);
-    if (first < last) {
-      madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
-    }
+  /// Returns the whole pages before element `to` to the kernel, for a
+  /// caller that is done with the array's front: pages an earlier call
+  /// returned are not returned again, and they go back in stretches of at
+  /// least kReleaseStep bytes, so a caller may call this after every
+  /// element it consumes. Released pages read as zeros if written again.
+  void Release(uint64_t to) {
+    static const auto kPage = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+    const uint64_t end = to * sizeof(T) & ~(kPage - 1);
+    if (end < released_ + kReleaseStep) return;
+    madvise(reinterpret_cast<char*>(data_) + released_, end - released_,
+            MADV_DONTNEED);
+    released_ = end;
   }
 
   uint64_t size() const { return size_; }
@@ -106,6 +113,8 @@ class PageArray {
  private:
   T* data_ = nullptr;
   uint64_t size_ = 0;
+  /// Bytes at the front already returned by Release (whole pages).
+  uint64_t released_ = 0;
 };
 
 /// Whether an entry (x, d2) of `half` meets x's slot in `best` (1 + dist,
@@ -123,6 +132,19 @@ bool HasWitness(const uint64_t* best, Distance tmin,
   });
 }
 
+/// Calls emit(e) for every entry of runs x and y, which are each sorted
+/// by pivot and hold disjoint pivots, in pivot order.
+template <typename Emit>
+void MergeRuns(std::span<const LabelEntry> x, std::span<const LabelEntry> y,
+               const Emit& emit) {
+  size_t i = 0, j = 0;
+  while (i < x.size() && j < y.size()) {
+    emit(x[i].pivot < y[j].pivot ? x[i++] : y[j++]);
+  }
+  for (; i < x.size(); ++i) emit(x[i]);
+  for (; j < y.size(); ++j) emit(y[j]);
+}
+
 class Builder {
  public:
   Builder(const CsrGraph& g, const BuildOptions& opts)
@@ -136,28 +158,34 @@ class Builder {
   Result<BuildOutput> Run();
 
  private:
-  /// One label side's generation state. Candidates and `prev` entries
-  /// carry no owner: owner w's entries are a slice cut by per-owner
-  /// offsets, sorted by pivot (every pivot ranks above its owner).
+  /// One label side: its labels, and its generation state. Label entries
+  /// and candidates carry no owner: owner w's entries are a slice cut by
+  /// per-owner offsets (every pivot ranks above its owner).
   struct GenSide {
-    /// Entries that survived the previous iteration, packed in owner
-    /// order at the front of the mapping that held them as candidates
-    /// (Initialize maps iteration 1's), whose other pages are released;
-    /// unmapped once generation has read them.
-    PageArray<LabelEntry> prev;
-    /// Vertex x's slice of `prev` is [prev_begin[x], prev_begin[x + 1]).
-    std::vector<uint64_t> prev_begin;
+    /// The labels, each entry held once, in owner order: owner w's label
+    /// is arena[label_begin[w], label_begin[w + 1]). It is two runs, each
+    /// sorted by pivot, with disjoint pivots: the older entries, then,
+    /// from fresh_begin[w], the entries the last iteration added
+    /// (Initialize's, for iteration 1). The fresh runs are the paper's
+    /// `prev`: this iteration's rules extend them, read in place. Apply
+    /// rewrites the arena into a fresh mapping; the freeze merges each
+    /// label's runs into its store slot.
+    PageArray<LabelEntry> arena;
+    std::vector<uint64_t> label_begin;
+    std::vector<uint64_t> fresh_begin;
+    /// The fresh runs' total.
+    uint64_t fresh = 0;
     /// This iteration's deduped and filtered candidates (only those that
     /// survive pruning, when the gather decides them), in a mapping with
-    /// room for the raw count; AdvancePrev packs the survivors in it and
-    /// makes it the next `prev`.
+    /// room for the raw count; Apply appends the survivors to the labels
+    /// and unmaps it.
     PageArray<LabelEntry> cands;
     /// Owner w's candidates are cands[begin[w], end[w]). Pass 1 leaves
     /// the raw counts' prefix sums in `begin` (w's raw offset; begin[n]
     /// is the raw total). The gather packs each range's owners from the
     /// raw offset of its first owner: an owner keeps at most its raw
     /// count, so its slice ends by the next owner's raw offset. Pruning's
-    /// compaction lowers end[w]; apply and the next `prev` read both.
+    /// compaction lowers end[w]; apply reads both.
     std::vector<uint64_t> begin;
     std::vector<uint64_t> end;
     /// Owner range bounds for the gather and prune passes, cut at
@@ -167,16 +195,42 @@ class Builder {
     /// filtered candidates, kInfDistance if it has none.
     std::vector<Distance> cmin;
     /// Hop-Doubling iterations only, built from the labels when
-    /// generation starts and released with `prev`: the owners whose label
+    /// generation starts and freed when it ends: the owners whose label
     /// on this side holds pivot p, in ascending order, are
     /// inv[inv_begin[p]] .. inv[inv_begin[p + 1] - 1]. The sources of
     /// Rules 1 and 4 for the opposite side's owners.
     std::vector<uint64_t> inv_begin;
     std::vector<VertexId> inv;
 
-    /// The packed `prev` entries.
-    std::span<const LabelEntry> Prev() const {
-      return {prev.data(), prev_begin.empty() ? 0 : prev_begin.back()};
+    /// Owner w's whole label (both runs), for readers to which entry
+    /// order does not matter.
+    std::span<const LabelEntry> Label(VertexId w) const {
+      return Slice(label_begin[w], label_begin[w + 1]);
+    }
+    /// Owner w's older run and its fresh run, each sorted by pivot.
+    std::span<const LabelEntry> Older(VertexId w) const {
+      return Slice(label_begin[w], fresh_begin[w]);
+    }
+    std::span<const LabelEntry> Fresh(VertexId w) const {
+      return Slice(fresh_begin[w], label_begin[w + 1]);
+    }
+    /// The distance owner w's label holds for `pivot`, kInfDistance if
+    /// none: a look-up in each run.
+    Distance Lookup(VertexId w, VertexId pivot) const {
+      return std::min(LookupPivot(Older(w), pivot),
+                      LookupPivot(Fresh(w), pivot));
+    }
+    /// This iteration's survivors: what the candidate slices hold once
+    /// pruning is done.
+    uint64_t Survivors() const {
+      uint64_t count = 0;
+      for (size_t w = 0; w < end.size(); ++w) count += end[w] - begin[w];
+      return count;
+    }
+
+   private:
+    std::span<const LabelEntry> Slice(uint64_t from, uint64_t to) const {
+      return {arena.data() + from, arena.data() + to};
     }
   };
 
@@ -197,18 +251,18 @@ class Builder {
     uint64_t pruned = 0;
   };
 
-  /// Seeds the labels from the arcs and maps iteration 1's `prev`; fails
-  /// with ResourceExhausted when a mapping is refused.
+  /// Writes the initial labels into the arenas as fresh runs; fails with
+  /// ResourceExhausted when a mapping is refused.
   Status Initialize();
 
-  /// Whether no candidate of a Hop-Stepping iteration over `prev` can
-  /// witness another, so that its candidates can be decided as they are
-  /// gathered. Every candidate distance lies in [min_w + min_prev,
-  /// max_w + max_prev], over arc weights and `prev` distances, and every
-  /// label or candidate distance is at least min_w, so a witness sum that
-  /// involves a candidate is at least 2 min_w + min_prev. True when that
-  /// exceeds the largest candidate distance, as on unit weights (whatever
-  /// weighted() says).
+  /// Whether no candidate of a Hop-Stepping iteration over the fresh runs
+  /// can witness another, so that its candidates can be decided as they
+  /// are gathered. Every candidate distance lies in [min_w + min_prev,
+  /// max_w + max_prev], over arc weights and fresh-run distances, and
+  /// every label or candidate distance is at least min_w, so a witness
+  /// sum that involves a candidate is at least 2 min_w + min_prev. True
+  /// when that exceeds the largest candidate distance, as on unit weights
+  /// (whatever weighted() says).
   bool CandidatesCannotWitness() const;
 
   /// Generates, dedups and filters this iteration's candidates owner by
@@ -223,9 +277,6 @@ class Builder {
 
   /// Fills one side's inverted lists (GenSide::inv) from its labels.
   void BuildInvertedLists(bool out_side);
-
-  /// Frees what only generation reads: `prev` and the inverted lists.
-  void ReleaseSources(bool out_side);
 
   /// Periodic in-pass control check (generation and pruning): accumulates
   /// the caller's local raw count and trips the shared abort flag when the
@@ -248,9 +299,9 @@ class Builder {
 
   /// The rules of `mode` in pull form: calls visit(slice, hop) for every
   /// source x of owner w's candidates on one side, where `slice` holds
-  /// x's `prev` entries whose pivot ranks above w and `hop` is the
-  /// distance between w and x. Every slice entry (x, p, d) then yields
-  /// the candidate (w, p, hop + d).
+  /// the entries of x's fresh run whose pivot ranks above w and `hop` is
+  /// the distance between w and x. Every slice entry (x, p, d) then
+  /// yields the candidate (w, p, hop + d).
   template <typename Visit>
   void ForEachSource(BuildMode mode, bool out_side, VertexId w,
                      const Visit& visit) const;
@@ -308,31 +359,32 @@ class Builder {
   /// lowers end[w] to match, owner by owner.
   void CompactSide(bool out_side, const PageArray<uint8_t>& keep);
 
-  /// Merges survivors into the labels owner by owner, reserving each
-  /// touched label to its old size plus its survivor count first; returns
-  /// the survivor count. Sequential: it is the one phase that grows heap
-  /// memory (the labels), and growth made on worker threads lands in
-  /// per-thread malloc arenas and raises the build's peak RSS with the
-  /// thread count, for a phase that costs ~2% of the build.
-  uint64_t Apply(bool out_side, IterationStats* st);
+  /// Rewrites one side's arena into a fresh mapping, owner by owner:
+  /// each label's older and fresh runs merged by pivot, minus every
+  /// pivot a survivor replaces (counted in st->updates), become its older
+  /// run, and its survivors its fresh run. The pages of the old arena and
+  /// of the candidate mapping go back to the kernel behind the walk, and
+  /// the old arena is unmapped at the end. Sequential, so that both old
+  /// mappings go back front to back; it allocates no heap, so per-thread
+  /// malloc arenas play no part. Fails with ResourceExhausted when the
+  /// mapping is refused.
+  Status Apply(bool out_side, IterationStats* st);
 
-  /// Makes one side's survivors the next `prev`: packs them in owner
-  /// order at the front of the candidate mapping, in place, with their
-  /// offsets in `prev_begin`, releasing the pages they leave as it goes,
-  /// and keeps the mapping as `prev`.
-  void AdvancePrev(bool out_side);
+  /// Freezes the labels into the index's store, slot by slot: each slot
+  /// merges its owner's two runs, and the arena behind the fill goes back
+  /// to the kernel.
+  Result<TwoHopIndex> Freeze();
 
-  std::vector<LabelVector>& Side(bool out_side) {
-    return out_side || !directed_ ? out_ : in_;
-  }
-  const std::vector<LabelVector>& Side(bool out_side) const {
-    return out_side || !directed_ ? out_ : in_;
-  }
   GenSide& Gen(bool out_side) {
     return out_side || !directed_ ? gen_out_ : gen_in_;
   }
   const GenSide& Gen(bool out_side) const {
     return out_side || !directed_ ? gen_out_ : gen_in_;
+  }
+  /// Label entries on both sides.
+  uint64_t TotalEntries() const {
+    return gen_out_.label_begin.back() +
+           (directed_ ? gen_in_.label_begin.back() : 0);
   }
 
   const CsrGraph& g_;
@@ -340,9 +392,6 @@ class Builder {
   bool directed_;
   uint32_t threads_;
   Deadline deadline_;
-
-  std::vector<LabelVector> out_;
-  std::vector<LabelVector> in_;
 
   /// The smallest and largest arc weight (kInfDistance and 0 without
   /// arcs).
@@ -371,35 +420,33 @@ Status Builder::Initialize() {
   // Directed arc u->v: v < u places (v, w) in Lout(u); u < v places
   // (u, w) in Lin(v). Undirected edge {u, v} with u < v: (u, w) in L(v).
   // So v's initial label is the part of its adjacency (out-arcs for Lout
-  // and L, in-arcs for Lin) that lies below v, already in pivot order:
-  // each label is sized once and copied from it. The labels, flattened
-  // in owner order, are iteration 1's `prev`.
+  // and L, in-arcs for Lin) that lies below v, already in pivot order,
+  // and all of it is fresh: iteration 1's `prev`.
   auto init_side = [&](bool out_side) -> Status {
-    std::vector<LabelVector>& labels = Side(out_side);
     GenSide& gen = Gen(out_side);
-    labels.resize(n);
-    gen.prev_begin.assign(static_cast<size_t>(n) + 1, 0);
-    for (VertexId v = 0; v < n; ++v) {
+    auto below = [&](VertexId v) {
       const std::span<const Arc> arcs = out_side ? g_.OutArcs(v) : g_.InArcs(v);
-      const auto below = std::partition_point(
-          arcs.begin(), arcs.end(), [v](const Arc& a) { return a.to < v; });
-      LabelVector& label = labels[v];
-      label.reserve(static_cast<size_t>(below - arcs.begin()));
-      for (auto a = arcs.begin(); a != below; ++a) {
-        label.push_back({a->to, a->weight});
-      }
-      gen.prev_begin[v + 1] = gen.prev_begin[v] + label.size();
+      return arcs.first(static_cast<size_t>(
+          std::partition_point(arcs.begin(), arcs.end(),
+                               [v](const Arc& a) { return a.to < v; }) -
+          arcs.begin()));
+    };
+    gen.label_begin.assign(static_cast<size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v) {
+      gen.label_begin[v + 1] = gen.label_begin[v] + below(v).size();
     }
-    HOPDB_RETURN_NOT_OK(gen.prev.Map(gen.prev_begin[n]));
-    LabelEntry* at = gen.prev.data();
-    for (const LabelVector& label : labels) {
-      at = std::copy(label.begin(), label.end(), at);
+    gen.fresh_begin.assign(gen.label_begin.begin(), gen.label_begin.end() - 1);
+    gen.fresh = gen.label_begin[n];
+    HOPDB_RETURN_NOT_OK(gen.arena.Map(gen.fresh));
+    for (VertexId v = 0; v < n; ++v) {
+      LabelEntry* at = gen.arena.data() + gen.label_begin[v];
+      for (const Arc& a : below(v)) *at++ = {a.to, a.weight};
     }
     return Status::OK();
   };
   HOPDB_RETURN_NOT_OK(init_side(/*out_side=*/true));
   if (directed_) HOPDB_RETURN_NOT_OK(init_side(/*out_side=*/false));
-  stats_.initial_entries = gen_out_.Prev().size() + gen_in_.Prev().size();
+  stats_.initial_entries = TotalEntries();
   for (VertexId v = 0; v < n; ++v) {
     for (const Arc& a : g_.OutArcs(v)) {
       min_arc_ = std::min(min_arc_, a.weight);
@@ -411,10 +458,14 @@ Status Builder::Initialize() {
 
 bool Builder::CandidatesCannotWitness() const {
   Distance min_prev = kInfDistance, max_prev = 0;
-  for (const GenSide* gen : {&gen_out_, &gen_in_}) {
-    for (const LabelEntry& e : gen->Prev()) {
-      min_prev = std::min(min_prev, e.dist);
-      max_prev = std::max(max_prev, e.dist);
+  for (const bool out_side : {true, false}) {
+    if (!out_side && !directed_) break;
+    const GenSide& gen = Gen(out_side);
+    for (VertexId w = 0; w < g_.num_vertices(); ++w) {
+      for (const LabelEntry& e : gen.Fresh(w)) {
+        min_prev = std::min(min_prev, e.dist);
+        max_prev = std::max(max_prev, e.dist);
+      }
     }
   }
   // In 64 bits, and only while no candidate distance saturates: the
@@ -427,43 +478,36 @@ bool Builder::CandidatesCannotWitness() const {
 
 void Builder::BuildInvertedLists(bool out_side) {
   GenSide& gen = Gen(out_side);
-  const std::vector<LabelVector>& labels = Side(out_side);
   const VertexId n = g_.num_vertices();
   // Count each pivot's owners, then write them in ascending owner order.
   gen.inv_begin.assign(static_cast<size_t>(n) + 1, 0);
-  for (const LabelVector& label : labels) {
-    for (const LabelEntry& e : label) ++gen.inv_begin[e.pivot + 1];
+  for (VertexId w = 0; w < n; ++w) {
+    for (const LabelEntry& e : gen.Label(w)) ++gen.inv_begin[e.pivot + 1];
   }
   for (size_t p = 0; p < n; ++p) gen.inv_begin[p + 1] += gen.inv_begin[p];
   gen.inv.resize(gen.inv_begin[n]);
   std::vector<uint64_t> next(gen.inv_begin.begin(), gen.inv_begin.end() - 1);
   for (VertexId w = 0; w < n; ++w) {
-    for (const LabelEntry& e : labels[w]) gen.inv[next[e.pivot]++] = w;
+    for (const LabelEntry& e : gen.Label(w)) gen.inv[next[e.pivot]++] = w;
   }
-}
-
-void Builder::ReleaseSources(bool out_side) {
-  GenSide& gen = Gen(out_side);
-  gen.prev.Unmap();
-  std::vector<uint64_t>().swap(gen.inv_begin);
-  std::vector<VertexId>().swap(gen.inv);
 }
 
 template <typename Visit>
 void Builder::ForEachSource(BuildMode mode, bool out_side, VertexId w,
                             const Visit& visit) const {
   const GenSide& gen = Gen(out_side);
-  // x's `prev` entries whose pivot ranks above w: a prefix of its slice.
+  // The entries of x's fresh run whose pivot ranks above w: a prefix.
   auto above_w = [&](VertexId x) {
-    const LabelEntry* first = gen.prev.data() + gen.prev_begin[x];
-    const LabelEntry* last = gen.prev.data() + gen.prev_begin[x + 1];
-    last = std::partition_point(
-        first, last, [w](const LabelEntry& e) { return e.pivot < w; });
-    return std::span<const LabelEntry>(first, last);
+    const std::span<const LabelEntry> fresh = gen.Fresh(x);
+    return fresh.first(static_cast<size_t>(
+        std::partition_point(
+            fresh.begin(), fresh.end(),
+            [w](const LabelEntry& e) { return e.pivot < w; }) -
+        fresh.begin()));
   };
   if (mode == BuildMode::kHopStepping) {
     // Hop-Stepping (Section 5.1): one arc w -> x (out side) or x -> w (in
-    // side) extended by a `prev` path from (or to) x.
+    // side) extended by a fresh path from (or to) x.
     for (const Arc& a : out_side ? g_.OutArcs(w) : g_.InArcs(w)) {
       visit(above_w(a.to), a.weight);
     }
@@ -472,21 +516,15 @@ void Builder::ForEachSource(BuildMode mode, bool out_side, VertexId w,
   // Rules 1 (out side) and 4 (in side) of Fig. 6: w is a pivot of the
   // opposite-side label of x, which ranks below w.
   const GenSide& opposite = Gen(!out_side);
-  const std::vector<LabelVector>& other = Side(!out_side);
   for (uint64_t i = opposite.inv_begin[w]; i < opposite.inv_begin[w + 1];
        ++i) {
     const VertexId x = opposite.inv[i];
     const std::span<const LabelEntry> slice = above_w(x);
-    if (!slice.empty()) visit(slice, LookupPivot(other[x], w));
+    if (!slice.empty()) visit(slice, opposite.Lookup(x, w));
   }
-  // Rules 2 and 5: x is a pivot of w's own label, so all of x's `prev`
-  // entries rank above w.
-  for (const LabelEntry& e : Side(out_side)[w]) {
-    visit(std::span<const LabelEntry>(
-              gen.prev.data() + gen.prev_begin[e.pivot],
-              gen.prev.data() + gen.prev_begin[e.pivot + 1]),
-          e.dist);
-  }
+  // Rules 2 and 5: x is a pivot of w's own label, so all of x's fresh run
+  // ranks above w.
+  for (const LabelEntry& e : gen.Label(w)) visit(gen.Fresh(e.pivot), e.dist);
 }
 
 template <typename Fn>
@@ -564,7 +602,7 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
   };
   ForEachSource(mode, out_side, w, gather);
   sc->deduped += sc->pivots.size();
-  for (const LabelEntry& e : Side(out_side)[w]) {
+  for (const LabelEntry& e : Gen(out_side).Label(w)) {
     uint64_t& best = sc->best[e.pivot];
     if (best != 0 && best - 1 >= e.dist) {
       best = 0;  // dominated by an existing entry
@@ -587,7 +625,7 @@ uint64_t Builder::DecideOwner(bool out_side, VertexId w,
   // candidates, the smaller distance per pivot. A candidate outlived the
   // domination drop only below the label entry at its pivot, so a label
   // entry fills only empty slots.
-  const LabelVector& own = Side(out_side)[w];
+  const std::span<const LabelEntry> own = Gen(out_side).Label(w);
   for (const LabelEntry& e : own) {
     if (best[e.pivot] == 0) best[e.pivot] = uint64_t{e.dist} + 1;
     tmin = std::min(tmin, e.dist);
@@ -596,11 +634,11 @@ uint64_t Builder::DecideOwner(bool out_side, VertexId w,
   // label meets the table within d. p's own candidates cannot witness,
   // so they go unprobed (DecideSide's slice bound would skip them all).
   // Every candidate is decided before any slot is cleared.
-  const std::vector<LabelVector>& opp_labels = Side(!out_side);
+  const GenSide& opposite = Gen(!out_side);
   uint64_t probes = 0;
   const auto pruned = std::partition(
       sc->pivots.begin(), sc->pivots.end(), [&](VertexId p) {
-        return !HasWitness(best, tmin, opp_labels[p],
+        return !HasWitness(best, tmin, opposite.Label(p),
                            static_cast<Distance>(best[p] - 1), &probes);
       });
   // A slot holding its label entry's distance + 1 was loaded from the
@@ -696,6 +734,12 @@ Status Builder::Generate(BuildMode mode_used, bool decide,
   if (directed_) {
     HOPDB_RETURN_NOT_OK(Gather(mode_used, /*out_side=*/false, decide, st));
   }
+  // Only the rules read the inverted lists: free them before the later
+  // phases allocate.
+  for (GenSide* gen : {&gen_out_, &gen_in_}) {
+    std::vector<uint64_t>().swap(gen->inv_begin);
+    std::vector<VertexId>().swap(gen->inv);
+  }
   if (generation_abort_.load(std::memory_order_relaxed)) {
     return Status::DeadlineExceeded("label generation over time budget");
   }
@@ -705,8 +749,6 @@ Status Builder::Generate(BuildMode mode_used, bool decide,
 void Builder::DecideSide(bool out_side, PageArray<uint8_t>* keep) {
   const GenSide& gen = Gen(out_side);
   const GenSide& opp_gen = Gen(!out_side);
-  const std::vector<LabelVector>& labels = Side(out_side);
-  const std::vector<LabelVector>& opp_labels = Side(!out_side);
   const bool with_cands = opts_.prune_with_candidates;
   const LabelEntry* cands = gen.cands.data();
   const LabelEntry* opposite = opp_gen.cands.data();
@@ -724,7 +766,7 @@ void Builder::DecideSide(bool out_side, PageArray<uint8_t>* keep) {
       if (best[pivot] == 0 || d < best[pivot]) best[pivot] = d;
       tmin = std::min(tmin, dist);
     };
-    const LabelVector& own = labels[w];
+    const std::span<const LabelEntry> own = gen.Label(w);
     for (const LabelEntry& e : own) load(e.pivot, e.dist);
     if (with_cands) {
       for (uint64_t i = begin; i < end; ++i) {
@@ -741,7 +783,7 @@ void Builder::DecideSide(bool out_side, PageArray<uint8_t>* keep) {
     for (uint64_t i = begin; i < end; ++i) {
       const VertexId p = cands[i].pivot;
       const Distance d = cands[i].dist;
-      bool found = HasWitness(best, tmin, opp_labels[p], d, &probes);
+      bool found = HasWitness(best, tmin, opp_gen.Label(p), d, &probes);
       if (!found && with_cands && SaturatingAdd(tmin, opp_gen.cmin[p]) <= d) {
         found = HasWitness(best, tmin,
                            std::span<const LabelEntry>(
@@ -807,72 +849,88 @@ Status Builder::Prune(IterationStats* st) {
   return Status::OK();
 }
 
-uint64_t Builder::Apply(bool out_side, IterationStats* st) {
-  std::vector<LabelVector>& side = Side(out_side);
-  const GenSide& gen = Gen(out_side);
-  uint64_t applied = 0;
-  for (VertexId owner = 0; owner < side.size(); ++owner) {
-    const uint64_t i = gen.begin[owner];
-    const uint64_t j = gen.end[owner];
-    if (i == j) continue;
-    applied += j - i;
-    LabelVector& lab = side[owner];
-    const size_t old_size = lab.size();
-    lab.reserve(old_size + (j - i));
-    for (uint64_t k = i; k < j; ++k) {
-      const LabelEntry& c = gen.cands[k];
-      // In-place update when the pivot already exists (possible for
-      // weighted graphs and Hop-Doubling's overshooting paths).
-      size_t lo = 0, hi = old_size;
-      while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (lab[mid].pivot < c.pivot) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo < old_size && lab[lo].pivot == c.pivot) {
-        HOPDB_DCHECK_GT(lab[lo].dist, c.dist);
-        lab[lo].dist = c.dist;
-        ++st->updates;
-      } else {
-        lab.push_back(c);
-      }
-    }
-    std::inplace_merge(
-        lab.begin(), lab.begin() + static_cast<ptrdiff_t>(old_size),
-        lab.end(), [](const LabelEntry& a, const LabelEntry& b) {
-          return a.pivot < b.pivot;
-        });
-  }
-  return applied;
-}
-
-void Builder::AdvancePrev(bool out_side) {
+Status Builder::Apply(bool out_side, IterationStats* st) {
   GenSide& gen = Gen(out_side);
   const VertexId n = g_.num_vertices();
-  LabelEntry* cands = gen.cands.data();
-  gen.prev_begin.assign(static_cast<size_t>(n) + 1, 0);
-  // Slices ascend with their owners and do not overlap, so owner w's
-  // packed start is at or below begin[w]: moving the owners in ascending
-  // order overwrites only entries already moved. After each range, the
-  // whole pages between the packed entries and the next range's first
-  // slice hold nothing live; past the last range, the tail.
-  for (size_t k = 0; k + 1 < gen.ranges.size(); ++k) {
-    for (VertexId w = gen.ranges[k]; w < gen.ranges[k + 1]; ++w) {
-      const uint64_t count = gen.end[w] - gen.begin[w];
-      if (count != 0 && gen.prev_begin[w] != gen.begin[w]) {
-        std::memmove(cands + gen.prev_begin[w], cands + gen.begin[w],
-                     count * sizeof(LabelEntry));
+  const uint64_t survivors = gen.Survivors();
+  PageArray<LabelEntry> next;
+  HOPDB_RETURN_NOT_OK(next.Map(gen.label_begin[n] + survivors));
+  const LabelEntry* const old = gen.arena.data();
+  const LabelEntry* const cands = gen.cands.data();
+  LabelEntry* const base = next.data();
+  LabelEntry* at = base;
+  // The offsets are rewritten in place: each owner's old end is read
+  // before the next owner's step rewrites it, and carried over as that
+  // owner's old start.
+  uint64_t old_begin = 0;
+  for (VertexId w = 0; w < n; ++w) {
+    const uint64_t old_end = gen.label_begin[w + 1];
+    const std::span<const LabelEntry> older(old + old_begin,
+                                            old + gen.fresh_begin[w]);
+    const std::span<const LabelEntry> fresh(old + gen.fresh_begin[w],
+                                            old + old_end);
+    const LabelEntry* s = cands + gen.begin[w];  // the survivors
+    const LabelEntry* const s_end = cands + gen.end[w];
+    LabelEntry* const first = at;
+    gen.label_begin[w] = static_cast<uint64_t>(first - base);
+    MergeRuns(older, fresh, [&at](const LabelEntry& e) { *at++ = e; });
+    if (s != s_end) {
+      // A survivor at a pivot the label holds is shorter than its entry
+      // there (possible for weighted graphs and Hop-Doubling's
+      // overshooting paths), and replaces it.
+      LabelEntry* kept = first;
+      for (const LabelEntry* e = first; e != at; ++e) {
+        while (s != s_end && s->pivot < e->pivot) ++s;
+        if (s != s_end && s->pivot == e->pivot) {
+          HOPDB_DCHECK_GT(e->dist, s->dist);
+          ++st->updates;
+        } else {
+          *kept++ = *e;
+        }
       }
-      gen.prev_begin[w + 1] = gen.prev_begin[w] + count;
+      at = kept;
     }
-    const VertexId next = gen.ranges[k + 1];
-    gen.cands.Release(gen.prev_begin[next],
-                      next < n ? gen.begin[next] : gen.cands.size());
+    gen.fresh_begin[w] = static_cast<uint64_t>(at - base);
+    at = std::copy(cands + gen.begin[w], s_end, at);
+    old_begin = old_end;
+    gen.arena.Release(old_end);
+    gen.cands.Release(gen.end[w]);
   }
-  gen.prev = std::move(gen.cands);
+  gen.label_begin[n] = static_cast<uint64_t>(at - base);
+  gen.fresh = survivors;
+  gen.arena = std::move(next);
+  return Status::OK();
+}
+
+Result<TwoHopIndex> Builder::Freeze() {
+  const VertexId n = g_.num_vertices();
+  std::vector<uint32_t> sizes;
+  for (const bool out_side : {true, false}) {
+    if (!out_side && !directed_) break;
+    const GenSide& gen = Gen(out_side);
+    for (VertexId w = 0; w < n; ++w) {
+      sizes.push_back(static_cast<uint32_t>(gen.Label(w).size()));
+    }
+  }
+  auto fill = [&](size_t slot, uint32_t size, uint32_t* pivots,
+                  Distance* dists) {
+    const bool out_side = slot < n;
+    GenSide& gen = Gen(out_side);
+    const auto w = static_cast<VertexId>(out_side ? slot : slot - n);
+    uint32_t k = 0;
+    MergeRuns(gen.Older(w), gen.Fresh(w), [&](const LabelEntry& e) {
+      pivots[k] = e.pivot;
+      dists[k++] = e.dist;
+    });
+    HOPDB_DCHECK_EQ(k, size);
+    gen.arena.Release(gen.label_begin[w + 1]);
+    if (w + 1 == n) gen.arena.Unmap();
+    return Status::OK();
+  };
+  HOPDB_ASSIGN_OR_RETURN(
+      FlatLabelStore store,
+      FlatLabelStore::FromSlots(n, directed_, std::move(sizes), fill));
+  return TwoHopIndex(std::move(store));
 }
 
 Result<BuildOutput> Builder::Run() {
@@ -884,7 +942,7 @@ Result<BuildOutput> Builder::Run() {
   }
 
   for (uint32_t iter = 1; iter <= opts_.max_iterations; ++iter) {
-    if (gen_out_.Prev().empty() && gen_in_.Prev().empty()) break;
+    if (gen_out_.fresh == 0 && gen_in_.fresh == 0) break;
     if (deadline_.Exceeded()) {
       return Status::DeadlineExceeded("label construction over time budget");
     }
@@ -916,10 +974,6 @@ Result<BuildOutput> Builder::Run() {
 
     Stopwatch phase_watch;
     HOPDB_RETURN_NOT_OK(Generate(st.mode_used, decide_in_gather, &st));
-    // Only generation reads `prev` and the inverted lists; release them
-    // before the later phases allocate.
-    ReleaseSources(/*out_side=*/true);
-    if (directed_) ReleaseSources(/*out_side=*/false);
     st.generate_seconds = phase_watch.Seconds();
 
     if (!decide_in_gather) {
@@ -928,18 +982,20 @@ Result<BuildOutput> Builder::Run() {
       st.prune_seconds = phase_watch.Seconds();
     }
 
+    // With no survivors on either side the labels are final: the arenas
+    // keep their runs, which the freeze merges. Either way the candidate
+    // mappings go now.
     phase_watch.Restart();
-    st.survivors = Apply(/*out_side=*/true, &st);
-    if (directed_) st.survivors += Apply(/*out_side=*/false, &st);
+    st.survivors = gen_out_.Survivors() + gen_in_.Survivors();
+    if (st.survivors != 0) {
+      HOPDB_RETURN_NOT_OK(Apply(/*out_side=*/true, &st));
+      if (directed_) HOPDB_RETURN_NOT_OK(Apply(/*out_side=*/false, &st));
+    }
+    gen_out_.cands.Unmap();
+    gen_in_.cands.Unmap();
     st.apply_seconds = phase_watch.Seconds();
 
-    AdvancePrev(/*out_side=*/true);
-    if (directed_) AdvancePrev(/*out_side=*/false);
-
-    uint64_t total_entries = 0;
-    for (const auto& l : out_) total_entries += l.size();
-    for (const auto& l : in_) total_entries += l.size();
-    st.total_entries_after = total_entries;
+    st.total_entries_after = TotalEntries();
     st.seconds = iter_watch.Seconds();
     stats_.iterations.push_back(st);
     stats_.num_rule_iterations = iter;
@@ -958,11 +1014,17 @@ Result<BuildOutput> Builder::Run() {
     if (st.survivors == 0) break;
   }
 
+  // Generation's tables go before the store is allocated.
+  std::vector<GatherScratch>().swap(scratch_);
+  for (GenSide* gen : {&gen_out_, &gen_in_}) {
+    std::vector<uint64_t>().swap(gen->begin);
+    std::vector<uint64_t>().swap(gen->end);
+    std::vector<VertexId>().swap(gen->ranges);
+    std::vector<Distance>().swap(gen->cmin);
+  }
+  HOPDB_ASSIGN_OR_RETURN(TwoHopIndex index, Freeze());
   stats_.total_seconds = total_watch.Seconds();
-  BuildOutput output{
-      TwoHopIndex(std::move(out_), std::move(in_), directed_),
-      std::move(stats_)};
-  return output;
+  return BuildOutput{std::move(index), std::move(stats_)};
 }
 
 }  // namespace

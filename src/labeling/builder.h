@@ -2,35 +2,40 @@
 // (Sections 3 and 5 of the paper).
 //
 // The builder runs on a *rank-relabeled* graph (internal id == rank, id 0
-// = highest degree). Each iteration is a three-phase pipeline, the first
-// two parallel over BuildOptions::num_threads (docs/ARCHITECTURE.md,
-// "Build pipeline"):
-//   1. generate — candidate entries from the entries that survived the
-//      previous iteration (`prev`), joined against either all existing
-//      labels (Hop-Doubling, the 4 simplified rules of Fig. 6) or single
-//      edges (Hop-Stepping, Section 5.1). Candidates and `prev` entries
-//      are 8-byte (pivot, dist) pairs: an entry's owner is implied by
-//      per-owner offsets. The rules run in pull form, owner by owner,
-//      each range of owners on one worker: every new entry of owner w
-//      joins a `prev` entry of one of w's sources (a graph neighbour, or
-//      a label entry that points at or from w; Hop-Doubling iterations
-//      find the latter through per-pivot inverted lists built from the
-//      labels when generation starts and freed when it ends). A first
-//      pass adds up the `prev` prefixes each owner will read — the exact
-//      raw count, checked against the cap, used to balance the ranges
-//      and to size the candidate buffers. One gather pass then collects
-//      each owner's candidates, keeps the smallest distance per pivot,
-//      drops those w's label already dominates and writes the survivors
-//      once, into one buffer per side: a fresh page mapping with room for
-//      the raw count, in which each range packs its owners from the raw
-//      offset of its first owner, so only the pages written become
-//      resident. No raw candidate is ever stored. In a Hop-Stepping
-//      iteration in which no candidate can witness another (every
-//      candidate distance lies in [min_w + min_prev, max_w + max_prev],
-//      so 2 min_w + min_prev > max_w + max_prev rules it out; always so
-//      on unit weights), the gather also makes phase 2's decisions for
-//      each owner, right after the domination drop, and writes only the
-//      candidates that survive pruning; phase 2 then does not run.
+// = highest degree). It holds each label entry once: one label arena per
+// side, a page mapping of 8-byte (pivot, dist) entries in owner order
+// (an entry's owner is implied by per-owner offsets), in which each
+// owner's label is two runs, each sorted by pivot, with disjoint pivots:
+// the older entries, then the fresh run the previous iteration added
+// (the initial one-entry-per-edge labels, for iteration 1). The fresh
+// runs are the paper's `prev`, read in place. Each iteration is a
+// three-phase pipeline, the first two parallel over
+// BuildOptions::num_threads (docs/ARCHITECTURE.md, "Build pipeline"):
+//   1. generate — candidate entries from the fresh runs, joined against
+//      either all existing labels (Hop-Doubling, the 4 simplified rules
+//      of Fig. 6) or single edges (Hop-Stepping, Section 5.1).
+//      Candidates are 8-byte entries too. The rules run in pull form,
+//      owner by owner, each range of owners on one worker: every new
+//      entry of owner w joins a fresh entry of one of w's sources (a
+//      graph neighbour, or a label entry that points at or from w;
+//      Hop-Doubling iterations find the latter through per-pivot inverted
+//      lists built from the labels when generation starts and freed when
+//      it ends). A first pass adds up the fresh-run prefixes each owner
+//      will read — the exact raw count, checked against the cap, used to
+//      balance the ranges and to size the candidate buffers. One gather
+//      pass then collects each owner's candidates, keeps the smallest
+//      distance per pivot, drops those w's label already dominates and
+//      writes the survivors once, into one buffer per side: a fresh page
+//      mapping with room for the raw count, in which each range packs its
+//      owners from the raw offset of its first owner, so only the pages
+//      written become resident. No raw candidate is ever stored. In a
+//      Hop-Stepping iteration in which no candidate can witness another
+//      (every candidate distance lies in [min_w + min_prev, max_w +
+//      max_prev], so 2 min_w + min_prev > max_w + max_prev rules it out;
+//      always so on unit weights), the gather also makes phase 2's
+//      decisions for each owner, right after the domination drop, and
+//      writes only the candidates that survive pruning; phase 2 then does
+//      not run.
 //   2. prune — for iterations the gather did not decide (Hop-Doubling,
 //      mixed weights, and the ablations prune_with_candidates = false
 //      and prune = false). Candidates with a witness through a
@@ -47,17 +52,20 @@
 //      by owner on the workers. A decision made in the gather is the same
 //      table and the same probes, minus the candidate slices that cannot
 //      witness.
-//   3. apply — survivors merge into the labels owner by owner, on one
-//      thread, each touched label first reserved to its old size plus
-//      its survivor count: label growth made on worker threads would
-//      land in per-thread malloc arenas and raise peak memory with the
-//      thread count. Survivors become `prev` in an exactly sized copy
-//      packed in owner order, and the candidate mappings are unmapped.
+//   3. apply — streams each side's arena and its survivors into a fresh
+//      arena, owner by owner, on one thread: a label's two runs merged by
+//      pivot, minus any pivot a shorter survivor replaces, become its
+//      older run, and its survivors its fresh run, the next iteration's
+//      `prev`. The pages of the old arena and of the candidate mapping go
+//      back to the kernel behind the walk, and both are unmapped at the
+//      end. An iteration with no survivors on either side rewrites
+//      nothing.
 // The loop ends when no candidate survives — at most DH iterations for
 // Stepping (Thm. 6) and 2⌈log DH⌉ for Doubling (Thm. 4). The labels are
-// then frozen into the index, and once the builder is destroyed the
-// heap its label vectors held goes back to the kernel (malloc_trim,
-// glibc only).
+// then frozen into the index: each store slot merges its owner's two
+// runs, and the arena behind the fill goes back to the kernel. Once the
+// builder is destroyed, the heap its per-owner and per-worker tables held
+// goes back to the kernel too (malloc_trim, glibc only).
 //
 // Per-iteration statistics (candidate counts, pruning counts, per-phase
 // times) feed Figure 10's growing/pruning-factor plots and

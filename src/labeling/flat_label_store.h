@@ -2,8 +2,10 @@
 // form a heap index holds its labels in (TwoHopIndex is this store plus
 // its read API).
 //
-// Per-vertex label vectors (vector<LabelVector>) are what the builders
-// emit and IncrementalUpdater repairs: ideal for incremental merging but
+// Per-vertex label vectors (vector<LabelVector>) are what the baseline
+// and external builders emit and IncrementalUpdater repairs (the
+// in-memory builder grows page-mapped label arenas instead): ideal for
+// incremental merging but
 // poor for querying, because every label lookup chases a heap pointer
 // and the interleaved (pivot, dist) pairs waste half of each cache line
 // during the pivot-comparison phase of a merge-join. The flat store
@@ -40,8 +42,9 @@
 // slot, entries stay strictly sorted by pivot (the TwoHopIndex invariant).
 //
 // A store is frozen once, by FromSlots — slot by slot from the HLI1
-// loader's decoder, or from label vectors through Build (the builders'
-// and IncrementalUpdater::Finalize's freeze) — and never edited: a
+// loader's decoder or the in-memory builder's label arenas, or from
+// label vectors through Build (the other builders' and
+// IncrementalUpdater::Finalize's freeze) — and never edited: a
 // repair freezes a new store from the updater's vectors. The store
 // has no serialized form of its own: HLI1 (two_hop_index.h) holds its
 // real entries, and HLI2 (labeling/mapped_index.h) is the on-disk image
@@ -150,8 +153,9 @@ class FlatLabelStore {
 
   FlatLabelStore() = default;
 
-  /// Flattens per-vertex label vectors (what builders emit and the
-  /// updater repairs) into the blocked SoA arenas, through FromSlots.
+  /// Flattens per-vertex label vectors (what the baseline and external
+  /// builders emit and the updater repairs) into the blocked SoA arenas,
+  /// through FromSlots.
   /// For undirected indexes pass an empty `in`. O(total entries) time.
   static FlatLabelStore Build(const std::vector<LabelVector>& out,
                               const std::vector<LabelVector>& in,

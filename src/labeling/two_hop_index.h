@@ -9,10 +9,12 @@
 // goes through it — Query, labels() (and through labels() the batch/KNN
 // engines, the hot-hub table and the serving snapshot), and the
 // OutLabel/InLabel views, which yield LabelEntry values for code that
-// walks a label entry by entry. Per-vertex label vectors exist only
-// while labels are built or repaired: the vector constructor freezes
-// them into the store and lets them go, and IncrementalUpdater thaws
-// its own editable copy, freezing it back at Finalize(). Save writes
+// walks a label entry by entry. Labels live outside the store only
+// while they are built or repaired: the in-memory builder freezes its
+// label arenas through FlatLabelStore::FromSlots, the other producers
+// hand per-vertex label vectors to the vector constructor, which
+// freezes them into the store and lets them go, and IncrementalUpdater
+// thaws its own editable copy, freezing it back at Finalize(). Save writes
 // the store's real entries as varints (HLI1 never sees the block
 // padding) and the caller's rank permutation, and Load decodes both
 // back, the labels straight into the arenas.

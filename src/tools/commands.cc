@@ -221,16 +221,19 @@ Status CmdBuild(CliFlags* flags, int argc, char** argv, std::ostream& out,
   }
 
   // Build progress: one build_iteration event per rule iteration on
-  // stderr.
+  // stderr. The build frees the graph once it is relabeled.
+  const VertexId num_vertices = graph.num_vertices();
+  const uint64_t num_edges = graph.num_edges();
   SetJsonLogMinLevel(JsonLogLevel::kInfo);
   Stopwatch watch;
-  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index, HopDbIndex::Build(graph, options));
+  HOPDB_ASSIGN_OR_RETURN(HopDbIndex index,
+                         HopDbIndex::Build(std::move(graph), options));
   const double seconds = watch.Seconds();
   HOPDB_RETURN_NOT_OK(index.Save(out_path));
 
   const BuildStats& stats = index.build_stats();
-  out << "built index over |V|=" << graph.num_vertices()
-      << " |E|=" << graph.num_edges() << "\n"
+  out << "built index over |V|=" << num_vertices << " |E|=" << num_edges
+      << "\n"
       << "  mode            " << flags->GetString("mode") << " (order "
       << order_name << ", threads "
       << (options.build.num_threads == 0

@@ -512,6 +512,118 @@ TEST(BuilderTest, PinnedOutputAcrossModesAndThreads) {
   }
 }
 
+// On mixed weights a survivor can land on a pivot the label already
+// holds, at a shorter distance: apply then drops the old entry as it
+// merges the label's runs, and the survivor joins the fresh run. Such
+// builds must report the replacements and still answer exactly from
+// every vertex.
+TEST(BuilderTest, ShorterSurvivorsReplaceHeldEntries) {
+  for (const bool directed : {false, true}) {
+    GlpOptions glp;
+    glp.num_vertices = 300;
+    glp.seed = 1;
+    auto edges = directed ? GenerateDirectedGlp(glp) : GenerateGlp(glp);
+    ASSERT_TRUE(edges.ok());
+    AssignUniformWeights(&*edges, 1, 9, glp.seed);
+    auto ranked = RankedGraph(*edges);
+    ASSERT_TRUE(ranked.ok());
+    for (const BuildMode mode : {BuildMode::kHopDoubling, BuildMode::kHybrid}) {
+      SCOPED_TRACE(std::string(directed ? "directed " : "undirected ") +
+                   BuildModeName(mode));
+      BuildOptions opts;
+      opts.mode = mode;
+      opts.hybrid_switch_iteration = 2;
+      auto out = BuildHopLabeling(*ranked, opts);
+      ASSERT_TRUE(out.ok());
+      uint64_t updates = 0;
+      uint64_t entries = out->stats.initial_entries;
+      for (const IterationStats& it : out->stats.iterations) {
+        updates += it.updates;
+        entries += it.survivors - it.updates;
+        EXPECT_EQ(it.total_entries_after, entries);
+      }
+      EXPECT_GT(updates, 0u);
+      EXPECT_EQ(out->index.TotalEntries(), entries);
+      ASSERT_TRUE(out->index.Validate(/*ranked=*/true).ok());
+      VerifyOptions every_vertex;
+      every_vertex.sample_sources = ranked->num_vertices();
+      EXPECT_TRUE(VerifyExactDistances(
+                      *ranked,
+                      [&](VertexId s, VertexId t) {
+                        return out->index.Query(s, t);
+                      },
+                      every_vertex)
+                      .ok());
+    }
+  }
+}
+
+// A directed build whose sides finish at different iterations: on this
+// graph only the out side gains entries in two consecutive iterations,
+// so apply folds the fresh run of an in side that has no survivors, and
+// then rewrites an in side that has neither. Per-side growth is read
+// from builds cut short by max_iterations (on unit weights no survivor
+// replaces an entry, so a side grows by its survivors).
+TEST(BuilderTest, OneSidedIterationsStayExact) {
+  GlpOptions glp;
+  glp.num_vertices = 500;
+  glp.seed = 11;
+  auto edges = GenerateDirectedGlp(glp);
+  ASSERT_TRUE(edges.ok());
+  auto ranked = RankedGraph(*edges);
+  ASSERT_TRUE(ranked.ok());
+  BuildOptions opts;
+  opts.mode = BuildMode::kHopStepping;
+  auto full = BuildHopLabeling(*ranked, opts);
+  ASSERT_TRUE(full.ok());
+  // An idle side's fresh run must leave `prev` once its iteration is
+  // over: fed to the next iteration again, it would raise the raw,
+  // deduped and dropped counts pinned here.
+  EXPECT_EQ(CountersText(full->stats),
+            "1:0:3145:2328:231:372:1725:0:2807;"
+            "2:0:2492:1452:543:237:672:0:3479;"
+            "3:0:528:355:260:37:58:0:3537;4:0:59:55:46:2:7:0:3544;"
+            "5:0:15:15:5:0:10:0:3554;6:0:10:10:9:1:0:0:3554;");
+  for (const IterationStats& it : full->stats.iterations) {
+    ASSERT_EQ(it.updates, 0u);
+  }
+
+  // side_entries[t]: {out, in} entries after t iterations.
+  std::vector<std::pair<uint64_t, uint64_t>> side_entries;
+  for (uint32_t t = 0; t <= full->stats.num_rule_iterations; ++t) {
+    opts.max_iterations = t;
+    auto cut = BuildHopLabeling(*ranked, opts);
+    ASSERT_TRUE(cut.ok());
+    uint64_t out = 0, in = 0;
+    for (VertexId v = 0; v < ranked->num_vertices(); ++v) {
+      out += cut->index.OutLabel(v).size();
+      in += cut->index.InLabel(v).size();
+    }
+    side_entries.emplace_back(out, in);
+  }
+  size_t out_only_runs = 0;  // consecutive out-only iterations
+  size_t longest = 0;
+  for (size_t t = 1; t < side_entries.size(); ++t) {
+    const bool out_grew = side_entries[t].first > side_entries[t - 1].first;
+    const bool in_grew = side_entries[t].second > side_entries[t - 1].second;
+    out_only_runs = out_grew && !in_grew ? out_only_runs + 1 : 0;
+    longest = std::max(longest, out_only_runs);
+  }
+  EXPECT_GE(longest, 2u);
+  EXPECT_EQ(side_entries.back().first + side_entries.back().second,
+            full->index.TotalEntries());
+
+  VerifyOptions every_vertex;
+  every_vertex.sample_sources = ranked->num_vertices();
+  EXPECT_TRUE(VerifyExactDistances(
+                  *ranked,
+                  [&](VertexId s, VertexId t) {
+                    return full->index.Query(s, t);
+                  },
+                  every_vertex)
+                  .ok());
+}
+
 /// The HLI1 bytes `index`, over the ids of `ranked`, saves to `path`.
 std::string SavedBytes(const TwoHopIndex& index, const CsrGraph& ranked,
                        const std::string& path) {

@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/glp.h"
@@ -98,8 +99,8 @@ TEST(ConcurrentQueryTest, ServerStressWithRacingHotSwap) {
 
   const EdgeList edges_a = MakeGraph(kN, 5.0, /*seed=*/71, false);
   const EdgeList edges_b = MakeGraph(kN, 4.0, /*seed=*/72, false);
-  const CsrGraph graph_a = CsrGraph::FromEdgeList(edges_a).ValueOrDie();
-  const CsrGraph graph_b = CsrGraph::FromEdgeList(edges_b).ValueOrDie();
+  CsrGraph graph_a = CsrGraph::FromEdgeList(edges_a).ValueOrDie();
+  CsrGraph graph_b = CsrGraph::FromEdgeList(edges_b).ValueOrDie();
   const auto truth_a = FullOracle(graph_a);
   const auto truth_b = FullOracle(graph_b);
 
@@ -107,8 +108,10 @@ TEST(ConcurrentQueryTest, ServerStressWithRacingHotSwap) {
   ASSERT_TRUE(tmp.ok());
   const std::string path_a = tmp->File("a.hli");
   const std::string path_b = tmp->File("b.hli");
-  ASSERT_TRUE(HopDbIndex::Build(graph_a).ValueOrDie().Save(path_a).ok());
-  ASSERT_TRUE(HopDbIndex::Build(graph_b).ValueOrDie().Save(path_b).ok());
+  ASSERT_TRUE(
+      HopDbIndex::Build(std::move(graph_a)).ValueOrDie().Save(path_a).ok());
+  ASSERT_TRUE(
+      HopDbIndex::Build(std::move(graph_b)).ValueOrDie().Save(path_b).ok());
 
   ServerOptions options;
   options.num_workers = 4;
@@ -204,8 +207,8 @@ TEST(ConcurrentQueryTest, ServerStressWithRacingHotSwap) {
 TEST(ConcurrentQueryTest, WireReloadChangesVertexCountAtomically) {
   const EdgeList small = MakeGraph(80, 4.0, /*seed=*/81, false);
   const EdgeList big = MakeGraph(160, 4.0, /*seed=*/82, false);
-  const CsrGraph graph_small = CsrGraph::FromEdgeList(small).ValueOrDie();
-  const CsrGraph graph_big = CsrGraph::FromEdgeList(big).ValueOrDie();
+  CsrGraph graph_small = CsrGraph::FromEdgeList(small).ValueOrDie();
+  CsrGraph graph_big = CsrGraph::FromEdgeList(big).ValueOrDie();
   const auto truth_small = FullOracle(graph_small);
   const auto truth_big = FullOracle(graph_big);
 
@@ -213,9 +216,12 @@ TEST(ConcurrentQueryTest, WireReloadChangesVertexCountAtomically) {
   ASSERT_TRUE(tmp.ok());
   const std::string path_small = tmp->File("small.hli");
   const std::string path_big = tmp->File("big.hli");
+  ASSERT_TRUE(HopDbIndex::Build(std::move(graph_small))
+                  .ValueOrDie()
+                  .Save(path_small)
+                  .ok());
   ASSERT_TRUE(
-      HopDbIndex::Build(graph_small).ValueOrDie().Save(path_small).ok());
-  ASSERT_TRUE(HopDbIndex::Build(graph_big).ValueOrDie().Save(path_big).ok());
+      HopDbIndex::Build(std::move(graph_big)).ValueOrDie().Save(path_big).ok());
 
   ServerOptions options;
   options.num_workers = 2;
@@ -297,11 +303,11 @@ TEST(ConcurrentQueryTest, ConcurrentQueriesDuringDetach) {
 
   const EdgeList edges_a = MakeGraph(kN, 5.0, /*seed=*/61, false);
   const EdgeList edges_x = MakeGraph(kN, 4.0, /*seed=*/62, false);
-  const CsrGraph graph_x = CsrGraph::FromEdgeList(edges_x).ValueOrDie();
+  CsrGraph graph_x = CsrGraph::FromEdgeList(edges_x).ValueOrDie();
   const auto truth_x = FullOracle(graph_x);
 
   auto tmp = TempDir::Create("detach_race").ValueOrDie();
-  HopDbIndex index_x = HopDbIndex::Build(graph_x).ValueOrDie();
+  HopDbIndex index_x = HopDbIndex::Build(std::move(graph_x)).ValueOrDie();
   const std::string path_x = tmp.File("x.hli2");
   ASSERT_TRUE(MappedIndex::Write(index_x.label_index(), index_x.ranking(),
                                  path_x)

@@ -75,7 +75,7 @@ std::vector<std::string> SeedInputs() {
     if (heavy) edges.Add(4, 6, 200);
     auto graph = hopdb::CsrGraph::FromEdgeList(edges);
     if (!graph.ok()) continue;
-    auto index = hopdb::HopDbIndex::Build(*graph);
+    auto index = hopdb::HopDbIndex::Build(std::move(*graph));
     if (!index.ok()) continue;
     const std::string path = ScratchPath() + ".seed";
     if (!hopdb::MappedIndex::Write(index->label_index(), index->ranking(),

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "gen/erdos_renyi.h"
 #include "gen/glp.h"
 #include "gen/small_graphs.h"
@@ -194,7 +196,7 @@ TEST(HopDbPathQuerierTest, RejectsMismatchedGraph) {
   small.status().CheckOK();
   auto big = CsrGraph::FromEdgeList(PathGraph(9));
   big.status().CheckOK();
-  auto index = HopDbIndex::Build(*small);
+  auto index = HopDbIndex::Build(std::move(*small));
   index.status().CheckOK();
   auto querier = HopDbPathQuerier::Create(*index, *big);
   ASSERT_FALSE(querier.ok());
