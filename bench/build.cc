@@ -15,7 +15,9 @@
 // the build started from (build_growth_bytes: the build's own memory,
 // without the graph set-up the child inherits) and its largest
 // per-iteration raw candidate count, plus the largest peak of the
-// parent and every run.
+// parent and every run, and the ranked CSR the builds read: its bytes
+// (graph_bytes, CsrGraph::SizeBytes) and the arcs its out adjacency
+// holds (graph_arcs: 2|E| on this undirected graph).
 //
 //   bench_build            # 60k-vertex GLP (the acceptance setting)
 //   bench_build --ci       # seconds-long CI mode, same JSON shape
@@ -220,6 +222,8 @@ int Run(int argc, char** argv) {
       << ", \"avg_degree\": " << FormatDouble(glp.target_avg_degree, 2)
       << ", \"seed\": " << seed << "},\n"
       << "  \"hardware_threads\": " << HardwareThreads() << ",\n"
+      << "  \"graph_bytes\": " << ranked->SizeBytes() << ",\n"
+      << "  \"graph_arcs\": " << 2 * ranked->num_edges() << ",\n"
       << "  \"total_entries\": " << results[0].total_entries << ",\n"
       << "  \"index_checksum\": " << results[0].checksum << ",\n"
       << "  \"checksums_agree\": " << (checksums_agree ? "true" : "false")

@@ -24,13 +24,25 @@ Status Allocating(Allocate&& allocate) {
   return Status::OK();
 }
 
+Status ChangedSource() {
+  return Status::InvalidArgument(
+      "edge source yielded other edges on its second pass");
+}
+
+/// Frees what a lane holds past its first `size` entries.
+template <typename T>
+void ShrinkTo(std::vector<T>* lane, uint64_t size) {
+  if (size < lane->size()) {
+    lane->resize(size);
+    lane->shrink_to_fit();
+  }
+}
+
 }  // namespace
 
-Status CsrFreezer::Start(VertexId num_vertices, bool directed,
-                         bool weighted) {
+Status CsrFreezer::Start(VertexId num_vertices, bool directed) {
   graph_.num_vertices_ = num_vertices;
   graph_.directed_ = directed;
-  graph_.weighted_ = weighted;
   return Allocating([&] {
     cursor_out_.assign(num_vertices, 0);
     if (directed) cursor_in_.assign(num_vertices, 0);
@@ -53,85 +65,101 @@ void CsrFreezer::Reject(VertexId src, VertexId dst, Distance weight) {
 Status CsrFreezer::StartPlacing() {
   HOPDB_RETURN_NOT_OK(error_);
   // Counts become offsets, and each vertex's cursor its first slot.
-  const auto start = [n = graph_.num_vertices_](
-                         std::vector<uint64_t>* cursor,
-                         std::vector<uint64_t>* offsets,
-                         std::vector<Arc>* arcs) {
-    offsets->assign(static_cast<size_t>(n) + 1, 0);
+  const auto start = [this](std::vector<uint64_t>* cursor,
+                            CsrGraph::Adjacency* side) {
+    const VertexId n = graph_.num_vertices_;
+    side->offsets.assign(static_cast<size_t>(n) + 1, 0);
     for (VertexId v = 0; v < n; ++v) {
-      (*offsets)[v + 1] = (*offsets)[v] + (*cursor)[v];
-      (*cursor)[v] = (*offsets)[v];
+      side->offsets[v + 1] = side->offsets[v] + (*cursor)[v];
+      (*cursor)[v] = side->offsets[v];
     }
-    arcs->resize((*offsets)[n]);
+    side->targets.resize(side->offsets[n]);
+    if (lane_) side->weights.resize(side->offsets[n]);
   };
   return Allocating([&] {
-    start(&cursor_out_, &graph_.offsets_out_, &graph_.arcs_out_);
-    if (graph_.directed_) {
-      start(&cursor_in_, &graph_.offsets_in_, &graph_.arcs_in_);
-    }
+    start(&cursor_out_, &graph_.out_);
+    if (graph_.directed_) start(&cursor_in_, &graph_.in_);
   });
+}
+
+Status CsrFreezer::FinishSide(const std::vector<uint64_t>& cursor,
+                              CsrGraph::Adjacency* side) {
+  const VertexId n = graph_.num_vertices_;
+  std::vector<VertexId>& to = side->targets;
+  std::vector<Distance>& weight = side->weights;
+  const auto by_target_then_weight = [](const Arc& a, const Arc& b) {
+    return a.to != b.to ? a.to < b.to : a.weight < b.weight;
+  };
+  std::vector<Arc> arcs;  // one weighted adjacency while it sorts
+  uint64_t kept = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const uint64_t begin = side->offsets[v];
+    const uint64_t end = side->offsets[v + 1];
+    if (cursor[v] != end) return ChangedSource();  // fewer arcs than counted
+    side->offsets[v] = kept;
+    // Sorts the adjacency by (target, weight). Sources that yield each
+    // vertex's arcs in order (a sorted edge list, a DynamicGraph) skip
+    // the sort.
+    if (lane_) {
+      const ArcRange placed(to.data() + begin, weight.data() + begin,
+                            end - begin);
+      if (!std::is_sorted(placed.begin(), placed.end(),
+                          by_target_then_weight)) {
+        arcs.assign(placed.begin(), placed.end());
+        std::sort(arcs.begin(), arcs.end(), by_target_then_weight);
+        for (uint64_t i = begin; i < end; ++i) {
+          to[i] = arcs[i - begin].to;
+          weight[i] = arcs[i - begin].weight;
+        }
+      }
+    } else {
+      const auto first = to.begin() + static_cast<ptrdiff_t>(begin);
+      const auto last = to.begin() + static_cast<ptrdiff_t>(end);
+      if (!std::is_sorted(first, last)) std::sort(first, last);
+    }
+    // Keeps the first arc per target, the lightest, packing the kept
+    // arcs to the front.
+    for (uint64_t i = begin; i < end; ++i) {
+      if (kept > side->offsets[v] && to[kept - 1] == to[i]) {
+        continue;  // a parallel arc, heavier than the one kept
+      }
+      to[kept] = to[i];
+      if (lane_) {
+        weight[kept] = weight[i];
+        heavy_kept_ |= weight[i] != 1;
+      }
+      ++kept;
+    }
+  }
+  side->offsets[n] = kept;
+  ShrinkTo(&to, kept);
+  ShrinkTo(&weight, kept);
+  return Status::OK();
 }
 
 Result<CsrGraph> CsrFreezer::Finish() {
   HOPDB_RETURN_NOT_OK(error_);
-  const auto changed = [] {
-    return Status::InvalidArgument(
-        "edge source yielded other edges on its second pass");
-  };
-  if (changed_) return changed();
-  const VertexId n = graph_.num_vertices_;
-  const auto less = [](const Arc& a, const Arc& b) {
-    return a.to != b.to ? a.to < b.to : a.weight < b.weight;
-  };
-  // Sorts each adjacency by (target, weight) and keeps the first arc per
-  // target, the lightest, packing the kept arcs to the front.
-  const auto finish = [&](const std::vector<uint64_t>& cursor,
-                          std::vector<uint64_t>* offsets,
-                          std::vector<Arc>* arcs) -> Status {
-    uint64_t kept = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      const uint64_t begin = (*offsets)[v];
-      const uint64_t end = (*offsets)[v + 1];
-      if (cursor[v] != end) return changed();  // fewer arcs than counted
-      (*offsets)[v] = kept;
-      const auto first = arcs->begin() + static_cast<ptrdiff_t>(begin);
-      const auto last = arcs->begin() + static_cast<ptrdiff_t>(end);
-      // Sources that yield each vertex's arcs in order (a sorted edge
-      // list, a DynamicGraph) skip the sort.
-      if (!std::is_sorted(first, last, less)) std::sort(first, last, less);
-      for (uint64_t i = begin; i < end; ++i) {
-        if (kept > (*offsets)[v] && (*arcs)[kept - 1].to == (*arcs)[i].to) {
-          continue;  // a parallel arc, heavier than the one kept
-        }
-        (*arcs)[kept++] = (*arcs)[i];
-      }
-    }
-    (*offsets)[n] = kept;
-    if (kept < arcs->size()) {
-      arcs->resize(kept);
-      arcs->shrink_to_fit();
-    }
-    return Status::OK();
-  };
-  HOPDB_RETURN_NOT_OK(
-      finish(cursor_out_, &graph_.offsets_out_, &graph_.arcs_out_));
+  if (changed_) return ChangedSource();
+  HOPDB_RETURN_NOT_OK(FinishSide(cursor_out_, &graph_.out_));
   if (graph_.directed_) {
-    HOPDB_RETURN_NOT_OK(
-        finish(cursor_in_, &graph_.offsets_in_, &graph_.arcs_in_));
+    HOPDB_RETURN_NOT_OK(FinishSide(cursor_in_, &graph_.in_));
+  }
+  // Pass 1's heavy weights may all have gone with heavier parallel arcs.
+  if (!heavy_kept_) {
+    std::vector<Distance>().swap(graph_.out_.weights);
+    std::vector<Distance>().swap(graph_.in_.weights);
   }
   // Undirected graphs hold each edge as two arcs.
-  graph_.num_edges_ = graph_.arcs_out_.size() / (graph_.directed_ ? 1 : 2);
+  graph_.num_edges_ =
+      graph_.out_.targets.size() / (graph_.directed_ ? 1 : 2);
   return std::move(graph_);
 }
 
 Result<CsrGraph> CsrGraph::FromEdgeList(const EdgeList& edges) {
-  return Freeze(edges.num_vertices(), edges.directed(), edges.weighted(),
-                [&edges](auto&& emit) {
-                  for (const Edge& e : edges.edges()) {
-                    emit(e.src, e.dst, e.weight);
-                  }
-                  return Status::OK();
-                });
+  return Freeze(edges.num_vertices(), edges.directed(), [&edges](auto&& emit) {
+    for (const Edge& e : edges.edges()) emit(e.src, e.dst, e.weight);
+    return Status::OK();
+  });
 }
 
 uint32_t CsrGraph::MaxDegree() const {
@@ -143,17 +171,16 @@ uint32_t CsrGraph::MaxDegree() const {
 }
 
 Distance CsrGraph::ArcWeight(VertexId u, VertexId v) const {
-  auto arcs = OutArcs(u);
-  auto it = std::lower_bound(
-      arcs.begin(), arcs.end(), v,
-      [](const Arc& a, VertexId target) { return a.to < target; });
-  if (it != arcs.end() && it->to == v) return it->weight;
+  const ArcRange arcs = OutArcs(u);
+  const auto it = std::partition_point(
+      arcs.begin(), arcs.end(), [v](const Arc& a) { return a.to < v; });
+  if (it != arcs.end() && (*it).to == v) return (*it).weight;
   return kInfDistance;
 }
 
 EdgeList CsrGraph::ToEdgeList() const {
+  // Add flags the list weighted at the first arc that weighs other than 1.
   EdgeList out(num_vertices_, directed_);
-  out.set_weighted(weighted_);
   for (VertexId u = 0; u < num_vertices_; ++u) {
     for (const Arc& a : OutArcs(u)) {
       if (!directed_ && a.to < u) continue;  // emit undirected edges once
@@ -164,9 +191,7 @@ EdgeList CsrGraph::ToEdgeList() const {
 }
 
 uint64_t CsrGraph::SizeBytes() const {
-  return offsets_out_.size() * sizeof(uint64_t) +
-         arcs_out_.size() * sizeof(Arc) +
-         offsets_in_.size() * sizeof(uint64_t) + arcs_in_.size() * sizeof(Arc);
+  return out_.SizeBytes() + in_.SizeBytes();
 }
 
 uint64_t CsrGraph::PaperSizeBytes() const {

@@ -80,7 +80,11 @@ Result<EdgeList> ParseTextEdges(const std::string& text,
       }
       w = static_cast<Distance>(f[2]);
     }
-    out.Add(map_id(f[0]), map_id(f[1]), w);
+    // The source is numbered before the destination: first-appearance
+    // order, on any compiler (argument evaluation order is unspecified).
+    const VertexId src = map_id(f[0]);
+    const VertexId dst = map_id(f[1]);
+    out.Add(src, dst, w);
   }
   return out;
 }
@@ -264,8 +268,7 @@ Result<CsrGraph> LoadCsrGraph(const std::string& path, bool directed,
     // Each pass reads the file from its start; a header that differs
     // from the first pass's means the file changed in between.
     return CsrGraph::Freeze(
-        header.num_vertices, header.directed, header.weighted,
-        [&](auto&& emit) -> Status {
+        header.num_vertices, header.directed, [&](auto&& emit) -> Status {
           Hgr1Header again;
           HOPDB_RETURN_NOT_OK(
               ReadHgr1Header(&reader, file.size(), path, &again));
@@ -290,13 +293,13 @@ Result<CsrGraph> LoadCsrGraph(const std::string& path, bool directed,
     HOPDB_ASSIGN_OR_RETURN(edges, ParseTextEdges(text, options));
   }
   HOPDB_RETURN_NOT_OK(CheckVertexCount(edges.num_vertices(), ranking, path));
-  return CsrGraph::Freeze(edges.num_vertices(), edges.directed(),
-                          edges.weighted(), [&](auto&& emit) {
-                            for (const Edge& e : edges.edges()) {
-                              emit(relabel(e.src), relabel(e.dst), e.weight);
-                            }
-                            return Status::OK();
-                          });
+  return CsrGraph::Freeze(
+      edges.num_vertices(), edges.directed(), [&](auto&& emit) {
+        for (const Edge& e : edges.edges()) {
+          emit(relabel(e.src), relabel(e.dst), e.weight);
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace hopdb

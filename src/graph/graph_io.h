@@ -24,7 +24,8 @@ struct TextGraphOptions {
   /// When false, a third column (weight) is ignored and all weights are 1.
   bool read_weights = true;
   /// Vertex ids in the file may be arbitrary (non-contiguous); when true
-  /// they are compacted to 0..n-1 in first-appearance order.
+  /// they are compacted to 0..n-1 in first-appearance order (each line's
+  /// source before its destination).
   bool compact_ids = true;
 };
 
@@ -56,9 +57,11 @@ bool IsBinaryGraphPath(const std::string& path);
 /// Loads a graph file into CSR form, choosing the format by extension:
 /// an HGR1 file streams through a fixed 1 MiB window into
 /// CsrGraph::Freeze in two passes, so no edge list is held (its own
-/// directed/weighted flags win over the arguments); a text edge list is
-/// parsed with the given options, then frozen. Both give the CSR
-/// FromEdgeList gives on the file's Normalize()d edges. With a
+/// directed flag wins over the argument, and its weighted flag only
+/// sizes its records); a text edge list is parsed with the given
+/// options, then frozen. Both give the CSR FromEdgeList gives on the
+/// file's Normalize()d edges, whose arcs decide whether it holds a
+/// weight lane (CsrGraph::weighted()). With a
 /// `ranking`, each edge is relabeled through ranking->orig_to_rank as
 /// it is read, so the CSR is in the rank ids of the index that mapping
 /// belongs to; a graph whose vertex count differs from the mapping's is

@@ -76,8 +76,7 @@ Result<CsrGraph> RelabelByRank(const CsrGraph& graph,
   }
   const std::vector<VertexId>& rank = mapping.orig_to_rank;
   return CsrGraph::Freeze(
-      graph.num_vertices(), graph.directed(), graph.weighted(),
-      [&](auto&& emit) {
+      graph.num_vertices(), graph.directed(), [&](auto&& emit) {
         for (VertexId u = 0; u < graph.num_vertices(); ++u) {
           for (const Arc& a : graph.OutArcs(u)) {
             if (!graph.directed() && a.to < u) continue;  // each edge once

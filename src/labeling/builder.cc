@@ -425,7 +425,7 @@ Status Builder::Initialize() {
   auto init_side = [&](bool out_side) -> Status {
     GenSide& gen = Gen(out_side);
     auto below = [&](VertexId v) {
-      const std::span<const Arc> arcs = out_side ? g_.OutArcs(v) : g_.InArcs(v);
+      const ArcRange arcs = out_side ? g_.OutArcs(v) : g_.InArcs(v);
       return arcs.first(static_cast<size_t>(
           std::partition_point(arcs.begin(), arcs.end(),
                                [v](const Arc& a) { return a.to < v; }) -

@@ -85,18 +85,17 @@ std::vector<Distance> DynDistances(const DynamicGraph& graph, VertexId source,
 DynamicGraph DynamicGraph::FromGraph(const CsrGraph& graph) {
   DynamicGraph dyn;
   dyn.directed_ = graph.directed();
-  dyn.weighted_ = graph.weighted();
   const VertexId n = graph.num_vertices();
   dyn.out_.resize(n);
   for (VertexId u = 0; u < n; ++u) {
-    const std::span<const Arc> arcs = graph.OutArcs(u);
+    const ArcRange arcs = graph.OutArcs(u);
     dyn.out_[u].assign(arcs.begin(), arcs.end());
     dyn.num_arcs_ += arcs.size();
   }
   if (dyn.directed_) {
     dyn.in_.resize(n);
     for (VertexId u = 0; u < n; ++u) {
-      const std::span<const Arc> arcs = graph.InArcs(u);
+      const ArcRange arcs = graph.InArcs(u);
       dyn.in_[u].assign(arcs.begin(), arcs.end());
     }
   } else {
@@ -118,7 +117,6 @@ bool DynamicGraph::AddArc(VertexId u, VertexId v, Distance weight) {
   } else {
     SetArcWeight(&out_[v], u, weight);
   }
-  if (weight != 1) weighted_ = true;
   return true;
 }
 
@@ -134,22 +132,20 @@ bool DynamicGraph::RemoveArc(VertexId u, VertexId v) {
 }
 
 Result<CsrGraph> DynamicGraph::Freeze() const {
-  return CsrGraph::Freeze(num_vertices(), directed_, weighted_,
-                          [this](auto&& emit) {
-                            for (VertexId u = 0; u < num_vertices(); ++u) {
-                              for (const Arc& arc : out_[u]) {
-                                // One orientation per undirected edge.
-                                if (!directed_ && arc.to < u) continue;
-                                emit(u, arc.to, arc.weight);
-                              }
-                            }
-                            return Status::OK();
-                          });
+  return CsrGraph::Freeze(num_vertices(), directed_, [this](auto&& emit) {
+    for (VertexId u = 0; u < num_vertices(); ++u) {
+      for (const Arc& arc : out_[u]) {
+        // One orientation per undirected edge.
+        if (!directed_ && arc.to < u) continue;
+        emit(u, arc.to, arc.weight);
+      }
+    }
+    return Status::OK();
+  });
 }
 
 EdgeList DynamicGraph::ToEdgeList() const {
   EdgeList edges(num_vertices(), directed_);
-  edges.set_weighted(weighted_);
   for (VertexId u = 0; u < num_vertices(); ++u) {
     // Arc order inside a list depends on the update history; emit each
     // vertex's arcs sorted so the frozen edge list is deterministic.

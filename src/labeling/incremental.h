@@ -153,7 +153,6 @@ class DynamicGraph {
     return static_cast<VertexId>(out_.size());
   }
   bool directed() const { return directed_; }
-  bool weighted() const { return weighted_; }
   uint64_t num_arcs() const { return num_arcs_; }
 
   std::span<const Arc> OutArcs(VertexId u) const { return out_[u]; }
@@ -175,16 +174,17 @@ class DynamicGraph {
 
   /// Freezes the current adjacency into a CSR through CsrGraph::Freeze,
   /// with no edge list in between: a COMMIT's PATH graph and the
-  /// fallback rebuild's input. Same ids as the adjacency.
+  /// fallback rebuild's input. Same ids as the adjacency; it holds a
+  /// weight lane only while some arc weighs other than 1.
   Result<CsrGraph> Freeze() const;
 
   /// The current adjacency as an edge list, in a deterministic order
-  /// (`hopdb_cli update --out-graph` and differential tests).
+  /// (`hopdb_cli update --out-graph` and differential tests), flagged
+  /// weighted when some arc weighs other than 1.
   EdgeList ToEdgeList() const;
 
  private:
   bool directed_ = false;
-  bool weighted_ = false;
   uint64_t num_arcs_ = 0;
   std::vector<std::vector<Arc>> out_;
   std::vector<std::vector<Arc>> in_;  // empty when undirected

@@ -43,8 +43,9 @@ class DijkstraRunner {
 /// Exact one-pair weighted distance (test helper).
 Distance DijkstraDistance(const CsrGraph& graph, VertexId s, VertexId t);
 
-/// Dispatches to BFS for unweighted graphs and Dijkstra otherwise —
-/// "the ground truth oracle" used throughout tests and verification.
+/// Dispatches to BFS when every arc weighs 1 (the graph holds no weight
+/// lane) and Dijkstra otherwise — "the ground truth oracle" used
+/// throughout tests and verification.
 std::vector<Distance> ExactDistances(const CsrGraph& graph, VertexId source,
                                      bool backward = false);
 

@@ -131,6 +131,29 @@ TEST(CliTest, FullPipelineTextGraph) {
   EXPECT_NE(out.find(" bytes/entry)", at), std::string::npos) << out;
 }
 
+// A text edge list's vertices are numbered in first-appearance order,
+// so query ids name the file's vertices in the order they first appear:
+// on the path 0 -5- 1 -5- 2, dist(0, 2) is 10 and dist(1, 2) is 5.
+TEST(CliTest, TextGraphIdsFollowFirstAppearance) {
+  TempDir dir = TempDir::Create("cli_test").ValueOrDie();
+  const std::string graph = dir.File("path.txt");
+  const std::string index = dir.File("path.hli");
+  ASSERT_TRUE(WriteStringToFile(graph, "0 1 5\n1 2 5\n").ok());
+  std::string out;
+  ASSERT_EQ(RunTool({"build", "--graph", graph, "--weighted", "--out", index},
+                    &out),
+            0)
+      << out;
+  ASSERT_EQ(RunTool({"query", "--index", index, "--src", "0", "--dst", "2"},
+                    &out),
+            0);
+  EXPECT_NE(out.find("dist(0, 2) = 10"), std::string::npos) << out;
+  ASSERT_EQ(RunTool({"query", "--index", index, "--src", "1", "--dst", "2"},
+                    &out),
+            0);
+  EXPECT_NE(out.find("dist(1, 2) = 5"), std::string::npos) << out;
+}
+
 TEST(CliTest, FullPipelineBinaryDirectedWeighted) {
   TempDir dir = TempDir::Create("cli_test").ValueOrDie();
   const std::string graph = dir.File("g.hgr");

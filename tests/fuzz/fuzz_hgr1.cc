@@ -9,12 +9,17 @@
 //     weight outside [1, inf));
 //   - a CSR it yields equals a naive reference built here: the sorted
 //     set of relabeled arcs, self-loops dropped, the lightest weight
-//     kept per pair (both directions for an undirected file);
+//     kept per pair (both directions for an undirected file), read
+//     through the CSR's arc ranges, and it holds a weight lane
+//     (weighted()) exactly when a kept arc weighs other than 1;
 //   - ReadBinaryGraph accepts exactly the files the CSR load accepts.
 // Headers over more than kMaxVertices vertices are skipped: a vertex
 // count is not bounded by the file's size, and the CSR's offsets grow
-// with it. The seed corpus is three small valid files, with parallel
-// edges, both orientations of an edge and self-loops.
+// with it. The seed corpus is five small valid files: three with
+// parallel edges, both orientations of an edge and self-loops, one
+// flagged weighted whose weights are all 1, and one whose only heavy
+// edge is parallel to a unit one (the freeze sees a weight other than 1
+// but keeps none).
 
 #include <cstddef>
 #include <cstdint>
@@ -135,6 +140,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     __builtin_trap();
   }
   if (csr->num_edges() != arcs.size() / (directed ? 1 : 2)) __builtin_trap();
+  bool heavy = false;
+  for (const auto& [key, w] : arcs) heavy |= w != 1;
+  if (csr->weighted() != heavy) __builtin_trap();
   CheckAgainst(*csr, /*in_side=*/false, arcs);
   if (directed) CheckAgainst(*csr, /*in_side=*/true, arcs);
   return 0;
@@ -143,13 +151,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 namespace hopdb_fuzz {
 
 std::vector<std::string> SeedInputs() {
-  std::vector<std::string> seeds;
-  // flags: 0 undirected, 1 directed, 3 directed and weighted.
-  for (const uint32_t flags : {0u, 1u, 3u}) {
+  const auto file = [](uint32_t flags,
+                       const std::vector<std::vector<uint32_t>>& records) {
     const bool weighted = (flags & 2u) != 0;
-    const std::vector<std::vector<uint32_t>> records = {
-        {0, 1, 5}, {1, 0, 3}, {2, 3, 7}, {2, 3, 2}, {4, 4, 1},
-        {3, 5, 4}, {5, 6, 1}, {6, 7, 2}, {7, 0, 9}, {1, 6, 6}};
     std::string bytes = "HGR1";
     hopdb::PutU32(&bytes, flags);
     hopdb::PutU32(&bytes, 9);  // vertex 8 is isolated
@@ -159,8 +163,20 @@ std::vector<std::string> SeedInputs() {
       hopdb::PutU32(&bytes, r[1]);
       if (weighted) hopdb::PutU32(&bytes, r[2]);
     }
-    seeds.push_back(std::move(bytes));
+    return bytes;
+  };
+  std::vector<std::string> seeds;
+  // flags: 0 undirected, 1 directed, 2 undirected and weighted, 3
+  // directed and weighted.
+  for (const uint32_t flags : {0u, 1u, 3u}) {
+    seeds.push_back(file(flags, {{0, 1, 5}, {1, 0, 3}, {2, 3, 7}, {2, 3, 2},
+                                 {4, 4, 1}, {3, 5, 4}, {5, 6, 1}, {6, 7, 2},
+                                 {7, 0, 9}, {1, 6, 6}}));
   }
+  seeds.push_back(file(2, {{0, 1, 1}, {1, 0, 1}, {2, 3, 1}, {4, 4, 1},
+                           {3, 5, 1}, {5, 6, 1}, {7, 0, 1}}));
+  seeds.push_back(file(3, {{0, 1, 7}, {0, 1, 1}, {2, 3, 1}, {5, 5, 9},
+                           {3, 5, 1}, {5, 6, 1}, {7, 0, 1}}));
   return seeds;
 }
 

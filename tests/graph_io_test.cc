@@ -61,6 +61,20 @@ TEST(TextGraphTest, CompactsSparseIds) {
   EXPECT_EQ(edges->num_vertices(), 3u);
 }
 
+// compact_ids numbers each line's source before its destination, so
+// ids follow their first appearance in the file on every compiler.
+TEST(TextGraphTest, CompactsIdsInFirstAppearanceOrder) {
+  TextGraphOptions opt;
+  opt.directed = true;
+  const std::vector<Edge> path = {Edge(0, 1), Edge(1, 2)};
+  auto dense = ParseTextEdgeList("0 1\n1 2\n", opt);
+  ASSERT_TRUE(dense.ok());
+  EXPECT_EQ(dense->edges(), path);
+  auto sparse = ParseTextEdgeList("5 3\n3 9\n", opt);  // 5, 3, 9 -> 0, 1, 2
+  ASSERT_TRUE(sparse.ok());
+  EXPECT_EQ(sparse->edges(), path);
+}
+
 TEST(TextGraphTest, RejectsMalformedLines) {
   TextGraphOptions opt;
   EXPECT_FALSE(ParseTextEdgeList("0\n", opt).ok());
@@ -242,6 +256,45 @@ TEST(LoadCsrGraphTest, MatchesNormalizeFreezeRelabel) {
       ASSERT_TRUE(ranked.ok()) << ranked.status();
       ExpectSameCsr(*ranked, ranked_reference);
     }
+  }
+}
+
+// The arcs decide the layout, not the header: an HGR1 file flagged
+// weighted whose weights are all 1 loads with no weight lane and equals
+// its unweighted twin arc for arc.
+TEST(LoadCsrGraphTest, UnitWeightsFlaggedWeightedLoadWithoutALane) {
+  auto dir = TempDir::Create("graph_io");
+  ASSERT_TRUE(dir.ok());
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    GlpOptions glp;
+    glp.num_vertices = 300;
+    glp.seed = 17;
+    const EdgeList edges = directed ? GenerateDirectedGlp(glp).ValueOrDie()
+                                    : GenerateGlp(glp).ValueOrDie();
+    std::vector<std::vector<uint32_t>> flagged_records, twin_records;
+    for (const Edge& e : edges.edges()) {
+      flagged_records.push_back({e.src, e.dst, 1});
+      twin_records.push_back({e.src, e.dst});
+    }
+    const uint32_t flags = directed ? 1 : 0;
+    const std::string flagged = dir->File("flagged.hgr");
+    const std::string twin = dir->File("twin.hgr");
+    ASSERT_TRUE(WriteStringToFile(
+                    flagged, Hgr1Bytes(flags | 2, edges.num_vertices(),
+                                       edges.num_edges(), flagged_records))
+                    .ok());
+    ASSERT_TRUE(WriteStringToFile(twin, Hgr1Bytes(flags, edges.num_vertices(),
+                                                  edges.num_edges(),
+                                                  twin_records))
+                    .ok());
+    auto a = LoadCsrGraph(flagged, directed, true);
+    auto b = LoadCsrGraph(twin, directed, true);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_FALSE(a->weighted());
+    EXPECT_EQ(a->SizeBytes(), b->SizeBytes());
+    ExpectSameCsr(*a, *b);
   }
 }
 

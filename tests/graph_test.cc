@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gen/small_graphs.h"
 #include "graph/csr_graph.h"
 #include "graph/edge_list.h"
@@ -89,16 +91,102 @@ TEST(CsrGraphTest, UndirectedSymmetric) {
 }
 
 TEST(CsrGraphTest, ArcWeightLookup) {
-  EdgeList e(3, true);
-  e.Add(0, 1, 7);
-  e.Add(1, 2, 9);
-  e.Normalize();
-  auto g = CsrGraph::FromEdgeList(e);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->ArcWeight(0, 1), 7u);
-  EXPECT_EQ(g->ArcWeight(1, 2), 9u);
-  EXPECT_EQ(g->ArcWeight(0, 2), kInfDistance);
-  EXPECT_TRUE(g->weighted());
+  // With a weight lane (7, 9) and without one (1, 1), directed and not.
+  for (const Distance scale : {1u, 0u}) {
+    for (const bool directed : {true, false}) {
+      EdgeList e(4, directed);
+      e.Add(0, 1, 1 + 6 * scale);
+      e.Add(1, 2, 1 + 8 * scale);
+      e.Add(3, 1);
+      e.Normalize();
+      auto g = CsrGraph::FromEdgeList(e);
+      ASSERT_TRUE(g.ok());
+      SCOPED_TRACE(std::string(directed ? "directed" : "undirected") +
+                   (scale > 0 ? ", weight lane" : ", no lane"));
+      EXPECT_EQ(g->weighted(), scale > 0);
+      EXPECT_EQ(g->ArcWeight(0, 1), 1 + 6 * scale);
+      EXPECT_EQ(g->ArcWeight(1, 2), 1 + 8 * scale);
+      EXPECT_EQ(g->ArcWeight(3, 1), 1u);
+      EXPECT_EQ(g->ArcWeight(0, 2), kInfDistance);
+      EXPECT_EQ(g->ArcWeight(1, 0), directed ? kInfDistance : 1 + 6 * scale);
+      EXPECT_EQ(g->ArcWeight(2, 3), kInfDistance);
+    }
+  }
+}
+
+/// Bytes of one adjacency side: 8 an offset, then 4 an arc for its
+/// target and, with a weight lane, 4 more for its weight.
+uint64_t SideBytes(VertexId n, uint64_t arcs, bool lane) {
+  return 8 * (uint64_t{n} + 1) + (lane ? 8 : 4) * arcs;
+}
+
+// A unit-weight graph holds no weights: each side is its offsets and
+// one 4-byte target per arc, and every arc still reads weight 1.
+TEST(CsrGraphTest, UnitWeightGraphHoldsNoWeightLane) {
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    EdgeList e = GridGraph(4, 5);
+    e.set_directed(directed);
+    e.set_weighted(true);  // the flag does not decide the layout
+    auto g = CsrGraph::FromEdgeList(e);
+    ASSERT_TRUE(g.ok());
+    EXPECT_FALSE(g->weighted());
+    const uint64_t arcs = directed ? e.num_edges() : 2 * e.num_edges();
+    EXPECT_EQ(g->SizeBytes(), (directed ? 2 : 1) *
+                                  SideBytes(g->num_vertices(), arcs, false));
+    for (VertexId v = 0; v < g->num_vertices(); ++v) {
+      for (const Arc& a : g->OutArcs(v)) EXPECT_EQ(a.weight, 1u);
+      for (const Arc& a : g->InArcs(v)) EXPECT_EQ(a.weight, 1u);
+    }
+  }
+}
+
+// The freeze keeps the lightest of parallel arcs and decides the layout
+// from the kept arcs: a weight-7 arc parallel to a weight-1 arc is
+// dropped, and with it the only reason for a weight lane.
+TEST(CsrGraphTest, HeavyParallelArcLeavesNoWeightLane) {
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    EdgeList e(4, directed);
+    e.Add(0, 1, 7);
+    e.Add(0, 1, 1);
+    e.Add(1, 2);
+    e.Add(3, 2);
+    auto g = CsrGraph::FromEdgeList(e);
+    ASSERT_TRUE(g.ok());
+    EXPECT_FALSE(g->weighted());
+    EXPECT_EQ(g->num_edges(), 3u);
+    EXPECT_EQ(g->ArcWeight(0, 1), 1u);
+    const uint64_t arcs = directed ? 3 : 6;
+    EXPECT_EQ(g->SizeBytes(), (directed ? 2 : 1) * SideBytes(4, arcs, false));
+    EXPECT_FALSE(g->ToEdgeList().weighted());
+  }
+}
+
+// One arc that weighs other than 1 keeps the lane on every side, and the
+// lane holds every kept arc's weight, the unit ones included.
+TEST(CsrGraphTest, OneHeavyArcKeepsTheWeightLane) {
+  for (const bool directed : {false, true}) {
+    SCOPED_TRACE(directed ? "directed" : "undirected");
+    EdgeList e(4, directed);
+    e.Add(0, 1);
+    e.Add(1, 2, 3);
+    e.Add(3, 2);
+    e.Add(1, 2, 5);  // parallel, heavier: dropped
+    auto g = CsrGraph::FromEdgeList(e);
+    ASSERT_TRUE(g.ok());
+    EXPECT_TRUE(g->weighted());
+    const uint64_t arcs = directed ? 3 : 6;
+    EXPECT_EQ(g->SizeBytes(), (directed ? 2 : 1) * SideBytes(4, arcs, true));
+    EXPECT_EQ(g->ArcWeight(0, 1), 1u);
+    EXPECT_EQ(g->ArcWeight(1, 2), 3u);
+    EXPECT_EQ(g->ArcWeight(3, 2), 1u);
+    ASSERT_EQ(g->InArcs(2).size(), 2u);
+    EXPECT_EQ(g->InArcs(2)[0].to, 1u);
+    EXPECT_EQ(g->InArcs(2)[0].weight, 3u);
+    EXPECT_EQ(g->InArcs(2)[1].to, 3u);
+    EXPECT_EQ(g->InArcs(2)[1].weight, 1u);
+  }
 }
 
 TEST(CsrGraphTest, MaxDegree) {
@@ -108,13 +196,23 @@ TEST(CsrGraphTest, MaxDegree) {
 }
 
 TEST(CsrGraphTest, ToEdgeListRoundTrip) {
-  EdgeList e = GridGraph(3, 3);
-  auto g = CsrGraph::FromEdgeList(e);
-  ASSERT_TRUE(g.ok());
-  EdgeList back = g->ToEdgeList();
-  back.Normalize();
-  EXPECT_EQ(back.num_edges(), e.num_edges());
-  EXPECT_EQ(back.num_vertices(), e.num_vertices());
+  for (const bool heavy : {false, true}) {
+    for (const bool directed : {false, true}) {
+      SCOPED_TRACE(std::string(directed ? "directed" : "undirected") +
+                   (heavy ? ", weight lane" : ", no lane"));
+      EdgeList e = GridGraph(3, 3);
+      e.set_directed(directed);
+      if (heavy) e.mutable_edges()[4].weight = 6;
+      e.Normalize();
+      auto g = CsrGraph::FromEdgeList(e);
+      ASSERT_TRUE(g.ok());
+      EdgeList back = g->ToEdgeList();
+      EXPECT_EQ(back.weighted(), heavy);
+      EXPECT_EQ(back.num_vertices(), e.num_vertices());
+      back.Normalize();
+      EXPECT_EQ(back.edges(), e.edges());
+    }
+  }
 }
 
 TEST(CsrGraphTest, PaperSizeBytes) {
@@ -165,38 +263,49 @@ void ExpectSameCsr(const CsrGraph& a, const CsrGraph& b) {
 // The freeze normalizes what it is given: a list holding both
 // orientations of an edge, parallel edges of different weights and
 // weighted self-loops freezes to the CSR of its Normalize()d copy.
+// In the unit layout every kept arc weighs 1, though heavier parallel
+// arcs and a heavy self-loop pass through the freeze.
 TEST(CsrGraphTest, FromEdgeListEqualsFromEdgeListAfterNormalize) {
-  for (const bool directed : {false, true}) {
-    EdgeList raw(7, directed);
-    raw.Add(0, 1, 5);
-    raw.Add(1, 0, 3);  // the other orientation, lighter
-    raw.Add(2, 3, 7);
-    raw.Add(2, 3, 2);  // parallel, lightest
-    raw.Add(2, 3, 9);
-    raw.Add(3, 2, 4);
-    raw.Add(4, 4, 1);  // self-loops
-    raw.Add(5, 5, 6);
-    raw.Add(3, 5, 4);
-    raw.Add(1, 4, 1);
-    raw.Add(6, 0, 8);
-    raw.Add(0, 6, 8);
-    EdgeList normalized = raw;
-    normalized.Normalize();
-    auto frozen = CsrGraph::FromEdgeList(raw);
-    auto reference = CsrGraph::FromEdgeList(normalized);
-    ASSERT_TRUE(frozen.ok()) << frozen.status();
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    SCOPED_TRACE(directed ? "directed" : "undirected");
-    EXPECT_EQ(frozen->num_edges(), normalized.num_edges());
-    ExpectSameCsr(*frozen, *reference);
-    EXPECT_EQ(frozen->ArcWeight(2, 3), 2u);
-    EXPECT_EQ(frozen->ArcWeight(4, 4), kInfDistance);
+  for (const bool unit : {false, true}) {
+    for (const bool directed : {false, true}) {
+      const auto w = [unit](Distance weight, Distance unit_weight) {
+        return unit ? unit_weight : weight;
+      };
+      EdgeList raw(7, directed);
+      raw.Add(0, 1, w(5, 4));
+      raw.Add(1, 0, w(3, 1));  // the other orientation, lighter
+      raw.Add(2, 3, w(7, 7));
+      raw.Add(2, 3, w(2, 1));  // parallel, lightest
+      raw.Add(2, 3, w(9, 9));
+      raw.Add(3, 2, w(4, 1));
+      raw.Add(4, 4, 1);  // self-loops
+      raw.Add(5, 5, 6);
+      raw.Add(3, 5, w(4, 1));
+      raw.Add(1, 4, 1);
+      raw.Add(6, 0, w(8, 1));
+      raw.Add(0, 6, w(8, 1));
+      if (unit && directed) raw.Add(0, 1, 1);  // 0->1's unit twin
+      EdgeList normalized = raw;
+      normalized.Normalize();
+      auto frozen = CsrGraph::FromEdgeList(raw);
+      auto reference = CsrGraph::FromEdgeList(normalized);
+      ASSERT_TRUE(frozen.ok()) << frozen.status();
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      SCOPED_TRACE(std::string(directed ? "directed" : "undirected") +
+                   (unit ? ", unit weights" : ", weight lane"));
+      EXPECT_EQ(frozen->weighted(), !unit);
+      EXPECT_EQ(frozen->num_edges(), normalized.num_edges());
+      ExpectSameCsr(*frozen, *reference);
+      EXPECT_EQ(frozen->ArcWeight(2, 3), unit ? 1u : 2u);
+      EXPECT_EQ(frozen->ArcWeight(0, 1), unit ? 1u : directed ? 5u : 3u);
+      EXPECT_EQ(frozen->ArcWeight(4, 4), kInfDistance);
+    }
   }
 }
 
 TEST(CsrGraphTest, FreezeRejectsBadEdgesAndChangedSources) {
   const auto freeze = [](Edge e) {
-    return CsrGraph::Freeze(3, true, true, [e](auto&& emit) {
+    return CsrGraph::Freeze(3, true, [e](auto&& emit) {
       emit(0, 1, 1);
       emit(e.src, e.dst, e.weight);
       return Status::OK();
@@ -210,12 +319,14 @@ TEST(CsrGraphTest, FreezeRejectsBadEdgesAndChangedSources) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(freeze(Edge(1, 2, kInfDistance)).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_FALSE(freeze(Edge(1, 2, 1))->weighted());
+  EXPECT_TRUE(freeze(Edge(1, 2, 4))->weighted());
 
   // A source whose second pass yields other edges than its first, more
   // or fewer arcs at some vertex, is refused, never written past.
   for (const int extra : {-1, 1}) {
     int pass = 0;
-    auto changed = CsrGraph::Freeze(3, false, false, [&](auto&& emit) {
+    auto changed = CsrGraph::Freeze(3, false, [&](auto&& emit) {
       ++pass;
       emit(0, 1, 1);
       if (pass == 1 || extra > 0) emit(1, 2, 1);
@@ -224,6 +335,14 @@ TEST(CsrGraphTest, FreezeRejectsBadEdgesAndChangedSources) {
     });
     EXPECT_EQ(changed.status().code(), StatusCode::kInvalidArgument) << extra;
   }
+  // The same arcs, but a weight pass 1 did not see: the graph was sized
+  // without a weight lane, so the second pass is refused too.
+  int pass = 0;
+  auto reweighted = CsrGraph::Freeze(3, true, [&](auto&& emit) {
+    emit(0, 1, ++pass == 1 ? 1 : 2);
+    return Status::OK();
+  });
+  EXPECT_EQ(reweighted.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(TypesTest, SaturatingAdd) {

@@ -532,6 +532,69 @@ TEST(IncrementalTest, CommitsPickTheLaneWidthFromTheRepairedLabels) {
       CheckEquivalence(fix.dyn, fix.index, BuildOptions(), n, 317));
 }
 
+// The repaired index and PATH over `graph` against Dijkstra on it: every
+// distance from every source, and a shortest path to a sample of targets.
+void CheckAgainstDijkstra(const CsrGraph& graph, const TwoHopIndex& index) {
+  const PathReconstructor paths(graph, index);
+  const VertexId n = graph.num_vertices();
+  for (VertexId s = 0; s < n; ++s) {
+    const std::vector<Distance> truth = DijkstraDistances(graph, s);
+    for (VertexId t = 0; t < n; ++t) {
+      ASSERT_EQ(index.Query(s, t), truth[t]) << "(" << s << ", " << t << ")";
+      if (t % 9 != s % 9 || truth[t] == kInfDistance) continue;
+      const auto path = paths.ShortestPath(s, t);
+      ASSERT_TRUE(path.ok()) << "PATH(" << s << ", " << t << ")";
+      ASSERT_EQ(PathLength(graph, *path), truth[t])
+          << "PATH(" << s << ", " << t << ")";
+    }
+  }
+}
+
+// A COMMIT's PATH graph holds a weight lane exactly while some edge
+// weighs other than 1: deleting the only heavy edge freezes a graph with
+// no lane, 4 bytes an arc, and adding an edge of weight 5 brings the lane
+// back. Both times the repaired index and PATH over the frozen graph
+// answer like Dijkstra.
+TEST(IncrementalTest, CommitsFreezeAWeightLaneOnlyForHeavyEdges) {
+  EdgeList edges = GlpGraph(200, 4.0, /*seed=*/115);
+  edges.mutable_edges()[0].weight = 4;
+  edges.set_num_vertices(edges.num_vertices() + 1);  // one isolated vertex
+  Fixture fix = MakeFixture(edges, BuildOptions());
+  ASSERT_TRUE(fix.ranked.weighted());
+  const VertexId n = fix.index.num_vertices();
+  const auto side_bytes = [n](const CsrGraph& graph, uint64_t arc_bytes) {
+    return 8 * (uint64_t{n} + 1) + arc_bytes * 2 * graph.num_edges();
+  };
+  UpdateOp op;
+  for (VertexId u = 0; u < n; ++u) {
+    for (const Arc& a : fix.ranked.OutArcs(u)) {
+      if (a.weight != 1) op = {UpdateOp::Kind::kDelEdge, u, a.to, 1};
+    }
+  }
+  ASSERT_EQ(fix.ranked.ArcWeight(op.u, op.v), 4u);
+  IncrementalUpdater updater(&fix.dyn, &fix.index);
+
+  ASSERT_TRUE(updater.ApplyBatch({&op, 1}).ok());
+  auto unit = fix.dyn.Freeze();
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  EXPECT_FALSE(unit->weighted());
+  EXPECT_EQ(unit->SizeBytes(), side_bytes(*unit, 4));
+  ASSERT_NO_FATAL_FAILURE(CheckAgainstDijkstra(*unit, fix.index));
+
+  VertexId lone = 1;
+  while (lone < n && fix.index.Query(lone, 0) != kInfDistance) ++lone;
+  ASSERT_LT(lone, n);
+  op = {UpdateOp::Kind::kAddEdge, lone, 0, 5};
+  ASSERT_TRUE(updater.ApplyBatch({&op, 1}).ok());
+  auto heavy = fix.dyn.Freeze();
+  ASSERT_TRUE(heavy.ok()) << heavy.status();
+  EXPECT_TRUE(heavy->weighted());
+  EXPECT_EQ(heavy->ArcWeight(0, lone), 5u);
+  EXPECT_EQ(heavy->SizeBytes(), side_bytes(*heavy, 8));
+  EXPECT_EQ(fix.index.Query(lone, 0), 5u);
+  ASSERT_NO_FATAL_FAILURE(CheckAgainstDijkstra(*heavy, fix.index));
+}
+
 // The first pair (s, t) with s >= from whose current distance is finite
 // and at least 3, so that inserting the edge s-t changes it to 1.
 std::pair<VertexId, VertexId> FarPair(const TwoHopIndex& index,

@@ -215,7 +215,11 @@ TEST(TwoHopIndexTest, LoadPicksTheLaneWidthFromTheFile) {
       }
       ASSERT_GT(narrow_before, 0u);
     }
-    const std::string path = dir->File("w" + std::to_string(heavy));
+    // Two-step concatenation sidesteps a GCC 12 -Wrestrict false
+    // positive (GCC bug 105651) on `const char* + std::string&&`.
+    std::string name = "w";
+    name += std::to_string(heavy);
+    const std::string path = dir->File(name);
     ASSERT_TRUE(built.Save(path).ok());
     RankMapping ranking;
     auto back = TwoHopIndex::Load(path, &ranking);
