@@ -22,8 +22,8 @@
 // growth should be the store plus that window, never the file. And it
 // reports each file's bytes per label entry: HLI1's entries are
 // varints, about 2.3 bytes each on GLP graphs; HLI2 is the store's
-// image, a 4-byte pivot, a one-byte distance lane and the block padding
-// and sidecars, about 7.4 bytes an entry on the same graphs.
+// image, a 4-byte pivot and a one-byte distance lane an entry beside the
+// offsets and permutations, about 5.5 bytes an entry on the same graphs.
 //
 //   bench_load            # 20k + 60k GLP sweep (~30 s, build-dominated)
 //   bench_load --ci       # seconds-long CI mode, same JSON shape

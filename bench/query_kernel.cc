@@ -1,5 +1,5 @@
-// Query-kernel comparison: the cacheline-blocked SoA layout under every
-// kernel this CPU supports against the scalar AoS merge, on one GLP
+// Query-kernel comparison: the packed SoA layout under every kernel this
+// CPU supports against the scalar AoS merge, on one GLP
 // scale-free graph (default |V| = 100k — the acceptance setting).
 //
 // Variants measured, all answering the same random point-query stream:
@@ -7,11 +7,11 @@
 //                    labels, one vector<LabelVector> per side (the
 //                    pre-flat-store hot path; one scalar merge, no
 //                    kernel)
-//   blocked/<kernel> QueryFlatHalves over the blocked arenas (sidecar
-//                    skip-scan)
+//   blocked/<kernel> QueryFlatHalves over the packed arenas (the
+//                    scalar merge, or AVX2's 16-entry block merge)
 //   hothub/<kernel>  HotHubCache (k=64) dense-table fold + suffix merge
-//   index/default    TwoHopIndex::Query as served (blocked + default
-//                    kernel)
+//   index/default    TwoHopIndex::Query as served (packed store +
+//                    default kernel)
 // plus one OneToManyEngine row timing over the flat bucket arena.
 //
 // Every variant's distance checksum must agree — the bench doubles as an
@@ -19,7 +19,7 @@
 // (default BENCH_query_kernel.json) records ns/query per variant with
 // speedups relative to aos/scalar, plus hardware cache-miss and
 // branch-miss rates per query (perf_event_open; -1 when the kernel
-// forbids counting) so blocking wins are attributable to memory
+// forbids counting) so layout wins are attributable to memory
 // behavior.
 //
 //   bench_query_kernel            # 100k-vertex GLP, ~200k queries

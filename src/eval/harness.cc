@@ -806,8 +806,8 @@ std::string RenderEvalMarkdown(const EvalReport& report) {
   md += std::string(kEvalReportSections[0]) + "\n\n";  // ## Environment
   md += std::string("- build: ") + BuildVersion() + " (" + BuildGitSha() +
         ")\n";
-  md += "- variants: heap (in-memory, frozen blocked store), blocked (mmap "
-        "HLI2 blocked arenas)\n\n";
+  md += "- variants: heap (in-memory, frozen packed store), blocked (mmap "
+        "HLI2 packed arenas)\n\n";
 
   md += std::string(kEvalReportSections[1]) + "\n\n";  // ## Datasets
   md += "| dataset | vertices | edges | directed | weighted |\n";

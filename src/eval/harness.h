@@ -7,9 +7,9 @@
 // expectations (the CI gate re-asserts them from the JSON).
 //
 // Index variants (one build, two query-side forms):
-//   heap     in-memory HopDbIndex: frozen blocked store + SIMD kernel
-//   blocked  HLI2 file, mmap-served (blocked arenas + skip sidecars —
-//            the cache-conscious microarchitecture)
+//   heap     in-memory HopDbIndex: frozen packed store + SIMD kernel
+//   blocked  HLI2 file, mmap-served (the same packed arenas, read
+//            through the same block-merge kernel)
 // Every variant answers from the same labels, so checksum agreement
 // across variants is itself one of the report's expectations.
 //

@@ -120,15 +120,14 @@ class PageArray {
 /// Whether an entry (x, d2) of `half` meets x's slot in `best` (1 + dist,
 /// 0 if none) within d. No slot holds less than tmin, so an entry with
 /// tmin + d2 > d is skipped unprobed. Adds the probes made to *probes.
-bool HasWitness(const uint64_t* best, Distance tmin,
+bool HasWitness(const uint32_t* best, Distance tmin,
                 std::span<const LabelEntry> half, Distance d,
                 uint64_t* probes) {
   return std::any_of(half.begin(), half.end(), [&](const LabelEntry& e) {
     if (SaturatingAdd(tmin, e.dist) > d) return false;
     ++*probes;
     return best[e.pivot] != 0 &&
-           SaturatingAdd(static_cast<Distance>(best[e.pivot] - 1), e.dist) <=
-               d;
+           SaturatingAdd(best[e.pivot] - 1, e.dist) <= d;
   });
 }
 
@@ -239,8 +238,10 @@ class Builder {
   struct GatherScratch {
     /// best[p]: 1 + the smallest distance gathered (or, while deciding,
     /// loaded) for pivot p from the current owner, 0 if none; all zero
-    /// between owners.
-    std::vector<uint64_t> best;
+    /// between owners. No distance held here is kInfDistance (the gather
+    /// skips saturated candidates, and no label holds one), so 1 + dist
+    /// fits 32 bits.
+    std::vector<uint32_t> best;
     /// The current owner's distinct pivots.
     std::vector<VertexId> pivots;
     /// Distinct candidates this worker gathered, those of them an
@@ -590,8 +591,11 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
   auto gather = [&](std::span<const LabelEntry> slice, Distance hop) {
     gathered += slice.size();
     for (const LabelEntry& e : slice) {
-      const uint64_t d = uint64_t{SaturatingAdd(hop, e.dist)} + 1;
-      uint64_t& best = sc->best[e.pivot];
+      const Distance dist = SaturatingAdd(hop, e.dist);
+      // A distance that saturates is no path a label can hold.
+      if (dist == kInfDistance) continue;
+      const uint32_t d = dist + 1;
+      uint32_t& best = sc->best[e.pivot];
       if (best == 0) {
         sc->pivots.push_back(e.pivot);
         best = d;
@@ -603,7 +607,7 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
   ForEachSource(mode, out_side, w, gather);
   sc->deduped += sc->pivots.size();
   for (const LabelEntry& e : Gen(out_side).Label(w)) {
-    uint64_t& best = sc->best[e.pivot];
+    uint32_t& best = sc->best[e.pivot];
     if (best != 0 && best - 1 >= e.dist) {
       best = 0;  // dominated by an existing entry
       ++sc->dropped;
@@ -616,18 +620,16 @@ size_t Builder::GatherOwner(BuildMode mode, bool out_side, VertexId w,
 uint64_t Builder::DecideOwner(bool out_side, VertexId w,
                               GatherScratch* sc) const {
   if (sc->pivots.empty()) return 0;
-  uint64_t* best = sc->best.data();
+  uint32_t* best = sc->best.data();
   Distance tmin = kInfDistance;
-  for (const VertexId p : sc->pivots) {
-    tmin = std::min(tmin, static_cast<Distance>(best[p] - 1));
-  }
+  for (const VertexId p : sc->pivots) tmin = std::min(tmin, best[p] - 1);
   // The table then holds what DecideSide loads: w's label and its
   // candidates, the smaller distance per pivot. A candidate outlived the
   // domination drop only below the label entry at its pivot, so a label
   // entry fills only empty slots.
   const std::span<const LabelEntry> own = Gen(out_side).Label(w);
   for (const LabelEntry& e : own) {
-    if (best[e.pivot] == 0) best[e.pivot] = uint64_t{e.dist} + 1;
+    if (best[e.pivot] == 0) best[e.pivot] = e.dist + 1;
     tmin = std::min(tmin, e.dist);
   }
   // Candidate (w, p, d) has a witness iff an entry of p's opposite-side
@@ -638,13 +640,13 @@ uint64_t Builder::DecideOwner(bool out_side, VertexId w,
   uint64_t probes = 0;
   const auto pruned = std::partition(
       sc->pivots.begin(), sc->pivots.end(), [&](VertexId p) {
-        return !HasWitness(best, tmin, opposite.Label(p),
-                           static_cast<Distance>(best[p] - 1), &probes);
+        return !HasWitness(best, tmin, opposite.Label(p), best[p] - 1,
+                           &probes);
       });
   // A slot holding its label entry's distance + 1 was loaded from the
   // label: a candidate's slot there holds less.
   for (const LabelEntry& e : own) {
-    if (best[e.pivot] == uint64_t{e.dist} + 1) best[e.pivot] = 0;
+    if (best[e.pivot] == e.dist + 1) best[e.pivot] = 0;
   }
   for (auto it = pruned; it != sc->pivots.end(); ++it) best[*it] = 0;
   sc->pruned += static_cast<uint64_t>(sc->pivots.end() - pruned);
@@ -686,7 +688,7 @@ Status Builder::Gather(BuildMode mode, bool out_side, bool decide,
     HOPDB_DCHECK_LE(at + sc->pivots.size(), run_start[k + 1]);
     gen.begin[w] = at;
     for (const VertexId p : sc->pivots) {
-      const auto d = static_cast<Distance>(sc->best[p] - 1);
+      const Distance d = sc->best[p] - 1;
       gen.cands[at++] = LabelEntry{p, d};
       gen.cmin[w] = std::min(gen.cmin[w], d);
       sc->best[p] = 0;
@@ -759,10 +761,10 @@ void Builder::DecideSide(bool out_side, PageArray<uint8_t>* keep) {
     if (begin == end) return;
     // Load w's own side into the table as 1 + dist, the smaller distance
     // where a pivot is both a label entry and a candidate.
-    uint64_t* best = scratch_[worker].best.data();
+    uint32_t* best = scratch_[worker].best.data();
     Distance tmin = kInfDistance;
     auto load = [&](VertexId pivot, Distance dist) {
-      const uint64_t d = uint64_t{dist} + 1;
+      const uint32_t d = dist + 1;
       if (best[pivot] == 0 || d < best[pivot]) best[pivot] = d;
       tmin = std::min(tmin, dist);
     };

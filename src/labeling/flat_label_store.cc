@@ -9,34 +9,20 @@
 
 namespace hopdb {
 
-namespace {
-
-uint64_t AlignUpBlock(uint64_t entries) {
-  return (entries + kLabelBlockEntries - 1) / kLabelBlockEntries *
-         kLabelBlockEntries;
-}
-
-}  // namespace
-
-uint32_t FlatLabelStore::InitBlockedLayout(std::vector<uint32_t> sizes) {
-  sizes_ = std::move(sizes);
-  const size_t slots = sizes_.size();
-  offsets_.assign(slots + 1, 0);
-  uint64_t total = 0;
-  uint64_t padded = 0;
+uint32_t FlatLabelStore::InitLayout(std::vector<uint32_t> sizes) {
+  offsets_.assign(sizes.size() + 1, 0);
   uint32_t largest = 0;
-  for (size_t s = 0; s < slots; ++s) {
-    total += sizes_[s];
-    padded += AlignUpBlock(sizes_[s]);
-    offsets_[s + 1] = padded;
-    largest = std::max(largest, sizes_[s]);
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    offsets_[s + 1] = offsets_[s] + sizes[s];
+    largest = std::max(largest, sizes[s]);
   }
-  total_entries_ = total;
-  pivots_ = AlignedU32Array(padded);
+  const uint64_t total = offsets_.back();
+  pivots_ = AlignedU32Array(total + kLabelBlockEntries);
+  std::fill(pivots_.data() + total, pivots_.data() + pivots_.size(),
+            kInvalidVertex);
   dist_width_ = 1;
-  dists_ = AlignedByteArray(padded);
-  block_min_ = AlignedU32Array(padded / kLabelBlockEntries);
-  block_max_ = AlignedU32Array(padded / kLabelBlockEntries);
+  dists_ = AlignedByteArray(total + kLabelBlockEntries);
+  std::memset(dists_.data() + total, 0xFF, kLabelBlockEntries);
   return largest;
 }
 
@@ -46,15 +32,14 @@ void FlatLabelStore::WidenDists(uint64_t lanes) {
     const Distance dist = ReadDistLane(dists_.data(), 1, i);
     std::memcpy(wide.data() + 4 * i, &dist, sizeof(dist));
   }
+  std::memset(wide.data() + 4 * TotalEntries(), 0xFF,
+              4 * kLabelBlockEntries);
   dists_ = std::move(wide);
   dist_width_ = 4;
 }
 
-void FlatLabelStore::SealSlot(size_t slot, const Distance* dists) {
-  const uint64_t begin = offsets_[slot];
-  const uint64_t lanes = offsets_[slot + 1] - begin;
-  const uint32_t size = sizes_[slot];
-  if (lanes == 0) return;  // an empty slot: no lanes, no blocks
+void FlatLabelStore::PutDists(uint64_t begin, uint32_t size,
+                              const Distance* dists) {
   if (dist_width_ == 1 &&
       std::any_of(dists, dists + size,
                   [](Distance d) { return d > kMaxNarrowDistance; })) {
@@ -67,20 +52,6 @@ void FlatLabelStore::SealSlot(size_t slot, const Distance* dists) {
     }
   } else {
     std::memcpy(lane, dists, size * sizeof(Distance));
-  }
-  // Padding: all-ones pivots and distance lanes.
-  std::fill(pivots_.data() + begin + size, pivots_.data() + begin + lanes,
-            kInvalidVertex);
-  std::memset(lane + size * dist_width_, 0xFF, (lanes - size) * dist_width_);
-  // Every block holds at least one real entry (padding only rounds a
-  // non-empty slot up), so the sidecar minima/maxima are always real
-  // pivots.
-  for (uint64_t g = 0; g < lanes / kLabelBlockEntries; ++g) {
-    const uint64_t first = begin + g * kLabelBlockEntries;
-    const uint64_t last =
-        begin + std::min<uint64_t>(size, (g + 1) * kLabelBlockEntries) - 1;
-    block_min_[first / kLabelBlockEntries] = pivots_[first];
-    block_max_[first / kLabelBlockEntries] = pivots_[last];
   }
 }
 
@@ -116,9 +87,8 @@ FlatLabelStore FlatLabelStore::Build(const std::vector<LabelVector>& out,
 }
 
 uint64_t FlatLabelStore::SizeBytes() const {
-  return pivots_.SizeBytes() + dists_.SizeBytes() + block_min_.SizeBytes() +
-         block_max_.SizeBytes() + offsets_.size() * sizeof(uint64_t) +
-         sizes_.size() * sizeof(uint32_t);
+  return pivots_.SizeBytes() + dists_.SizeBytes() +
+         offsets_.size() * sizeof(uint64_t);
 }
 
 }  // namespace hopdb

@@ -20,21 +20,20 @@
 // unweighted scale-free graph (the paper's 8-bit distances), otherwise
 // 4 bytes. One-byte lanes are read as signed and sign-extended (View::
 // dist, and _mm256_cvtepi8_epi32 in the AVX2 kernel), so the 0xFF byte
-// in a padding lane reads as kInfDistance exactly as a 4-byte padding
-// lane does, and every reader past the load sees the same u32 values at
+// of a tail lane reads as kInfDistance exactly as a 4-byte tail lane
+// does, and every reader past the load sees the same u32 values at
 // either width.
 //
-// BLOCKED LAYOUT (cache-conscious microarchitecture): every slot starts
-// on a kLabelBlockEntries (= 16 entries = 64 pivot bytes) boundary and
-// is padded up to a block multiple, with padding lanes holding
-// 0xFFFFFFFF pivots and all-ones distances (kInfDistance at either
-// width). Two sidecar arrays carry, per block, the minimum and maximum
-// real pivot in that block, so the merge-join kernels skip whole
-// non-overlapping blocks from the sidecars alone and process
-// overlapping blocks with full-width SIMD and no scalar tail. Padding is
-// provably inert to the kernels (see label_entry.h). Because a slot's
-// real entries stay contiguous from its aligned start, consumers that
-// walk (pivots, dist(i), size) directly never read the padding.
+// PACKED LAYOUT (the per-vertex label arrays of PLL, laid end to end):
+// slot s holds exactly its real entries, at arena lanes
+// [offsets[s], offsets[s+1]); a slot's size is the difference of its
+// offsets. There is no padding between slots, no per-block sidecar and
+// no size table. Each arena ends with kLabelBlockEntries tail lanes
+// (0xFFFFFFFF pivots, all-ones distances), so the AVX2 kernel's 16-lane
+// block loads stay in bounds on the last slot too; the lanes such a load
+// reads past a label's end belong to the next slot or the tail, and the
+// kernel masks them (query_kernel.h). Consumers that walk (pivots,
+// dist(i), size) directly never read past a label's end.
 //
 // Slot layout: out-labels of vertices 0..n-1 occupy slots [0, n); for
 // directed indexes the in-labels follow in slots [n, 2n) — each
@@ -47,8 +46,8 @@
 // IncrementalUpdater::Finalize's freeze) — and never edited: a
 // repair freezes a new store from the updater's vectors. The store
 // has no serialized form of its own: HLI1 (two_hop_index.h) holds its
-// real entries, and HLI2 (labeling/mapped_index.h) is the on-disk image
-// of its arenas, distance lanes at the store's width.
+// entries as varints, and HLI2 (labeling/mapped_index.h) is the on-disk
+// image of its offsets and arenas, distance lanes at the store's width.
 
 #ifndef HOPDB_LABELING_FLAT_LABEL_STORE_H_
 #define HOPDB_LABELING_FLAT_LABEL_STORE_H_
@@ -74,7 +73,7 @@ namespace hopdb {
 inline constexpr Distance kMaxNarrowDistance = 127;
 
 /// Distance lane i of a distance arena whose lanes are `width` bytes (1
-/// or 4). One-byte lanes sign-extend, so the 0xFF padding byte reads as
+/// or 4). One-byte lanes sign-extend, so the 0xFF tail byte reads as
 /// kInfDistance.
 inline Distance ReadDistLane(const uint8_t* dists, uint32_t width,
                              uint64_t i) {
@@ -92,24 +91,20 @@ class FlatLabelStore {
   /// Non-owning view of one vertex's label in SoA form: pivots[i] pairs
   /// with dist(i); pivots are strictly ascending. Valid as long as the
   /// store or mapped HLI2 file it came from is alive and unmodified.
-  /// Every view carries its slot's per-block pivot sidecars
-  /// (block_min/block_max; entry g covers label entries [g*16,
-  /// (g+1)*16)), and its pivot and distance lanes are readable through
-  /// the padded end of the last block.
+  /// Lanes [size, size + kLabelBlockEntries) are readable too (the next
+  /// slot's entries or the arena's tail) and belong to no label.
   struct View {
     const uint32_t* pivots = nullptr;
     const uint8_t* dists = nullptr;  // dist_width bytes a lane
     uint32_t size = 0;
     uint32_t dist_width = 1;  // 1 or 4
-    const uint32_t* block_min = nullptr;
-    const uint32_t* block_max = nullptr;
 
     Distance dist(uint64_t i) const {
       return ReadDistLane(dists, dist_width, i);
     }
   };
 
-  /// Non-owning view over a COMPLETE label set in the flat slot layout
+  /// Non-owning view over a COMPLETE label set in the packed slot layout
   /// (offset table + pivot arena + distance arena). This is the common
   /// denominator between a heap-resident FlatLabelStore and a
   /// memory-mapped HLI2 index (labeling/mapped_index.h): query engines
@@ -117,11 +112,10 @@ class FlatLabelStore {
   /// identically over either backing store. Trivially copyable; the
   /// pointed-to arrays must outlive every engine built from the view.
   ///
-  /// The layout is always blocked: `offsets` are padded block starts,
-  /// `sizes` the per-slot real entry counts, and `block_min` /
-  /// `block_max` the global block sidecars (indexed by
-  /// arena_entry / kLabelBlockEntries). There is no packed or
-  /// sidecar-less form. `dists` holds dist_width bytes a lane.
+  /// Slot s spans arena lanes [offsets[s], offsets[s+1]), and both
+  /// arenas hold offsets[num_slots()] + kLabelBlockEntries lanes (the
+  /// last kLabelBlockEntries the all-ones tail). `dists` holds
+  /// dist_width bytes a lane.
   struct LabelSetView {
     VertexId num_vertices = 0;
     bool directed = false;
@@ -129,19 +123,15 @@ class FlatLabelStore {
     const uint64_t* offsets = nullptr;  // num_slots() + 1 entries
     const uint32_t* pivots = nullptr;
     const uint8_t* dists = nullptr;
-    const uint32_t* sizes = nullptr;      // num_slots() real entry counts
-    const uint32_t* block_min = nullptr;  // per-block pivot minima
-    const uint32_t* block_max = nullptr;  // ... and maxima
 
     size_t num_slots() const {
       return directed ? 2 * static_cast<size_t>(num_vertices) : num_vertices;
     }
     View Slot(size_t slot) const {
       const uint64_t begin = offsets[slot];
-      const uint64_t block = begin / kLabelBlockEntries;
-      return View{pivots + begin,      dists + begin * dist_width,
-                  sizes[slot],         dist_width,
-                  block_min + block,   block_max + block};
+      return View{pivots + begin, dists + begin * dist_width,
+                  static_cast<uint32_t>(offsets[slot + 1] - begin),
+                  dist_width};
     }
     /// Per-vertex label views, mirroring TwoHopIndex::OutLabel/InLabel:
     /// undirected sets alias In(v) to Out(v).
@@ -151,10 +141,11 @@ class FlatLabelStore {
     }
   };
 
-  FlatLabelStore() = default;
+  /// An empty store: no slots, and the arenas' tail lanes alone.
+  FlatLabelStore() { InitLayout({}); }
 
   /// Flattens per-vertex label vectors (what the baseline and external
-  /// builders emit and the updater repairs) into the blocked SoA arenas,
+  /// builders emit and the updater repairs) into the packed SoA arenas,
   /// through FromSlots.
   /// For undirected indexes pass an empty `in`. O(total entries) time.
   static FlatLabelStore Build(const std::vector<LabelVector>& out,
@@ -168,11 +159,12 @@ class FlatLabelStore {
   /// pivots into the arena and its distances into `dists`, a scratch
   /// array of u32 that the store then copies into its lanes. A fill that
   /// returns an error stops the build, and FromSlots returns that error.
-  /// Each slot is padded and its block sidecars derived as soon as it is
-  /// filled. The lanes start one byte wide; the first distance above
-  /// kMaxNarrowDistance widens the lanes filled so far, once, to 4 bytes
-  /// (the one moment both widths are held). O(total entries), one
-  /// allocation per arena (two for the distances when they widen).
+  /// The offsets come from `sizes`, which the store then lets go, and
+  /// the tail lanes are written before the first fill. The lanes start
+  /// one byte wide; the first distance above kMaxNarrowDistance widens
+  /// the lanes filled so far, once, to 4 bytes (the one moment both
+  /// widths are held). O(total entries), one allocation per arena (two
+  /// for the distances when they widen).
   template <typename Fill>
   static Result<FlatLabelStore> FromSlots(VertexId num_vertices,
                                           bool directed,
@@ -182,22 +174,22 @@ class FlatLabelStore {
     store.directed_ = directed;
     store.num_vertices_ = num_vertices;
     HOPDB_CHECK_EQ(sizes.size(), store.num_slots());
-    std::vector<Distance> dists(store.InitBlockedLayout(std::move(sizes)));
-    for (size_t slot = 0; slot < store.sizes_.size(); ++slot) {
-      HOPDB_RETURN_NOT_OK(fill(slot, store.sizes_[slot],
-                               store.pivots_.data() + store.offsets_[slot],
-                               dists.data()));
-      store.SealSlot(slot, dists.data());
+    std::vector<Distance> dists(store.InitLayout(std::move(sizes)));
+    for (size_t slot = 0; slot < store.num_slots(); ++slot) {
+      const uint64_t begin = store.offsets_[slot];
+      const auto size =
+          static_cast<uint32_t>(store.offsets_[slot + 1] - begin);
+      HOPDB_RETURN_NOT_OK(
+          fill(slot, size, store.pivots_.data() + begin, dists.data()));
+      store.PutDists(begin, size, dists.data());
     }
     return store;
   }
 
   VertexId num_vertices() const { return num_vertices_; }
   bool directed() const { return directed_; }
-  /// Real label entries (excluding block padding).
-  uint64_t TotalEntries() const { return total_entries_; }
-  /// Arena entries including block padding; PaddedEntries() / 16 blocks.
-  uint64_t PaddedEntries() const { return pivots_.size(); }
+  /// Label entries, over every slot.
+  uint64_t TotalEntries() const { return offsets_.back(); }
   /// Bytes a distance lane takes: 1 when every distance is at most
   /// kMaxNarrowDistance, else 4.
   uint32_t dist_width() const { return dist_width_; }
@@ -209,16 +201,18 @@ class FlatLabelStore {
     return Slot(directed_ ? static_cast<size_t>(num_vertices_) + v : v);
   }
 
-  /// In-memory footprint: arenas, sidecars, and the offset/size tables.
+  /// In-memory footprint: both arenas (entries and tail) and the offset
+  /// table, (4 + dist_width()) * (TotalEntries() + kLabelBlockEntries) +
+  /// 8 * (slots + 1) bytes.
   uint64_t SizeBytes() const;
 
   /// The whole store as a LabelSetView (for engines that also accept
   /// mapped indexes). Valid until the store is destroyed or reassigned;
-  /// a default-constructed store yields an empty view.
+  /// a default-constructed store yields an empty view (its tail lanes
+  /// alone).
   LabelSetView view() const {
-    return LabelSetView{num_vertices_,  directed_,     dist_width_,
-                        offsets_.data(), pivots_.data(), dists_.data(),
-                        sizes_.data(),  block_min_.data(), block_max_.data()};
+    return LabelSetView{num_vertices_,   directed_,      dist_width_,
+                        offsets_.data(), pivots_.data(), dists_.data()};
   }
 
  private:
@@ -228,29 +222,25 @@ class FlatLabelStore {
   }
   View Slot(size_t slot) const { return view().Slot(slot); }
 
-  /// Sets sizes_/offsets_/total_entries_ from per-slot counts and
-  /// allocates the padded arenas and sidecars (contents uninitialized;
-  /// one-byte distance lanes). Returns the largest slot size.
-  uint32_t InitBlockedLayout(std::vector<uint32_t> sizes);
-  /// After fill wrote slot `slot`'s pivots and put its distances in
-  /// `dists`: widens the lanes if a distance needs it, copies the
-  /// distances in, fills the slot's padding lanes (0xFFFFFFFF pivots,
-  /// kInfDistance distances) and derives its block sidecars.
-  void SealSlot(size_t slot, const Distance* dists);
-  /// Re-lays the first `lanes` one-byte distance lanes as 4-byte lanes
-  /// in a new arena, sign-extended, and makes it the store's.
+  /// Sets offsets_ from per-slot counts and allocates both arenas with
+  /// their all-ones tail lanes (entry lanes uninitialized; one-byte
+  /// distance lanes). Returns the largest slot size.
+  uint32_t InitLayout(std::vector<uint32_t> sizes);
+  /// After fill wrote the `size` pivots of the slot at arena lane
+  /// `begin` and put its distances in `dists`: widens the lanes if a
+  /// distance needs it and copies the distances in.
+  void PutDists(uint64_t begin, uint32_t size, const Distance* dists);
+  /// Re-lays the first `lanes` one-byte distance lanes, and the tail, as
+  /// 4-byte lanes in a new arena, sign-extended, and makes it the
+  /// store's.
   void WidenDists(uint64_t lanes);
 
   bool directed_ = false;
   VertexId num_vertices_ = 0;
-  uint64_t total_entries_ = 0;
   uint32_t dist_width_ = 1;
-  std::vector<uint64_t> offsets_ = {0};  // num_slots + 1 padded block starts
-  std::vector<uint32_t> sizes_;          // num_slots real entry counts
-  AlignedU32Array pivots_;
-  AlignedByteArray dists_;     // PaddedEntries() lanes of dist_width_ bytes
-  AlignedU32Array block_min_;  // PaddedEntries()/16 per-block pivot minima
-  AlignedU32Array block_max_;  // ... and maxima (real pivots only)
+  std::vector<uint64_t> offsets_ = {0};  // num_slots + 1 slot starts
+  AlignedU32Array pivots_;  // TotalEntries() + kLabelBlockEntries lanes
+  AlignedByteArray dists_;  // ... of dist_width_ bytes each
 };
 
 /// Namespace-level shorthand: the view type is used far from the store

@@ -65,22 +65,16 @@ Distance HotHubCache::Query(const LabelSetView& labels, VertexId s, VertexId t,
   const uint32_t skip_a = skip_[out_slot];
   const uint32_t skip_b = skip_[in_slot];
   if (skip_a < out_s.size && skip_b < in_t.size) {
-    // Start at each suffix's block floor so the sub-views stay 64-byte
-    // aligned with valid sidecars. Partial boundary blocks re-cover a
-    // few hub entries; the duplicates fold to the same minimum
-    // (idempotent), never a different one.
-    const auto from_block = [](FlatLabelStore::View view, uint32_t block) {
-      const uint32_t skipped = block * kLabelBlockEntries;
-      view.pivots += skipped;
-      view.dists += uint64_t{skipped} * view.dist_width;
-      view.size -= skipped;
-      view.block_min += block;
-      view.block_max += block;
+    // Each suffix starts at its label's first non-hub entry; its lanes
+    // stay readable past its end, as the label's are.
+    const auto suffix = [](FlatLabelStore::View view, uint32_t skip) {
+      view.pivots += skip;
+      view.dists += uint64_t{skip} * view.dist_width;
+      view.size -= skip;
       return view;
     };
-    const Distance merged = kernel.intersect_blocked(
-        from_block(out_s, skip_a / kLabelBlockEntries),
-        from_block(in_t, skip_b / kLabelBlockEntries));
+    const Distance merged = kernel.intersect_blocked(suffix(out_s, skip_a),
+                                                     suffix(in_t, skip_b));
     if (merged < best) best = merged;
   }
   return best;

@@ -13,7 +13,7 @@
 // for the k top-ranked pivots h in [0, k). A query then answers the
 // hub-covered portion with one branch-free dense loop over 2k
 // contiguous distances (two cache lines when k = 16) and hands only the
-// non-hub suffix of each label to the general blocked merge-join:
+// non-hub suffix of each label to the general merge-join:
 // because labels are sorted by pivot and rank ids make "hot" mean
 // "small", the hub-covered entries are exactly a prefix, so the suffix
 // starts at a precomputed per-slot skip count. Exactness: common pivots

@@ -29,14 +29,13 @@ struct LabelEntry {
 /// Sorted-by-pivot label vector.
 using LabelVector = std::vector<LabelEntry>;
 
-/// Entries per cacheline block in blocked label arenas: 16 u32 pivots
-/// fill one 64-byte cache line. Blocked stores pad every slot to a
-/// multiple of this, keep per-block pivot minima/maxima sidecars, and
-/// fill padding lanes with all-ones bytes in both arenas, so a padding
-/// distance reads as kInfDistance at either lane width (a padding
-/// "match" sums to a wrapping value the kernels' overflow mask kills,
-/// and a padding pivot can never equal a real pivot, which is always
-/// < num_vertices <= 0xFFFFFFFE).
+/// Entries per SIMD block of the packed label arenas: 16 u32 pivots, one
+/// 64-byte cache line's worth. The AVX2 kernel loads a label in blocks
+/// of this many lanes from the label's first entry, so the lanes past a
+/// label's end hold the next slot's entries; it masks them (see
+/// query_kernel.h). Every arena ends with this many all-ones tail lanes
+/// (a 0xFFFFFFFF pivot, a distance lane reading kInfDistance at either
+/// width), so a block load from the last slot stays in bounds.
 inline constexpr uint32_t kLabelBlockEntries = 16;
 
 /// Binary-searches `label` (sorted by pivot) for `pivot`; returns the

@@ -1,5 +1,6 @@
 #include "labeling/mapped_index.h"
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -13,10 +14,10 @@ namespace hopdb {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'L', 'I', '2'};
-/// The one version written and read: blocked arenas + per-block pivot
-/// sidecars, distance lanes at the width the header's word at offset 20
-/// names (1 or 4 bytes).
-constexpr uint32_t kHli2Version = 3;
+/// The one version written and read: packed arenas, each ending in
+/// kLabelBlockEntries all-ones tail lanes, distance lanes at the width
+/// the header's word at offset 20 names (1 or 4 bytes).
+constexpr uint32_t kHli2Version = 4;
 constexpr uint64_t kFlagDirected = 1ull << 0;
 constexpr size_t kHeaderBytes = 128;
 constexpr size_t kHeaderChecksumOff = 64;
@@ -26,50 +27,38 @@ uint64_t AlignUp(uint64_t off) {
   return (off + kSectionAlign - 1) & ~static_cast<uint64_t>(kSectionAlign - 1);
 }
 
-uint64_t AlignUpBlock(uint64_t entries) {
-  return (entries + kLabelBlockEntries - 1) / kLabelBlockEntries *
-         kLabelBlockEntries;
-}
-
 struct Header {
   uint64_t flags = 0;
   uint32_t num_vertices = 0;
   uint32_t dist_width = 0;
   uint64_t total_entries = 0;
-  uint64_t padded_entries = 0;
   uint64_t file_size = 0;
   uint64_t meta_checksum = 0;
   uint64_t arena_checksum = 0;
 };
 
 /// Byte offsets of the canonical section order, derived entirely from
-/// the slot count, vertex count, and padded entry count. The writer
+/// the slot count, vertex count, entry count and lane width. The writer
 /// emits exactly this layout and Open() recomputes it and requires
 /// exact agreement — subsuming ordering, overlap, alignment, and bounds
 /// checks in one shot.
 struct Layout {
   uint64_t offsets_off = 0;
-  uint64_t sizes_off = 0;
   uint64_t pivots_off = 0;
   uint64_t dists_off = 0;
-  uint64_t block_min_off = 0;
-  uint64_t block_max_off = 0;
   uint64_t rank_to_orig_off = 0;
   uint64_t orig_to_rank_off = 0;
   uint64_t file_size = 0;
 };
 
-Layout ComputeLayout(uint64_t num_slots, uint64_t n, uint64_t padded,
+Layout ComputeLayout(uint64_t num_slots, uint64_t n, uint64_t total,
                      uint32_t dist_width) {
-  const uint64_t blocks = padded / kLabelBlockEntries;
+  const uint64_t lanes = total + kLabelBlockEntries;
   Layout l;
   l.offsets_off = AlignUp(kHeaderBytes);
-  l.sizes_off = AlignUp(l.offsets_off + (num_slots + 1) * sizeof(uint64_t));
-  l.pivots_off = AlignUp(l.sizes_off + num_slots * sizeof(uint32_t));
-  l.dists_off = AlignUp(l.pivots_off + padded * sizeof(uint32_t));
-  l.block_min_off = AlignUp(l.dists_off + padded * dist_width);
-  l.block_max_off = AlignUp(l.block_min_off + blocks * sizeof(uint32_t));
-  l.rank_to_orig_off = AlignUp(l.block_max_off + blocks * sizeof(uint32_t));
+  l.pivots_off = AlignUp(l.offsets_off + (num_slots + 1) * sizeof(uint64_t));
+  l.dists_off = AlignUp(l.pivots_off + lanes * sizeof(uint32_t));
+  l.rank_to_orig_off = AlignUp(l.dists_off + lanes * dist_width);
   l.orig_to_rank_off = AlignUp(l.rank_to_orig_off + n * sizeof(uint32_t));
   l.file_size = l.orig_to_rank_off + n * sizeof(uint32_t);
   return l;
@@ -84,12 +73,11 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
     return Status::InvalidArgument("not an HLI2 index file: " + path);
   }
   const uint32_t version = DecodeU32(data + 4);
-  if (version == 1 || version == 2) {
+  if (version >= 1 && version < kHli2Version) {
     return Status::InvalidArgument(
         "HLI2 version " + std::to_string(version) +
-        (version == 1 ? " (packed layout)" : " (4-byte distance lanes)") +
-        " is no longer readable; re-create the file from its HLI1 index "
-        "with `hopdb_cli convert`: " + path);
+        " (an earlier layout) is no longer readable; re-create the file "
+        "from its HLI1 index with `hopdb_cli convert`: " + path);
   }
   if (version != kHli2Version) {
     return Status::InvalidArgument(
@@ -101,7 +89,6 @@ Status ParseHeader(const uint8_t* data, size_t size, const std::string& path,
   h->num_vertices = DecodeU32(data + 16);
   h->dist_width = DecodeU32(data + 20);
   h->total_entries = DecodeU64(data + 24);
-  h->padded_entries = DecodeU64(data + 32);
   h->file_size = DecodeU64(data + 40);
   h->meta_checksum = DecodeU64(data + 48);
   h->arena_checksum = DecodeU64(data + 56);
@@ -131,19 +118,16 @@ Status MappedIndex::Write(const TwoHopIndex& labels,
   // Serialize the frozen store: the writer reads what queries read.
   const LabelSetView view = labels.labels();
   const size_t num_slots = view.num_slots();
-  uint64_t total = 0;
-  for (size_t s = 0; s < num_slots; ++s) total += view.sizes[s];
-  const uint64_t padded = view.offsets[num_slots];
-  const uint64_t blocks = padded / kLabelBlockEntries;
-  const Layout l = ComputeLayout(num_slots, n, padded, view.dist_width);
+  const uint64_t total = view.offsets[num_slots];
+  const Layout l = ComputeLayout(num_slots, n, total, view.dist_width);
 
   // The sections stream through the writer's window at the offsets the
   // layout gives them, each preceded by the zero padding that reaches its
   // 64-byte boundary. The writer hashes as it flushes, so the metadata
-  // checksum (the offset and size tables, then the permutation
-  // sections) and the arena checksum (both arenas and both sidecars)
-  // come from the one write pass, and the header they seal is patched in
-  // over a zero placeholder before the file is synced.
+  // checksum (the offset table, then the permutation sections) and the
+  // arena checksum (both arenas with their tails) come from the one
+  // write pass, and the header they seal is patched in over a zero
+  // placeholder before the file is synced.
   static constexpr uint8_t kZeros[kSectionAlign] = {};
   uint8_t hd[kHeaderBytes] = {};
   ReplacingWriter out;
@@ -162,13 +146,12 @@ Status MappedIndex::Write(const TwoHopIndex& labels,
   put_at(0, hd, sizeof(hd));
   (void)out.TakeHash();
   put_at(l.offsets_off, view.offsets, (num_slots + 1) * sizeof(uint64_t));
-  put_at(l.sizes_off, view.sizes, num_slots * sizeof(uint32_t));
   pad_to(l.pivots_off);
   const uint64_t tables_hash = out.TakeHash();
-  put_at(l.pivots_off, view.pivots, padded * sizeof(uint32_t));
-  put_at(l.dists_off, view.dists, padded * view.dist_width);
-  put_at(l.block_min_off, view.block_min, blocks * sizeof(uint32_t));
-  put_at(l.block_max_off, view.block_max, blocks * sizeof(uint32_t));
+  // Both arenas with their tail lanes.
+  const uint64_t lanes = total + kLabelBlockEntries;
+  put_at(l.pivots_off, view.pivots, lanes * sizeof(uint32_t));
+  put_at(l.dists_off, view.dists, lanes * view.dist_width);
   pad_to(l.rank_to_orig_off);
   const uint64_t arena_hash = out.TakeHash();
   put_at(l.rank_to_orig_off, mapping.rank_to_orig.data(),
@@ -183,7 +166,6 @@ Status MappedIndex::Write(const TwoHopIndex& labels,
   EncodeU32(n, hd + 16);
   EncodeU32(view.dist_width, hd + 20);
   EncodeU64(total, hd + 24);
-  EncodeU64(padded, hd + 32);
   EncodeU64(l.file_size, hd + 40);
   EncodeU64(tables_hash ^ ranks_hash, hd + 48);
   EncodeU64(arena_hash, hd + 56);
@@ -206,24 +188,20 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
   const bool directed = (h.flags & kFlagDirected) != 0;
   const uint64_t n = h.num_vertices;
   const uint64_t num_slots = directed ? 2 * n : n;
-  // Reject entry counts before any size arithmetic: a crafted header
-  // with counts near 2^62 would wrap count * 4 to a tiny number and
+  // Reject the entry count before any size arithmetic: a crafted header
+  // with a count near 2^62 would wrap count * 4 to a tiny number and
   // sail through the layout check below. (file_size already equals the
   // real mapped size, so this also bounds every product computed next.)
-  if (h.total_entries > h.file_size / sizeof(uint32_t) ||
-      h.padded_entries > h.file_size / sizeof(uint32_t) ||
-      h.padded_entries < h.total_entries ||
-      h.padded_entries % kLabelBlockEntries != 0) {
+  if (h.total_entries > h.file_size / sizeof(uint32_t)) {
     return Status::InvalidArgument(
-        "HLI2 total_entries/padded_entries exceed what the file can hold "
-        "or are inconsistent: " + path);
+        "HLI2 total_entries exceeds what the file can hold: " + path);
   }
 
-  const Layout l = ComputeLayout(num_slots, n, h.padded_entries, h.dist_width);
+  const Layout l = ComputeLayout(num_slots, n, h.total_entries, h.dist_width);
   if (l.file_size != h.file_size) {
     return Status::InvalidArgument(
         "HLI2 file size disagrees with the canonical layout for "
-        "num_vertices/padded_entries (truncated or crafted?): " + path);
+        "num_vertices/total_entries (truncated or crafted?): " + path);
   }
 
   const uint8_t* base = file.data();
@@ -233,30 +211,25 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
     return Status::InvalidArgument("HLI2 metadata checksum mismatch: " + path);
   }
 
-  // Structural validation of everything queries index by: offsets
-  // block-aligned and exactly sizes[s] rounded up apart, permutations
-  // inverse bijections. O(|V|) — this is the whole non-constant cost of
-  // an open.
+  // Structural validation of everything queries index by: offsets from
+  // 0 to total_entries, monotone, no slot of 2^32 entries or more (a
+  // view's size is 32 bits), permutations inverse bijections. O(|V|) —
+  // this is the whole non-constant cost of an open.
   const uint64_t* offsets =
       reinterpret_cast<const uint64_t*>(base + l.offsets_off);
-  const uint32_t* sizes = reinterpret_cast<const uint32_t*>(base + l.sizes_off);
-  if (offsets[0] != 0 || offsets[num_slots] != h.padded_entries) {
-    return Status::InvalidArgument("HLI2 offset table endpoints invalid: " +
-                                   path);
-  }
-  uint64_t real_total = 0;
-  for (uint64_t s = 0; s < num_slots; ++s) {
-    if (offsets[s] % kLabelBlockEntries != 0 ||
-        offsets[s + 1] != offsets[s] + AlignUpBlock(sizes[s])) {
-      return Status::InvalidArgument(
-          "HLI2 blocked offset table not block-aligned or inconsistent "
-          "with slot sizes: " + path);
-    }
-    real_total += sizes[s];
-  }
-  if (real_total != h.total_entries) {
+  if (offsets[0] != 0 || offsets[num_slots] != h.total_entries) {
     return Status::InvalidArgument(
-        "HLI2 slot sizes disagree with total_entries: " + path);
+        "HLI2 offset table does not run from 0 to total_entries: " + path);
+  }
+  for (uint64_t s = 0; s < num_slots; ++s) {
+    if (offsets[s + 1] < offsets[s]) {
+      return Status::InvalidArgument("HLI2 offset table is not monotone: " +
+                                     path);
+    }
+    if (offsets[s + 1] - offsets[s] > UINT32_MAX) {
+      return Status::InvalidArgument("HLI2 slot " + std::to_string(s) +
+                                     " holds 2^32 entries or more: " + path);
+    }
   }
   const uint32_t* rank_to_orig =
       reinterpret_cast<const uint32_t*>(base + l.rank_to_orig_off);
@@ -276,15 +249,11 @@ Result<MappedIndex> MappedIndex::Open(const std::string& path,
   index.num_vertices_ = h.num_vertices;
   index.dist_width_ = h.dist_width;
   index.total_entries_ = h.total_entries;
-  index.padded_entries_ = h.padded_entries;
   index.arena_checksum_ = h.arena_checksum;
   const uint8_t* data = index.file_.data();
   index.offsets_ = reinterpret_cast<const uint64_t*>(data + l.offsets_off);
   index.pivots_ = reinterpret_cast<const uint32_t*>(data + l.pivots_off);
   index.dists_ = data + l.dists_off;
-  index.sizes_ = reinterpret_cast<const uint32_t*>(data + l.sizes_off);
-  index.block_min_ = reinterpret_cast<const uint32_t*>(data + l.block_min_off);
-  index.block_max_ = reinterpret_cast<const uint32_t*>(data + l.block_max_off);
   index.rank_to_orig_ =
       reinterpret_cast<const uint32_t*>(data + l.rank_to_orig_off);
   index.orig_to_rank_ =
@@ -309,8 +278,8 @@ Status MappedIndex::VerifyArenas() const {
     return Status::FailedPrecondition("VerifyArenas on an unmapped index");
   }
   // Hash exactly what Write hashed: the contiguous byte range from the
-  // pivot section start to the rank_to_orig section start (both arenas,
-  // the block sidecars, and the inter-section padding).
+  // pivot section start to the rank_to_orig section start (both arenas
+  // with their tails, and the inter-section padding).
   const uint8_t* begin = reinterpret_cast<const uint8_t*>(pivots_);
   const uint8_t* end = reinterpret_cast<const uint8_t*>(rank_to_orig_);
   if (Fnv1a64(begin, static_cast<size_t>(end - begin)) != arena_checksum_) {

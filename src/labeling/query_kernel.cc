@@ -20,66 +20,32 @@ namespace {
 using View = FlatLabelStore::View;
 
 // ---------------------------------------------------------------------------
-// Blocked merge, scalar. The outer loop walks the per-block pivot
-// min/max sidecars and advances past a block as soon as its range
-// cannot overlap the other side's current block (strict per-slot
-// sortedness makes block ranges disjoint and ascending, so a skipped
-// block can never match a later block either). Overlapping blocks fall
-// back to a bounded two-pointer merge over their real entries. The
-// block-advance rule — advance whichever block's maximum real pivot is
-// smaller, both on equal — is the same exhaustiveness argument as the
-// SIMD all-pairs merge. Instantiated per distance-lane width.
+// Two-pointer merge, scalar: the reference semantics. It reads no lane
+// past either label's end. Instantiated per distance-lane width.
 // ---------------------------------------------------------------------------
 
-inline uint32_t NumBlocks(uint32_t size) {
-  return (size + kLabelBlockEntries - 1) / kLabelBlockEntries;
-}
-
 template <uint32_t kWidth>
-Distance IntersectBlockedScalar(const View& a, const View& b) {
-  const uint32_t nba = NumBlocks(a.size);
-  const uint32_t nbb = NumBlocks(b.size);
+Distance IntersectMergeScalar(const View& a, const View& b) {
   Distance best = kInfDistance;
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    const uint32_t amax = a.block_max[ba];
-    const uint32_t bmax = b.block_max[bb];
-    if (amax < b.block_min[bb]) {
-      ++ba;
-      continue;
+  uint32_t i = 0, j = 0;
+  while (i < a.size && j < b.size) {
+    const uint32_t pa = a.pivots[i];
+    const uint32_t pb = b.pivots[j];
+    if (pa == pb) {
+      const Distance d = SaturatingAdd(ReadDistLane(a.dists, kWidth, i),
+                                       ReadDistLane(b.dists, kWidth, j));
+      if (d < best) best = d;
     }
-    if (bmax < a.block_min[ba]) {
-      ++bb;
-      continue;
-    }
-    const size_t i0 = static_cast<size_t>(ba) * kLabelBlockEntries;
-    const size_t j0 = static_cast<size_t>(bb) * kLabelBlockEntries;
-    size_t i = i0, j = j0;
-    const size_t ie = std::min<size_t>(a.size, i0 + kLabelBlockEntries);
-    const size_t je = std::min<size_t>(b.size, j0 + kLabelBlockEntries);
-    while (i < ie && j < je) {
-      if (a.pivots[i] == b.pivots[j]) {
-        const Distance d = SaturatingAdd(ReadDistLane(a.dists, kWidth, i),
-                                         ReadDistLane(b.dists, kWidth, j));
-        if (d < best) best = d;
-        ++i;
-        ++j;
-      } else if (a.pivots[i] < b.pivots[j]) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
+    i += pa <= pb;
+    j += pb <= pa;
   }
   return best;
 }
 
 Distance IntersectScalar(const View& a, const View& b) {
   HOPDB_DCHECK_EQ(a.dist_width, b.dist_width);
-  return a.dist_width == 1 ? IntersectBlockedScalar<1>(a, b)
-                           : IntersectBlockedScalar<4>(a, b);
+  return a.dist_width == 1 ? IntersectMergeScalar<1>(a, b)
+                           : IntersectMergeScalar<4>(a, b);
 }
 
 constexpr QueryKernel kScalarKernel{"scalar", &IntersectScalar};
@@ -87,12 +53,13 @@ constexpr QueryKernel kScalarKernel{"scalar", &IntersectScalar};
 #if HOPDB_X86_KERNELS
 
 // ---------------------------------------------------------------------------
-// Blocked all-pairs merge, AVX2 (8 lanes). Per block pair: compare va
+// All-pairs fold, AVX2 (8 lanes). Per register pair: compare va
 // against all 8 rotations of vb; matching lanes contribute d1+d2 to a
 // running vector minimum. A lane whose sum wraps uint32 is dropped — the
 // scalar semantics saturate it to kInfDistance, which can never win the
-// minimum. Then advance the block whose maximum (last) pivot is smaller;
-// strict sortedness makes that exhaustive (Inoue et al.'s argument).
+// minimum. The block merge then advances the block whose last pivot is
+// smaller; strict sortedness makes that exhaustive (Inoue et al.'s
+// argument).
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256i
@@ -122,7 +89,7 @@ HorizontalMinU32(__m256i v) {
 }
 
 /// Eight distance lanes as u32: one-byte lanes sign-extend, so the 0xFF
-/// padding byte becomes kInfDistance as a 4-byte padding lane is.
+/// tail byte becomes kInfDistance as a 4-byte tail lane is.
 template <uint32_t kWidth>
 __attribute__((target("avx2"))) inline __m256i LoadDists8(
     const uint8_t* dists) {
@@ -134,60 +101,73 @@ __attribute__((target("avx2"))) inline __m256i LoadDists8(
   }
 }
 
+/// All-ones in the lanes at or past `real` (the lanes of an 8-lane load
+/// that lie past the label's end), zero in the others.
+__attribute__((target("avx2"))) inline __m256i PastEnd8(uint32_t real) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  return _mm256_cmpgt_epi32(lane,
+                            _mm256_set1_epi32(static_cast<int>(real) - 1));
+}
+
 // ---------------------------------------------------------------------------
-// Blocked merge, AVX2: sidecar-driven outer loop, 16x16 all-pairs inner
-// fold as a 2x2 tile of 8-lane folds with a cheap sub-block range check
-// to skip tiles whose pivot ranges are disjoint. Padding lanes are
-// inert, so the fold always runs at full width — no scalar tail at all.
-// Instantiated per distance-lane width.
+// Block merge, AVX2: an outer loop over 16-entry blocks from each label's
+// first entry, bounded by each block's first and last real pivots, and a
+// 16x16 all-pairs inner fold as a 2x2 tile of 8-lane folds, with a cheap
+// sub-block range check to skip tiles whose pivot ranges are disjoint.
+// The fold always runs at full width, with no scalar tail: lanes past a
+// label's end get all-ones pivots on a's side and all-ones distances on
+// b's, which makes them inert. Instantiated per distance-lane width.
 // ---------------------------------------------------------------------------
 
 template <uint32_t kWidth>
 __attribute__((target("avx2"))) Distance
 IntersectBlockedAvx2(const View& a, const View& b) {
-  const uint32_t nba = NumBlocks(a.size);
-  const uint32_t nbb = NumBlocks(b.size);
   __m256i best = _mm256_set1_epi32(-1);
   const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  uint32_t ba = 0, bb = 0;
-  while (ba < nba && bb < nbb) {
-    const uint32_t amax = a.block_max[ba];
-    const uint32_t bmax = b.block_max[bb];
-    if (amax < b.block_min[bb]) {
-      ++ba;
+  size_t i = 0, j = 0;  // the current blocks' first entries
+  while (i < a.size && j < b.size) {
+    const uint32_t* pa = a.pivots + i;
+    const uint32_t* pb = b.pivots + j;
+    // Real entries in each block: 16, or fewer in a label's last block.
+    const auto ra = static_cast<uint32_t>(
+        std::min<size_t>(a.size - i, kLabelBlockEntries));
+    const auto rb = static_cast<uint32_t>(
+        std::min<size_t>(b.size - j, kLabelBlockEntries));
+    const uint32_t amax = pa[ra - 1];
+    const uint32_t bmax = pb[rb - 1];
+    if (amax < pb[0]) {
+      i += kLabelBlockEntries;
       continue;
     }
-    if (bmax < a.block_min[ba]) {
-      ++bb;
+    if (bmax < pa[0]) {
+      j += kLabelBlockEntries;
       continue;
     }
-    const size_t i0 = static_cast<size_t>(ba) * kLabelBlockEntries;
-    const size_t j0 = static_cast<size_t>(bb) * kLabelBlockEntries;
-    const uint32_t* pa = a.pivots + i0;
-    const uint8_t* da = a.dists + i0 * kWidth;
-    const uint32_t* pb = b.pivots + j0;
-    const uint8_t* db = b.dists + j0 * kWidth;
-    for (int sa = 0; sa < 2; ++sa) {
-      const uint32_t alo = pa[8 * sa];
-      const uint32_t ahi = pa[8 * sa + 7];
+    const uint8_t* da = a.dists + i * kWidth;
+    const uint8_t* db = b.dists + j * kWidth;
+    for (uint32_t sa = 0; sa < ra; sa += 8) {
+      const uint32_t alo = pa[sa];
+      const uint32_t ahi = pa[std::min(sa + 7, ra - 1)];
       __m256i va_p, va_d;
       bool loaded = false;
-      for (int sb = 0; sb < 2; ++sb) {
-        if (ahi < pb[8 * sb] || pb[8 * sb + 7] < alo) continue;
+      for (uint32_t sb = 0; sb < rb; sb += 8) {
+        if (ahi < pb[sb] || pb[std::min(sb + 7, rb - 1)] < alo) continue;
         if (!loaded) {
-          va_p = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(pa + 8 * sa));
-          va_d = LoadDists8<kWidth>(da + 8 * sa * kWidth);
+          va_p = _mm256_or_si256(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa + sa)),
+              PastEnd8(ra - sa));
+          va_d = LoadDists8<kWidth>(da + sa * kWidth);
           loaded = true;
         }
-        const __m256i vb_p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pb + 8 * sb));
-        const __m256i vb_d = LoadDists8<kWidth>(db + 8 * sb * kWidth);
+        const __m256i vb_p =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + sb));
+        const __m256i vb_d = _mm256_or_si256(
+            LoadDists8<kWidth>(db + sb * kWidth), PastEnd8(rb - sb));
         best = FoldMatches8(va_p, va_d, vb_p, vb_d, best, rot1);
       }
     }
-    if (amax <= bmax) ++ba;
-    if (bmax <= amax) ++bb;
+    if (amax <= bmax) i += kLabelBlockEntries;
+    if (bmax <= amax) j += kLabelBlockEntries;
   }
   return HorizontalMinU32(best);
 }

@@ -1,21 +1,27 @@
-// Vectorized merge-join distance kernel over blocked 2-hop labels.
+// Vectorized merge-join distance kernel over packed 2-hop labels.
 //
 // A point query is min_{w in Lout(s) ∩ Lin(t)} d1 + d2 over two sorted
 // pivot arrays — a sorted-merge intersection. Every served read takes
-// it over the cacheline-blocked SoA arenas (FlatLabelStore, HLI2),
-// through one dispatch table with one entry point, intersect_blocked,
-// in two kernels:
+// it over the packed SoA arenas (FlatLabelStore, HLI2), through one
+// dispatch table with one entry point, intersect_blocked, in two
+// kernels:
 //
 //   scalar   portable two-pointer merge (the reference semantics)
-//   avx2     8-lane all-pairs merge (the serving default on x86)
+//   avx2     16x16 all-pairs block merge (the serving default on x86)
 //
-// Both walk the per-block pivot min/max sidecars first and skip whole
-// 64-byte blocks whose pivot ranges cannot overlap, touching the arenas
-// only for blocks that can match. The AVX2 kernel compares a block pair
-// all-pairs (Inoue et al., "Faster Set Intersection with SIMD
-// instructions"): load one block per side, compare every lane pairing
-// via lane rotations, fold matching d1+d2 sums into a running vector
-// minimum, then advance the block whose maximum pivot is smaller. Both
+// The AVX2 kernel walks each label in 16-entry blocks from its first
+// entry and reads a block's pivot range from its own first and last
+// real pivots, skipping a block whose range cannot overlap the other
+// side's current block. It compares an overlapping block pair all-pairs
+// (Inoue et al., "Faster Set Intersection with SIMD instructions") as a
+// 2x2 tile of 8-lane folds: load 8 lanes per side, compare every lane
+// pairing via lane rotations, fold matching d1+d2 sums into a running
+// vector minimum, then advance the block whose last pivot is smaller.
+// In the block that holds a label's end, the lanes past that end hold
+// the next slot's entries (or the arena's all-ones tail): the kernel
+// forces them inert before the fold, to all-ones pivots on the left
+// side (no real pivot is 0xFFFFFFFF) and to all-ones distances on the
+// right (any sum with one overflows or stays kInfDistance). Both
 // kernels return bit-identical results — including kInfDistance
 // saturation on d1+d2 overflow — which the test suite verifies pairwise
 // on randomized labels at both distance-lane widths.
@@ -23,8 +29,8 @@
 // Each kernel body is written once and instantiated per distance-lane
 // width (flat_label_store.h): one-byte lanes are sign-extended to u32 as
 // they are loaded (int8_t in the scalar body, _mm256_cvtepi8_epi32 in
-// the AVX2 one), so the fold, its overflow mask and the padding rules
-// see the same u32 values at either width. The entry point picks the
+// the AVX2 one), so the fold, its overflow mask and the lane masks see
+// the same u32 values at either width. The entry point picks the
 // instance from the views' width.
 //
 // The other label layout has one scalar merge in the module that owns
@@ -60,16 +66,12 @@ namespace hopdb {
 struct QueryKernel {
   const char* name;
 
-  /// Blocked SoA form: merge-join driven by the per-block pivot min/max
-  /// sidecars (FlatLabelStore::View::block_min/block_max; one entry per
-  /// kLabelBlockEntries-entry block). Non-overlapping blocks are skipped
-  /// from the sidecars alone; overlapping blocks are compared all-pairs
-  /// at full SIMD width with no scalar tail — both views' pivot and
-  /// distance lanes must be readable through the padded end of the last
-  /// block, with padding lanes all ones (see label_entry.h for why
-  /// padding is inert). The two views must have one dist_width, as any
-  /// two slots of one label set do. Bit-identical to IntersectLabels on
-  /// the same labels.
+  /// Packed SoA form. Both views' pivot and distance lanes must be
+  /// readable for kLabelBlockEntries lanes past their ends (the next
+  /// slot's entries or the arena's tail, as in every FlatLabelStore and
+  /// HLI2 slot); what those lanes hold never changes the result. The two
+  /// views must have one dist_width, as any two slots of one label set
+  /// do. Bit-identical to IntersectLabels on the same labels.
   Distance (*intersect_blocked)(const FlatLabelStore::View& a,
                                 const FlatLabelStore::View& b);
 };
@@ -82,7 +84,7 @@ std::vector<const QueryKernel*> SupportedQueryKernels();
 /// supported by the running CPU.
 const QueryKernel* FindQueryKernel(std::string_view name);
 
-/// The kernel every blocked label read routes through. First call
+/// The kernel every store or HLI2 label read routes through. First call
 /// resolves the default (the widest supported kernel); subsequent calls
 /// are one atomic load.
 const QueryKernel& ActiveQueryKernel();
@@ -98,10 +100,11 @@ bool SetActiveQueryKernel(std::string_view name);
 /// kInfDistance when absent. O(log |label|).
 Distance LookupPivotFlat(FlatLabelStore::View label, VertexId pivot);
 
-/// QueryLabelHalves (two_hop_index.h) over blocked views: intersection
+/// QueryLabelHalves (two_hop_index.h) over packed views: intersection
 /// via `kernel.intersect_blocked` plus the two implicit trivial pivots
-/// and the s == t case. Both views must carry block sidecars
-/// (FlatLabelStore or HLI2 slots).
+/// and the s == t case. Both views must be store or HLI2 slots (or
+/// suffixes of them), readable past their ends as intersect_blocked
+/// requires.
 Distance QueryFlatHalves(FlatLabelStore::View out_s,
                          FlatLabelStore::View in_t, VertexId s, VertexId t,
                          const QueryKernel& kernel);

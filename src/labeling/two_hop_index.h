@@ -5,7 +5,7 @@
 // comparisons measure label quality, not implementation differences.
 //
 // The index holds its labels in one form: a frozen FlatLabelStore
-// (structure-of-arrays, cache-line-aligned blocked arenas). Every read
+// (structure-of-arrays, cache-line-aligned packed arenas). Every read
 // goes through it — Query, labels() (and through labels() the batch/KNN
 // engines, the hot-hub table and the serving snapshot), and the
 // OutLabel/InLabel views, which yield LabelEntry values for code that
@@ -15,9 +15,9 @@
 // hand per-vertex label vectors to the vector constructor, which
 // freezes them into the store and lets them go, and IncrementalUpdater
 // thaws its own editable copy, freezing it back at Finalize(). Save writes
-// the store's real entries as varints (HLI1 never sees the block
-// padding) and the caller's rank permutation, and Load decodes both
-// back, the labels straight into the arenas.
+// the store's entries as varints (HLI1 never sees the arenas' tail
+// lanes) and the caller's rank permutation, and Load decodes both back,
+// the labels straight into the arenas.
 
 #ifndef HOPDB_LABELING_TWO_HOP_INDEX_H_
 #define HOPDB_LABELING_TWO_HOP_INDEX_H_
@@ -83,8 +83,8 @@ class TwoHopIndex {
   /// Lin and Lout together (the paper's "Avg |label| per vertex").
   double AvgLabelSize() const;
 
-  /// In-memory footprint in bytes: the frozen store's arenas, sidecars
-  /// and tables.
+  /// In-memory footprint in bytes: the frozen store's arenas and offset
+  /// table.
   uint64_t SizeBytes() const { return flat_.SizeBytes(); }
 
   /// Size under the paper's disk accounting: 32-bit pivot + 8-bit
@@ -105,7 +105,7 @@ class TwoHopIndex {
 
   /// Serializes to HLI1 (docs/FORMATS.md): a header, every label's
   /// length as a varint, every entry as a (pivot gap, distance) varint
-  /// pair (no block padding), the rank section (`ranking.rank_to_orig`,
+  /// pair (no tail lanes), the rank section (`ranking.rank_to_orig`,
   /// which must cover |V| ids), then a u64 FNV-1a-64 checksum of it all.
   /// The varints are canonical, so an index has one file. Save streams
   /// the file through one fixed 1 MiB window into a temporary file beside

@@ -79,7 +79,7 @@ class ServingSnapshot {
   bool directed() const { return labels_.directed; }
 
   /// Bytes of index data this snapshot holds in RAM. Heap snapshots
-  /// report their frozen label store (arenas, sidecars and tables — the
+  /// report their frozen label store (arenas and offset table — the
   /// only form a heap index holds its labels in); mmap snapshots report
   /// the currently resident page-cache bytes (an mincore walk — near 0
   /// cold, up to MappedBytes() warm).

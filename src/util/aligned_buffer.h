@@ -1,7 +1,6 @@
 // Cache-line-aligned flat arrays. The flat label store keeps its pivot
-// and distance arenas and their block sidecars 64-byte aligned so a
-// label's first SIMD block never straddles an extra cache line and
-// streaming scans start on a line boundary.
+// and distance arenas 64-byte aligned so streaming scans of the arenas
+// start on a line boundary.
 
 #ifndef HOPDB_UTIL_ALIGNED_BUFFER_H_
 #define HOPDB_UTIL_ALIGNED_BUFFER_H_

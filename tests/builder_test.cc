@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,6 +84,50 @@ TEST(BuilderTest, PathGraphExactAllModes) {
     ASSERT_TRUE(out.ok()) << BuildModeName(mode);
     ExpectExact(*ranked, out->index);
     EXPECT_TRUE(out->index.Validate(/*ranked=*/true).ok());
+  }
+}
+
+// A candidate whose distance saturates at kInfDistance covers no path a
+// label can hold. A and B, the two top-ranked vertices (degree 3), meet
+// only through C over two edges of weight 0xC0000000, so the candidate
+// between them sums past 2^32 - 1, and no witness ranks above its
+// pivot. The gather drops it: every entry stays finite, the index
+// validates, and it survives an HLI1 round trip (Load refuses an
+// infinite entry).
+TEST(BuilderTest, SaturatedCandidatesHoldNoEntry) {
+  const Distance heavy = 0xC0000000u;
+  EdgeList e(7, false);
+  e.Add(0, 2, heavy);  // A - C
+  e.Add(2, 1, heavy);  // C - B
+  e.Add(0, 3);         // A's and B's pendants
+  e.Add(0, 4);
+  e.Add(1, 5);
+  e.Add(1, 6);
+  e.Normalize();
+  auto ranked = RankedGraph(e);
+  ASSERT_TRUE(ranked.ok());
+  auto dir = TempDir::Create("saturated");
+  ASSERT_TRUE(dir.ok());
+  for (BuildMode mode : {BuildMode::kHopStepping, BuildMode::kHopDoubling,
+                         BuildMode::kHybrid}) {
+    BuildOptions opts;
+    opts.mode = mode;
+    auto out = BuildHopLabeling(*ranked, opts);
+    ASSERT_TRUE(out.ok()) << BuildModeName(mode);
+    EXPECT_TRUE(out->index.Validate(/*ranked=*/true).ok())
+        << BuildModeName(mode);
+    const std::string path = dir->File("saturated.hli");
+    std::vector<VertexId> order(7);
+    std::iota(order.begin(), order.end(), 0u);
+    ASSERT_TRUE(out->index.Save(path, RankingFromOrder(order)).ok());
+    RankMapping ranks;
+    auto loaded = TwoHopIndex::Load(path, &ranks);
+    ASSERT_TRUE(loaded.ok()) << BuildModeName(mode) << " " << loaded.status();
+    for (VertexId s = 0; s < 7; ++s) {
+      for (VertexId t = 0; t < 7; ++t) {
+        ASSERT_EQ(loaded->Query(s, t), out->index.Query(s, t));
+      }
+    }
   }
 }
 

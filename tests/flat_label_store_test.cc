@@ -1,7 +1,9 @@
 // FlatLabelStore: a frozen store reproduces the label vectors it was
-// built from, picks its distance-lane width from them, degenerate inputs
-// freeze cleanly, and a TwoHopIndex that goes through HLI1 save/load
-// re-freezes an identical store.
+// built from, packs them end to end with all-ones tail lanes and nothing
+// else (its SizeBytes is its entries, offsets and tail), picks its
+// distance-lane width from them, degenerate inputs freeze cleanly, and a
+// TwoHopIndex that goes through HLI1 save/load re-freezes an identical
+// store.
 
 #include <gtest/gtest.h>
 
@@ -82,61 +84,83 @@ std::vector<LabelVector> RandomLabels(Rng* rng, VertexId nv, size_t max_len) {
   return labels;
 }
 
+/// The store holds its real entries and nothing else: each slot starts
+/// where the one before it ends, the kLabelBlockEntries lanes past the
+/// last slot read as all-ones pivots and kInfDistance, and SizeBytes is
+/// (4 + dist_width) bytes a lane, entries and tail, plus 8 an offset.
+void ExpectPackedWithTail(const FlatLabelStore& store) {
+  const LabelSetView view = store.view();
+  const size_t slots = view.num_slots();
+  uint64_t entries = 0;
+  for (size_t s = 0; s < slots; ++s) {
+    const FlatLabelStore::View label = view.Slot(s);
+    ASSERT_EQ(label.pivots, view.pivots + entries) << "slot " << s;
+    ASSERT_EQ(label.dists, view.dists + entries * view.dist_width)
+        << "slot " << s;
+    entries += label.size;
+  }
+  ASSERT_EQ(store.TotalEntries(), entries);
+  ASSERT_EQ(view.offsets[slots], entries);
+  const FlatLabelStore::View tail{view.pivots + entries,
+                                  view.dists + entries * view.dist_width,
+                                  kLabelBlockEntries, view.dist_width};
+  for (uint32_t i = 0; i < kLabelBlockEntries; ++i) {
+    ASSERT_EQ(tail.pivots[i], kInvalidVertex) << "tail lane " << i;
+    ASSERT_EQ(tail.dist(i), kInfDistance) << "tail lane " << i;
+  }
+  const uint64_t lane_bytes = 4 + store.dist_width();
+  EXPECT_EQ(store.SizeBytes(), lane_bytes * entries + 8 * (slots + 1) +
+                                   lane_bytes * kLabelBlockEntries);
+}
+
 TEST(FlatLabelStoreTest, BuildMatchesVectors) {
   Rng rng(11);
   const auto out = RandomLabels(&rng, 50, 16);
-  ExpectMatchesVectors(FlatLabelStore::Build(out, {}, false), out, {});
+  const FlatLabelStore undirected = FlatLabelStore::Build(out, {}, false);
+  ExpectMatchesVectors(undirected, out, {});
+  ExpectPackedWithTail(undirected);
   const auto in = RandomLabels(&rng, 50, 16);
-  ExpectMatchesVectors(FlatLabelStore::Build(out, in, true), out, in);
+  const FlatLabelStore directed = FlatLabelStore::Build(out, in, true);
+  ExpectMatchesVectors(directed, out, in);
+  ExpectPackedWithTail(directed);
 }
 
 TEST(FlatLabelStoreTest, DegenerateStores) {
-  // No vertices at all.
+  // No vertices at all: one offset and the tail.
   const FlatLabelStore empty = FlatLabelStore::Build({}, {}, false);
   EXPECT_EQ(empty.num_vertices(), 0u);
   EXPECT_EQ(empty.TotalEntries(), 0u);
   EXPECT_EQ(empty.view().offsets[0], 0u);
+  ExpectPackedWithTail(empty);
 
   // A default-constructed store is an empty set too.
   const FlatLabelStore unset_store;
   const LabelSetView unset = unset_store.view();
   EXPECT_EQ(unset.num_vertices, 0u);
   EXPECT_EQ(unset.offsets[0], 0u);
+  ExpectPackedWithTail(unset_store);
 
   // Vertices with all-empty labels.
   const FlatLabelStore blank =
       FlatLabelStore::Build(std::vector<LabelVector>(5), {}, false);
   EXPECT_EQ(blank.TotalEntries(), 0u);
   EXPECT_EQ(blank.Out(3).size, 0u);
+  ExpectPackedWithTail(blank);
 
-  // A single one-entry label, padded to one block.
+  // A single one-entry label takes one entry's lanes, beside the tail.
   std::vector<LabelVector> one(2);
   one[1] = {{0, 7}};
   const FlatLabelStore single = FlatLabelStore::Build(one, {}, false);
   ExpectMatchesVectors(single, one, {});
-  EXPECT_EQ(single.PaddedEntries(), kLabelBlockEntries);
-}
-
-/// Every padding lane of every slot reads as an all-ones pivot and as
-/// kInfDistance through dist(i).
-void ExpectInertPadding(const FlatLabelStore& store) {
-  for (VertexId v = 0; v < store.num_vertices(); ++v) {
-    for (const FlatLabelStore::View view : {store.Out(v), store.In(v)}) {
-      const uint32_t padded =
-          (view.size + kLabelBlockEntries - 1) / kLabelBlockEntries *
-          kLabelBlockEntries;
-      for (uint32_t i = view.size; i < padded; ++i) {
-        ASSERT_EQ(view.pivots[i], kInvalidVertex) << "vertex " << v;
-        ASSERT_EQ(view.dist(i), kInfDistance) << "vertex " << v;
-      }
-    }
-  }
+  ExpectPackedWithTail(single);
+  EXPECT_EQ(single.view().offsets[2], 1u);
 }
 
 // The freeze sizes the distance lanes from the labels alone: one byte
 // while every distance is at most 127, four once a distance of 128
 // arrives — here in the last slot, after narrow slots were filled, so
-// the widening re-lays them — and one byte for a store with no entries.
+// the widening re-lays them and the tail — and one byte for a store with
+// no entries.
 TEST(FlatLabelStoreTest, LaneWidthComesFromTheLabels) {
   std::vector<LabelVector> narrow(4);
   narrow[1] = {{0, 127}};
@@ -146,7 +170,7 @@ TEST(FlatLabelStoreTest, LaneWidthComesFromTheLabels) {
   EXPECT_EQ(one.dist_width(), 1u);
   EXPECT_EQ(one.view().dist_width, 1u);
   ExpectMatchesVectors(one, narrow, {});
-  ExpectInertPadding(one);
+  ExpectPackedWithTail(one);
 
   std::vector<LabelVector> wide = narrow;
   wide[3][1].dist = 128;
@@ -154,9 +178,11 @@ TEST(FlatLabelStoreTest, LaneWidthComesFromTheLabels) {
   EXPECT_EQ(four.dist_width(), 4u);
   EXPECT_EQ(four.view().dist_width, 4u);
   ExpectMatchesVectors(four, wide, {});
-  ExpectInertPadding(four);
-  // Same slots, same pivots: only the distance lanes grow, 3 B a lane.
-  EXPECT_EQ(four.SizeBytes() - one.SizeBytes(), 3 * one.PaddedEntries());
+  ExpectPackedWithTail(four);
+  // Same slots, same pivots: only the distance lanes grow, 3 B a lane,
+  // the tail's included.
+  EXPECT_EQ(four.SizeBytes() - one.SizeBytes(),
+            3 * (one.TotalEntries() + kLabelBlockEntries));
 
   // The first slot widens before any lane is filled; directed stores
   // widen across both sides.
@@ -166,7 +192,7 @@ TEST(FlatLabelStoreTest, LaneWidthComesFromTheLabels) {
   const FlatLabelStore directed = FlatLabelStore::Build(narrow, in, true);
   EXPECT_EQ(directed.dist_width(), 4u);
   ExpectMatchesVectors(directed, narrow, in);
-  ExpectInertPadding(directed);
+  ExpectPackedWithTail(directed);
 
   EXPECT_EQ(FlatLabelStore::Build({}, {}, false).dist_width(), 1u);
   EXPECT_EQ(FlatLabelStore().dist_width(), 1u);
@@ -176,8 +202,8 @@ TEST(FlatLabelStoreTest, LaneWidthComesFromTheLabels) {
       1u);
 }
 
-// Random stores at either width: the padding lanes stay inert after any
-// widening, and LabelView yields the stored entries.
+// Random stores at either width: the slots stay packed and the tail
+// all ones after any widening, and LabelView yields the stored entries.
 TEST(FlatLabelStoreTest, RandomStoresAtBothWidths) {
   Rng rng(17);
   for (int round = 0; round < 20; ++round) {
@@ -195,7 +221,7 @@ TEST(FlatLabelStoreTest, RandomStoresAtBothWidths) {
     const FlatLabelStore store = FlatLabelStore::Build(out, {}, false);
     ASSERT_EQ(store.dist_width(), widen ? 4u : 1u);
     ExpectMatchesVectors(store, out, {});
-    ExpectInertPadding(store);
+    ExpectPackedWithTail(store);
     for (VertexId v = 0; v < store.num_vertices(); ++v) {
       const LabelView label(store.Out(v));
       ASSERT_TRUE(std::equal(label.begin(), label.end(), out[v].begin(),

@@ -5,10 +5,14 @@
 //     a Status (the loader's documented contract);
 //   - a file that passes validation serves in-range queries without
 //     crashing and with a consistent id permutation.
-// The seed corpus is two small valid HLI2 images, one with one-byte
-// distance lanes and one whose weights of 128 and more give it 4-byte
-// lanes, so mutation starts from files that exercise the deep
-// (post-magic) validation paths at both widths.
+// The seed corpus is two small valid HLI2 images in the packed
+// version-4 layout (offsets, arenas ending in 16 tail lanes), one with
+// one-byte distance lanes and one whose weights of 128 and more give it
+// 4-byte lanes, so mutation starts from files that exercise the deep
+// (post-magic) validation paths — the offset table's checks among them
+// — at both widths. A file that passes is queried on every pair of its
+// first 8 vertices, so the kernels' block loads past each label's end
+// run over the mapping under ASan.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,6 +55,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
     if (mapped->Query(v, v) != 0) __builtin_trap();
     (void)mapped->Query(v, n - 1 - v);
+    for (hopdb::VertexId t = 0; t < n && t < 8; ++t) {
+      (void)mapped->Query(v, t);
+    }
   }
   return 0;
 }

@@ -2,7 +2,7 @@
 // to the general merge-join on every kernel, every k, and both label
 // backings (heap flat store and mapped HLI2), including the tricky
 // cases — hub-covered trivial pivots, labels entirely inside the hub
-// prefix, and partial-block suffix starts.
+// prefix, and a suffix that starts at every offset of a label.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "graph/ranking.h"
 #include "io/temp_dir.h"
 #include "labeling/builder.h"
+#include "labeling/flat_label_store.h"
 #include "labeling/hot_hub.h"
 #include "labeling/mapped_index.h"
 #include "labeling/query_kernel.h"
@@ -109,6 +110,45 @@ TEST(HotHubTest, MatchesMergeJoinOnBlockedHeapStoreUndirected) {
 TEST(HotHubTest, MatchesMergeJoinOnBlockedHeapStoreDirectedWeighted) {
   Fixture fix = BuildFixture(MakeGraph(true, true, 22));
   ExpectIdentityOnView(fix.index.labels(), 220);
+}
+
+// The suffix merge starts at a label's first non-hub entry, wherever it
+// is. Over dense labels of up to 40 entries on 64 pivots, k from 1 to 64
+// moves every label's skip through every offset from 0 to its length,
+// on both sides and at both lane widths; the hub must answer every pair
+// as the plain merge does.
+TEST(HotHubTest, SuffixAtEveryOffsetMatchesMergeJoin) {
+  const VertexId n = 64;
+  for (const Distance max_dist : {Distance{60}, Distance{500}}) {
+    Rng rng(DeriveSeed(99, max_dist));
+    std::vector<LabelVector> out(n), in(n);
+    for (VertexId v = 0; v < n; ++v) {
+      for (LabelVector* label : {&out[v], &in[v]}) {
+        const uint64_t len = rng.Below(41);
+        for (VertexId p = 0; p < n && label->size() < len; ++p) {
+          if (rng.Below(n - p) < len - label->size()) {
+            label->push_back(
+                {p, static_cast<Distance>(rng.Uniform(1, max_dist))});
+          }
+        }
+      }
+    }
+    const FlatLabelStore store = FlatLabelStore::Build(out, in, true);
+    const LabelSetView view = store.view();
+    for (uint32_t k = 1; k <= n; ++k) {
+      const HotHubCache hub = HotHubCache::Build(view, k);
+      for (const QueryKernel* kernel : SupportedQueryKernels()) {
+        for (VertexId s = 0; s < n; ++s) {
+          for (VertexId t = 0; t < n; ++t) {
+            ASSERT_EQ(hub.Query(view, s, t, *kernel),
+                      Reference(view, s, t, *kernel))
+                << kernel->name << " width " << store.dist_width() << " k="
+                << k << " " << s << "->" << t;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(HotHubTest, MatchesMergeJoinOverMappedV2Index) {

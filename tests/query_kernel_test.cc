@@ -2,11 +2,15 @@
 // supports must return bit-identical distances on randomized labels —
 // including the kInfDistance saturation corner when d1 + d2 overflows
 // uint32 — and so must the span-based QueryLabelHalves merge, which the
-// blocked query path must also match, at both distance-lane widths
-// (one-byte lanes up to distance 127, 4-byte lanes from 128).
+// packed query path must also match, at both distance-lane widths
+// (one-byte lanes up to distance 127, 4-byte lanes from 128). The packed
+// store puts the next slot's entries (or the all-ones tail) right after
+// each label, where the AVX2 kernel's block loads read them: those lanes
+// must never change an answer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,20 +50,36 @@ Distance BruteIntersect(const LabelVector& a, const LabelVector& b) {
   return best;
 }
 
+/// Every kernel's answer on a and b equals IntersectLabels, with a and b
+/// as the views `store` holds at slots `slot_a` and `slot_b`.
+void ExpectKernelsMatchIntersect(const FlatLabelStore& store, size_t slot_a,
+                                 size_t slot_b, const LabelVector& a,
+                                 const LabelVector& b,
+                                 const std::string& context) {
+  const LabelSetView view = store.view();
+  const FlatLabelStore::View va = view.Slot(slot_a);
+  const FlatLabelStore::View vb = view.Slot(slot_b);
+  ASSERT_EQ(va.size, a.size()) << context;
+  ASSERT_EQ(vb.size, b.size()) << context;
+  const Distance want = IntersectLabels(a, b);
+  for (const QueryKernel* kernel : SupportedQueryKernels()) {
+    ASSERT_EQ(kernel->intersect_blocked(va, vb), want)
+        << context << " kernel=" << kernel->name;
+    ASSERT_EQ(kernel->intersect_blocked(vb, va), want)
+        << context << " swapped, kernel=" << kernel->name;
+  }
+}
+
 void ExpectAllKernelsAgree(const LabelVector& a, const LabelVector& b,
                            const std::string& context) {
-  const Distance want = BruteIntersect(a, b);
-  // One directed vertex: a is its out-label, b its in-label, each laid
-  // out in padded 16-entry blocks with min/max sidecars.
-  const FlatLabelStore store = FlatLabelStore::Build({a}, {b}, true);
-  const FlatLabelStore::View va = store.Out(0);
-  const FlatLabelStore::View vb = store.In(0);
-  for (const QueryKernel* kernel : SupportedQueryKernels()) {
-    EXPECT_EQ(kernel->intersect_blocked(va, vb), want)
-        << context << " intersect_blocked kernel=" << kernel->name;
-  }
+  ASSERT_EQ(IntersectLabels(a, b), BruteIntersect(a, b)) << context;
+  // One directed vertex: a is its out-label, b its in-label, so the
+  // lanes past a's end hold b's entries and those past b's the tail.
+  ExpectKernelsMatchIntersect(FlatLabelStore::Build({a}, {b}, true), 0, 1, a,
+                              b, context);
   // Endpoints outside the pivot space: the trivial probes miss.
-  EXPECT_EQ(QueryLabelHalves(a, b, 1u << 30, 1u << 31), want) << context;
+  EXPECT_EQ(QueryLabelHalves(a, b, 1u << 30, 1u << 31), IntersectLabels(a, b))
+      << context;
 }
 
 TEST(QueryKernelTest, ScalarKernelIsAlwaysFirst) {
@@ -110,6 +130,95 @@ TEST(QueryKernelTest, RandomizedAgreementAcrossSizes) {
         ExpectAllKernelsAgree(a, b, "sizes " + std::to_string(la) + "x" +
                                         std::to_string(lb) + " round " +
                                         std::to_string(round));
+      }
+    }
+  }
+}
+
+/// A label of `len` entries over pivots [0, 48), distances in [1, 50],
+/// or [1, 400] (4-byte lanes) when `wide`.
+LabelVector LabelOfLength(Rng* rng, size_t len, bool wide) {
+  std::vector<VertexId> pivots(48);
+  for (VertexId p = 0; p < pivots.size(); ++p) pivots[p] = p;
+  for (size_t i = 0; i < len; ++i) {
+    std::swap(pivots[i], pivots[i + rng->Below(pivots.size() - i)]);
+  }
+  pivots.resize(len);
+  std::sort(pivots.begin(), pivots.end());
+  LabelVector label;
+  const uint64_t max_dist = wide ? 400 : 50;
+  for (const VertexId p : pivots) {
+    label.push_back({p, static_cast<Distance>(rng->Uniform(1, max_dist))});
+  }
+  return label;
+}
+
+// Every pair of label lengths 0..40 — every position of a label's end
+// within a 16-lane block and within an 8-lane register — at both lane
+// widths. Directed, a's lanes run on into b's slot and b's into the
+// tail; undirected (slots b, a), the other way round.
+TEST(QueryKernelTest, EveryLengthPairMatchesIntersectLabels) {
+  Rng rng(4040);
+  for (const bool wide : {false, true}) {
+    for (size_t la = 0; la <= 40; ++la) {
+      for (size_t lb = 0; lb <= 40; ++lb) {
+        const LabelVector a = LabelOfLength(&rng, la, wide);
+        const LabelVector b = LabelOfLength(&rng, lb, wide);
+        const std::string context = std::string(wide ? "wide " : "narrow ") +
+                                    std::to_string(la) + "x" +
+                                    std::to_string(lb);
+        const FlatLabelStore directed = FlatLabelStore::Build({a}, {b}, true);
+        ExpectKernelsMatchIntersect(directed, 0, 1, a, b,
+                                    context + " directed");
+        const FlatLabelStore undirected =
+            FlatLabelStore::Build({b, a}, {}, false);
+        ExpectKernelsMatchIntersect(undirected, 1, 0, a, b,
+                                    context + " undirected");
+      }
+    }
+  }
+}
+
+// The lanes past a label's end hold the next slot's entries. Here each
+// label is followed by a slot holding the OTHER side's pivots at
+// distance 1, smaller than any real sum, so a kernel that read those
+// lanes as a's or b's entries would answer 2 (or a finite distance for
+// disjoint labels, whose answer is kInfDistance). Both labels are also
+// run as the store's last slot, whose block loads read the tail.
+TEST(QueryKernelTest, LanesPastALabelsEndNeverMatch) {
+  Rng rng(5150);
+  for (const bool wide : {false, true}) {
+    for (size_t la = 1; la <= 40; ++la) {
+      for (size_t lb = 1; lb <= 40; ++lb) {
+        LabelVector a = LabelOfLength(&rng, la, wide);
+        LabelVector b = LabelOfLength(&rng, lb, wide);
+        for (LabelEntry& e : a) e.dist += 10;
+        for (LabelEntry& e : b) e.dist += 10;
+        if (lb % 3 == 0) {
+          // Disjoint pivots: odd on one side, even on the other.
+          for (LabelEntry& e : a) e.pivot = 2 * e.pivot + 1;
+          for (LabelEntry& e : b) e.pivot = 2 * e.pivot;
+        }
+        const auto bait = [](const LabelVector& other) {
+          LabelVector out = other;
+          for (LabelEntry& e : out) e.dist = 1;
+          return out;
+        };
+        const std::string context = std::string(wide ? "wide " : "narrow ") +
+                                    std::to_string(la) + "x" +
+                                    std::to_string(lb);
+        // Slots: a, bait(b), b, bait(a): each label's next slot baits it.
+        const FlatLabelStore baited =
+            FlatLabelStore::Build({a, bait(b), b, bait(a)}, {}, false);
+        ExpectKernelsMatchIntersect(baited, 0, 2, a, b, context + " baited");
+        // Slots: bait(b), a, bait(a), b: b last, its loads reach the tail.
+        const FlatLabelStore b_last =
+            FlatLabelStore::Build({bait(b), a, bait(a), b}, {}, false);
+        ExpectKernelsMatchIntersect(b_last, 1, 3, a, b, context + " b last");
+        // And a last.
+        const FlatLabelStore a_last =
+            FlatLabelStore::Build({bait(a), b, bait(b), a}, {}, false);
+        ExpectKernelsMatchIntersect(a_last, 3, 1, a, b, context + " a last");
       }
     }
   }

@@ -1409,33 +1409,36 @@ TEST_F(ServerEndToEndTest, CraftedIndexFilesAnswerErrAndKeepServing) {
   EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE c DIST 0 1"), "ERR "));
 }
 
-// An HLI2 file of a retired version (here version 2, 4-byte lanes
-// always: a current file relabelled, its header re-sealed) is refused by
+// An HLI2 file of a retired version (version 2 or 3, the blocked
+// arenas: a current file relabelled, its header re-sealed) is refused by
 // ATTACH and RELOAD with a pointer to `hopdb_cli convert`, and the
 // server keeps serving what it had.
 TEST_F(ServerEndToEndTest, RetiredHli2VersionAnswersErrNamingConvert) {
-  auto tmp = TempDir::Create("server_hli2_v2");
+  auto tmp = TempDir::Create("server_hli2_retired");
   ASSERT_TRUE(tmp.ok());
-  const std::string path = tmp->File("v2.hli2");
-  ASSERT_TRUE(
-      MappedIndex::Write(index_.label_index(), index_.ranking(), path).ok());
-  std::string file;
-  ASSERT_TRUE(ReadFileToString(path, &file).ok());
-  uint8_t* header = reinterpret_cast<uint8_t*>(file.data());
-  EncodeU32(2, header + 4);
-  EncodeU32(0, header + 20);
-  EncodeU64(Fnv1a64(header, 64), header + 64);
-  ASSERT_TRUE(WriteStringToFile(path, file).ok());
-
   const std::vector<Distance> truth = ExactDistances(graph_, 2);
-  const std::string attach = *client_.RoundTrip("ATTACH old " + path);
-  EXPECT_TRUE(StartsWith(attach, "ERR ")) << attach;
-  EXPECT_NE(attach.find("hopdb_cli convert"), std::string::npos) << attach;
-  const std::string reload = *client_.RoundTrip("RELOAD " + path);
-  EXPECT_TRUE(StartsWith(reload, "ERR ")) << reload;
-  EXPECT_NE(reload.find("hopdb_cli convert"), std::string::npos) << reload;
-  EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]);
-  EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE old DIST 0 1"), "ERR "));
+  for (const uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const std::string path = tmp->File("v" + std::to_string(version));
+    ASSERT_TRUE(
+        MappedIndex::Write(index_.label_index(), index_.ranking(), path)
+            .ok());
+    std::string file;
+    ASSERT_TRUE(ReadFileToString(path, &file).ok());
+    uint8_t* header = reinterpret_cast<uint8_t*>(file.data());
+    EncodeU32(version, header + 4);
+    EncodeU64(Fnv1a64(header, 64), header + 64);
+    ASSERT_TRUE(WriteStringToFile(path, file).ok());
+
+    const std::string attach = *client_.RoundTrip("ATTACH old " + path);
+    EXPECT_TRUE(StartsWith(attach, "ERR ")) << attach;
+    EXPECT_NE(attach.find("hopdb_cli convert"), std::string::npos) << attach;
+    const std::string reload = *client_.RoundTrip("RELOAD " + path);
+    EXPECT_TRUE(StartsWith(reload, "ERR ")) << reload;
+    EXPECT_NE(reload.find("hopdb_cli convert"), std::string::npos) << reload;
+    EXPECT_EQ(*client_.QueryDistance(2, 10), truth[10]);
+    EXPECT_TRUE(StartsWith(*client_.RoundTrip("USE old DIST 0 1"), "ERR "));
+  }
 }
 
 TEST_F(ServerEndToEndTest, CraftedHli1ShapeAnswersErrAndKeepsServing) {
